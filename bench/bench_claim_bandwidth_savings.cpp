@@ -5,8 +5,8 @@
 //     same displayed quality ([16] reports ~45%, [37] 60-80%).
 //
 // Method: equal-quality comparison (quality pinned per row) between the
-// FoV-agnostic planner and the FoV-guided planner, across several users,
-// reporting downloaded bytes and the waste fraction.
+// FoV-agnostic "fullpano" policy and the FoV-guided "sperke" policy, across
+// several users, reporting downloaded bytes and the waste fraction.
 #include <iostream>
 
 #include "common.h"
@@ -30,8 +30,8 @@ int main() {
       core::SessionConfig guided;
       guided.abr.sperke.regular_vra = "fixed-" + std::to_string(q);
       core::SessionConfig agnostic;
-      agnostic.planner = core::PlannerMode::kFovAgnostic;
-      agnostic.abr.sperke.regular_vra = guided.abr.sperke.regular_vra;
+      agnostic.abr.policy = "fullpano";
+      agnostic.abr.fullpano.regular_vra = guided.abr.sperke.regular_vra;
       const auto g = run_vod(bandwidth, guided, 100 + user);
       const auto a = run_vod(bandwidth, agnostic, 100 + user);
       guided_mb.add(static_cast<double>(g.qoe.bytes_downloaded) / 1e6);
@@ -65,8 +65,8 @@ int main() {
     core::SessionConfig guided;
     guided.abr.sperke.regular_vra = "fixed-2";
     core::SessionConfig agnostic;
-    agnostic.planner = core::PlannerMode::kFovAgnostic;
-    agnostic.abr.sperke.regular_vra = "fixed-2";
+    agnostic.abr.policy = "fullpano";
+    agnostic.abr.fullpano.regular_vra = "fixed-2";
     const auto g = run_vod(bandwidth, guided, 150, nullptr, video);
     const auto a = run_vod(bandwidth, agnostic, 150, nullptr, video);
     const double g_mb = static_cast<double>(g.qoe.bytes_downloaded) / 1e6;
@@ -89,8 +89,8 @@ int main() {
   vcfg.seed = 7;
   auto fine_video = std::make_shared<media::VideoModel>(vcfg);
   core::SessionConfig agnostic_cfg;
-  agnostic_cfg.planner = core::PlannerMode::kFovAgnostic;
-  agnostic_cfg.abr.sperke.regular_vra = "fixed-2";
+  agnostic_cfg.abr.policy = "fullpano";
+  agnostic_cfg.abr.fullpano.regular_vra = "fixed-2";
   const auto agnostic_fine = run_vod(bandwidth, agnostic_cfg, 150, nullptr, fine_video);
   const double a_mb = static_cast<double>(agnostic_fine.qoe.bytes_downloaded) / 1e6;
   for (double budget : {0.5, 0.35, 0.15, 0.05}) {

@@ -35,7 +35,7 @@ using namespace sperke;
 
 struct Scenario {
   std::string label;
-  core::PlannerMode planner = core::PlannerMode::kFovGuided;
+  std::string policy = "sperke";  // "fullpano" = the FoV-agnostic status quo
   abr::EncodingMode mode = abr::EncodingMode::kSvc;
 };
 
@@ -65,7 +65,7 @@ RunOutput run(const Scenario& scenario, double mean_kbps, bool traced) {
   spec.transport_max_concurrent = 12;
 
   spec.sessions = 1;
-  spec.session.planner = scenario.planner;
+  spec.session.abr.policy = scenario.policy;
   spec.session.abr.sperke.mode = scenario.mode;
   spec.horizon = sim::seconds(900.0);
   spec.shards = 1;
@@ -116,14 +116,10 @@ int main(int argc, char** argv) {
             << " Mbps cellular link (90 s video)\n\n";
 
   const Scenario scenarios[] = {
-      {"FoV-agnostic (YouTube-style)", core::PlannerMode::kFovAgnostic,
-       abr::EncodingMode::kAvcNoUpgrade},
-      {"FoV-guided, AVC (no upgrades)", core::PlannerMode::kFovGuided,
-       abr::EncodingMode::kAvcNoUpgrade},
-      {"FoV-guided, SVC upgrades", core::PlannerMode::kFovGuided,
-       abr::EncodingMode::kSvc},
-      {"FoV-guided, hybrid SVC/AVC", core::PlannerMode::kFovGuided,
-       abr::EncodingMode::kHybrid},
+      {"FoV-agnostic (YouTube-style)", "fullpano", abr::EncodingMode::kAvcNoUpgrade},
+      {"FoV-guided, AVC (no upgrades)", "sperke", abr::EncodingMode::kAvcNoUpgrade},
+      {"FoV-guided, SVC upgrades", "sperke", abr::EncodingMode::kSvc},
+      {"FoV-guided, hybrid SVC/AVC", "sperke", abr::EncodingMode::kHybrid},
   };
   TextTable table({"Configuration", "Utility", "Stall s", "MB", "Waste %",
                    "Upgrades", "Score"});
@@ -133,7 +129,7 @@ int main(int argc, char** argv) {
     // Trace the flagship Sperke configuration only: one session = one
     // coherent timeline.
     const bool traced = !trace_path.empty() && scenario.mode == abr::EncodingMode::kSvc &&
-                        scenario.planner == core::PlannerMode::kFovGuided;
+                        scenario.policy == "sperke";
     RunOutput out = run(scenario, mean_kbps, traced);
     if (traced) {
       telemetry = std::move(out.telemetry);

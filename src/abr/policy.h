@@ -54,8 +54,8 @@ class TileAbrPolicy {
   // Plan all fetches for chunk `index`, written into `out` (reset first),
   // scratch from `workspace`.
   //  `predicted_fov`        — tiles of the predicted viewport (sorted);
-  //  `tile_probabilities`   — fusion HMP output for this chunk (empty for
-  //                           the FoV-agnostic planner: no probability map);
+  //  `tile_probabilities`   — fusion HMP output for this chunk (empty when
+  //                           the caller has no probability map);
   //  `estimated_kbps`       — current throughput estimate (0 = unknown);
   //  `buffer_level`         — media time buffered ahead of the playhead;
   //  `last_quality`         — previous FoV quality (switch damping).

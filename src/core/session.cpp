@@ -133,8 +133,7 @@ void StreamingSession::start() {
   observe_head();  // prime the predictor with the initial pose
   head_task_.emplace(simulator_, sim::seconds(1.0 / config_.head_sample_hz),
                      [this] { observe_head(); });
-  if (config_.enable_upgrades && config_.planner == PlannerMode::kFovGuided &&
-      policy_->upgrade_window() > sim::Duration{0}) {
+  if (config_.enable_upgrades && policy_->upgrade_window() > sim::Duration{0}) {
     upgrade_task_.emplace(simulator_, config_.upgrade_scan_period,
                           [this] { scan_upgrades(); });
   }
@@ -158,39 +157,27 @@ void StreamingSession::maybe_plan() {
     const sim::Duration horizon =
         video_->chunk_start_time(index) - media_now();
 
+    // Size the super chunk from the motion-predicted viewport, but pick
+    // the *tiles* from the fused probability map: at short horizons the
+    // map is motion-dominated (same tiles), at long horizons the crowd
+    // prior takes over, which is what makes deep prefetch viable (§3.2).
+    const geo::Orientation predicted = fusion_.predict_orientation(horizon);
+    if (config_.telemetry != nullptr) predicted_at_plan_[index] = predicted;
+    std::vector<geo::TileId>& motion_fov = motion_fov_scratch_;
+    video_->geometry().visible_tiles(predicted, config_.viewport, motion_fov,
+                                     geo_scratch_);
+    fusion_.tile_probabilities_into(horizon, index, probs_);
+    const std::span<const double> probs = probs_;
     std::vector<geo::TileId>& fov = fov_scratch_;
-    // Empty for the FoV-agnostic planner (no OOS concept); the batch slot's
-    // probability span otherwise.
-    std::span<const double> probs;
-    if (config_.planner == PlannerMode::kFovAgnostic) {
-      // Whole panorama, no OOS concept.
-      fov.resize(static_cast<std::size_t>(video_->tile_count()));
-      for (geo::TileId t = 0; t < video_->tile_count(); ++t) {
-        fov[static_cast<std::size_t>(t)] = t;
-      }
-    } else {
-      // Size the super chunk from the motion-predicted viewport, but pick
-      // the *tiles* from the fused probability map: at short horizons the
-      // map is motion-dominated (same tiles), at long horizons the crowd
-      // prior takes over, which is what makes deep prefetch viable (§3.2).
-      const geo::Orientation predicted = fusion_.predict_orientation(horizon);
-      if (config_.telemetry != nullptr) predicted_at_plan_[index] = predicted;
-      std::vector<geo::TileId>& motion_fov = motion_fov_scratch_;
-      video_->geometry().visible_tiles(predicted, config_.viewport, motion_fov,
-                                       geo_scratch_);
-      fusion_.tile_probabilities_into(horizon, index, probs_);
-      probs = probs_;
-      std::vector<geo::TileId>& order = fov;
-      order.resize(probs.size());
-      for (std::size_t i = 0; i < probs.size(); ++i) {
-        order[i] = static_cast<geo::TileId>(i);
-      }
-      std::stable_sort(order.begin(), order.end(), [&](geo::TileId a, geo::TileId b) {
-        return probs[static_cast<std::size_t>(a)] > probs[static_cast<std::size_t>(b)];
-      });
-      order.resize(std::min(order.size(), motion_fov.size()));
-      std::sort(fov.begin(), fov.end());
+    fov.resize(probs.size());
+    for (std::size_t i = 0; i < probs.size(); ++i) {
+      fov[i] = static_cast<geo::TileId>(i);
     }
+    std::stable_sort(fov.begin(), fov.end(), [&](geo::TileId a, geo::TileId b) {
+      return probs[static_cast<std::size_t>(a)] > probs[static_cast<std::size_t>(b)];
+    });
+    fov.resize(std::min(fov.size(), motion_fov.size()));
+    std::sort(fov.begin(), fov.end());
 
     const sim::Duration buffer_level =
         video_->chunk_start_time(index) - media_now();
@@ -305,7 +292,13 @@ void StreamingSession::dispatch(const media::ChunkAddress& address,
       on_fetch_done(address, bytes);
       return;
     }
-    if (outcome == FetchOutcome::kDropped) return;  // best-effort loss
+    if (outcome == FetchOutcome::kDropped) {
+      // A best-effort loss is no failure, but the dropped fetch may be the
+      // in-flight copy of a tile a stall waits for (which suppressed its
+      // emergency fetch), so coverage must be re-checked all the same.
+      if (stalled_) try_resume_from_stall();
+      return;
+    }
     // Injected-fault loss (timed out / failed after retries).
     ++fetch_failures_;
     if (metrics_.fetch_failures != nullptr) metrics_.fetch_failures->increment();
@@ -488,7 +481,7 @@ void StreamingSession::try_resume_from_stall() {
 }
 
 void StreamingSession::scan_upgrades() {
-  if (finished_ || config_.planner != PlannerMode::kFovGuided) return;
+  if (finished_) return;
   const double est = transport_.estimated_kbps();
   for (media::ChunkIndex index = current_chunk_ + (playing_ ? 1 : 0);
        index < next_plan_; ++index) {

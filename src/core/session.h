@@ -34,15 +34,10 @@
 
 namespace sperke::core {
 
-enum class PlannerMode {
-  kFovGuided,    // tiles from HMP prediction + OOS margin (the Sperke way)
-  kFovAgnostic,  // always fetch the full panorama (YouTube/Facebook, §2)
-};
-
 struct SessionConfig {
-  PlannerMode planner = PlannerMode::kFovGuided;
   // Tile-ABR policy (name + per-policy params); the session builds its own
-  // instance via abr::make_policy at construction.
+  // instance via abr::make_policy at construction. The FoV-agnostic
+  // YouTube/Facebook baseline (§2) is policy "fullpano".
   abr::TileAbrConfig abr;
   geo::Viewport viewport{100.0, 90.0};
   double head_sample_hz = 25.0;

@@ -18,6 +18,7 @@ ShardedEngine::ShardedEngine(WorldSpec spec) : spec_(std::move(spec)) {
 
 EngineResult ShardedEngine::run(const EngineOptions& options) {
   const std::vector<hmp::HeadTrace> traces = build_trace_pool(spec_);
+  const auto video = std::make_shared<const media::VideoModel>(spec_.video);
   const int shard_count = spec_.shards;
   int threads = options.threads;
   if (threads == 0) {
@@ -36,7 +37,7 @@ EngineResult ShardedEngine::run(const EngineOptions& options) {
       const auto idx = static_cast<std::size_t>(i);
       try {
         shards[idx] = std::make_unique<Shard>(
-            spec_, i, std::span<const hmp::HeadTrace>(traces));
+            spec_, i, video, std::span<const hmp::HeadTrace>(traces));
         shards[idx]->run();
       } catch (...) {
         errors[idx] = std::current_exception();

@@ -2,18 +2,20 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/check.h"
 
 namespace sperke::engine {
 
 Shard::Shard(const WorldSpec& spec, int shard_id,
+             std::shared_ptr<const media::VideoModel> video,
              std::span<const hmp::HeadTrace> traces)
     : spec_(spec),
       shard_id_(shard_id),
       rng_(spec.seed ^ static_cast<std::uint64_t>(shard_id)),
       telemetry_(std::make_unique<obs::Telemetry>()),
-      video_(std::make_shared<media::VideoModel>(spec.video)) {
+      video_(std::move(video)) {
   // The engine validates the spec before fanning out; a shard constructed
   // outside those bounds would silently own the wrong session slice.
   SPERKE_CHECK(shard_id >= 0 && shard_id < spec.shards,

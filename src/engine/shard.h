@@ -3,15 +3,13 @@
 // A Shard owns everything its sessions can touch while running — its own
 // sim::Simulator, its own fetch fabric (a cdn::Topology holding the access
 // links, and the edge caches + backhauls when the CDN tier is enabled,
-// DESIGN.md §15) and transports, its own VideoModel
-// (the TileGeometry visibility LUT is a mutable cache, so the model is
-// shard-confined rather than shared), its own obs::Telemetry sink and
+// DESIGN.md §15) and transports, its own obs::Telemetry sink and
 // SimMonitor, and a private RNG stream derived as spec.seed ^ shard_id.
 // The only state reaching across the shard boundary is genuinely const:
-// the WorldSpec, the shared head-trace pool, and the optional crowd
-// heatmap snapshot. Construction and run() both happen on whichever
-// worker thread the engine assigns; nothing here is synchronized because
-// nothing here is shared.
+// the WorldSpec, the world's one immutable VideoModel, the shared
+// head-trace pool, and the optional crowd heatmap snapshot. Construction
+// and run() both happen on whichever worker thread the engine assigns;
+// nothing here is synchronized because nothing mutable is shared.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +40,10 @@ class Shard {
  public:
   // Builds the shard's slice of `spec`: link groups g with
   // shard_of_group(g) == shard_id, and every session belonging to them.
-  // `spec` and `traces` must outlive the shard and stay unmodified.
+  // `spec` and `traces` must outlive the shard and stay unmodified; `video`
+  // is the world's content model, built once from spec.video and shared.
   Shard(const WorldSpec& spec, int shard_id,
+        std::shared_ptr<const media::VideoModel> video,
         std::span<const hmp::HeadTrace> traces);
 
   Shard(const Shard&) = delete;

@@ -41,11 +41,9 @@
 namespace sperke::engine {
 
 struct WorldSpec {
-  // Content. Every shard builds its own VideoModel from this config: the
-  // model is logically immutable, but its TileGeometry carries a lazily
-  // filled visibility LUT (a mutable cache), so sharing one instance across
-  // threads is not const-safe. Construction is deterministic in the config,
-  // so per-shard copies are identical.
+  // Content. ShardedEngine::run builds one immutable VideoModel from this
+  // config and every shard reads it concurrently (const queries with
+  // per-thread scratch; see geo/visibility.h).
   media::VideoModelConfig video;
 
   // Head traces: a pool of `trace_pool` traces generated once on the

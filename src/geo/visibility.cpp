@@ -195,55 +195,6 @@ void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewpo
   entry.tiles.assign(out.begin(), out.end());
 }
 
-Orientation TileGeometry::lut_snap(const Orientation& view) {
-  const Orientation n = view.normalized();
-  const auto yaw_cells = static_cast<long>(std::lround(360.0 / kLutStepDeg));
-  long iy = std::lround((n.yaw_deg + 180.0) / kLutStepDeg) % yaw_cells;
-  if (iy < 0) iy += yaw_cells;
-  const auto pitch_max = static_cast<long>(std::lround(180.0 / kLutStepDeg));
-  const long ip = std::clamp(std::lround((n.pitch_deg + 90.0) / kLutStepDeg),
-                             0L, pitch_max);
-  return Orientation{static_cast<double>(iy) * kLutStepDeg - 180.0,
-                     static_cast<double>(ip) * kLutStepDeg - 90.0, 0.0};
-}
-
-std::vector<TileId> TileGeometry::visible_tiles_lut(const Orientation& view,
-                                                    const Viewport& viewport) const {
-  // sperke-analyze: shared(per-thread scratch; never escapes the call)
-  thread_local Scratch scratch;
-  std::vector<TileId> out;
-  visible_tiles_lut(view, viewport, out, scratch);
-  return out;
-}
-
-void TileGeometry::visible_tiles_lut(const Orientation& view,
-                                     const Viewport& viewport,
-                                     std::vector<TileId>& out,
-                                     Scratch& scratch) const {
-  const Orientation norm = view.normalized();
-  if (!lut_.bound) {
-    lut_.bound = true;
-    lut_.viewport = viewport;
-    lut_.yaw_cells = static_cast<int>(std::lround(360.0 / kLutStepDeg));
-    lut_.pitch_cells = static_cast<int>(std::lround(180.0 / kLutStepDeg)) + 1;
-    lut_.cells.assign(
-        static_cast<std::size_t>(lut_.yaw_cells) * lut_.pitch_cells, {});
-  }
-  const bool same_viewport = lut_.viewport.width_deg == viewport.width_deg &&
-                             lut_.viewport.height_deg == viewport.height_deg;
-  if (norm.roll_deg != 0.0 || !same_viewport) {
-    visible_tiles(view, viewport, out, scratch);  // exact fallback
-    return;
-  }
-  const Orientation snapped = lut_snap(norm);
-  const long iy = std::lround((snapped.yaw_deg + 180.0) / kLutStepDeg);
-  const long ip = std::lround((snapped.pitch_deg + 90.0) / kLutStepDeg);
-  auto& cell = lut_.cells[static_cast<std::size_t>(ip) * lut_.yaw_cells +
-                          static_cast<std::size_t>(iy)];
-  if (cell.empty()) visible_tiles(snapped, lut_.viewport, cell, scratch);
-  out.assign(cell.begin(), cell.end());
-}
-
 std::vector<double> TileGeometry::tile_distances_deg(const Orientation& view) const {
   std::vector<double> out;
   tile_distances_deg(view, out);

@@ -12,6 +12,11 @@
 // projection the per-sample direction->tile classification runs on
 // precomputed sin(latitude) row thresholds and column-boundary half-plane
 // tests instead of the generic asin/atan2 chain.
+//
+// Thread-safety: a TileGeometry is immutable after construction, so one
+// instance may be queried from any number of threads at once provided each
+// thread passes its own Scratch (the allocating wrappers use a thread-local
+// one). The sharded engine relies on this to share one VideoModel per world.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +39,8 @@ struct Viewport {
 class TileGeometry {
  public:
   // Reusable buffers for the out-parameter overloads. One Scratch may serve
-  // any number of TileGeometry instances; the simulator is single-threaded,
-  // so nothing here is synchronized.
+  // any number of TileGeometry instances but only one thread; nothing here
+  // is synchronized.
   struct Scratch {
     std::vector<char> seen;                        // visible_tiles marks
     std::vector<Vec3> up_terms;                    // per-row frustum offsets
@@ -65,9 +70,6 @@ class TileGeometry {
     int memo_next = 0;  // round-robin replacement cursor
   };
 
-  // Quantization step of the visible_tiles_lut() grid (yaw and pitch).
-  static constexpr double kLutStepDeg = 3.0;
-
   // Takes shared ownership of the projection so sessions can share one.
   TileGeometry(std::shared_ptr<const Projection> projection, TileGrid grid,
                int samples_per_axis = 24);
@@ -85,21 +87,6 @@ class TileGeometry {
                                                   const Viewport& viewport) const;
   void visible_tiles(const Orientation& view, const Viewport& viewport,
                      std::vector<TileId>& out, Scratch& scratch) const;
-
-  // LUT-accelerated visible set: snaps (yaw, pitch) to a kLutStepDeg grid
-  // (roll must be 0) and caches the exact visible set per grid point,
-  // computed on demand. Exact for orientations already on the grid (see
-  // lut_snap); otherwise the result is the exact set of the snapped
-  // orientation, i.e. off by at most the tiles a kLutStepDeg/2 head
-  // rotation can add or remove. The cache binds to the first viewport
-  // queried; other viewports and non-zero roll fall back to the exact path.
-  [[nodiscard]] std::vector<TileId> visible_tiles_lut(const Orientation& view,
-                                                      const Viewport& viewport) const;
-  void visible_tiles_lut(const Orientation& view, const Viewport& viewport,
-                         std::vector<TileId>& out, Scratch& scratch) const;
-
-  // The grid point visible_tiles_lut() resolves `view` to (roll forced 0).
-  [[nodiscard]] static Orientation lut_snap(const Orientation& view);
 
   // Great-circle distance (degrees) from the view direction to each tile's
   // center direction; index = TileId. Used to rank OOS tiles.
@@ -149,23 +136,6 @@ class TileGeometry {
   std::vector<std::pair<double, double>> col_neg_;       // (cos, sin), lon < 0
   std::vector<std::pair<double, double>> col_pos_;       // (cos, sin), lon > 0
   int col_base_ = 0;                                     // #boundaries lon <= 0
-
-  // Lazily-filled LUT cells (yaw-major per pitch row); bound to the first
-  // viewport that queries the LUT. A filled cell is never empty — the
-  // frustum always hits at least one tile — so empty marks "not yet built".
-  // thread-safety: this cache mutates under const visible_tiles_lut()
-  // calls, so a TileGeometry (and the VideoModel that owns it) is NOT
-  // const-shareable across threads. The sharded engine therefore builds one
-  // VideoModel per shard (deterministic in the config) instead of sharing
-  // one instance; see engine/world.h.
-  struct Lut {
-    bool bound = false;
-    Viewport viewport{};
-    int yaw_cells = 0;
-    int pitch_cells = 0;
-    std::vector<std::vector<TileId>> cells;
-  };
-  mutable Lut lut_;
 };
 
 }  // namespace sperke::geo

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -131,10 +133,11 @@ class TransportTest : public ::testing::Test {
                                  .bandwidth = net::BandwidthTrace::constant(8000.0),
                                  .rtt = sim::Duration{0},
                                  .loss_rate = 0.0, .faults = {}}};
+  net::LinkSource source{link};
 };
 
 TEST_F(TransportTest, DeliversAndEstimates) {
-  SingleLinkTransport transport(link);
+  SingleLinkTransport transport(source);
   bool done = false;
   ChunkRequest req;
   req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
@@ -152,7 +155,7 @@ TEST_F(TransportTest, DeliversAndEstimates) {
 }
 
 TEST_F(TransportTest, ConcurrencyLimitQueues) {
-  SingleLinkTransport transport(link, {.max_concurrent = 1, .recovery = {}});
+  SingleLinkTransport transport(source, {.max_concurrent = 1, .recovery = {}});
   std::vector<int> order;
   auto submit = [&](int id, bool urgent) {
     ChunkRequest req;
@@ -170,28 +173,30 @@ TEST_F(TransportTest, ConcurrencyLimitQueues) {
 }
 
 TEST_F(TransportTest, RejectsBadRequests) {
-  SingleLinkTransport transport(link);
+  SingleLinkTransport transport(source);
   ChunkRequest req;
   req.bytes = 0;
   EXPECT_THROW(transport.fetch(std::move(req)), std::invalid_argument);
-  EXPECT_THROW(SingleLinkTransport(link, {.max_concurrent = 0, .recovery = {}}),
+  EXPECT_THROW(SingleLinkTransport(source, {.max_concurrent = 0, .recovery = {}}),
                std::invalid_argument);
   TransportOptions bad_retries;
   bad_retries.recovery.enabled = true;
   bad_retries.recovery.max_retries = -1;
-  EXPECT_THROW(SingleLinkTransport(link, bad_retries), std::invalid_argument);
+  EXPECT_THROW(SingleLinkTransport(source, bad_retries), std::invalid_argument);
 }
 
-TEST(TransportAdapter, LinkCtorMatchesExplicitLinkSource) {
-  // The deprecated SingleLinkTransport(net::Link&) ctor is a thin adapter
-  // over an owned net::LinkSource; a mixed-priority workload through both
-  // wirings must settle byte-identically (same outcomes, same instants).
-  struct Run {
-    std::vector<std::pair<sim::Time, FetchOutcome>> settled;
+TEST(TransportAdapter, LinkSourceIsVerbatimPassThrough) {
+  // LinkSource is what keeps direct-link worlds bit-identical to driving the
+  // net::Link itself: a mixed-weight workload with a mid-flight cancel must
+  // settle with the same results, in the same order, at the same instants.
+  struct Settled {
+    int index = 0;
+    net::TransferStatus status = net::TransferStatus::kCompleted;
+    sim::Time time{sim::kTimeZero};
     std::int64_t bytes = 0;
-    double kbps = 0.0;
+    bool operator==(const Settled&) const = default;
   };
-  const auto run_workload = [](bool explicit_source) {
+  const auto run_workload = [](bool through_source) {
     sim::Simulator simulator;
     net::Link link{simulator,
                    net::LinkConfig{.name = "adapter",
@@ -199,39 +204,44 @@ TEST(TransportAdapter, LinkCtorMatchesExplicitLinkSource) {
                                    .rtt = sim::milliseconds(40),
                                    .loss_rate = 0.0,
                                    .faults = {}}};
-    std::unique_ptr<net::LinkSource> source;
-    std::unique_ptr<SingleLinkTransport> transport;
-    TransportOptions options;
-    options.max_concurrent = 2;
-    if (explicit_source) {
-      source = std::make_unique<net::LinkSource>(link);
-      transport = std::make_unique<SingleLinkTransport>(*source, options);
-    } else {
-      transport = std::make_unique<SingleLinkTransport>(link, options);
-    }
-    Run run;
-    for (int i = 0; i < 8; ++i) {
-      ChunkRequest req;
-      req.id = net::to_chunk_id({{i % 4, i / 4}, Encoding::kAvc, i % 3});
-      req.bytes = 50'000 + 10'000 * i;
-      req.urgent = i % 3 == 0;
-      req.spatial = i % 2 == 0 ? abr::SpatialClass::kFov : abr::SpatialClass::kOos;
-      req.on_done = [&run](sim::Time t, FetchOutcome outcome) {
-        run.settled.emplace_back(t, outcome);
+    net::LinkSource source(link);
+    std::vector<Settled> settled;
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 6; ++i) {
+      const std::int64_t bytes = 40'000 + 15'000 * i;
+      const double weight = i % 2 == 0 ? 2.0 : 1.0;
+      net::TransferCallback on_done = [&settled, i](const net::TransferResult& r) {
+        settled.push_back({i, r.status, r.time, r.bytes_delivered});
       };
-      transport->fetch(std::move(req));
+      ids.push_back(through_source
+                        ? source.fetch({.id = net::to_chunk_id({{i, 0}, Encoding::kAvc, 1}),
+                                        .bytes = bytes,
+                                        .weight = weight,
+                                        .deadline = sim::kTimeZero},
+                                       std::move(on_done))
+                        : link.start_transfer(bytes, std::move(on_done), weight));
     }
+    bool cancelled = false;
+    simulator.schedule_after(sim::milliseconds(60), [&] {
+      cancelled = through_source ? source.cancel(ids[3]) : link.cancel(ids[3]);
+    });
     simulator.run();
-    run.bytes = transport->bytes_fetched();
-    run.kbps = transport->estimated_kbps();
-    return run;
+    const bool cancel_after_settle =
+        through_source ? source.cancel(ids[0]) : link.cancel(ids[0]);
+    EXPECT_TRUE(cancelled);
+    EXPECT_FALSE(cancel_after_settle);
+    EXPECT_EQ(source.rtt(), link.rtt());
+    return settled;
   };
-  const Run adapter = run_workload(false);
-  const Run explicit_wiring = run_workload(true);
-  ASSERT_EQ(adapter.settled.size(), 8u);
-  EXPECT_EQ(adapter.settled, explicit_wiring.settled);
-  EXPECT_EQ(adapter.bytes, explicit_wiring.bytes);
-  EXPECT_EQ(adapter.kbps, explicit_wiring.kbps);
+  const auto direct = run_workload(false);
+  const auto via_source = run_workload(true);
+  ASSERT_EQ(direct.size(), 6u);
+  EXPECT_EQ(direct, via_source);
+  EXPECT_EQ(std::count_if(direct.begin(), direct.end(),
+                          [](const Settled& s) {
+                            return s.status == net::TransferStatus::kCancelled;
+                          }),
+            1);
 }
 
 TEST(TransportRecovery, BackoffGrowsGeometrically) {
@@ -288,7 +298,8 @@ TEST_F(TransportRecoveryTest, RetriesThroughOutageAndDelivers) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 0.3});
   auto link = make_faulty_link(std::move(faults));
-  SingleLinkTransport transport(link, recovery_options());
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source, recovery_options());
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
   req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
@@ -309,7 +320,8 @@ TEST_F(TransportRecoveryTest, BudgetExhaustionReportsFailed) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 60.0});
   auto link = make_faulty_link(std::move(faults));
-  SingleLinkTransport transport(link, recovery_options(/*max_retries=*/1));
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source, recovery_options(/*max_retries=*/1));
   std::optional<FetchOutcome> outcome;
   sim::Time settled{sim::kTimeZero};
   ChunkRequest req;
@@ -332,7 +344,8 @@ TEST_F(TransportRecoveryTest, BudgetExhaustionReportsFailed) {
 TEST_F(TransportRecoveryTest, DeadlineDerivedTimeoutCancelsSlowTransfer) {
   // 800 kbps = 100 kB/s: a 1 MB chunk needs 10 s, far past its deadline.
   auto link = make_faulty_link({}, /*kbps=*/800.0);
-  SingleLinkTransport transport(link, recovery_options());
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source, recovery_options());
   std::optional<FetchOutcome> outcome;
   sim::Time settled{sim::kTimeZero};
   ChunkRequest req;
@@ -356,7 +369,8 @@ TEST_F(TransportRecoveryTest, OosPrefetchAbandonedOnFirstFailure) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 0.3});
   auto link = make_faulty_link(std::move(faults));
-  SingleLinkTransport transport(link, recovery_options());
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source, recovery_options());
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
   req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
@@ -374,7 +388,8 @@ TEST_F(TransportRecoveryTest, RecoveryDisabledKeepsLegacySemantics) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 60.0});
   auto link = make_faulty_link(std::move(faults));
-  SingleLinkTransport transport(link);  // recovery off
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source);  // recovery off
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
   req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
@@ -409,7 +424,8 @@ class SessionTest : public ::testing::Test {
                         .bandwidth = net::BandwidthTrace::constant(link_kbps),
                         .rtt = sim::milliseconds(30),
                         .loss_rate = 0.0, .faults = {}});
-    SingleLinkTransport transport(link);
+    net::LinkSource source(link);
+    SingleLinkTransport transport(source);
     auto video = make_video(video_s);
     const auto trace = steady_trace(video_s + 40.0);
     StreamingSession session(simulator, video, transport, trace, config);
@@ -446,8 +462,8 @@ TEST_F(SessionTest, FovGuidedUsesFewerBytesThanAgnostic) {
   SessionConfig guided;
   guided.abr.sperke.regular_vra = "fixed-2";
   SessionConfig agnostic;
-  agnostic.planner = PlannerMode::kFovAgnostic;
-  agnostic.abr.sperke.regular_vra = "fixed-2";
+  agnostic.abr.policy = "fullpano";
+  agnostic.abr.fullpano.regular_vra = "fixed-2";
   const auto g = run_session(20'000.0, guided);
   const auto a = run_session(20'000.0, agnostic);
   EXPECT_TRUE(g.completed);
@@ -522,7 +538,8 @@ TEST_F(SessionTest, ZeroBandwidthNeverStarts) {
   sim::Simulator simulator;
   net::Link link(simulator,
                  net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(0.0), .faults = {}});
-  SingleLinkTransport transport(link);
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source);
   auto video = make_video(5.0);
   const auto trace = steady_trace(60.0);
   StreamingSession session(simulator, video, transport, trace, config);
@@ -535,7 +552,8 @@ TEST_F(SessionTest, ZeroBandwidthNeverStarts) {
 TEST_F(SessionTest, RejectsBadConfig) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  SingleLinkTransport transport(link);
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source);
   auto video = make_video(5.0);
   const auto trace = steady_trace(10.0);
   SessionConfig bad;
@@ -558,7 +576,8 @@ TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {
                       .faults = std::move(faults)});
   TransportOptions options;
   options.recovery.enabled = true;
-  SingleLinkTransport transport(link, options);
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source, options);
   SessionConfig config;
   config.fetch_recovery = true;
   auto video = make_video(15.0);
@@ -576,7 +595,8 @@ TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {
 TEST_F(SessionTest, DoubleStartThrows) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  SingleLinkTransport transport(link);
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source);
   auto video = make_video(5.0);
   const auto trace = steady_trace(10.0);
   StreamingSession session(simulator, video, transport, trace, SessionConfig{});

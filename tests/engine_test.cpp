@@ -5,15 +5,20 @@
 // partitioning.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "abr/factory.h"
 #include "engine/engine.h"
 #include "engine/world.h"
+#include "geo/visibility.h"
+#include "media/video_model.h"
 #include "net/link.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -174,6 +179,59 @@ TEST(EngineDeterminism, MergedMetricsIdenticalAcrossThreadCounts) {
               metrics_csv(threaded.shard_telemetry[s]->metrics()));
     EXPECT_EQ(serial.shard_telemetry[s]->trace().size(),
               threaded.shard_telemetry[s]->trace().size());
+  }
+}
+
+TEST(EngineDeterminism, SharedVideoModelAcrossThreads) {
+  // ShardedEngine::run hands one const VideoModel to every shard, so its
+  // const queries must be race-free (tsan-check runs this test) and must
+  // answer each of many concurrent readers exactly as they answer serially.
+  const auto video =
+      std::make_shared<const media::VideoModel>(small_world(1).video);
+  struct Answers {
+    std::vector<std::vector<geo::TileId>> visible;
+    std::vector<std::vector<geo::TileId>> by_distance;
+    std::vector<std::vector<int>> rings;
+    std::vector<std::int64_t> sizes;
+    bool operator==(const Answers&) const = default;
+  };
+  const auto sweep = [&video] {
+    const geo::TileGeometry& geometry = video->geometry();
+    geo::TileGeometry::Scratch scratch;  // per thread, as in every shard
+    Answers answers;
+    std::vector<geo::TileId> tiles;
+    std::vector<int> rings;
+    for (int step = 0; step < 240; ++step) {
+      const geo::Orientation view{step * 13.7 - 180.0, (step % 31) * 5.0 - 75.0,
+                                  (step % 3) * 10.0};
+      geometry.visible_tiles(view, {100.0, 90.0}, tiles, scratch);
+      answers.visible.push_back(tiles);
+      geometry.oos_rings(tiles, rings, scratch);
+      answers.rings.push_back(rings);
+      geometry.tiles_by_distance(view, tiles, scratch);
+      answers.by_distance.push_back(tiles);
+      const media::ChunkKey key{step % video->tile_count(),
+                                step % video->chunk_count()};
+      const media::QualityLevel level = step % video->ladder().levels();
+      answers.sizes.push_back(
+          video->size_bytes({key, media::Encoding::kAvc, level}));
+      answers.sizes.push_back(
+          video->size_bytes({key, media::Encoding::kSvc, level}));
+    }
+    return answers;
+  };
+
+  const Answers serial = sweep();
+  constexpr int kThreads = 8;
+  std::vector<Answers> concurrent(kThreads);
+  {
+    std::vector<std::jthread> readers;
+    for (int t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] { concurrent[static_cast<std::size_t>(t)] = sweep(); });
+    }
+  }  // jthreads join here
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(concurrent[static_cast<std::size_t>(t)] == serial) << "thread " << t;
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/session.h"
 #include "core/transport.h"
@@ -90,8 +91,8 @@ TEST(Integration, FovGuidedSavesSubstantialBandwidth) {
   core::SessionConfig guided;
   guided.abr.sperke.regular_vra = "fixed-3";
   core::SessionConfig agnostic;
-  agnostic.planner = core::PlannerMode::kFovAgnostic;
-  agnostic.abr.sperke.regular_vra = "fixed-3";
+  agnostic.abr.policy = "fullpano";
+  agnostic.abr.fullpano.regular_vra = "fixed-3";
   const auto g = run_single_link(60'000.0, guided);
   const auto a = run_single_link(60'000.0, agnostic);
   ASSERT_TRUE(g.completed);
@@ -105,7 +106,7 @@ TEST(Integration, FovGuidedSavesSubstantialBandwidth) {
 TEST(Integration, FovGuidedMatchesAgnosticQualityAtLowerCost) {
   core::SessionConfig guided;
   core::SessionConfig agnostic;
-  agnostic.planner = core::PlannerMode::kFovAgnostic;
+  agnostic.abr.policy = "fullpano";
   // At constrained bandwidth the guided client should show *better*
   // viewport quality: it spends bytes only where the user looks.
   const auto g = run_single_link(5'000.0, guided);
@@ -174,6 +175,45 @@ TEST(Integration, SessionOverMultipathTransport) {
   EXPECT_GT(stats.bytes_per_path[1], 0);
   EXPECT_GT(stats.class_counts[2] + stats.class_counts[0], 0);  // FoV classes
   EXPECT_GT(stats.class_counts[3], 0);                          // OOS regular
+}
+
+TEST(Integration, ContentAwareMultipathStallsEndAfterBestEffortDrops) {
+  // Content-aware scheduling sends OOS prefetch best-effort over the
+  // secondary path and drops it once its deadline passes. A stalled
+  // session whose missing tile is exactly such an in-flight prefetch skips
+  // the emergency fetch (the address is already in flight), so the drop
+  // itself must re-run the coverage check — otherwise the stall never ends.
+  // Two sessions share each WiFi + LTE pair; trace seeds 14 and 18 of this
+  // sweep hit that interleaving.
+  int dropped = 0;
+  for (std::uint64_t seed = 12; seed < 20; ++seed) {
+    sim::Simulator simulator;
+    net::Link wifi(simulator,
+                   net::LinkConfig{.name = "wifi",
+                                   .bandwidth = net::BandwidthTrace::constant(6'000.0),
+                                   .rtt = sim::milliseconds(20), .faults = {}});
+    net::Link lte(simulator,
+                  net::LinkConfig{.name = "lte",
+                                  .bandwidth = net::BandwidthTrace::constant(5'000.0),
+                                  .rtt = sim::milliseconds(60), .faults = {}});
+    mp::MultipathTransport transport(simulator, {&wifi, &lte},
+                                     std::make_unique<mp::ContentAwareScheduler>());
+    auto video = make_video();
+    const hmp::HeadTrace traces[] = {make_trace(500 + seed * 7),
+                                     make_trace(501 + seed * 7)};
+    std::vector<std::unique_ptr<core::StreamingSession>> sessions;
+    for (const hmp::HeadTrace& trace : traces) {
+      sessions.push_back(std::make_unique<core::StreamingSession>(
+          simulator, video, transport, trace, core::SessionConfig{}));
+      sessions.back()->start();
+    }
+    simulator.run_until(sim::seconds(kVideoSeconds + 300.0));
+    for (const auto& session : sessions) {
+      EXPECT_TRUE(session->finished()) << "trace seed " << seed;
+    }
+    dropped += transport.stats().dropped_best_effort;
+  }
+  EXPECT_GT(dropped, 0);  // the sweep really exercises the drop path
 }
 
 TEST(Integration, MultipathAggregatesBandwidthUnderLoad) {

@@ -1,7 +1,7 @@
 // Equivalence oracles for the DESIGN.md §8 hot-path optimizations. Each
-// accelerated kernel (equirect sign-test classifier, visibility LUT, fused
-// fusion pass, keyed distance sort, scratch-buffer planning) is pinned
-// against a naive reference built from the same primitive expressions the
+// accelerated kernel (equirect sign-test classifier, fused fusion pass,
+// keyed distance sort, scratch-buffer planning) is pinned against a naive
+// reference built from the same primitive expressions the
 // pre-optimization code evaluated — and the match must be *exact*, not
 // approximate, because seeded simulations diff their exports byte-for-byte.
 #include <gtest/gtest.h>
@@ -115,51 +115,6 @@ TEST(VisibleTilesEquivalence, OutParamMatchesAllocatingAcrossReuse) {
     geometry->visible_tiles(view, viewport, out, scratch);
     EXPECT_EQ(out, geometry->visible_tiles(view, viewport));
   }
-}
-
-TEST(VisibleTilesLut, ExactAtSnappedOrientationsAndBoundedOffGrid) {
-  const geo::Viewport viewport{100.0, 90.0};
-  const auto geometry = equirect_geometry(4, 6);
-  std::mt19937 rng(99);
-  std::uniform_real_distribution<double> yaw(-180.0, 180.0);
-  std::uniform_real_distribution<double> pitch(-90.0, 90.0);
-  for (int trial = 0; trial < 150; ++trial) {
-    const geo::Orientation view{yaw(rng), pitch(rng), 0.0};
-    const geo::Orientation snapped = geo::TileGeometry::lut_snap(view);
-    // The LUT answer is the *exact* visible set of the snapped orientation.
-    EXPECT_EQ(geometry->visible_tiles_lut(view, viewport),
-              geometry->visible_tiles(snapped, viewport));
-    // Quantization error bound: the snap moves yaw/pitch by at most half a
-    // LUT step (yaw modulo the wrap).
-    const double dyaw = std::abs(
-        angle_diff_deg(snapped.yaw_deg, view.normalized().yaw_deg));
-    EXPECT_LE(dyaw, geo::TileGeometry::kLutStepDeg / 2.0 + 1e-9);
-    EXPECT_LE(std::abs(snapped.pitch_deg - view.normalized().pitch_deg),
-              geo::TileGeometry::kLutStepDeg / 2.0 + 1e-9);
-  }
-  // On-grid orientations are their own snap: the LUT is exact there.
-  for (int iy = 0; iy < 120; iy += 13) {
-    for (int ip = 0; ip <= 60; ip += 7) {
-      const geo::Orientation on_grid{iy * 3.0 - 180.0, ip * 3.0 - 90.0, 0.0};
-      EXPECT_EQ(geo::TileGeometry::lut_snap(on_grid).yaw_deg,
-                on_grid.normalized().yaw_deg);
-      EXPECT_EQ(geometry->visible_tiles_lut(on_grid, viewport),
-                geometry->visible_tiles(on_grid, viewport));
-    }
-  }
-}
-
-TEST(VisibleTilesLut, RollAndOtherViewportsFallBackExactly) {
-  const geo::Viewport bound{100.0, 90.0};
-  const geo::Viewport other{80.0, 70.0};
-  const auto geometry = equirect_geometry(4, 6);
-  (void)geometry->visible_tiles_lut({0.0, 0.0, 0.0}, bound);  // bind the LUT
-  const geo::Orientation rolled{41.0, 13.0, 25.0};
-  EXPECT_EQ(geometry->visible_tiles_lut(rolled, bound),
-            geometry->visible_tiles(rolled, bound));
-  const geo::Orientation view{41.0, 13.0, 0.0};
-  EXPECT_EQ(geometry->visible_tiles_lut(view, other),
-            geometry->visible_tiles(view, other));
 }
 
 TEST(TilesByDistance, TiesBreakByAscendingTileId) {

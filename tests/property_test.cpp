@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include "abr/oos.h"
@@ -215,7 +216,8 @@ TEST(RecoveryProperty, RetryBudgetAndDeadlineNeverExceeded) {
     options.recovery.base_backoff =
         sim::milliseconds(rng.uniform_int(150, 400));
     options.recovery.backoff_multiplier = rng.uniform(1.0, 2.5);
-    core::SingleLinkTransport transport(link, options);
+    net::LinkSource source(link);
+    core::SingleLinkTransport transport(source, options);
 
     const int requests = 12;
     std::vector<int> fired(requests, 0);
@@ -349,14 +351,15 @@ TEST(OosProperty, NeverSelectsFovTilesAndRespectsBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end session invariants across encoding modes and planners.
+// End-to-end session invariants across encoding modes and tile-ABR policies
+// ("fullpano" is the FoV-agnostic whole-panorama baseline).
 
-using SessionParam = std::tuple<abr::EncodingMode, core::PlannerMode>;
+using SessionParam = std::tuple<abr::EncodingMode, std::string>;
 
 class SessionProperty : public ::testing::TestWithParam<SessionParam> {};
 
 TEST_P(SessionProperty, InvariantsHoldEndToEnd) {
-  const auto& [mode, planner] = GetParam();
+  const auto& [mode, policy] = GetParam();
   media::VideoModelConfig vcfg;
   vcfg.duration_s = 12.0;
   vcfg.tile_rows = 2;
@@ -372,10 +375,11 @@ TEST_P(SessionProperty, InvariantsHoldEndToEnd) {
   net::Link link(simulator,
                  net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(15'000.0),
                                  .rtt = sim::milliseconds(25), .faults = {}});
-  core::SingleLinkTransport transport(link, {.max_concurrent = 8, .recovery = {}});
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source, {.max_concurrent = 8, .recovery = {}});
   core::SessionConfig config;
   config.abr.sperke.mode = mode;
-  config.planner = planner;
+  config.abr.policy = policy;
   core::StreamingSession session(simulator, video, transport, trace, config);
   session.start();
   simulator.run_until(sim::seconds(500.0));
@@ -392,7 +396,7 @@ TEST_P(SessionProperty, InvariantsHoldEndToEnd) {
 }
 
 TEST_P(SessionProperty, DeterministicAcrossRuns) {
-  const auto& [mode, planner] = GetParam();
+  const auto& [mode, policy] = GetParam();
   auto run_once = [&] {
     media::VideoModelConfig vcfg;
     vcfg.duration_s = 8.0;
@@ -409,10 +413,11 @@ TEST_P(SessionProperty, DeterministicAcrossRuns) {
                    net::LinkConfig{.bandwidth = net::BandwidthTrace::random_walk(
                                        9'000.0, 0.3, 1.0, 200.0, 4),
                                    .rtt = sim::milliseconds(25), .faults = {}});
-    core::SingleLinkTransport transport(link, {.max_concurrent = 8, .recovery = {}});
+    net::LinkSource source(link);
+    core::SingleLinkTransport transport(source, {.max_concurrent = 8, .recovery = {}});
     core::SessionConfig config;
     config.abr.sperke.mode = mode;
-    config.planner = planner;
+    config.abr.policy = policy;
     core::StreamingSession session(simulator, video, transport, trace, config);
     session.start();
     simulator.run_until(sim::seconds(400.0));
@@ -433,8 +438,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          abr::EncodingMode::kAvcRefetch,
                                          abr::EncodingMode::kSvc,
                                          abr::EncodingMode::kHybrid),
-                       ::testing::Values(core::PlannerMode::kFovGuided,
-                                         core::PlannerMode::kFovAgnostic)));
+                       ::testing::Values(std::string("sperke"),
+                                         std::string("fullpano"))));
 
 // ---------------------------------------------------------------------------
 // Head trace CSV round trip.

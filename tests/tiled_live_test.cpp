@@ -36,7 +36,8 @@ TiledLiveReport run_viewer(double link_kbps, TiledLiveConfig config,
                  net::LinkConfig{.name = "dl",
                                  .bandwidth = net::BandwidthTrace::constant(link_kbps),
                                  .rtt = sim::milliseconds(30), .faults = {}});
-  core::SingleLinkTransport transport(link, {.max_concurrent = 12, .recovery = {}});
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source, {.max_concurrent = 12, .recovery = {}});
   auto video = live_video();
   const auto trace = viewer_trace(trace_seed);
   TiledLiveSession session(simulator, video, transport, trace, config, crowd);
@@ -75,7 +76,8 @@ TEST(TiledLive, ConstrainedLinkDegradesGracefully) {
 TEST(TiledLive, RejectsInfeasibleLatencyTarget) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  core::SingleLinkTransport transport(link);
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source);
   auto video = live_video();
   const auto trace = viewer_trace(1);
   TiledLiveConfig config;
@@ -88,7 +90,8 @@ TEST(TiledLive, RejectsInfeasibleLatencyTarget) {
 TEST(TiledLive, DoubleStartThrows) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  core::SingleLinkTransport transport(link);
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source);
   auto video = live_video();
   const auto trace = viewer_trace(1);
   TiledLiveSession session(simulator, video, transport, trace, TiledLiveConfig{});
@@ -114,7 +117,8 @@ TEST(TiledLive, ViewerPopulatesCrowdMap) {
 TEST(TiledLive, CrowdMismatchThrows) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  core::SingleLinkTransport transport(link);
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source);
   auto video = live_video();
   const auto trace = viewer_trace(1);
   LiveCrowdHmp wrong(99, 10);
@@ -140,6 +144,7 @@ TEST(TiledLive, EndToEndCrowdHelpsLaggard) {
     LiveCrowdHmp crowd(video->tile_count(), video->chunk_count());
 
     std::vector<std::unique_ptr<net::Link>> links;
+    std::vector<std::unique_ptr<net::LinkSource>> sources;
     std::vector<std::unique_ptr<core::SingleLinkTransport>> transports;
     std::vector<std::unique_ptr<hmp::HeadTrace>> traces;
     std::vector<std::unique_ptr<TiledLiveSession>> sessions;
@@ -148,8 +153,9 @@ TEST(TiledLive, EndToEndCrowdHelpsLaggard) {
           simulator,
           net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(30'000.0),
                           .rtt = sim::milliseconds(25), .faults = {}}));
+      sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
       transports.push_back(
-          std::make_unique<core::SingleLinkTransport>(*links.back(),
+          std::make_unique<core::SingleLinkTransport>(*sources.back(),
                                                       core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
       traces.push_back(
           std::make_unique<hmp::HeadTrace>(viewer_trace(100 + v)));
@@ -164,8 +170,9 @@ TEST(TiledLive, EndToEndCrowdHelpsLaggard) {
         simulator,
         net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(5'000.0),
                         .rtt = sim::milliseconds(40), .faults = {}}));
+    sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
     transports.push_back(
-        std::make_unique<core::SingleLinkTransport>(*links.back(),
+        std::make_unique<core::SingleLinkTransport>(*sources.back(),
                                                       core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
     traces.push_back(std::make_unique<hmp::HeadTrace>(viewer_trace(200)));
     TiledLiveConfig laggard_cfg;
