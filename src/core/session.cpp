@@ -319,6 +319,9 @@ void StreamingSession::dispatch(const media::ChunkAddress& address,
                  request_id);
       }
     }
+    // A failed startup fetch must not hang startup either: its deadline is
+    // the dispatch instant, so the degraded retry above never covers it.
+    if (!playing_) request_missing_startup_tiles();
     // A failed emergency fetch must not leave a stall unresolved: re-enter
     // the coverage check, which re-issues the missing tiles.
     if (stalled_) try_resume_from_stall();
@@ -360,6 +363,23 @@ void StreamingSession::attempt_start() {
   startup_done_ = simulator_.now();
   chunk_play_started_ = simulator_.now();
   play_chunk();
+}
+
+void StreamingSession::request_missing_startup_tiles() {
+  video_->geometry().visible_tiles(head_trace_.orientation_at(sim::kTimeZero),
+                                   config_.viewport, visible_scratch_, geo_scratch_);
+  // A copy: a dispatch may settle another request synchronously, and its
+  // callback may reuse the scratch.
+  const std::vector<geo::TileId> visible = visible_scratch_;
+  const int want = std::min<int>(config_.startup_chunks, video_->chunk_count());
+  for (media::ChunkIndex index = 0; index < want; ++index) {
+    for (geo::TileId tile : visible) {
+      const media::ChunkKey key{tile, index};
+      if (buffer_.has_displayable(key) || in_flight_[inflight_cell(key)] != 0) continue;
+      dispatch({key, policy_->base_tier_encoding(), 0}, abr::SpatialClass::kFov,
+               deadline_of(index), false, false);
+    }
+  }
 }
 
 void StreamingSession::play_chunk() {

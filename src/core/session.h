@@ -117,6 +117,9 @@ class StreamingSession {
                 std::int64_t parent_request_id = 0);
   void on_fetch_done(const media::ChunkAddress& address, std::int64_t bytes);
   void attempt_start();
+  // Re-request, at the base tier, every startup tile that is neither
+  // displayable nor being fetched at any level.
+  void request_missing_startup_tiles();
   void play_chunk();
   void try_resume_from_stall();
   void scan_upgrades();

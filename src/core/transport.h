@@ -3,13 +3,16 @@
 // a transport delivers them over one link (SingleLinkTransport) or several
 // (mp::MultipathTransport).
 //
-// Failure recovery (DESIGN.md §10): with RecoveryPolicy::enabled a
-// transport retries failed transfers with exponential backoff under a
-// per-request retry budget, arms a deadline-derived timeout on every
-// in-flight transfer, and reports how each request ended through the typed
-// FetchOutcome instead of a bare bool.
+// Both transports deliver through FetchQueue, the one request queue with
+// retry: a SingleLinkTransport is one queue, a MultipathTransport is one
+// queue per path plus the path choice. Failure recovery (DESIGN.md §10):
+// with RecoveryPolicy::enabled the queue retries failed transfers with
+// exponential backoff under a per-request retry budget, arms a
+// deadline-derived timeout on every in-flight transfer, and reports how
+// each request ended through the typed FetchOutcome instead of a bare bool.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -90,6 +93,12 @@ struct TransportOptions {
   RecoveryPolicy recovery;
 };
 
+// Throws std::invalid_argument for an enabled policy with a negative retry
+// budget, backoff or timeout floor, a backoff multiplier below 1 (or NaN),
+// a path failure threshold below 1, or a non-positive probe interval. A
+// disabled policy is never read, so it is never rejected.
+void validate(const RecoveryPolicy& policy);
+
 // Backoff before retry k (1-based): base_backoff * multiplier^(k-1).
 [[nodiscard]] sim::Duration retry_backoff(const RecoveryPolicy& policy,
                                           int retry_number);
@@ -126,21 +135,111 @@ struct RecoveryMetrics {
   void bind(obs::Telemetry& telemetry, const char* prefix);
 };
 
-// Queued dispatch over a single net::ChunkSource with bounded concurrency
-// — a direct link (net::LinkSource) or a CDN edge (cdn::EdgeSource); the
-// transport neither knows nor cares which topology serves its fetches.
-// Urgent requests jump the queue (ahead of non-urgent, behind other
-// urgent); ties keep FIFO order. Throughput is estimated aggregate-wise
-// across concurrent transfers (net::AggregateWindowEstimator).
+// The one request queue with retry: bounded-concurrency dispatch over a
+// single net::ChunkSource — a direct link (net::LinkSource) or a CDN edge
+// (cdn::EdgeSource); the queue neither knows nor cares which topology
+// serves its fetches. It owns everything between "request accepted" and
+// "on_done fired": dispatch order, the HTTP/2-style stream weight, the
+// attempt trace events, the deadline-derived timeout, backoff retry, the
+// best-effort drop, the goodput estimate and the queued-bytes total.
 //
-// The wait queue is two seq-ascending deques (urgent / regular), so
-// admitting a request is O(1) instead of the former O(queue) scan +
-// erase — with thousands of queued tile requests per link that scan was
-// the single hottest path of the whole simulator (DESIGN.md §13). The
-// pop order (urgent first, then lowest submission seq) is exactly the
-// order the scan produced, so behaviour is byte-identical. Only a retry
-// re-enqueue, which carries an old seq, pays an ordered insert — O(queue)
-// worst case, and retries exist only in faulted worlds.
+// Dispatch order: lowest class first, then lowest submission seq. Each
+// class is a seq-ascending deque, so a fresh submission (the highest seq
+// so far) is an O(1) push and a pop is O(kClasses). A retry or a request
+// moved over from another queue keeps its original seq and takes an
+// ordered insert from the back — O(queue) worst case, and only faulted
+// worlds pay it. The owner picks the class map and the seq source:
+// SingleLinkTransport uses urgent ? 0 : 1, mp::MultipathTransport the
+// Table 1 rank with one seq counter across all of its paths.
+class FetchQueue {
+ public:
+  static constexpr std::size_t kClasses = 4;
+
+  // Metric handles the queue updates; null handles are skipped.
+  struct Metrics {
+    obs::Counter* bytes = nullptr;
+    obs::Histogram* queue_wait_ms = nullptr;
+    obs::Gauge* in_flight = nullptr;
+    obs::Counter* dropped = nullptr;
+    RecoveryMetrics recovery;
+  };
+
+  // `source` must outlive the queue. `trace_path` is the `path` field of
+  // the attempt trace events (-1 off multipath).
+  FetchQueue(net::ChunkSource& source, const TransportOptions& options,
+             std::int32_t trace_path);
+  ~FetchQueue();
+  FetchQueue(const FetchQueue&) = delete;
+  FetchQueue& operator=(const FetchQueue&) = delete;
+
+  // Queue `request` in class `cls` (< kClasses) and dispatch what fits.
+  void submit(ChunkRequest request, std::size_t cls, std::uint64_t seq,
+              bool best_effort);
+  // Dispatch queued requests while concurrency allows (no-op while paused).
+  void pump();
+  // A paused queue keeps its queue but dispatches nothing; resuming pumps.
+  void set_paused(bool paused);
+  [[nodiscard]] bool paused() const { return paused_; }
+  // Move every queued request of classes [0, classes) into `to`, in seq
+  // order, and pump `to`. Returns how many requests moved.
+  int move_queued(FetchQueue& to, std::size_t classes);
+
+  [[nodiscard]] double estimated_kbps() const { return estimator_.estimate_kbps(); }
+  // Requests accepted but not yet settled: queued, on the wire, or waiting
+  // out a retry backoff.
+  [[nodiscard]] int in_flight() const {
+    return active_ + static_cast<int>(queued()) + retry_waiting_;
+  }
+  [[nodiscard]] int active() const { return active_; }
+  [[nodiscard]] std::size_t queued() const;
+  // Bytes of the queued requests plus those on the wire.
+  [[nodiscard]] std::int64_t load_bytes() const { return load_bytes_; }
+  [[nodiscard]] std::int64_t bytes_fetched() const { return bytes_fetched_; }
+  [[nodiscard]] int dropped_best_effort() const { return dropped_best_effort_; }
+
+  Metrics metrics;
+  // Called with every attempt's result before the queue acts on it.
+  std::function<void(const net::TransferResult&)> on_attempt_settled;
+  // The queue a retry re-enters after its backoff; unset means this one.
+  std::function<FetchQueue&()> route_retry;
+
+ private:
+  struct Pending {
+    ChunkRequest request;
+    std::uint64_t seq = 0;
+    std::size_t cls = 0;       // dispatch class, 0 = most important
+    bool best_effort = false;  // dropped at dispatch once past its deadline
+    sim::Time enqueued{sim::kTimeZero};
+    int attempts = 0;  // completed (failed) dispatch attempts so far
+    sim::Time first_dispatched{sim::kTimeZero};
+    bool settled = false;  // guards the timeout event against re-fire
+  };
+
+  void insert(Pending pending);
+  void dispatch(Pending pending, sim::Time now);
+  void on_attempt_done(const std::shared_ptr<Pending>& flight, sim::Time started,
+                       const net::TransferResult& result);
+  void settle_undelivered(Pending& pending, sim::Time when, FetchOutcome outcome);
+
+  net::ChunkSource& source_;
+  TransportOptions options_;
+  std::int32_t trace_path_;
+  net::AggregateWindowEstimator estimator_;
+  // Every deque holds strictly ascending seq values front-to-back.
+  std::array<std::deque<Pending>, kClasses> queues_;
+  int active_ = 0;
+  int retry_waiting_ = 0;  // retries parked in a backoff wait
+  bool paused_ = false;
+  std::int64_t load_bytes_ = 0;
+  std::int64_t bytes_fetched_ = 0;
+  int dropped_best_effort_ = 0;
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+};
+
+// One FetchQueue over one ChunkSource: urgent requests (class 0) jump
+// ahead of regular ones (class 1), FIFO within each. Throughput is
+// estimated aggregate-wise across concurrent transfers
+// (net::AggregateWindowEstimator).
 class SingleLinkTransport final : public ChunkTransport {
  public:
   // `source` must outlive the transport.
@@ -148,50 +247,21 @@ class SingleLinkTransport final : public ChunkTransport {
                                TransportOptions options = {});
 
   void fetch(ChunkRequest request) override;
-  [[nodiscard]] double estimated_kbps() const override;
-  [[nodiscard]] int in_flight() const override;
-  [[nodiscard]] std::int64_t bytes_fetched() const override { return bytes_fetched_; }
+  [[nodiscard]] double estimated_kbps() const override {
+    return queue_.estimated_kbps();
+  }
+  [[nodiscard]] int in_flight() const override { return queue_.in_flight(); }
+  [[nodiscard]] std::int64_t bytes_fetched() const override {
+    return queue_.bytes_fetched();
+  }
 
   [[nodiscard]] const TransportOptions& options() const { return options_; }
 
  private:
-  struct Pending {
-    ChunkRequest request;
-    std::uint64_t seq = 0;
-    sim::Time enqueued{sim::kTimeZero};
-    int attempts = 0;  // completed (failed) dispatch attempts so far
-    sim::Time first_dispatched{sim::kTimeZero};
-    bool settled = false;  // guards the timeout event against re-fire
-  };
-
-  void pump();
-  void finish_without_delivery(ChunkRequest& request, sim::Time when,
-                               FetchOutcome outcome);
-  // Re-queue a retry whose seq predates the queue tails (ordered insert).
-  void enqueue_retry(Pending pending);
-  [[nodiscard]] std::size_t queued() const {
-    return urgent_queue_.size() + regular_queue_.size();
-  }
-
-  net::ChunkSource& source_;
   TransportOptions options_;
   obs::Counter* requests_metric_ = nullptr;
-  obs::Counter* bytes_metric_ = nullptr;
-  obs::Histogram* queue_wait_ms_metric_ = nullptr;
-  obs::Gauge* in_flight_metric_ = nullptr;
-  RecoveryMetrics recovery_metrics_;
-  net::AggregateWindowEstimator estimator_;
-  // Both deques hold strictly ascending seq values front-to-back.
-  std::deque<Pending> urgent_queue_;
-  std::deque<Pending> regular_queue_;
+  FetchQueue queue_;
   std::uint64_t next_seq_ = 0;
-  int active_ = 0;
-  int retry_waiting_ = 0;  // retries parked in a backoff wait
-  std::int64_t bytes_fetched_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-
- public:
-  ~SingleLinkTransport() override;
 };
 
 }  // namespace sperke::core

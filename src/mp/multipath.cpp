@@ -124,33 +124,28 @@ MultipathTransport::MultipathTransport(sim::Simulator& simulator,
       telemetry_(options_.telemetry) {
   if (links.empty()) throw std::invalid_argument("MultipathTransport: no links");
   if (!scheduler_) throw std::invalid_argument("MultipathTransport: null scheduler");
-  if (options_.max_concurrent < 1) {
-    throw std::invalid_argument("MultipathTransport: max_concurrent < 1");
-  }
-  if (options_.recovery.enabled) {
-    if (options_.recovery.max_retries < 0) {
-      throw std::invalid_argument("RecoveryPolicy: negative retry budget");
-    }
-    if (options_.recovery.path_failure_threshold < 1) {
-      throw std::invalid_argument("RecoveryPolicy: path_failure_threshold < 1");
-    }
-  }
+  core::validate(options_.recovery);
   for (net::Link* link : links) {
     if (link == nullptr) throw std::invalid_argument("MultipathTransport: null link");
-    Path path;
-    path.link = link;
+    const std::size_t index = paths_.size();
+    Path& path = paths_.emplace_back(*link, options_, static_cast<std::int32_t>(index));
+    path.queue.on_attempt_settled = [this, index](const net::TransferResult& r) {
+      on_attempt_settled(index, r);
+    };
+    path.queue.route_retry = [this, index]() -> core::FetchQueue& {
+      return route_retry(index);
+    };
     if (telemetry_ != nullptr) {
       // "mp.pathN.*": a fixed suffix set under a path-indexed prefix, still
       // within the [a-z0-9_.]+ name style sperke_lint enforces.
-      const std::string prefix = "mp.path" + std::to_string(paths_.size());
+      const std::string prefix = "mp.path" + std::to_string(index);
       path.requests_metric = &telemetry_->metrics().counter(prefix + ".requests");  // sperke-lint: allow(metric-name)
-      path.bytes_metric = &telemetry_->metrics().counter(prefix + ".bytes");  // sperke-lint: allow(metric-name)
+      path.queue.metrics.bytes = &telemetry_->metrics().counter(prefix + ".bytes");  // sperke-lint: allow(metric-name)
       if (options_.recovery.enabled) {
         path.down_events_metric =
             &telemetry_->metrics().counter(prefix + ".down_events");  // sperke-lint: allow(metric-name)
       }
     }
-    paths_.push_back(std::move(path));
   }
   if (telemetry_ != nullptr) {
     for (std::size_t r = 0; r < class_metrics_.size(); ++r) {
@@ -158,16 +153,20 @@ MultipathTransport::MultipathTransport(sim::Simulator& simulator,
           &telemetry_->metrics().counter("mp.class" + std::to_string(r) +
                                          ".requests");
     }
-    dropped_metric_ = &telemetry_->metrics().counter("mp.dropped_best_effort");
+    obs::Counter* dropped = &telemetry_->metrics().counter("mp.dropped_best_effort");
     // Recovery metrics exist iff recovery is on, so fault-free worlds keep
     // their exact pre-fault metric set.
+    core::RecoveryMetrics recovery;
     if (options_.recovery.enabled) {
-      recovery_metrics_.bind(*telemetry_, "mp");
+      recovery.bind(*telemetry_, "mp");
       failovers_metric_ = &telemetry_->metrics().counter("mp.failovers");
       path_downtime_metric_ = &telemetry_->metrics().histogram("mp.path_downtime_s");
     }
+    for (Path& path : paths_) {
+      path.queue.metrics.dropped = dropped;
+      path.queue.metrics.recovery = recovery;
+    }
   }
-  stats_.bytes_per_path.assign(paths_.size(), 0);
   stats_.requests_per_path.assign(paths_.size(), 0);
 }
 
@@ -177,14 +176,12 @@ std::vector<PathState> MultipathTransport::snapshot() const {
   std::vector<PathState> out;
   out.reserve(paths_.size());
   for (const Path& path : paths_) {
-    PathState state;
-    state.link = path.link;
-    state.estimated_kbps = path.estimator.estimate_kbps();
-    state.queued_bytes = path.in_flight_bytes;
-    for (const Pending& p : path.queue) state.queued_bytes += p.request.bytes;
-    state.queued_requests = path.active + static_cast<int>(path.queue.size());
-    state.quality_score = quality_of(*path.link);
-    out.push_back(state);
+    out.push_back({.link = &path.link,
+                   .estimated_kbps = path.queue.estimated_kbps(),
+                   .queued_bytes = path.queue.load_bytes(),
+                   .queued_requests = path.queue.active() +
+                                      static_cast<int>(path.queue.queued()),
+                   .quality_score = quality_of(path.link)});
   }
   return out;
 }
@@ -196,19 +193,19 @@ void MultipathTransport::fetch(core::ChunkRequest request) {
     // attempt spans always have a request to nest under.
     request.request_id = telemetry_->next_request_id();
   }
-  const PriorityClass priority = classify(request);
-  ++stats_.class_counts[static_cast<std::size_t>(rank(priority))];
+  const std::size_t cls = static_cast<std::size_t>(rank(classify(request)));
+  ++stats_.class_counts[cls];
   std::size_t index = scheduler_->pick(request, snapshot());
   if (index >= paths_.size()) throw std::out_of_range("scheduler picked bad path");
   // Route around a path currently declared down (recovery only; without
   // recovery no path is ever down).
-  if (paths_[index].down) {
+  if (paths_[index].queue.paused()) {
     const std::size_t up = best_up_path();
     if (up < paths_.size()) index = up;
   }
   ++stats_.requests_per_path[index];
   if (telemetry_ != nullptr) {
-    class_metrics_[static_cast<std::size_t>(rank(priority))]->increment();
+    class_metrics_[cls]->increment();
     paths_[index].requests_metric->increment();
     telemetry_->trace().record(
         {.type = obs::TraceEventType::kPathAssigned,
@@ -219,38 +216,20 @@ void MultipathTransport::fetch(core::ChunkRequest request) {
          .path = static_cast<std::int32_t>(index),
          .bytes = request.bytes,
          .urgent = request.urgent,
-         .value = static_cast<double>(rank(priority)),
+         .value = static_cast<double>(cls),
          .request = request.request_id,
          .parent = request.parent_id});
   }
-  Pending pending;
-  pending.best_effort = scheduler_->best_effort(request);
-  pending.request = std::move(request);
-  pending.seq = next_seq_++;
-  paths_[index].queue.push_back(std::move(pending));
-  pump(index);
-}
-
-void MultipathTransport::finish_without_delivery(core::ChunkRequest& request,
-                                                 sim::Time when,
-                                                 core::FetchOutcome outcome) {
-  if (outcome == core::FetchOutcome::kFailed &&
-      recovery_metrics_.failed_requests != nullptr) {
-    recovery_metrics_.failed_requests->increment();
-  }
-  if (outcome == core::FetchOutcome::kTimedOut &&
-      recovery_metrics_.timeouts != nullptr) {
-    recovery_metrics_.timeouts->increment();
-  }
-  if (request.on_done) request.on_done(when, outcome);
+  const bool best_effort = scheduler_->best_effort(request);
+  paths_[index].queue.submit(std::move(request), cls, next_seq_++, best_effort);
 }
 
 std::size_t MultipathTransport::best_up_path() const {
   std::size_t best = paths_.size();
   double best_score = -1.0;
   for (std::size_t i = 0; i < paths_.size(); ++i) {
-    if (paths_[i].down) continue;
-    const double score = quality_of(*paths_[i].link);
+    if (paths_[i].queue.paused()) continue;
+    const double score = quality_of(paths_[i].link);
     if (score > best_score) {
       best_score = score;
       best = i;
@@ -259,31 +238,49 @@ std::size_t MultipathTransport::best_up_path() const {
   return best;
 }
 
+void MultipathTransport::on_attempt_settled(std::size_t path_index,
+                                            const net::TransferResult& result) {
+  Path& path = paths_[path_index];
+  if (result.completed()) {
+    path.consecutive_failures = 0;
+    return;
+  }
+  if (result.status == net::TransferStatus::kCancelled) return;  // a timeout
+  ++path.consecutive_failures;
+  if (options_.recovery.enabled && !path.queue.paused() &&
+      (path.consecutive_failures >= options_.recovery.path_failure_threshold ||
+       path.link.in_outage())) {
+    mark_down(path_index);
+  }
+}
+
+core::FetchQueue& MultipathTransport::route_retry(std::size_t path_index) {
+  if (paths_[path_index].queue.paused()) {
+    const std::size_t up = best_up_path();
+    if (up < paths_.size()) {
+      count_failovers(1);
+      return paths_[up].queue;
+    }
+  }
+  return paths_[path_index].queue;
+}
+
+void MultipathTransport::count_failovers(int moved) {
+  stats_.failovers += moved;
+  if (failovers_metric_ != nullptr) failovers_metric_->add(moved);
+}
+
 void MultipathTransport::mark_down(std::size_t path_index) {
   Path& path = paths_[path_index];
-  path.down = true;
+  path.queue.set_paused(true);
   path.down_since = simulator_.now();
   ++stats_.path_down_events;
   if (path.down_events_metric != nullptr) path.down_events_metric->increment();
-  // Fail queued FoV/urgent work over to the best surviving path; queued OOS
-  // prefetch waits for recovery (abandon OOS first).
+  // Fail queued FoV/urgent work (Table 1 ranks 0-2) over to the best
+  // surviving path; queued OOS prefetch waits for recovery (abandon OOS
+  // first).
   const std::size_t up = best_up_path();
-  if (up < paths_.size()) {
-    auto& q = path.queue;
-    for (auto it = q.begin(); it != q.end();) {
-      const bool critical =
-          it->request.urgent || it->request.spatial == abr::SpatialClass::kFov;
-      if (critical) {
-        ++stats_.failovers;
-        if (failovers_metric_ != nullptr) failovers_metric_->increment();
-        paths_[up].queue.push_back(std::move(*it));
-        it = q.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    pump(up);
-  }
+  if (up < paths_.size()) count_failovers(path.queue.move_queued(paths_[up].queue, 3));
   simulator_.schedule_after(options_.recovery.probe_interval,
                             [this, alive = alive_, path_index] {
                               if (!*alive) return;
@@ -293,8 +290,8 @@ void MultipathTransport::mark_down(std::size_t path_index) {
 
 void MultipathTransport::probe_path(std::size_t path_index) {
   Path& path = paths_[path_index];
-  if (!path.down) return;
-  if (path.link->in_outage()) {
+  if (!path.queue.paused()) return;
+  if (path.link.in_outage()) {
     // Still dark; probe again later.
     simulator_.schedule_after(options_.recovery.probe_interval,
                               [this, alive = alive_, path_index] {
@@ -303,181 +300,22 @@ void MultipathTransport::probe_path(std::size_t path_index) {
                               });
     return;
   }
-  path.down = false;
   // Probation: one more failure sends the path straight back down.
   path.consecutive_failures =
       std::max(0, options_.recovery.path_failure_threshold - 1);
   const double downtime_s = sim::to_seconds(simulator_.now() - path.down_since);
   stats_.path_downtime_s += downtime_s;
   if (path_downtime_metric_ != nullptr) path_downtime_metric_->observe(downtime_s);
-  pump(path_index);
+  path.queue.set_paused(false);
 }
 
-void MultipathTransport::requeue_retry(std::shared_ptr<Pending> flight,
-                                       std::size_t path_index) {
-  std::size_t target = path_index;
-  if (paths_[target].down) {
-    const std::size_t up = best_up_path();
-    if (up < paths_.size()) {
-      target = up;
-      ++stats_.failovers;
-      if (failovers_metric_ != nullptr) failovers_metric_->increment();
-    }
+MultipathStats MultipathTransport::stats() const {
+  MultipathStats stats = stats_;
+  for (const Path& path : paths_) {
+    stats.bytes_per_path.push_back(path.queue.bytes_fetched());
+    stats.dropped_best_effort += path.queue.dropped_best_effort();
   }
-  paths_[target].queue.push_back(std::move(*flight));
-  pump(target);
-}
-
-void MultipathTransport::pump(std::size_t path_index) {
-  Path& path = paths_[path_index];
-  if (path.down) return;  // queued work waits for probe recovery
-  while (path.active < options_.max_concurrent && !path.queue.empty()) {
-    // Highest priority first (rank ascending), FIFO within a rank.
-    auto best = path.queue.begin();
-    for (auto it = std::next(path.queue.begin()); it != path.queue.end(); ++it) {
-      const int r_it = rank(classify(it->request));
-      const int r_best = rank(classify(best->request));
-      if (r_it < r_best || (r_it == r_best && it->seq < best->seq)) best = it;
-    }
-    Pending pending = std::move(*best);
-    path.queue.erase(best);
-
-    // Best-effort requests that already blew their deadline are dropped
-    // before wasting path capacity.
-    if (pending.best_effort && pending.request.deadline <= simulator_.now()) {
-      ++stats_.dropped_best_effort;
-      if (telemetry_ != nullptr) dropped_metric_->increment();
-      if (pending.request.on_done) {
-        pending.request.on_done(simulator_.now(), core::FetchOutcome::kDropped);
-      }
-      continue;
-    }
-    // A retry never starts at or past the playback deadline.
-    if (pending.attempts > 0 && pending.request.deadline <= simulator_.now()) {
-      finish_without_delivery(pending.request, simulator_.now(),
-                              core::FetchOutcome::kTimedOut);
-      continue;
-    }
-
-    ++path.active;
-    path.in_flight_bytes += pending.request.bytes;
-    const sim::Time started = simulator_.now();
-    const std::int64_t bytes = pending.request.bytes;
-    // Stream weights mirror the Table 1 ranking within a path.
-    const double weight =
-        (pending.request.urgent ? 4.0 : 1.0) *
-        (pending.request.spatial == abr::SpatialClass::kFov ? 2.0 : 1.0);
-    if (pending.attempts == 0) pending.first_dispatched = started;
-    pending.settled = false;
-    auto holder = std::make_shared<Pending>(std::move(pending));
-    if (telemetry_ != nullptr) {
-      telemetry_->trace().record(
-          {.type = obs::TraceEventType::kFetchAttemptStart,
-           .ts = started,
-           .tile = holder->request.id.tile,
-           .chunk = holder->request.id.chunk,
-           .quality = holder->request.id.level(),
-           .path = static_cast<std::int32_t>(path_index),
-           .bytes = bytes,
-           .urgent = holder->request.urgent,
-           .value = static_cast<double>(holder->attempts),
-           .request = holder->request.request_id,
-           .parent = holder->request.parent_id});
-    }
-    const net::TransferId id = path.link->start_transfer(
-        bytes,
-        [this, alive = alive_, path_index, holder, started,
-         bytes](const net::TransferResult& r) {
-          if (!*alive) return;
-          holder->settled = true;
-          Path& p = paths_[path_index];
-          --p.active;
-          p.in_flight_bytes -= bytes;
-          if (telemetry_ != nullptr) {
-            telemetry_->trace().record(
-                {.type = obs::TraceEventType::kFetchAttemptEnd,
-                 .ts = r.time,
-                 .tile = holder->request.id.tile,
-                 .chunk = holder->request.id.chunk,
-                 .quality = holder->request.id.level(),
-                 .path = static_cast<std::int32_t>(path_index),
-                 .bytes = r.completed() ? bytes : 0,
-                 .urgent = holder->request.urgent,
-                 .value = static_cast<double>(holder->attempts),
-                 .request = holder->request.request_id,
-                 .parent = holder->request.parent_id});
-          }
-          if (r.completed()) {
-            p.consecutive_failures = 0;
-            // Aggregate-wise goodput from the start of data flow.
-            p.estimator.record(started + p.link->rtt(), r.time, bytes);
-            bytes_fetched_ += bytes;
-            stats_.bytes_per_path[path_index] += bytes;
-            if (p.bytes_metric != nullptr) p.bytes_metric->add(bytes);
-            if (holder->attempts > 0 &&
-                recovery_metrics_.recovered_requests != nullptr) {
-              recovery_metrics_.recovered_requests->increment();
-              recovery_metrics_.recovery_latency_ms->observe(
-                  sim::to_milliseconds(r.time - holder->first_dispatched));
-            }
-            if (holder->request.on_done) {
-              holder->request.on_done(r.time, core::FetchOutcome::kDelivered);
-            }
-            pump(path_index);
-            return;
-          }
-          if (r.status == net::TransferStatus::kCancelled) {
-            // Only our own deadline timeout cancels transfers.
-            finish_without_delivery(holder->request, r.time,
-                                    core::FetchOutcome::kTimedOut);
-            pump(path_index);
-            return;
-          }
-          // Injected fault (kFailed): feed path-failure detection, then
-          // retry under the shared budget/deadline gates.
-          ++p.consecutive_failures;
-          if (options_.recovery.enabled && !p.down &&
-              (p.consecutive_failures >=
-                   options_.recovery.path_failure_threshold ||
-               p.link->in_outage())) {
-            mark_down(path_index);
-          }
-          const sim::Duration backoff =
-              core::retry_backoff(options_.recovery, holder->attempts + 1);
-          const bool budget_left = core::retry_allowed(
-              options_.recovery, holder->request, holder->attempts);
-          const bool deadline_left = r.time + backoff < holder->request.deadline;
-          if (budget_left && deadline_left) {
-            ++holder->attempts;
-            if (recovery_metrics_.retries != nullptr) {
-              recovery_metrics_.retries->increment();
-            }
-            ++retry_waiting_;
-            simulator_.schedule_after(
-                backoff, [this, alive2 = alive_, holder, path_index] {
-                  if (!*alive2) return;
-                  --retry_waiting_;
-                  requeue_retry(holder, path_index);
-                });
-          } else {
-            finish_without_delivery(holder->request, r.time,
-                                    budget_left ? core::FetchOutcome::kTimedOut
-                                                : core::FetchOutcome::kFailed);
-          }
-          pump(path_index);
-        },
-        weight);
-    if (options_.recovery.enabled) {
-      // Deadline-derived timeout on the in-flight transfer.
-      const sim::Time timeout_at = std::max(
-          holder->request.deadline, started + options_.recovery.min_timeout);
-      net::Link* link = path.link;
-      simulator_.schedule_at(timeout_at, [alive = alive_, holder, link, id] {
-        if (!*alive || holder->settled) return;
-        link->cancel(id);  // fires the kCancelled completion synchronously
-      });
-    }
-  }
+  return stats;
 }
 
 double MultipathTransport::estimated_kbps() const {
@@ -485,19 +323,23 @@ double MultipathTransport::estimated_kbps() const {
   // paths that have not carried traffic yet.
   double total = 0.0;
   for (const Path& path : paths_) {
-    const double est = path.estimator.estimate_kbps();
+    const double est = path.queue.estimated_kbps();
     total += est > 0.0 ? est
-                       : std::min(path.link->capacity_kbps_now(),
-                                  path.link->mathis_cap_kbps());
+                       : std::min(path.link.capacity_kbps_now(),
+                                  path.link.mathis_cap_kbps());
   }
   return total;
 }
 
 int MultipathTransport::in_flight() const {
-  int total = retry_waiting_;
-  for (const Path& path : paths_) {
-    total += path.active + static_cast<int>(path.queue.size());
-  }
+  int total = 0;
+  for (const Path& path : paths_) total += path.queue.in_flight();
+  return total;
+}
+
+std::int64_t MultipathTransport::bytes_fetched() const {
+  std::int64_t total = 0;
+  for (const Path& path : paths_) total += path.queue.bytes_fetched();
   return total;
 }
 

@@ -1,7 +1,10 @@
 // Multipath streaming support (§3.3).
 //
-// A MultipathTransport runs one queue per network path (e.g. WiFi + LTE);
-// paths are fully decoupled, so there is no cross-path head-of-line
+// Multipath is a scheduling decision over the Table 1 priority classes, not
+// a second delivery engine: a MultipathTransport is one core::FetchQueue
+// per network path (e.g. WiFi + LTE), each fetching through a
+// net::LinkSource over its link, with class = rank(classify(request)).
+// Paths are fully decoupled, so there is no cross-path head-of-line
 // blocking by construction (the transport-layer benefit the paper notes).
 // The pluggable PathScheduler decides which path serves each request:
 //
@@ -19,14 +22,15 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include "core/transport.h"
 #include "mp/priority.h"
+#include "net/chunk_source.h"
 #include "net/link.h"
-#include "net/throughput_estimator.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
 
@@ -114,9 +118,11 @@ class MultipathTransport final : public core::ChunkTransport {
   // path, tighter than the single-link default of 4); the optional
   // telemetry sink receives per-path assignment traces and per-class/
   // per-path counters. With options.recovery.enabled the transport detects
-  // failed paths (consecutive failures or an outage signal), fails queued
-  // and in-flight FoV/urgent work over to the best surviving path, and
-  // probes down paths back into service (DESIGN.md §10).
+  // failed paths (consecutive failures or an outage signal), moves queued
+  // FoV/urgent work and routes retries over to the best surviving path,
+  // and probes down paths back into service (DESIGN.md §10). The path
+  // queues handle everything else — dispatch order, timeouts, backoff
+  // retry, best-effort drops — exactly as SingleLinkTransport's queue does.
   MultipathTransport(sim::Simulator& simulator, std::vector<net::Link*> links,
                      std::unique_ptr<PathScheduler> scheduler,
                      core::TransportOptions options = {.max_concurrent = 2,
@@ -127,66 +133,54 @@ class MultipathTransport final : public core::ChunkTransport {
   void fetch(core::ChunkRequest request) override;
   [[nodiscard]] double estimated_kbps() const override;
   [[nodiscard]] int in_flight() const override;
-  [[nodiscard]] std::int64_t bytes_fetched() const override { return bytes_fetched_; }
+  [[nodiscard]] std::int64_t bytes_fetched() const override;
 
-  [[nodiscard]] const MultipathStats& stats() const { return stats_; }
+  // bytes_per_path and dropped_best_effort are read off the path queues.
+  [[nodiscard]] MultipathStats stats() const;
   [[nodiscard]] const PathScheduler& scheduler() const { return *scheduler_; }
   [[nodiscard]] const core::TransportOptions& options() const { return options_; }
   [[nodiscard]] bool path_down(std::size_t path_index) const {
-    return paths_.at(path_index).down;
+    return paths_.at(path_index).queue.paused();
   }
 
  private:
-  struct Pending {
-    core::ChunkRequest request;
-    std::uint64_t seq = 0;
-    bool best_effort = false;
-    int attempts = 0;  // completed (failed) dispatch attempts so far
-    sim::Time first_dispatched{sim::kTimeZero};
-    bool settled = false;  // guards the timeout event against re-fire
-  };
   struct Path {
-    net::Link* link = nullptr;
-    net::AggregateWindowEstimator estimator;
-    std::vector<Pending> queue;
-    int active = 0;
-    std::int64_t in_flight_bytes = 0;
+    Path(net::Link& path_link, const core::TransportOptions& options,
+         std::int32_t index)
+        : link(path_link), source(path_link), queue(source, options, index) {}
+    net::Link& link;
+    net::LinkSource source;
+    core::FetchQueue queue;  // paused while the path is down
     obs::Counter* requests_metric = nullptr;  // set iff telemetry attached
-    obs::Counter* bytes_metric = nullptr;
     // Path-failure detection state (RecoveryPolicy::enabled only).
     int consecutive_failures = 0;
-    bool down = false;
     sim::Time down_since{sim::kTimeZero};
     obs::Counter* down_events_metric = nullptr;
   };
 
   [[nodiscard]] std::vector<PathState> snapshot() const;
-  void pump(std::size_t path_index);
-  void finish_without_delivery(core::ChunkRequest& request, sim::Time when,
-                               core::FetchOutcome outcome);
+  // Attempt-settled hook of path `path_index`: path-failure detection.
+  void on_attempt_settled(std::size_t path_index, const net::TransferResult& result);
+  // Retry-routing hook of path `path_index`: a retry whose path went down
+  // during its backoff fails over to the best surviving path.
+  core::FetchQueue& route_retry(std::size_t path_index);
   // Declare `path_index` down, fail queued FoV/urgent work over to the best
   // surviving path, and start probing for recovery.
   void mark_down(std::size_t path_index);
   void probe_path(std::size_t path_index);
+  void count_failovers(int moved);
   // Best up path by quality score, or paths_.size() if every path is down.
   [[nodiscard]] std::size_t best_up_path() const;
-  // Requeue a failed request after backoff, rerouting away from down paths.
-  void requeue_retry(std::shared_ptr<Pending> flight, std::size_t path_index);
 
   sim::Simulator& simulator_;
-  std::vector<Path> paths_;
   std::unique_ptr<PathScheduler> scheduler_;
   core::TransportOptions options_;
-  std::uint64_t next_seq_ = 0;
-  int retry_waiting_ = 0;  // retries parked in a backoff wait
-  std::int64_t bytes_fetched_ = 0;
+  std::deque<Path> paths_;  // a deque: path queues never move
+  std::uint64_t next_seq_ = 0;  // one submission order across all paths
   MultipathStats stats_;
   obs::Telemetry* telemetry_ = nullptr;
   // Table 1 class counters, indexed by rank(); mirror stats_.class_counts.
   std::array<obs::Counter*, 4> class_metrics_{};
-  obs::Counter* dropped_metric_ = nullptr;
-  // Recovery metrics, bound iff telemetry && recovery.enabled.
-  core::RecoveryMetrics recovery_metrics_;
   obs::Counter* failovers_metric_ = nullptr;
   obs::Histogram* path_downtime_metric_ = nullptr;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

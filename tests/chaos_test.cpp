@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/session.h"
 #include "core/transport.h"
@@ -63,14 +64,14 @@ net::FaultPlan stormy_plan() {
   return plan;
 }
 
-core::SessionReport run_vod(bool recovery) {
+core::SessionReport run_vod(bool recovery, net::FaultPlan faults = stormy_plan()) {
   sim::Simulator simulator;
   net::Link link(simulator,
                  net::LinkConfig{.name = "dl",
                                  .bandwidth = net::BandwidthTrace::constant(12'000.0),
                                  .rtt = sim::milliseconds(30),
                                  .loss_rate = 0.0,
-                                 .faults = stormy_plan()});
+                                 .faults = std::move(faults)});
   core::TransportOptions options;
   options.recovery.enabled = recovery;
   net::LinkSource source(link);
@@ -106,6 +107,22 @@ TEST(Chaos, VodChaosIsDeterministicAcrossRuns) {
   EXPECT_EQ(a.fetch_failures, b.fetch_failures);
   EXPECT_EQ(a.degraded_retries, b.degraded_retries);
   EXPECT_EQ(a.fetches, b.fetches);
+}
+
+TEST(Chaos, FailedStartupFetchIsReRequested) {
+  // A 20 ms outage at t=0 fails the first startup fetches. Their deadline is
+  // the dispatch instant, so no degraded retry can cover them, and no stall
+  // re-check runs before playback starts: the session must re-request the
+  // missing startup tiles itself, with recovery on or off.
+  net::FaultPlan blip;
+  blip.outages.push_back({.start_s = 0.0, .duration_s = 0.02});
+  for (const bool recovery : {false, true}) {
+    const auto report = run_vod(recovery, blip);
+    EXPECT_TRUE(report.completed) << "recovery " << recovery;
+    EXPECT_EQ(report.qoe.chunks_played, static_cast<int>(kVideoSeconds))
+        << "recovery " << recovery;
+    EXPECT_GT(report.fetch_failures, 0) << "recovery " << recovery;
+  }
 }
 
 TEST(Chaos, MultipathWifiOutageFailsOverAndProbesBack) {

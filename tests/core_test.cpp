@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "core/transport.h"
 #include "hmp/head_trace.h"
 #include "net/link.h"
+#include "obs/telemetry.h"
 #include "sim/simulator.h"
 
 namespace sperke::core {
@@ -382,6 +385,60 @@ TEST_F(TransportRecoveryTest, OosPrefetchAbandonedOnFirstFailure) {
   simulator.run();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome, FetchOutcome::kFailed);
+}
+
+TEST_F(TransportRecoveryTest, DispatchOrderPinsClassesAndRetryPlacement) {
+  // One transfer at a time over a 1 MB/s, 20 ms link. The outage edge at
+  // 50 ms kills request 1 mid-flight; its retry returns 100 ms later with
+  // its original submission seq, so it re-enters the regular class ahead
+  // of every regular request submitted after it. Urgent requests of
+  // either spatial class share one class and keep submission order.
+  net::FaultPlan faults;
+  faults.outages.push_back({.start_s = 0.05, .duration_s = 0.01});
+  net::Link link(simulator,
+                 net::LinkConfig{.name = "order",
+                                 .bandwidth = net::BandwidthTrace::constant(8000.0),
+                                 .rtt = sim::milliseconds(20),
+                                 .loss_rate = 0.0,
+                                 .faults = std::move(faults)});
+  net::LinkSource source(link);
+  obs::Telemetry telemetry;
+  TransportOptions options = recovery_options();
+  options.max_concurrent = 1;
+  options.telemetry = &telemetry;
+  SingleLinkTransport transport(source, options);
+  const auto submit = [&](std::int64_t id, abr::SpatialClass spatial, bool urgent) {
+    ChunkRequest req;
+    req.id = net::to_chunk_id({{static_cast<int>(id), 0}, Encoding::kAvc, 0});
+    req.bytes = 100'000;
+    req.spatial = spatial;
+    req.urgent = urgent;
+    req.deadline = sim::seconds(30.0);
+    req.request_id = id;
+    transport.fetch(std::move(req));
+  };
+  submit(1, abr::SpatialClass::kFov, false);
+  submit(2, abr::SpatialClass::kOos, false);
+  submit(3, abr::SpatialClass::kFov, false);
+  submit(4, abr::SpatialClass::kOos, true);
+  submit(5, abr::SpatialClass::kFov, true);
+  submit(6, abr::SpatialClass::kFov, false);
+  simulator.run();
+  using Attempt = std::tuple<std::int64_t, std::int32_t, int>;
+  std::vector<Attempt> attempts;
+  for (const obs::TraceEvent& e : telemetry.trace().events()) {
+    if (e.type == obs::TraceEventType::kFetchAttemptStart) {
+      attempts.emplace_back(e.request, e.path, static_cast<int>(e.value));
+    }
+  }
+  EXPECT_EQ(attempts, (std::vector<Attempt>{{1, -1, 0},
+                                            {4, -1, 0},
+                                            {5, -1, 0},
+                                            {1, -1, 1},
+                                            {2, -1, 0},
+                                            {3, -1, 0},
+                                            {6, -1, 0}}));
+  EXPECT_EQ(transport.bytes_fetched(), 600'000);
 }
 
 TEST_F(TransportRecoveryTest, RecoveryDisabledKeepsLegacySemantics) {

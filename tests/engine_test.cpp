@@ -5,6 +5,7 @@
 // partitioning.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -15,10 +16,13 @@
 #include <vector>
 
 #include "abr/factory.h"
+#include "core/transport.h"
 #include "engine/engine.h"
 #include "engine/world.h"
 #include "geo/visibility.h"
 #include "media/video_model.h"
+#include "mp/multipath.h"
+#include "net/chunk_source.h"
 #include "net/link.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -493,6 +497,47 @@ TEST(Engine, ValidateRejectsBadSpecs) {
   spec = small_world(1);
   spec.faults.transfer_failure_prob = 1.5;  // net::validate runs on the spec
   EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument);
+}
+
+TEST(Engine, ValidateRejectsBadRecoveryPolicies) {
+  // One bad field per row. Each must be rejected the same way by both
+  // transports and by ShardedEngine, before any shard is built.
+  struct Row {
+    const char* field;
+    void (*spoil)(core::RecoveryPolicy&);
+  };
+  const std::vector<Row> rows = {
+      {"max_retries", [](core::RecoveryPolicy& p) { p.max_retries = -1; }},
+      {"backoff_multiplier", [](core::RecoveryPolicy& p) { p.backoff_multiplier = 0.5; }},
+      {"backoff_multiplier NaN",
+       [](core::RecoveryPolicy& p) { p.backoff_multiplier = std::nan(""); }},
+      {"base_backoff", [](core::RecoveryPolicy& p) { p.base_backoff = sim::milliseconds(-1); }},
+      {"min_timeout", [](core::RecoveryPolicy& p) { p.min_timeout = sim::milliseconds(-1); }},
+      {"path_failure_threshold",
+       [](core::RecoveryPolicy& p) { p.path_failure_threshold = 0; }},
+      {"probe_interval", [](core::RecoveryPolicy& p) { p.probe_interval = sim::Duration{0}; }},
+  };
+  sim::Simulator simulator;
+  net::Link link(simulator, net::LinkConfig{});
+  net::LinkSource source(link);
+  for (const Row& row : rows) {
+    core::TransportOptions options;
+    options.recovery.enabled = true;
+    row.spoil(options.recovery);
+    EXPECT_THROW(core::validate(options.recovery), std::invalid_argument) << row.field;
+    EXPECT_THROW(core::SingleLinkTransport(source, options), std::invalid_argument)
+        << row.field;
+    EXPECT_THROW(mp::MultipathTransport(simulator, {&link},
+                                        std::make_unique<mp::MinRttScheduler>(), options),
+                 std::invalid_argument)
+        << row.field;
+    engine::WorldSpec spec = small_world(1);
+    spec.transport_recovery = options.recovery;
+    EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument) << row.field;
+    // A disabled policy is never read, so it is never rejected.
+    options.recovery.enabled = false;
+    EXPECT_NO_THROW(core::SingleLinkTransport(source, options)) << row.field;
+  }
 }
 
 TEST(Engine, ShardErrorsPropagateToCaller) {

@@ -2,9 +2,12 @@
 
 #include <memory>
 #include <optional>
+#include <tuple>
+#include <vector>
 
 #include "mp/multipath.h"
 #include "mp/priority.h"
+#include "obs/telemetry.h"
 #include "sim/simulator.h"
 
 namespace sperke::mp {
@@ -308,6 +311,65 @@ TEST_F(MultipathFailoverTest, NewFetchesRouteAroundDownPath) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome, core::FetchOutcome::kDelivered);
   EXPECT_EQ(transport.stats().requests_per_path[1], lte_before + 1);
+}
+
+TEST_F(MultipathFailoverTest, DispatchOrderPinsClassesAcrossFailoverAndRetry) {
+  // Every Table 1 class queues on wifi behind request 1. The outage edge at
+  // 50 ms kills request 1 and marks wifi down: the queued critical classes
+  // (urgent FoV, urgent OOS, FoV) fail over to LTE, regular OOS waits for
+  // the probe at 1.05 s. Request 1's retry is routed to LTE with its
+  // original seq, so it leads the FoV class there.
+  net::FaultPlan faults;
+  faults.outages.push_back({.start_s = 0.05, .duration_s = 0.7});
+  wifi = std::make_unique<net::Link>(
+      simulator, net::LinkConfig{.name = "wifi",
+                                 .bandwidth = net::BandwidthTrace::constant(20'000.0),
+                                 .rtt = sim::milliseconds(20),
+                                 .loss_rate = 0.0,
+                                 .faults = std::move(faults)});
+  obs::Telemetry telemetry;
+  core::TransportOptions options;
+  options.max_concurrent = 1;
+  options.telemetry = &telemetry;
+  options.recovery.enabled = true;
+  options.recovery.max_retries = 3;
+  options.recovery.base_backoff = sim::milliseconds(100);
+  options.recovery.probe_interval = sim::seconds(0.5);
+  MultipathTransport transport(simulator, {wifi.get(), lte.get()},
+                               std::make_unique<SinglePathScheduler>(0), options);
+  const auto submit = [&](std::int64_t id, abr::SpatialClass spatial, bool urgent) {
+    auto req = request_of(spatial, urgent, 200'000);
+    req.request_id = id;
+    transport.fetch(std::move(req));
+  };
+  submit(1, abr::SpatialClass::kFov, false);
+  submit(2, abr::SpatialClass::kOos, false);
+  submit(3, abr::SpatialClass::kFov, false);
+  submit(4, abr::SpatialClass::kOos, true);
+  submit(5, abr::SpatialClass::kFov, true);
+  submit(6, abr::SpatialClass::kOos, false);
+  submit(7, abr::SpatialClass::kFov, false);
+  simulator.run_until(sim::seconds(10.0));
+  using Attempt = std::tuple<std::int64_t, std::int32_t, int>;
+  std::vector<Attempt> attempts;
+  for (const obs::TraceEvent& e : telemetry.trace().events()) {
+    if (e.type == obs::TraceEventType::kFetchAttemptStart) {
+      attempts.emplace_back(e.request, e.path, static_cast<int>(e.value));
+    }
+  }
+  EXPECT_EQ(attempts, (std::vector<Attempt>{{1, 0, 0},
+                                            {5, 1, 0},
+                                            {4, 1, 0},
+                                            {1, 1, 1},
+                                            {3, 1, 0},
+                                            {2, 0, 0},
+                                            {7, 1, 0},
+                                            {6, 0, 0}}));
+  const MultipathStats stats = transport.stats();
+  EXPECT_EQ(stats.failovers, 5);  // four queued + one routed retry
+  EXPECT_EQ(stats.bytes_per_path[0], 400'000);
+  EXPECT_EQ(stats.bytes_per_path[1], 1'000'000);
+  EXPECT_EQ(transport.in_flight(), 0);
 }
 
 TEST(PathSchedulerFactory, MakesKnownKinds) {
