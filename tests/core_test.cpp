@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <tuple>
@@ -647,6 +648,57 @@ TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {
   EXPECT_EQ(report.qoe.chunks_played, 15);
   // The outage killed in-flight fetches; the session saw and survived them.
   EXPECT_GT(report.fetch_failures, 0);
+}
+
+// Pins one stall-heavy session end to end: every SessionReport field and
+// the count of each trace event type. At 1.8 Mbps the session stalls four
+// times with upgrades on, and the 50 ms scan period puts upgrade scans into
+// those stalls both before and after each stall's first head sample (the
+// first sample after a stall starts moves the prediction while media time
+// stays frozen). Any change to which tiles the session treats as visible
+// or predicted shows up here.
+TEST_F(SessionTest, StallingUpgradeSessionIsPinned) {
+  obs::Telemetry telemetry;
+  SessionConfig config;
+  config.telemetry = &telemetry;
+  config.upgrade_scan_period = sim::milliseconds(50);
+  const SessionReport report = run_session(1'800.0, config);
+
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.qoe.chunks_played, 15);
+  EXPECT_EQ(report.qoe.mean_viewport_utility, 0.076126489729602065);
+  EXPECT_EQ(report.qoe.stall_seconds, 0.82887500000000003);
+  EXPECT_EQ(report.qoe.stall_events, 4);
+  EXPECT_EQ(report.qoe.skipped_chunks, 0);
+  EXPECT_EQ(report.qoe.switch_magnitude, 0.91759608156216765);
+  EXPECT_EQ(report.qoe.blank_fraction_mean, 0.0);
+  EXPECT_EQ(report.qoe.bytes_downloaded, 2'492'015);
+  EXPECT_EQ(report.qoe.bytes_wasted, 981'839);
+  EXPECT_EQ(report.qoe.score, -3.091198735618137);
+  EXPECT_EQ(report.startup_delay, sim::Duration{355'872});
+  EXPECT_EQ(report.wall_duration, sim::Duration{16'184'747});
+  EXPECT_EQ(report.fetches, 137);
+  EXPECT_EQ(report.urgent_fetches, 12);
+  EXPECT_EQ(report.upgrades, 10);
+  EXPECT_EQ(report.late_corrections, 2);
+  EXPECT_EQ(report.fetch_failures, 0);
+  EXPECT_EQ(report.degraded_retries, 0);
+  const std::vector<double> utility{
+      0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.10195512017357418, 0.30586536052072255,
+      0.30586536052072255, 0.0, 0.0, 0.0, 0.0, 0.24469228841657803,
+      0.18351921631243354};
+  EXPECT_EQ(report.viewport_utility_per_chunk, utility);
+
+  std::map<obs::TraceEventType, int> counts;
+  for (const obs::TraceEvent& event : telemetry.trace().events()) {
+    ++counts[event.type];
+  }
+  using T = obs::TraceEventType;
+  const std::map<obs::TraceEventType, int> expected{
+      {T::kSessionStart, 1},    {T::kPlanComputed, 15},  {T::kFetchDispatched, 137},
+      {T::kFetchDone, 137},     {T::kStallBegin, 4},     {T::kStallEnd, 4},
+      {T::kUpgradeDecided, 11}, {T::kChunkPlayed, 15},   {T::kSessionEnd, 1}};
+  EXPECT_EQ(counts, expected);
 }
 
 TEST_F(SessionTest, DoubleStartThrows) {
