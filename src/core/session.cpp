@@ -19,6 +19,24 @@ std::unique_ptr<hmp::OrientationPredictor> motion_for(const SessionConfig& confi
 
 }  // namespace
 
+void validate(const SessionConfig& config) {
+  if (config.prefetch_horizon_chunks < 1) {
+    throw std::invalid_argument("Session: prefetch horizon < 1");
+  }
+  if (config.startup_chunks < 1) {
+    throw std::invalid_argument("Session: startup chunks < 1");
+  }
+  // NaN fails the > test; the period must round to a positive microsecond
+  // count (sim::seconds of a non-finite or huge value is undefined).
+  if (!(config.head_sample_hz > 0.0) ||
+      !sim::valid_positive_seconds(1.0 / config.head_sample_hz)) {
+    throw std::invalid_argument("Session: bad head sample rate");
+  }
+  if (config.enable_upgrades && config.upgrade_scan_period <= sim::Duration{0}) {
+    throw std::invalid_argument("Session: upgrade scan period <= 0");
+  }
+}
+
 StreamingSession::StreamingSession(sim::Simulator& simulator,
                                    std::shared_ptr<const media::VideoModel> video,
                                    ChunkTransport& transport,
@@ -40,6 +58,8 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
       buffer_(video_, batch_->cells(slot_)),
       policy_(abr::make_policy(video_, config_.abr)),
       qoe_(config_.qoe) {
+  validate(config_);
+  predicted_.resize(static_cast<std::size_t>(config_.prefetch_horizon_chunks));
   planned_ = batch_->planned_quality(slot_);
   in_flight_ = batch_->in_flight(slot_);
   probs_ = batch_->probs(slot_);
@@ -71,15 +91,6 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
       metrics_.fetch_failures = &m.counter("session.fetch_failures");
       metrics_.degraded_retries = &m.counter("session.degraded_retries");
     }
-  }
-  if (config_.prefetch_horizon_chunks < 1) {
-    throw std::invalid_argument("Session: prefetch horizon < 1");
-  }
-  if (config_.startup_chunks < 1) {
-    throw std::invalid_argument("Session: startup chunks < 1");
-  }
-  if (config_.head_sample_hz <= 0.0) {
-    throw std::invalid_argument("Session: bad head sample rate");
   }
 }
 
@@ -118,6 +129,34 @@ sim::Time StreamingSession::deadline_of(media::ChunkIndex index) const {
   const auto ahead = video_->chunk_duration() * (index - current_chunk_);
   if (playing_ && !stalled_) return chunk_play_started_ + ahead;
   return simulator_.now() + ahead;  // startup/stall: assume immediate resume
+}
+
+const std::vector<geo::TileId>& StreamingSession::playhead_visible() {
+  if (playhead_chunk_ != current_chunk_) {
+    playhead_chunk_ = current_chunk_;
+    video_->geometry().visible_tiles(
+        head_trace_.orientation_at(video_->chunk_start_time(current_chunk_)),
+        config_.viewport, playhead_visible_, geo_scratch_);
+  }
+  return playhead_visible_;
+}
+
+const StreamingSession::PredictedView& StreamingSession::predicted_view(
+    media::ChunkIndex index) {
+  PredictedView& view = predicted_[static_cast<std::size_t>(
+      index % config_.prefetch_horizon_chunks)];
+  const sim::Time media = media_now();
+  if (view.chunk == index && view.media == media && view.observed == last_observed_) {
+    return view;
+  }
+  view.chunk = index;
+  view.media = media;
+  view.observed = last_observed_;
+  view.orientation =
+      fusion_.predict_orientation(video_->chunk_start_time(index) - media);
+  video_->geometry().visible_tiles(view.orientation, config_.viewport, view.visible,
+                                   geo_scratch_);
+  return view;
 }
 
 void StreamingSession::record_trace(const obs::TraceEvent& event) {
@@ -161,11 +200,10 @@ void StreamingSession::maybe_plan() {
     // the *tiles* from the fused probability map: at short horizons the
     // map is motion-dominated (same tiles), at long horizons the crowd
     // prior takes over, which is what makes deep prefetch viable (§3.2).
-    const geo::Orientation predicted = fusion_.predict_orientation(horizon);
-    if (config_.telemetry != nullptr) predicted_at_plan_[index] = predicted;
-    std::vector<geo::TileId>& motion_fov = motion_fov_scratch_;
-    video_->geometry().visible_tiles(predicted, config_.viewport, motion_fov,
-                                     geo_scratch_);
+    const PredictedView& predicted = predicted_view(index);
+    if (config_.telemetry != nullptr) {
+      predicted_at_plan_[index] = predicted.orientation;
+    }
     fusion_.tile_probabilities_into(horizon, index, probs_);
     const std::span<const double> probs = probs_;
     std::vector<geo::TileId>& fov = fov_scratch_;
@@ -176,7 +214,7 @@ void StreamingSession::maybe_plan() {
     std::stable_sort(fov.begin(), fov.end(), [&](geo::TileId a, geo::TileId b) {
       return probs[static_cast<std::size_t>(a)] > probs[static_cast<std::size_t>(b)];
     });
-    fov.resize(std::min(fov.size(), motion_fov.size()));
+    fov.resize(std::min(fov.size(), predicted.visible.size()));
     std::sort(fov.begin(), fov.end());
 
     const sim::Duration buffer_level =
@@ -354,11 +392,8 @@ void StreamingSession::attempt_start() {
   if (playing_ || finished_ || !started_) return;
   // Startup condition: the tiles visible at media time 0 are displayable
   // for the first `startup_chunks` chunks.
-  std::vector<geo::TileId>& visible = visible_scratch_;
-  video_->geometry().visible_tiles(head_trace_.orientation_at(sim::kTimeZero),
-                                   config_.viewport, visible, geo_scratch_);
   const int want = std::min<int>(config_.startup_chunks, video_->chunk_count());
-  if (buffer_.contiguous_chunks(0, visible) < want) return;
+  if (buffer_.contiguous_chunks(0, playhead_visible()) < want) return;
   playing_ = true;
   startup_done_ = simulator_.now();
   chunk_play_started_ = simulator_.now();
@@ -366,11 +401,11 @@ void StreamingSession::attempt_start() {
 }
 
 void StreamingSession::request_missing_startup_tiles() {
-  video_->geometry().visible_tiles(head_trace_.orientation_at(sim::kTimeZero),
-                                   config_.viewport, visible_scratch_, geo_scratch_);
-  // A copy: a dispatch may settle another request synchronously, and its
-  // callback may reuse the scratch.
-  const std::vector<geo::TileId> visible = visible_scratch_;
+  // Before playback the playhead is chunk 0, so this is the startup set. A
+  // dispatch may settle another request synchronously, but only as a drop
+  // or a timeout, never a delivery, so no callback can start playback and
+  // move the playhead: the set stays put while it is iterated.
+  const std::vector<geo::TileId>& visible = playhead_visible();
   const int want = std::min<int>(config_.startup_chunks, video_->chunk_count());
   for (media::ChunkIndex index = 0; index < want; ++index) {
     for (geo::TileId tile : visible) {
@@ -386,9 +421,7 @@ void StreamingSession::play_chunk() {
   if (finished_) return;
   const media::ChunkIndex index = current_chunk_;
   const sim::Time media = video_->chunk_start_time(index);
-  std::vector<geo::TileId>& visible = visible_scratch_;
-  video_->geometry().visible_tiles(head_trace_.orientation_at(media),
-                                   config_.viewport, visible, geo_scratch_);
+  const std::vector<geo::TileId>& visible = playhead_visible();
 
   // Coverage check: every visible tile must be displayable.
   std::vector<geo::TileId>& missing = missing_scratch_;
@@ -512,17 +545,14 @@ void StreamingSession::scan_upgrades() {
     // it rejects every tile on slack alone, so the per-chunk prediction,
     // visible set, and probability map would be dead work.
     if (slack > policy_->upgrade_window()) continue;
-    const sim::Duration horizon = video_->chunk_start_time(index) - media_now();
-    const geo::Orientation predicted = fusion_.predict_orientation(horizon);
-    std::vector<geo::TileId>& visible = visible_scratch_;
-    video_->geometry().visible_tiles(predicted, config_.viewport, visible,
-                                     geo_scratch_);
-    fusion_.tile_probabilities_into(horizon, index, probs_);
-    const std::span<const double> probs = probs_;
     // -1 marks a chunk the planner has not reached; planned qualities are
     // never negative.
     const media::QualityLevel target = planned_[static_cast<std::size_t>(index)];
     if (target < 0) continue;
+    const sim::Duration horizon = video_->chunk_start_time(index) - media_now();
+    const std::vector<geo::TileId>& visible = predicted_view(index).visible;
+    fusion_.tile_probabilities_into(horizon, index, probs_);
+    const std::span<const double> probs = probs_;
     for (geo::TileId tile : visible) {
       const media::ChunkKey key{tile, index};
       const media::QualityLevel current = buffer_.displayable_quality(key);

@@ -68,6 +68,11 @@ struct SessionConfig {
   bool fetch_recovery = false;
 };
 
+// Throws std::invalid_argument naming the first field a session cannot
+// run with. The StreamingSession constructor and engine::validate call it,
+// so a bad config fails before any event is scheduled.
+void validate(const SessionConfig& config);
+
 struct SessionReport {
   abr::QoeSummary qoe;
   sim::Duration startup_delay{0};
@@ -108,6 +113,20 @@ class StreamingSession {
  private:
   [[nodiscard]] sim::Time media_now() const;
   [[nodiscard]] sim::Time deadline_of(media::ChunkIndex index) const;
+
+  // The two visibility answers the session reuses (DESIGN.md §13).
+  // Ground truth at the playhead chunk; before playback starts that is
+  // chunk 0, the startup set. Evaluated once per chunk.
+  [[nodiscard]] const std::vector<geo::TileId>& playhead_visible();
+  // Predicted orientation and visible tiles for a prefetch-window chunk.
+  struct PredictedView {
+    media::ChunkIndex chunk = -1;  // -1 = empty entry
+    sim::Time media{};             // media_now() at prediction
+    sim::Time observed{};          // last_observed_ at prediction
+    geo::Orientation orientation{};
+    std::vector<geo::TileId> visible;
+  };
+  [[nodiscard]] const PredictedView& predicted_view(media::ChunkIndex index);
 
   void observe_head();
   void maybe_plan();
@@ -213,15 +232,25 @@ class StreamingSession {
   // scored when the chunk actually plays. Populated only with telemetry on.
   std::map<media::ChunkIndex, geo::Orientation> predicted_at_plan_;
 
+  // Kept answers (see playhead_visible / predicted_view). The playhead set
+  // changes only when the playhead advances. A predicted view is reused
+  // only while its chunk, media_now() and last_observed_ are unchanged:
+  // fusion state changes only in observe_head, so those three fix the
+  // prediction exactly. Media time alone is not enough: the first head
+  // sample after a stall starts moves the prediction while media time
+  // stays frozen. One ring entry per prefetch-window chunk, slot = chunk
+  // modulo prefetch_horizon_chunks.
+  media::ChunkIndex playhead_chunk_ = -1;
+  std::vector<geo::TileId> playhead_visible_;
+  std::vector<PredictedView> predicted_;
+
   // Reusable hot-path buffers (DESIGN.md §8). The simulator is
   // single-threaded and the transport never completes a fetch synchronously,
-  // so no two live uses of the same buffer ever overlap: maybe_plan owns
-  // the fov/probs/plan set, attempt_start/play_chunk/scan_upgrades own the
-  // visible/missing/is_visible set, and each finishes with its buffers
-  // before anything that reuses them can run.
+  // so no two live uses of the same buffer ever overlap: maybe_plan and
+  // scan_upgrades own the fov/probs/plan set, play_chunk owns the
+  // missing/is_visible set, and each finishes with its buffers before
+  // anything that reuses them can run.
   geo::TileGeometry::Scratch geo_scratch_;
-  std::vector<geo::TileId> visible_scratch_;
-  std::vector<geo::TileId> motion_fov_scratch_;
   std::vector<geo::TileId> fov_scratch_;
   std::span<double> probs_;  // batch probability slot (HMP fusion output)
   std::vector<geo::TileId> missing_scratch_;

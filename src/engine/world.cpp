@@ -72,6 +72,7 @@ void validate(const WorldSpec& spec) {
   for (const obs::SloSpec& slo : spec.slos) obs::validate_slo(slo);
   net::validate(spec.faults);
   core::validate(spec.transport_recovery);
+  core::validate(spec.session);
   // CDN topology section: every error lists the section's field names
   // (cdn::topology_field_names), mirroring validate_policy_name below.
   cdn::validate(spec.cdn, spec.sessions_per_link, spec.crowd != nullptr);

@@ -91,7 +91,7 @@ struct WorldSpec {
   cdn::TopologySpec cdn;
 
   // Cross-user crowd prior shared read-only by every session (may be null).
-  // Must be a frozen snapshot: its version() must not change while running.
+  // Must be a frozen snapshot: it must not be mutated while running.
   // Also feeds CDN cache warming when cdn.warm_tiles_per_chunk > 0.
   const hmp::ViewingHeatmap* crowd = nullptr;
 

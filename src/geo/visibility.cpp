@@ -1,32 +1,17 @@
 #include "geo/visibility.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 
 #include "util/math.h"
 
 namespace sperke::geo {
 
-namespace {
-
-// Ids start at 1 so 0 stays the Scratch memo's "empty entry" marker.
-// Atomic: shards construct their TileGeometry on engine worker threads.
-std::uint64_t next_instance_id() {
-  // sperke-analyze: shared(atomic relaxed fetch_add; ids only key per-thread memo entries, so allocation order never affects results)
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
 TileGeometry::TileGeometry(std::shared_ptr<const Projection> projection,
                            TileGrid grid, int samples_per_axis)
     : projection_(std::move(projection)),
       grid_(grid),
-      instance_id_(next_instance_id()),
       samples_per_axis_(samples_per_axis) {
   if (!projection_) throw std::invalid_argument("TileGeometry: null projection");
   if (samples_per_axis_ < 2) throw std::invalid_argument("TileGeometry: samples_per_axis < 2");
@@ -147,19 +132,6 @@ std::vector<TileId> TileGeometry::visible_tiles(const Orientation& view,
 
 void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewport,
                                  std::vector<TileId>& out, Scratch& scratch) const {
-  // Exact-key memo hit: same geometry, same orientation bits, same
-  // viewport. out receives a copy of the cached set (no allocation once
-  // its capacity has grown past the FoV size).
-  for (const Scratch::MemoEntry& entry : scratch.memo) {
-    if (entry.geometry == instance_id_ && entry.view.yaw_deg == view.yaw_deg &&
-        entry.view.pitch_deg == view.pitch_deg &&
-        entry.view.roll_deg == view.roll_deg &&
-        entry.viewport.width_deg == viewport.width_deg &&
-        entry.viewport.height_deg == viewport.height_deg) {
-      out.assign(entry.tiles.begin(), entry.tiles.end());
-      return;
-    }
-  }
   const ViewBasis basis = view_basis(view.normalized());
   const double half_w = deg_to_rad(viewport.width_deg) / 2.0;
   const double half_h = deg_to_rad(viewport.height_deg) / 2.0;
@@ -187,12 +159,6 @@ void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewpo
   for (TileId id = 0; id < grid_.tile_count(); ++id) {
     if (seen[static_cast<std::size_t>(id)]) out.push_back(id);
   }
-  Scratch::MemoEntry& entry = scratch.memo[scratch.memo_next];
-  scratch.memo_next = (scratch.memo_next + 1) % Scratch::kMemoEntries;
-  entry.geometry = instance_id_;
-  entry.view = view;
-  entry.viewport = viewport;
-  entry.tiles.assign(out.begin(), out.end());
 }
 
 std::vector<double> TileGeometry::tile_distances_deg(const Orientation& view) const {

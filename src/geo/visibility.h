@@ -11,7 +11,9 @@
 // allocating signatures are thin wrappers. For the equirectangular
 // projection the per-sample direction->tile classification runs on
 // precomputed sin(latitude) row thresholds and column-boundary half-plane
-// tests instead of the generic asin/atan2 chain.
+// tests instead of the generic asin/atan2 chain. Nothing is cached: a
+// caller that re-asks a question keeps the answer itself (the streaming
+// session does, DESIGN.md §13).
 //
 // Thread-safety: a TileGeometry is immutable after construction, so one
 // instance may be queried from any number of threads at once provided each
@@ -19,7 +21,6 @@
 // one). The sharded engine relies on this to share one VideoModel per world.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -38,36 +39,15 @@ struct Viewport {
 
 class TileGeometry {
  public:
-  // Reusable buffers for the out-parameter overloads. One Scratch may serve
-  // any number of TileGeometry instances but only one thread; nothing here
-  // is synchronized.
+  // Reusable per-call buffers for the out-parameter overloads; no answer
+  // outlives the call, so every query is a pure function of its inputs.
+  // One Scratch may serve any number of TileGeometry instances but only
+  // one thread; nothing here is synchronized.
   struct Scratch {
     std::vector<char> seen;                        // visible_tiles marks
     std::vector<Vec3> up_terms;                    // per-row frustum offsets
     std::vector<std::pair<double, TileId>> keys;   // tiles_by_distance keys
     std::vector<TileId> queue;                     // oos_rings BFS FIFO
-    // Small exact memo for visible_tiles: a repeat query with a
-    // bit-identical (geometry, orientation, viewport) key returns the
-    // cached set without re-sampling the frustum. Coverage re-checks
-    // dominate the streaming hot loop — every fetch completion during
-    // startup or a stall re-asks for the same frozen orientation, and a
-    // stalled session's upgrade scans cycle through the same handful of
-    // frozen per-chunk predictions — so exact-match caching removes most
-    // classification work while staying byte-identical to recomputing.
-    // kMemoEntries covers the prefetch window plus the playhead query;
-    // entries are replaced round-robin. Geometry identity uses the
-    // instance id, not the address: one Scratch may outlive a geometry,
-    // and a pointer key would go stale when the allocator reuses the
-    // address for a different grid (ABA).
-    static constexpr int kMemoEntries = 6;
-    struct MemoEntry {
-      std::uint64_t geometry = 0;  // instance_id(); invalid while 0
-      Orientation view{};
-      Viewport viewport{};
-      std::vector<TileId> tiles;
-    };
-    MemoEntry memo[kMemoEntries];
-    int memo_next = 0;  // round-robin replacement cursor
   };
 
   // Takes shared ownership of the projection so sessions can share one.
@@ -76,10 +56,6 @@ class TileGeometry {
 
   [[nodiscard]] const Projection& projection() const { return *projection_; }
   [[nodiscard]] const TileGrid& grid() const { return grid_; }
-
-  // Process-unique, never-reused identity of this instance (Scratch memo
-  // key).
-  [[nodiscard]] std::uint64_t instance_id() const { return instance_id_; }
 
   // Tiles intersected by the perspective viewport at the given orientation.
   // Computed by sampling rays across the frustum; sorted, unique.
@@ -113,6 +89,8 @@ class TileGeometry {
 
   // Unit direction of a tile's center.
   [[nodiscard]] Vec3 tile_center_direction(TileId id) const;
+  // Every tile's center direction; index = TileId.
+  [[nodiscard]] const std::vector<Vec3>& tile_centers() const { return tile_centers_; }
 
  private:
   [[nodiscard]] TileId classify_equirect(const Vec3& dir) const;
@@ -120,7 +98,6 @@ class TileGeometry {
 
   std::shared_ptr<const Projection> projection_;
   TileGrid grid_;
-  std::uint64_t instance_id_;
   int samples_per_axis_;
   std::vector<double> solid_angle_;
   std::vector<Vec3> tile_centers_;

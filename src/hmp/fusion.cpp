@@ -10,14 +10,6 @@
 #include "util/math.h"
 
 namespace sperke::hmp {
-namespace {
-
-bool same_orientation(const geo::Orientation& a, const geo::Orientation& b) {
-  return a.yaw_deg == b.yaw_deg && a.pitch_deg == b.pitch_deg &&
-         a.roll_deg == b.roll_deg;
-}
-
-}  // namespace
 
 FusionPredictor::FusionPredictor(std::shared_ptr<const geo::TileGeometry> geometry,
                                  geo::Viewport viewport,
@@ -48,32 +40,10 @@ FusionPredictor::FusionPredictor(std::shared_ptr<const geo::TileGeometry> geomet
 void FusionPredictor::observe(const HeadSample& sample) {
   motion_->observe(sample);
   last_sample_ = sample;
-  ++observe_gen_;  // retires predict memo entries
-}
-
-geo::Orientation FusionPredictor::cached_predict(sim::Duration horizon) const {
-  if (!(predict_memo_.valid && predict_memo_.gen == observe_gen_ &&
-        predict_memo_.horizon == horizon)) {
-    predict_memo_.value = motion_->predict(horizon);
-    predict_memo_.gen = observe_gen_;
-    predict_memo_.horizon = horizon;
-    predict_memo_.valid = true;
-  }
-  return predict_memo_.value;
-}
-
-const std::vector<double>& FusionPredictor::cached_distances(
-    DistanceMemo& memo, const geo::Orientation& view) const {
-  if (!(memo.valid && same_orientation(memo.key, view))) {
-    geometry_->tile_distances_deg(view, memo.dist);
-    memo.key = view;
-    memo.valid = true;
-  }
-  return memo.dist;
 }
 
 geo::Orientation FusionPredictor::predict_orientation(sim::Duration horizon) const {
-  return cached_predict(horizon);
+  return motion_->predict(horizon);
 }
 
 std::vector<double> FusionPredictor::tile_probabilities(
@@ -101,8 +71,11 @@ void FusionPredictor::tile_probabilities_into(sim::Duration horizon,
 
   // (1) Motion component: Gaussian kernel (in angular distance) around the
   // predicted view center, widened by the horizon-dependent error model.
-  // Memoized on (predicted orientation, sigma) over the cached distance map.
-  const geo::Orientation predicted = cached_predict(horizon);
+  // `out` first holds the distances, then the unnormalized weights; the
+  // fused pass below turns them into probabilities in place. Two simple
+  // loops here measured faster than one that mixes acos and exp.
+  const std::vector<geo::Vec3>& centers = geometry_->tile_centers();
+  const geo::Vec3 predicted = motion_->predict(horizon).direction();
   // Engaged viewers wander less: scale error growth by (1.5 - engagement).
   const double engagement = std::clamp(context_.engagement, 0.0, 1.0);
   const double sigma =
@@ -112,42 +85,23 @@ void FusionPredictor::tile_probabilities_into(sim::Duration horizon,
   // the viewport edge the Gaussian tail takes over.
   const double fov_radius =
       std::min(viewport_.width_deg, viewport_.height_deg) / 2.0;
-  if (!(motion_memo_.valid && same_orientation(motion_memo_.key, predicted) &&
-        motion_memo_.sigma == sigma)) {
-    const std::vector<double>& dist =
-        cached_distances(predicted_dist_memo_, predicted);
-    auto& motion = motion_memo_.weights;
-    motion.resize(static_cast<std::size_t>(n));
-    double motion_total = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const double excess =
-          std::max(0.0, dist[static_cast<std::size_t>(i)] - fov_radius);
-      motion[static_cast<std::size_t>(i)] =
-          std::exp(-(excess * excess) / (2.0 * sigma * sigma));
-      motion_total += motion[static_cast<std::size_t>(i)];
-    }
-    motion_memo_.total = motion_total;
-    motion_memo_.key = predicted;
-    motion_memo_.sigma = sigma;
-    motion_memo_.valid = true;
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    out[s] = rad_to_deg(geo::angle_between(predicted, centers[s]));
   }
-  const std::vector<double>& motion = motion_memo_.weights;
-  const double motion_total = motion_memo_.total;
+  double motion_total = 0.0;
+  for (double& w : out) {
+    const double excess = std::max(0.0, w - fov_radius);
+    w = std::exp(-(excess * excess) / (2.0 * sigma * sigma));
+    motion_total += w;
+  }
 
-  // (2) Crowd prior for this chunk, if available; memoized on the heatmap
-  // version so repeated per-chunk calls stop re-materializing vectors.
+  // (2) Crowd prior for this chunk, if available: the Laplace-smoothed
+  // share (count + 1) / (total + n). The counts are sums of 1.0s, integers
+  // far below 2^53, so total(chunk) + n is exactly the sum of the smoothed
+  // counts and each share is bit-identical to normalizing them in a pass.
   const bool have_crowd = crowd_ != nullptr && crowd_->total(chunk) > 0.0;
-  const std::vector<double>* crowd_prob = nullptr;
-  if (have_crowd) {
-    if (!(crowd_memo_.valid && crowd_memo_.chunk == chunk &&
-          crowd_memo_.version == crowd_->version())) {
-      crowd_->probabilities_into(chunk, crowd_memo_.probs);
-      crowd_memo_.chunk = chunk;
-      crowd_memo_.version = crowd_->version();
-      crowd_memo_.valid = true;
-    }
-    crowd_prob = &crowd_memo_.probs;
-  }
+  const double crowd_total =
+      have_crowd ? crowd_->total(chunk) + static_cast<double>(n) : 0.0;
 
   // Blend: motion weight decays with horizon beyond the grace period.
   const double w_motion_raw =
@@ -165,14 +119,14 @@ void FusionPredictor::tile_probabilities_into(sim::Duration horizon,
   bool prune_pose = false;
   double reach = 0.0;
   double band = 0.0;
-  const std::vector<double>* cur_dist = nullptr;
+  geo::Vec3 current{};
   if (prune) {
     prune_speed = context_.max_speed_dps.has_value();
     if (prune_speed) {
       const double fov_diag =
           std::hypot(viewport_.width_deg, viewport_.height_deg) / 2.0;
       reach = *context_.max_speed_dps * h + fov_diag;
-      cur_dist = &cached_distances(current_dist_memo_, last_sample_->orientation);
+      current = last_sample_->orientation.direction();
     }
     prune_pose = context_.pose.has_value();
     if (prune_pose) {
@@ -186,10 +140,14 @@ void FusionPredictor::tile_probabilities_into(sim::Duration horizon,
   double total = 0.0;
   for (int i = 0; i < n; ++i) {
     const auto s = static_cast<std::size_t>(i);
-    double p = w_motion * (motion[s] / motion_total);
-    if (have_crowd) p += w_crowd * (*crowd_prob)[s];
+    double p = w_motion * (out[s] / motion_total);
+    if (have_crowd) {
+      p += w_crowd * ((crowd_->count(chunk, i) + 1.0) / crowd_total);
+    }
     p = floor_scale * p + floor_term;
-    if (prune_speed && (*cur_dist)[s] > reach) p = 0.0;
+    if (prune_speed && rad_to_deg(geo::angle_between(current, centers[s])) > reach) {
+      p = 0.0;
+    }
     if (prune_pose &&
         std::abs(angle_diff_deg(center_lon_deg_[s], context_.home_yaw_deg)) > band) {
       p = 0.0;

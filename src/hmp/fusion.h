@@ -6,9 +6,14 @@
 // Output is a per-tile viewing probability map for a future playback time —
 // exactly what the OOS chunk selector (§3.1.2) consumes: crowd data *adds*
 // candidate tiles, context *prunes* them.
+//
+// Every const query is a pure function of the predictor's state, which
+// only observe() changes; the map is computed in one fused pass
+// (DESIGN.md §8) with nothing cached between calls. A const
+// FusionPredictor may therefore be queried from any number of threads at
+// once. The streaming session keeps the answers it reuses (DESIGN.md §13).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -79,40 +84,6 @@ class FusionPredictor {
   [[nodiscard]] const FusionConfig& config() const { return config_; }
 
  private:
-  // The probability map is computed in a single fused pass (DESIGN.md §8)
-  // over memoized inputs. Every cache below is a one-entry memo keyed by
-  // exact values, so a hit returns bit-identical results to recomputing;
-  // observe() advances observe_gen_, which retires stale predictions, and
-  // orientation-keyed entries retire themselves when the key changes.
-  struct PredictMemo {
-    bool valid = false;
-    std::uint64_t gen = 0;
-    sim::Duration horizon{};
-    geo::Orientation value{};
-  };
-  struct DistanceMemo {
-    bool valid = false;
-    geo::Orientation key{};
-    std::vector<double> dist;
-  };
-  struct MotionMemo {
-    bool valid = false;
-    geo::Orientation key{};
-    double sigma = 0.0;
-    std::vector<double> weights;
-    double total = 0.0;
-  };
-  struct CrowdMemo {
-    bool valid = false;
-    media::ChunkIndex chunk = 0;
-    std::uint64_t version = 0;
-    std::vector<double> probs;
-  };
-
-  [[nodiscard]] geo::Orientation cached_predict(sim::Duration horizon) const;
-  [[nodiscard]] const std::vector<double>& cached_distances(
-      DistanceMemo& memo, const geo::Orientation& view) const;
-
   std::shared_ptr<const geo::TileGeometry> geometry_;
   geo::Viewport viewport_;
   std::unique_ptr<OrientationPredictor> motion_;
@@ -121,18 +92,6 @@ class FusionPredictor {
   FusionConfig config_;
   std::optional<HeadSample> last_sample_;
   std::vector<double> center_lon_deg_;  // per-tile center longitude (pruning)
-
-  std::uint64_t observe_gen_ = 0;
-  // thread-safety: these memos make the const prediction/probability calls
-  // write-on-read caches, so a FusionPredictor is NOT const-shareable across
-  // threads. Each predictor lives inside exactly one StreamingSession, which
-  // lives inside exactly one engine::Shard (one thread) — shard confinement,
-  // not locking, is what makes the engine race-free.
-  mutable PredictMemo predict_memo_;
-  mutable DistanceMemo predicted_dist_memo_;
-  mutable DistanceMemo current_dist_memo_;
-  mutable MotionMemo motion_memo_;
-  mutable CrowdMemo crowd_memo_;
 };
 
 }  // namespace sperke::hmp

@@ -28,7 +28,6 @@ void ViewingHeatmap::add_view(media::ChunkIndex chunk,
     counts_[at(chunk, tile)] += 1.0;
     totals_[static_cast<std::size_t>(chunk)] += 1.0;
   }
-  ++version_;
 }
 
 void ViewingHeatmap::add_trace(const HeadTrace& trace,
@@ -52,20 +51,14 @@ void ViewingHeatmap::add_trace(const HeadTrace& trace,
 }
 
 std::vector<double> ViewingHeatmap::probabilities(media::ChunkIndex chunk) const {
-  std::vector<double> out;
-  probabilities_into(chunk, out);
-  return out;
-}
-
-void ViewingHeatmap::probabilities_into(media::ChunkIndex chunk,
-                                        std::vector<double>& out) const {
-  out.resize(static_cast<std::size_t>(tile_count_));
+  std::vector<double> out(static_cast<std::size_t>(tile_count_));
   double total = 0.0;
   for (geo::TileId tile = 0; tile < tile_count_; ++tile) {
     out[static_cast<std::size_t>(tile)] = counts_[at(chunk, tile)] + 1.0;  // Laplace
     total += out[static_cast<std::size_t>(tile)];
   }
   for (double& p : out) p /= total;
+  return out;
 }
 
 double ViewingHeatmap::count(media::ChunkIndex chunk, geo::TileId tile) const {
@@ -85,7 +78,6 @@ void ViewingHeatmap::merge(const ViewingHeatmap& other) {
   }
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   for (std::size_t c = 0; c < totals_.size(); ++c) totals_[c] += other.totals_[c];
-  ++version_;
 }
 
 }  // namespace sperke::hmp

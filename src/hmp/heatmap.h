@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,7 +34,6 @@ class ViewingHeatmap {
 
   // Laplace-smoothed viewing probability per tile for a chunk; sums to 1.
   [[nodiscard]] std::vector<double> probabilities(media::ChunkIndex chunk) const;
-  void probabilities_into(media::ChunkIndex chunk, std::vector<double>& out) const;
 
   // Raw observation count.
   [[nodiscard]] double count(media::ChunkIndex chunk, geo::TileId tile) const;
@@ -48,10 +46,6 @@ class ViewingHeatmap {
   // Pool another heatmap's observations into this one (same shape).
   void merge(const ViewingHeatmap& other);
 
-  // Bumped on every mutation; lets consumers (hmp/fusion.h) memoize
-  // probabilities() results keyed by (chunk, version).
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
  private:
   [[nodiscard]] std::size_t at(media::ChunkIndex chunk, geo::TileId tile) const;
 
@@ -59,7 +53,6 @@ class ViewingHeatmap {
   media::ChunkIndex chunk_count_;
   std::vector<double> counts_;  // [chunk * tile_count + tile]
   std::vector<double> totals_;  // per-chunk sum of counts_
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace sperke::hmp

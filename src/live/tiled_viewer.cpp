@@ -25,9 +25,18 @@ TiledLiveSession::TiledLiveSession(sim::Simulator& simulator,
       qoe_(config_.qoe) {
   const double min_latency = sim::to_seconds(config_.ingest_delay) +
                              sim::to_seconds(video_->chunk_duration());
-  if (config_.e2e_target_s < min_latency) {
+  // NaN fails both tests; sim::seconds of a non-finite value is undefined.
+  if (!(config_.e2e_target_s >= min_latency) ||
+      !sim::valid_positive_seconds(config_.e2e_target_s)) {
     throw std::invalid_argument(
         "TiledLiveSession: e2e target below ingest + one chunk");
+  }
+  if (!(config_.head_sample_hz > 0.0) ||
+      !sim::valid_positive_seconds(1.0 / config_.head_sample_hz)) {
+    throw std::invalid_argument("TiledLiveSession: bad head sample rate");
+  }
+  if (config_.enable_upgrades && config_.upgrade_scan_period <= sim::Duration{0}) {
+    throw std::invalid_argument("TiledLiveSession: upgrade scan period <= 0");
   }
   if (crowd_ != nullptr && crowd_->tile_count() != video_->tile_count()) {
     throw std::invalid_argument("TiledLiveSession: crowd/grid mismatch");

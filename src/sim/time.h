@@ -20,6 +20,12 @@ inline constexpr Time kTimeZero{0};
   return Duration{static_cast<std::int64_t>(s * 1e6 + (s >= 0 ? 0.5 : -0.5))};
 }
 
+// True when seconds(s) is defined and positive: s rounds to at least one
+// microsecond and its count fits std::int64_t. NaN and infinities fail.
+[[nodiscard]] constexpr bool valid_positive_seconds(double s) {
+  return s * 1e6 >= 0.5 && s * 1e6 < 9.2e18;
+}
+
 [[nodiscard]] constexpr double to_seconds(Duration d) {
   return static_cast<double>(d.count()) / 1e6;
 }

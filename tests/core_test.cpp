@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -464,12 +465,12 @@ TEST_F(TransportRecoveryTest, RecoveryDisabledKeepsLegacySemantics) {
 
 class SessionTest : public ::testing::Test {
  protected:
-  static hmp::HeadTrace steady_trace(double duration_s) {
+  static hmp::HeadTrace steady_trace(double duration_s, std::uint64_t seed = 3) {
     hmp::HeadTraceConfig cfg;
     cfg.duration_s = duration_s;
     cfg.sample_rate_hz = 25.0;
     cfg.profile = hmp::UserProfile::adult();
-    cfg.seed = 3;
+    cfg.seed = seed;
     return hmp::generate_head_trace(cfg);
   }
 
@@ -608,17 +609,49 @@ TEST_F(SessionTest, ZeroBandwidthNeverStarts) {
 }
 
 TEST_F(SessionTest, RejectsBadConfig) {
+  // Each row breaks one field. Both validate() and the constructor must
+  // throw, so a bad config never reaches start() (where a non-finite head
+  // sample period would be an undefined cast, and a non-positive scan
+  // period would throw inside the event loop).
+  const std::vector<std::pair<const char*, void (*)(SessionConfig&)>> rows{
+      {"prefetch horizon 0", [](SessionConfig& c) { c.prefetch_horizon_chunks = 0; }},
+      {"startup chunks 0", [](SessionConfig& c) { c.startup_chunks = 0; }},
+      {"head rate 0", [](SessionConfig& c) { c.head_sample_hz = 0.0; }},
+      {"head rate < 0", [](SessionConfig& c) { c.head_sample_hz = -25.0; }},
+      {"head rate NaN",
+       [](SessionConfig& c) {
+         c.head_sample_hz = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"head rate inf",
+       [](SessionConfig& c) {
+         c.head_sample_hz = std::numeric_limits<double>::infinity();
+       }},
+      {"head rate tiny", [](SessionConfig& c) { c.head_sample_hz = 1e-300; }},
+      {"scan period 0",
+       [](SessionConfig& c) { c.upgrade_scan_period = sim::Duration{0}; }},
+      {"scan period < 0",
+       [](SessionConfig& c) { c.upgrade_scan_period = sim::milliseconds(-250); }},
+  };
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
   net::LinkSource source(link);
   SingleLinkTransport transport(source);
   auto video = make_video(5.0);
   const auto trace = steady_trace(10.0);
-  SessionConfig bad;
-  bad.prefetch_horizon_chunks = 0;
-  EXPECT_THROW(
-      StreamingSession(simulator, video, transport, trace, bad),
-      std::invalid_argument);
+  EXPECT_NO_THROW(validate(SessionConfig{}));
+  for (const auto& [what, breaks] : rows) {
+    SessionConfig bad;
+    breaks(bad);
+    EXPECT_THROW(validate(bad), std::invalid_argument) << what;
+    EXPECT_THROW(StreamingSession(simulator, video, transport, trace, bad),
+                 std::invalid_argument)
+        << what;
+  }
+  // The scan period only matters when upgrades run.
+  SessionConfig no_upgrades;
+  no_upgrades.enable_upgrades = false;
+  no_upgrades.upgrade_scan_period = sim::Duration{0};
+  EXPECT_NO_THROW(validate(no_upgrades));
 }
 
 TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {
@@ -651,42 +684,63 @@ TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {
 }
 
 // Pins one stall-heavy session end to end: every SessionReport field and
-// the count of each trace event type. At 1.8 Mbps the session stalls four
-// times with upgrades on, and the 50 ms scan period puts upgrade scans into
-// those stalls both before and after each stall's first head sample (the
-// first sample after a stall starts moves the prediction while media time
-// stays frozen). Any change to which tiles the session treats as visible
-// or predicted shows up here.
+// the count of each trace event type. On a 4x6 grid at 1.8 Mbps the
+// session stalls six times with upgrades on, and the 50 ms scan period
+// puts upgrade scans into those stalls both before and after a stall's
+// first head sample. That sample moves the prediction while media time
+// stays frozen, so a predicted view reused on media time alone would pick
+// stale tiles and change the numbers below.
 TEST_F(SessionTest, StallingUpgradeSessionIsPinned) {
+  media::VideoModelConfig video_config;
+  video_config.duration_s = 15.0;
+  video_config.chunk_duration_s = 1.0;
+  video_config.tile_rows = 4;
+  video_config.tile_cols = 6;
+  video_config.seed = 7;
+  const auto video = std::make_shared<media::VideoModel>(video_config);
+  const auto trace = steady_trace(55.0, /*seed=*/6);
+  sim::Simulator simulator;
+  net::Link link(simulator,
+                 net::LinkConfig{.name = "dl",
+                                 .bandwidth = net::BandwidthTrace::constant(1'800.0),
+                                 .rtt = sim::milliseconds(30),
+                                 .loss_rate = 0.0,
+                                 .faults = {}});
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source);
   obs::Telemetry telemetry;
   SessionConfig config;
   config.telemetry = &telemetry;
   config.upgrade_scan_period = sim::milliseconds(50);
-  const SessionReport report = run_session(1'800.0, config);
+  StreamingSession session(simulator, video, transport, trace, config);
+  session.start();
+  simulator.run_until(sim::seconds(135.0));
+  const SessionReport report = session.report();
 
   EXPECT_TRUE(report.completed);
   EXPECT_EQ(report.qoe.chunks_played, 15);
-  EXPECT_EQ(report.qoe.mean_viewport_utility, 0.076126489729602065);
-  EXPECT_EQ(report.qoe.stall_seconds, 0.82887500000000003);
-  EXPECT_EQ(report.qoe.stall_events, 4);
+  EXPECT_EQ(report.qoe.mean_viewport_utility, 0.12957829996387618);
+  EXPECT_EQ(report.qoe.stall_seconds, 1.6283399999999999);
+  EXPECT_EQ(report.qoe.stall_events, 6);
   EXPECT_EQ(report.qoe.skipped_chunks, 0);
-  EXPECT_EQ(report.qoe.switch_magnitude, 0.91759608156216765);
+  EXPECT_EQ(report.qoe.switch_magnitude, 1.6731636086881994);
   EXPECT_EQ(report.qoe.blank_fraction_mean, 0.0);
-  EXPECT_EQ(report.qoe.bytes_downloaded, 2'492'015);
-  EXPECT_EQ(report.qoe.bytes_wasted, 981'839);
-  EXPECT_EQ(report.qoe.score, -3.091198735618137);
-  EXPECT_EQ(report.startup_delay, sim::Duration{355'872});
-  EXPECT_EQ(report.wall_duration, sim::Duration{16'184'747});
-  EXPECT_EQ(report.fetches, 137);
-  EXPECT_EQ(report.urgent_fetches, 12);
-  EXPECT_EQ(report.upgrades, 10);
-  EXPECT_EQ(report.late_corrections, 2);
+  EXPECT_EQ(report.qoe.bytes_downloaded, 3'296'494);
+  EXPECT_EQ(report.qoe.bytes_wasted, 1'993'381);
+  EXPECT_EQ(report.qoe.score, -6.2428491092300558);
+  EXPECT_EQ(report.startup_delay, sim::Duration{163'227});
+  EXPECT_EQ(report.wall_duration, sim::Duration{16'791'567});
+  EXPECT_EQ(report.fetches, 454);
+  EXPECT_EQ(report.urgent_fetches, 19);
+  EXPECT_EQ(report.upgrades, 61);
+  EXPECT_EQ(report.late_corrections, 28);
   EXPECT_EQ(report.fetch_failures, 0);
   EXPECT_EQ(report.degraded_retries, 0);
   const std::vector<double> utility{
-      0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.10195512017357418, 0.30586536052072255,
-      0.30586536052072255, 0.0, 0.0, 0.0, 0.0, 0.24469228841657803,
-      0.18351921631243354};
+      0.0, 0.0, 0.0, 0.0, 0.19719321541166954, 0.12234614420828901,
+      0.12234614420828901, 0.30674500175148595, 0.39214742251151274, 0.0,
+      0.10195512017357418, 0.3058653605207225, 0.05097756008678709,
+      0.11469951019527096, 0.22939902039054189};
   EXPECT_EQ(report.viewport_utility_per_chunk, utility);
 
   std::map<obs::TraceEventType, int> counts;
@@ -695,9 +749,9 @@ TEST_F(SessionTest, StallingUpgradeSessionIsPinned) {
   }
   using T = obs::TraceEventType;
   const std::map<obs::TraceEventType, int> expected{
-      {T::kSessionStart, 1},    {T::kPlanComputed, 15},  {T::kFetchDispatched, 137},
-      {T::kFetchDone, 137},     {T::kStallBegin, 4},     {T::kStallEnd, 4},
-      {T::kUpgradeDecided, 11}, {T::kChunkPlayed, 15},   {T::kSessionEnd, 1}};
+      {T::kSessionStart, 1},    {T::kPlanComputed, 15},  {T::kFetchDispatched, 454},
+      {T::kFetchDone, 454},     {T::kStallBegin, 6},     {T::kStallEnd, 6},
+      {T::kUpgradeDecided, 61}, {T::kChunkPlayed, 15},   {T::kSessionEnd, 1}};
   EXPECT_EQ(counts, expected);
 }
 

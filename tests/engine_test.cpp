@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +21,8 @@
 #include "engine/engine.h"
 #include "engine/world.h"
 #include "geo/visibility.h"
+#include "hmp/fusion.h"
+#include "hmp/heatmap.h"
 #include "media/video_model.h"
 #include "mp/multipath.h"
 #include "net/chunk_source.h"
@@ -190,16 +193,36 @@ TEST(EngineDeterminism, SharedVideoModelAcrossThreads) {
   // ShardedEngine::run hands one const VideoModel to every shard, so its
   // const queries must be race-free (tsan-check runs this test) and must
   // answer each of many concurrent readers exactly as they answer serially.
+  // The same holds for a const FusionPredictor: its queries keep no state
+  // between calls, so any write-on-read cache coming back fails here.
   const auto video =
       std::make_shared<const media::VideoModel>(small_world(1).video);
+  hmp::ViewingHeatmap crowd(video->tile_count(), video->chunk_count());
+  for (media::ChunkIndex c = 0; c < video->chunk_count(); c += 2) {
+    const std::vector<geo::TileId> viewed{c, c + 1, c + 6};
+    crowd.add_view(c, viewed);
+  }
+  hmp::FusionPredictor fusion_state(
+      video->geometry_ptr(), {100.0, 90.0},
+      hmp::make_orientation_predictor("linear-regression"), &crowd,
+      {.pose = hmp::Pose::kSitting,
+       .max_speed_dps = 90.0,
+       .home_yaw_deg = 20.0,
+       .engagement = 0.5});
+  for (int k = 0; k < 25; ++k) {
+    fusion_state.observe({sim::milliseconds(40 * k), {k * 3.0 - 30.0, k * 0.5, 0.0}});
+  }
+  const hmp::FusionPredictor& fusion = fusion_state;
   struct Answers {
     std::vector<std::vector<geo::TileId>> visible;
     std::vector<std::vector<geo::TileId>> by_distance;
     std::vector<std::vector<int>> rings;
     std::vector<std::int64_t> sizes;
+    std::vector<double> predicted;  // yaw, pitch, roll per query
+    std::vector<std::vector<double>> probs;
     bool operator==(const Answers&) const = default;
   };
-  const auto sweep = [&video] {
+  const auto sweep = [&video, &fusion] {
     const geo::TileGeometry& geometry = video->geometry();
     geo::TileGeometry::Scratch scratch;  // per thread, as in every shard
     Answers answers;
@@ -221,6 +244,13 @@ TEST(EngineDeterminism, SharedVideoModelAcrossThreads) {
           video->size_bytes({key, media::Encoding::kAvc, level}));
       answers.sizes.push_back(
           video->size_bytes({key, media::Encoding::kSvc, level}));
+      const sim::Duration horizon = sim::milliseconds(100 * (step % 40));
+      const geo::Orientation predicted = fusion.predict_orientation(horizon);
+      answers.predicted.insert(answers.predicted.end(),
+                               {predicted.yaw_deg, predicted.pitch_deg,
+                                predicted.roll_deg});
+      answers.probs.push_back(
+          fusion.tile_probabilities(horizon, step % video->chunk_count()));
     }
     return answers;
   };
@@ -440,6 +470,16 @@ TEST(EngineDeterminism, MixedPolicyPopulationMergesIdenticalAcrossThreadCounts) 
 TEST(Engine, ValidateRejectsBadPolicyName) {
   engine::WorldSpec spec = small_world(1);
   spec.session.abr.policy = "oracle";
+  EXPECT_THROW(engine::validate(spec), std::invalid_argument);
+}
+
+TEST(Engine, ValidateRejectsBadSessionConfig) {
+  // core::validate runs on the template session before any shard starts.
+  engine::WorldSpec spec = small_world(1);
+  spec.session.head_sample_hz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(engine::validate(spec), std::invalid_argument);
+  spec = small_world(1);
+  spec.session.upgrade_scan_period = sim::Duration{0};
   EXPECT_THROW(engine::validate(spec), std::invalid_argument);
 }
 

@@ -282,12 +282,12 @@ TEST(FusionEquivalence, FusedPassMatchesNaiveRandomized) {
           const media::ChunkIndex chunk = k % 10;
           const auto naive = naive_tile_probabilities(
               fusion, *geometry, crowd_ptr, last, horizon, chunk);
-          // First call fills the memos; second call must hit them and
+          // Queries keep no state between calls, so a repeated query must
           // reproduce the same values exactly.
           expect_exact_equal(fusion.tile_probabilities(horizon, chunk), naive,
-                             "cold");
+                             "first");
           expect_exact_equal(fusion.tile_probabilities(horizon, chunk), naive,
-                             "memoized");
+                             "repeated");
         }
       }
     }
@@ -314,7 +314,8 @@ TEST(FusionEquivalence, CrowdMemoInvalidatesOnHeatmapMutation) {
       fusion.tile_probabilities(horizon, 1),
       naive_tile_probabilities(fusion, *geometry, &crowd, last, horizon, 1),
       "before mutation");
-  // Mutate the heatmap under the memo; the version bump must retire it.
+  // Mutate the heatmap between queries; the next query must read the new
+  // counts.
   std::vector<geo::TileId> more{10, 11};
   crowd.add_view(1, more);
   expect_exact_equal(

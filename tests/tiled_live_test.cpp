@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/transport.h"
 #include "live/tiled_viewer.h"
@@ -85,6 +88,47 @@ TEST(TiledLive, RejectsInfeasibleLatencyTarget) {
   EXPECT_THROW(
       TiledLiveSession(simulator, video, transport, trace, config),
       std::invalid_argument);
+}
+
+TEST(TiledLive, RejectsBadConfig) {
+  // Each row breaks one field; the constructor must throw before start()
+  // schedules anything (a non-finite period or latency would be an
+  // undefined cast there, a non-positive scan period a throw inside the
+  // event loop).
+  const std::vector<std::pair<const char*, void (*)(TiledLiveConfig&)>> rows{
+      {"e2e target NaN",
+       [](TiledLiveConfig& c) {
+         c.e2e_target_s = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"e2e target inf",
+       [](TiledLiveConfig& c) {
+         c.e2e_target_s = std::numeric_limits<double>::infinity();
+       }},
+      {"head rate 0", [](TiledLiveConfig& c) { c.head_sample_hz = 0.0; }},
+      {"head rate NaN",
+       [](TiledLiveConfig& c) {
+         c.head_sample_hz = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"head rate inf",
+       [](TiledLiveConfig& c) {
+         c.head_sample_hz = std::numeric_limits<double>::infinity();
+       }},
+      {"scan period 0",
+       [](TiledLiveConfig& c) { c.upgrade_scan_period = sim::Duration{0}; }},
+  };
+  sim::Simulator simulator;
+  net::Link link(simulator, net::LinkConfig{});
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source);
+  auto video = live_video();
+  const auto trace = viewer_trace(1);
+  for (const auto& [what, breaks] : rows) {
+    TiledLiveConfig bad;
+    breaks(bad);
+    EXPECT_THROW(TiledLiveSession(simulator, video, transport, trace, bad),
+                 std::invalid_argument)
+        << what;
+  }
 }
 
 TEST(TiledLive, DoubleStartThrows) {
