@@ -31,22 +31,111 @@ hmp::HeadTrace viewer_trace(std::uint64_t seed, double duration_s = 60.0) {
   return hmp::generate_head_trace(cfg);
 }
 
+// A seeded fault storm: a hard outage plus per-transfer failures.
+net::FaultPlan stormy_plan() {
+  net::FaultPlan plan;
+  plan.outages.push_back({.start_s = 12.0, .duration_s = 2.0});
+  plan.transfer_failure_prob = 0.15;
+  plan.seed = 7;
+  return plan;
+}
+
+// One viewer on its own link. The transport retries iff the viewer
+// recovers (config.fetch_recovery).
 TiledLiveReport run_viewer(double link_kbps, TiledLiveConfig config,
                            std::uint64_t trace_seed = 5,
-                           LiveCrowdHmp* crowd = nullptr) {
+                           LiveCrowdHmp* crowd = nullptr,
+                           net::FaultPlan faults = {}) {
   sim::Simulator simulator;
   net::Link link(simulator,
                  net::LinkConfig{.name = "dl",
                                  .bandwidth = net::BandwidthTrace::constant(link_kbps),
-                                 .rtt = sim::milliseconds(30), .faults = {}});
+                                 .rtt = sim::milliseconds(30),
+                                 .faults = std::move(faults)});
   net::LinkSource source(link);
-  core::SingleLinkTransport transport(source, {.max_concurrent = 12, .recovery = {}});
+  core::TransportOptions options{.max_concurrent = 12, .recovery = {}};
+  options.recovery.enabled = config.fetch_recovery;
+  core::SingleLinkTransport transport(source, options);
   auto video = live_video();
   const auto trace = viewer_trace(trace_seed);
   TiledLiveSession session(simulator, video, transport, trace, config, crowd);
   session.start();
   simulator.run_until(sim::seconds(120.0));
   return session.report();
+}
+
+// Shared world: 6 low-latency viewers feed the crowd map while one laggard
+// (25 s behind) watches with or without the crowd prior. Returns the
+// laggard's report.
+TiledLiveReport run_crowd_population(bool laggard_uses_crowd) {
+  sim::Simulator simulator;
+  auto video = live_video();
+  LiveCrowdHmp crowd(video->tile_count(), video->chunk_count());
+
+  std::vector<std::unique_ptr<net::Link>> links;
+  std::vector<std::unique_ptr<net::LinkSource>> sources;
+  std::vector<std::unique_ptr<core::SingleLinkTransport>> transports;
+  std::vector<std::unique_ptr<hmp::HeadTrace>> traces;
+  std::vector<std::unique_ptr<TiledLiveSession>> sessions;
+  for (int v = 0; v < 6; ++v) {
+    links.push_back(std::make_unique<net::Link>(
+        simulator,
+        net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(30'000.0),
+                        .rtt = sim::milliseconds(25), .faults = {}}));
+    sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
+    transports.push_back(
+        std::make_unique<core::SingleLinkTransport>(*sources.back(),
+                                                    core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
+    traces.push_back(
+        std::make_unique<hmp::HeadTrace>(viewer_trace(100 + v)));
+    TiledLiveConfig cfg;
+    cfg.e2e_target_s = 5.0 + v;  // 5..10 s: the low-latency crowd
+    sessions.push_back(std::make_unique<TiledLiveSession>(
+        simulator, video, *transports.back(), *traces.back(), cfg, &crowd));
+    sessions.back()->start();
+  }
+  // The laggard: 25 s behind, on a tight link where FoV accuracy counts.
+  links.push_back(std::make_unique<net::Link>(
+      simulator,
+      net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(5'000.0),
+                      .rtt = sim::milliseconds(40), .faults = {}}));
+  sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
+  transports.push_back(
+      std::make_unique<core::SingleLinkTransport>(*sources.back(),
+                                                  core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
+  traces.push_back(std::make_unique<hmp::HeadTrace>(viewer_trace(200)));
+  TiledLiveConfig laggard_cfg;
+  laggard_cfg.e2e_target_s = 25.0;
+  sessions.push_back(std::make_unique<TiledLiveSession>(
+      simulator, video, *transports.back(), *traces.back(), laggard_cfg,
+      laggard_uses_crowd ? &crowd : nullptr));
+  sessions.back()->start();
+
+  simulator.run_until(sim::seconds(180.0));
+  return sessions.back()->report();
+}
+
+// Every field of `got` equals `want`, doubles included (seeded runs are
+// bit-reproducible).
+void expect_pinned(const TiledLiveReport& got, const TiledLiveReport& want) {
+  EXPECT_EQ(got.qoe.chunks_played, want.qoe.chunks_played);
+  EXPECT_EQ(got.qoe.mean_viewport_utility, want.qoe.mean_viewport_utility);
+  EXPECT_EQ(got.qoe.stall_seconds, want.qoe.stall_seconds);
+  EXPECT_EQ(got.qoe.stall_events, want.qoe.stall_events);
+  EXPECT_EQ(got.qoe.skipped_chunks, want.qoe.skipped_chunks);
+  EXPECT_EQ(got.qoe.switch_magnitude, want.qoe.switch_magnitude);
+  EXPECT_EQ(got.qoe.blank_fraction_mean, want.qoe.blank_fraction_mean);
+  EXPECT_EQ(got.qoe.bytes_downloaded, want.qoe.bytes_downloaded);
+  EXPECT_EQ(got.qoe.bytes_wasted, want.qoe.bytes_wasted);
+  EXPECT_EQ(got.qoe.score, want.qoe.score);
+  EXPECT_EQ(got.chunks_played, want.chunks_played);
+  EXPECT_EQ(got.chunks_skipped, want.chunks_skipped);
+  EXPECT_EQ(got.mean_blank_fraction, want.mean_blank_fraction);
+  EXPECT_EQ(got.fetches, want.fetches);
+  EXPECT_EQ(got.upgrades, want.upgrades);
+  EXPECT_EQ(got.fetch_failures, want.fetch_failures);
+  EXPECT_EQ(got.degraded_retries, want.degraded_retries);
+  EXPECT_EQ(got.finished, want.finished);
 }
 
 TEST(TiledLive, FastLinkPlaysEverything) {
@@ -180,58 +269,8 @@ TEST(TiledLive, SvcUpgradesHappenOnGoodLinks) {
 }
 
 TEST(TiledLive, EndToEndCrowdHelpsLaggard) {
-  // Shared world: 6 low-latency viewers feed the crowd map while one
-  // laggard (25 s behind) watches with / without the crowd prior.
-  auto run_population = [&](bool laggard_uses_crowd) {
-    sim::Simulator simulator;
-    auto video = live_video();
-    LiveCrowdHmp crowd(video->tile_count(), video->chunk_count());
-
-    std::vector<std::unique_ptr<net::Link>> links;
-    std::vector<std::unique_ptr<net::LinkSource>> sources;
-    std::vector<std::unique_ptr<core::SingleLinkTransport>> transports;
-    std::vector<std::unique_ptr<hmp::HeadTrace>> traces;
-    std::vector<std::unique_ptr<TiledLiveSession>> sessions;
-    for (int v = 0; v < 6; ++v) {
-      links.push_back(std::make_unique<net::Link>(
-          simulator,
-          net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(30'000.0),
-                          .rtt = sim::milliseconds(25), .faults = {}}));
-      sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
-      transports.push_back(
-          std::make_unique<core::SingleLinkTransport>(*sources.back(),
-                                                      core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
-      traces.push_back(
-          std::make_unique<hmp::HeadTrace>(viewer_trace(100 + v)));
-      TiledLiveConfig cfg;
-      cfg.e2e_target_s = 5.0 + v;  // 5..10 s: the low-latency crowd
-      sessions.push_back(std::make_unique<TiledLiveSession>(
-          simulator, video, *transports.back(), *traces.back(), cfg, &crowd));
-      sessions.back()->start();
-    }
-    // The laggard: 25 s behind, on a tight link where FoV accuracy counts.
-    links.push_back(std::make_unique<net::Link>(
-        simulator,
-        net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(5'000.0),
-                        .rtt = sim::milliseconds(40), .faults = {}}));
-    sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
-    transports.push_back(
-        std::make_unique<core::SingleLinkTransport>(*sources.back(),
-                                                      core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
-    traces.push_back(std::make_unique<hmp::HeadTrace>(viewer_trace(200)));
-    TiledLiveConfig laggard_cfg;
-    laggard_cfg.e2e_target_s = 25.0;
-    sessions.push_back(std::make_unique<TiledLiveSession>(
-        simulator, video, *transports.back(), *traces.back(), laggard_cfg,
-        laggard_uses_crowd ? &crowd : nullptr));
-    sessions.back()->start();
-
-    simulator.run_until(sim::seconds(180.0));
-    return sessions.back()->report();
-  };
-
-  const auto with_crowd = run_population(true);
-  const auto without = run_population(false);
+  const auto with_crowd = run_crowd_population(true);
+  const auto without = run_crowd_population(false);
   ASSERT_TRUE(with_crowd.finished);
   ASSERT_TRUE(without.finished);
   // The crowd prior should not hurt, and typically reduces blanks/skips.
@@ -239,5 +278,76 @@ TEST(TiledLive, EndToEndCrowdHelpsLaggard) {
   EXPECT_GE(with_crowd.qoe.score, without.qoe.score - 2.0);
 }
 
+// The other tests here bound inequalities; this one pins every report
+// field of three seeded live worlds: an SVC viewer that upgrades, a faulted
+// viewer that re-requests failed FoV tiles at the base tier, and the
+// crowd-fed laggard of EndToEndCrowdHelpsLaggard.
+TEST(TiledLive, ReportsArePinned) {
+  TiledLiveConfig svc;
+  svc.abr.sperke.mode = abr::EncodingMode::kSvc;
+  expect_pinned(run_viewer(8'000.0, svc),
+                {.qoe = {.chunks_played = 30,
+                         .mean_viewport_utility = 0.58045135776819479,
+                         .stall_seconds = 0.0,
+                         .stall_events = 0,
+                         .skipped_chunks = 0,
+                         .switch_magnitude = 6.1418293438274931,
+                         .blank_fraction_mean = 0.0,
+                         .bytes_downloaded = 17'072'374,
+                         .bytes_wasted = 6'912'981,
+                         .score = 11.27171138921835},
+                 .chunks_played = 30,
+                 .chunks_skipped = 0,
+                 .mean_blank_fraction = 0.0,
+                 .fetches = 1'509,
+                 .upgrades = 160,
+                 .fetch_failures = 0,
+                 .degraded_retries = 0,
+                 .finished = true});
+
+  TiledLiveConfig recover;
+  recover.fetch_recovery = true;
+  expect_pinned(run_viewer(20'000.0, recover, 5, nullptr, stormy_plan()),
+                {.qoe = {.chunks_played = 30,
+                         .mean_viewport_utility = 0.8747350410522412,
+                         .stall_seconds = 0.0,
+                         .stall_events = 0,
+                         .skipped_chunks = 0,
+                         .switch_magnitude = 4.2545238691867793,
+                         .blank_fraction_mean = 0.01785714285714286,
+                         .bytes_downloaded = 39'639'504,
+                         .bytes_wasted = 14'193'514,
+                         .score = 19.844670219523312},
+                 .chunks_played = 30,
+                 .chunks_skipped = 0,
+                 .mean_blank_fraction = 0.01785714285714286,
+                 .fetches = 2'333,
+                 .upgrades = 227,
+                 .fetch_failures = 330,
+                 .degraded_retries = 43,
+                 .finished = true});
+
+  expect_pinned(run_crowd_population(true),
+                {.qoe = {.chunks_played = 30,
+                         .mean_viewport_utility = 0.57906638169995839,
+                         .stall_seconds = 0.0,
+                         .stall_events = 0,
+                         .skipped_chunks = 0,
+                         .switch_magnitude = 3.6763197939234997,
+                         .blank_fraction_mean = 0.0070370370370370378,
+                         .bytes_downloaded = 14'253'322,
+                         .bytes_wasted = 4'840'748,
+                         .score = 12.851227212630807},
+                 .chunks_played = 30,
+                 .chunks_skipped = 0,
+                 .mean_blank_fraction = 0.0070370370370370378,
+                 .fetches = 1'346,
+                 .upgrades = 223,
+                 .fetch_failures = 0,
+                 .degraded_retries = 0,
+                 .finished = true});
+}
+
 }  // namespace
 }  // namespace sperke::live
+
