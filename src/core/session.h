@@ -101,6 +101,11 @@ class StreamingSession {
                    SessionConfig config,
                    const hmp::ViewingHeatmap* crowd = nullptr,
                    SessionBatch* batch = nullptr);
+  // Clears the liveness token: requests the transport still holds settle
+  // into nothing once the session is gone.
+  ~StreamingSession() { *alive_ = false; }
+  StreamingSession(const StreamingSession&) = delete;
+  StreamingSession& operator=(const StreamingSession&) = delete;
 
   // Schedule the session's activity; drive with simulator.run()/run_until().
   void start();

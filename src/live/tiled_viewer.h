@@ -83,6 +83,11 @@ class TiledLiveSession {
                    core::ChunkTransport& transport,
                    const hmp::HeadTrace& head_trace, TiledLiveConfig config,
                    LiveCrowdHmp* crowd = nullptr);
+  // Clears the liveness token: requests the transport still holds and
+  // pending crowd reports settle into nothing once the viewer is gone.
+  ~TiledLiveSession() { *alive_ = false; }
+  TiledLiveSession(const TiledLiveSession&) = delete;
+  TiledLiveSession& operator=(const TiledLiveSession&) = delete;
 
   void start();
 

@@ -755,6 +755,32 @@ TEST_F(SessionTest, StallingUpgradeSessionIsPinned) {
   EXPECT_EQ(counts, expected);
 }
 
+// A session destroyed mid-run while its transport still holds its
+// requests: they settle after the session is gone and must not touch it.
+// The simulator keeps running, so under ASan a settle that reaches the
+// freed session is a heap-use-after-free.
+TEST_F(SessionTest, DestroyedWhileFetchingIgnoresLateSettles) {
+  sim::Simulator simulator;
+  net::Link link(simulator,
+                 net::LinkConfig{.name = "dl",
+                                 .bandwidth = net::BandwidthTrace::constant(2'000.0),
+                                 .rtt = sim::milliseconds(30),
+                                 .loss_rate = 0.0,
+                                 .faults = {}});
+  net::LinkSource source(link);
+  SingleLinkTransport transport(source);
+  auto video = make_video(10.0);
+  const auto trace = steady_trace(50.0);
+  {
+    StreamingSession session(simulator, video, transport, trace, SessionConfig{});
+    session.start();
+    simulator.run_until(sim::seconds(0.5));
+    ASSERT_GT(transport.in_flight(), 0);
+  }
+  simulator.run_until(sim::seconds(60.0));
+  EXPECT_EQ(transport.in_flight(), 0);
+}
+
 TEST_F(SessionTest, DoubleStartThrows) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});

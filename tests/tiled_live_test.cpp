@@ -232,6 +232,34 @@ TEST(TiledLive, DoubleStartThrows) {
   EXPECT_THROW(session.start(), std::logic_error);
 }
 
+// A viewer destroyed mid-run while its transport still holds its
+// requests: they settle after the viewer is gone and must not touch it.
+// The simulator keeps running, so under ASan a settle that reaches the
+// freed viewer is a heap-use-after-free.
+TEST(TiledLive, DestroyedWhileFetchingIgnoresLateSettles) {
+  sim::Simulator simulator;
+  net::Link link(simulator,
+                 net::LinkConfig{.name = "dl",
+                                 .bandwidth = net::BandwidthTrace::constant(2'000.0),
+                                 .rtt = sim::milliseconds(30),
+                                 .faults = {}});
+  net::LinkSource source(link);
+  core::SingleLinkTransport transport(source);
+  auto video = live_video();
+  const auto trace = viewer_trace(1);
+  LiveCrowdHmp crowd(video->tile_count(), video->chunk_count());
+  {
+    TiledLiveSession session(simulator, video, transport, trace,
+                             TiledLiveConfig{}, &crowd);
+    session.start();
+    // Chunk 1 is ingested at 5 s; its fetches are on the wire at 5.5 s.
+    simulator.run_until(sim::seconds(5.5));
+    ASSERT_GT(transport.in_flight(), 0);
+  }
+  simulator.run_until(sim::seconds(120.0));
+  EXPECT_EQ(transport.in_flight(), 0);
+}
+
 TEST(TiledLive, ViewerPopulatesCrowdMap) {
   auto video = live_video();
   LiveCrowdHmp crowd(video->tile_count(), video->chunk_count());
