@@ -10,6 +10,7 @@
 // metrics byte-identical at any thread count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -96,5 +97,13 @@ class TileAbrPolicy {
     return sim::Duration{0};
   }
 };
+
+// The super chunk's tiles (§3.1.2): the `count` most probable tiles of
+// `probs`, ties to the lower id, written into `out` in ascending id order.
+// Players size `count` from the motion-predicted viewport and take the
+// tiles from the fused probability map: at short horizons the map is
+// motion-dominated (same tiles), at long ones the crowd prior takes over.
+void super_chunk_tiles(std::span<const double> probs, std::size_t count,
+                       std::vector<geo::TileId>& out);
 
 }  // namespace sperke::abr

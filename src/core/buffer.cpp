@@ -110,6 +110,19 @@ std::int64_t PlaybackBuffer::cell_bytes(const media::ChunkKey& key) const {
   return c == nullptr ? 0 : c->bytes;
 }
 
+std::int64_t PlaybackBuffer::unused_bytes(media::ChunkIndex index,
+                                          std::span<const geo::TileId> visible) const {
+  std::int64_t unused = 0;
+  for (geo::TileId tile = 0; tile < tile_count_; ++tile) {
+    unused += cell_bytes({tile, index});
+  }
+  for (geo::TileId tile : visible) {
+    const media::ChunkKey key{tile, index};
+    unused -= cell_bytes_used(key, displayable_quality(key));
+  }
+  return unused;
+}
+
 std::int64_t PlaybackBuffer::cell_bytes_used(const media::ChunkKey& key,
                                              media::QualityLevel shown) const {
   if (shown < 0 || shown >= 64) return 0;

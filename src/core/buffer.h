@@ -71,6 +71,12 @@ class PlaybackBuffer {
   [[nodiscard]] std::int64_t cell_bytes_used(const media::ChunkKey& key,
                                              media::QualityLevel shown) const;
 
+  // Bytes of chunk `index` that playback does not use: everything held in
+  // cells outside `visible` (unique tiles) plus what the visible
+  // cells hold beyond their displayed quality.
+  [[nodiscard]] std::int64_t unused_bytes(media::ChunkIndex index,
+                                          std::span<const geo::TileId> visible) const;
+
   // Drop all cells with chunk index < `index` (already played). The floor
   // is monotone: a smaller `index` than a previous call is a no-op, and
   // adding below the floor is a state-machine violation (the player never

@@ -57,22 +57,28 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
       slot_(batch_->acquire()),
       buffer_(video_, batch_->cells(slot_)),
       policy_(abr::make_policy(video_, config_.abr)),
-      qoe_(config_.qoe) {
+      qoe_(config_.qoe),
+      fetcher_(simulator_, *video_, transport_, buffer_, *policy_,
+               config_.telemetry, batch_->in_flight(slot_), config_.urgent_slack,
+               config_.fetch_recovery,
+               [this](const TileFetcher::Fetch& fetch, FetchOutcome outcome) {
+                 on_settle(fetch, outcome);
+               }) {
   validate(config_);
   predicted_.resize(static_cast<std::size_t>(config_.prefetch_horizon_chunks));
   planned_ = batch_->planned_quality(slot_);
-  in_flight_ = batch_->in_flight(slot_);
   probs_ = batch_->probs(slot_);
   if (config_.telemetry != nullptr) {
     obs::MetricsRegistry& m = config_.telemetry->metrics();
-    metrics_.fetches = &m.counter("session.fetches");
-    metrics_.urgent_fetches = &m.counter("session.urgent_fetches");
-    metrics_.upgrades = &m.counter("session.upgrades");
-    metrics_.late_corrections = &m.counter("session.late_corrections");
+    TileFetcher::Metrics& fetch = fetcher_.metrics();
+    fetch.fetches = &m.counter("session.fetches");
+    fetch.urgent_fetches = &m.counter("session.urgent_fetches");
+    fetch.upgrades = &m.counter("session.upgrades");
+    fetch.late_corrections = &m.counter("session.late_corrections");
     metrics_.chunks_played = &m.counter("session.chunks_played");
     metrics_.stall_events = &m.counter("session.stall_events");
     metrics_.stalled = &m.gauge("session.stalled");
-    metrics_.fetch_latency_ms = &m.histogram("session.fetch_latency_ms");
+    fetch.fetch_latency_ms = &m.histogram("session.fetch_latency_ms");
     metrics_.stall_s = &m.histogram(
         "session.stall_s", {0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0});
     metrics_.viewport_utility = &m.histogram(
@@ -87,36 +93,13 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
     // worlds merge into one row per policy.
     metrics_.abr_plans =
         &m.counter("abr." + std::string(policy_->name()) + ".plans");
+    // Bound iff fetch_recovery is on, so fault-free worlds keep their
+    // exact pre-fault metric set.
     if (config_.fetch_recovery) {
-      metrics_.fetch_failures = &m.counter("session.fetch_failures");
-      metrics_.degraded_retries = &m.counter("session.degraded_retries");
+      fetch.fetch_failures = &m.counter("session.fetch_failures");
+      fetch.degraded_retries = &m.counter("session.degraded_retries");
     }
   }
-}
-
-std::uint64_t StreamingSession::inflight_bit(const media::ChunkAddress& address) {
-  // 64-bit cell masks split evenly: AVC levels in the low half, SVC layers
-  // in the high half, so one cell tracks both encodings of a tile chunk.
-  SPERKE_DCHECK(address.level >= 0 && address.level < 32,
-                "Session: quality/layer outside in-flight mask range ",
-                address.level);
-  const int shift = address.encoding == media::Encoding::kAvc
-                        ? address.level
-                        : 32 + address.level;
-  return std::uint64_t{1} << shift;
-}
-
-std::size_t StreamingSession::inflight_cell(const media::ChunkKey& key) const {
-  SPERKE_DCHECK(key.tile >= 0 && key.tile < video_->tile_count() &&
-                    key.index >= 0 && key.index < video_->chunk_count(),
-                "Session: in-flight cell out of range");
-  return static_cast<std::size_t>(key.index) *
-             static_cast<std::size_t>(video_->tile_count()) +
-         static_cast<std::size_t>(key.tile);
-}
-
-bool StreamingSession::inflight_contains(const media::ChunkAddress& address) const {
-  return (in_flight_[inflight_cell(address.key)] & inflight_bit(address)) != 0;
 }
 
 sim::Time StreamingSession::media_now() const {
@@ -205,17 +188,7 @@ void StreamingSession::maybe_plan() {
       predicted_at_plan_[index] = predicted.orientation;
     }
     fusion_.tile_probabilities_into(horizon, index, probs_);
-    const std::span<const double> probs = probs_;
-    std::vector<geo::TileId>& fov = fov_scratch_;
-    fov.resize(probs.size());
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      fov[i] = static_cast<geo::TileId>(i);
-    }
-    std::stable_sort(fov.begin(), fov.end(), [&](geo::TileId a, geo::TileId b) {
-      return probs[static_cast<std::size_t>(a)] > probs[static_cast<std::size_t>(b)];
-    });
-    fov.resize(std::min(fov.size(), predicted.visible.size()));
-    std::sort(fov.begin(), fov.end());
+    abr::super_chunk_tiles(probs_, predicted.visible.size(), fov_scratch_);
 
     const sim::Duration buffer_level =
         video_->chunk_start_time(index) - media_now();
@@ -236,8 +209,9 @@ void StreamingSession::maybe_plan() {
                            ? std::min(effective_kbps, budget_kbps)
                            : budget_kbps;
     }
-    policy_->plan_chunk_into(index, fov, probs, effective_kbps, buffer_level,
-                             last_fov_quality_, vra_workspace_, plan_scratch_);
+    policy_->plan_chunk_into(index, fov_scratch_, probs_, effective_kbps,
+                             buffer_level, last_fov_quality_, vra_workspace_,
+                             plan_scratch_);
     const abr::ChunkPlan& plan = plan_scratch_;
     planned_[static_cast<std::size_t>(index)] = plan.fov_quality;
     last_fov_quality_ = plan.fov_quality;
@@ -252,119 +226,34 @@ void StreamingSession::maybe_plan() {
     }
 
     for (const auto& fetch : plan.fetches) {
-      dispatch(fetch.address, fetch.spatial, deadline, false, false);
+      fetcher_.dispatch(fetch.address, fetch.spatial, deadline);
     }
     ++next_plan_;
   }
   attempt_start();
 }
 
-void StreamingSession::dispatch(const media::ChunkAddress& address,
-                                abr::SpatialClass spatial, sim::Time deadline,
-                                bool count_as_upgrade, bool count_as_correction,
-                                std::int64_t parent_request_id) {
-  if (buffer_.contains(address) || inflight_contains(address)) return;
-  in_flight_[inflight_cell(address.key)] |= inflight_bit(address);
-  ++fetches_;
-  const bool urgent = (deadline - simulator_.now()) < config_.urgent_slack;
-  if (urgent) ++urgent_fetches_;
-  if (count_as_upgrade) ++upgrades_;
-  if (count_as_correction) ++late_corrections_;
-  const std::int64_t bytes = video_->size_bytes(address);
-  const sim::Time dispatched = simulator_.now();
-  std::int64_t request_id = 0;
-  if (config_.telemetry != nullptr) {
-    request_id = config_.telemetry->next_request_id();
-    metrics_.fetches->increment();
-    if (urgent) metrics_.urgent_fetches->increment();
-    if (count_as_upgrade) metrics_.upgrades->increment();
-    if (count_as_correction) metrics_.late_corrections->increment();
-    record_trace({.type = obs::TraceEventType::kFetchDispatched,
-                  .ts = dispatched,
-                  .tile = address.key.tile,
-                  .chunk = address.key.index,
-                  .quality = address.level,
-                  .bytes = bytes,
-                  .urgent = urgent,
-                  .request = request_id,
-                  .parent = parent_request_id});
+void StreamingSession::on_settle(const TileFetcher::Fetch& fetch,
+                                 FetchOutcome outcome) {
+  if (delivered(outcome)) {
+    on_fetch_done(fetch.address, fetch.bytes);
+    return;
   }
-  ChunkRequest request;
-  request.id = net::to_chunk_id(address);
-  request.bytes = bytes;
-  request.spatial = spatial;
-  request.urgent = urgent;
-  request.deadline = deadline;
-  request.request_id = request_id;
-  request.parent_id = parent_request_id;
-  request.on_done = [this, alive = alive_, address, bytes, dispatched, urgent,
-                     spatial, deadline, request_id,
-                     parent_request_id](sim::Time finished, FetchOutcome outcome) {
-    if (!*alive) return;
-    in_flight_[inflight_cell(address.key)] &= ~inflight_bit(address);
-    const bool ok = delivered(outcome);
-    if (config_.telemetry != nullptr) {
-      if (ok) {
-        metrics_.fetch_latency_ms->observe(
-            sim::to_milliseconds(finished - dispatched));
-      }
-      obs::TraceEvent event{.type = ok ? obs::TraceEventType::kFetchDone
-                                       : obs::TraceEventType::kFetchDropped,
-                            .ts = finished,
-                            .tile = address.key.tile,
-                            .chunk = address.key.index,
-                            .quality = address.level,
-                            .bytes = bytes,
-                            .urgent = urgent,
-                            .request = request_id,
-                            .parent = parent_request_id};
-      // Fault outcomes ride the kFetchDropped event with the outcome in
-      // `value`; kDropped keeps value 0.0 so fault-free traces stay
-      // byte-identical.
-      if (outcome == FetchOutcome::kTimedOut || outcome == FetchOutcome::kFailed) {
-        event.value = static_cast<double>(outcome);
-      }
-      record_trace(event);
-    }
-    if (ok) {
-      on_fetch_done(address, bytes);
-      return;
-    }
-    if (outcome == FetchOutcome::kDropped) {
-      // A best-effort loss is no failure, but the dropped fetch may be the
-      // in-flight copy of a tile a stall waits for (which suppressed its
-      // emergency fetch), so coverage must be re-checked all the same.
-      if (stalled_) try_resume_from_stall();
-      return;
-    }
-    // Injected-fault loss (timed out / failed after retries).
-    ++fetch_failures_;
-    if (metrics_.fetch_failures != nullptr) metrics_.fetch_failures->increment();
-    if (config_.fetch_recovery && spatial == abr::SpatialClass::kFov &&
-        address.key.index >= current_chunk_ && deadline > simulator_.now()) {
-      // Graceful degradation: re-request the tile at the base tier while
-      // the deadline still stands rather than leaving a hole in the FoV.
-      const media::ChunkAddress fallback{address.key,
-                                         policy_->base_tier_encoding(), 0};
-      if (!buffer_.contains(fallback) && !inflight_contains(fallback)) {
-        ++degraded_retries_;
-        if (metrics_.degraded_retries != nullptr) {
-          metrics_.degraded_retries->increment();
-        }
-        // The re-request cites the failed request as its causal parent, so
-        // the exported trace nests the degraded retry under the original.
-        dispatch(fallback, abr::SpatialClass::kFov, deadline, false, false,
-                 request_id);
-      }
-    }
-    // A failed startup fetch must not hang startup either: its deadline is
-    // the dispatch instant, so the degraded retry above never covers it.
-    if (!playing_) request_missing_startup_tiles();
-    // A failed emergency fetch must not leave a stall unresolved: re-enter
-    // the coverage check, which re-issues the missing tiles.
+  if (outcome == FetchOutcome::kDropped) {
+    // A best-effort loss is no failure, but the dropped fetch may be the
+    // in-flight copy of a tile a stall waits for (which suppressed its
+    // emergency fetch), so coverage must be re-checked all the same.
     if (stalled_) try_resume_from_stall();
-  };
-  transport_.fetch(std::move(request));
+    return;
+  }
+  // Injected-fault loss (timed out / failed after retries).
+  fetcher_.recover(fetch, current_chunk_);
+  // A failed startup fetch must not hang startup either: its deadline is
+  // the dispatch instant, so the degraded retry never covers it.
+  if (!playing_) request_missing_startup_tiles();
+  // A failed emergency fetch must not leave a stall unresolved: re-enter
+  // the coverage check, which re-issues the missing tiles.
+  if (stalled_) try_resume_from_stall();
 }
 
 void StreamingSession::on_fetch_done(const media::ChunkAddress& address,
@@ -410,9 +299,9 @@ void StreamingSession::request_missing_startup_tiles() {
   for (media::ChunkIndex index = 0; index < want; ++index) {
     for (geo::TileId tile : visible) {
       const media::ChunkKey key{tile, index};
-      if (buffer_.has_displayable(key) || in_flight_[inflight_cell(key)] != 0) continue;
-      dispatch({key, policy_->base_tier_encoding(), 0}, abr::SpatialClass::kFov,
-               deadline_of(index), false, false);
+      if (buffer_.has_displayable(key) || fetcher_.in_flight(key)) continue;
+      fetcher_.dispatch({key, policy_->base_tier_encoding(), 0},
+                        abr::SpatialClass::kFov, deadline_of(index));
     }
   }
 }
@@ -444,7 +333,7 @@ void StreamingSession::play_chunk() {
     for (geo::TileId tile : missing) {
       const media::ChunkKey key{tile, index};
       const media::ChunkAddress address{key, policy_->base_tier_encoding(), 0};
-      dispatch(address, abr::SpatialClass::kFov, simulator_.now(), false, false);
+      fetcher_.dispatch(address, abr::SpatialClass::kFov, simulator_.now());
     }
     return;  // resume via try_resume_from_stall()
   }
@@ -493,23 +382,9 @@ void StreamingSession::play_chunk() {
                   .value = viewport_utility});
   }
 
-  // Waste accounting for every cell of this chunk.
-  std::vector<char>& is_visible = is_visible_scratch_;
-  is_visible.assign(static_cast<std::size_t>(video_->tile_count()), 0);
-  for (geo::TileId tile : visible) is_visible[static_cast<std::size_t>(tile)] = 1;
-  for (geo::TileId tile = 0; tile < video_->tile_count(); ++tile) {
-    const media::ChunkKey key{tile, index};
-    const std::int64_t held = buffer_.cell_bytes(key);
-    if (held == 0) continue;
-    std::int64_t used = 0;
-    if (is_visible[static_cast<std::size_t>(tile)]) {
-      used = buffer_.cell_bytes_used(key, buffer_.displayable_quality(key));
-    }
-    qoe_.record_wasted(held - used);
-    if (metrics_.bytes_wasted != nullptr && held > used) {
-      metrics_.bytes_wasted->add(held - used);
-    }
-  }
+  const std::int64_t unused = buffer_.unused_bytes(index, visible);
+  qoe_.record_wasted(unused);
+  if (metrics_.bytes_wasted != nullptr) metrics_.bytes_wasted->add(unused);
   buffer_.evict_before(index + 1);
 
   // Advance the playhead.
@@ -539,12 +414,7 @@ void StreamingSession::scan_upgrades() {
   for (media::ChunkIndex index = current_chunk_ + (playing_ ? 1 : 0);
        index < next_plan_; ++index) {
     const sim::Time deadline = deadline_of(index);
-    const sim::Duration slack = deadline - simulator_.now();
-    if (slack <= sim::Duration{0}) continue;
-    // Hoisted from consider_upgrade: outside the policy's upgrade window
-    // it rejects every tile on slack alone, so the per-chunk prediction,
-    // visible set, and probability map would be dead work.
-    if (slack > policy_->upgrade_window()) continue;
+    if (!fetcher_.in_upgrade_window(deadline)) continue;
     // -1 marks a chunk the planner has not reached; planned qualities are
     // never negative.
     const media::QualityLevel target = planned_[static_cast<std::size_t>(index)];
@@ -552,36 +422,7 @@ void StreamingSession::scan_upgrades() {
     const sim::Duration horizon = video_->chunk_start_time(index) - media_now();
     const std::vector<geo::TileId>& visible = predicted_view(index).visible;
     fusion_.tile_probabilities_into(horizon, index, probs_);
-    const std::span<const double> probs = probs_;
-    for (geo::TileId tile : visible) {
-      const media::ChunkKey key{tile, index};
-      const media::QualityLevel current = buffer_.displayable_quality(key);
-      if (current >= target) continue;
-      const auto decision = policy_->consider_upgrade(
-          key, current, buffer_.svc_contiguous_quality(key), target,
-          probs[static_cast<std::size_t>(tile)], slack, est);
-      if (!decision.upgrade) continue;
-      // Trace the decision only when it commits new work; re-scans that find
-      // every layer already buffered or in flight are not new decisions.
-      const bool commits = std::any_of(
-          decision.fetches.begin(), decision.fetches.end(),
-          [this](const media::ChunkAddress& address) {
-            return !buffer_.contains(address) && !inflight_contains(address);
-          });
-      if (config_.telemetry != nullptr && commits) {
-        record_trace({.type = obs::TraceEventType::kUpgradeDecided,
-                      .ts = simulator_.now(),
-                      .tile = tile,
-                      .chunk = index,
-                      .quality = target,
-                      .value = static_cast<double>(current)});
-      }
-      for (const auto& address : decision.fetches) {
-        dispatch(address, abr::SpatialClass::kFov, deadline,
-                 /*count_as_upgrade=*/current >= 0,
-                 /*count_as_correction=*/current < 0);
-      }
-    }
+    fetcher_.upgrade(index, visible, probs_, target, deadline, est);
   }
 }
 
@@ -602,12 +443,13 @@ SessionReport StreamingSession::report() const {
   report.startup_delay = startup_done_ - session_started_;
   report.wall_duration =
       (finished_ ? session_ended_ : simulator_.now()) - session_started_;
-  report.fetches = fetches_;
-  report.urgent_fetches = urgent_fetches_;
-  report.upgrades = upgrades_;
-  report.late_corrections = late_corrections_;
-  report.fetch_failures = fetch_failures_;
-  report.degraded_retries = degraded_retries_;
+  const TileFetcher::Counters& fetched = fetcher_.counters();
+  report.fetches = fetched.fetches;
+  report.urgent_fetches = fetched.urgent_fetches;
+  report.upgrades = fetched.upgrades;
+  report.late_corrections = fetched.late_corrections;
+  report.fetch_failures = fetched.fetch_failures;
+  report.degraded_retries = fetched.degraded_retries;
   report.viewport_utility_per_chunk = utility_per_chunk_;
   report.completed = finished_;
   return report;

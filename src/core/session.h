@@ -4,7 +4,8 @@
 // Responsibilities per the figure:
 //   * head sensor sampling -> HMP fusion (hmp/fusion.h),
 //   * fetch scheduling driven by the pluggable tile-ABR policy
-//     (abr/policy.h; the paper's VRA is abr/sperke_vra.h behind it),
+//     (abr/policy.h; the paper's VRA is abr/sperke_vra.h behind it), through
+//     the fetch path it shares with the live player (core/tile_fetcher.h),
 //   * the encoded-chunk cache (core/buffer.h),
 //   * playback with stall semantics and QoE accounting (abr/qoe.h),
 //   * runtime incremental upgrades of mispredicted tiles (§3.1.1).
@@ -26,6 +27,7 @@
 #include "abr/qoe.h"
 #include "core/buffer.h"
 #include "core/session_batch.h"
+#include "core/tile_fetcher.h"
 #include "core/transport.h"
 #include "hmp/fusion.h"
 #include "obs/telemetry.h"
@@ -136,9 +138,8 @@ class StreamingSession {
   void observe_head();
   void maybe_plan();
   void record_trace(const obs::TraceEvent& event);
-  void dispatch(const media::ChunkAddress& address, abr::SpatialClass spatial,
-                sim::Time deadline, bool count_as_upgrade, bool count_as_correction,
-                std::int64_t parent_request_id = 0);
+  // What a settled request means for playback (TileFetcher's settle hook).
+  void on_settle(const TileFetcher::Fetch& fetch, FetchOutcome outcome);
   void on_fetch_done(const media::ChunkAddress& address, std::int64_t bytes);
   void attempt_start();
   // Re-request, at the base tier, every startup tile that is neither
@@ -148,12 +149,6 @@ class StreamingSession {
   void try_resume_from_stall();
   void scan_upgrades();
   void finish();
-
-  // In-flight bit for an address in the batch's per-(chunk, tile) masks:
-  // AVC levels occupy the low half, SVC layers the high half.
-  [[nodiscard]] static std::uint64_t inflight_bit(const media::ChunkAddress& address);
-  [[nodiscard]] std::size_t inflight_cell(const media::ChunkKey& key) const;
-  [[nodiscard]] bool inflight_contains(const media::ChunkAddress& address) const;
 
   sim::Simulator& simulator_;
   std::shared_ptr<const media::VideoModel> video_;
@@ -170,6 +165,8 @@ class StreamingSession {
   PlaybackBuffer buffer_;
   std::unique_ptr<abr::TileAbrPolicy> policy_;
   abr::QoeTracker qoe_;
+  // Borrows the batch slot's in-flight masks.
+  TileFetcher fetcher_;
 
   // Playback state.
   bool started_ = false;
@@ -183,32 +180,21 @@ class StreamingSession {
   sim::Time session_ended_{sim::kTimeZero};
   sim::Time startup_done_{sim::kTimeZero};
 
-  // Planning state, viewed through batch slot spans: planned quality per
-  // chunk (-1 = not yet planned; qualities are never negative) and one
-  // in-flight request mask per (chunk, tile) cell.
+  // Planning state: planned quality per chunk, a batch slot span (-1 = not
+  // yet planned; qualities are never negative).
   media::ChunkIndex next_plan_ = 0;
   media::QualityLevel last_fov_quality_ = 0;
   std::span<media::QualityLevel> planned_;
-  std::span<std::uint64_t> in_flight_;
 
-  // Counters.
-  int fetches_ = 0;
-  int urgent_fetches_ = 0;
-  int upgrades_ = 0;
-  int late_corrections_ = 0;
-  int fetch_failures_ = 0;
-  int degraded_retries_ = 0;
   std::vector<double> utility_per_chunk_;
   sim::Time last_observed_{sim::Duration{-1}};
 
   // Telemetry (metric handles resolved once at construction; all null when
   // config_.telemetry is null). The metric values mirror the counters and
-  // QoE sums above exactly — same increments at the same call sites.
+  // QoE sums exactly — same increments at the same call sites. The fetch
+  // counters' handles are bound into fetcher_.metrics() in between these,
+  // keeping the session's registration (= export) order.
   struct SessionMetrics {
-    obs::Counter* fetches = nullptr;
-    obs::Counter* urgent_fetches = nullptr;
-    obs::Counter* upgrades = nullptr;
-    obs::Counter* late_corrections = nullptr;
     obs::Counter* chunks_played = nullptr;
     obs::Counter* stall_events = nullptr;
     // Level gauge: 1 while this session is stalled, 0 otherwise. Sampled
@@ -216,11 +202,6 @@ class StreamingSession {
     // *during* an outage (the stall_s histogram only observes at stall
     // end, after recovery).
     obs::Gauge* stalled = nullptr;
-    // Bound iff fetch_recovery is on, so fault-free worlds keep their
-    // exact pre-fault metric set.
-    obs::Counter* fetch_failures = nullptr;
-    obs::Counter* degraded_retries = nullptr;
-    obs::Histogram* fetch_latency_ms = nullptr;
     obs::Histogram* stall_s = nullptr;
     obs::Histogram* viewport_utility = nullptr;
     obs::Histogram* hmp_error_deg = nullptr;
@@ -252,14 +233,13 @@ class StreamingSession {
   // Reusable hot-path buffers (DESIGN.md §8). The simulator is
   // single-threaded and the transport never completes a fetch synchronously,
   // so no two live uses of the same buffer ever overlap: maybe_plan and
-  // scan_upgrades own the fov/probs/plan set, play_chunk owns the
-  // missing/is_visible set, and each finishes with its buffers before
-  // anything that reuses them can run.
+  // scan_upgrades own the fov/probs/plan set, play_chunk owns the missing
+  // set, and each finishes with its buffers before anything that reuses
+  // them can run.
   geo::TileGeometry::Scratch geo_scratch_;
   std::vector<geo::TileId> fov_scratch_;
   std::span<double> probs_;  // batch probability slot (HMP fusion output)
   std::vector<geo::TileId> missing_scratch_;
-  std::vector<char> is_visible_scratch_;
   abr::ChunkPlan plan_scratch_;
   abr::TileAbrPolicy::PlanWorkspace vra_workspace_;
 

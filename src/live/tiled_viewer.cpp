@@ -22,7 +22,15 @@ TiledLiveSession::TiledLiveSession(sim::Simulator& simulator,
               /*crowd=*/nullptr, {}, {}),
       buffer_(video_),
       policy_(abr::make_policy(video_, config_.abr)),
-      qoe_(config_.qoe) {
+      qoe_(config_.qoe),
+      in_flight_(static_cast<std::size_t>(video_->chunk_count()) *
+                 static_cast<std::size_t>(video_->tile_count())),
+      fetcher_(simulator_, *video_, transport_, buffer_, *policy_,
+               config_.telemetry, in_flight_, video_->chunk_duration(),
+               config_.fetch_recovery,
+               [this](const core::TileFetcher::Fetch& fetch,
+                      core::FetchOutcome outcome) { on_settle(fetch, outcome); }),
+      planned_(static_cast<std::size_t>(video_->chunk_count()), -1) {
   const double min_latency = sim::to_seconds(config_.ingest_delay) +
                              sim::to_seconds(video_->chunk_duration());
   // NaN fails both tests; sim::seconds of a non-finite value is undefined.
@@ -118,102 +126,35 @@ void TiledLiveSession::plan_chunk(media::ChunkIndex index) {
   const geo::Orientation predicted = fusion_.predict_orientation(horizon);
   const auto motion_fov =
       video_->geometry().visible_tiles(predicted, config_.viewport);
-  std::vector<geo::TileId> order(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    order[i] = static_cast<geo::TileId>(i);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](geo::TileId a, geo::TileId b) {
-    return probs[static_cast<std::size_t>(a)] > probs[static_cast<std::size_t>(b)];
-  });
-  order.resize(std::min(order.size(), motion_fov.size()));
-  std::sort(order.begin(), order.end());
+  std::vector<geo::TileId> fov;
+  abr::super_chunk_tiles(probs, motion_fov.size(), fov);
 
   const sim::Duration buffer_level = deadline_of(index) - simulator_.now();
   const auto plan =
-      policy_->plan_chunk(index, order, probs, transport_.estimated_kbps(),
+      policy_->plan_chunk(index, fov, probs, transport_.estimated_kbps(),
                           buffer_level, last_fov_quality_);
-  plan_quality_[index] = plan.fov_quality;
+  planned_[static_cast<std::size_t>(index)] = plan.fov_quality;
   last_fov_quality_ = plan.fov_quality;
   for (const auto& fetch : plan.fetches) {
-    dispatch(fetch.address, fetch.spatial, deadline_of(index), false);
+    fetcher_.dispatch(fetch.address, fetch.spatial, deadline_of(index));
   }
 }
 
-void TiledLiveSession::dispatch(const media::ChunkAddress& address,
-                                abr::SpatialClass spatial, sim::Time deadline,
-                                bool is_upgrade,
-                                std::int64_t parent_request_id) {
-  if (buffer_.contains(address) || in_flight_.contains(address)) return;
-  if (address.key.index < next_play_) return;  // already played: pointless
-  in_flight_.insert(address);
-  ++fetches_;
-  if (is_upgrade) ++upgrades_;
-  core::ChunkRequest request;
-  request.id = net::to_chunk_id(address);
-  request.bytes = video_->size_bytes(address);
-  request.spatial = spatial;
-  request.urgent = (deadline - simulator_.now()) < video_->chunk_duration();
-  request.deadline = deadline;
-  if (config_.telemetry != nullptr) {
-    request.request_id = config_.telemetry->next_request_id();
-    config_.telemetry->trace().record(
-        {.type = obs::TraceEventType::kFetchDispatched,
-         .ts = simulator_.now(),
-         .tile = address.key.tile,
-         .chunk = address.key.index,
-         .quality = address.level,
-         .bytes = request.bytes,
-         .urgent = request.urgent,
-         .request = request.request_id,
-         .parent = parent_request_id});
+void TiledLiveSession::on_settle(const core::TileFetcher::Fetch& fetch,
+                                 core::FetchOutcome outcome) {
+  if (finished_) return;
+  if (core::delivered(outcome)) {
+    qoe_.record_downloaded(fetch.bytes);
+    if (fetch.address.key.index < next_play_) {
+      qoe_.record_wasted(fetch.bytes);  // arrived after its live deadline
+    } else {
+      buffer_.add(fetch.address);
+    }
+    return;
   }
-  request.parent_id = parent_request_id;
-  const std::int64_t request_id = request.request_id;
-  request.on_done = [this, alive = alive_, address, spatial, deadline,
-                     request_id, parent_request_id](sim::Time finished_at,
-                                                    core::FetchOutcome outcome) {
-    if (!*alive) return;
-    in_flight_.erase(address);
-    if (finished_) return;
-    if (config_.telemetry != nullptr) {
-      config_.telemetry->trace().record(
-          {.type = core::delivered(outcome) ? obs::TraceEventType::kFetchDone
-                                            : obs::TraceEventType::kFetchDropped,
-           .ts = finished_at,
-           .tile = address.key.tile,
-           .chunk = address.key.index,
-           .quality = address.level,
-           .bytes = core::delivered(outcome) ? video_->size_bytes(address) : 0,
-           .request = request_id,
-           .parent = parent_request_id});
-    }
-    if (core::delivered(outcome)) {
-      const std::int64_t bytes = video_->size_bytes(address);
-      qoe_.record_downloaded(bytes);
-      if (address.key.index < next_play_) {
-        qoe_.record_wasted(bytes);  // arrived after its live deadline
-      } else {
-        buffer_.add(address);
-      }
-      return;
-    }
-    if (outcome == core::FetchOutcome::kDropped) return;  // best-effort loss
-    // Injected-fault loss (timed out / failed after retries).
-    ++fetch_failures_;
-    if (config_.fetch_recovery && spatial == abr::SpatialClass::kFov &&
-        address.key.index >= next_play_ && deadline > simulator_.now()) {
-      // Live degradation: a base-tier tile on time beats a blank tile. The
-      // blank re-request cites the failed request as its causal parent.
-      const media::ChunkAddress fallback{address.key,
-                                         policy_->base_tier_encoding(), 0};
-      if (!buffer_.contains(fallback) && !in_flight_.contains(fallback)) {
-        ++degraded_retries_;
-        dispatch(fallback, abr::SpatialClass::kFov, deadline, false,
-                 request_id);
-      }
-    }
-  };
-  transport_.fetch(std::move(request));
+  if (outcome == core::FetchOutcome::kDropped) return;  // best-effort loss
+  // Injected-fault loss: a base-tier tile on time beats a blank tile.
+  fetcher_.recover(fetch, next_play_);
 }
 
 void TiledLiveSession::play_chunk(media::ChunkIndex index) {
@@ -256,19 +197,7 @@ void TiledLiveSession::play_chunk(media::ChunkIndex index) {
     }
   }
 
-  // Waste accounting for this chunk's cells.
-  std::vector<char> is_visible(static_cast<std::size_t>(video_->tile_count()), 0);
-  for (geo::TileId tile : visible) is_visible[static_cast<std::size_t>(tile)] = 1;
-  for (geo::TileId tile = 0; tile < video_->tile_count(); ++tile) {
-    const media::ChunkKey key{tile, index};
-    const std::int64_t held = buffer_.cell_bytes(key);
-    if (held == 0) continue;
-    std::int64_t used = 0;
-    if (is_visible[static_cast<std::size_t>(tile)]) {
-      used = buffer_.cell_bytes_used(key, buffer_.displayable_quality(key));
-    }
-    qoe_.record_wasted(held - used);
-  }
+  qoe_.record_wasted(buffer_.unused_bytes(index, visible));
   buffer_.evict_before(index + 1);
 
   if (index + 1 >= video_->chunk_count()) finish();
@@ -280,28 +209,16 @@ void TiledLiveSession::scan_upgrades() {
   for (media::ChunkIndex index = next_play_;
        index < video_->chunk_count(); ++index) {
     if (availability_of(index) > simulator_.now()) break;  // not ingested yet
-    const sim::Duration slack = deadline_of(index) - simulator_.now();
-    if (slack <= sim::Duration{0}) continue;
+    const sim::Time deadline = deadline_of(index);
+    if (!fetcher_.in_upgrade_window(deadline)) continue;
+    const media::QualityLevel target = planned_[static_cast<std::size_t>(index)];
+    if (target < 0) continue;
     const sim::Duration horizon =
         video_->chunk_start_time(index) - content_now();
     const auto probs = fused_probabilities(index, horizon);
-    const auto target_it = plan_quality_.find(index);
-    if (target_it == plan_quality_.end()) continue;
     const auto visible = video_->geometry().visible_tiles(
         fusion_.predict_orientation(horizon), config_.viewport);
-    for (geo::TileId tile : visible) {
-      const media::ChunkKey key{tile, index};
-      const media::QualityLevel current = buffer_.displayable_quality(key);
-      if (current >= target_it->second) continue;
-      const auto decision = policy_->consider_upgrade(
-          key, current, buffer_.svc_contiguous_quality(key), target_it->second,
-          probs[static_cast<std::size_t>(tile)], slack, est);
-      if (!decision.upgrade) continue;
-      for (const auto& address : decision.fetches) {
-        dispatch(address, abr::SpatialClass::kFov, deadline_of(index),
-                 /*is_upgrade=*/current >= 0);
-      }
-    }
+    fetcher_.upgrade(index, visible, probs, target, deadline, est);
   }
 }
 
@@ -319,10 +236,11 @@ TiledLiveReport TiledLiveSession::report() const {
   out.chunks_skipped = chunks_skipped_;
   out.mean_blank_fraction =
       chunks_played_ > 0 ? blank_sum_ / chunks_played_ : 0.0;
-  out.fetches = fetches_;
-  out.upgrades = upgrades_;
-  out.fetch_failures = fetch_failures_;
-  out.degraded_retries = degraded_retries_;
+  const core::TileFetcher::Counters& fetched = fetcher_.counters();
+  out.fetches = fetched.fetches;
+  out.upgrades = fetched.upgrades;
+  out.fetch_failures = fetched.fetch_failures;
+  out.degraded_retries = fetched.degraded_retries;
   out.finished = finished_;
   return out;
 }

@@ -2,7 +2,10 @@
 // machinery applied to a live stream, where chunks appear at the ingest
 // edge as the event unfolds and playback deadlines are wall-clock-hard —
 // a chunk that is not ready when its deadline arrives is skipped (or shown
-// with blank tiles), never rebuffered.
+// with blank tiles), never rebuffered. Fetches go through the VOD player's
+// own fetch path (core/tile_fetcher.h), with the chunk duration as the
+// urgency slack; this file keeps only what the live clock changes: when a
+// chunk is planned and played, and what a settled fetch is worth.
 //
 // Several TiledLiveSession instances can share one simulator, one video
 // (the live content) and one LiveCrowdHmp: low-latency viewers' displayed
@@ -12,16 +15,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "abr/factory.h"
 #include "abr/qoe.h"
 #include "core/buffer.h"
+#include "core/tile_fetcher.h"
 #include "core/transport.h"
 #include "hmp/fusion.h"
 #include "live/crowd.h"
@@ -52,8 +54,9 @@ struct TiledLiveConfig {
   sim::Duration crowd_report_delay{sim::milliseconds(300)};
   abr::QoeWeights qoe;
   // Telemetry sink (not owned; must outlive the session). Null = disabled.
-  // When set, fetch dispatch/done events carry causal request ids so blank
-  // re-requests nest under the fetch they replace in the exported trace.
+  // When set, the fetch path traces every dispatch, settle and upgrade
+  // decision with causal request ids, so blank re-requests nest under the
+  // fetch they replace in the exported trace.
   obs::Telemetry* telemetry = nullptr;
   // Graceful degradation on fetch failures (DESIGN.md §10): re-request a
   // failed FoV tile at the base quality tier while its live deadline still
@@ -103,9 +106,9 @@ class TiledLiveSession {
   [[nodiscard]] std::vector<double> fused_probabilities(media::ChunkIndex index,
                                                         sim::Duration horizon) const;
   void plan_chunk(media::ChunkIndex index);
-  void dispatch(const media::ChunkAddress& address, abr::SpatialClass spatial,
-                sim::Time deadline, bool is_upgrade,
-                std::int64_t parent_request_id = 0);
+  // What a settled request means for playback (TileFetcher's settle hook).
+  // Settles after finish() count for nothing.
+  void on_settle(const core::TileFetcher::Fetch& fetch, core::FetchOutcome outcome);
   void play_chunk(media::ChunkIndex index);
   void scan_upgrades();
   void finish();
@@ -120,22 +123,21 @@ class TiledLiveSession {
   core::PlaybackBuffer buffer_;
   std::unique_ptr<abr::TileAbrPolicy> policy_;
   abr::QoeTracker qoe_;
+  // One in-flight mask per (chunk, tile) cell, lent to fetcher_.
+  std::vector<std::uint64_t> in_flight_;
+  core::TileFetcher fetcher_;
 
   bool started_ = false;
   bool finished_ = false;
   media::ChunkIndex next_play_ = 0;
   media::QualityLevel last_fov_quality_ = 0;
-  std::map<media::ChunkIndex, media::QualityLevel> plan_quality_;
-  std::set<media::ChunkAddress> in_flight_;
+  // Planned FoV quality per chunk; -1 = not yet planned.
+  std::vector<media::QualityLevel> planned_;
   sim::Time last_observed_{sim::Duration{-1}};
 
   int chunks_played_ = 0;
   int chunks_skipped_ = 0;
   double blank_sum_ = 0.0;
-  int fetches_ = 0;
-  int upgrades_ = 0;
-  int fetch_failures_ = 0;
-  int degraded_retries_ = 0;
 
   std::optional<sim::PeriodicTask> head_task_;
   std::optional<sim::PeriodicTask> upgrade_task_;
