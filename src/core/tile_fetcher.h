@@ -69,6 +69,8 @@ class TileFetcher {
               std::span<std::uint64_t> in_flight, sim::Duration urgent_slack,
               bool recovery, SettleHook on_settle);
   ~TileFetcher() { *alive_ = false; }
+  TileFetcher(const TileFetcher&) = delete;
+  TileFetcher& operator=(const TileFetcher&) = delete;
 
   // Fetch `address` unless it is buffered or already in flight.
   void dispatch(const media::ChunkAddress& address, abr::SpatialClass spatial,

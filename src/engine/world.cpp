@@ -10,10 +10,6 @@ int group_count(const WorldSpec& spec) {
   return (spec.sessions + spec.sessions_per_link - 1) / spec.sessions_per_link;
 }
 
-int group_of_session(const WorldSpec& spec, int session) {
-  return session / spec.sessions_per_link;
-}
-
 int groups_per_edge(const WorldSpec& spec) {
   // validate() guarantees divisibility when the tier is enabled.
   return spec.cdn.sessions_per_edge / spec.sessions_per_link;

@@ -136,7 +136,6 @@ struct WorldSpec {
 // partition unit is the link group, or the whole edge when the CDN tier is
 // enabled (all of an edge's groups land on one shard, so a cache's
 // dynamics never depend on thread placement).
-[[nodiscard]] int group_of_session(const WorldSpec& spec, int session);
 [[nodiscard]] int shard_of_group(const WorldSpec& spec, int group);
 
 // The fault plan group g's link runs: faults_for_group(g) verbatim when the

@@ -8,7 +8,6 @@
 // feeds into fusion pruning.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -29,7 +28,6 @@ class UserModel {
   void observe_trace(const HeadTrace& trace);
 
   [[nodiscard]] int traces_observed() const { return traces_; }
-  [[nodiscard]] std::size_t samples_observed() const { return speeds_dps_.size(); }
 
   // Learned speed bound (deg/s); empty until at least one trace is seen.
   [[nodiscard]] std::optional<double> speed_bound_dps() const;

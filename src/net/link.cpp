@@ -117,13 +117,6 @@ double Link::transfer_rate_kbps(TransferId id) const {
                                                      : 0.0;
 }
 
-std::int64_t Link::transfer_remaining_bytes(TransferId id) const {
-  const auto it = transfers_.find(id);
-  return it != transfers_.end()
-             ? static_cast<std::int64_t>(std::ceil(it->second.remaining_bytes))
-             : 0;
-}
-
 void Link::activate(TransferId id) {
   Transfer& t = transfers_.at(id);
   // Double activation would insert a duplicate active_ entry and count the

@@ -115,9 +115,6 @@ class Link {
   // if the id is unknown).
   [[nodiscard]] double transfer_rate_kbps(TransferId id) const;
 
-  // Remaining bytes of an in-flight transfer (0 if unknown/done).
-  [[nodiscard]] std::int64_t transfer_remaining_bytes(TransferId id) const;
-
  private:
   struct Transfer {
     double remaining_bytes = 0.0;

@@ -4,52 +4,8 @@
 #include <utility>
 #include <vector>
 #include <stdexcept>
-#include <string>
 
 namespace sperke::net {
-namespace {
-
-double sample_kbps(std::int64_t bytes, sim::Duration elapsed) {
-  const double secs = sim::to_seconds(elapsed);
-  if (bytes <= 0 || secs <= 0.0) return 0.0;
-  return static_cast<double>(bytes) * 8.0 / secs / 1000.0;
-}
-
-}  // namespace
-
-EwmaEstimator::EwmaEstimator(double alpha) : alpha_(alpha) {
-  if (alpha <= 0.0 || alpha > 1.0) throw std::invalid_argument("EwmaEstimator: bad alpha");
-}
-
-void EwmaEstimator::record(std::int64_t bytes, sim::Duration elapsed) {
-  const double sample = sample_kbps(bytes, elapsed);
-  if (sample <= 0.0) return;
-  if (!primed_) {
-    estimate_kbps_ = sample;
-    primed_ = true;
-  } else {
-    estimate_kbps_ = alpha_ * sample + (1.0 - alpha_) * estimate_kbps_;
-  }
-}
-
-HarmonicMeanEstimator::HarmonicMeanEstimator(std::size_t window) : window_(window) {
-  if (window == 0) throw std::invalid_argument("HarmonicMeanEstimator: zero window");
-}
-
-void HarmonicMeanEstimator::record(std::int64_t bytes, sim::Duration elapsed) {
-  const double sample = sample_kbps(bytes, elapsed);
-  if (sample <= 0.0) return;
-  samples_kbps_.push_back(sample);
-  while (samples_kbps_.size() > window_) samples_kbps_.pop_front();
-}
-
-double HarmonicMeanEstimator::estimate_kbps() const {
-  if (samples_kbps_.empty()) return 0.0;
-  double inv_sum = 0.0;
-  for (double s : samples_kbps_) inv_sum += 1.0 / s;
-  return static_cast<double>(samples_kbps_.size()) / inv_sum;
-}
-
 AggregateWindowEstimator::AggregateWindowEstimator(std::size_t window)
     : window_(window) {
   if (window == 0) throw std::invalid_argument("AggregateWindowEstimator: zero window");
@@ -86,12 +42,6 @@ double AggregateWindowEstimator::estimate_kbps() const {
   const double secs = sim::to_seconds(covered);
   if (secs <= 0.0) return 0.0;
   return static_cast<double>(total_bytes) * 8.0 / secs / 1000.0;
-}
-
-std::unique_ptr<ThroughputEstimator> make_estimator(std::string_view name) {
-  if (name == "ewma") return std::make_unique<EwmaEstimator>();
-  if (name == "harmonic") return std::make_unique<HarmonicMeanEstimator>();
-  throw std::invalid_argument("unknown estimator: " + std::string(name));
 }
 
 }  // namespace sperke::net

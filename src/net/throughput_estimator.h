@@ -1,60 +1,14 @@
 // Client-side throughput estimation feeding rate adaptation ("Network
-// Condition Estimation" box of Figure 4). Two standard estimators:
-// EWMA over per-transfer throughput samples, and the harmonic mean of the
-// last K samples (robust to outliers; used by MPC-style controllers).
+// Condition Estimation" box of Figure 4).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <string_view>
 
 #include "sim/time.h"
 
 namespace sperke::net {
-
-class ThroughputEstimator {
- public:
-  virtual ~ThroughputEstimator() = default;
-
-  // Record one completed transfer.
-  virtual void record(std::int64_t bytes, sim::Duration elapsed) = 0;
-
-  // Current estimate in kbps; 0 before any sample.
-  [[nodiscard]] virtual double estimate_kbps() const = 0;
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
-};
-
-class EwmaEstimator final : public ThroughputEstimator {
- public:
-  explicit EwmaEstimator(double alpha = 0.3);
-
-  void record(std::int64_t bytes, sim::Duration elapsed) override;
-  [[nodiscard]] double estimate_kbps() const override { return estimate_kbps_; }
-  [[nodiscard]] std::string_view name() const override { return "ewma"; }
-
- private:
-  double alpha_;
-  double estimate_kbps_ = 0.0;
-  bool primed_ = false;
-};
-
-class HarmonicMeanEstimator final : public ThroughputEstimator {
- public:
-  explicit HarmonicMeanEstimator(std::size_t window = 5);
-
-  void record(std::int64_t bytes, sim::Duration elapsed) override;
-  [[nodiscard]] double estimate_kbps() const override;
-  [[nodiscard]] std::string_view name() const override { return "harmonic"; }
-
- private:
-  std::size_t window_;
-  std::deque<double> samples_kbps_;
-};
-
-[[nodiscard]] std::unique_ptr<ThroughputEstimator> make_estimator(std::string_view name);
 
 // Aggregate goodput across *concurrent* transfers: per-transfer samples
 // under-read the link by the concurrency factor (each connection only sees

@@ -1,7 +1,6 @@
 #include "obs/slo.h"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -218,12 +217,6 @@ void write_slo_csv(std::ostream& out, const std::vector<SloStatus>& rows) {
                    row.breached_at_end ? "1" : "0",
                    fmt_double(row.last_signal)});
   }
-}
-
-void dump_slo_csv(const std::string& path, const std::vector<SloStatus>& rows) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("dump_slo_csv: cannot open " + path);
-  write_slo_csv(out, rows);
 }
 
 }  // namespace sperke::obs

@@ -105,6 +105,5 @@ void merge_slo_status(std::vector<SloStatus>& into,
 [[nodiscard]] std::string slo_table(const std::vector<SloSpec>& specs,
                                     const std::vector<SloStatus>& rows);
 void write_slo_csv(std::ostream& out, const std::vector<SloStatus>& rows);
-void dump_slo_csv(const std::string& path, const std::vector<SloStatus>& rows);
 
 }  // namespace sperke::obs

@@ -1,7 +1,6 @@
 // Angle and interpolation helpers shared across geometry and prediction code.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -19,13 +18,6 @@ inline constexpr double kPi = std::numbers::pi;
   return r - 180.0;
 }
 
-// Wrap an angle in degrees to [0, 360).
-[[nodiscard]] inline double wrap_deg360(double deg) {
-  double r = std::fmod(deg, 360.0);
-  if (r < 0.0) r += 360.0;
-  return r;
-}
-
 // Signed shortest angular difference a-b in degrees, result in [-180, 180).
 [[nodiscard]] inline double angle_diff_deg(double a, double b) {
   return wrap_deg180(a - b);
@@ -33,10 +25,6 @@ inline constexpr double kPi = std::numbers::pi;
 
 [[nodiscard]] constexpr double lerp(double a, double b, double t) {
   return a + (b - a) * t;
-}
-
-[[nodiscard]] constexpr double clamp01(double x) {
-  return std::clamp(x, 0.0, 1.0);
 }
 
 }  // namespace sperke

@@ -453,48 +453,5 @@ TEST_F(LinkTest, ActiveTransfersCountsWarmupSeparately) {
   EXPECT_EQ(link.active_transfers(), 1);
 }
 
-TEST(ThroughputEstimator, EwmaConvergesToSteadyRate) {
-  EwmaEstimator est(0.5);
-  EXPECT_DOUBLE_EQ(est.estimate_kbps(), 0.0);
-  for (int i = 0; i < 20; ++i) est.record(125'000, seconds(1.0));  // 1000 kbps
-  EXPECT_NEAR(est.estimate_kbps(), 1000.0, 1.0);
-}
-
-TEST(ThroughputEstimator, EwmaWeighsRecentSamples) {
-  EwmaEstimator est(0.5);
-  est.record(125'000, seconds(1.0));   // 1000 kbps
-  est.record(250'000, seconds(1.0));   // 2000 kbps
-  EXPECT_NEAR(est.estimate_kbps(), 1500.0, 1.0);
-}
-
-TEST(ThroughputEstimator, HarmonicMeanPenalizesDips) {
-  HarmonicMeanEstimator est(5);
-  est.record(125'000, seconds(1.0));  // 1000 kbps
-  est.record(12'500, seconds(1.0));   // 100 kbps
-  // Harmonic mean of {1000, 100} = 2/(1/1000 + 1/100) ~= 181.8 < arithmetic 550.
-  EXPECT_NEAR(est.estimate_kbps(), 181.8, 1.0);
-}
-
-TEST(ThroughputEstimator, HarmonicWindowSlides) {
-  HarmonicMeanEstimator est(2);
-  est.record(12'500, seconds(1.0));    // 100 kbps, will be evicted
-  est.record(125'000, seconds(1.0));   // 1000
-  est.record(125'000, seconds(1.0));   // 1000
-  EXPECT_NEAR(est.estimate_kbps(), 1000.0, 1.0);
-}
-
-TEST(ThroughputEstimator, IgnoresDegenerateSamples) {
-  EwmaEstimator est;
-  est.record(0, seconds(1.0));
-  est.record(1000, sim::Duration{0});
-  EXPECT_DOUBLE_EQ(est.estimate_kbps(), 0.0);
-}
-
-TEST(ThroughputEstimator, FactoryMakesBothKinds) {
-  EXPECT_EQ(make_estimator("ewma")->name(), "ewma");
-  EXPECT_EQ(make_estimator("harmonic")->name(), "harmonic");
-  EXPECT_THROW((void)make_estimator("oracle"), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace sperke::net

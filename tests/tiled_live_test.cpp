@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "core/transport.h"
 #include "live/tiled_viewer.h"
 #include "net/link.h"
+#include "obs/telemetry.h"
 #include "sim/simulator.h"
 
 namespace sperke::live {
@@ -374,6 +376,39 @@ TEST(TiledLive, ReportsArePinned) {
                  .fetch_failures = 0,
                  .degraded_retries = 0,
                  .finished = true});
+}
+
+// With telemetry on, every degraded retry is traced as a dispatch whose
+// parent is a request already dropped on a fault, so exporters nest the
+// blank re-request under the fetch it replaces. Tracing changes nothing.
+TEST(TiledLive, DegradedRetriesNestUnderTheFailedFetch) {
+  obs::Telemetry telemetry;
+  TiledLiveConfig config;
+  config.fetch_recovery = true;
+  const TiledLiveReport untraced =
+      run_viewer(20'000.0, config, 5, nullptr, stormy_plan());
+  config.telemetry = &telemetry;
+  const TiledLiveReport report =
+      run_viewer(20'000.0, config, 5, nullptr, stormy_plan());
+  expect_pinned(report, untraced);
+  ASSERT_GT(report.degraded_retries, 0);
+
+  using T = obs::TraceEventType;
+  std::map<std::int64_t, double> faulted;  // request id -> outcome
+  int retries = 0;
+  for (const obs::TraceEvent& event : telemetry.trace().events()) {
+    if (event.type == T::kFetchDropped && event.value != 0.0) {
+      faulted[event.request] = event.value;
+    }
+    if (event.type != T::kFetchDispatched || event.parent == 0) continue;
+    ++retries;
+    const auto parent = faulted.find(event.parent);
+    ASSERT_NE(parent, faulted.end()) << "retry " << event.request;
+    EXPECT_TRUE(
+        parent->second == static_cast<double>(core::FetchOutcome::kTimedOut) ||
+        parent->second == static_cast<double>(core::FetchOutcome::kFailed));
+  }
+  EXPECT_EQ(retries, report.degraded_retries);
 }
 
 }  // namespace
