@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 
 #include "geo/orientation.h"
-#include "util/check.h"
 #include "util/log.h"
 
 namespace sperke::core {

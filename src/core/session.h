@@ -14,7 +14,6 @@
 // datasets): a stall freezes both the playhead and the sensor stream.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -103,8 +102,9 @@ class StreamingSession {
                    SessionConfig config,
                    const hmp::ViewingHeatmap* crowd = nullptr,
                    SessionBatch* batch = nullptr);
-  // Clears the liveness token: requests the transport still holds settle
-  // into nothing once the session is gone.
+  // Clears the liveness token, so plays scheduled before the session is
+  // destroyed do nothing after it. The fetcher guards the requests the
+  // transport still holds the same way.
   ~StreamingSession() { *alive_ = false; }
   StreamingSession(const StreamingSession&) = delete;
   StreamingSession& operator=(const StreamingSession&) = delete;

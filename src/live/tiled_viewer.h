@@ -2,8 +2,8 @@
 // machinery applied to a live stream, where chunks appear at the ingest
 // edge as the event unfolds and playback deadlines are wall-clock-hard —
 // a chunk that is not ready when its deadline arrives is skipped (or shown
-// with blank tiles), never rebuffered. Fetches go through the VOD player's
-// own fetch path (core/tile_fetcher.h), with the chunk duration as the
+// with blank tiles), never rebuffered. Fetches go through the fetch path the
+// VOD player uses (core/tile_fetcher.h), with the chunk duration as the
 // urgency slack; this file keeps only what the live clock changes: when a
 // chunk is planned and played, and what a settled fetch is worth.
 //
@@ -86,8 +86,9 @@ class TiledLiveSession {
                    core::ChunkTransport& transport,
                    const hmp::HeadTrace& head_trace, TiledLiveConfig config,
                    LiveCrowdHmp* crowd = nullptr);
-  // Clears the liveness token: requests the transport still holds and
-  // pending crowd reports settle into nothing once the viewer is gone.
+  // Clears the liveness token, so plans, plays and crowd reports scheduled
+  // before the viewer is destroyed do nothing after it. The fetcher guards
+  // the requests the transport still holds the same way.
   ~TiledLiveSession() { *alive_ = false; }
   TiledLiveSession(const TiledLiveSession&) = delete;
   TiledLiveSession& operator=(const TiledLiveSession&) = delete;
