@@ -234,6 +234,22 @@ TEST(PolicyInterface, DefaultConsiderUpgradeDeclines) {
   }
 }
 
+TEST(PolicyInterface, SuperChunkTilesTakesTheMostProbableInIdOrder) {
+  std::vector<geo::TileId> out{9, 9, 9, 9, 9, 9, 9, 9};  // stale contents
+  const std::vector<double> probs{0.1, 0.3, 0.05, 0.3, 0.25};
+  super_chunk_tiles(probs, 3, out);
+  EXPECT_EQ(out, (std::vector<geo::TileId>{1, 3, 4}));
+  // Ties go to the lower id.
+  const std::vector<double> flat{0.2, 0.2, 0.2, 0.4};
+  super_chunk_tiles(flat, 2, out);
+  EXPECT_EQ(out, (std::vector<geo::TileId>{0, 3}));
+  // A count past the grid takes every tile; zero takes none.
+  super_chunk_tiles(probs, 12, out);
+  EXPECT_EQ(out, (std::vector<geo::TileId>{0, 1, 2, 3, 4}));
+  super_chunk_tiles(probs, 0, out);
+  EXPECT_TRUE(out.empty());
+}
+
 // ------------------------------------------------------------- knapsack
 
 class KnapsackTest : public ::testing::Test {

@@ -10,8 +10,10 @@
 #include <utility>
 #include <vector>
 
+#include "abr/factory.h"
 #include "core/buffer.h"
 #include "core/session.h"
+#include "core/tile_fetcher.h"
 #include "core/transport.h"
 #include "hmp/head_trace.h"
 #include "net/link.h"
@@ -128,6 +130,36 @@ TEST(PlaybackBuffer, ContiguousChunksCountsRun) {
   EXPECT_EQ(buffer.contiguous_chunks(0, tiles), 3);
   EXPECT_EQ(buffer.contiguous_chunks(1, tiles), 2);
   EXPECT_EQ(buffer.contiguous_chunks(3, tiles), 0);
+}
+
+TEST(PlaybackBuffer, UnusedBytesCountsOffViewportAndUnshownBytes) {
+  auto video = make_video();
+  PlaybackBuffer buffer(video);
+  // Tile 0: SVC layers 0..2 shown at quality 2, plus an AVC q0 copy that
+  // playback never uses.
+  for (media::LayerIndex l = 0; l <= 2; ++l) {
+    buffer.add({{0, 1}, Encoding::kSvc, l});
+  }
+  const ChunkAddress spare_avc{{0, 1}, Encoding::kAvc, 0};
+  buffer.add(spare_avc);
+  // Tile 1: a full AVC copy outside the viewport.
+  const ChunkAddress off_view{{1, 1}, Encoding::kAvc, 1};
+  buffer.add(off_view);
+  // Tile 2: a visible SVC enhancement layer without its base: not shown.
+  const ChunkAddress orphan{{2, 1}, Encoding::kSvc, 1};
+  buffer.add(orphan);
+  // Another chunk's cell never counts towards chunk 1.
+  buffer.add({{1, 2}, Encoding::kAvc, 3});
+
+  const std::vector<geo::TileId> visible{0, 2, 3};
+  EXPECT_EQ(buffer.unused_bytes(1, visible),
+            video->size_bytes(spare_avc) + video->size_bytes(off_view) +
+                video->size_bytes(orphan));
+  // With tile 1 in view, its AVC copy is what playback shows.
+  const std::vector<geo::TileId> all_four{0, 1, 2, 3};
+  EXPECT_EQ(buffer.unused_bytes(1, all_four),
+            video->size_bytes(spare_avc) + video->size_bytes(orphan));
+  EXPECT_EQ(buffer.unused_bytes(3, visible), 0);
 }
 
 class TransportTest : public ::testing::Test {
@@ -461,6 +493,142 @@ TEST_F(TransportRecoveryTest, RecoveryDisabledKeepsLegacySemantics) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome, FetchOutcome::kFailed);
   EXPECT_EQ(transport.in_flight(), 0);
+}
+
+// TileFetcher over a transport that only records: each test settles the
+// recorded requests by hand, in whatever order it needs.
+class RecordingTransport : public ChunkTransport {
+ public:
+  void fetch(ChunkRequest request) override { requests.push_back(std::move(request)); }
+  [[nodiscard]] double estimated_kbps() const override { return 0.0; }
+  [[nodiscard]] int in_flight() const override {
+    return static_cast<int>(requests.size());
+  }
+  [[nodiscard]] std::int64_t bytes_fetched() const override { return 0; }
+
+  std::vector<ChunkRequest> requests;
+};
+
+class TileFetcherTest : public ::testing::Test {
+ protected:
+  std::unique_ptr<TileFetcher> make_fetcher(bool recovery) {
+    return std::make_unique<TileFetcher>(
+        simulator, *video, transport, buffer, *policy, &telemetry,
+        std::span<std::uint64_t>(in_flight), sim::seconds(1.0), recovery,
+        [this](const TileFetcher::Fetch& fetch, FetchOutcome outcome) {
+          settled.emplace_back(fetch, outcome);
+        });
+  }
+
+  sim::Simulator simulator;
+  std::shared_ptr<media::VideoModel> video = make_video();
+  PlaybackBuffer buffer{video};
+  std::unique_ptr<abr::TileAbrPolicy> policy = [this] {
+    abr::TileAbrConfig config;
+    config.sperke.mode = abr::EncodingMode::kSvc;
+    return abr::make_policy(video, config);
+  }();
+  obs::Telemetry telemetry;
+  RecordingTransport transport;
+  std::vector<std::uint64_t> in_flight = std::vector<std::uint64_t>(
+      static_cast<std::size_t>(video->chunk_count() * video->tile_count()), 0);
+  std::vector<std::pair<TileFetcher::Fetch, FetchOutcome>> settled;
+};
+
+TEST_F(TileFetcherTest, DispatchSkipsCoveredAddressesAndMarksUrgency) {
+  auto fetcher = make_fetcher(false);
+  const ChunkAddress soon{{2, 0}, Encoding::kSvc, 0};
+  const ChunkAddress later{{3, 4}, Encoding::kSvc, 1};
+  const ChunkAddress buffered{{5, 0}, Encoding::kSvc, 0};
+  buffer.add(buffered);
+
+  fetcher->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
+  fetcher->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
+  fetcher->dispatch(buffered, abr::SpatialClass::kFov, sim::seconds(0.5));
+  fetcher->dispatch(later, abr::SpatialClass::kOos, sim::seconds(4.0));
+  // Another level of an in-flight cell is a different request.
+  fetcher->dispatch({{2, 0}, Encoding::kSvc, 1}, abr::SpatialClass::kFov,
+                    sim::seconds(0.5));
+
+  ASSERT_EQ(transport.requests.size(), 3U);
+  EXPECT_EQ(fetcher->counters().fetches, 3);
+  EXPECT_EQ(fetcher->counters().urgent_fetches, 2);
+  EXPECT_TRUE(transport.requests[0].urgent);
+  EXPECT_FALSE(transport.requests[1].urgent);
+  EXPECT_EQ(transport.requests[1].spatial, abr::SpatialClass::kOos);
+  EXPECT_EQ(transport.requests[1].bytes, video->size_bytes(later));
+  EXPECT_EQ(transport.requests[0].request_id, 1);
+  EXPECT_EQ(transport.requests[1].request_id, 2);
+  EXPECT_TRUE(fetcher->in_flight(soon.key));
+  EXPECT_TRUE(fetcher->in_flight(later.key));
+
+  // A settle clears only its own level's bit and reaches the hook once.
+  transport.requests[0].on_done(sim::milliseconds(80), FetchOutcome::kDelivered);
+  ASSERT_EQ(settled.size(), 1U);
+  EXPECT_EQ(settled[0].first.address, soon);
+  EXPECT_EQ(settled[0].first.request_id, 1);
+  EXPECT_EQ(settled[0].second, FetchOutcome::kDelivered);
+  EXPECT_TRUE(fetcher->in_flight(soon.key));
+  transport.requests[2].on_done(sim::milliseconds(90), FetchOutcome::kDropped);
+  EXPECT_FALSE(fetcher->in_flight(soon.key));
+
+  // The fetcher does not fill the buffer (the player does), so a settled
+  // address that is still missing can be fetched again.
+  fetcher->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
+  EXPECT_EQ(transport.requests.size(), 4U);
+
+  // Requests settling after the fetcher is gone are ignored.
+  fetcher.reset();
+  transport.requests[1].on_done(sim::seconds(1.0), FetchOutcome::kDelivered);
+  EXPECT_EQ(settled.size(), 2U);
+}
+
+TEST_F(TileFetcherTest, RecoverRetriesFailedFovFetchesAtTheBaseTier) {
+  auto fetcher = make_fetcher(true);
+  const ChunkAddress fov{{1, 3}, Encoding::kSvc, 2};
+  const ChunkAddress oos{{6, 3}, Encoding::kSvc, 1};
+  const ChunkAddress behind{{4, 1}, Encoding::kSvc, 1};
+  fetcher->dispatch(fov, abr::SpatialClass::kFov, sim::seconds(3.0));
+  fetcher->dispatch(oos, abr::SpatialClass::kOos, sim::seconds(3.0));
+  fetcher->dispatch(behind, abr::SpatialClass::kFov, sim::seconds(3.0));
+  for (std::size_t i = 0; i < 3; ++i) {
+    transport.requests[i].on_done(sim::milliseconds(200), FetchOutcome::kFailed);
+  }
+  ASSERT_EQ(settled.size(), 3U);
+
+  // The failed FoV fetch comes back as its cell's base layer, due at the
+  // same deadline and citing the failed request as its parent.
+  fetcher->recover(settled[0].first, 2);
+  ASSERT_EQ(transport.requests.size(), 4U);
+  const ChunkRequest& retry = transport.requests[3];
+  EXPECT_EQ(retry.id, net::to_chunk_id(ChunkAddress{fov.key, Encoding::kSvc, 0}));
+  EXPECT_EQ(retry.spatial, abr::SpatialClass::kFov);
+  EXPECT_EQ(retry.deadline, sim::seconds(3.0));
+  EXPECT_EQ(retry.parent_id, settled[0].first.request_id);
+  EXPECT_NE(retry.request_id, 0);
+  // A second failure of the same cell finds the base layer in flight.
+  fetcher->recover(settled[0].first, 2);
+  // OOS fetches and chunks the playhead has passed are not retried.
+  fetcher->recover(settled[1].first, 2);
+  fetcher->recover(settled[2].first, 2);
+  EXPECT_EQ(transport.requests.size(), 4U);
+  EXPECT_EQ(fetcher->counters().fetch_failures, 4);
+  EXPECT_EQ(fetcher->counters().degraded_retries, 1);
+
+  // Nor is a fetch whose deadline has already passed.
+  simulator.run_until(sim::seconds(3.5));
+  transport.requests[3].on_done(sim::seconds(3.5), FetchOutcome::kTimedOut);
+  fetcher->recover(settled.back().first, 2);
+  EXPECT_EQ(transport.requests.size(), 4U);
+  EXPECT_EQ(fetcher->counters().degraded_retries, 1);
+
+  // With recovery off, failures are only counted.
+  auto plain = make_fetcher(false);
+  std::fill(in_flight.begin(), in_flight.end(), 0);
+  plain->recover(settled[0].first, 0);
+  EXPECT_EQ(transport.requests.size(), 4U);
+  EXPECT_EQ(plain->counters().fetch_failures, 1);
+  EXPECT_EQ(plain->counters().degraded_retries, 0);
 }
 
 class SessionTest : public ::testing::Test {
