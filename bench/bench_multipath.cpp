@@ -56,8 +56,10 @@ Outcome run_with(const char* scheduler_name, std::uint64_t seed) {
   mp::MultipathTransport transport(simulator, {&wifi, &lte}, std::move(scheduler));
   auto video = standard_video();
   const auto trace = standard_trace(700 + seed);
-  core::StreamingSession session(simulator, video, transport, trace,
-                                 core::SessionConfig{});
+  // A named config: GCC 12 -O3 flags the temporary's string member as
+  // maybe-uninitialized (-Wmaybe-uninitialized false positive).
+  const core::SessionConfig config;
+  core::StreamingSession session(simulator, video, transport, trace, config);
   session.start();
   simulator.run_until(sim::seconds(kVideoSeconds + 600.0));
   const auto report = session.report();

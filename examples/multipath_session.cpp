@@ -45,8 +45,10 @@ int main(int argc, char** argv) {
   mp::MultipathTransport transport(simulator, {&wifi, &lte},
                                    mp::make_path_scheduler(scheduler_name));
 
-  core::StreamingSession session(simulator, video, transport, head,
-                                 core::SessionConfig{});
+  // A named config: GCC 12 -O3 flags the temporary's string member as
+  // maybe-uninitialized (-Wmaybe-uninitialized false positive).
+  const core::SessionConfig config;
+  core::StreamingSession session(simulator, video, transport, head, config);
   session.start();
   simulator.run_until(sim::seconds(900.0));
 

@@ -417,8 +417,9 @@ void StreamingSession::scan_upgrades() {
     // never negative.
     const media::QualityLevel target = planned_[static_cast<std::size_t>(index)];
     if (target < 0) continue;
-    const sim::Duration horizon = video_->chunk_start_time(index) - media_now();
     const std::vector<geo::TileId>& visible = predicted_view(index).visible;
+    if (!fetcher_.any_below(index, visible, target)) continue;
+    const sim::Duration horizon = video_->chunk_start_time(index) - media_now();
     fusion_.tile_probabilities_into(horizon, index, probs_);
     fetcher_.upgrade(index, visible, probs_, target, deadline, est);
   }

@@ -118,6 +118,14 @@ void TileFetcher::trace(obs::TraceEventType type, const Fetch& fetch, sim::Time 
                               .parent = fetch.parent_id});
 }
 
+bool TileFetcher::any_below(media::ChunkIndex index,
+                            std::span<const geo::TileId> visible,
+                            media::QualityLevel target) const {
+  return std::any_of(visible.begin(), visible.end(), [&](geo::TileId tile) {
+    return buffer_.displayable_quality({tile, index}) < target;
+  });
+}
+
 void TileFetcher::upgrade(media::ChunkIndex index,
                           std::span<const geo::TileId> visible,
                           std::span<const double> probs, media::QualityLevel target,

@@ -86,6 +86,13 @@ class TileFetcher {
     return slack > sim::Duration{0} && slack <= policy_.upgrade_window();
   }
 
+  // Whether some `visible` tile of chunk `index` displays below `target`.
+  // upgrade() skips every other tile, so when this is false players skip
+  // computing its probabilities too.
+  [[nodiscard]] bool any_below(media::ChunkIndex index,
+                               std::span<const geo::TileId> visible,
+                               media::QualityLevel target) const;
+
   // The §3.1.1 upgrade pass over planned chunk `index`: each `visible` tile
   // displayable below `target` is offered to the policy at its probability
   // in `probs`, and the fetches the policy commits to are dispatched.

@@ -1,7 +1,9 @@
 #include "geo/visibility.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "util/math.h"
@@ -34,6 +36,9 @@ TileGeometry::TileGeometry(std::shared_ptr<const Projection> projection,
         col_pos_.emplace_back(std::cos(r), std::sin(r));
       }
     }
+    edge_planes_.emplace_back(1.0, 0.0);
+    edge_planes_.insert(edge_planes_.end(), col_neg_.begin(), col_neg_.end());
+    edge_planes_.insert(edge_planes_.end(), col_pos_.begin(), col_pos_.end());
   }
 
   // Precompute per-tile solid angle by sampling the sphere uniformly:
@@ -116,6 +121,23 @@ TileId TileGeometry::classify_equirect(const Vec3& d) const {
   return static_cast<TileId>(row * grid_.cols() + col);
 }
 
+TileId TileGeometry::classify_clear(const Vec3& p) const {
+  // classify_equirect's sign tests without its guard band, which a
+  // direction this far from every edge never enters; p need not be unit
+  // length, so the row test compares z against s·|p|.
+  const double norm = p.norm();
+  int row = 0;
+  for (const double s : row_sin_) row += (p.z <= s * norm) ? 1 : 0;
+  int col = 0;
+  if (p.y > 0.0) {
+    col = col_base_;
+    for (const auto& [c, s] : col_pos_) col += (p.y * c - p.x * s >= 0.0) ? 1 : 0;
+  } else {
+    for (const auto& [c, s] : col_neg_) col += (p.y * c - p.x * s >= 0.0) ? 1 : 0;
+  }
+  return static_cast<TileId>(row * grid_.cols() + col);
+}
+
 TileId TileGeometry::classify(const Vec3& dir) const {
   return equirect_fast_ ? classify_equirect(dir)
                         : grid_.tile_at(projection_->uv_from_direction(dir));
@@ -128,6 +150,140 @@ std::vector<TileId> TileGeometry::visible_tiles(const Orientation& view,
   std::vector<TileId> out;
   visible_tiles(view, viewport, out, scratch);
   return out;
+}
+
+namespace {
+
+// Half-width of the window kept around each edge crossing, in units of the
+// normalized edge function (sin(latitude) for a parallel, the unit-direction
+// cross product for a meridian plane). Far above the classifier's 1e-12
+// guard band and above rounding, so every sample outside a window is
+// outside the guard band too, and its edge tests have the signs of its
+// whole run.
+constexpr double kCrossMargin = 1e-9;
+// A column whose latitude extremum comes this close to a row boundary is
+// classified sample by sample: near a double root the crossings cannot be
+// bracketed reliably.
+constexpr double kGrazeEps = 1e-6;
+// Meridian slopes at or below this count as zero, which keeps 1/slope
+// finite; such a plane's test is constant along a column to this order.
+constexpr double kFlatSlope = 1e-300;
+
+}  // namespace
+
+bool TileGeometry::mark_crossings(const Vec3& fr, const Vec3& up_step,
+                                  Scratch& scratch) const {
+  // The column's samples are p(b) = fr + b·up_step at b_j = 2j/(n-1) - 1;
+  // they lie on one great circle. Between edge crossings no edge test
+  // changes sign, so a run of samples there lands in one tile. Set in
+  // `near` every sample within a window of a crossing, and in `starts` the
+  // first sample and the first after each window; the caller classifies
+  // the former and sign-tests the latter. Bit n is a sink for crossings
+  // past the last sample, so a crossing outside the column needs no branch.
+  const int n = samples_per_axis_;
+  auto& near = scratch.near;
+  auto& starts = scratch.starts;
+  near.assign(static_cast<std::size_t>(n / 64 + 1), 0);
+  starts.assign(near.size(), 0);
+  const auto set = [](std::vector<std::uint64_t>& bits, int j) {
+    bits[static_cast<std::size_t>(j / 64)] |= std::uint64_t{1} << (j % 64);
+  };
+  set(starts, 0);
+  const double half = 0.5 * (n - 1);
+  const double last = n;
+  const auto flag = [&](double center, double radius) {
+    // Window [lo, hi] in sample-index units, clamped to [-1, n]; NaN
+    // bounds widen to the whole column. Samples ceil(lo)..floor(hi) lie in
+    // the window and floor(hi) + 1 starts the next run.
+    double lo = (center - radius + 1.0) * half;
+    double hi = (center + radius + 1.0) * half;
+    lo = lo >= -1.0 ? std::min(lo, last) : -1.0;
+    hi = hi <= last ? std::max(hi, -1.0) : last;
+    const int lo_t = static_cast<int>(lo);  // truncation: ceil for lo <= 0
+    const int hi_t = static_cast<int>(hi);
+    const int j0 = std::max(lo_t + (lo_t < lo ? 1 : 0), 0);
+    const int j1 = std::min(hi_t - (hi_t > hi ? 1 : 0) + 1, n);
+    for (int j = j0; j < j1; ++j) set(near, j);
+    set(starts, j1);
+  };
+
+  const double fz = fr.z;
+  const double uz = up_step.z;
+  const double f2 = fr.dot(fr);
+  const double fu = fr.dot(up_step);
+  const double u2 = up_step.dot(up_step);
+  // Bound on |p(b)|² over the column; |p| >= 1 because fr has a unit
+  // forward component orthogonal to up_step, so it also bounds |p|.
+  const double reach2 = f2 + 2.0 * std::abs(fu) + u2;
+
+  // Meridian planes the view crosses: the sign test p.y·c - p.x·s is
+  // at0 + b·slope on this column; normalizing p divides it by |p| <= reach2.
+  const double plane_margin = kCrossMargin * reach2;
+  for (const Scratch::Plane& plane : scratch.planes) {
+    const double at0 = fr.y * plane.c - fr.x * plane.s;
+    if (plane.inv_slope == 0.0) {
+      if (std::abs(at0) <= plane_margin) return false;  // the column lies on the plane
+      continue;
+    }
+    flag(-at0 * plane.inv_slope, plane_margin * std::abs(plane.inv_slope));
+  }
+
+  // Latitude parallels: z/|p| = s. Every sin(latitude) the column reaches
+  // lies between its end values and the one extremum of g(b) = z/|p| on the
+  // column's half great circle, so a row sine outside that range plus the
+  // margin has no window. A row sine near the extremum is a (near) double
+  // root, which the root solve below cannot bracket reliably.
+  double g_lo = (fz - uz) / std::sqrt(f2 - 2.0 * fu + u2);
+  double g_hi = (fz + uz) / std::sqrt(f2 + 2.0 * fu + u2);
+  if (g_lo > g_hi) std::swap(g_lo, g_hi);
+  const double den = uz * fu - fz * u2;
+  if (den != 0.0) {
+    const double b_ext = (fz * fu - uz * f2) / den;
+    const double z_ext =
+        (fz + b_ext * uz) / std::sqrt(f2 + b_ext * (2.0 * fu + b_ext * u2));
+    for (const double s : row_sin_) {
+      if (std::abs(z_ext - s) < kGrazeEps) return false;
+    }
+    if (std::abs(b_ext) <= 1.0) {
+      g_lo = std::min(g_lo, z_ext);
+      g_hi = std::max(g_hi, z_ext);
+    }
+  }
+  for (const double s : row_sin_) {
+    if (s < g_lo - kCrossMargin || s > g_hi + kCrossMargin) continue;
+    if (s == 0.0) {
+      // z(b) = fz + b·uz; |z/|p|| <= margin needs |z| <= margin·reach2.
+      if (uz == 0.0) return false;  // the column lies on the equator
+      flag(-fz / uz, kCrossMargin * reach2 / std::abs(uz));
+      continue;
+    }
+    // h(b) = z² - s²|p|² = qa·b² + 2·qb·b + qc, with roots qc/q and q/qa;
+    // those with sign(z) == sign(s) are the crossings (the others solve
+    // z/|p| = -s). Where |z/|p| - s| <= margin, |h| <= bound; the nearer
+    // root of h is then within 2·bound/|h'(root)| = bound/sqrt(disc),
+    // whatever qa is.
+    const double s2 = s * s;
+    const double qa = uz * uz - s2 * u2;
+    const double qb = fz * uz - s2 * fu;
+    const double qc = fz * fz - s2 * f2;
+    const double disc = qb * qb - qa * qc;
+    if (disc < 0.0) continue;
+    const double root_disc = std::sqrt(disc);
+    const double q = -(qb + std::copysign(root_disc, qb));
+    if (q == 0.0) return false;  // a double root at b = 0
+    // One division for qc/q, q/qa and bound/sqrt(disc). A zero factor
+    // (qa == 0: h is linear; disc == 0) yields an infinite or NaN window,
+    // which flag() sends past the column or widens to all of it; the sign
+    // filter therefore drops only roots definitely on the wrong side.
+    const double inv = 1.0 / (q * qa * root_disc);
+    const double bound = kCrossMargin * (2.0 * std::abs(s) + kCrossMargin) * reach2;
+    const double radius = bound * q * qa * inv;
+    for (const double b0 : {qc * qa * root_disc * inv, q * q * root_disc * inv}) {
+      const double z0 = fz + b0 * uz;
+      if (!(s > 0.0 ? z0 <= 0.0 : z0 > 0.0)) flag(b0, radius);
+    }
+  }
+  return true;
 }
 
 void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewport,
@@ -147,12 +303,46 @@ void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewpo
     const double b = static_cast<double>(j) / (n - 1) * 2.0 - 1.0;
     up_terms.push_back(basis.up * (b * tan_h));
   }
+  const Vec3 up_step = basis.up * tan_h;
+  if (equirect_fast_) {
+    // A plane's sign test is linear over the frustum, c·p.y - s·p.x =
+    // f0 + a·fa + b·fb for p = forward + a·right·tan_w + b·up·tan_h, so a
+    // plane farther than |fa| + |fb| plus every column's margin from the
+    // center crosses no column. reach_bound >= any column's reach2.
+    const Vec3 right_step = basis.right * tan_w;
+    const double reach_bound = 2.0 * (1.0 + tan_w * tan_w + tan_h * tan_h);
+    scratch.planes.clear();
+    for (const auto& [c, s] : edge_planes_) {
+      const double f0 = basis.forward.y * c - basis.forward.x * s;
+      const double fa = right_step.y * c - right_step.x * s;
+      const double fb = up_step.y * c - up_step.x * s;
+      if (std::abs(f0) > std::abs(fa) + std::abs(fb) + kCrossMargin * reach_bound) continue;
+      scratch.planes.push_back({c, s, std::abs(fb) > kFlatSlope ? 1.0 / fb : 0.0});
+    }
+  }
+  const auto mark = [&](const Vec3& fr, int j) {
+    const Vec3 dir = (fr + up_terms[static_cast<std::size_t>(j)]).normalized();
+    seen[static_cast<std::size_t>(classify(dir))] = 1;
+  };
   for (int i = 0; i < n; ++i) {
     const double a = static_cast<double>(i) / (n - 1) * 2.0 - 1.0;
     const Vec3 fr = basis.forward + basis.right * (a * tan_w);
-    for (int j = 0; j < n; ++j) {
-      const Vec3 dir = (fr + up_terms[static_cast<std::size_t>(j)]).normalized();
-      seen[static_cast<std::size_t>(classify(dir))] = 1;
+    if (equirect_fast_ && mark_crossings(fr, up_step, scratch)) {
+      for (std::size_t w = 0; w < scratch.near.size(); ++w) {
+        const auto base = static_cast<int>(w * 64);
+        for (std::uint64_t bits = scratch.near[w]; bits != 0; bits &= bits - 1) {
+          mark(fr, base + std::countr_zero(bits));
+        }
+        for (std::uint64_t bits = scratch.starts[w] & ~scratch.near[w]; bits != 0;
+             bits &= bits - 1) {
+          const int j = base + std::countr_zero(bits);
+          if (j == n) break;  // the sink
+          const Vec3 p = fr + up_terms[static_cast<std::size_t>(j)];
+          seen[static_cast<std::size_t>(classify_clear(p))] = 1;
+        }
+      }
+    } else {
+      for (int j = 0; j < n; ++j) mark(fr, j);
     }
   }
   out.clear();

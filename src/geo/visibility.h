@@ -11,7 +11,9 @@
 // allocating signatures are thin wrappers. For the equirectangular
 // projection the per-sample direction->tile classification runs on
 // precomputed sin(latitude) row thresholds and column-boundary half-plane
-// tests instead of the generic asin/atan2 chain. Nothing is cached: a
+// tests instead of the generic asin/atan2 chain, and visible_tiles
+// classifies only the samples next to a tile edge crossing plus one sample
+// per run between crossings (see mark_crossings). Nothing is cached: a
 // caller that re-asks a question keeps the answer itself (the streaming
 // session does, DESIGN.md §13).
 //
@@ -21,6 +23,7 @@
 // one). The sharded engine relies on this to share one VideoModel per world.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -46,6 +49,12 @@ class TileGeometry {
   struct Scratch {
     std::vector<char> seen;                        // visible_tiles marks
     std::vector<Vec3> up_terms;                    // per-row frustum offsets
+    struct Plane {
+      double c, s, inv_slope;
+    };
+    std::vector<Plane> planes;                     // meridian planes in view
+    std::vector<std::uint64_t> near;               // column samples near an edge
+    std::vector<std::uint64_t> starts;             // column run starts
     std::vector<std::pair<double, TileId>> keys;   // tiles_by_distance keys
     std::vector<TileId> queue;                     // oos_rings BFS FIFO
   };
@@ -95,6 +104,14 @@ class TileGeometry {
  private:
   [[nodiscard]] TileId classify_equirect(const Vec3& dir) const;
   [[nodiscard]] TileId classify(const Vec3& dir) const;
+  // Equirect tile of a direction (any length) farther than the crossing
+  // margin from every tile edge.
+  [[nodiscard]] TileId classify_clear(const Vec3& p) const;
+  // Fills scratch.near / scratch.starts for the frustum column fr + b·up_step
+  // (b in [-1, 1]); false when the column grazes an edge, and every sample
+  // must then go through classify.
+  [[nodiscard]] bool mark_crossings(const Vec3& fr, const Vec3& up_step,
+                                    Scratch& scratch) const;
 
   std::shared_ptr<const Projection> projection_;
   TileGrid grid_;
@@ -113,6 +130,9 @@ class TileGeometry {
   std::vector<std::pair<double, double>> col_neg_;       // (cos, sin), lon < 0
   std::vector<std::pair<double, double>> col_pos_;       // (cos, sin), lon > 0
   int col_base_ = 0;                                     // #boundaries lon <= 0
+  // Every plane a column sign test can flip on: the y == 0 half-split
+  // first, then each boundary meridian's plane, as (cos, sin) pairs.
+  std::vector<std::pair<double, double>> edge_planes_;
 };
 
 }  // namespace sperke::geo

@@ -215,9 +215,10 @@ void TiledLiveSession::scan_upgrades() {
     if (target < 0) continue;
     const sim::Duration horizon =
         video_->chunk_start_time(index) - content_now();
-    const auto probs = fused_probabilities(index, horizon);
     const auto visible = video_->geometry().visible_tiles(
         fusion_.predict_orientation(horizon), config_.viewport);
+    if (!fetcher_.any_below(index, visible, target)) continue;
+    const auto probs = fused_probabilities(index, horizon);
     fetcher_.upgrade(index, visible, probs, target, deadline, est);
   }
 }

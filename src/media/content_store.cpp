@@ -9,13 +9,6 @@ ContentStore::ContentStore(std::shared_ptr<const VideoModel> model)
   if (!model_) throw std::invalid_argument("ContentStore: null video model");
 }
 
-std::int64_t ContentStore::serve(const ChunkAddress& address) {
-  const std::int64_t size = model_->size_bytes(address);
-  bytes_served_ += size;
-  ++requests_served_;
-  return size;
-}
-
 std::int64_t ContentStore::storage_bytes_tiling(bool with_svc) const {
   std::int64_t total = 0;
   const auto& ladder = model_->ladder();

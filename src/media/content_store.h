@@ -1,15 +1,13 @@
 // Server-side content store: holds the encoded representations of one video
-// (Figure 2's server-side organization) and serves chunk requests.
-//
-// Also answers storage-accounting questions, which is how the paper frames
-// the tiling-vs-versioning tradeoff (§2): tiling keeps one copy per quality,
-// versioning keeps up to 88 FoV-specific copies.
+// (Figure 2's server-side organization) and answers storage-accounting
+// questions, which is how the paper frames the tiling-vs-versioning
+// tradeoff (§2): tiling keeps one copy per quality, versioning keeps up to
+// 88 FoV-specific copies.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
-#include "media/manifest.h"
 #include "media/video_model.h"
 
 namespace sperke::media {
@@ -18,15 +16,7 @@ class ContentStore {
  public:
   explicit ContentStore(std::shared_ptr<const VideoModel> model);
 
-  [[nodiscard]] Manifest manifest() const { return Manifest(model_); }
   [[nodiscard]] const VideoModel& video() const { return *model_; }
-
-  // Serve a chunk request; returns the object's size in bytes and records
-  // served-byte accounting. Throws on addresses outside the catalog.
-  std::int64_t serve(const ChunkAddress& address);
-
-  [[nodiscard]] std::int64_t bytes_served() const { return bytes_served_; }
-  [[nodiscard]] std::int64_t requests_served() const { return requests_served_; }
 
   // Total stored bytes for the tiling approach (all qualities, AVC + SVC
   // copies when `with_svc`).
@@ -38,8 +28,6 @@ class ContentStore {
 
  private:
   std::shared_ptr<const VideoModel> model_;
-  std::int64_t bytes_served_ = 0;
-  std::int64_t requests_served_ = 0;
 };
 
 }  // namespace sperke::media

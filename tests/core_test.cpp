@@ -631,6 +631,20 @@ TEST_F(TileFetcherTest, RecoverRetriesFailedFovFetchesAtTheBaseTier) {
   EXPECT_EQ(plain->counters().degraded_retries, 0);
 }
 
+TEST_F(TileFetcherTest, AnyBelowReadsTheBufferPerChunk) {
+  const auto fetcher = make_fetcher(false);
+  buffer.add({{2, 0}, Encoding::kSvc, 0});
+  buffer.add({{2, 0}, Encoding::kSvc, 1});
+  ASSERT_EQ(buffer.displayable_quality({2, 0}), 1);
+  const std::vector<geo::TileId> shown = {2};
+  const std::vector<geo::TileId> with_missing = {2, 3};
+  EXPECT_FALSE(fetcher->any_below(0, shown, 1));
+  EXPECT_TRUE(fetcher->any_below(0, shown, 2));
+  EXPECT_TRUE(fetcher->any_below(0, with_missing, 0));  // tile 3 shows nothing
+  EXPECT_TRUE(fetcher->any_below(1, shown, 0));         // another chunk
+  EXPECT_FALSE(fetcher->any_below(0, {}, 5));
+}
+
 class SessionTest : public ::testing::Test {
  protected:
   static hmp::HeadTrace steady_trace(double duration_s, std::uint64_t seed = 3) {

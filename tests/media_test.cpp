@@ -185,16 +185,6 @@ TEST(Manifest, NullModelThrows) {
   EXPECT_THROW(Manifest(nullptr), std::invalid_argument);
 }
 
-TEST(ContentStore, ServesAndAccounts) {
-  auto model = std::make_shared<VideoModel>(small_config());
-  ContentStore store(model);
-  const ChunkAddress addr{{0, 0}, Encoding::kAvc, 1};
-  const auto size = store.serve(addr);
-  EXPECT_EQ(size, model->size_bytes(addr));
-  EXPECT_EQ(store.bytes_served(), size);
-  EXPECT_EQ(store.requests_served(), 1);
-}
-
 TEST(ContentStore, VersioningCostsMoreThanTiling) {
   // The paper's §2 tradeoff: versioning with 88 versions dwarfs tiled storage.
   auto model = std::make_shared<VideoModel>(small_config());

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "abr/sperke_vra.h"
@@ -115,6 +117,129 @@ TEST(VisibleTilesEquivalence, OutParamMatchesAllocatingAcrossReuse) {
     geometry->visible_tiles(view, viewport, out, scratch);
     EXPECT_EQ(out, geometry->visible_tiles(view, viewport));
   }
+}
+
+// Property test for the crossing-window kernel: visible_tiles classifies
+// only the samples next to an edge crossing plus one per run between
+// crossings, so it must agree with the per-sample reference on random
+// (view, viewport, grid) triples. A quarter of the draws pin the view to a
+// pole, the ±180° seam, an exact boundary meridian or an exact boundary
+// parallel, with roll 0 and a whole-ten viewport, where crossings sit
+// exactly on samples.
+class VisibleTilesProperty : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(VisibleTilesProperty, CrossingKernelMatchesNaive) {
+  const auto [rows, cols] = GetParam();
+  const auto geometry = equirect_geometry(rows, cols);
+  constexpr int kDraws = 30000;  // x 7 grids = 210 000 triples
+  std::mt19937_64 rng(static_cast<std::uint64_t>(rows * 1000 + cols));
+  std::uniform_real_distribution<double> fov(20.0, 170.0);
+  std::uniform_real_distribution<double> yaw(-180.0, 180.0);
+  std::uniform_real_distribution<double> pitch(-90.0, 90.0);
+  std::uniform_real_distribution<double> roll(-180.0, 180.0);
+  std::uniform_int_distribution<int> sign(0, 1);
+  std::uniform_int_distribution<int> col_edge(0, cols);
+  std::uniform_int_distribution<int> row_edge(0, rows);
+  geo::TileGeometry::Scratch scratch;
+  std::vector<geo::TileId> out;
+  int mismatches = 0;
+  for (int d = 0; d < kDraws; ++d) {
+    geo::Viewport viewport{fov(rng), fov(rng)};
+    geo::Orientation view{yaw(rng), pitch(rng), d % 3 == 0 ? roll(rng) : 0.0};
+    if (d % 4 == 1) {
+      // Whole-ten viewports put the frustum's edge columns on boundaries too.
+      viewport = {10.0 * std::round(viewport.width_deg / 10.0),
+                  10.0 * std::round(viewport.height_deg / 10.0)};
+      view.roll_deg = 0.0;
+      switch ((d / 4) % 4) {
+        case 0: view.pitch_deg = sign(rng) ? 90.0 : -90.0; break;
+        case 1: view.yaw_deg = sign(rng) ? 180.0 : -180.0; break;
+        case 2: view.yaw_deg = 360.0 * col_edge(rng) / cols - 180.0; break;
+        default: view.pitch_deg = 90.0 - 180.0 * row_edge(rng) / rows; break;
+      }
+    }
+    geometry->visible_tiles(view, viewport, out, scratch);
+    if (out != naive_visible_tiles(*geometry, view, viewport) && ++mismatches <= 5) {
+      ADD_FAILURE() << "rows=" << rows << " cols=" << cols << " yaw=" << view.yaw_deg
+                    << " pitch=" << view.pitch_deg << " roll=" << view.roll_deg
+                    << " viewport=" << viewport.width_deg << "x" << viewport.height_deg;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, VisibleTilesProperty,
+                         ::testing::Values(std::pair{1, 1}, std::pair{1, 2},
+                                           std::pair{2, 2}, std::pair{3, 5},
+                                           std::pair{4, 6}, std::pair{8, 12},
+                                           std::pair{16, 24}));
+
+// Columns that graze an edge fall back to classifying every sample. Three
+// constructions, each of which breaks equivalence when its guard is removed
+// from the kernel:
+//   * roll 0: the great circle of column 0 (and 23) peaks on the first row
+//     boundary (45° on 4 rows, 54° on 5), exactly at a sample, with the
+//     pitch swept over ±40 ulps so the peak sample straddles the parallel;
+//   * roll ±90: column 0 lies in the equator plane;
+//   * pitch 0, roll 0: the outer columns lie in boundary meridian planes,
+//     the ±180° seam included.
+TEST(VisibleTilesEquivalence, GrazingColumnsMatchNaive) {
+  std::vector<std::pair<geo::Orientation, geo::Viewport>> cases;
+  int mismatches = 0;
+  const auto check = [&](const geo::TileGeometry& geometry) {
+    for (const auto& [view, viewport] : cases) {
+      if (geometry.visible_tiles(view, viewport) !=
+              naive_visible_tiles(geometry, view, viewport) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "rows=" << geometry.grid().rows() << " yaw=" << view.yaw_deg
+                      << " pitch=" << view.pitch_deg << " roll=" << view.roll_deg
+                      << " viewport=" << viewport.width_deg << "x" << viewport.height_deg;
+      }
+    }
+    cases.clear();
+  };
+  // Column a = -1 has t = -tan(w/2); with forward at pitch p its great
+  // circle peaks at sin²(lat) = 1 - t²·sin²p / (1 + t²), reached at
+  // b = cos p·(1 + t²) / (sin p·tan(h/2)).
+  for (const int rows : {4, 5}) {
+    const double s2 = std::pow(std::sin(deg_to_rad(90.0 - 180.0 / rows)), 2.0);
+    for (const double width : {100.0, 120.0, 140.0}) {
+      const double t2 = std::pow(std::tan(deg_to_rad(width / 2.0)), 2.0);
+      const double sp = std::sqrt((1.0 - s2) * (1.0 + t2) / t2);
+      const double cp = std::sqrt(1.0 - sp * sp);
+      for (int peak = kSamplesPerAxis / 2; peak < kSamplesPerAxis; ++peak) {
+        const double b_peak = static_cast<double>(peak) / (kSamplesPerAxis - 1) * 2.0 - 1.0;
+        const double height = 2.0 * rad_to_deg(std::atan(cp * (1.0 + t2) / (sp * b_peak)));
+        if (height > 170.0) continue;
+        double pitch = rad_to_deg(std::asin(sp));
+        for (int ulp = 0; ulp < 40; ++ulp) pitch = std::nextafter(pitch, 0.0);
+        for (int ulp = 0; ulp < 80; ++ulp, pitch = std::nextafter(pitch, 90.0)) {
+          cases.push_back({{17.0, pitch, 0.0}, {width, height}});
+          cases.push_back({{17.0, -pitch, 0.0}, {width, height}});
+        }
+      }
+    }
+    check(*equirect_geometry(rows, 6));
+  }
+  for (const double dp : {0.0, 1e-12, -1e-12, 1e-9, 1e-6, -1e-6, 1e-4}) {
+    for (const double yaw : {0.0, 33.0, -150.0}) {
+      cases.push_back({{yaw, 45.0 + dp, 90.0}, {90.0, 100.0}});
+      cases.push_back({{yaw, -45.0 + dp, -90.0}, {90.0, 100.0}});
+    }
+  }
+  for (int k = 0; k <= 6; ++k) {
+    for (const double offset : {0.0, 50.0, -50.0, 60.0, -60.0}) {
+      for (const double width : {100.0, 120.0}) {
+        for (const double height : {30.0, 90.0, 140.0}) {
+          for (const double pitch : {0.0, -0.0}) {
+            cases.push_back({{60.0 * k - 180.0 + offset, pitch, 0.0}, {width, height}});
+          }
+        }
+      }
+    }
+  }
+  check(*equirect_geometry(4, 6));
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(TilesByDistance, TiesBreakByAscendingTileId) {
