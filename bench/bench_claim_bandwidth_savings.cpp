@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "common.h"
-#include "media/content_store.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -110,10 +109,9 @@ int main() {
   // variant); FoV-versioning keeps up to 88 per-direction versions [46].
   {
     auto video = standard_video();
-    const media::ContentStore store(video);
-    const double tiling = store.storage_bytes_tiling(false) / 1e6;
-    const double tiling_svc = store.storage_bytes_tiling(true) / 1e6;
-    const double versioning = store.storage_bytes_versioning(88) / 1e6;
+    const double tiling = video->storage_bytes_tiling(false) / 1e6;
+    const double tiling_svc = video->storage_bytes_tiling(true) / 1e6;
+    const double versioning = video->storage_bytes_versioning(88) / 1e6;
     std::cout << "Server storage for this 60 s video (SS2 tradeoff):\n";
     TextTable storage({"Approach", "Storage MB", "vs tiling"});
     storage.add_row({"tiling (AVC ladder)", TextTable::num(tiling, 0), "1.0x"});

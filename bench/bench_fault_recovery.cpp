@@ -142,8 +142,7 @@ VodRun run_vod(double outage_s, bool recovery) {
   core::TransportOptions options;
   options.recovery.enabled = recovery;
   options.telemetry = telemetry.get();
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source, options);
+  core::SingleLinkTransport transport(link, options);
   core::SessionConfig config;
   config.fetch_recovery = recovery;
   config.telemetry = telemetry.get();
@@ -181,8 +180,7 @@ live::TiledLiveReport run_live(double outage_s, bool recovery) {
   core::TransportOptions options;
   options.max_concurrent = 12;
   options.recovery.enabled = recovery;
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source, options);
+  core::SingleLinkTransport transport(link, options);
   live::TiledLiveConfig config;
   config.fetch_recovery = recovery;
   auto video = make_video(kLiveVideoSeconds);

@@ -91,8 +91,7 @@ int main() {
         sim::Simulator simulator;
         net::Link link(simulator, net::LinkConfig{.bandwidth = bandwidth,
                                                   .rtt = sim::milliseconds(30), .faults = {}});
-        net::LinkSource source(link);
-        core::SingleLinkTransport transport(source, {.max_concurrent = 16, .recovery = {}});
+        core::SingleLinkTransport transport(link, {.max_concurrent = 16, .recovery = {}});
         auto video = standard_video();
         const auto trace = standard_trace(300 + seed, user.profile);
         core::StreamingSession session(simulator, video, transport, trace, config);

@@ -6,15 +6,15 @@
 // This is the smallest end-to-end use of the public API:
 //   1. synthesize a tiled 360° video (media::VideoModel),
 //   2. synthesize a viewer's head movement (hmp::generate_head_trace),
-//   3. build a network link, its fetch source and a transport (net::Link,
-//      net::LinkSource, core::SingleLinkTransport),
+//   3. build a network link and a transport that fetches over it
+//      (net::Link, core::SingleLinkTransport),
 //   4. run the FoV-guided adaptive session (core::StreamingSession).
 #include <iostream>
 
 #include "core/session.h"
 #include "core/transport.h"
 #include "hmp/head_trace.h"
-#include "media/manifest.h"
+#include "media/video_model.h"
 #include "net/link.h"
 #include "sim/simulator.h"
 #include "util/table.h"
@@ -29,7 +29,7 @@ int main() {
   video_cfg.tile_cols = 6;
   video_cfg.seed = 1;
   auto video = std::make_shared<media::VideoModel>(video_cfg);
-  std::cout << media::Manifest(video).describe() << '\n';
+  std::cout << video->describe() << '\n';
 
   // 2. The viewer: an adult following the video's regions of interest.
   hmp::HeadTraceConfig trace_cfg;
@@ -46,8 +46,7 @@ int main() {
                                  .bandwidth = net::BandwidthTrace::random_walk(
                                      12'000.0, 0.3, 1.0, 300.0, 3),
                                  .rtt = sim::milliseconds(40), .faults = {}});
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source, {.max_concurrent = 8, .recovery = {}});
+  core::SingleLinkTransport transport(link, {.max_concurrent = 8, .recovery = {}});
 
   // 4. The session: FoV-guided, SVC incremental upgrades, LR head prediction.
   core::SessionConfig session_cfg;

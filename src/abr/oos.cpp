@@ -9,6 +9,9 @@
 namespace sperke::abr {
 namespace {
 
+// The floor of every OOS tile's quality.
+constexpr media::QualityLevel kMinQuality = 0;
+
 // Emit the fetches needed to hold tile `tile` of chunk `index` at quality
 // `q` under `encoding` (one AVC object, or SVC layers 0..q).
 void emit_tile(ChunkPlan& plan, geo::TileId tile, media::QualityLevel q,
@@ -95,12 +98,12 @@ void OosSelector::select(ChunkPlan& plan, const media::VideoModel& video,
       const double rel =
           probabilities[static_cast<std::size_t>(tile)] / prob_max;
       q = std::max<media::QualityLevel>(
-          config_.min_quality,
+          kMinQuality,
           static_cast<media::QualityLevel>(
               std::lround(rel * std::max(0, plan.fov_quality - 1))));
     } else {
       const int drop = config_.first_quality_drop + rank / config_.tiles_per_step;
-      q = std::max<media::QualityLevel>(config_.min_quality,
+      q = std::max<media::QualityLevel>(kMinQuality,
                                         plan.fov_quality - drop);
     }
     const media::ChunkKey key{tile, plan.index};

@@ -37,7 +37,6 @@ struct OosConfig {
   int first_quality_drop = 1;
   // kRankLadder: every `tiles_per_step` OOS tiles, drop one more level.
   int tiles_per_step = 3;
-  media::QualityLevel min_quality = 0;
 };
 
 class OosSelector {

@@ -145,7 +145,7 @@ net::FetchId EdgeSource::fetch(const net::FetchSpec& spec,
 
 void EdgeSource::serve(net::FetchId id, const net::FetchSpec& spec,
                        net::TransferCallback on_done) {
-  const net::TransferId serve_id = access_.start_transfer(
+  const net::FetchId serve_id = access_.start_transfer(
       spec.bytes,
       [this, alive = alive_, id,
        on_done = std::move(on_done)](const net::TransferResult& r) {

@@ -121,9 +121,9 @@ class EdgeSource final : public net::ChunkSource {
 
  private:
   struct Pending {
-    bool serving = false;           // true once bytes flow on the access link
-    net::TransferId serve_id = 0;   // access transfer (serving phase)
-    Origin::Ticket ticket = 0;      // origin waiter (miss phase)
+    bool serving = false;       // true once bytes flow on the access link
+    net::FetchId serve_id = 0;  // access transfer (serving phase)
+    Origin::Ticket ticket = 0;  // origin waiter (miss phase)
   };
 
   void serve(net::FetchId id, const net::FetchSpec& spec,

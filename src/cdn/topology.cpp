@@ -83,11 +83,8 @@ net::ChunkSource& Topology::add_group(int edge, net::LinkConfig access) {
   access_links_.push_back(
       std::make_unique<net::Link>(simulator_, std::move(access)));
   net::Link& link = *access_links_.back();
-  if (!spec_.enabled() || edge < 0) {
-    sources_.push_back(std::make_unique<net::LinkSource>(link));
-  } else {
-    sources_.push_back(std::make_unique<EdgeSource>(link, edge_for(edge)));
-  }
+  if (!spec_.enabled() || edge < 0) return link;
+  sources_.push_back(std::make_unique<EdgeSource>(link, edge_for(edge)));
   return *sources_.back();
 }
 

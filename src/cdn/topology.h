@@ -4,7 +4,7 @@
 // consecutive sessions share one edge, what the edge's backhaul link looks
 // like, which cache policy/budget the edge runs, and how aggressively the
 // crowd heatmap pre-warms it. sessions_per_edge == 0 disables the tier —
-// every link group then fetches over a direct net::LinkSource, byte-
+// every link group then fetches straight off its access net::Link, byte-
 // identical to the pre-CDN engine.
 //
 // Topology is the builder a shard owns: it constructs every net::Link the
@@ -74,7 +74,7 @@ struct TopologySpec {
 void validate(const TopologySpec& spec, int sessions_per_link, bool has_crowd);
 
 // Per-shard fetch fabric: owns the shard's access links, backhaul links,
-// edges and ChunkSources. Build order is the caller's ascending group
+// edges and EdgeSources. Build order is the caller's ascending group
 // order, which makes link/edge construction deterministic per shard.
 class Topology {
  public:
@@ -90,8 +90,8 @@ class Topology {
   // Build the access link for one client link group and return the
   // ChunkSource its transport should consume: an EdgeSource through edge
   // `edge` when the tier is enabled (the edge and its backhaul are created
-  // and warmed on first use), else a direct LinkSource. `edge` < 0 forces
-  // the direct path.
+  // and warmed on first use), else the access link itself. `edge` < 0
+  // forces the direct path.
   net::ChunkSource& add_group(int edge, net::LinkConfig access);
 
   // Access links in add_group order (for the engine's fault observability).
@@ -120,7 +120,7 @@ class Topology {
   std::vector<std::unique_ptr<net::Link>> backhaul_links_;
   std::vector<std::unique_ptr<Edge>> edges_;
   std::map<int, std::size_t> edge_index_;  // edge id -> edges_ slot
-  std::vector<std::unique_ptr<net::ChunkSource>> sources_;
+  std::vector<std::unique_ptr<EdgeSource>> sources_;
 };
 
 }  // namespace sperke::cdn

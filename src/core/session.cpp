@@ -6,10 +6,12 @@
 #include <stdexcept>
 
 #include "geo/orientation.h"
-#include "util/log.h"
 
 namespace sperke::core {
 namespace {
+
+// Below this deadline slack a fetch is dispatched as "urgent" (Table 1).
+constexpr sim::Duration kUrgentSlack = sim::seconds(1.0);
 
 std::unique_ptr<hmp::OrientationPredictor> motion_for(const SessionConfig& config) {
   return hmp::make_orientation_predictor(config.predictor);
@@ -57,7 +59,7 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
       policy_(abr::make_policy(video_, config_.abr)),
       qoe_(config_.qoe),
       fetcher_(simulator_, *video_, transport_, buffer_, *policy_,
-               config_.telemetry, batch_->in_flight(slot_), config_.urgent_slack,
+               config_.telemetry, batch_->in_flight(slot_), kUrgentSlack,
                config_.fetch_recovery,
                [this](const TileFetcher::Fetch& fetch, FetchOutcome outcome) {
                  on_settle(fetch, outcome);

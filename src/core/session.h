@@ -46,8 +46,6 @@ struct SessionConfig {
   // far the planner runs ahead of the playhead.
   int prefetch_horizon_chunks = 4;
   int startup_chunks = 1;
-  // Below this deadline slack a fetch is dispatched as "urgent" (Table 1).
-  sim::Duration urgent_slack{sim::seconds(1.0)};
   sim::Duration upgrade_scan_period{sim::milliseconds(250)};
   bool enable_upgrades = true;
   abr::QoeWeights qoe;

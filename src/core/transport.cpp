@@ -49,13 +49,10 @@ sim::Duration retry_backoff(const RecoveryPolicy& policy, int retry_number) {
 bool retry_allowed(const RecoveryPolicy& policy, const ChunkRequest& request,
                    int attempts) {
   if (!policy.enabled || attempts >= policy.max_retries) return false;
-  // Abandon OOS first: regular out-of-sight prefetch never competes with
-  // FoV traffic for retry capacity.
-  if (policy.abandon_oos && request.spatial == abr::SpatialClass::kOos &&
-      !request.urgent) {
-    return false;
-  }
-  return true;
+  // Graceful degradation order (§3.3): regular out-of-sight prefetch is
+  // abandoned on first failure instead of competing with FoV traffic for
+  // retry capacity.
+  return request.spatial != abr::SpatialClass::kOos || request.urgent;
 }
 
 FetchQueue::FetchQueue(net::ChunkSource& source, const TransportOptions& options,

@@ -74,9 +74,6 @@ struct RecoveryPolicy {
   // run slightly past an already-blown deadline, but a retry is never
   // *started* at or past the deadline.
   sim::Duration min_timeout{sim::milliseconds(250)};
-  // Graceful degradation order (§3.3): regular OOS prefetch is abandoned on
-  // first failure instead of competing with FoV traffic for retries.
-  bool abandon_oos = true;
   // Multipath path-failure detection: this many consecutive transfer
   // failures (or an outage signal) marks a path down; a down path is
   // re-probed every probe_interval until it carries traffic again.
@@ -136,7 +133,7 @@ struct RecoveryMetrics {
 };
 
 // The one request queue with retry: bounded-concurrency dispatch over a
-// single net::ChunkSource — a direct link (net::LinkSource) or a CDN edge
+// single net::ChunkSource — a direct net::Link or a CDN edge
 // (cdn::EdgeSource); the queue neither knows nor cares which topology
 // serves its fetches. It owns everything between "request accepted" and
 // "on_done fired": dispatch order, the HTTP/2-style stream weight, the

@@ -86,8 +86,8 @@ struct WorldSpec {
   // link groups covering that many sessions fetch through a shared edge
   // cache with a coalescing origin behind it, and the edge becomes the
   // partition unit (see shard_of_group). Left at its default (disabled),
-  // every group fetches over a direct net::LinkSource and the world is
-  // byte-identical to the pre-CDN engine.
+  // every group fetches straight off its access net::Link and the world
+  // is byte-identical to the pre-CDN engine.
   cdn::TopologySpec cdn;
 
   // Cross-user crowd prior shared read-only by every session (may be null).

@@ -5,6 +5,7 @@
 // [0, rows*cols), row-major, so it can index vectors directly.
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -19,6 +20,7 @@ class TileGrid {
  public:
   TileGrid(int rows, int cols) : rows_(rows), cols_(cols) {
     if (rows <= 0 || cols <= 0) throw std::invalid_argument("TileGrid: non-positive dims");
+    if (rows > INT_MAX / cols) throw std::invalid_argument("TileGrid: tile count overflows");
   }
 
   [[nodiscard]] int rows() const { return rows_; }

@@ -367,34 +367,6 @@ void TileGeometry::tile_distances_deg(const Orientation& view,
   }
 }
 
-std::vector<TileId> TileGeometry::tiles_by_distance(const Orientation& view) const {
-  // sperke-analyze: shared(per-thread scratch; never escapes the call)
-  thread_local Scratch scratch;
-  std::vector<TileId> out;
-  tiles_by_distance(view, out, scratch);
-  return out;
-}
-
-void TileGeometry::tiles_by_distance(const Orientation& view,
-                                     std::vector<TileId>& out,
-                                     Scratch& scratch) const {
-  const Vec3 dir = view.direction();
-  auto& keys = scratch.keys;
-  keys.clear();
-  keys.reserve(tile_centers_.size());
-  for (TileId id = 0; id < grid_.tile_count(); ++id) {
-    keys.emplace_back(
-        rad_to_deg(angle_between(dir, tile_centers_[static_cast<std::size_t>(id)])),
-        id);
-  }
-  // Lexicographic (distance, id) — the id key pins equal-distance ties to
-  // ascending TileId, so no stable sort (and no side-array lambda) needed.
-  std::sort(keys.begin(), keys.end());
-  out.clear();
-  out.reserve(keys.size());
-  for (const auto& [dist, id] : keys) out.push_back(id);
-}
-
 std::vector<int> TileGeometry::oos_rings(const std::vector<TileId>& visible) const {
   // sperke-analyze: shared(per-thread scratch; never escapes the call)
   thread_local Scratch scratch;

@@ -55,7 +55,6 @@ class TileGeometry {
     std::vector<Plane> planes;                     // meridian planes in view
     std::vector<std::uint64_t> near;               // column samples near an edge
     std::vector<std::uint64_t> starts;             // column run starts
-    std::vector<std::pair<double, TileId>> keys;   // tiles_by_distance keys
     std::vector<TileId> queue;                     // oos_rings BFS FIFO
   };
 
@@ -77,12 +76,6 @@ class TileGeometry {
   // center direction; index = TileId. Used to rank OOS tiles.
   [[nodiscard]] std::vector<double> tile_distances_deg(const Orientation& view) const;
   void tile_distances_deg(const Orientation& view, std::vector<double>& out) const;
-
-  // All tiles ordered by increasing angular distance from the view center;
-  // ties broken by ascending TileId.
-  [[nodiscard]] std::vector<TileId> tiles_by_distance(const Orientation& view) const;
-  void tiles_by_distance(const Orientation& view, std::vector<TileId>& out,
-                         Scratch& scratch) const;
 
   // BFS ring index per tile, 0 = inside `visible`, 1 = adjacent, etc.
   // Horizontal adjacency wraps. Index = TileId.

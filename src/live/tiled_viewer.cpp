@@ -106,8 +106,10 @@ std::vector<double> TiledLiveSession::fused_probabilities(
   if (crowd_->observations(index, simulator_.now()) <= 0) return probs;
   const auto crowd_probs = crowd_->probabilities(index, simulator_.now());
   const double h = std::max(0.0, sim::to_seconds(horizon));
-  const double w =
-      std::exp(-std::max(0.0, h - config_.crowd_grace_s) / config_.crowd_tau_s);
+  // Blend weight of the live crowd prior; mirrors hmp::FusionConfig.
+  constexpr double kCrowdGraceS = 0.5;
+  constexpr double kCrowdTauS = 1.5;
+  const double w = std::exp(-std::max(0.0, h - kCrowdGraceS) / kCrowdTauS);
   double total = 0.0;
   for (std::size_t i = 0; i < probs.size(); ++i) {
     probs[i] = w * probs[i] + (1.0 - w) * crowd_probs[i];
@@ -189,7 +191,8 @@ void TiledLiveSession::play_chunk(media::ChunkIndex index) {
     if (crowd_ != nullptr) {
       // Report what this viewer actually watched; other (higher-latency)
       // viewers can use it once the report lands.
-      const sim::Time when = simulator_.now() + config_.crowd_report_delay;
+      constexpr sim::Duration kCrowdReportDelay = sim::milliseconds(300);
+      const sim::Time when = simulator_.now() + kCrowdReportDelay;
       simulator_.schedule_at(when, [this, index, displayed, when,
                                     alive = alive_] {
         if (*alive) crowd_->record(index, displayed, when);

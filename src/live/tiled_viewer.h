@@ -47,11 +47,6 @@ struct TiledLiveConfig {
   double head_sample_hz = 25.0;
   sim::Duration upgrade_scan_period{sim::milliseconds(250)};
   bool enable_upgrades = true;
-  // Blend weight of the live crowd prior mirrors hmp::FusionConfig.
-  double crowd_tau_s = 1.5;
-  double crowd_grace_s = 0.5;
-  // Delay before this viewer's own displayed tiles reach the crowd map.
-  sim::Duration crowd_report_delay{sim::milliseconds(300)};
   abr::QoeWeights qoe;
   // Telemetry sink (not owned; must outlive the session). Null = disabled.
   // When set, the fetch path traces every dispatch, settle and upgrade
@@ -79,7 +74,7 @@ struct TiledLiveReport {
 class TiledLiveSession {
  public:
   // `crowd` (optional) is both read (prefetch prior) and written (this
-  // viewer's displayed tiles, after crowd_report_delay). All referenced
+  // viewer's displayed tiles, after a short report delay). All referenced
   // objects must outlive the session.
   TiledLiveSession(sim::Simulator& simulator,
                    std::shared_ptr<const media::VideoModel> video,

@@ -1,6 +1,10 @@
 #include "media/mpd.h"
 
+#include <algorithm>
 #include <cctype>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -110,27 +114,46 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-double require_number(const Element& element, const std::string& key) {
-  const auto it = element.attributes.find(key);
-  if (it == element.attributes.end()) {
-    throw std::runtime_error("MPD: missing attribute " + key);
-  }
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    throw std::runtime_error("MPD: non-numeric attribute " + key);
-  }
-}
-
 std::string require_string(const Element& element, const std::string& key) {
   const auto it = element.attributes.find(key);
   if (it == element.attributes.end()) {
     throw std::runtime_error("MPD: missing attribute " + key);
   }
   return it->second;
+}
+
+double require_number(const Element& element, const std::string& key) {
+  const std::string text = require_string(element, key);
+  double value = 0.0;
+  try {
+    std::size_t consumed = 0;
+    value = std::stod(text, &consumed);
+    if (consumed != text.size()) throw std::invalid_argument("trailing");
+  } catch (const std::exception&) {
+    throw std::runtime_error("MPD: non-numeric attribute " + key);
+  }
+  if (!std::isfinite(value)) throw std::runtime_error("MPD: non-finite attribute " + key);
+  return value;
+}
+
+// An exact decimal integer in [0, max]: digits only, so no sign, fraction,
+// exponent or whitespace ever reaches (or wraps inside) std::stoull.
+std::uint64_t require_integer(const Element& element, const std::string& key,
+                              std::uint64_t max) {
+  const std::string text = require_string(element, key);
+  if (text.empty() || !std::all_of(text.begin(), text.end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      })) {
+    throw std::runtime_error("MPD: non-integer attribute " + key);
+  }
+  std::uint64_t value = 0;
+  try {
+    value = std::stoull(text);
+  } catch (const std::out_of_range&) {
+    throw std::runtime_error("MPD: attribute " + key + " out of range");
+  }
+  if (value > max) throw std::runtime_error("MPD: attribute " + key + " out of range");
+  return value;
 }
 
 std::string format_number(double value) {
@@ -179,13 +202,13 @@ VideoModelConfig parse_mpd(const std::string& text) {
   config.duration_s = require_number(root, "duration");
   config.chunk_duration_s = require_number(root, "chunkDuration");
   config.projection = require_string(root, "projection");
-  config.tile_rows = static_cast<int>(require_number(root, "tileRows"));
-  config.tile_cols = static_cast<int>(require_number(root, "tileCols"));
+  config.tile_rows = static_cast<int>(require_integer(root, "tileRows", INT_MAX));
+  config.tile_cols = static_cast<int>(require_integer(root, "tileCols", INT_MAX));
   config.svc_overhead = require_number(root, "svcOverhead");
   config.complexity_sigma = require_number(root, "complexitySigma");
   config.complexity_rho = require_number(root, "complexityRho");
   config.area_mix = require_number(root, "areaMix");
-  config.seed = static_cast<std::uint64_t>(require_number(root, "seed"));
+  config.seed = require_integer(root, "seed", UINT64_MAX);
   config.ladder = QualityLadder(std::move(ladder));
   return config;
 }

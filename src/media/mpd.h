@@ -27,7 +27,8 @@ namespace sperke::media {
 
 // Parse an MPD document back into a config. Throws std::runtime_error on
 // malformed documents (unknown root, missing/duplicate attributes, no
-// representations, non-numeric values).
+// representations, non-numeric or non-finite values, and tile counts or a
+// seed that are not exact in-range integers).
 [[nodiscard]] VideoModelConfig parse_mpd(const std::string& text);
 
 }  // namespace sperke::media

@@ -1,7 +1,9 @@
 #include "media/video_model.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -9,23 +11,32 @@
 namespace sperke::media {
 
 VideoModel::VideoModel(VideoModelConfig config) : config_(std::move(config)) {
-  if (config_.duration_s <= 0.0) throw std::invalid_argument("VideoModel: duration <= 0");
-  if (config_.chunk_duration_s <= 0.0) {
-    throw std::invalid_argument("VideoModel: chunk duration <= 0");
+  // Every check is written so that NaN fails it.
+  if (!sim::valid_positive_seconds(config_.duration_s)) {
+    throw std::invalid_argument("VideoModel: duration must be positive and finite");
   }
-  if (config_.svc_overhead < 0.0) throw std::invalid_argument("VideoModel: negative SVC overhead");
-  if (config_.complexity_rho < 0.0 || config_.complexity_rho >= 1.0) {
+  if (!sim::valid_positive_seconds(config_.chunk_duration_s)) {
+    throw std::invalid_argument("VideoModel: chunk duration must be positive and finite");
+  }
+  const double chunks = std::ceil(config_.duration_s / config_.chunk_duration_s);
+  if (!(chunks <= INT_MAX)) throw std::invalid_argument("VideoModel: too many chunks");
+  if (!(config_.svc_overhead >= 0.0 && std::isfinite(config_.svc_overhead))) {
+    throw std::invalid_argument("VideoModel: SVC overhead must be finite and >= 0");
+  }
+  if (!(config_.complexity_sigma >= 0.0 && std::isfinite(config_.complexity_sigma))) {
+    throw std::invalid_argument("VideoModel: complexity_sigma must be finite and >= 0");
+  }
+  if (!(config_.complexity_rho >= 0.0 && config_.complexity_rho < 1.0)) {
     throw std::invalid_argument("VideoModel: complexity_rho must be in [0,1)");
   }
-  if (config_.area_mix < 0.0 || config_.area_mix > 1.0) {
+  if (!(config_.area_mix >= 0.0 && config_.area_mix <= 1.0)) {
     throw std::invalid_argument("VideoModel: area_mix must be in [0,1]");
   }
 
   geometry_ = std::make_shared<geo::TileGeometry>(
       geo::make_projection(config_.projection),
       geo::TileGrid(config_.tile_rows, config_.tile_cols));
-  chunk_count_ = static_cast<ChunkIndex>(
-      std::ceil(config_.duration_s / config_.chunk_duration_s));
+  chunk_count_ = static_cast<ChunkIndex>(chunks);
 
   // Tile share of panorama bits: blend of uniform plane area (pixels) and
   // solid angle (how much scene the tile actually covers).
@@ -112,6 +123,39 @@ std::int64_t VideoModel::size_bytes(const ChunkAddress& address) const {
       return svc_layer_size_bytes(address.level, address.key);
   }
   throw std::logic_error("VideoModel: unknown encoding");
+}
+
+std::int64_t VideoModel::storage_bytes_tiling(bool with_svc) const {
+  std::int64_t total = 0;
+  for (geo::TileId tile = 0; tile < tile_count(); ++tile) {
+    for (ChunkIndex t = 0; t < chunk_count_; ++t) {
+      const ChunkKey key{tile, t};
+      for (QualityLevel q = 0; q < ladder().levels(); ++q) {
+        total += avc_size_bytes(q, key);
+        if (with_svc) total += svc_layer_size_bytes(q, key);
+      }
+    }
+  }
+  return total;
+}
+
+std::int64_t VideoModel::storage_bytes_versioning(int version_count) const {
+  if (version_count <= 0) throw std::invalid_argument("versioning: non-positive count");
+  return storage_bytes_tiling(false) * version_count;
+}
+
+std::string VideoModel::describe() const {
+  std::ostringstream os;
+  os << "360 video: " << config_.duration_s << " s, " << config_.projection
+     << " projection, " << config_.tile_rows << "x" << config_.tile_cols
+     << " tiles, " << chunk_count_ << " chunks of " << config_.chunk_duration_s
+     << " s\n";
+  os << "quality ladder (panorama kbps):";
+  for (QualityLevel q = 0; q < ladder().levels(); ++q) {
+    os << ' ' << ladder().panorama_kbps(q);
+  }
+  os << "\nSVC overhead: " << config_.svc_overhead * 100.0 << "%\n";
+  return os.str();
 }
 
 }  // namespace sperke::media

@@ -13,6 +13,12 @@
 // SVC layering (§3.1.1): the cumulative size of layers 0..q equals the AVC
 // size at quality q times (1 + svc_overhead); layer i's size is the delta
 // between consecutive cumulative sizes — the "delta encoding" of Figure 3.
+//
+// The model is also the server's content store (Figure 2): it answers the
+// storage-accounting questions through which the paper frames the
+// tiling-vs-versioning tradeoff (§2), and it is everything a client knows
+// about a video before fetching chunks (the MPD of media/mpd.h carries its
+// config).
 #pragma once
 
 #include <cstdint>
@@ -79,6 +85,20 @@ class VideoModel {
 
   // Content complexity multiplier of a chunk cell (mean ~1).
   [[nodiscard]] double complexity(const ChunkKey& key) const;
+
+  // Total stored bytes for the tiling approach (all qualities, AVC + SVC
+  // copies when `with_svc`).
+  [[nodiscard]] std::int64_t storage_bytes_tiling(bool with_svc) const;
+
+  // Hypothetical storage for the versioning approach with `version_count`
+  // FoV-specific versions of every quality (e.g. 88 for Oculus 360 [46]).
+  // Each version stores the full panorama per quality (high-quality region
+  // plus downgraded remainder), so it is approximated as one AVC tiling
+  // copy of the ladder.
+  [[nodiscard]] std::int64_t storage_bytes_versioning(int version_count) const;
+
+  // Human-readable summary of the content organization (Figure 2).
+  [[nodiscard]] std::string describe() const;
 
  private:
   void check_key(const ChunkKey& key) const;

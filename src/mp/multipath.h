@@ -2,8 +2,8 @@
 //
 // Multipath is a scheduling decision over the Table 1 priority classes, not
 // a second delivery engine: a MultipathTransport is one core::FetchQueue
-// per network path (e.g. WiFi + LTE), each fetching through a
-// net::LinkSource over its link, with class = rank(classify(request)).
+// per network path (e.g. WiFi + LTE), each fetching straight from its
+// net::Link, with class = rank(classify(request)).
 // Paths are fully decoupled, so there is no cross-path head-of-line
 // blocking by construction (the transport-layer benefit the paper notes).
 // The pluggable PathScheduler decides which path serves each request:
@@ -147,9 +147,8 @@ class MultipathTransport final : public core::ChunkTransport {
   struct Path {
     Path(net::Link& path_link, const core::TransportOptions& options,
          std::int32_t index)
-        : link(path_link), source(path_link), queue(source, options, index) {}
+        : link(path_link), queue(path_link, options, index) {}
     net::Link& link;
-    net::LinkSource source;
     core::FetchQueue queue;  // paused while the path is down
     obs::Counter* requests_metric = nullptr;  // set iff telemetry attached
     // Path-failure detection state (RecoveryPolicy::enabled only).

@@ -1,12 +1,10 @@
 // The fetch seam between transports and the network topology.
 //
-// core::*Transport used to take a bare net::Link&, which left no place for
-// a cache tier to live: every byte a client fetched came straight off its
-// own access link. ChunkSource is the redesigned API — "fetch this chunk,
-// tell me when it settles" — behind which a fetch can be a direct link
-// transfer (LinkSource, bit-identical to the old behaviour) or a trip
-// through a CDN edge cache with an origin behind it (cdn::EdgeSource,
-// DESIGN.md §15).
+// ChunkSource is the one fetch API — "fetch this chunk, tell me when it
+// settles" — that every transport consumes. Two sources implement it: a
+// net::Link itself (a direct fetch is one transfer on the client's access
+// link) and cdn::EdgeSource, a trip through a CDN edge cache with an
+// origin behind it (DESIGN.md §15).
 //
 // ChunkId is the canonical identity of a downloadable object, replacing the
 // ad-hoc (tile, chunk, level) tuples previously threaded through transport
@@ -18,10 +16,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
 
 #include "media/chunk.h"
-#include "net/link.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -71,11 +67,31 @@ struct ChunkId {
 // Handle for one outstanding fetch, scoped to the issuing ChunkSource.
 using FetchId = std::uint64_t;
 
+enum class TransferStatus : std::uint8_t {
+  kCompleted,  // every byte delivered
+  kFailed,     // injected fault: outage or seeded mid-flight failure
+  kCancelled,  // caller aborted via cancel()
+};
+
+// How a fetch ended. `bytes_delivered` is what actually flowed: the full
+// size for kCompleted, the partial progress for kFailed/kCancelled.
+struct TransferResult {
+  TransferStatus status = TransferStatus::kCompleted;
+  sim::Time time{sim::kTimeZero};
+  std::int64_t bytes_delivered = 0;
+
+  [[nodiscard]] bool completed() const {
+    return status == TransferStatus::kCompleted;
+  }
+};
+
+using TransferCallback = std::function<void(const TransferResult&)>;
+
 // One fetch as a transport submits it. `weight` is the HTTP/2-style stream
 // priority forwarded to whichever link ends up carrying the bytes;
 // `deadline` is advisory (a topology may use it to order or shed work —
-// the direct LinkSource ignores it, the transport's own timeout machinery
-// still cancels late fetches).
+// a direct Link ignores it, the transport's own timeout machinery still
+// cancels late fetches).
 struct FetchSpec {
   ChunkId id;
   std::int64_t bytes = 0;
@@ -83,9 +99,8 @@ struct FetchSpec {
   sim::Time deadline{sim::kTimeZero};
 };
 
-// Pure fetch interface consumed by core::SingleLinkTransport (and anything
-// else that wants bytes without caring what topology delivers them).
-// Contract, mirroring net::Link:
+// Pure fetch interface consumed by core::FetchQueue (and anything else that
+// wants bytes without caring what topology delivers them). Contract:
 //   * fetch(): `on_done` fires exactly once with a typed TransferResult —
 //     kCompleted (bytes_delivered == spec.bytes at the client), kFailed
 //     (an upstream fault; bytes_delivered is what reached the client, 0
@@ -106,31 +121,6 @@ class ChunkSource {
   // Effective client-side RTT right now (first-byte latency of a fetch).
   [[nodiscard]] virtual sim::Duration rtt() const = 0;
   [[nodiscard]] virtual sim::Simulator& simulator() = 0;
-};
-
-// Direct-link ChunkSource: every fetch is one transfer on `link`, verbatim.
-// This is the adapter that keeps pre-CDN worlds bit-identical — it forwards
-// (bytes, callback, weight) to Link::start_transfer unchanged and never
-// looks at the ChunkId or deadline.
-class LinkSource final : public ChunkSource {
- public:
-  // `link` must outlive the source.
-  explicit LinkSource(Link& link) : link_(link) {}
-
-  FetchId fetch(const FetchSpec& spec, TransferCallback on_done) override {
-    return link_.start_transfer(spec.bytes, std::move(on_done), spec.weight);
-  }
-  bool cancel(FetchId id) override { return link_.cancel(id); }
-
-  [[nodiscard]] sim::Duration rtt() const override { return link_.rtt(); }
-  [[nodiscard]] sim::Simulator& simulator() override {
-    return link_.simulator();
-  }
-
-  [[nodiscard]] Link& link() { return link_; }
-
- private:
-  Link& link_;
 };
 
 }  // namespace sperke::net

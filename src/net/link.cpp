@@ -111,13 +111,13 @@ double Link::mathis_cap_kbps() const {
   return bps / 1000.0;
 }
 
-double Link::transfer_rate_kbps(TransferId id) const {
+double Link::transfer_rate_kbps(FetchId id) const {
   const auto it = transfers_.find(id);
   return it != transfers_.end() && it->second.active ? it->second.rate_bps / 1000.0
                                                      : 0.0;
 }
 
-void Link::activate(TransferId id) {
+void Link::activate(FetchId id) {
   Transfer& t = transfers_.at(id);
   // Double activation would insert a duplicate active_ entry and count the
   // transfer twice in every water-filling weight sum.
@@ -128,22 +128,22 @@ void Link::activate(TransferId id) {
   // invariant rather than an accident.
   const auto pos = std::lower_bound(
       active_.begin(), active_.end(), id,
-      [](const auto& entry, TransferId value) { return entry.first < value; });
+      [](const auto& entry, FetchId value) { return entry.first < value; });
   active_.insert(pos, {id, &t});
 }
 
-void Link::deactivate(TransferId id) {
+void Link::deactivate(FetchId id) {
   const auto pos = std::lower_bound(
       active_.begin(), active_.end(), id,
-      [](const auto& entry, TransferId value) { return entry.first < value; });
+      [](const auto& entry, FetchId value) { return entry.first < value; });
   if (pos != active_.end() && pos->first == id) active_.erase(pos);
 }
 
-TransferId Link::start_transfer(std::int64_t bytes, TransferCallback on_complete,
-                                double weight) {
+FetchId Link::start_transfer(std::int64_t bytes, TransferCallback on_complete,
+                             double weight) {
   if (bytes <= 0) throw std::invalid_argument("Link: transfer of non-positive size");
   if (weight <= 0.0) throw std::invalid_argument("Link: non-positive weight");
-  const TransferId id = next_id_++;
+  const FetchId id = next_id_++;
   Transfer t;
   t.remaining_bytes = static_cast<double>(bytes);
   t.total_bytes = bytes;
@@ -184,7 +184,7 @@ TransferId Link::start_transfer(std::int64_t bytes, TransferCallback on_complete
   return id;
 }
 
-bool Link::cancel(TransferId id) {
+bool Link::cancel(FetchId id) {
   const auto it = transfers_.find(id);
   if (it == transfers_.end()) return false;  // finished/failed: never re-fires
   advance();
@@ -410,7 +410,7 @@ void Link::fire_completions(std::vector<Completion> completions) {
 
 void Link::dcheck_active_consistent() const {
   if constexpr (SPERKE_DCHECK_IS_ON) {
-    TransferId prev = 0;
+    FetchId prev = 0;
     for (const auto& [id, t] : active_) {
       SPERKE_DCHECK(prev < id || prev == 0,
                     "Link: active_ ids not strictly ascending at ", id);

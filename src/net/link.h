@@ -12,10 +12,13 @@
 // the config injects outages, capacity collapses, RTT spikes and
 // per-transfer failures as ordinary simulation events, and every transfer
 // reports how it ended through a typed TransferResult.
+//
+// A Link is also the direct net::ChunkSource: fetch(spec) is exactly
+// start_transfer(spec.bytes, callback, spec.weight); the ChunkId and the
+// deadline are never looked at.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,14 +27,13 @@
 #include <vector>
 
 #include "net/bandwidth_trace.h"
+#include "net/chunk_source.h"
 #include "net/fault.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace sperke::net {
-
-using TransferId = std::uint64_t;
 
 struct LinkConfig {
   std::string name = "link";
@@ -41,30 +43,10 @@ struct LinkConfig {
   FaultPlan faults;        // empty = the link never fails (byte-identical)
 };
 
-enum class TransferStatus : std::uint8_t {
-  kCompleted,  // every byte delivered
-  kFailed,     // injected fault: outage or seeded mid-flight failure
-  kCancelled,  // caller aborted via Link::cancel
-};
-
-// How a transfer ended. `bytes_delivered` is what actually flowed: the full
-// size for kCompleted, the partial progress for kFailed/kCancelled.
-struct TransferResult {
-  TransferStatus status = TransferStatus::kCompleted;
-  sim::Time time{sim::kTimeZero};
-  std::int64_t bytes_delivered = 0;
-
-  [[nodiscard]] bool completed() const {
-    return status == TransferStatus::kCompleted;
-  }
-};
-
-using TransferCallback = std::function<void(const TransferResult&)>;
-
-class Link {
+class Link final : public ChunkSource {
  public:
   Link(sim::Simulator& simulator, LinkConfig config);
-  ~Link();
+  ~Link() override;
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
@@ -74,22 +56,25 @@ class Link {
   // share of the link under contention (HTTP/2-style stream priority): a
   // weight-2 transfer receives twice the bandwidth of a weight-1 transfer
   // while both are active.
-  TransferId start_transfer(std::int64_t bytes, TransferCallback on_complete,
-                            double weight = 1.0);
+  FetchId start_transfer(std::int64_t bytes, TransferCallback on_complete,
+                         double weight = 1.0);
+
+  FetchId fetch(const FetchSpec& spec, TransferCallback on_done) override {
+    return start_transfer(spec.bytes, std::move(on_done), spec.weight);
+  }
 
   // Abort a pending/in-flight transfer: fires its callback (synchronously)
   // with kCancelled. Bytes already delivered still count toward
   // bytes_delivered(). Returns false — and fires nothing — if the transfer
   // already finished, failed or was cancelled: the completion callback can
   // never double-fire.
-  bool cancel(TransferId id);
+  bool cancel(FetchId id) override;
 
-  [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
+  [[nodiscard]] sim::Simulator& simulator() override { return simulator_; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
-  [[nodiscard]] double loss_rate() const { return config_.loss_rate; }
 
   // Effective RTT right now (config RTT scaled by any active spike window).
-  [[nodiscard]] sim::Duration rtt() const;
+  [[nodiscard]] sim::Duration rtt() const override;
 
   // Capacity of the link right now (kbps) per the bandwidth trace, scaled
   // by any active fault window (zero during an outage).
@@ -113,7 +98,7 @@ class Link {
 
   // Current allocated rate of a transfer in kbps (0 while in RTT warmup or
   // if the id is unknown).
-  [[nodiscard]] double transfer_rate_kbps(TransferId id) const;
+  [[nodiscard]] double transfer_rate_kbps(FetchId id) const;
 
  private:
   struct Transfer {
@@ -129,7 +114,7 @@ class Link {
     TransferCallback on_complete;
   };
   struct Completion {
-    TransferId id = 0;
+    FetchId id = 0;
     TransferCallback callback;
     TransferResult result;
   };
@@ -143,8 +128,8 @@ class Link {
   void recompute_rates();
   void arm_wakeup();
   void on_wakeup();
-  void activate(TransferId id);
-  void deactivate(TransferId id);
+  void activate(FetchId id);
+  void deactivate(FetchId id);
   // Outage start: fail every in-flight transfer (warmup included).
   void on_outage_begin();
   // Any fault-window boundary: settle progress and recompute rates.
@@ -160,15 +145,15 @@ class Link {
 
   sim::Simulator& simulator_;
   LinkConfig config_;
-  std::map<TransferId, Transfer> transfers_;
+  std::map<FetchId, Transfer> transfers_;
   // Active transfers sorted by ascending id — the same iteration order as
   // the transfers_ map, which the water-filling weight sums depend on for
   // bit-exact determinism. Map nodes are pointer-stable, so the raw
   // pointers survive unrelated inserts/erases.
-  std::vector<std::pair<TransferId, Transfer*>> active_;
+  std::vector<std::pair<FetchId, Transfer*>> active_;
   std::vector<Transfer*> waterfill_scratch_;  // reused by recompute_rates()
   std::vector<Completion> completed_scratch_;
-  TransferId next_id_ = 1;
+  FetchId next_id_ = 1;
   sim::Time last_update_ = sim::kTimeZero;
   sim::EventId wakeup_{};
   bool wakeup_armed_ = false;
@@ -177,10 +162,10 @@ class Link {
   // (the recomputation would reproduce the current rates bit-for-bit).
   double rates_capacity_bps_ = -1.0;
   std::int64_t bytes_delivered_ = 0;
-  // Check-preset-only double-fire detector: every TransferId whose
+  // Check-preset-only double-fire detector: every FetchId whose
   // completion callback has already run. Populated under
   // SPERKE_DCHECK_IS_ON only; stays empty (and untouched) in release.
-  std::set<TransferId> fired_ids_;
+  std::set<FetchId> fired_ids_;
   // Fault state. has_faults_ gates every fault check so an empty plan keeps
   // the hot path (and its floating-point results) bit-identical.
   bool has_faults_ = false;

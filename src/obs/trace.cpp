@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include "util/log.h"
-
 namespace sperke::obs {
 
 std::string_view trace_event_name(TraceEventType type) {
@@ -50,16 +48,6 @@ std::string_view trace_event_category(TraceEventType type) {
     case TraceEventType::kSloClear: return "slo";
   }
   return "?";
-}
-
-void TraceRecorder::record(const TraceEvent& event) {
-  events_.push_back(event);
-  SPERKE_LOG_TRACE("t=", sim::to_seconds(event.ts), "s ",
-                   trace_event_name(event.type), " tile=", event.tile,
-                   " chunk=", event.chunk, " q=", event.quality,
-                   " path=", event.path, " bytes=", event.bytes,
-                   " urgent=", event.urgent, " value=", event.value,
-                   " request=", event.request, " parent=", event.parent);
 }
 
 }  // namespace sperke::obs

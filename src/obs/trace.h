@@ -58,12 +58,10 @@ struct TraceEvent {
   std::int64_t parent = 0;
 };
 
-// Append-only event sink. Also the single source of per-event log lines:
-// record() emits each event at Trace log level, so the log and the exported
-// trace can never disagree about what happened.
+// Append-only event sink.
 class TraceRecorder {
  public:
-  void record(const TraceEvent& event);
+  void record(const TraceEvent& event) { events_.push_back(event); }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }

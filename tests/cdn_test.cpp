@@ -593,12 +593,16 @@ TEST(TopologyValidate, ErrorsListTheValidFieldNames) {
   EXPECT_NO_THROW(validate(enabled, 4, true));
 }
 
-TEST(Topology, DisabledTierFetchesOverDirectLinkSources) {
+TEST(Topology, DisabledTierFetchesOverAccessLinks) {
   sim::Simulator simulator;
   TopologySpec spec;  // disabled
   Topology topology(simulator, spec, nullptr, nullptr, nullptr);
   net::ChunkSource& source = topology.add_group(-1, link_config("access"));
-  EXPECT_EQ(topology.access_link_count(), 1);
+  // A disabled tier ignores the edge id: every group gets its link back.
+  net::ChunkSource& other = topology.add_group(3, link_config("access1"));
+  EXPECT_EQ(&source, &topology.access_link(0));  // the link is the source
+  EXPECT_EQ(&other, &topology.access_link(1));
+  EXPECT_EQ(topology.access_link_count(), 2);
   EXPECT_EQ(topology.edge_count(), 0);  // no edge, no backhaul
 
   TransferResult result{};

@@ -74,8 +74,7 @@ core::SessionReport run_vod(bool recovery, net::FaultPlan faults = stormy_plan()
                                  .faults = std::move(faults)});
   core::TransportOptions options;
   options.recovery.enabled = recovery;
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source, options);
+  core::SingleLinkTransport transport(link, options);
   core::SessionConfig config;
   config.fetch_recovery = recovery;
   auto video = make_video();
@@ -184,8 +183,7 @@ live::TiledLiveReport run_live(bool recovery) {
   core::TransportOptions options;
   options.max_concurrent = 12;
   options.recovery.enabled = recovery;
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source, options);
+  core::SingleLinkTransport transport(link, options);
   live::TiledLiveConfig config;
   config.fetch_recovery = recovery;
   auto video = make_video(30.0);

@@ -170,11 +170,10 @@ class TransportTest : public ::testing::Test {
                                  .bandwidth = net::BandwidthTrace::constant(8000.0),
                                  .rtt = sim::Duration{0},
                                  .loss_rate = 0.0, .faults = {}}};
-  net::LinkSource source{link};
 };
 
 TEST_F(TransportTest, DeliversAndEstimates) {
-  SingleLinkTransport transport(source);
+  SingleLinkTransport transport(link);
   bool done = false;
   ChunkRequest req;
   req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
@@ -192,7 +191,7 @@ TEST_F(TransportTest, DeliversAndEstimates) {
 }
 
 TEST_F(TransportTest, ConcurrencyLimitQueues) {
-  SingleLinkTransport transport(source, {.max_concurrent = 1, .recovery = {}});
+  SingleLinkTransport transport(link, {.max_concurrent = 1, .recovery = {}});
   std::vector<int> order;
   auto submit = [&](int id, bool urgent) {
     ChunkRequest req;
@@ -210,21 +209,22 @@ TEST_F(TransportTest, ConcurrencyLimitQueues) {
 }
 
 TEST_F(TransportTest, RejectsBadRequests) {
-  SingleLinkTransport transport(source);
+  SingleLinkTransport transport(link);
   ChunkRequest req;
   req.bytes = 0;
   EXPECT_THROW(transport.fetch(std::move(req)), std::invalid_argument);
-  EXPECT_THROW(SingleLinkTransport(source, {.max_concurrent = 0, .recovery = {}}),
+  EXPECT_THROW(SingleLinkTransport(link, {.max_concurrent = 0, .recovery = {}}),
                std::invalid_argument);
   TransportOptions bad_retries;
   bad_retries.recovery.enabled = true;
   bad_retries.recovery.max_retries = -1;
-  EXPECT_THROW(SingleLinkTransport(source, bad_retries), std::invalid_argument);
+  EXPECT_THROW(SingleLinkTransport(link, bad_retries), std::invalid_argument);
 }
 
-TEST(TransportAdapter, LinkSourceIsVerbatimPassThrough) {
-  // LinkSource is what keeps direct-link worlds bit-identical to driving the
-  // net::Link itself: a mixed-weight workload with a mid-flight cancel must
+TEST(TransportAdapter, LinkFetchIsVerbatimStartTransfer) {
+  // A Link is the direct ChunkSource, and fetching through that interface
+  // is what keeps direct-link worlds bit-identical to driving
+  // start_transfer: a mixed-weight workload with a mid-flight cancel must
   // settle with the same results, in the same order, at the same instants.
   struct Settled {
     int index = 0;
@@ -233,7 +233,7 @@ TEST(TransportAdapter, LinkSourceIsVerbatimPassThrough) {
     std::int64_t bytes = 0;
     bool operator==(const Settled&) const = default;
   };
-  const auto run_workload = [](bool through_source) {
+  const auto run_workload = [](bool through_fetch) {
     sim::Simulator simulator;
     net::Link link{simulator,
                    net::LinkConfig{.name = "adapter",
@@ -241,7 +241,7 @@ TEST(TransportAdapter, LinkSourceIsVerbatimPassThrough) {
                                    .rtt = sim::milliseconds(40),
                                    .loss_rate = 0.0,
                                    .faults = {}}};
-    net::LinkSource source(link);
+    net::ChunkSource& source = link;
     std::vector<Settled> settled;
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 6; ++i) {
@@ -250,7 +250,7 @@ TEST(TransportAdapter, LinkSourceIsVerbatimPassThrough) {
       net::TransferCallback on_done = [&settled, i](const net::TransferResult& r) {
         settled.push_back({i, r.status, r.time, r.bytes_delivered});
       };
-      ids.push_back(through_source
+      ids.push_back(through_fetch
                         ? source.fetch({.id = net::to_chunk_id({{i, 0}, Encoding::kAvc, 1}),
                                         .bytes = bytes,
                                         .weight = weight,
@@ -260,20 +260,21 @@ TEST(TransportAdapter, LinkSourceIsVerbatimPassThrough) {
     }
     bool cancelled = false;
     simulator.schedule_after(sim::milliseconds(60), [&] {
-      cancelled = through_source ? source.cancel(ids[3]) : link.cancel(ids[3]);
+      cancelled = through_fetch ? source.cancel(ids[3]) : link.cancel(ids[3]);
     });
     simulator.run();
     const bool cancel_after_settle =
-        through_source ? source.cancel(ids[0]) : link.cancel(ids[0]);
+        through_fetch ? source.cancel(ids[0]) : link.cancel(ids[0]);
     EXPECT_TRUE(cancelled);
     EXPECT_FALSE(cancel_after_settle);
-    EXPECT_EQ(source.rtt(), link.rtt());
+    EXPECT_EQ(source.rtt(), sim::milliseconds(40));
+    EXPECT_EQ(&source.simulator(), &simulator);
     return settled;
   };
   const auto direct = run_workload(false);
-  const auto via_source = run_workload(true);
+  const auto via_fetch = run_workload(true);
   ASSERT_EQ(direct.size(), 6u);
-  EXPECT_EQ(direct, via_source);
+  EXPECT_EQ(direct, via_fetch);
   EXPECT_EQ(std::count_if(direct.begin(), direct.end(),
                           [](const Settled& s) {
                             return s.status == net::TransferStatus::kCancelled;
@@ -335,8 +336,7 @@ TEST_F(TransportRecoveryTest, RetriesThroughOutageAndDelivers) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 0.3});
   auto link = make_faulty_link(std::move(faults));
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source, recovery_options());
+  SingleLinkTransport transport(link, recovery_options());
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
   req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
@@ -357,8 +357,7 @@ TEST_F(TransportRecoveryTest, BudgetExhaustionReportsFailed) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 60.0});
   auto link = make_faulty_link(std::move(faults));
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source, recovery_options(/*max_retries=*/1));
+  SingleLinkTransport transport(link, recovery_options(/*max_retries=*/1));
   std::optional<FetchOutcome> outcome;
   sim::Time settled{sim::kTimeZero};
   ChunkRequest req;
@@ -381,8 +380,7 @@ TEST_F(TransportRecoveryTest, BudgetExhaustionReportsFailed) {
 TEST_F(TransportRecoveryTest, DeadlineDerivedTimeoutCancelsSlowTransfer) {
   // 800 kbps = 100 kB/s: a 1 MB chunk needs 10 s, far past its deadline.
   auto link = make_faulty_link({}, /*kbps=*/800.0);
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source, recovery_options());
+  SingleLinkTransport transport(link, recovery_options());
   std::optional<FetchOutcome> outcome;
   sim::Time settled{sim::kTimeZero};
   ChunkRequest req;
@@ -406,8 +404,7 @@ TEST_F(TransportRecoveryTest, OosPrefetchAbandonedOnFirstFailure) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 0.3});
   auto link = make_faulty_link(std::move(faults));
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source, recovery_options());
+  SingleLinkTransport transport(link, recovery_options());
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
   req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
@@ -435,12 +432,11 @@ TEST_F(TransportRecoveryTest, DispatchOrderPinsClassesAndRetryPlacement) {
                                  .rtt = sim::milliseconds(20),
                                  .loss_rate = 0.0,
                                  .faults = std::move(faults)});
-  net::LinkSource source(link);
   obs::Telemetry telemetry;
   TransportOptions options = recovery_options();
   options.max_concurrent = 1;
   options.telemetry = &telemetry;
-  SingleLinkTransport transport(source, options);
+  SingleLinkTransport transport(link, options);
   const auto submit = [&](std::int64_t id, abr::SpatialClass spatial, bool urgent) {
     ChunkRequest req;
     req.id = net::to_chunk_id({{static_cast<int>(id), 0}, Encoding::kAvc, 0});
@@ -479,8 +475,7 @@ TEST_F(TransportRecoveryTest, RecoveryDisabledKeepsLegacySemantics) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 60.0});
   auto link = make_faulty_link(std::move(faults));
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source);  // recovery off
+  SingleLinkTransport transport(link);  // recovery off
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
   req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
@@ -665,8 +660,7 @@ class SessionTest : public ::testing::Test {
                         .bandwidth = net::BandwidthTrace::constant(link_kbps),
                         .rtt = sim::milliseconds(30),
                         .loss_rate = 0.0, .faults = {}});
-    net::LinkSource source(link);
-    SingleLinkTransport transport(source);
+    SingleLinkTransport transport(link);
     auto video = make_video(video_s);
     const auto trace = steady_trace(video_s + 40.0);
     StreamingSession session(simulator, video, transport, trace, config);
@@ -779,8 +773,7 @@ TEST_F(SessionTest, ZeroBandwidthNeverStarts) {
   sim::Simulator simulator;
   net::Link link(simulator,
                  net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(0.0), .faults = {}});
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source);
+  SingleLinkTransport transport(link);
   auto video = make_video(5.0);
   const auto trace = steady_trace(60.0);
   StreamingSession session(simulator, video, transport, trace, config);
@@ -816,8 +809,7 @@ TEST_F(SessionTest, RejectsBadConfig) {
   };
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source);
+  SingleLinkTransport transport(link);
   auto video = make_video(5.0);
   const auto trace = steady_trace(10.0);
   EXPECT_NO_THROW(validate(SessionConfig{}));
@@ -849,8 +841,7 @@ TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {
                       .faults = std::move(faults)});
   TransportOptions options;
   options.recovery.enabled = true;
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source, options);
+  SingleLinkTransport transport(link, options);
   SessionConfig config;
   config.fetch_recovery = true;
   auto video = make_video(15.0);
@@ -888,8 +879,7 @@ TEST_F(SessionTest, StallingUpgradeSessionIsPinned) {
                                  .rtt = sim::milliseconds(30),
                                  .loss_rate = 0.0,
                                  .faults = {}});
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source);
+  SingleLinkTransport transport(link);
   obs::Telemetry telemetry;
   SessionConfig config;
   config.telemetry = &telemetry;
@@ -949,8 +939,7 @@ TEST_F(SessionTest, DestroyedWhileFetchingIgnoresLateSettles) {
                                  .rtt = sim::milliseconds(30),
                                  .loss_rate = 0.0,
                                  .faults = {}});
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source);
+  SingleLinkTransport transport(link);
   auto video = make_video(10.0);
   const auto trace = steady_trace(50.0);
   {
@@ -966,8 +955,7 @@ TEST_F(SessionTest, DestroyedWhileFetchingIgnoresLateSettles) {
 TEST_F(SessionTest, DoubleStartThrows) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  net::LinkSource source(link);
-  SingleLinkTransport transport(source);
+  SingleLinkTransport transport(link);
   auto video = make_video(5.0);
   const auto trace = steady_trace(10.0);
   StreamingSession session(simulator, video, transport, trace, SessionConfig{});

@@ -215,7 +215,6 @@ TEST(EngineDeterminism, SharedVideoModelAcrossThreads) {
   const hmp::FusionPredictor& fusion = fusion_state;
   struct Answers {
     std::vector<std::vector<geo::TileId>> visible;
-    std::vector<std::vector<geo::TileId>> by_distance;
     std::vector<std::vector<int>> rings;
     std::vector<std::int64_t> sizes;
     std::vector<double> predicted;  // yaw, pitch, roll per query
@@ -235,8 +234,6 @@ TEST(EngineDeterminism, SharedVideoModelAcrossThreads) {
       answers.visible.push_back(tiles);
       geometry.oos_rings(tiles, rings, scratch);
       answers.rings.push_back(rings);
-      geometry.tiles_by_distance(view, tiles, scratch);
-      answers.by_distance.push_back(tiles);
       const media::ChunkKey key{step % video->tile_count(),
                                 step % video->chunk_count()};
       const media::QualityLevel level = step % video->ladder().levels();
@@ -559,13 +556,12 @@ TEST(Engine, ValidateRejectsBadRecoveryPolicies) {
   };
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  net::LinkSource source(link);
   for (const Row& row : rows) {
     core::TransportOptions options;
     options.recovery.enabled = true;
     row.spoil(options.recovery);
     EXPECT_THROW(core::validate(options.recovery), std::invalid_argument) << row.field;
-    EXPECT_THROW(core::SingleLinkTransport(source, options), std::invalid_argument)
+    EXPECT_THROW(core::SingleLinkTransport(link, options), std::invalid_argument)
         << row.field;
     EXPECT_THROW(mp::MultipathTransport(simulator, {&link},
                                         std::make_unique<mp::MinRttScheduler>(), options),
@@ -576,7 +572,7 @@ TEST(Engine, ValidateRejectsBadRecoveryPolicies) {
     EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument) << row.field;
     // A disabled policy is never read, so it is never rejected.
     options.recovery.enabled = false;
-    EXPECT_NO_THROW(core::SingleLinkTransport(source, options)) << row.field;
+    EXPECT_NO_THROW(core::SingleLinkTransport(link, options)) << row.field;
   }
 }
 

@@ -267,24 +267,6 @@ TEST_F(TileGeometryTest, TileDistancesMatchCenters) {
   }
 }
 
-TEST_F(TileGeometryTest, TilesByDistanceIsSortedPermutation) {
-  const auto tg = make();
-  const Orientation o{45.0, 20.0, 0.0};
-  const auto order = tg.tiles_by_distance(o);
-  const auto dist = tg.tile_distances_deg(o);
-  ASSERT_EQ(static_cast<int>(order.size()), tg.grid().tile_count());
-  std::vector<char> seen(order.size(), 0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    seen[static_cast<std::size_t>(order[i])] = 1;
-    if (i > 0) {
-      EXPECT_LE(dist[static_cast<std::size_t>(order[i - 1])],
-                dist[static_cast<std::size_t>(order[i])]);
-    }
-  }
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
-            static_cast<long>(order.size()));
-}
-
 TEST_F(TileGeometryTest, OosRingsZeroOnVisibleMonotoneOutward) {
   const auto tg = make();
   const auto visible = tg.visible_tiles({0.0, 0.0, 0.0}, Viewport{100.0, 90.0});

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "media/content_store.h"
-#include "media/manifest.h"
 #include "media/mpd.h"
 #include "media/quality_ladder.h"
 #include "media/video_model.h"
@@ -68,6 +71,30 @@ TEST(VideoModel, RejectsBadConfig) {
   EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
   cfg = small_config();
   cfg.complexity_rho = 1.0;
+  EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  // NaN fails every range check, and non-finite or overflowing values never
+  // reach the chunk-count or size casts.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double VideoModelConfig::*field :
+       {&VideoModelConfig::duration_s, &VideoModelConfig::chunk_duration_s,
+        &VideoModelConfig::svc_overhead, &VideoModelConfig::complexity_sigma,
+        &VideoModelConfig::complexity_rho, &VideoModelConfig::area_mix}) {
+    for (const double bad : {nan, inf, -inf}) {
+      cfg = small_config();
+      cfg.*field = bad;
+      EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+    }
+  }
+  cfg = small_config();
+  cfg.complexity_sigma = -0.1;
+  EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  cfg = small_config();
+  cfg.duration_s = 1e12;
+  cfg.chunk_duration_s = 1e-5;  // 1e17 chunks
+  EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  cfg = small_config();
+  cfg.tile_rows = cfg.tile_cols = 1 << 16;  // 2^32 tiles overflow int
   EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
 }
 
@@ -172,32 +199,35 @@ TEST(VideoModel, SizeBytesDispatchesOnEncoding) {
   EXPECT_EQ(vm.size_bytes({key, Encoding::kSvc, 2}), vm.svc_layer_size_bytes(2, key));
 }
 
-TEST(Manifest, ExposesModelMetadata) {
-  auto model = std::make_shared<VideoModel>(small_config());
-  const Manifest m(model);
-  EXPECT_EQ(m.tile_count(), 8);
-  EXPECT_EQ(m.chunk_count(), 10);
-  EXPECT_EQ(m.chunk_duration(), sim::seconds(1.0));
-  EXPECT_FALSE(m.describe().empty());
+TEST(VideoModel, DescribeSummarizesTheContentOrganization) {
+  // The quickstart example's video; the text is its first printed lines.
+  VideoModelConfig cfg;
+  cfg.duration_s = 60.0;
+  cfg.tile_rows = 4;
+  cfg.tile_cols = 6;
+  cfg.seed = 1;
+  EXPECT_EQ(VideoModel(cfg).describe(),
+            "360 video: 60 s, equirectangular projection, 4x6 tiles, 60 chunks "
+            "of 1 s\n"
+            "quality ladder (panorama kbps): 1000 2500 5000 10000 20000\n"
+            "SVC overhead: 10%\n");
 }
 
-TEST(Manifest, NullModelThrows) {
-  EXPECT_THROW(Manifest(nullptr), std::invalid_argument);
-}
-
-TEST(ContentStore, VersioningCostsMoreThanTiling) {
+TEST(VideoModel, VersioningIsCopiesOfAvcTiling) {
   // The paper's §2 tradeoff: versioning with 88 versions dwarfs tiled storage.
-  auto model = std::make_shared<VideoModel>(small_config());
-  const ContentStore store(model);
-  const auto tiling = store.storage_bytes_tiling(/*with_svc=*/true);
-  const auto versioning = store.storage_bytes_versioning(88);
-  EXPECT_GT(versioning, tiling * 10);
+  const VideoModel vm(small_config());
+  const std::int64_t avc = vm.storage_bytes_tiling(/*with_svc=*/false);
+  for (const int versions : {1, 2, 88}) {
+    EXPECT_EQ(vm.storage_bytes_versioning(versions), versions * avc);
+  }
+  EXPECT_GT(vm.storage_bytes_versioning(88), vm.storage_bytes_tiling(true) * 10);
+  EXPECT_THROW((void)vm.storage_bytes_versioning(0), std::invalid_argument);
+  EXPECT_THROW((void)vm.storage_bytes_versioning(-3), std::invalid_argument);
 }
 
-TEST(ContentStore, TilingWithSvcCostsMoreThanWithout) {
-  auto model = std::make_shared<VideoModel>(small_config());
-  const ContentStore store(model);
-  EXPECT_GT(store.storage_bytes_tiling(true), store.storage_bytes_tiling(false));
+TEST(VideoModel, TilingWithSvcCostsMoreThanWithout) {
+  const VideoModel vm(small_config());
+  EXPECT_GT(vm.storage_bytes_tiling(true), vm.storage_bytes_tiling(false));
 }
 
 TEST(Mpd, RoundTripReconstructsIdenticalVideo) {
@@ -205,8 +235,11 @@ TEST(Mpd, RoundTripReconstructsIdenticalVideo) {
   cfg.projection = "cubemap";
   cfg.tile_cols = 6;  // cubemap atlas wants cols % 3 == 0
   cfg.svc_overhead = 0.17;
+  cfg.seed = (std::uint64_t{1} << 53) + 1;  // not representable as a double
   const std::string mpd = write_mpd(cfg);
   const VideoModelConfig restored = parse_mpd(mpd);
+  EXPECT_EQ(restored.seed, cfg.seed);
+  EXPECT_EQ(parse_mpd(write_mpd(small_config())).seed, small_config().seed);
   const VideoModel a(cfg);
   const VideoModel b(restored);
   ASSERT_EQ(a.tile_count(), b.tile_count());
@@ -248,6 +281,32 @@ TEST(Mpd, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parse_mpd("<MPD duration=\"1\"></MPX>"), std::runtime_error);
   // Trailing garbage.
   EXPECT_THROW((void)parse_mpd(good + "extra"), std::runtime_error);
+  // Non-finite numbers, and tile counts or seeds that are not exact
+  // in-range integers.
+  const auto with = [&good](const std::string& key, const std::string& value) {
+    std::string doc = good;
+    const std::size_t at = doc.find(" " + key + "=\"") + key.size() + 3;
+    doc.replace(at, doc.find('"', at) - at, value);
+    return doc;
+  };
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"duration", "nan"},        {"duration", "inf"},
+           {"chunkDuration", "-inf"},  {"svcOverhead", "NaN"},
+           {"complexitySigma", "nan"}, {"areaMix", "infinity"},
+           {"tileRows", "1e300"},      {"tileRows", "2.5"},
+           {"tileRows", "-4"},         {"tileCols", "4294967297"},
+           {"tileCols", " 4"},         {"tileCols", ""},
+           {"seed", "-1"},             {"seed", "+7"},
+           {"seed", "1e3"},            {"seed", "18446744073709551616"}}) {
+    EXPECT_THROW((void)parse_mpd(with(key, value)), std::runtime_error)
+        << key << "=\"" << value << '"';
+  }
+  // Parsed but nonsensical values are the model's to reject.
+  EXPECT_THROW((void)VideoModel(parse_mpd(with("complexitySigma", "-1"))),
+               std::invalid_argument);
+  EXPECT_THROW((void)VideoModel(parse_mpd(with("tileRows", "0"))),
+               std::invalid_argument);
 }
 
 TEST(Mpd, ToleratesWhitespaceVariants) {

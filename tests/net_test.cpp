@@ -172,7 +172,7 @@ TEST_F(LinkTest, CancelStopsTransfer) {
   cfg.rtt = sim::Duration{0};
   Link link(simulator, cfg);
   std::optional<TransferResult> result;
-  const TransferId id =
+  const FetchId id =
       link.start_transfer(1'000'000, [&](const TransferResult& r) { result = r; });
   simulator.schedule_at(seconds(0.5), [&] { EXPECT_TRUE(link.cancel(id)); });
   simulator.run();
@@ -190,7 +190,7 @@ TEST_F(LinkTest, CancelAfterCompletionReturnsFalseAndDoesNotDoubleFire) {
   cfg.rtt = sim::Duration{0};
   Link link(simulator, cfg);
   int fires = 0;
-  const TransferId id =
+  const FetchId id =
       link.start_transfer(100'000, [&](const TransferResult&) { ++fires; });
   simulator.run();
   EXPECT_EQ(fires, 1);
@@ -208,7 +208,7 @@ TEST_F(LinkTest, CancelAfterFailureReturnsFalseAndDoesNotDoubleFire) {
   Link link(simulator, cfg);
   int fires = 0;
   std::optional<TransferResult> result;
-  const TransferId id = link.start_transfer(
+  const FetchId id = link.start_transfer(
       2'000'000, [&](const TransferResult& r) {
         ++fires;
         result = r;

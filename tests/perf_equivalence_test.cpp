@@ -242,33 +242,6 @@ TEST(VisibleTilesEquivalence, GrazingColumnsMatchNaive) {
   EXPECT_EQ(mismatches, 0);
 }
 
-TEST(TilesByDistance, TiesBreakByAscendingTileId) {
-  const auto geometry = equirect_geometry(4, 6);
-  // A view on the lon==0 tile boundary at the equator is mirror-symmetric,
-  // so equal-distance pairs are guaranteed to exist.
-  for (const auto& view : {geo::Orientation{0.0, 0.0, 0.0},
-                           geo::Orientation{90.0, 0.0, 0.0},
-                           geo::Orientation{37.0, 21.0, 0.0}}) {
-    const auto order = geometry->tiles_by_distance(view);
-    const auto dist = geometry->tile_distances_deg(view);
-    ASSERT_EQ(order.size(), dist.size());
-    int ties = 0;
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      const double prev = dist[static_cast<std::size_t>(order[i - 1])];
-      const double cur = dist[static_cast<std::size_t>(order[i])];
-      ASSERT_LE(prev, cur);
-      if (prev == cur) {
-        ++ties;
-        EXPECT_LT(order[i - 1], order[i])
-            << "equal-distance tiles must stay in ascending id order";
-      }
-    }
-    if (view.yaw_deg == 0.0 && view.pitch_deg == 0.0) {
-      EXPECT_GT(ties, 0) << "symmetric view should produce distance ties";
-    }
-  }
-}
-
 // The pre-optimization FusionPredictor::tile_probabilities: four separate
 // full-grid passes (blend, floor, prune, renormalize) built from the public
 // surface of the predictor. Must match the fused single pass bit-for-bit.

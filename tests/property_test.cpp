@@ -216,8 +216,7 @@ TEST(RecoveryProperty, RetryBudgetAndDeadlineNeverExceeded) {
     options.recovery.base_backoff =
         sim::milliseconds(rng.uniform_int(150, 400));
     options.recovery.backoff_multiplier = rng.uniform(1.0, 2.5);
-    net::LinkSource source(link);
-    core::SingleLinkTransport transport(source, options);
+    core::SingleLinkTransport transport(link, options);
 
     const int requests = 12;
     std::vector<int> fired(requests, 0);
@@ -375,8 +374,7 @@ TEST_P(SessionProperty, InvariantsHoldEndToEnd) {
   net::Link link(simulator,
                  net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(15'000.0),
                                  .rtt = sim::milliseconds(25), .faults = {}});
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source, {.max_concurrent = 8, .recovery = {}});
+  core::SingleLinkTransport transport(link, {.max_concurrent = 8, .recovery = {}});
   core::SessionConfig config;
   config.abr.sperke.mode = mode;
   config.abr.policy = policy;
@@ -413,8 +411,7 @@ TEST_P(SessionProperty, DeterministicAcrossRuns) {
                    net::LinkConfig{.bandwidth = net::BandwidthTrace::random_walk(
                                        9'000.0, 0.3, 1.0, 200.0, 4),
                                    .rtt = sim::milliseconds(25), .faults = {}});
-    net::LinkSource source(link);
-    core::SingleLinkTransport transport(source, {.max_concurrent = 8, .recovery = {}});
+    core::SingleLinkTransport transport(link, {.max_concurrent = 8, .recovery = {}});
     core::SessionConfig config;
     config.abr.sperke.mode = mode;
     config.abr.policy = policy;

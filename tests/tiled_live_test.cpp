@@ -54,10 +54,9 @@ TiledLiveReport run_viewer(double link_kbps, TiledLiveConfig config,
                                  .bandwidth = net::BandwidthTrace::constant(link_kbps),
                                  .rtt = sim::milliseconds(30),
                                  .faults = std::move(faults)});
-  net::LinkSource source(link);
   core::TransportOptions options{.max_concurrent = 12, .recovery = {}};
   options.recovery.enabled = config.fetch_recovery;
-  core::SingleLinkTransport transport(source, options);
+  core::SingleLinkTransport transport(link, options);
   auto video = live_video();
   const auto trace = viewer_trace(trace_seed);
   TiledLiveSession session(simulator, video, transport, trace, config, crowd);
@@ -75,7 +74,6 @@ TiledLiveReport run_crowd_population(bool laggard_uses_crowd) {
   LiveCrowdHmp crowd(video->tile_count(), video->chunk_count());
 
   std::vector<std::unique_ptr<net::Link>> links;
-  std::vector<std::unique_ptr<net::LinkSource>> sources;
   std::vector<std::unique_ptr<core::SingleLinkTransport>> transports;
   std::vector<std::unique_ptr<hmp::HeadTrace>> traces;
   std::vector<std::unique_ptr<TiledLiveSession>> sessions;
@@ -84,9 +82,8 @@ TiledLiveReport run_crowd_population(bool laggard_uses_crowd) {
         simulator,
         net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(30'000.0),
                         .rtt = sim::milliseconds(25), .faults = {}}));
-    sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
     transports.push_back(
-        std::make_unique<core::SingleLinkTransport>(*sources.back(),
+        std::make_unique<core::SingleLinkTransport>(*links.back(),
                                                     core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
     traces.push_back(
         std::make_unique<hmp::HeadTrace>(viewer_trace(100 + v)));
@@ -101,9 +98,8 @@ TiledLiveReport run_crowd_population(bool laggard_uses_crowd) {
       simulator,
       net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(5'000.0),
                       .rtt = sim::milliseconds(40), .faults = {}}));
-  sources.push_back(std::make_unique<net::LinkSource>(*links.back()));
   transports.push_back(
-      std::make_unique<core::SingleLinkTransport>(*sources.back(),
+      std::make_unique<core::SingleLinkTransport>(*links.back(),
                                                   core::TransportOptions{.max_concurrent = 12, .recovery = {}}));
   traces.push_back(std::make_unique<hmp::HeadTrace>(viewer_trace(200)));
   TiledLiveConfig laggard_cfg;
@@ -170,8 +166,7 @@ TEST(TiledLive, ConstrainedLinkDegradesGracefully) {
 TEST(TiledLive, RejectsInfeasibleLatencyTarget) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source);
+  core::SingleLinkTransport transport(link);
   auto video = live_video();
   const auto trace = viewer_trace(1);
   TiledLiveConfig config;
@@ -209,8 +204,7 @@ TEST(TiledLive, RejectsBadConfig) {
   };
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source);
+  core::SingleLinkTransport transport(link);
   auto video = live_video();
   const auto trace = viewer_trace(1);
   for (const auto& [what, breaks] : rows) {
@@ -225,8 +219,7 @@ TEST(TiledLive, RejectsBadConfig) {
 TEST(TiledLive, DoubleStartThrows) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source);
+  core::SingleLinkTransport transport(link);
   auto video = live_video();
   const auto trace = viewer_trace(1);
   TiledLiveSession session(simulator, video, transport, trace, TiledLiveConfig{});
@@ -245,8 +238,7 @@ TEST(TiledLive, DestroyedWhileFetchingIgnoresLateSettles) {
                                  .bandwidth = net::BandwidthTrace::constant(2'000.0),
                                  .rtt = sim::milliseconds(30),
                                  .faults = {}});
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source);
+  core::SingleLinkTransport transport(link);
   auto video = live_video();
   const auto trace = viewer_trace(1);
   LiveCrowdHmp crowd(video->tile_count(), video->chunk_count());
@@ -280,8 +272,7 @@ TEST(TiledLive, ViewerPopulatesCrowdMap) {
 TEST(TiledLive, CrowdMismatchThrows) {
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  net::LinkSource source(link);
-  core::SingleLinkTransport transport(source);
+  core::SingleLinkTransport transport(link);
   auto video = live_video();
   const auto trace = viewer_trace(1);
   LiveCrowdHmp wrong(99, 10);

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <iostream>
 #include <sstream>
 #include <string>
 
 #include "util/csv.h"
-#include "util/log.h"
 #include "util/math.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -192,93 +190,6 @@ TEST(TextTable, RejectsRowWidthMismatch) {
 TEST(TextTable, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(TextTable::num(1.0, 0), "1");
-}
-
-// Captures std::clog (the log sink) and restores the process log level, so
-// log tests neither pollute other tests' output nor leak a chatty level.
-class LogCapture {
- public:
-  LogCapture() : saved_level_(log_level()), old_(std::clog.rdbuf(buffer_.rdbuf())) {}
-  ~LogCapture() {
-    std::clog.rdbuf(old_);
-    set_log_level(saved_level_);
-  }
-  LogCapture(const LogCapture&) = delete;
-  LogCapture& operator=(const LogCapture&) = delete;
-  [[nodiscard]] std::string text() const { return buffer_.str(); }
-
- private:
-  LogLevel saved_level_;
-  std::ostringstream buffer_;
-  std::streambuf* old_;
-};
-
-TEST(Log, LevelFilteringDropsBelowThreshold) {
-  LogCapture capture;
-  set_log_level(LogLevel::Info);
-  SPERKE_LOG_TRACE("dropped-trace");
-  SPERKE_LOG_DEBUG("dropped-debug ", 1);
-  SPERKE_LOG_INFO("kept-info ", 2);
-  SPERKE_LOG_WARN("kept-warn");
-  SPERKE_LOG_ERROR("kept-error ", 3);
-  const std::string out = capture.text();
-  EXPECT_EQ(out.find("dropped"), std::string::npos);
-  EXPECT_NE(out.find("[INFO] kept-info 2"), std::string::npos);
-  EXPECT_NE(out.find("[WARN] kept-warn"), std::string::npos);
-  EXPECT_NE(out.find("[ERROR] kept-error 3"), std::string::npos);
-}
-
-TEST(Log, OffSilencesEveryLevel) {
-  LogCapture capture;
-  set_log_level(LogLevel::Off);
-  SPERKE_LOG_TRACE("t");
-  SPERKE_LOG_DEBUG("d");
-  SPERKE_LOG_INFO("i");
-  SPERKE_LOG_WARN("w");
-  SPERKE_LOG_ERROR("e");
-  EXPECT_EQ(capture.text(), "");
-}
-
-TEST(Log, SetLogLevelRoundTrips) {
-  LogCapture capture;
-  for (const LogLevel level :
-       {LogLevel::Trace, LogLevel::Debug, LogLevel::Info, LogLevel::Warn,
-        LogLevel::Error, LogLevel::Off}) {
-    set_log_level(level);
-    EXPECT_EQ(log_level(), level);
-  }
-}
-
-namespace {
-struct Tattletale {
-  bool* flag;
-};
-std::ostream& operator<<(std::ostream& os, const Tattletale& t) {
-  *t.flag = true;
-  return os;
-}
-}  // namespace
-
-TEST(Log, FilteredCallDoesNotFormatArguments) {
-  LogCapture capture;
-  set_log_level(LogLevel::Warn);
-  bool formatted = false;
-  // Below the threshold the arguments must never be streamed — formatting
-  // in the hot path would cost time even when the message is discarded.
-  SPERKE_LOG_DEBUG("x", Tattletale{&formatted});
-  EXPECT_FALSE(formatted);
-  SPERKE_LOG_WARN("x", Tattletale{&formatted});
-  EXPECT_TRUE(formatted);
-}
-
-TEST(Log, LogMessageRespectsLevelDirectly) {
-  LogCapture capture;
-  set_log_level(LogLevel::Error);
-  log_message(LogLevel::Warn, "below");
-  log_message(LogLevel::Error, "at");
-  const std::string out = capture.text();
-  EXPECT_EQ(out.find("below"), std::string::npos);
-  EXPECT_NE(out.find("[ERROR] at"), std::string::npos);
 }
 
 }  // namespace
