@@ -614,6 +614,58 @@ TEST(Topology, DisabledTierFetchesOverAccessLinks) {
   EXPECT_EQ(result.bytes_delivered, 10'000);
 }
 
+TEST(Topology, NegativeEdgeIdOnEnabledTierGetsItsAccessLink) {
+  // With the tier on, a group can still opt out of the edge: it fetches
+  // straight over its own access link, and only edge groups build an edge.
+  sim::Simulator simulator;
+  TopologySpec spec;
+  spec.sessions_per_edge = 8;
+  spec.backhaul = link_config("backhaul");
+  Topology topology(simulator, spec, nullptr, nullptr, nullptr);
+  net::ChunkSource& direct = topology.add_group(-1, link_config("direct"));
+  EXPECT_EQ(&direct, &topology.access_link(0));
+  EXPECT_EQ(topology.edge_count(), 0);
+  net::ChunkSource& edged = topology.add_group(0, link_config("edged"));
+  EXPECT_NE(&edged, &topology.access_link(1));
+  EXPECT_EQ(topology.edge_count(), 1);
+
+  TransferResult result{};
+  direct.fetch({.id = cid(2), .bytes = 12'000}, [&](const TransferResult& r) {
+    result = r;
+  });
+  simulator.run();
+  EXPECT_TRUE(result.completed());
+  EXPECT_EQ(result.bytes_delivered, 12'000);
+  EXPECT_EQ(topology.edge(0).stats().misses, 0);  // never touched the edge
+  EXPECT_EQ(topology.access_link(0).bytes_delivered(), 12'000);
+}
+
+TEST(Topology, DirectSourcesStayValidAsGroupsGrow) {
+  // The topology owns each direct source (its access link); a reference
+  // handed out by add_group must survive every later add_group.
+  sim::Simulator simulator;
+  TopologySpec spec;
+  spec.sessions_per_edge = 4;
+  spec.backhaul = link_config("backhaul");
+  Topology topology(simulator, spec, nullptr, nullptr, nullptr);
+  net::ChunkSource& first = topology.add_group(-1, link_config("first"));
+  for (int i = 1; i < 64; ++i) {
+    (void)topology.add_group(i % 2 == 0 ? -1 : i % 3, link_config("g"));
+  }
+  ASSERT_EQ(topology.access_link_count(), 64);
+  EXPECT_EQ(&first, &topology.access_link(0));
+  EXPECT_EQ(&first.simulator(), &simulator);
+  EXPECT_EQ(first.rtt(), sim::milliseconds(20));
+
+  TransferResult result{};
+  first.fetch({.id = cid(5), .bytes = 8'000}, [&](const TransferResult& r) {
+    result = r;
+  });
+  simulator.run();
+  EXPECT_TRUE(result.completed());
+  EXPECT_EQ(result.bytes_delivered, 8'000);
+}
+
 TEST(Topology, GroupsOfOneEdgeShareItsCache) {
   sim::Simulator simulator;
   obs::Telemetry telemetry;

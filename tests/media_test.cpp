@@ -213,6 +213,50 @@ TEST(VideoModel, DescribeSummarizesTheContentOrganization) {
             "SVC overhead: 10%\n");
 }
 
+TEST(VideoModel, ExposesModelMetadata) {
+  const VideoModel vm(small_config());
+  EXPECT_EQ(vm.tile_count(), 8);
+  EXPECT_EQ(vm.chunk_count(), 10);
+  EXPECT_EQ(vm.chunk_duration(), sim::seconds(1.0));
+  EXPECT_EQ(vm.ladder().levels(), QualityLadder::default_ladder().levels());
+  EXPECT_EQ(vm.geometry_ptr().get(), &vm.geometry());
+  EXPECT_EQ(vm.geometry().grid().tile_count(), vm.tile_count());
+  EXPECT_EQ(vm.tile_shares().size(), 8u);
+}
+
+TEST(VideoModel, DescribeFollowsTheConfig) {
+  auto cfg = small_config();
+  cfg.projection = "cubemap";
+  cfg.tile_cols = 6;
+  cfg.chunk_duration_s = 2.5;
+  cfg.ladder = QualityLadder({800.0, 3200.0});
+  cfg.svc_overhead = 0.25;
+  EXPECT_EQ(VideoModel(cfg).describe(),
+            "360 video: 10 s, cubemap projection, 2x6 tiles, 4 chunks "
+            "of 2.5 s\n"
+            "quality ladder (panorama kbps): 800 3200\n"
+            "SVC overhead: 25%\n");
+}
+
+TEST(VideoModel, TilingStorageCountsEveryStoredObject) {
+  // Every (tile, chunk) cell stores each AVC rung, and with SVC also every
+  // layer, whose sizes sum to the cumulative size of the top layer.
+  const VideoModel vm(small_config());
+  const QualityLevel top = vm.ladder().levels() - 1;
+  std::int64_t avc = 0;
+  std::int64_t svc = 0;
+  for (geo::TileId tile = 0; tile < vm.tile_count(); ++tile) {
+    for (ChunkIndex t = 0; t < vm.chunk_count(); ++t) {
+      for (QualityLevel q = 0; q <= top; ++q) {
+        avc += vm.avc_size_bytes(q, {tile, t});
+      }
+      svc += vm.svc_cumulative_size_bytes(top, {tile, t});
+    }
+  }
+  EXPECT_EQ(vm.storage_bytes_tiling(false), avc);
+  EXPECT_EQ(vm.storage_bytes_tiling(true), avc + svc);
+}
+
 TEST(VideoModel, VersioningIsCopiesOfAvcTiling) {
   // The paper's §2 tradeoff: versioning with 88 versions dwarfs tiled storage.
   const VideoModel vm(small_config());
@@ -250,6 +294,17 @@ TEST(Mpd, RoundTripReconstructsIdenticalVideo) {
       EXPECT_EQ(a.svc_layer_size_bytes(1, {tile, t}),
                 b.svc_layer_size_bytes(1, {tile, t}));
     }
+  }
+}
+
+TEST(Mpd, SeedRoundTripsAcrossTheFullRange) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, (std::uint64_t{1} << 53) + 1,
+        std::numeric_limits<std::uint64_t>::max() - 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    auto cfg = small_config();
+    cfg.seed = seed;
+    EXPECT_EQ(parse_mpd(write_mpd(cfg)).seed, seed);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/bandwidth_trace.h"
+#include "net/chunk_source.h"
 #include "net/link.h"
 #include "net/throughput_estimator.h"
 #include "sim/simulator.h"
@@ -451,6 +452,91 @@ TEST_F(LinkTest, ActiveTransfersCountsWarmupSeparately) {
   EXPECT_EQ(link.active_transfers(), 0);  // still in RTT warmup
   simulator.run_until(seconds(0.2));
   EXPECT_EQ(link.active_transfers(), 1);
+}
+
+TEST_F(LinkTest, FetchIgnoresChunkIdAndDeadline) {
+  // A direct link carries bytes; what they are and when they are wanted
+  // are a topology's concern, so neither may change how a fetch settles.
+  LinkConfig cfg;
+  cfg.bandwidth = BandwidthTrace::constant(8000.0);
+  cfg.rtt = sim::milliseconds(30);
+  const auto settle = [&](const FetchSpec& first, const FetchSpec& second) {
+    sim::Simulator sim;
+    Link link(sim, cfg);
+    ChunkSource& source = link;
+    std::vector<TransferResult> results;
+    const auto record = [&results](const TransferResult& r) {
+      results.push_back(r);
+    };
+    source.fetch(first, record);
+    source.fetch(second, record);
+    sim.run();
+    return results;
+  };
+  const auto a = settle({.id = {.chunk = 0, .tile = 1}, .bytes = 300'000},
+                        {.id = {.chunk = 0, .tile = 2}, .bytes = 700'000});
+  const auto b = settle({.id = {.video = 4, .chunk = 9, .tile = 7, .layer = 2},
+                         .bytes = 300'000,
+                         .deadline = seconds(0.01)},
+                        {.id = {.chunk = 3, .tile = 0, .quality = 4},
+                         .bytes = 700'000,
+                         .deadline = seconds(500.0)});
+  ASSERT_EQ(a.size(), 2u);
+  ASSERT_EQ(b.size(), 2u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].status, b[i].status);
+    EXPECT_EQ(a[i].time, b[i].time);
+    EXPECT_EQ(a[i].bytes_delivered, b[i].bytes_delivered);
+  }
+  EXPECT_EQ(a[0].bytes_delivered, 300'000);
+  EXPECT_EQ(a[1].bytes_delivered, 700'000);
+}
+
+TEST_F(LinkTest, FetchCancelFiresCancelledBeforeReturning) {
+  LinkConfig cfg;
+  cfg.bandwidth = BandwidthTrace::constant(8000.0);  // 1 MB/s
+  cfg.rtt = sim::Duration{0};
+  Link link(simulator, cfg);
+  ChunkSource& source = link;
+  std::optional<TransferResult> result;
+  const FetchId id = source.fetch({.id = {}, .bytes = 1'000'000},
+                                  [&](const TransferResult& r) { result = r; });
+  bool fired_inside_cancel = false;
+  simulator.schedule_at(seconds(0.5), [&] {
+    EXPECT_TRUE(source.cancel(id));
+    fired_inside_cancel = result.has_value();
+  });
+  simulator.run();
+  EXPECT_TRUE(fired_inside_cancel);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, TransferStatus::kCancelled);
+  EXPECT_NEAR(sim::to_seconds(result->time), 0.5, 1e-9);
+  EXPECT_NEAR(static_cast<double>(result->bytes_delivered), 500'000.0, 20'000.0);
+  EXPECT_FALSE(source.cancel(id));
+}
+
+TEST_F(LinkTest, FetchDuringOutageSettlesFailedExactlyOnce) {
+  LinkConfig cfg;
+  cfg.bandwidth = BandwidthTrace::constant(8000.0);
+  cfg.rtt = sim::Duration{0};
+  cfg.faults.outages = {{.start_s = 1.0, .duration_s = 2.0}};
+  Link link(simulator, cfg);
+  ChunkSource& source = link;
+  int fires = 0;
+  std::optional<TransferResult> result;
+  const FetchId id = source.fetch({.id = {}, .bytes = 2'000'000},
+                                  [&](const TransferResult& r) {
+                                    ++fires;
+                                    result = r;
+                                  });
+  simulator.run();
+  EXPECT_EQ(fires, 1);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, TransferStatus::kFailed);
+  EXPECT_NEAR(sim::to_seconds(result->time), 1.0, 0.01);
+  EXPECT_NEAR(static_cast<double>(result->bytes_delivered), 1'000'000.0, 20'000.0);
+  EXPECT_FALSE(source.cancel(id));
+  EXPECT_EQ(fires, 1);
 }
 
 }  // namespace
