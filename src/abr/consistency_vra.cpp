@@ -5,23 +5,22 @@
 #include <stdexcept>
 
 namespace sperke::abr {
+namespace {
 
-ConsistencyVra::ConsistencyVra(std::shared_ptr<const media::VideoModel> video,
-                               ConsistencyVraConfig config)
-    : video_(std::move(video)), config_(config) {
+// Fraction of the estimated throughput the planner may spend per chunk.
+constexpr double kSafety = 0.9;
+// Max FoV quality *rise* per chunk (drops are unconstrained).
+constexpr int kMaxTemporalStep = 1;
+// Quality levels dropped per BFS ring away from the viewport.
+constexpr int kSpatialStep = 1;
+// Protective rings fetched beyond the FoV.
+constexpr int kMaxRings = 2;
+
+}  // namespace
+
+ConsistencyVra::ConsistencyVra(std::shared_ptr<const media::VideoModel> video)
+    : video_(std::move(video)) {
   if (!video_) throw std::invalid_argument("ConsistencyVra: null video");
-  if (config_.safety <= 0.0 || config_.safety > 1.0) {
-    throw std::invalid_argument("ConsistencyVra: bad safety");
-  }
-  if (config_.max_temporal_step < 1) {
-    throw std::invalid_argument("ConsistencyVra: max_temporal_step < 1");
-  }
-  if (config_.spatial_step < 1) {
-    throw std::invalid_argument("ConsistencyVra: spatial_step < 1");
-  }
-  if (config_.max_rings < 0) {
-    throw std::invalid_argument("ConsistencyVra: negative max_rings");
-  }
 }
 
 void ConsistencyVra::plan_chunk_into(media::ChunkIndex index,
@@ -52,7 +51,7 @@ void ConsistencyVra::plan_chunk_into(media::ChunkIndex index,
     ring_of[static_cast<std::size_t>(t)] = 0;
     frontier.push_back(t);
   }
-  const int rings = tile_probabilities.empty() ? 0 : config_.max_rings;
+  const int rings = tile_probabilities.empty() ? 0 : kMaxRings;
   for (int r = 1; r <= rings; ++r) {
     auto& next = workspace.next_frontier;
     next.clear();
@@ -68,7 +67,7 @@ void ConsistencyVra::plan_chunk_into(media::ChunkIndex index,
   }
 
   const auto ring_quality = [&](media::QualityLevel q_fov, int ring) {
-    return std::max<media::QualityLevel>(q_fov - ring * config_.spatial_step, 0);
+    return std::max<media::QualityLevel>(q_fov - ring * kSpatialStep, 0);
   };
   const auto plan_bytes = [&](media::QualityLevel q_fov) {
     std::int64_t bytes = 0;
@@ -82,13 +81,13 @@ void ConsistencyVra::plan_chunk_into(media::ChunkIndex index,
 
   const std::int64_t budget =
       estimated_kbps > 0.0
-          ? static_cast<std::int64_t>(estimated_kbps * config_.safety *
+          ? static_cast<std::int64_t>(estimated_kbps * kSafety *
                                       chunk_s * 1000.0 / 8.0)
           : 0;
   // Largest affordable FoV quality, capped by the temporal rise limit.
   // Cost is monotone in q_fov, so an ascending scan finds the maximum.
   const media::QualityLevel rise_cap = std::min<media::QualityLevel>(
-      last_quality + config_.max_temporal_step, ladder.max_level());
+      last_quality + kMaxTemporalStep, ladder.max_level());
   media::QualityLevel q_fov = -1;
   for (media::QualityLevel q = 0; q <= rise_cap; ++q) {
     if (plan_bytes(q) <= budget) q_fov = q;

@@ -6,11 +6,11 @@
 // expected-utility objective:
 //   * spatial consistency — quality falls *gradually* with grid distance
 //     from the viewport (abrupt tile seams inside the FoV are what users
-//     notice most), implemented as BFS rings over geo::TileGrid::neighbors
-//     dropping `spatial_step` levels per ring;
-//   * temporal consistency — the FoV quality may rise at most
-//     `max_temporal_step` levels per chunk (no quality flicker), though it
-//     may drop freely when throughput collapses (stalls beat smoothness).
+//     notice most), implemented as two BFS rings over
+//     geo::TileGrid::neighbors dropping one level per ring;
+//   * temporal consistency — the FoV quality may rise at most one level
+//     per chunk (no quality flicker), though it may drop freely when
+//     throughput collapses (stalls beat smoothness).
 // The chosen FoV quality is then the largest one whose *whole* smoothed
 // plan (FoV + rings) fits the safety-discounted byte budget.
 #pragma once
@@ -24,21 +24,9 @@
 
 namespace sperke::abr {
 
-struct ConsistencyVraConfig {
-  // Fraction of the estimated throughput the planner may spend per chunk.
-  double safety = 0.9;
-  // Max FoV quality *rise* per chunk (drops are unconstrained).
-  int max_temporal_step = 1;
-  // Quality levels dropped per BFS ring away from the viewport.
-  int spatial_step = 1;
-  // Protective rings fetched beyond the FoV (0 disables the margin).
-  int max_rings = 2;
-};
-
 class ConsistencyVra final : public TileAbrPolicy {
  public:
-  ConsistencyVra(std::shared_ptr<const media::VideoModel> video,
-                 ConsistencyVraConfig config);
+  explicit ConsistencyVra(std::shared_ptr<const media::VideoModel> video);
 
   [[nodiscard]] std::string_view name() const override { return "consistency"; }
   void plan_chunk_into(media::ChunkIndex index,
@@ -53,11 +41,8 @@ class ConsistencyVra final : public TileAbrPolicy {
     return media::Encoding::kAvc;
   }
 
-  [[nodiscard]] const ConsistencyVraConfig& config() const { return config_; }
-
  private:
   std::shared_ptr<const media::VideoModel> video_;
-  ConsistencyVraConfig config_;
 };
 
 }  // namespace sperke::abr

@@ -38,10 +38,10 @@ std::unique_ptr<TileAbrPolicy> make_policy(
     return std::make_unique<SperkeVra>(std::move(video), config.sperke);
   }
   if (config.policy == "knapsack") {
-    return std::make_unique<KnapsackVra>(std::move(video), config.knapsack);
+    return std::make_unique<KnapsackVra>(std::move(video));
   }
   if (config.policy == "consistency") {
-    return std::make_unique<ConsistencyVra>(std::move(video), config.consistency);
+    return std::make_unique<ConsistencyVra>(std::move(video));
   }
   return std::make_unique<FullPanoramaVra>(std::move(video), config.fullpano);
 }

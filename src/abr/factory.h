@@ -24,11 +24,10 @@ namespace sperke::abr {
 struct TileAbrConfig {
   // One of policy_names(): "sperke" (the paper's VRA), "knapsack"
   // (Ghosh–Aggarwal–Qian), "consistency" (Yuan et al.), "fullpano"
-  // (monolithic baseline). Only the matching params struct is read.
+  // (monolithic baseline). Only the matching params struct is read;
+  // "knapsack" and "consistency" take none.
   std::string policy = "sperke";
   SperkeVraConfig sperke;
-  KnapsackVraConfig knapsack;
-  ConsistencyVraConfig consistency;
   FullPanoramaConfig fullpano;
 };
 

@@ -5,14 +5,23 @@
 #include <stdexcept>
 
 namespace sperke::abr {
+namespace {
 
-KnapsackVra::KnapsackVra(std::shared_ptr<const media::VideoModel> video,
-                         KnapsackVraConfig config)
-    : video_(std::move(video)), config_(config) {
+// Fraction of the estimated throughput the planner may spend per chunk.
+constexpr double kSafety = 0.9;
+// QualityLadder::utility(0) is 0, so a base-tier fetch of a non-FoV tile
+// would never win a utility-only greedy — yet displaying *something*
+// beats a blank tile on misprediction. Utility credit for getting a tile
+// on screen at all (added to the entry step's Δu only).
+constexpr double kEntryUtility = 0.25;
+// Tiles below this viewing probability never enter the allocation.
+constexpr double kMinProbability = 0.005;
+
+}  // namespace
+
+KnapsackVra::KnapsackVra(std::shared_ptr<const media::VideoModel> video)
+    : video_(std::move(video)) {
   if (!video_) throw std::invalid_argument("KnapsackVra: null video");
-  if (config_.safety <= 0.0 || config_.safety > 1.0) {
-    throw std::invalid_argument("KnapsackVra: bad safety");
-  }
 }
 
 void KnapsackVra::plan_chunk_into(media::ChunkIndex index,
@@ -57,7 +66,7 @@ void KnapsackVra::plan_chunk_into(media::ChunkIndex index,
   // Unknown throughput (startup): the coverage floor is all we commit to.
   const std::int64_t budget =
       estimated_kbps > 0.0
-          ? static_cast<std::int64_t>(estimated_kbps * config_.safety *
+          ? static_cast<std::int64_t>(estimated_kbps * kSafety *
                                       chunk_s * 1000.0 / 8.0)
           : spent;
 
@@ -75,8 +84,8 @@ void KnapsackVra::plan_chunk_into(media::ChunkIndex index,
       std::int64_t cost = 0;
       const media::ChunkKey key{t, index};
       if (q < 0) {
-        if (p < config_.min_probability) continue;  // never enters
-        gain = p * (ladder.utility(0) + config_.entry_utility);
+        if (p < kMinProbability) continue;  // never enters
+        gain = p * (ladder.utility(0) + kEntryUtility);
         cost = video_->avc_size_bytes(0, key);
       } else {
         gain = p * (ladder.utility(q + 1) - ladder.utility(q));

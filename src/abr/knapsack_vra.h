@@ -24,22 +24,9 @@
 
 namespace sperke::abr {
 
-struct KnapsackVraConfig {
-  // Fraction of the estimated throughput the planner may spend per chunk.
-  double safety = 0.9;
-  // QualityLadder::utility(0) is 0, so a base-tier fetch of a non-FoV tile
-  // would never win a utility-only greedy — yet displaying *something*
-  // beats a blank tile on misprediction. Utility credit for getting a tile
-  // on screen at all (added to the entry step's Δu only).
-  double entry_utility = 0.25;
-  // Tiles below this viewing probability never enter the allocation.
-  double min_probability = 0.005;
-};
-
 class KnapsackVra final : public TileAbrPolicy {
  public:
-  KnapsackVra(std::shared_ptr<const media::VideoModel> video,
-              KnapsackVraConfig config);
+  explicit KnapsackVra(std::shared_ptr<const media::VideoModel> video);
 
   [[nodiscard]] std::string_view name() const override { return "knapsack"; }
   void plan_chunk_into(media::ChunkIndex index,
@@ -54,11 +41,8 @@ class KnapsackVra final : public TileAbrPolicy {
     return media::Encoding::kAvc;
   }
 
-  [[nodiscard]] const KnapsackVraConfig& config() const { return config_; }
-
  private:
   std::shared_ptr<const media::VideoModel> video_;
-  KnapsackVraConfig config_;
 };
 
 }  // namespace sperke::abr

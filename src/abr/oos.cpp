@@ -11,6 +11,10 @@ namespace {
 
 // The floor of every OOS tile's quality.
 constexpr media::QualityLevel kMinQuality = 0;
+// The best OOS tile sits this many levels below the FoV quality...
+constexpr int kFirstQualityDrop = 1;
+// ...and every kTilesPerStep OOS tiles drop one more level.
+constexpr int kTilesPerStep = 3;
 
 // Emit the fetches needed to hold tile `tile` of chunk `index` at quality
 // `q` under `encoding` (one AVC object, or SVC layers 0..q).
@@ -29,23 +33,12 @@ void emit_tile(ChunkPlan& plan, geo::TileId tile, media::QualityLevel q,
 }  // namespace
 
 OosSelector::OosSelector(OosConfig config) : config_(config) {
-  if (config_.budget_fraction < 0.0) {
-    throw std::invalid_argument("OosSelector: negative budget fraction");
+  // NaN fails both tests.
+  if (!(config_.budget_fraction >= 0.0) ||
+      !std::isfinite(config_.budget_fraction)) {
+    throw std::invalid_argument(
+        "OosSelector: budget fraction must be finite and >= 0");
   }
-  if (config_.tiles_per_step <= 0) {
-    throw std::invalid_argument("OosSelector: tiles_per_step must be positive");
-  }
-  if (config_.first_quality_drop < 0) {
-    throw std::invalid_argument("OosSelector: negative quality drop");
-  }
-}
-
-void OosSelector::select(ChunkPlan& plan, const media::VideoModel& video,
-                         const std::vector<geo::TileId>& fov_tiles,
-                         std::span<const double> probabilities,
-                         media::Encoding encoding) const {
-  Workspace workspace;
-  select(plan, video, fov_tiles, probabilities, encoding, workspace);
 }
 
 void OosSelector::select(ChunkPlan& plan, const media::VideoModel& video,
@@ -64,7 +57,7 @@ void OosSelector::select(ChunkPlan& plan, const media::VideoModel& video,
   }
   miss_mass = std::clamp(miss_mass, 0.0, 1.0);
   double budget = config_.budget_fraction * static_cast<double>(fov_bytes);
-  if (config_.accuracy_scaling) budget *= (1.0 + miss_mass);
+  budget *= (1.0 + miss_mass);
 
   // Candidates: every non-FoV tile, most probable first.
   auto& in_fov = workspace.in_fov;
@@ -81,36 +74,21 @@ void OosSelector::select(ChunkPlan& plan, const media::VideoModel& video,
                             probabilities[static_cast<std::size_t>(b)];
                    });
 
-  const double prob_max =
-      candidates.empty()
-          ? 1.0
-          : std::max(probabilities[static_cast<std::size_t>(candidates.front())],
-                     1e-12);
-
-  // Quality falls off with rank (or with probability directly): the
-  // further down the ranking — the further from the predicted FoV — the
-  // lower the quality (§3.1.1).
+  // Quality falls off with rank: the further down the ranking — the
+  // further from the predicted FoV — the lower the quality (§3.1.1).
   std::int64_t spent = 0;
   int rank = 0;
   for (geo::TileId tile : candidates) {
-    media::QualityLevel q;
-    if (config_.quality_policy == OosQualityPolicy::kProbabilityProportional) {
-      const double rel =
-          probabilities[static_cast<std::size_t>(tile)] / prob_max;
-      q = std::max<media::QualityLevel>(
-          kMinQuality,
-          static_cast<media::QualityLevel>(
-              std::lround(rel * std::max(0, plan.fov_quality - 1))));
-    } else {
-      const int drop = config_.first_quality_drop + rank / config_.tiles_per_step;
-      q = std::max<media::QualityLevel>(kMinQuality,
-                                        plan.fov_quality - drop);
-    }
+    const int drop = kFirstQualityDrop + rank / kTilesPerStep;
+    const media::QualityLevel q =
+        std::max<media::QualityLevel>(kMinQuality, plan.fov_quality - drop);
     const media::ChunkKey key{tile, plan.index};
     const std::int64_t cost = (encoding == media::Encoding::kAvc)
                                   ? video.avc_size_bytes(q, key)
                                   : video.svc_cumulative_size_bytes(q, key);
-    if (spent + cost > static_cast<std::int64_t>(budget)) break;
+    // Compared in double: an integer exceeds a non-negative budget exactly
+    // when it exceeds the budget's truncation, and no cast can overflow.
+    if (static_cast<double>(spent + cost) > budget) break;
     spent += cost;
     emit_tile(plan, tile, q, encoding, SpatialClass::kOos,
               probabilities[static_cast<std::size_t>(tile)]);

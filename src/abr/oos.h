@@ -5,7 +5,8 @@
 // under a byte budget. The three factors the paper names:
 //   1. bandwidth budget — an explicit byte budget relative to the FoV bytes;
 //   2. HMP accuracy    — probability mass escaping the predicted FoV widens
-//                        the budget (more randomness, more protection);
+//                        the budget by (1 + miss mass) (more randomness,
+//                        more protection);
 //   3. data-driven     — the probabilities themselves already fold in crowd
 //                        statistics and context pruning (hmp/fusion.h).
 #pragma once
@@ -18,25 +19,10 @@
 
 namespace sperke::abr {
 
-enum class OosQualityPolicy {
-  // Quality falls stepwise with the probability rank (the paper's "the
-  // further away, the lower the quality").
-  kRankLadder,
-  // Quality proportional to the tile's probability relative to the best
-  // OOS candidate: q = fov_quality - 1 scaled down by prob/prob_max.
-  kProbabilityProportional,
-};
-
 struct OosConfig {
-  // Extra bytes for OOS tiles as a fraction of the FoV super-chunk bytes.
+  // Extra bytes for OOS tiles as a fraction of the FoV super-chunk bytes,
+  // before the accuracy scaling by (1 + FoV miss mass). Finite, >= 0.
   double budget_fraction = 0.35;
-  // Scale the budget by predicted FoV miss mass (factor 2 at total miss).
-  bool accuracy_scaling = true;
-  OosQualityPolicy quality_policy = OosQualityPolicy::kRankLadder;
-  // kRankLadder: quality of the best OOS tile relative to the FoV quality.
-  int first_quality_drop = 1;
-  // kRankLadder: every `tiles_per_step` OOS tiles, drop one more level.
-  int tiles_per_step = 3;
 };
 
 class OosSelector {
@@ -50,19 +36,15 @@ class OosSelector {
 
   explicit OosSelector(OosConfig config = {});
 
-  // Append OOS fetches to `plan` (which already holds the FoV fetches).
+  // Append OOS fetches to `plan` (which already holds the FoV fetches),
+  // most probable tile first until the budget is spent. The first OOS tile
+  // sits one level below the FoV quality, and every 3 tiles drop one more.
   // `probabilities` indexes tiles; `fov_tiles` are excluded from selection.
   // `encoding` chooses AVC chunks or SVC layer stacks for the OOS tiles.
   void select(ChunkPlan& plan, const media::VideoModel& video,
               const std::vector<geo::TileId>& fov_tiles,
               std::span<const double> probabilities,
-              media::Encoding encoding) const;
-  void select(ChunkPlan& plan, const media::VideoModel& video,
-              const std::vector<geo::TileId>& fov_tiles,
-              std::span<const double> probabilities,
               media::Encoding encoding, Workspace& workspace) const;
-
-  [[nodiscard]] const OosConfig& config() const { return config_; }
 
  private:
   OosConfig config_;

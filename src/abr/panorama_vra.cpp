@@ -8,9 +8,7 @@ namespace sperke::abr {
 
 FullPanoramaVra::FullPanoramaVra(std::shared_ptr<const media::VideoModel> video,
                                  FullPanoramaConfig config)
-    : video_(std::move(video)),
-      config_(std::move(config)),
-      regular_(make_regular_vra(config_.regular_vra)) {
+    : video_(std::move(video)), regular_(make_regular_vra(config.regular_vra)) {
   if (!video_) throw std::invalid_argument("FullPanoramaVra: null video");
 }
 

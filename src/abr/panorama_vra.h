@@ -37,11 +37,8 @@ class FullPanoramaVra final : public TileAbrPolicy {
     return media::Encoding::kAvc;
   }
 
-  [[nodiscard]] const FullPanoramaConfig& config() const { return config_; }
-
  private:
   std::shared_ptr<const media::VideoModel> video_;
-  FullPanoramaConfig config_;
   std::unique_ptr<RegularVra> regular_;
 };
 

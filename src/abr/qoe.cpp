@@ -4,8 +4,16 @@
 #include <stdexcept>
 
 namespace sperke::abr {
+namespace {
 
-QoeTracker::QoeTracker(QoeWeights weights) : weights_(weights) {}
+// Score weights: utility is the per-chunk mean viewport utility in [0,1].
+constexpr double kUtilityWeight = 1.0;
+constexpr double kStallPenaltyPerS = 4.0;  // rebuffering (non-live)
+constexpr double kSkipPenalty = 2.0;       // skipped chunk (live)
+constexpr double kSwitchPenalty = 1.0;     // |utility delta| between chunks
+constexpr double kBlankPenalty = 4.0;      // FoV fraction with nothing shown
+
+}  // namespace
 
 void QoeTracker::record_played_chunk(double viewport_utility, double blank_fraction) {
   if (viewport_utility < 0.0 || viewport_utility > 1.0) {
@@ -47,11 +55,11 @@ QoeSummary QoeTracker::summary() const {
     out.mean_viewport_utility = utility_sum_ / out.chunks_played;
     out.blank_fraction_mean = blank_sum_ / out.chunks_played;
   }
-  out.score = weights_.utility_weight * utility_sum_ -
-              weights_.stall_penalty_per_s * out.stall_seconds -
-              weights_.skip_penalty * out.skipped_chunks -
-              weights_.switch_penalty * out.switch_magnitude -
-              weights_.blank_penalty * blank_sum_;
+  out.score = kUtilityWeight * utility_sum_ -
+              kStallPenaltyPerS * out.stall_seconds -
+              kSkipPenalty * out.skipped_chunks -
+              kSwitchPenalty * out.switch_magnitude -
+              kBlankPenalty * blank_sum_;
   return out;
 }
 

@@ -11,14 +11,6 @@
 
 namespace sperke::abr {
 
-struct QoeWeights {
-  double utility_weight = 1.0;        // per-chunk mean viewport utility [0,1]
-  double stall_penalty_per_s = 4.0;   // rebuffering (non-live)
-  double skip_penalty = 2.0;          // skipped chunk (live)
-  double switch_penalty = 1.0;        // |utility delta| between chunks
-  double blank_penalty = 4.0;         // fraction of FoV with nothing to show
-};
-
 struct QoeSummary {
   int chunks_played = 0;
   double mean_viewport_utility = 0.0;  // [0,1], across played chunks
@@ -35,8 +27,6 @@ struct QoeSummary {
 // Accumulates per-chunk playback observations and produces a QoeSummary.
 class QoeTracker {
  public:
-  explicit QoeTracker(QoeWeights weights = {});
-
   // One playback step: the viewport's mean quality utility in [0,1] and the
   // fraction of FoV tiles that had no data at all.
   void record_played_chunk(double viewport_utility, double blank_fraction);
@@ -47,10 +37,8 @@ class QoeTracker {
   void record_wasted(std::int64_t bytes);
 
   [[nodiscard]] QoeSummary summary() const;
-  [[nodiscard]] const QoeWeights& weights() const { return weights_; }
 
  private:
-  QoeWeights weights_;
   QoeSummary acc_;
   double utility_sum_ = 0.0;
   double blank_sum_ = 0.0;

@@ -5,6 +5,20 @@
 #include <stdexcept>
 
 namespace sperke::abr {
+namespace {
+
+// Upgrade policy (part 3). The probability test is a *lift over uniform*:
+// a tile qualifies when its visibility probability is at least
+// kUpgradeProbThreshold / tile_count (plain probabilities spread thin
+// across the ~10 tiles of a FoV, so an absolute cut would never fire).
+constexpr double kUpgradeProbThreshold = 1.5;
+// Cost-benefit gate: the expected utility gain (lift x utility delta) must
+// clear this floor, so bandwidth is not spent on marginal upgrades.
+constexpr double kUpgradeMinBenefit = 0.35;
+// Fraction of the deadline slack an upgrade download may use.
+constexpr double kUpgradeSafety = 0.8;
+
+}  // namespace
 
 std::string to_string(EncodingMode mode) {
   switch (mode) {
@@ -114,12 +128,12 @@ TileAbrPolicy::UpgradeDecision SperkeVra::consider_upgrade(
   if (config_.mode == EncodingMode::kAvcNoUpgrade) return decision;
   if (time_to_deadline <= sim::Duration{0}) return decision;
   // Too early: HMP may still change; wait until inside the upgrade window.
-  if (time_to_deadline > config_.upgrade_window) return decision;
+  if (time_to_deadline > kUpgradeWindow) return decision;
   const double lift = visible_probability * video_->tile_count();
-  if (lift < config_.upgrade_prob_threshold) return decision;
+  if (lift < kUpgradeProbThreshold) return decision;
   const double gain = video_->ladder().utility(target) -
                       video_->ladder().utility(std::max(current, 0));
-  if (lift * gain < config_.upgrade_min_benefit) return decision;
+  if (lift * gain < kUpgradeMinBenefit) return decision;
 
   // Candidate paths: a delta stack on the buffered SVC base, and/or a full
   // AVC refetch of the target quality.
@@ -160,7 +174,7 @@ TileAbrPolicy::UpgradeDecision SperkeVra::consider_upgrade(
   // Feasibility: the bytes must arrive inside the safety-discounted slack.
   if (estimated_kbps <= 0.0) return decision;
   const double download_s = static_cast<double>(bytes) * 8.0 / (estimated_kbps * 1000.0);
-  if (download_s > config_.upgrade_safety * sim::to_seconds(time_to_deadline)) {
+  if (download_s > kUpgradeSafety * sim::to_seconds(time_to_deadline)) {
     return decision;
   }
   decision.upgrade = true;

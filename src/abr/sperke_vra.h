@@ -40,17 +40,6 @@ struct SperkeVraConfig {
   std::string regular_vra = "throughput";
   OosConfig oos;
   EncodingMode mode = EncodingMode::kSvc;
-
-  // Upgrade policy (part 3). The probability test is a *lift over
-  // uniform*: a tile qualifies when its visibility probability exceeds
-  // threshold / tile_count (plain probabilities spread thin across the
-  // ~10 tiles of a FoV, so an absolute cut would never fire).
-  double upgrade_prob_threshold = 1.5;   // minimum lift over uniform
-  // Cost-benefit gate: the expected utility gain (lift x utility delta)
-  // must clear this floor, so bandwidth is not spent on marginal upgrades.
-  double upgrade_min_benefit = 0.35;
-  sim::Duration upgrade_window{sim::seconds(4)};  // don't upgrade earlier
-  double upgrade_safety = 0.8;  // fraction of deadline slack usable
 };
 
 // The paper's own policy behind the TileAbrPolicy interface. Construct via
@@ -71,11 +60,12 @@ class SperkeVra final : public TileAbrPolicy {
 
   // Part 3: should a buffered tile displayed at `current` quality be
   // upgraded to `target`, given its display probability and deadline slack?
-  //  * upgrade-or-not — the expected benefit (probability lift x utility
-  //    gain) must clear a floor and the download must fit in the
-  //    safety-discounted slack;
-  //  * when — not earlier than `upgrade_window` before the deadline, since
-  //    HMP may still change (too early wastes bytes; too late misses it);
+  //  * upgrade-or-not — the tile's visibility probability must be at least
+  //    1.5x uniform, the expected benefit (that lift x utility gain) must
+  //    reach 0.35, and the download must fit in 80 % of the deadline slack;
+  //  * when — not earlier than kUpgradeWindow (4 s) before the deadline,
+  //    since HMP may still change (too early wastes bytes; too late misses
+  //    it);
   //  * how — a delta on the cell's SVC base (`svc_layer_base`, -1 if the
   //    cell holds no contiguous layers) or an AVC refetch, depending on
   //    the encoding mode; hybrid picks whichever is cheaper.
@@ -94,13 +84,13 @@ class SperkeVra final : public TileAbrPolicy {
                : media::Encoding::kSvc;
   }
   [[nodiscard]] sim::Duration upgrade_window() const override {
-    return config_.upgrade_window;
+    return kUpgradeWindow;
   }
 
-  [[nodiscard]] const SperkeVraConfig& config() const { return config_; }
-  [[nodiscard]] const RegularVra& regular() const { return *regular_; }
-
  private:
+  // Upgrades wait until this close to the deadline.
+  static constexpr sim::Duration kUpgradeWindow = sim::seconds(4);
+
   // Encoding used for FoV fetches / for OOS fetches under the mode.
   [[nodiscard]] media::Encoding fov_encoding() const;
   [[nodiscard]] media::Encoding oos_encoding() const;

@@ -65,7 +65,7 @@ int Edge::warm(const media::VideoModel& video, const hmp::ViewingHeatmap& crowd,
   // Preload one object; false = budget exhausted (stop warming entirely —
   // evicting here would churn what was just preloaded).
   const auto warm_object = [&](const media::ChunkAddress& address) {
-    const net::ChunkId id = net::to_chunk_id(address, spec.video);
+    const net::ChunkId id = net::to_chunk_id(address);
     if (cache_.contains(id)) return true;
     const std::int64_t bytes = video.size_bytes(address);
     if (cache_.used_bytes() + bytes > cache_.capacity_bytes()) return false;
@@ -90,16 +90,9 @@ int Edge::warm(const media::VideoModel& video, const hmp::ViewingHeatmap& crowd,
               });
     for (int k = 0; k < top_n && budget_left; ++k) {
       const geo::TileId tile = ranked[static_cast<std::size_t>(k)].second;
-      // SVC playback at layer L needs layers 0..L resident; AVC needs the
-      // single rung object.
-      const std::int32_t first_level =
-          spec.encoding == media::Encoding::kSvc ? 0 : spec.level;
-      for (std::int32_t level = first_level;
-           level <= spec.level && budget_left; ++level) {
-        budget_left = warm_object({.key = {.tile = tile, .index = chunk},
-                                   .encoding = spec.encoding,
-                                   .level = level});
-      }
+      budget_left = warm_object({.key = {.tile = tile, .index = chunk},
+                                 .encoding = media::Encoding::kAvc,
+                                 .level = spec.level});
     }
   }
   stats_.warmed += warmed;

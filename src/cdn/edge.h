@@ -45,14 +45,12 @@ struct EdgeStats {
   std::int64_t warmed = 0;  // objects preloaded from the crowd heatmap
 };
 
-// What to preload per temporal chunk: the top `tiles_per_chunk` tiles by
-// crowd probability (ties broken by ascending tile id), at `encoding` /
-// `level` — for kSvc that is layers 0..level, the playable prefix.
+// What to preload per temporal chunk: the AVC copy at `level` of the top
+// `tiles_per_chunk` tiles by crowd probability (ties broken by ascending
+// tile id).
 struct WarmSpec {
   int tiles_per_chunk = 0;
-  media::Encoding encoding = media::Encoding::kAvc;
   std::int32_t level = 0;
-  std::int32_t video = 0;  // ChunkId video coordinate of the warmed objects
 };
 
 class Edge {

@@ -27,10 +27,9 @@ std::string joined_field_names() {
 }  // namespace
 
 std::span<const std::string_view> topology_field_names() noexcept {
-  static constexpr std::array<std::string_view, 8> kNames = {
-      "sessions_per_edge", "backhaul",           "backhaul_for_edge",
-      "cache_policy",      "cache_capacity_bytes", "warm_tiles_per_chunk",
-      "warm_encoding",     "warm_level"};
+  static constexpr std::array<std::string_view, 6> kNames = {
+      "sessions_per_edge",    "backhaul",             "cache_policy",
+      "cache_capacity_bytes", "warm_tiles_per_chunk", "warm_level"};
   return kNames;
 }
 
@@ -91,11 +90,8 @@ net::ChunkSource& Topology::add_group(int edge, net::LinkConfig access) {
 Edge& Topology::edge_for(int edge_id) {
   auto it = edge_index_.find(edge_id);
   if (it != edge_index_.end()) return *edges_[it->second];
-  net::LinkConfig backhaul = spec_.backhaul_for_edge
-                                 ? spec_.backhaul_for_edge(edge_id)
-                                 : spec_.backhaul;
   backhaul_links_.push_back(
-      std::make_unique<net::Link>(simulator_, std::move(backhaul)));
+      std::make_unique<net::Link>(simulator_, spec_.backhaul));
   const EdgeCacheConfig cache_config{
       .policy = parse_cache_policy(spec_.cache_policy),
       .capacity_bytes = spec_.cache_capacity_bytes};
@@ -108,9 +104,7 @@ Edge& Topology::edge_for(int edge_id) {
                  "Topology: warming requires a video model and a crowd heatmap");
     built.warm(*video_, *crowd_,
                WarmSpec{.tiles_per_chunk = spec_.warm_tiles_per_chunk,
-                        .encoding = spec_.warm_encoding,
-                        .level = spec_.warm_level,
-                        .video = 0});
+                        .level = spec_.warm_level});
   }
   return built;
 }

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -44,20 +43,18 @@ struct TopologySpec {
   // sessions_per_link when enabled; 0 disables the CDN tier.
   int sessions_per_edge = 0;
 
-  // Backhaul (edge -> origin) link template — or a per-edge override hook
-  // (same thread-safety rule as WorldSpec::link_for_group: pure, called
-  // from shard threads). Backhaul faults ride in the config's FaultPlan.
+  // Backhaul (edge -> origin) link, one per edge built from this config.
+  // Backhaul faults ride in the config's FaultPlan.
   net::LinkConfig backhaul;
-  std::function<net::LinkConfig(int edge)> backhaul_for_edge;
 
   // Edge cache: eviction policy name (cache_policy_names()) and byte budget.
   std::string cache_policy = "lru";
   std::int64_t cache_capacity_bytes = 256LL * 1024 * 1024;
 
-  // Crowd-driven warming: preload the top-N tiles per chunk from the
-  // world's hmp::ViewingHeatmap before any session starts. 0 = cold cache.
+  // Crowd-driven warming: preload the AVC copies at `warm_level` of the
+  // top-N tiles per chunk from the world's hmp::ViewingHeatmap before any
+  // session starts. 0 = cold cache.
   int warm_tiles_per_chunk = 0;
-  media::Encoding warm_encoding = media::Encoding::kAvc;
   std::int32_t warm_level = 0;
 
   [[nodiscard]] bool enabled() const { return sessions_per_edge > 0; }

@@ -12,6 +12,10 @@ namespace {
 
 // Below this deadline slack a fetch is dispatched as "urgent" (Table 1).
 constexpr sim::Duration kUrgentSlack = sim::seconds(1.0);
+constexpr double kHeadSampleHz = 25.0;
+// Playback starts once this many chunks of the startup view are displayable.
+constexpr int kStartupChunks = 1;
+constexpr sim::Duration kUpgradeScanPeriod = sim::milliseconds(250);
 
 std::unique_ptr<hmp::OrientationPredictor> motion_for(const SessionConfig& config) {
   return hmp::make_orientation_predictor(config.predictor);
@@ -22,18 +26,6 @@ std::unique_ptr<hmp::OrientationPredictor> motion_for(const SessionConfig& confi
 void validate(const SessionConfig& config) {
   if (config.prefetch_horizon_chunks < 1) {
     throw std::invalid_argument("Session: prefetch horizon < 1");
-  }
-  if (config.startup_chunks < 1) {
-    throw std::invalid_argument("Session: startup chunks < 1");
-  }
-  // NaN fails the > test; the period must round to a positive microsecond
-  // count (sim::seconds of a non-finite or huge value is undefined).
-  if (!(config.head_sample_hz > 0.0) ||
-      !sim::valid_positive_seconds(1.0 / config.head_sample_hz)) {
-    throw std::invalid_argument("Session: bad head sample rate");
-  }
-  if (config.enable_upgrades && config.upgrade_scan_period <= sim::Duration{0}) {
-    throw std::invalid_argument("Session: upgrade scan period <= 0");
   }
 }
 
@@ -57,7 +49,6 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
       slot_(batch_->acquire()),
       buffer_(video_, batch_->cells(slot_)),
       policy_(abr::make_policy(video_, config_.abr)),
-      qoe_(config_.qoe),
       fetcher_(simulator_, *video_, transport_, buffer_, *policy_,
                config_.telemetry, batch_->in_flight(slot_), kUrgentSlack,
                config_.fetch_recovery,
@@ -153,10 +144,10 @@ void StreamingSession::start() {
   record_trace({.type = obs::TraceEventType::kSessionStart,
                 .ts = simulator_.now()});
   observe_head();  // prime the predictor with the initial pose
-  head_task_.emplace(simulator_, sim::seconds(1.0 / config_.head_sample_hz),
+  head_task_.emplace(simulator_, sim::seconds(1.0 / kHeadSampleHz),
                      [this] { observe_head(); });
-  if (config_.enable_upgrades && policy_->upgrade_window() > sim::Duration{0}) {
-    upgrade_task_.emplace(simulator_, config_.upgrade_scan_period,
+  if (policy_->upgrade_window() > sim::Duration{0}) {
+    upgrade_task_.emplace(simulator_, kUpgradeScanPeriod,
                           [this] { scan_upgrades(); });
   }
   maybe_plan();
@@ -280,8 +271,8 @@ void StreamingSession::on_fetch_done(const media::ChunkAddress& address,
 void StreamingSession::attempt_start() {
   if (playing_ || finished_ || !started_) return;
   // Startup condition: the tiles visible at media time 0 are displayable
-  // for the first `startup_chunks` chunks.
-  const int want = std::min<int>(config_.startup_chunks, video_->chunk_count());
+  // for the first kStartupChunks chunks.
+  const int want = std::min<int>(kStartupChunks, video_->chunk_count());
   if (buffer_.contiguous_chunks(0, playhead_visible()) < want) return;
   playing_ = true;
   startup_done_ = simulator_.now();
@@ -295,7 +286,7 @@ void StreamingSession::request_missing_startup_tiles() {
   // or a timeout, never a delivery, so no callback can start playback and
   // move the playhead: the set stays put while it is iterated.
   const std::vector<geo::TileId>& visible = playhead_visible();
-  const int want = std::min<int>(config_.startup_chunks, video_->chunk_count());
+  const int want = std::min<int>(kStartupChunks, video_->chunk_count());
   for (media::ChunkIndex index = 0; index < want; ++index) {
     for (geo::TileId tile : visible) {
       const media::ChunkKey key{tile, index};

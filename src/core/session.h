@@ -41,14 +41,9 @@ struct SessionConfig {
   // YouTube/Facebook baseline (§2) is policy "fullpano".
   abr::TileAbrConfig abr;
   geo::Viewport viewport{100.0, 90.0};
-  double head_sample_hz = 25.0;
   // HMP is only trustworthy a short window ahead (§3.2), which bounds how
   // far the planner runs ahead of the playhead.
   int prefetch_horizon_chunks = 4;
-  int startup_chunks = 1;
-  sim::Duration upgrade_scan_period{sim::milliseconds(250)};
-  bool enable_upgrades = true;
-  abr::QoeWeights qoe;
   std::string predictor = "linear-regression";
   hmp::FusionConfig fusion;
   hmp::ViewingContext context;

@@ -5,6 +5,15 @@
 #include <string>
 
 namespace sperke::core {
+namespace {
+
+// Per-request retry budget: a request is attempted at most 1 + kMaxRetries
+// times. Retry k (1-based) waits kBaseBackoff * kBackoffMultiplier^(k-1).
+constexpr int kMaxRetries = 2;
+constexpr sim::Duration kBaseBackoff = sim::milliseconds(100);
+constexpr double kBackoffMultiplier = 2.0;
+
+}  // namespace
 
 void RecoveryMetrics::bind(obs::Telemetry& telemetry, const char* prefix) {
   obs::MetricsRegistry& m = telemetry.metrics();
@@ -20,35 +29,20 @@ void RecoveryMetrics::bind(obs::Telemetry& telemetry, const char* prefix) {
 
 void validate(const RecoveryPolicy& policy) {
   if (!policy.enabled) return;
-  if (policy.max_retries < 0) {
-    throw std::invalid_argument("RecoveryPolicy: negative retry budget");
-  }
-  if (!(policy.backoff_multiplier >= 1.0)) {  // also rejects NaN
-    throw std::invalid_argument("RecoveryPolicy: backoff_multiplier < 1 or NaN");
-  }
-  if (policy.base_backoff < sim::Duration{0}) {
-    throw std::invalid_argument("RecoveryPolicy: negative base_backoff");
-  }
   if (policy.min_timeout < sim::Duration{0}) {
     throw std::invalid_argument("RecoveryPolicy: negative min_timeout");
   }
-  if (policy.path_failure_threshold < 1) {
-    throw std::invalid_argument("RecoveryPolicy: path_failure_threshold < 1");
-  }
-  if (policy.probe_interval <= sim::Duration{0}) {
-    throw std::invalid_argument("RecoveryPolicy: probe_interval <= 0");
-  }
 }
 
-sim::Duration retry_backoff(const RecoveryPolicy& policy, int retry_number) {
+sim::Duration retry_backoff(int retry_number) {
   double scale = 1.0;
-  for (int i = 1; i < retry_number; ++i) scale *= policy.backoff_multiplier;
-  return sim::seconds(sim::to_seconds(policy.base_backoff) * scale);
+  for (int i = 1; i < retry_number; ++i) scale *= kBackoffMultiplier;
+  return sim::seconds(sim::to_seconds(kBaseBackoff) * scale);
 }
 
 bool retry_allowed(const RecoveryPolicy& policy, const ChunkRequest& request,
                    int attempts) {
-  if (!policy.enabled || attempts >= policy.max_retries) return false;
+  if (!policy.enabled || attempts >= kMaxRetries) return false;
   // Graceful degradation order (§3.3): regular out-of-sight prefetch is
   // abandoned on first failure instead of competing with FoV traffic for
   // retry capacity.
@@ -230,8 +224,7 @@ void FetchQueue::on_attempt_done(const std::shared_ptr<Pending>& flight,
   } else {
     // Injected fault (kFailed): retry with exponential backoff while the
     // budget and the deadline both allow it.
-    const sim::Duration backoff =
-        retry_backoff(options_.recovery, flight->attempts + 1);
+    const sim::Duration backoff = retry_backoff(flight->attempts + 1);
     const bool budget_left =
         retry_allowed(options_.recovery, flight->request, flight->attempts);
     if (budget_left && r.time + backoff < flight->request.deadline) {

@@ -63,22 +63,16 @@ struct ChunkRequest {
 // Failure-recovery policy shared by both transports (DESIGN.md §10).
 // Disabled by default: a transport without recovery never retries, never
 // times out, and is byte-identical to the pre-fault-model behaviour.
+// Enabled, a request is attempted at most three times, retry k (1-based)
+// waiting retry_backoff(k); multipath marks a path down after 3
+// consecutive transfer failures (or an outage signal) and re-probes it
+// every second until it carries traffic again.
 struct RecoveryPolicy {
   bool enabled = false;
-  // Per-request retry budget: a request is attempted at most 1 + max_retries
-  // times. Retry k (1-based) waits base_backoff * backoff_multiplier^(k-1).
-  int max_retries = 2;
-  sim::Duration base_backoff{sim::milliseconds(100)};
-  double backoff_multiplier = 2.0;
   // In-flight timeout = max(deadline, start + min_timeout): a transfer may
   // run slightly past an already-blown deadline, but a retry is never
   // *started* at or past the deadline.
   sim::Duration min_timeout{sim::milliseconds(250)};
-  // Multipath path-failure detection: this many consecutive transfer
-  // failures (or an outage signal) marks a path down; a down path is
-  // re-probed every probe_interval until it carries traffic again.
-  int path_failure_threshold = 3;
-  sim::Duration probe_interval{sim::seconds(1.0)};
 };
 
 // Construction options shared by SingleLinkTransport and
@@ -90,15 +84,12 @@ struct TransportOptions {
   RecoveryPolicy recovery;
 };
 
-// Throws std::invalid_argument for an enabled policy with a negative retry
-// budget, backoff or timeout floor, a backoff multiplier below 1 (or NaN),
-// a path failure threshold below 1, or a non-positive probe interval. A
-// disabled policy is never read, so it is never rejected.
+// Throws std::invalid_argument for an enabled policy with a negative
+// timeout floor. A disabled policy is never read, so it is never rejected.
 void validate(const RecoveryPolicy& policy);
 
-// Backoff before retry k (1-based): base_backoff * multiplier^(k-1).
-[[nodiscard]] sim::Duration retry_backoff(const RecoveryPolicy& policy,
-                                          int retry_number);
+// Backoff before retry k (1-based): 100 ms * 2^(k-1).
+[[nodiscard]] sim::Duration retry_backoff(int retry_number);
 
 // Whether a request that has already consumed `attempts` retries may retry
 // again (budget + abandon-OOS rule); the deadline gate is checked separately.
@@ -251,8 +242,6 @@ class SingleLinkTransport final : public ChunkTransport {
   [[nodiscard]] std::int64_t bytes_fetched() const override {
     return queue_.bytes_fetched();
   }
-
-  [[nodiscard]] const TransportOptions& options() const { return options_; }
 
  private:
   TransportOptions options_;

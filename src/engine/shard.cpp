@@ -13,7 +13,6 @@ Shard::Shard(const WorldSpec& spec, int shard_id,
              std::span<const hmp::HeadTrace> traces)
     : spec_(spec),
       shard_id_(shard_id),
-      rng_(spec.seed ^ static_cast<std::uint64_t>(shard_id)),
       telemetry_(std::make_unique<obs::Telemetry>()),
       video_(std::move(video)) {
   // The engine validates the spec before fanning out; a shard constructed

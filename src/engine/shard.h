@@ -4,7 +4,7 @@
 // sim::Simulator, its own fetch fabric (a cdn::Topology holding the access
 // links, and the edge caches + backhauls when the CDN tier is enabled,
 // DESIGN.md §15) and transports, its own obs::Telemetry sink and
-// SimMonitor, and a private RNG stream derived as spec.seed ^ shard_id.
+// SimMonitor.
 // The only state reaching across the shard boundary is genuinely const:
 // the WorldSpec, the world's one immutable VideoModel, the shared
 // head-trace pool, and the optional crowd heatmap snapshot. Construction
@@ -32,7 +32,6 @@
 #include "obs/timeseries.h"
 #include "sim/periodic.h"
 #include "sim/simulator.h"
-#include "util/rng.h"
 
 namespace sperke::engine {
 
@@ -80,15 +79,9 @@ class Shard {
     return slo_eval_ ? slo_eval_->status() : std::vector<obs::SloStatus>{};
   }
 
-  // The shard's private entropy stream (spec.seed ^ shard_id), for
-  // shard-local stochastic extensions. Unused by the default world build,
-  // which is fully deterministic in the spec.
-  [[nodiscard]] Rng& rng() { return rng_; }
-
  private:
   const WorldSpec& spec_;
   int shard_id_;
-  Rng rng_;
   sim::Simulator simulator_;
   std::unique_ptr<obs::Telemetry> telemetry_;
   std::shared_ptr<const media::VideoModel> video_;

@@ -62,15 +62,12 @@ struct WorldSpec {
   int sessions_per_link = 16;
   int transport_max_concurrent = 16;
 
-  // Fault schedule (DESIGN.md §10). When faults_for_group is set, group g's
-  // link runs the returned plan verbatim (same thread-safety rule as
-  // link_for_group). Otherwise every group runs the template `faults` plan
-  // with its seed decorrelated per group (plan.seed + g) — so a chaos world
-  // merges byte-identically at any thread count, exactly like the link
-  // topology. The template/hook overrides any plan inside `link` /
+  // Fault schedule (DESIGN.md §10). Every group runs the template `faults`
+  // plan with its seed decorrelated per group (plan.seed + g) — so a chaos
+  // world merges byte-identically at any thread count, exactly like the
+  // link topology. The template overrides any plan inside `link` /
   // link_for_group(g) only when non-empty.
   net::FaultPlan faults;
-  std::function<net::FaultPlan(int group)> faults_for_group;
   // Retry/timeout/failover policy injected into every shard transport.
   core::RecoveryPolicy transport_recovery;
 
@@ -101,8 +98,8 @@ struct WorldSpec {
   // Each shard runs its simulator until this virtual time.
   sim::Time horizon{sim::seconds(600.0)};
 
-  // Partitioning and reproducibility. Shard k derives its private RNG
-  // stream as Rng(seed ^ k).
+  // Partitioning and reproducibility. Every input above carries its own
+  // seed; `seed` names the world and the engine draws nothing from it.
   int shards = 1;
   std::uint64_t seed = 1;
 
@@ -138,9 +135,9 @@ struct WorldSpec {
 // dynamics never depend on thread placement).
 [[nodiscard]] int shard_of_group(const WorldSpec& spec, int group);
 
-// The fault plan group g's link runs: faults_for_group(g) verbatim when the
-// hook is set, else the template `faults` reseeded per group (seed + g),
-// else an empty plan (the group's LinkConfig keeps whatever it carries).
+// The fault plan group g's link runs: the template `faults` reseeded per
+// group (seed + g), or an empty plan when the template is empty (the
+// group's LinkConfig then keeps whatever it carries).
 [[nodiscard]] net::FaultPlan faults_of_group(const WorldSpec& spec, int group);
 
 // Throws std::invalid_argument on nonsensical specs (no sessions, bad

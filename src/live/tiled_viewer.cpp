@@ -5,6 +5,15 @@
 #include <stdexcept>
 
 namespace sperke::live {
+namespace {
+
+// Capture + upload + transcode pipeline: chunk i becomes fetchable at wall
+// time chunk_end(i) + kIngestDelay.
+constexpr sim::Duration kIngestDelay = sim::seconds(3.0);
+constexpr double kHeadSampleHz = 25.0;
+constexpr sim::Duration kUpgradeScanPeriod = sim::milliseconds(250);
+
+}  // namespace
 
 TiledLiveSession::TiledLiveSession(sim::Simulator& simulator,
                                    std::shared_ptr<const media::VideoModel> video,
@@ -22,7 +31,6 @@ TiledLiveSession::TiledLiveSession(sim::Simulator& simulator,
               /*crowd=*/nullptr, {}, {}),
       buffer_(video_),
       policy_(abr::make_policy(video_, config_.abr)),
-      qoe_(config_.qoe),
       in_flight_(static_cast<std::size_t>(video_->chunk_count()) *
                  static_cast<std::size_t>(video_->tile_count())),
       fetcher_(simulator_, *video_, transport_, buffer_, *policy_,
@@ -31,20 +39,13 @@ TiledLiveSession::TiledLiveSession(sim::Simulator& simulator,
                [this](const core::TileFetcher::Fetch& fetch,
                       core::FetchOutcome outcome) { on_settle(fetch, outcome); }),
       planned_(static_cast<std::size_t>(video_->chunk_count()), -1) {
-  const double min_latency = sim::to_seconds(config_.ingest_delay) +
+  const double min_latency = sim::to_seconds(kIngestDelay) +
                              sim::to_seconds(video_->chunk_duration());
   // NaN fails both tests; sim::seconds of a non-finite value is undefined.
   if (!(config_.e2e_target_s >= min_latency) ||
       !sim::valid_positive_seconds(config_.e2e_target_s)) {
     throw std::invalid_argument(
         "TiledLiveSession: e2e target below ingest + one chunk");
-  }
-  if (!(config_.head_sample_hz > 0.0) ||
-      !sim::valid_positive_seconds(1.0 / config_.head_sample_hz)) {
-    throw std::invalid_argument("TiledLiveSession: bad head sample rate");
-  }
-  if (config_.enable_upgrades && config_.upgrade_scan_period <= sim::Duration{0}) {
-    throw std::invalid_argument("TiledLiveSession: upgrade scan period <= 0");
   }
   if (crowd_ != nullptr && crowd_->tile_count() != video_->tile_count()) {
     throw std::invalid_argument("TiledLiveSession: crowd/grid mismatch");
@@ -53,7 +54,7 @@ TiledLiveSession::TiledLiveSession(sim::Simulator& simulator,
 
 sim::Time TiledLiveSession::availability_of(media::ChunkIndex index) const {
   return video_->chunk_start_time(index) + video_->chunk_duration() +
-         config_.ingest_delay;
+         kIngestDelay;
 }
 
 sim::Time TiledLiveSession::deadline_of(media::ChunkIndex index) const {
@@ -70,10 +71,10 @@ void TiledLiveSession::start() {
   if (started_) throw std::logic_error("TiledLiveSession already started");
   started_ = true;
   observe_head();
-  head_task_.emplace(simulator_, sim::seconds(1.0 / config_.head_sample_hz),
+  head_task_.emplace(simulator_, sim::seconds(1.0 / kHeadSampleHz),
                      [this] { observe_head(); });
-  if (config_.enable_upgrades && policy_->upgrade_window() > sim::Duration{0}) {
-    upgrade_task_.emplace(simulator_, config_.upgrade_scan_period,
+  if (policy_->upgrade_window() > sim::Duration{0}) {
+    upgrade_task_.emplace(simulator_, kUpgradeScanPeriod,
                           [this] { scan_upgrades(); });
   }
   // Plan each chunk the moment it becomes available at the ingest edge,

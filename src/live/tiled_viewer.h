@@ -35,19 +35,14 @@ namespace sperke::live {
 
 struct TiledLiveConfig {
   // The viewer plays chunk i at wall time chunk_start(i) + e2e_target.
-  // Must leave room for ingest_delay plus at least one chunk of fetching.
+  // Chunk i becomes fetchable at chunk_end(i) + 3 s (capture, upload and
+  // transcode), so the target must leave room for that ingest delay plus
+  // at least one chunk of fetching.
   double e2e_target_s = 8.0;
-  // Capture + upload + transcode pipeline: chunk i becomes fetchable at
-  // wall time chunk_end(i) + ingest_delay.
-  sim::Duration ingest_delay{sim::seconds(3.0)};
   geo::Viewport viewport{100.0, 90.0};
   // Tile-ABR policy (name + per-policy params), built via abr::make_policy.
   abr::TileAbrConfig abr;
   std::string predictor = "linear-regression";
-  double head_sample_hz = 25.0;
-  sim::Duration upgrade_scan_period{sim::milliseconds(250)};
-  bool enable_upgrades = true;
-  abr::QoeWeights qoe;
   // Telemetry sink (not owned; must outlive the session). Null = disabled.
   // When set, the fetch path traces every dispatch, settle and upgrade
   // decision with causal request ids, so blank re-requests nest under the

@@ -8,7 +8,11 @@ QualityLadder::QualityLadder(std::vector<double> panorama_kbps)
     : kbps_(std::move(panorama_kbps)) {
   if (kbps_.empty()) throw std::invalid_argument("QualityLadder: empty ladder");
   for (std::size_t i = 0; i < kbps_.size(); ++i) {
-    if (kbps_[i] <= 0.0) throw std::invalid_argument("QualityLadder: non-positive bitrate");
+    // NaN fails both tests.
+    if (!(kbps_[i] > 0.0) || !std::isfinite(kbps_[i])) {
+      throw std::invalid_argument(
+          "QualityLadder: bitrates must be finite and positive");
+    }
     if (i > 0 && kbps_[i] <= kbps_[i - 1]) {
       throw std::invalid_argument("QualityLadder: bitrates must be strictly increasing");
     }

@@ -12,7 +12,8 @@ namespace sperke::media {
 class QualityLadder {
  public:
   // `panorama_kbps[i]` is the bitrate of the whole panoramic view at
-  // quality level i; must be strictly increasing and non-empty.
+  // quality level i; must be finite, positive, strictly increasing and
+  // non-empty.
   explicit QualityLadder(std::vector<double> panorama_kbps);
 
   [[nodiscard]] int levels() const { return static_cast<int>(kbps_.size()); }

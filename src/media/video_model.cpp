@@ -57,13 +57,29 @@ VideoModel::VideoModel(VideoModelConfig config) : config_(std::move(config)) {
   const double sigma = config_.complexity_sigma;
   const double rho = config_.complexity_rho;
   const double innovation = sigma * std::sqrt(1.0 - rho * rho);
+  double max_complexity = 0.0;  // a NaN sticks and fails the check below
   for (auto& series : complexity_) {
     series.reserve(static_cast<std::size_t>(chunk_count_));
     double log_c = rng.normal(0.0, sigma);
     for (ChunkIndex t = 0; t < chunk_count_; ++t) {
       series.push_back(std::exp(log_c));
+      if (std::isnan(series.back()) || series.back() > max_complexity) {
+        max_complexity = series.back();
+      }
       log_c = rho * log_c + rng.normal(0.0, innovation);
     }
+  }
+
+  // The largest object it can size, the top rung's SVC stack of the largest
+  // tile share at the largest complexity, must fit the int64 size casts.
+  // Every other object's factors are no larger, and rounding is monotone.
+  const double max_bytes =
+      ladder().panorama_kbps(ladder().max_level()) * 1000.0 *
+      config_.chunk_duration_s *
+      *std::max_element(tile_shares_.begin(), tile_shares_.end()) *
+      max_complexity / 8.0;
+  if (!(max_bytes * (1.0 + config_.svc_overhead) < 9.2e18)) {
+    throw std::invalid_argument("VideoModel: object sizes overflow int64");
   }
 }
 

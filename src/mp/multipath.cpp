@@ -8,6 +8,12 @@
 namespace sperke::mp {
 namespace {
 
+// Path-failure detection (recovery on): this many consecutive transfer
+// failures mark a path down, and a down path is re-probed every
+// kProbeInterval until it carries traffic again.
+constexpr int kPathFailureThreshold = 3;
+constexpr sim::Duration kProbeInterval = sim::seconds(1.0);
+
 // Static path quality used by the content-aware policy: usable rate
 // (capacity tempered by the Mathis cap), discounted by latency.
 double quality_of(const net::Link& link) {
@@ -248,7 +254,7 @@ void MultipathTransport::on_attempt_settled(std::size_t path_index,
   if (result.status == net::TransferStatus::kCancelled) return;  // a timeout
   ++path.consecutive_failures;
   if (options_.recovery.enabled && !path.queue.paused() &&
-      (path.consecutive_failures >= options_.recovery.path_failure_threshold ||
+      (path.consecutive_failures >= kPathFailureThreshold ||
        path.link.in_outage())) {
     mark_down(path_index);
   }
@@ -281,7 +287,7 @@ void MultipathTransport::mark_down(std::size_t path_index) {
   // first).
   const std::size_t up = best_up_path();
   if (up < paths_.size()) count_failovers(path.queue.move_queued(paths_[up].queue, 3));
-  simulator_.schedule_after(options_.recovery.probe_interval,
+  simulator_.schedule_after(kProbeInterval,
                             [this, alive = alive_, path_index] {
                               if (!*alive) return;
                               probe_path(path_index);
@@ -293,7 +299,7 @@ void MultipathTransport::probe_path(std::size_t path_index) {
   if (!path.queue.paused()) return;
   if (path.link.in_outage()) {
     // Still dark; probe again later.
-    simulator_.schedule_after(options_.recovery.probe_interval,
+    simulator_.schedule_after(kProbeInterval,
                               [this, alive = alive_, path_index] {
                                 if (!*alive) return;
                                 probe_path(path_index);
@@ -301,8 +307,7 @@ void MultipathTransport::probe_path(std::size_t path_index) {
     return;
   }
   // Probation: one more failure sends the path straight back down.
-  path.consecutive_failures =
-      std::max(0, options_.recovery.path_failure_threshold - 1);
+  path.consecutive_failures = kPathFailureThreshold - 1;
   const double downtime_s = sim::to_seconds(simulator_.now() - path.down_since);
   stats_.path_downtime_s += downtime_s;
   if (path_downtime_metric_ != nullptr) path_downtime_metric_->observe(downtime_s);

@@ -137,8 +137,6 @@ class MultipathTransport final : public core::ChunkTransport {
 
   // bytes_per_path and dropped_best_effort are read off the path queues.
   [[nodiscard]] MultipathStats stats() const;
-  [[nodiscard]] const PathScheduler& scheduler() const { return *scheduler_; }
-  [[nodiscard]] const core::TransportOptions& options() const { return options_; }
   [[nodiscard]] bool path_down(std::size_t path_index) const {
     return paths_.at(path_index).queue.paused();
   }

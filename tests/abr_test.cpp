@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "abr/oos.h"
 #include "abr/qoe.h"
@@ -144,6 +147,7 @@ TEST(FixedVra, ClampsToLadderTop) {
 class OosTest : public ::testing::Test {
  protected:
   std::shared_ptr<media::VideoModel> video = make_video();
+  OosSelector::Workspace workspace;
 
   ChunkPlan fov_plan(media::QualityLevel q, const std::vector<geo::TileId>& fov) {
     ChunkPlan plan;
@@ -166,7 +170,8 @@ TEST_F(OosTest, AddsOosTilesWithinBudget) {
   OosSelector selector({.budget_fraction = 0.5});
   auto plan = fov_plan(3, {0, 1, 6, 7});
   const auto fov_bytes = plan.total_bytes(*video);
-  selector.select(plan, *video, {0, 1, 6, 7}, uniform_probs(), media::Encoding::kAvc);
+  selector.select(plan, *video, {0, 1, 6, 7}, uniform_probs(),
+                  media::Encoding::kAvc, workspace);
   std::int64_t oos_bytes = 0;
   int oos_count = 0;
   for (const auto& f : plan.fetches) {
@@ -176,24 +181,25 @@ TEST_F(OosTest, AddsOosTilesWithinBudget) {
     }
   }
   EXPECT_GT(oos_count, 0);
-  // accuracy_scaling with uniform probs roughly doubles the 0.5 budget.
+  // The accuracy scaling with uniform probs roughly doubles the 0.5 budget.
   EXPECT_LE(oos_bytes, fov_bytes);
 }
 
 TEST_F(OosTest, ZeroBudgetAddsNothing) {
-  OosSelector selector({.budget_fraction = 0.0, .accuracy_scaling = false});
+  OosSelector selector({.budget_fraction = 0.0});
   auto plan = fov_plan(3, {0, 1});
   const auto before = plan.fetches.size();
-  selector.select(plan, *video, {0, 1}, uniform_probs(), media::Encoding::kAvc);
+  selector.select(plan, *video, {0, 1}, uniform_probs(), media::Encoding::kAvc,
+                  workspace);
   EXPECT_EQ(plan.fetches.size(), before);
 }
 
 TEST_F(OosTest, HigherProbabilityTilesChosenFirst) {
-  OosSelector selector({.budget_fraction = 1.5, .accuracy_scaling = false});
+  OosSelector selector({.budget_fraction = 1.5});
   auto plan = fov_plan(2, {0});
   auto probs = uniform_probs();
   probs[5] = 0.9;  // one clearly-hot tile
-  selector.select(plan, *video, {0}, probs, media::Encoding::kAvc);
+  selector.select(plan, *video, {0}, probs, media::Encoding::kAvc, workspace);
   // The hottest candidate must be the first OOS fetch emitted.
   std::optional<geo::TileId> first_oos;
   for (const auto& f : plan.fetches) {
@@ -205,76 +211,102 @@ TEST_F(OosTest, HigherProbabilityTilesChosenFirst) {
   EXPECT_EQ(*first_oos, 5);
 }
 
-TEST_F(OosTest, QualityFallsWithRank) {
-  OosSelector selector({.budget_fraction = 3.0, .accuracy_scaling = false,
-                        .first_quality_drop = 1, .tiles_per_step = 2});
+TEST_F(OosTest, FirstTileDropsOneLevelThenOneMoreEveryThreeTiles) {
+  // A budget no candidate set can exhaust: every OOS tile is fetched, in
+  // tile-id order (uniform probabilities, stable ranking).
+  OosSelector selector({.budget_fraction = 100.0});
   auto plan = fov_plan(4, {0});
-  selector.select(plan, *video, {0}, uniform_probs(), media::Encoding::kAvc);
-  media::QualityLevel first_oos = -1, last_oos = 99;
+  selector.select(plan, *video, {0}, uniform_probs(), media::Encoding::kAvc,
+                  workspace);
+  std::vector<media::QualityLevel> levels;
   for (const auto& f : plan.fetches) {
-    if (f.spatial != SpatialClass::kOos) continue;
-    if (first_oos < 0) first_oos = f.address.level;
-    last_oos = f.address.level;
+    if (f.spatial == SpatialClass::kOos) levels.push_back(f.address.level);
   }
-  ASSERT_GE(first_oos, 0);
-  EXPECT_EQ(first_oos, 3);         // fov 4 - drop 1
-  EXPECT_LT(last_oos, first_oos);  // rank decay kicked in
+  std::vector<media::QualityLevel> want;
+  for (int rank = 0; rank < video->tile_count() - 1; ++rank) {
+    want.push_back(std::max(0, 4 - 1 - rank / 3));
+  }
+  EXPECT_EQ(levels, want);  // 3,3,3, 2,2,2, 1,1,1, 0,...
+}
+
+TEST_F(OosTest, BudgetIsScaledByOnePlusMissMass) {
+  // Half the probability mass sits on the FoV tile, so the miss mass is
+  // 0.5 and the budget is 0.5 * fov_bytes * 1.5.
+  std::vector<double> probs(static_cast<std::size_t>(video->tile_count()),
+                            0.5 / (video->tile_count() - 1));
+  probs[0] = 0.5;
+  auto plan = fov_plan(4, {0});
+  const auto fov_bytes = static_cast<double>(plan.total_bytes(*video));
+  // Candidates in rank order (uniform off the FoV: tile id order) at the
+  // rank ladder's levels, taken while the running total fits `budget`.
+  const auto fitting = [&](double budget) {
+    std::int64_t spent = 0;
+    int count = 0;
+    for (geo::TileId tile = 1; tile < video->tile_count(); ++tile) {
+      const int q = std::max(0, 4 - 1 - count / 3);
+      const std::int64_t cost = video->avc_size_bytes(q, {tile, 0});
+      if (static_cast<double>(spent + cost) > budget) break;
+      spent += cost;
+      ++count;
+    }
+    return count;
+  };
+  OosSelector({.budget_fraction = 0.5})
+      .select(plan, *video, {0}, probs, media::Encoding::kAvc, workspace);
+  const int oos = static_cast<int>(plan.fetches.size()) - 1;
+  EXPECT_EQ(oos, fitting(0.5 * fov_bytes * 1.5));
+  EXPECT_GT(oos, fitting(0.5 * fov_bytes));  // the scaling mattered
 }
 
 TEST_F(OosTest, SvcEncodingEmitsLayerStacks) {
-  OosSelector selector({.budget_fraction = 2.0, .accuracy_scaling = false,
-                        .first_quality_drop = 1});
+  OosSelector selector({.budget_fraction = 2.0});
   auto plan = fov_plan(2, {0});
-  selector.select(plan, *video, {0}, uniform_probs(), media::Encoding::kSvc);
-  // OOS tiles at quality 1 appear as layers 0 and 1.
-  int layer0 = 0, layer1 = 0;
+  selector.select(plan, *video, {0}, uniform_probs(), media::Encoding::kSvc,
+                  workspace);
+  // An OOS tile at quality q appears as layers 0..q, in order.
+  std::map<geo::TileId, std::vector<media::LayerIndex>> layers;
   for (const auto& f : plan.fetches) {
     if (f.spatial != SpatialClass::kOos) continue;
     EXPECT_EQ(f.address.encoding, media::Encoding::kSvc);
-    if (f.address.level == 0) ++layer0;
-    if (f.address.level == 1) ++layer1;
+    layers[f.address.key.tile].push_back(f.address.level);
   }
-  EXPECT_GT(layer0, 0);
-  EXPECT_EQ(layer0, layer1);
-}
-
-TEST_F(OosTest, ProbabilityProportionalTracksProbabilities) {
-  OosSelector selector({.budget_fraction = 3.0, .accuracy_scaling = false,
-                        .quality_policy = OosQualityPolicy::kProbabilityProportional});
-  auto plan = fov_plan(4, {0});
-  auto probs = uniform_probs();
-  probs[5] = 0.5;   // hot
-  probs[10] = 0.25; // warm
-  selector.select(plan, *video, {0}, probs, media::Encoding::kAvc);
-  std::map<geo::TileId, media::QualityLevel> chosen;
-  for (const auto& f : plan.fetches) {
-    if (f.spatial == SpatialClass::kOos) chosen[f.address.key.tile] = f.address.level;
-  }
-  ASSERT_TRUE(chosen.contains(5));
-  ASSERT_TRUE(chosen.contains(10));
-  // Hot tile gets fov_quality-1 = 3; half-probability tile about half that;
-  // uniform-probability tiles land at the floor.
-  EXPECT_EQ(chosen[5], 3);
-  EXPECT_LT(chosen[10], chosen[5]);
-  EXPECT_GT(chosen[10], 0);
-  bool found_cold = false;
-  for (const auto& [tile, q] : chosen) {
-    if (tile != 5 && tile != 10) {
-      EXPECT_LE(q, 1) << "tile " << tile;
-      found_cold = true;
+  ASSERT_FALSE(layers.empty());
+  bool stacked = false;
+  for (const auto& [tile, stack] : layers) {
+    for (std::size_t l = 0; l < stack.size(); ++l) {
+      EXPECT_EQ(stack[l], static_cast<media::LayerIndex>(l)) << "tile " << tile;
     }
+    stacked = stacked || stack.size() == 2;  // the first ranks sit at 1
   }
-  EXPECT_TRUE(found_cold);
+  EXPECT_TRUE(stacked);
 }
 
 TEST_F(OosTest, RejectsBadConfigAndInput) {
   EXPECT_THROW(OosSelector({.budget_fraction = -1.0}), std::invalid_argument);
-  EXPECT_THROW(OosSelector({.tiles_per_step = 0}), std::invalid_argument);
   OosSelector ok;
   auto plan = fov_plan(1, {0});
   std::vector<double> wrong_size(3, 0.1);
-  EXPECT_THROW(ok.select(plan, *video, {0}, wrong_size, media::Encoding::kAvc),
+  EXPECT_THROW(ok.select(plan, *video, {0}, wrong_size, media::Encoding::kAvc,
+                         workspace),
                std::invalid_argument);
+}
+
+TEST_F(OosTest, RejectsNonFiniteBudgetFraction) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(OosSelector({.budget_fraction = bad}), std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST_F(OosTest, HugeFiniteBudgetTakesEveryCandidate) {
+  // 1e300 * fov_bytes is far past any int64: the budget stays a double.
+  OosSelector selector({.budget_fraction = 1e300});
+  auto plan = fov_plan(4, {0});
+  selector.select(plan, *video, {0}, uniform_probs(), media::Encoding::kAvc,
+                  workspace);
+  EXPECT_EQ(plan.fetches.size(), static_cast<std::size_t>(video->tile_count()));
 }
 
 class SperkeVraTest : public ::testing::Test {
@@ -408,6 +440,39 @@ TEST_F(SperkeVraTest, UpgradeRespectsDeadlineFeasibility) {
   // Bandwidth far too low to ship the delta in time.
   const auto d = vra.consider_upgrade(key, 0, 0, 4, 0.9, sim::milliseconds(200), 50.0);
   EXPECT_FALSE(d.upgrade);
+}
+
+TEST_F(SperkeVraTest, UpgradeGatesSitAtThePublishedValues) {
+  auto vra = make(EncodingMode::kSvc);
+  const media::ChunkKey key{7, 3};
+  const double tiles = video->tile_count();
+  const auto upgrades = [&](media::QualityLevel current,
+                            media::QualityLevel target, double prob,
+                            sim::Duration slack, double kbps) {
+    return vra.consider_upgrade(key, current, current, target, prob, slack, kbps)
+        .upgrade;
+  };
+  // Window: from 4 s before the deadline, not a microsecond earlier.
+  EXPECT_TRUE(upgrades(0, 2, 0.9, sim::seconds(4.0), 50'000.0));
+  EXPECT_FALSE(upgrades(0, 2, 0.9, sim::seconds(4.0) + sim::microseconds(1),
+                        50'000.0));
+  // Probability: at least 1.5x uniform (the whole-ladder gain keeps the
+  // benefit gate open).
+  EXPECT_TRUE(upgrades(0, 4, 1.5 / tiles, sim::seconds(2.0), 50'000.0));
+  EXPECT_FALSE(upgrades(0, 4, 1.49 / tiles, sim::seconds(2.0), 50'000.0));
+  // Benefit: lift x utility gain of at least 0.35, on the 1 -> 2 step,
+  // with the lift above 1.5 on both sides.
+  const double du = video->ladder().utility(2) - video->ladder().utility(1);
+  EXPECT_TRUE(upgrades(1, 2, 0.35 / du * 1.005 / tiles, sim::seconds(2.0),
+                       50'000.0));
+  EXPECT_FALSE(upgrades(1, 2, 0.35 / du * 0.995 / tiles, sim::seconds(2.0),
+                        50'000.0));
+  // Feasibility: the layer-2 delta must download within 80 % of the slack.
+  const double fit_kbps =
+      static_cast<double>(video->svc_layer_size_bytes(2, key)) * 8.0 /
+      1000.0 / (0.8 * 2.0);
+  EXPECT_TRUE(upgrades(1, 2, 0.9, sim::seconds(2.0), fit_kbps * 1.01));
+  EXPECT_FALSE(upgrades(1, 2, 0.9, sim::seconds(2.0), fit_kbps * 0.99));
 }
 
 TEST_F(SperkeVraTest, AvcRefetchRedownloadsWholeChunk) {

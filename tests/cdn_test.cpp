@@ -516,22 +516,19 @@ TEST(EdgeWarm, StopsAtTheByteBudgetWithoutEvicting) {
   EXPECT_TRUE(edge.cache().contains(cid(0, 0, 0)));
 }
 
-TEST(EdgeWarm, SvcWarmsThePlayableLayerPrefix) {
+TEST(EdgeWarm, WarmsOnlyTheAvcCopyAtTheLevel) {
   const media::VideoModel video(tiny_video());
   const hmp::ViewingHeatmap crowd = hot_tile_crowd(video, /*hot=*/3);
   sim::Simulator simulator;
   net::Link backhaul(simulator, link_config("backhaul"));
   Edge edge(backhaul, {.capacity_bytes = 1LL << 30}, nullptr);
 
-  (void)edge.warm(video, crowd,
-                  {.tiles_per_chunk = 1,
-                   .encoding = media::Encoding::kSvc,
-                   .level = 2});
-  // Playing SVC layer 2 needs layers 0..2 resident, not just layer 2.
-  for (std::int32_t layer = 0; layer <= 2; ++layer) {
-    ChunkId id = cid(3, 0, 0);
-    id.layer = layer;
-    EXPECT_TRUE(edge.cache().contains(id)) << "layer " << layer;
+  EXPECT_EQ(edge.warm(video, crowd, {.tiles_per_chunk = 1, .level = 2}), 4);
+  // One object per chunk, the level-2 AVC copy under the default video
+  // coordinate: no lower rung and no SVC layer.
+  EXPECT_EQ(edge.cache().size(), 4);
+  for (std::int32_t chunk = 0; chunk < 4; ++chunk) {
+    EXPECT_TRUE(edge.cache().contains(cid(3, chunk, 2))) << "chunk " << chunk;
   }
 }
 
@@ -547,9 +544,8 @@ TEST(TopologyValidate, ErrorsListTheValidFieldNames) {
       const std::string what = e.what();
       EXPECT_NE(what.find(needle), std::string::npos) << what;
       EXPECT_NE(what.find("valid fields: sessions_per_edge, backhaul, "
-                          "backhaul_for_edge, cache_policy, "
-                          "cache_capacity_bytes, warm_tiles_per_chunk, "
-                          "warm_encoding, warm_level"),
+                          "cache_policy, cache_capacity_bytes, "
+                          "warm_tiles_per_chunk, warm_level"),
                 std::string::npos)
           << what;
     }

@@ -215,10 +215,10 @@ TEST_F(TransportTest, RejectsBadRequests) {
   EXPECT_THROW(transport.fetch(std::move(req)), std::invalid_argument);
   EXPECT_THROW(SingleLinkTransport(link, {.max_concurrent = 0, .recovery = {}}),
                std::invalid_argument);
-  TransportOptions bad_retries;
-  bad_retries.recovery.enabled = true;
-  bad_retries.recovery.max_retries = -1;
-  EXPECT_THROW(SingleLinkTransport(link, bad_retries), std::invalid_argument);
+  TransportOptions bad_timeout;
+  bad_timeout.recovery.enabled = true;
+  bad_timeout.recovery.min_timeout = sim::milliseconds(-1);
+  EXPECT_THROW(SingleLinkTransport(link, bad_timeout), std::invalid_argument);
 }
 
 TEST(TransportAdapter, LinkFetchIsVerbatimStartTransfer) {
@@ -283,18 +283,14 @@ TEST(TransportAdapter, LinkFetchIsVerbatimStartTransfer) {
 }
 
 TEST(TransportRecovery, BackoffGrowsGeometrically) {
-  RecoveryPolicy policy;
-  policy.base_backoff = sim::milliseconds(100);
-  policy.backoff_multiplier = 2.0;
-  EXPECT_EQ(retry_backoff(policy, 1), sim::milliseconds(100));
-  EXPECT_EQ(retry_backoff(policy, 2), sim::milliseconds(200));
-  EXPECT_EQ(retry_backoff(policy, 3), sim::milliseconds(400));
+  EXPECT_EQ(retry_backoff(1), sim::milliseconds(100));
+  EXPECT_EQ(retry_backoff(2), sim::milliseconds(200));
+  EXPECT_EQ(retry_backoff(3), sim::milliseconds(400));
 }
 
 TEST(TransportRecovery, RetryAllowedHonoursBudgetAndOosRule) {
   RecoveryPolicy policy;
   policy.enabled = true;
-  policy.max_retries = 2;
   ChunkRequest fov;
   fov.spatial = abr::SpatialClass::kFov;
   EXPECT_TRUE(retry_allowed(policy, fov, 0));
@@ -320,12 +316,9 @@ class TransportRecoveryTest : public ::testing::Test {
                                      .faults = std::move(faults)});
   }
 
-  static TransportOptions recovery_options(int max_retries = 2) {
+  static TransportOptions recovery_options() {
     TransportOptions options;
     options.recovery.enabled = true;
-    options.recovery.max_retries = max_retries;
-    options.recovery.base_backoff = sim::milliseconds(100);
-    options.recovery.backoff_multiplier = 2.0;
     return options;
   }
 
@@ -357,7 +350,10 @@ TEST_F(TransportRecoveryTest, BudgetExhaustionReportsFailed) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 60.0});
   auto link = make_faulty_link(std::move(faults));
-  SingleLinkTransport transport(link, recovery_options(/*max_retries=*/1));
+  obs::Telemetry telemetry;
+  TransportOptions options = recovery_options();
+  options.telemetry = &telemetry;
+  SingleLinkTransport transport(link, options);
   std::optional<FetchOutcome> outcome;
   sim::Time settled{sim::kTimeZero};
   ChunkRequest req;
@@ -372,8 +368,19 @@ TEST_F(TransportRecoveryTest, BudgetExhaustionReportsFailed) {
   simulator.run_until(sim::seconds(5.0));
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome, FetchOutcome::kFailed);
-  // Original attempt + one retry, both inside the outage.
-  EXPECT_LT(sim::to_seconds(settled), 1.0);
+  // The outage kills the original attempt at 0.2 s; two retries follow
+  // after 100 ms and 200 ms of backoff, both inside the outage, and the
+  // second one's failure is final.
+  std::vector<sim::Time> starts;
+  for (const obs::TraceEvent& e : telemetry.trace().events()) {
+    if (e.type == obs::TraceEventType::kFetchAttemptStart) {
+      starts.push_back(e.ts);
+    }
+  }
+  EXPECT_EQ(starts, (std::vector<sim::Time>{sim::kTimeZero, sim::seconds(0.3),
+                                            sim::seconds(0.5)}));
+  EXPECT_EQ(settled, sim::seconds(0.5));
+  EXPECT_EQ(telemetry.metrics().counter("transport.retries").value(), 2);
   EXPECT_EQ(transport.in_flight(), 0);
 }
 
@@ -785,27 +792,11 @@ TEST_F(SessionTest, ZeroBandwidthNeverStarts) {
 
 TEST_F(SessionTest, RejectsBadConfig) {
   // Each row breaks one field. Both validate() and the constructor must
-  // throw, so a bad config never reaches start() (where a non-finite head
-  // sample period would be an undefined cast, and a non-positive scan
-  // period would throw inside the event loop).
+  // throw, so a bad config never reaches start().
   const std::vector<std::pair<const char*, void (*)(SessionConfig&)>> rows{
       {"prefetch horizon 0", [](SessionConfig& c) { c.prefetch_horizon_chunks = 0; }},
-      {"startup chunks 0", [](SessionConfig& c) { c.startup_chunks = 0; }},
-      {"head rate 0", [](SessionConfig& c) { c.head_sample_hz = 0.0; }},
-      {"head rate < 0", [](SessionConfig& c) { c.head_sample_hz = -25.0; }},
-      {"head rate NaN",
-       [](SessionConfig& c) {
-         c.head_sample_hz = std::numeric_limits<double>::quiet_NaN();
-       }},
-      {"head rate inf",
-       [](SessionConfig& c) {
-         c.head_sample_hz = std::numeric_limits<double>::infinity();
-       }},
-      {"head rate tiny", [](SessionConfig& c) { c.head_sample_hz = 1e-300; }},
-      {"scan period 0",
-       [](SessionConfig& c) { c.upgrade_scan_period = sim::Duration{0}; }},
-      {"scan period < 0",
-       [](SessionConfig& c) { c.upgrade_scan_period = sim::milliseconds(-250); }},
+      {"prefetch horizon < 0",
+       [](SessionConfig& c) { c.prefetch_horizon_chunks = -4; }},
   };
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
@@ -821,11 +812,6 @@ TEST_F(SessionTest, RejectsBadConfig) {
                  std::invalid_argument)
         << what;
   }
-  // The scan period only matters when upgrades run.
-  SessionConfig no_upgrades;
-  no_upgrades.enable_upgrades = false;
-  no_upgrades.upgrade_scan_period = sim::Duration{0};
-  EXPECT_NO_THROW(validate(no_upgrades));
 }
 
 TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {
@@ -857,25 +843,25 @@ TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {
 }
 
 // Pins one stall-heavy session end to end: every SessionReport field and
-// the count of each trace event type. On a 4x6 grid at 1.8 Mbps the
-// session stalls six times with upgrades on, and the 50 ms scan period
-// puts upgrade scans into those stalls both before and after a stall's
-// first head sample. That sample moves the prediction while media time
-// stays frozen, so a predicted view reused on media time alone would pick
-// stale tiles and change the numbers below.
+// the count of each trace event type. On a 4x6 grid at 1.9 Mbps the
+// session stalls eight times with upgrades on, and with this content and
+// trace the 250 ms upgrade scans land in a stall both before and after the
+// stall's first head sample. That sample moves the prediction while media
+// time stays frozen, so a predicted view reused on media time alone would
+// pick stale tiles and change the numbers below.
 TEST_F(SessionTest, StallingUpgradeSessionIsPinned) {
   media::VideoModelConfig video_config;
   video_config.duration_s = 15.0;
   video_config.chunk_duration_s = 1.0;
   video_config.tile_rows = 4;
   video_config.tile_cols = 6;
-  video_config.seed = 7;
+  video_config.seed = 9;
   const auto video = std::make_shared<media::VideoModel>(video_config);
-  const auto trace = steady_trace(55.0, /*seed=*/6);
+  const auto trace = steady_trace(55.0, /*seed=*/15);
   sim::Simulator simulator;
   net::Link link(simulator,
                  net::LinkConfig{.name = "dl",
-                                 .bandwidth = net::BandwidthTrace::constant(1'800.0),
+                                 .bandwidth = net::BandwidthTrace::constant(1'900.0),
                                  .rtt = sim::milliseconds(30),
                                  .loss_rate = 0.0,
                                  .faults = {}});
@@ -883,36 +869,34 @@ TEST_F(SessionTest, StallingUpgradeSessionIsPinned) {
   obs::Telemetry telemetry;
   SessionConfig config;
   config.telemetry = &telemetry;
-  config.upgrade_scan_period = sim::milliseconds(50);
   StreamingSession session(simulator, video, transport, trace, config);
   session.start();
   simulator.run_until(sim::seconds(135.0));
   const SessionReport report = session.report();
-
   EXPECT_TRUE(report.completed);
   EXPECT_EQ(report.qoe.chunks_played, 15);
-  EXPECT_EQ(report.qoe.mean_viewport_utility, 0.12957829996387618);
-  EXPECT_EQ(report.qoe.stall_seconds, 1.6283399999999999);
-  EXPECT_EQ(report.qoe.stall_events, 6);
+  EXPECT_EQ(report.qoe.mean_viewport_utility, 0.11718375247372771);
+  EXPECT_EQ(report.qoe.stall_seconds, 2.6333839999999999);
+  EXPECT_EQ(report.qoe.stall_events, 8);
   EXPECT_EQ(report.qoe.skipped_chunks, 0);
-  EXPECT_EQ(report.qoe.switch_magnitude, 1.6731636086881994);
+  EXPECT_EQ(report.qoe.switch_magnitude, 1.0001797893149529);
   EXPECT_EQ(report.qoe.blank_fraction_mean, 0.0);
-  EXPECT_EQ(report.qoe.bytes_downloaded, 3'296'494);
-  EXPECT_EQ(report.qoe.bytes_wasted, 1'993'381);
-  EXPECT_EQ(report.qoe.score, -6.2428491092300558);
-  EXPECT_EQ(report.startup_delay, sim::Duration{163'227});
-  EXPECT_EQ(report.wall_duration, sim::Duration{16'791'567});
-  EXPECT_EQ(report.fetches, 454);
-  EXPECT_EQ(report.urgent_fetches, 19);
-  EXPECT_EQ(report.upgrades, 61);
-  EXPECT_EQ(report.late_corrections, 28);
+  EXPECT_EQ(report.qoe.bytes_downloaded, 3'591'649);
+  EXPECT_EQ(report.qoe.bytes_wasted, 2'402'575);
+  EXPECT_EQ(report.qoe.score, -9.7759595022090373);
+  EXPECT_EQ(report.startup_delay, sim::Duration{144'784});
+  EXPECT_EQ(report.wall_duration, sim::Duration{17'778'168});
+  EXPECT_EQ(report.fetches, 501);
+  EXPECT_EQ(report.urgent_fetches, 26);
+  EXPECT_EQ(report.upgrades, 68);
+  EXPECT_EQ(report.late_corrections, 62);
   EXPECT_EQ(report.fetch_failures, 0);
   EXPECT_EQ(report.degraded_retries, 0);
   const std::vector<double> utility{
-      0.0, 0.0, 0.0, 0.0, 0.19719321541166954, 0.12234614420828901,
-      0.12234614420828901, 0.30674500175148595, 0.39214742251151274, 0.0,
-      0.10195512017357418, 0.3058653605207225, 0.05097756008678709,
-      0.11469951019527096, 0.22939902039054189};
+      0.0, 0.0, 0.0, 0.0, 0.17254406348521084, 0.0, 0.059693730408942464,
+      0.18735754093360102, 0.13594016023143224, 0.2378952804050064,
+      0.20391024034714833, 0.11469951019527096, 0.13594016023143224,
+      0.20391024034714836, 0.3058653605207225};
   EXPECT_EQ(report.viewport_utility_per_chunk, utility);
 
   std::map<obs::TraceEventType, int> counts;
@@ -921,9 +905,9 @@ TEST_F(SessionTest, StallingUpgradeSessionIsPinned) {
   }
   using T = obs::TraceEventType;
   const std::map<obs::TraceEventType, int> expected{
-      {T::kSessionStart, 1},    {T::kPlanComputed, 15},  {T::kFetchDispatched, 454},
-      {T::kFetchDone, 454},     {T::kStallBegin, 6},     {T::kStallEnd, 6},
-      {T::kUpgradeDecided, 61}, {T::kChunkPlayed, 15},   {T::kSessionEnd, 1}};
+      {T::kSessionStart, 1},    {T::kPlanComputed, 15},  {T::kFetchDispatched, 501},
+      {T::kFetchDone, 501},     {T::kStallBegin, 8},     {T::kStallEnd, 8},
+      {T::kUpgradeDecided, 83}, {T::kChunkPlayed, 15},   {T::kSessionEnd, 1}};
   EXPECT_EQ(counts, expected);
 }
 

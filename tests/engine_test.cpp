@@ -473,10 +473,10 @@ TEST(Engine, ValidateRejectsBadPolicyName) {
 TEST(Engine, ValidateRejectsBadSessionConfig) {
   // core::validate runs on the template session before any shard starts.
   engine::WorldSpec spec = small_world(1);
-  spec.session.head_sample_hz = std::numeric_limits<double>::quiet_NaN();
+  spec.session.prefetch_horizon_chunks = 0;
   EXPECT_THROW(engine::validate(spec), std::invalid_argument);
   spec = small_world(1);
-  spec.session.upgrade_scan_period = sim::Duration{0};
+  spec.session.prefetch_horizon_chunks = -1;
   EXPECT_THROW(engine::validate(spec), std::invalid_argument);
 }
 
@@ -506,16 +506,14 @@ TEST(Engine, FaultsOfGroupReseedsTemplatePlanPerGroup) {
   spec.faults.seed = 40;
   EXPECT_EQ(engine::faults_of_group(spec, 0).seed, 40u);
   EXPECT_EQ(engine::faults_of_group(spec, 3).seed, 43u);
-
-  // The hook overrides the template verbatim — no reseeding.
-  spec.faults_for_group = [](int group) {
-    net::FaultPlan plan;
-    plan.outages.push_back({.start_s = 1.0, .duration_s = double(1 + group)});
-    plan.seed = 7;
-    return plan;
-  };
-  EXPECT_EQ(engine::faults_of_group(spec, 5).seed, 7u);
-  EXPECT_DOUBLE_EQ(engine::faults_of_group(spec, 2).outages.at(0).duration_s, 3.0);
+  // Only the seed changes: every group runs the template's schedule.
+  spec.faults.outages.push_back({.start_s = 1.0, .duration_s = 2.0});
+  const net::FaultPlan group5 = engine::faults_of_group(spec, 5);
+  EXPECT_EQ(group5.seed, 45u);
+  EXPECT_EQ(group5.transfer_failure_prob, 0.1);
+  ASSERT_EQ(group5.outages.size(), 1u);
+  EXPECT_EQ(group5.outages[0].start_s, 1.0);
+  EXPECT_EQ(group5.outages[0].duration_s, 2.0);
 }
 
 TEST(Engine, ValidateRejectsBadSpecs) {
@@ -537,43 +535,24 @@ TEST(Engine, ValidateRejectsBadSpecs) {
 }
 
 TEST(Engine, ValidateRejectsBadRecoveryPolicies) {
-  // One bad field per row. Each must be rejected the same way by both
+  // A negative timeout floor must be rejected the same way by both
   // transports and by ShardedEngine, before any shard is built.
-  struct Row {
-    const char* field;
-    void (*spoil)(core::RecoveryPolicy&);
-  };
-  const std::vector<Row> rows = {
-      {"max_retries", [](core::RecoveryPolicy& p) { p.max_retries = -1; }},
-      {"backoff_multiplier", [](core::RecoveryPolicy& p) { p.backoff_multiplier = 0.5; }},
-      {"backoff_multiplier NaN",
-       [](core::RecoveryPolicy& p) { p.backoff_multiplier = std::nan(""); }},
-      {"base_backoff", [](core::RecoveryPolicy& p) { p.base_backoff = sim::milliseconds(-1); }},
-      {"min_timeout", [](core::RecoveryPolicy& p) { p.min_timeout = sim::milliseconds(-1); }},
-      {"path_failure_threshold",
-       [](core::RecoveryPolicy& p) { p.path_failure_threshold = 0; }},
-      {"probe_interval", [](core::RecoveryPolicy& p) { p.probe_interval = sim::Duration{0}; }},
-  };
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
-  for (const Row& row : rows) {
-    core::TransportOptions options;
-    options.recovery.enabled = true;
-    row.spoil(options.recovery);
-    EXPECT_THROW(core::validate(options.recovery), std::invalid_argument) << row.field;
-    EXPECT_THROW(core::SingleLinkTransport(link, options), std::invalid_argument)
-        << row.field;
-    EXPECT_THROW(mp::MultipathTransport(simulator, {&link},
-                                        std::make_unique<mp::MinRttScheduler>(), options),
-                 std::invalid_argument)
-        << row.field;
-    engine::WorldSpec spec = small_world(1);
-    spec.transport_recovery = options.recovery;
-    EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument) << row.field;
-    // A disabled policy is never read, so it is never rejected.
-    options.recovery.enabled = false;
-    EXPECT_NO_THROW(core::SingleLinkTransport(link, options)) << row.field;
-  }
+  core::TransportOptions options;
+  options.recovery.enabled = true;
+  options.recovery.min_timeout = sim::milliseconds(-1);
+  EXPECT_THROW(core::validate(options.recovery), std::invalid_argument);
+  EXPECT_THROW(core::SingleLinkTransport(link, options), std::invalid_argument);
+  EXPECT_THROW(mp::MultipathTransport(simulator, {&link},
+                                      std::make_unique<mp::MinRttScheduler>(), options),
+               std::invalid_argument);
+  engine::WorldSpec spec = small_world(1);
+  spec.transport_recovery = options.recovery;
+  EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument);
+  // A disabled policy is never read, so it is never rejected.
+  options.recovery.enabled = false;
+  EXPECT_NO_THROW(core::SingleLinkTransport(link, options));
 }
 
 TEST(Engine, ShardErrorsPropagateToCaller) {

@@ -29,6 +29,16 @@ TEST(QualityLadder, RejectsBadLadders) {
   EXPECT_THROW(QualityLadder({1000.0, 1000.0}), std::invalid_argument);
   EXPECT_THROW(QualityLadder({1000.0, 500.0}), std::invalid_argument);
   EXPECT_THROW(QualityLadder({-1.0}), std::invalid_argument);
+  // NaN fails every comparison, so it must be rejected explicitly, as
+  // must infinities.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& bad :
+       {std::vector<double>{nan}, std::vector<double>{inf},
+        std::vector<double>{-inf}, std::vector<double>{1000.0, nan},
+        std::vector<double>{nan, 1000.0}, std::vector<double>{1000.0, inf}}) {
+    EXPECT_THROW(QualityLadder{bad}, std::invalid_argument) << bad.back();
+  }
 }
 
 TEST(QualityLadder, UtilityNormalizedAndMonotone) {
@@ -96,6 +106,23 @@ TEST(VideoModel, RejectsBadConfig) {
   cfg = small_config();
   cfg.tile_rows = cfg.tile_cols = 1 << 16;  // 2^32 tiles overflow int
   EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  // Finite values whose largest object size overflows the int64 casts.
+  cfg = small_config();
+  cfg.svc_overhead = 1e300;
+  EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  cfg = small_config();
+  cfg.ladder = QualityLadder({1000.0, 1e300});
+  EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  cfg = small_config();
+  cfg.complexity_sigma = 1e300;
+  EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  // Large values that still fit are sized as before.
+  cfg = small_config();
+  cfg.svc_overhead = 1e6;
+  const VideoModel big(cfg);
+  const double avc = static_cast<double>(big.avc_size_bytes(0, {0, 0}));
+  EXPECT_EQ(big.svc_cumulative_size_bytes(0, {0, 0}),
+            static_cast<std::int64_t>(avc * (1.0 + 1e6)));
 }
 
 TEST(VideoModel, TileSharesSumToOne) {
@@ -357,9 +384,18 @@ TEST(Mpd, RejectsMalformedDocuments) {
     EXPECT_THROW((void)parse_mpd(with(key, value)), std::runtime_error)
         << key << "=\"" << value << '"';
   }
-  // Parsed but nonsensical values are the model's to reject.
+  // Parsed but nonsensical values are the model's to reject, including
+  // finite ones that overflow an object size.
   EXPECT_THROW((void)VideoModel(parse_mpd(with("complexitySigma", "-1"))),
                std::invalid_argument);
+  EXPECT_THROW((void)VideoModel(parse_mpd(with("svcOverhead", "1e300"))),
+               std::invalid_argument);
+  EXPECT_THROW((void)VideoModel(parse_mpd(with("complexitySigma", "1e300"))),
+               std::invalid_argument);
+  std::string huge_rung = good;
+  const std::size_t top = huge_rung.rfind(" kbps=\"") + 7;
+  huge_rung.replace(top, huge_rung.find('"', top) - top, "1e300");
+  EXPECT_THROW((void)VideoModel(parse_mpd(huge_rung)), std::invalid_argument);
   EXPECT_THROW((void)VideoModel(parse_mpd(with("tileRows", "0"))),
                std::invalid_argument);
 }

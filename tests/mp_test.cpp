@@ -237,13 +237,9 @@ class MultipathFailoverTest : public ::testing::Test {
                                    .loss_rate = 0.0, .faults = {}});
   }
 
-  MultipathTransport make_recovering(sim::Duration probe_interval =
-                                         sim::seconds(0.5)) {
+  MultipathTransport make_recovering() {
     core::TransportOptions options;
     options.recovery.enabled = true;
-    options.recovery.max_retries = 3;
-    options.recovery.base_backoff = sim::milliseconds(100);
-    options.recovery.probe_interval = probe_interval;
     return MultipathTransport(simulator, {wifi.get(), lte.get()},
                               std::make_unique<ContentAwareScheduler>(),
                               options);
@@ -276,8 +272,8 @@ TEST_F(MultipathFailoverTest, OutageFailsOverInFlightFovToSurvivingPath) {
 }
 
 TEST_F(MultipathFailoverTest, DownPathRecoversViaProbing) {
-  rebuild(/*wifi_outage_s=*/1.0);  // outage [0.5, 1.5)
-  auto transport = make_recovering(sim::seconds(0.5));
+  rebuild(/*wifi_outage_s=*/1.2);  // outage [0.5, 1.7)
+  auto transport = make_recovering();
   auto req = request_of(abr::SpatialClass::kFov, false, 2'000'000,
                         sim::seconds(100.0));
   std::optional<core::FetchOutcome> outcome;
@@ -286,10 +282,44 @@ TEST_F(MultipathFailoverTest, DownPathRecoversViaProbing) {
   simulator.run_until(sim::seconds(30.0));
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome, core::FetchOutcome::kDelivered);
-  EXPECT_GE(transport.stats().path_down_events, 1);
-  // Probes at 1.0s (still dark) and 1.5s (clear): ~1s of downtime.
+  // Down at 0.5 s, probed every second: 1.5 s (still dark), 2.5 s (clear).
   EXPECT_FALSE(transport.path_down(0));
-  EXPECT_NEAR(transport.stats().path_downtime_s, 1.0, 0.1);
+  EXPECT_EQ(transport.stats().path_down_events, 1);
+  EXPECT_DOUBLE_EQ(transport.stats().path_downtime_s, 2.0);
+}
+
+TEST_F(MultipathFailoverTest, ThirdConsecutiveFailureMarksThePathDown) {
+  // Wifi transfers fail part-way (with this seed, the first three all do),
+  // with no outage signal; regular OOS requests are abandoned on their
+  // first failure, so each settles after exactly one failed attempt, one
+  // at a time.
+  net::FaultPlan faults;
+  faults.transfer_failure_prob = 0.99;
+  faults.seed = 3;
+  wifi = std::make_unique<net::Link>(
+      simulator, net::LinkConfig{.name = "wifi",
+                                 .bandwidth = net::BandwidthTrace::constant(20'000.0),
+                                 .rtt = sim::milliseconds(20),
+                                 .loss_rate = 0.0,
+                                 .faults = std::move(faults)});
+  core::TransportOptions options;
+  options.max_concurrent = 1;
+  options.recovery.enabled = true;
+  MultipathTransport transport(simulator, {wifi.get(), lte.get()},
+                               std::make_unique<SinglePathScheduler>(0), options);
+  std::vector<bool> down_when_settled;
+  for (int i = 0; i < 3; ++i) {
+    auto req = request_of(abr::SpatialClass::kOos, false, 200'000,
+                          sim::seconds(100.0));
+    req.on_done = [&](sim::Time, core::FetchOutcome o) {
+      EXPECT_EQ(o, core::FetchOutcome::kFailed);
+      down_when_settled.push_back(transport.path_down(0));
+    };
+    transport.fetch(std::move(req));
+  }
+  simulator.run_until(sim::seconds(0.9));  // before the first probe
+  EXPECT_EQ(down_when_settled, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(transport.stats().path_down_events, 1);
 }
 
 TEST_F(MultipathFailoverTest, NewFetchesRouteAroundDownPath) {
@@ -332,9 +362,6 @@ TEST_F(MultipathFailoverTest, DispatchOrderPinsClassesAcrossFailoverAndRetry) {
   options.max_concurrent = 1;
   options.telemetry = &telemetry;
   options.recovery.enabled = true;
-  options.recovery.max_retries = 3;
-  options.recovery.base_backoff = sim::milliseconds(100);
-  options.recovery.probe_interval = sim::seconds(0.5);
   MultipathTransport transport(simulator, {wifi.get(), lte.get()},
                                std::make_unique<SinglePathScheduler>(0), options);
   const auto submit = [&](std::int64_t id, abr::SpatialClass spatial, bool urgent) {

@@ -174,13 +174,19 @@ TEST(TiledLive, RejectsInfeasibleLatencyTarget) {
   EXPECT_THROW(
       TiledLiveSession(simulator, video, transport, trace, config),
       std::invalid_argument);
+  // The floor is exactly the 3 s ingest delay plus the 1 s chunk.
+  config.e2e_target_s = 3.99;
+  EXPECT_THROW(
+      TiledLiveSession(simulator, video, transport, trace, config),
+      std::invalid_argument);
+  config.e2e_target_s = 4.0;
+  EXPECT_NO_THROW(TiledLiveSession(simulator, video, transport, trace, config));
 }
 
 TEST(TiledLive, RejectsBadConfig) {
   // Each row breaks one field; the constructor must throw before start()
-  // schedules anything (a non-finite period or latency would be an
-  // undefined cast there, a non-positive scan period a throw inside the
-  // event loop).
+  // schedules anything (a non-finite latency would be an undefined cast
+  // there).
   const std::vector<std::pair<const char*, void (*)(TiledLiveConfig&)>> rows{
       {"e2e target NaN",
        [](TiledLiveConfig& c) {
@@ -190,17 +196,8 @@ TEST(TiledLive, RejectsBadConfig) {
        [](TiledLiveConfig& c) {
          c.e2e_target_s = std::numeric_limits<double>::infinity();
        }},
-      {"head rate 0", [](TiledLiveConfig& c) { c.head_sample_hz = 0.0; }},
-      {"head rate NaN",
-       [](TiledLiveConfig& c) {
-         c.head_sample_hz = std::numeric_limits<double>::quiet_NaN();
-       }},
-      {"head rate inf",
-       [](TiledLiveConfig& c) {
-         c.head_sample_hz = std::numeric_limits<double>::infinity();
-       }},
-      {"scan period 0",
-       [](TiledLiveConfig& c) { c.upgrade_scan_period = sim::Duration{0}; }},
+      {"e2e target 0", [](TiledLiveConfig& c) { c.e2e_target_s = 0.0; }},
+      {"e2e target < 0", [](TiledLiveConfig& c) { c.e2e_target_s = -8.0; }},
   };
   sim::Simulator simulator;
   net::Link link(simulator, net::LinkConfig{});
