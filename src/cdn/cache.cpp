@@ -29,10 +29,6 @@ CachePolicy parse_cache_policy(const std::string& name) {
                               name + "\"; valid names: " + valid);
 }
 
-const char* to_string(CachePolicy policy) {
-  return policy == CachePolicy::kLru ? "lru" : "lfu";
-}
-
 EdgeCache::EdgeCache(EdgeCacheConfig config) : config_(config) {
   if (config_.capacity_bytes <= 0) {
     throw std::invalid_argument("EdgeCache: capacity_bytes must be positive");
@@ -81,7 +77,6 @@ void EdgeCache::evict_one() {
   SPERKE_CHECK(it != entries_.end(), "EdgeCache: eviction index out of sync");
   used_bytes_ -= it->second.bytes;
   entries_.erase(it);
-  ++evictions_;
 }
 
 std::vector<net::ChunkId> EdgeCache::resident() const {

@@ -32,8 +32,6 @@ enum class CachePolicy : std::uint8_t { kLru, kLfu };
 // names (same convention as abr::validate_policy_name).
 [[nodiscard]] CachePolicy parse_cache_policy(const std::string& name);
 
-[[nodiscard]] const char* to_string(CachePolicy policy);
-
 struct EdgeCacheConfig {
   CachePolicy policy = CachePolicy::kLru;
   std::int64_t capacity_bytes = 0;  // must be positive
@@ -62,8 +60,6 @@ class EdgeCache {
   }
   [[nodiscard]] std::int64_t used_bytes() const { return used_bytes_; }
   [[nodiscard]] int size() const { return static_cast<int>(entries_.size()); }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-  [[nodiscard]] CachePolicy policy() const { return config_.policy; }
 
   // Resident ids in ascending ChunkId order (deterministic snapshot for
   // tests and debugging).
@@ -94,7 +90,6 @@ class EdgeCache {
   std::set<EvictKey> evict_order_;
   std::int64_t used_bytes_ = 0;
   std::uint64_t clock_ = 0;  // logical time: one tick per touch/insert
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace sperke::cdn

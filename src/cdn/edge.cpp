@@ -1,6 +1,7 @@
 #include "cdn/edge.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -10,28 +11,19 @@ namespace sperke::cdn {
 
 Edge::Edge(net::Link& backhaul, const EdgeCacheConfig& cache_config,
            obs::Telemetry* telemetry)
-    : cache_(cache_config), origin_(backhaul, telemetry) {
+    : backhaul_(backhaul), cache_(cache_config) {
   if (telemetry != nullptr) {
     obs::MetricsRegistry& m = telemetry->metrics();
+    egress_metric_ = &m.counter("cdn.origin.egress_bytes");
     hits_metric_ = &m.counter("cdn.edge.hits");
     misses_metric_ = &m.counter("cdn.edge.misses");
     evictions_metric_ = &m.counter("cdn.edge.evictions");
     coalesced_metric_ = &m.counter("cdn.edge.coalesced");
     warmed_metric_ = &m.counter("cdn.edge.warmed");
   }
-  // Exactly-once cache fill per origin transfer, shared by every coalesced
-  // waiter: runs before any waiter callback, so a retry issued from a
-  // waiter already sees the object resident.
-  origin_.set_on_settled(
-      [this](const net::ChunkId& id, const net::TransferResult& r) {
-        if (!r.completed()) return;
-        const int evicted = cache_.insert(id, r.bytes_delivered);
-        if (evicted > 0) {
-          stats_.evictions += evicted;
-          if (evictions_metric_ != nullptr) evictions_metric_->add(evicted);
-        }
-      });
 }
+
+Edge::~Edge() { *alive_ = false; }
 
 bool Edge::lookup(const net::ChunkId& id) {
   if (cache_.touch(id)) {
@@ -44,23 +36,84 @@ bool Edge::lookup(const net::ChunkId& id) {
   return false;
 }
 
-Origin::Ticket Edge::fetch_from_origin(const net::ChunkId& id,
-                                       std::int64_t bytes, double weight,
-                                       net::TransferCallback on_done) {
-  if (origin_.inflight_contains(id)) {
+void Edge::join_fill(const net::ChunkId& id, std::int64_t bytes, double weight,
+                     Waiter waiter) {
+  auto it = fills_.find(id);
+  if (it == fills_.end()) {
+    it = fills_.emplace(id, Fill{.bytes = bytes, .waiters = {}}).first;
+    backhaul_.start_transfer(
+        bytes,
+        [this, alive = alive_, id](const net::TransferResult& r) {
+          if (*alive) settle(id, r);
+        },
+        weight);
+  } else {
+    // Same ChunkId must mean same object: a size mismatch would silently
+    // deliver the wrong byte count to whoever joined second.
+    SPERKE_CHECK(it->second.bytes == bytes, "Edge: coalesced size mismatch (",
+                 it->second.bytes, " vs ", bytes, ")");
     ++stats_.coalesced;
     if (coalesced_metric_ != nullptr) coalesced_metric_->increment();
   }
-  return origin_.fetch(id, bytes, weight, std::move(on_done));
+  it->second.waiters.push_back(std::move(waiter));
+}
+
+bool Edge::leave_fill(const net::ChunkId& id, const EdgeSource* source,
+                      net::FetchId fetch) {
+  auto it = fills_.find(id);
+  if (it == fills_.end()) return false;
+  std::vector<Waiter>& waiters = it->second.waiters;
+  for (auto wit = waiters.begin(); wit != waiters.end(); ++wit) {
+    if (wit->source != source || wit->fetch != fetch) continue;
+    net::TransferCallback cb = std::move(wit->on_done);
+    waiters.erase(wit);
+    // Mirror net::Link::cancel: the caller's callback fires synchronously
+    // with kCancelled. The fill keeps running even with zero waiters left —
+    // the cache still wants the bytes it paid for.
+    if (cb) {
+      cb(net::TransferResult{.status = net::TransferStatus::kCancelled,
+                             .time = backhaul_.simulator().now(),
+                             .bytes_delivered = 0});
+    }
+    return true;
+  }
+  return false;
+}
+
+void Edge::settle(const net::ChunkId& id, const net::TransferResult& r) {
+  auto it = fills_.find(id);
+  SPERKE_CHECK(it != fills_.end(), "Edge: settle without a fill in flight");
+  Fill fill = std::move(it->second);
+  // Clear the fill *before* firing anyone: a waiter's callback may re-fetch
+  // the same id (transport retry), which must start a fresh fill rather
+  // than join the one that just settled.
+  fills_.erase(it);
+  stats_.egress_bytes += r.bytes_delivered;
+  if (egress_metric_ != nullptr) egress_metric_->add(r.bytes_delivered);
+  // Exactly-once cache fill, before any waiter fires, so a fetch issued
+  // from a waiter already sees the object resident.
+  if (r.completed()) {
+    const int evicted = cache_.insert(id, r.bytes_delivered);
+    if (evicted > 0) {
+      stats_.evictions += evicted;
+      if (evictions_metric_ != nullptr) evictions_metric_->add(evicted);
+    }
+  }
+  for (Waiter& w : fill.waiters) {
+    if (w.on_done) w.on_done(r);
+  }
 }
 
 int Edge::warm(const media::VideoModel& video, const hmp::ViewingHeatmap& crowd,
-               const WarmSpec& spec) {
-  SPERKE_CHECK(spec.tiles_per_chunk > 0,
+               int tiles_per_chunk, std::int32_t level) {
+  SPERKE_CHECK(tiles_per_chunk > 0,
                "Edge::warm: tiles_per_chunk must be positive");
+  if (crowd.tile_count() != video.tile_count()) {
+    throw std::invalid_argument("Edge::warm: heatmap/grid tile count mismatch");
+  }
   const media::ChunkIndex chunks =
       std::min(video.chunk_count(), crowd.chunk_count());
-  const int top_n = std::min(spec.tiles_per_chunk, video.tile_count());
+  const int top_n = std::min(tiles_per_chunk, video.tile_count());
   int warmed = 0;
   // Preload one object; false = budget exhausted (stop warming entirely —
   // evicting here would churn what was just preloaded).
@@ -92,7 +145,7 @@ int Edge::warm(const media::VideoModel& video, const hmp::ViewingHeatmap& crowd,
       const geo::TileId tile = ranked[static_cast<std::size_t>(k)].second;
       budget_left = warm_object({.key = {.tile = tile, .index = chunk},
                                  .encoding = media::Encoding::kAvc,
-                                 .level = spec.level});
+                                 .level = level});
     }
   }
   stats_.warmed += warmed;
@@ -109,30 +162,30 @@ net::FetchId EdgeSource::fetch(const net::FetchSpec& spec,
                                net::TransferCallback on_done) {
   SPERKE_CHECK(spec.bytes > 0, "EdgeSource::fetch: non-positive bytes");
   const net::FetchId id = next_id_++;
-  pending_.emplace(id, Pending{});
+  pending_.emplace(id, Pending{.fill = spec.id});
   if (edge_.lookup(spec.id)) {
     serve(id, spec, std::move(on_done));
     return id;
   }
-  const Origin::Ticket ticket = edge_.fetch_from_origin(
+  edge_.join_fill(
       spec.id, spec.bytes,  // same object => same size for every requester
       spec.weight,
-      [this, alive = alive_, id, spec,
-       on_done = std::move(on_done)](const net::TransferResult& r) mutable {
-        if (!*alive) return;
-        if (!r.completed()) {
-          // Backhaul fault or our own cancel: nothing reached the client.
-          pending_.erase(id);
-          net::TransferResult client = r;
-          client.bytes_delivered = 0;
-          if (on_done) on_done(client);
-          return;
-        }
-        serve(id, spec, std::move(on_done));
-      });
-  auto it = pending_.find(id);
-  SPERKE_CHECK(it != pending_.end(), "EdgeSource::fetch: pending entry lost");
-  it->second.ticket = ticket;
+      {.source = this,
+       .fetch = id,
+       .on_done = [this, alive = alive_, id, spec,
+                   on_done = std::move(on_done)](
+                      const net::TransferResult& r) mutable {
+         if (!*alive) return;
+         if (!r.completed()) {
+           // Backhaul fault or our own cancel: nothing reached the client.
+           pending_.erase(id);
+           net::TransferResult client = r;
+           client.bytes_delivered = 0;
+           if (on_done) on_done(client);
+           return;
+         }
+         serve(id, spec, std::move(on_done));
+       }});
   return id;
 }
 
@@ -160,12 +213,11 @@ bool EdgeSource::cancel(net::FetchId id) {
     // which erases the pending entry.
     return access_.cancel(it->second.serve_id);
   }
-  // Waiting on the origin: detach our waiter. Origin::cancel fires our
-  // origin callback synchronously with kCancelled, which erases the entry
-  // and forwards kCancelled (0 bytes) to the client — exactly the
-  // Link::cancel contract. The backhaul transfer keeps running for the
-  // cache's benefit.
-  return edge_.origin().cancel(it->second.ticket);
+  // Waiting on a fill: detach our waiter. Edge::leave_fill fires our fill
+  // callback synchronously with kCancelled, which erases the entry and
+  // forwards kCancelled (0 bytes) to the client — exactly the Link::cancel
+  // contract. The backhaul transfer keeps running for the cache's benefit.
+  return edge_.leave_fill(it->second.fill, this, id);
 }
 
 }  // namespace sperke::cdn

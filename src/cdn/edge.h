@@ -1,6 +1,6 @@
-// One CDN edge: a byte-budgeted chunk cache in front of a coalescing
-// origin, and the ChunkSource adapter that routes a client link group
-// through it (DESIGN.md §15).
+// One CDN edge: a byte-budgeted chunk cache, the backhaul to the origin
+// with its coalesced in-flight fills, and the ChunkSource adapter that
+// routes a client link group through it (DESIGN.md §15).
 //
 // Topology per fetch:
 //
@@ -8,11 +8,13 @@
 //   miss  client <-- access link -- edge <-- backhaul link -- origin
 //
 // A hit serves immediately over the requester's access link at the
-// transport's stream weight. A miss first pulls the object over the shared
-// backhaul (coalesced across concurrent requesters by the Origin), inserts
-// it into the cache once, then serves each requester over their own access
-// link. Backhaul faults propagate to the client as kFailed with 0 bytes —
-// the transport's ordinary retry machinery takes it from there.
+// transport's stream weight. A miss joins the fill for its net::ChunkId,
+// starting one over the shared backhaul only when none is in flight, so
+// concurrent misses spend backhaul bytes once. When the fill settles the
+// edge admits the object to its cache once, then fires the fill's waiters
+// in join order; each completed waiter is served over its own access link.
+// Backhaul faults propagate to the client as kFailed with 0 bytes — the
+// transport's ordinary retry machinery takes it from there.
 //
 // Crowd-driven warming (paper §3.2): before viewers arrive, the per-chunk
 // top-N tiles by hmp::ViewingHeatmap probability are preloaded until the
@@ -22,9 +24,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "cdn/cache.h"
-#include "cdn/origin.h"
 #include "hmp/heatmap.h"
 #include "media/chunk.h"
 #include "media/video_model.h"
@@ -36,59 +38,78 @@
 
 namespace sperke::cdn {
 
-// Plain mirror of the cdn.edge.* counters, available without telemetry.
+class EdgeSource;
+
+// Plain mirror of the cdn.* counters, available without telemetry.
 struct EdgeStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
-  std::int64_t coalesced = 0;  // misses that joined an in-flight transfer
+  std::int64_t coalesced = 0;  // misses that joined an in-flight fill
   std::int64_t evictions = 0;
-  std::int64_t warmed = 0;  // objects preloaded from the crowd heatmap
-};
-
-// What to preload per temporal chunk: the AVC copy at `level` of the top
-// `tiles_per_chunk` tiles by crowd probability (ties broken by ascending
-// tile id).
-struct WarmSpec {
-  int tiles_per_chunk = 0;
-  std::int32_t level = 0;
+  std::int64_t warmed = 0;        // objects preloaded from the crowd heatmap
+  std::int64_t egress_bytes = 0;  // backhaul bytes pulled from the origin
 };
 
 class Edge {
  public:
-  // `backhaul` must outlive the edge; `telemetry` (nullable) receives the
-  // cdn.edge.* counters and, via the owned Origin, cdn.origin.egress_bytes.
+  // `backhaul` must outlive the edge; `telemetry` (nullable) receives
+  // cdn.origin.egress_bytes and the cdn.edge.* counters.
   Edge(net::Link& backhaul, const EdgeCacheConfig& cache_config,
        obs::Telemetry* telemetry);
+  ~Edge();
   Edge(const Edge&) = delete;
   Edge& operator=(const Edge&) = delete;
 
-  // Lookup-with-bookkeeping: counts a hit (touching the cache entry) or a
-  // miss. Called once per client fetch by EdgeSource.
-  bool lookup(const net::ChunkId& id);
-
-  // Forward a miss to the origin (counting coalesced joins).
-  Origin::Ticket fetch_from_origin(const net::ChunkId& id, std::int64_t bytes,
-                                   double weight, net::TransferCallback on_done);
-
-  // Deterministically preload the crowd's favourite tiles (chunk-ascending,
-  // probability-descending) until the next object would not fit. Returns
-  // the number of objects warmed.
+  // Deterministically preload the AVC copy at `level` of the crowd's top
+  // `tiles_per_chunk` tiles per chunk (chunk-ascending, probability-
+  // descending, ties by ascending tile id) until the next object would not
+  // fit. Returns the number of objects warmed. Throws std::invalid_argument
+  // when the heatmap's tile count differs from the video's.
   int warm(const media::VideoModel& video, const hmp::ViewingHeatmap& crowd,
-           const WarmSpec& spec);
+           int tiles_per_chunk, std::int32_t level);
 
   [[nodiscard]] EdgeCache& cache() { return cache_; }
-  [[nodiscard]] Origin& origin() { return origin_; }
   [[nodiscard]] const EdgeStats& stats() const { return stats_; }
 
  private:
-  EdgeCache cache_;
-  Origin origin_;
-  EdgeStats stats_;
+  friend class EdgeSource;
+
+  // One EdgeSource fetch waiting on a fill, keyed by (source, fetch).
+  struct Waiter {
+    const EdgeSource* source = nullptr;
+    net::FetchId fetch = 0;
+    net::TransferCallback on_done;
+  };
+  // One backhaul transfer and everyone waiting on it, in join order.
+  struct Fill {
+    std::int64_t bytes = 0;
+    std::vector<Waiter> waiters;
+  };
+
+  // Counts a hit (touching the cache entry) or a miss.
+  bool lookup(const net::ChunkId& id);
+  // Join the fill for `id`, starting its backhaul transfer (at `weight`)
+  // when none is in flight. All joiners must agree on `bytes`.
+  void join_fill(const net::ChunkId& id, std::int64_t bytes, double weight,
+                 Waiter waiter);
+  // Detach one waiter: fires its callback synchronously with kCancelled
+  // (0 bytes) and returns true; false when it is not waiting on `id`'s
+  // fill. The backhaul transfer keeps running for the cache's benefit.
+  bool leave_fill(const net::ChunkId& id, const EdgeSource* source,
+                  net::FetchId fetch);
+  void settle(const net::ChunkId& id, const net::TransferResult& r);
+
+  net::Link& backhaul_;
+  obs::Counter* egress_metric_ = nullptr;
   obs::Counter* hits_metric_ = nullptr;
   obs::Counter* misses_metric_ = nullptr;
   obs::Counter* evictions_metric_ = nullptr;
   obs::Counter* coalesced_metric_ = nullptr;
   obs::Counter* warmed_metric_ = nullptr;
+  EdgeCache cache_;
+  std::map<net::ChunkId, Fill> fills_;
+  EdgeStats stats_;
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 // ChunkSource that fetches through an Edge: the seam core transports plug
@@ -115,13 +136,11 @@ class EdgeSource final : public net::ChunkSource {
     return access_.simulator();
   }
 
-  [[nodiscard]] Edge& edge() { return edge_; }
-
  private:
   struct Pending {
     bool serving = false;       // true once bytes flow on the access link
     net::FetchId serve_id = 0;  // access transfer (serving phase)
-    Origin::Ticket ticket = 0;  // origin waiter (miss phase)
+    net::ChunkId fill;          // the object, whose fill a miss joins
   };
 
   void serve(net::FetchId id, const net::FetchSpec& spec,

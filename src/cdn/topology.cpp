@@ -33,7 +33,9 @@ std::span<const std::string_view> topology_field_names() noexcept {
   return kNames;
 }
 
-void validate(const TopologySpec& spec, int sessions_per_link, bool has_crowd) {
+void validate(const TopologySpec& spec, int sessions_per_link,
+              const hmp::ViewingHeatmap* crowd,
+              const media::VideoModelConfig& video) {
   if (!spec.enabled()) {
     if (spec.sessions_per_edge < 0) {
       fail_field("sessions_per_edge < 0 (0 disables the CDN tier)");
@@ -61,11 +63,22 @@ void validate(const TopologySpec& spec, int sessions_per_link, bool has_crowd) {
     fail_field("warm_tiles_per_chunk < 0");
   }
   if (spec.warm_tiles_per_chunk > 0) {
-    if (!has_crowd) {
+    if (crowd == nullptr) {
       fail_field("warm_tiles_per_chunk > 0 needs a crowd heatmap "
                  "(WorldSpec::crowd) to rank tiles");
     }
-    if (spec.warm_level < 0) fail_field("warm_level < 0");
+    const std::int64_t tiles =
+        std::int64_t{video.tile_rows} * video.tile_cols;  // not yet validated
+    if (crowd->tile_count() != tiles) {
+      fail_field("warm_tiles_per_chunk > 0 needs a crowd heatmap of the "
+                 "video's " + std::to_string(tiles) + " tiles (it has " +
+                 std::to_string(crowd->tile_count()) + ")");
+    }
+    if (!video.ladder.valid_level(spec.warm_level)) {
+      fail_field("warm_level (= " + std::to_string(spec.warm_level) +
+                 ") must be a rung of the video's " +
+                 std::to_string(video.ladder.levels()) + "-rung ladder");
+    }
   }
 }
 
@@ -102,9 +115,7 @@ Edge& Topology::edge_for(int edge_id) {
   if (spec_.warm_tiles_per_chunk > 0) {
     SPERKE_CHECK(video_ != nullptr && crowd_ != nullptr,
                  "Topology: warming requires a video model and a crowd heatmap");
-    built.warm(*video_, *crowd_,
-               WarmSpec{.tiles_per_chunk = spec_.warm_tiles_per_chunk,
-                        .level = spec_.warm_level});
+    built.warm(*video_, *crowd_, spec_.warm_tiles_per_chunk, spec_.warm_level);
   }
   return built;
 }

@@ -66,9 +66,12 @@ struct TopologySpec {
 
 // Throws std::invalid_argument on a nonsensical section; every message
 // names the offending field and lists the valid field names (the
-// abr::validate_policy_name convention). `has_crowd` says whether the
-// embedding world carries a heatmap for warming to read.
-void validate(const TopologySpec& spec, int sessions_per_link, bool has_crowd);
+// abr::validate_policy_name convention). Warming needs `crowd` (nullable:
+// the embedding world's heatmap) to cover the tiles of `video`, and
+// warm_level to be a rung of its ladder.
+void validate(const TopologySpec& spec, int sessions_per_link,
+              const hmp::ViewingHeatmap* crowd,
+              const media::VideoModelConfig& video);
 
 // Per-shard fetch fabric: owns the shard's access links, backhaul links,
 // edges and EdgeSources. Build order is the caller's ascending group

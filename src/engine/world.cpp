@@ -70,7 +70,7 @@ void validate(const WorldSpec& spec) {
   core::validate(spec.session);
   // CDN topology section: every error lists the section's field names
   // (cdn::topology_field_names), mirroring validate_policy_name below.
-  cdn::validate(spec.cdn, spec.sessions_per_link, spec.crowd != nullptr);
+  cdn::validate(spec.cdn, spec.sessions_per_link, spec.crowd, spec.video);
   // Fail fast on a bad policy name in the template spec; per-session
   // overrides from session_for() are still checked at construction inside
   // the shard (abr::make_policy throws the same error).

@@ -143,21 +143,32 @@ std::int64_t VideoModel::size_bytes(const ChunkAddress& address) const {
 
 std::int64_t VideoModel::storage_bytes_tiling(bool with_svc) const {
   std::int64_t total = 0;
+  bool overflow = false;
   for (geo::TileId tile = 0; tile < tile_count(); ++tile) {
     for (ChunkIndex t = 0; t < chunk_count_; ++t) {
       const ChunkKey key{tile, t};
       for (QualityLevel q = 0; q < ladder().levels(); ++q) {
-        total += avc_size_bytes(q, key);
-        if (with_svc) total += svc_layer_size_bytes(q, key);
+        overflow |=
+            __builtin_add_overflow(total, avc_size_bytes(q, key), &total);
+        if (with_svc) {
+          overflow |= __builtin_add_overflow(
+              total, svc_layer_size_bytes(q, key), &total);
+        }
       }
     }
   }
+  if (overflow) throw std::overflow_error("VideoModel: storage exceeds int64");
   return total;
 }
 
 std::int64_t VideoModel::storage_bytes_versioning(int version_count) const {
   if (version_count <= 0) throw std::invalid_argument("versioning: non-positive count");
-  return storage_bytes_tiling(false) * version_count;
+  std::int64_t total = 0;
+  if (__builtin_mul_overflow(storage_bytes_tiling(false), version_count,
+                             &total)) {
+    throw std::overflow_error("VideoModel: storage exceeds int64");
+  }
+  return total;
 }
 
 std::string VideoModel::describe() const {

@@ -90,7 +90,8 @@ class VideoModel {
   [[nodiscard]] double complexity(const ChunkKey& key) const;
 
   // Total stored bytes for the tiling approach (all qualities, AVC + SVC
-  // copies when `with_svc`).
+  // copies when `with_svc`). Both storage totals throw std::overflow_error
+  // when they do not fit an int64.
   [[nodiscard]] std::int64_t storage_bytes_tiling(bool with_svc) const;
 
   // Hypothetical storage for the versioning approach with `version_count`

@@ -3,11 +3,11 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cdn/cache.h"
 #include "cdn/edge.h"
-#include "cdn/origin.h"
 #include "cdn/topology.h"
 #include "geo/visibility.h"
 #include "hmp/heatmap.h"
@@ -82,8 +82,6 @@ TEST(ChunkId, OrdersLexicographically) {
 TEST(EdgeCache, ParsePolicyNames) {
   EXPECT_EQ(parse_cache_policy("lru"), CachePolicy::kLru);
   EXPECT_EQ(parse_cache_policy("lfu"), CachePolicy::kLfu);
-  EXPECT_STREQ(to_string(CachePolicy::kLru), "lru");
-  EXPECT_STREQ(to_string(CachePolicy::kLfu), "lfu");
   try {
     (void)parse_cache_policy("arc");
     FAIL() << "expected std::invalid_argument";
@@ -116,7 +114,6 @@ TEST(EdgeCache, LruGoldenEvictionSequence) {
   EXPECT_EQ(cache.insert(cid(4), 150), 2);
   EXPECT_EQ(cache.resident(), (std::vector<ChunkId>{cid(3), cid(4)}));
   EXPECT_EQ(cache.used_bytes(), 250);
-  EXPECT_EQ(cache.evictions(), 3u);
 }
 
 TEST(EdgeCache, LfuGoldenEvictionSequence) {
@@ -166,146 +163,30 @@ TEST(EdgeCache, OversizedObjectIsNeverAdmitted) {
   // Nothing was evicted to make room for an object that can never fit.
   EXPECT_TRUE(cache.contains(cid(0)));
   EXPECT_EQ(cache.used_bytes(), 100);
-  EXPECT_EQ(cache.evictions(), 0u);
-}
-
-// -------------------------------------------------------------------- Origin
-
-TEST(Origin, CoalescesConcurrentFetchesIntoOneTransfer) {
-  sim::Simulator simulator;
-  net::Link backhaul(simulator, link_config("backhaul"));
-  obs::Telemetry telemetry;
-  Origin origin(backhaul, &telemetry);
-
-  // The settle hook (the edge's cache-fill point) must fire before any
-  // waiter; record the global firing order to prove it.
-  std::vector<std::string> order;
-  origin.set_on_settled([&](const ChunkId&, const TransferResult& r) {
-    EXPECT_TRUE(r.completed());
-    order.push_back("settle");
-  });
-
-  const ChunkId id = cid(3);
-  std::vector<TransferResult> results(3);
-  std::vector<int> fired(3, 0);
-  for (int w = 0; w < 3; ++w) {
-    origin.fetch(id, 100'000, 1.0, [&, w](const TransferResult& r) {
-      ++fired[static_cast<std::size_t>(w)];
-      results[static_cast<std::size_t>(w)] = r;
-      order.push_back("waiter" + std::to_string(w));
-    });
-  }
-  EXPECT_EQ(origin.transfers_started(), 1u);  // three fetches, one transfer
-  EXPECT_EQ(origin.inflight(), 1);
-  EXPECT_TRUE(origin.inflight_contains(id));
-
-  simulator.run();
-  EXPECT_EQ(origin.inflight(), 0);
-  EXPECT_EQ(origin.egress_bytes(), 100'000);  // backhaul bytes counted once
-  EXPECT_EQ(telemetry.metrics().counter("cdn.origin.egress_bytes").value(),
-            100'000);
-  for (int w = 0; w < 3; ++w) {
-    EXPECT_EQ(fired[static_cast<std::size_t>(w)], 1) << "waiter " << w;
-    EXPECT_TRUE(results[static_cast<std::size_t>(w)].completed());
-    EXPECT_EQ(results[static_cast<std::size_t>(w)].bytes_delivered, 100'000);
-  }
-  // Settle hook first, then waiters in join order.
-  EXPECT_EQ(order, (std::vector<std::string>{"settle", "waiter0", "waiter1",
-                                             "waiter2"}));
-}
-
-TEST(Origin, FaultedTransferFiresEveryWaiterExactlyOnce) {
-  sim::Simulator simulator;
-  net::LinkConfig config = link_config("backhaul");
-  config.faults.outages.push_back({.start_s = 0.0, .duration_s = 5.0});
-  net::Link backhaul(simulator, config);
-  Origin origin(backhaul, nullptr);
-
-  const ChunkId id = cid(1);
-  std::vector<int> fired(2, 0);
-  for (int w = 0; w < 2; ++w) {
-    origin.fetch(id, 50'000, 1.0, [&, w](const TransferResult& r) {
-      ++fired[static_cast<std::size_t>(w)];
-      EXPECT_EQ(r.status, TransferStatus::kFailed);
-      EXPECT_EQ(r.bytes_delivered, 0);
-      // In-flight state is cleared before waiters fire, so a retry issued
-      // from this callback starts a fresh transfer instead of joining the
-      // transfer that just died.
-      EXPECT_FALSE(origin.inflight_contains(id));
-    });
-  }
-  EXPECT_EQ(origin.transfers_started(), 1u);
-  simulator.run();
-  EXPECT_EQ(fired, (std::vector<int>{1, 1}));  // no double-fire
-  EXPECT_EQ(origin.egress_bytes(), 0);
-
-  // A retry after the outage window is a new transfer and completes.
-  int completed = 0;
-  origin.fetch(id, 50'000, 1.0, [&](const TransferResult& r) {
-    EXPECT_TRUE(r.completed());
-    ++completed;
-  });
-  EXPECT_EQ(origin.transfers_started(), 2u);
-  simulator.run();
-  EXPECT_EQ(completed, 1);
-  EXPECT_EQ(origin.egress_bytes(), 50'000);
-}
-
-TEST(Origin, CancelDetachesOneWaiterOnly) {
-  sim::Simulator simulator;
-  net::Link backhaul(simulator, link_config("backhaul"));
-  Origin origin(backhaul, nullptr);
-
-  const ChunkId id = cid(6);
-  TransferResult first{};
-  TransferResult second{};
-  int first_fired = 0;
-  int second_fired = 0;
-  const Origin::Ticket keep = origin.fetch(id, 80'000, 1.0,
-                                           [&](const TransferResult& r) {
-                                             first = r;
-                                             ++first_fired;
-                                           });
-  const Origin::Ticket drop = origin.fetch(id, 80'000, 1.0,
-                                           [&](const TransferResult& r) {
-                                             second = r;
-                                             ++second_fired;
-                                           });
-
-  // Cancelling fires the dropped waiter synchronously with kCancelled…
-  EXPECT_TRUE(origin.cancel(drop));
-  EXPECT_EQ(second_fired, 1);
-  EXPECT_EQ(second.status, TransferStatus::kCancelled);
-  EXPECT_EQ(second.bytes_delivered, 0);
-  EXPECT_FALSE(origin.cancel(drop));  // already settled: fires nothing
-
-  // …while the transfer keeps running for the remaining waiter.
-  EXPECT_TRUE(origin.inflight_contains(id));
-  simulator.run();
-  EXPECT_EQ(first_fired, 1);
-  EXPECT_TRUE(first.completed());
-  EXPECT_EQ(second_fired, 1);
-  EXPECT_EQ(origin.egress_bytes(), 80'000);
-  EXPECT_FALSE(origin.cancel(keep));  // settled tickets cannot cancel
+  EXPECT_EQ(cache.size(), 1);
 }
 
 // ---------------------------------------------------------------------- Edge
 
+// One edge shared by two link groups, each with its own access link.
 struct EdgeHarness {
   sim::Simulator simulator;
   obs::Telemetry telemetry;
   net::Link backhaul;
   net::Link access;
+  net::Link other_access;
   Edge edge;
   EdgeSource source;
+  EdgeSource other;
 
-  explicit EdgeHarness(std::int64_t capacity_bytes = 1 << 20,
-                       CachePolicy policy = CachePolicy::kLru)
-      : backhaul(simulator, link_config("backhaul")),
+  explicit EdgeHarness(
+      net::LinkConfig backhaul_config = link_config("backhaul"))
+      : backhaul(simulator, std::move(backhaul_config)),
         access(simulator, link_config("access")),
-        edge(backhaul, {.policy = policy, .capacity_bytes = capacity_bytes},
-             &telemetry),
-        source(access, edge) {}
+        other_access(simulator, link_config("other_access")),
+        edge(backhaul, {.capacity_bytes = 1 << 20}, &telemetry),
+        source(access, edge),
+        other(other_access, edge) {}
 
   [[nodiscard]] std::int64_t counter(const char* name) {
     return telemetry.metrics().counter(name).value();
@@ -326,7 +207,7 @@ TEST(EdgeSource, MissFillsCacheThenHitSkipsBackhaul) {
   EXPECT_TRUE(h.edge.cache().contains(id));
   EXPECT_EQ(h.edge.stats().misses, 1);
   EXPECT_EQ(h.edge.stats().hits, 0);
-  EXPECT_EQ(h.edge.origin().egress_bytes(), 60'000);
+  EXPECT_EQ(h.edge.stats().egress_bytes, 60'000);
   const sim::Time miss_done = miss.time;
 
   TransferResult hit{};
@@ -337,7 +218,7 @@ TEST(EdgeSource, MissFillsCacheThenHitSkipsBackhaul) {
   EXPECT_TRUE(hit.completed());
   EXPECT_EQ(h.edge.stats().hits, 1);
   // The hit never touched the backhaul…
-  EXPECT_EQ(h.edge.origin().egress_bytes(), 60'000);
+  EXPECT_EQ(h.edge.stats().egress_bytes, 60'000);
   // …and finished faster than the miss, which paid backhaul + access.
   EXPECT_LT(hit.time - miss_done, miss_done - sim::kTimeZero);
 
@@ -356,16 +237,138 @@ TEST(EdgeSource, ConcurrentMissesCoalesceOnTheBackhaul) {
   }
   EXPECT_EQ(h.edge.stats().misses, 2);
   EXPECT_EQ(h.edge.stats().coalesced, 1);  // the second miss joined in flight
-  EXPECT_EQ(h.edge.origin().transfers_started(), 1u);
 
   h.simulator.run();
   for (const TransferResult& r : results) {
     EXPECT_TRUE(r.completed());
     EXPECT_EQ(r.bytes_delivered, 70'000);  // each client got the full object
   }
-  EXPECT_EQ(h.edge.origin().egress_bytes(), 70'000);  // backhaul paid once
+  EXPECT_EQ(h.edge.stats().egress_bytes, 70'000);  // backhaul paid once
+  EXPECT_EQ(h.backhaul.bytes_delivered(), 70'000);
   EXPECT_EQ(h.counter("cdn.edge.coalesced"), 1);
   EXPECT_EQ(h.counter("cdn.origin.egress_bytes"), 70'000);
+}
+
+TEST(EdgeSource, SharedEdgeFillsOnceAndIsResidentBeforeAnyServe) {
+  // Two link groups miss on the same object: one backhaul transfer serves
+  // both, and the cache holds the object before either waiter is served.
+  EdgeHarness h;
+  const ChunkId id = cid(3);
+  std::vector<TransferResult> results(3);
+  std::vector<int> fired(3, 0);
+  const auto record = [&](int w) {
+    return [&, w](const TransferResult& r) {
+      ++fired[static_cast<std::size_t>(w)];
+      results[static_cast<std::size_t>(w)] = r;
+    };
+  };
+  h.source.fetch({.id = id, .bytes = 100'000}, record(0));
+  h.other.fetch({.id = id, .bytes = 100'000}, record(1));
+  EXPECT_EQ(h.edge.stats().misses, 2);
+  EXPECT_EQ(h.edge.stats().coalesced, 1);
+
+  // Advance to the fill: both serves have just started on their access
+  // links and neither has finished.
+  while (h.edge.stats().egress_bytes == 0) {
+    h.simulator.run_until(h.simulator.now() + sim::milliseconds(1));
+  }
+  EXPECT_TRUE(h.edge.cache().contains(id));
+  EXPECT_EQ(fired, (std::vector<int>{0, 0, 0}));
+  // A fetch issued now is a hit: the fill landed before the serves.
+  h.source.fetch({.id = id, .bytes = 100'000}, record(2));
+  EXPECT_EQ(h.edge.stats().hits, 1);
+
+  h.simulator.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 1, 1}));
+  for (const TransferResult& r : results) {
+    EXPECT_TRUE(r.completed());
+    EXPECT_EQ(r.bytes_delivered, 100'000);
+  }
+  // Two misses, one backhaul transfer: its bytes are counted once.
+  EXPECT_EQ(h.backhaul.bytes_delivered(), 100'000);
+  EXPECT_EQ(h.edge.stats().egress_bytes, 100'000);
+  EXPECT_EQ(h.counter("cdn.origin.egress_bytes"), 100'000);
+}
+
+TEST(EdgeSource, BackhaulFaultFailsEveryCoalescedWaiterOnce) {
+  net::LinkConfig backhaul = link_config("backhaul");
+  backhaul.faults.outages.push_back({.start_s = 0.0, .duration_s = 5.0});
+  EdgeHarness h(backhaul);
+  const ChunkId id = cid(1);
+  std::vector<int> order;
+  const auto record = [&](int w) {
+    return [&, w](const TransferResult& r) {
+      EXPECT_EQ(r.status, TransferStatus::kFailed);
+      EXPECT_EQ(r.bytes_delivered, 0);
+      order.push_back(w);
+    };
+  };
+  h.source.fetch({.id = id, .bytes = 50'000}, record(0));
+  h.other.fetch({.id = id, .bytes = 50'000}, [&](const TransferResult& r) {
+    record(1)(r);
+    // The dead fill is gone before its waiters fire: a fetch issued here,
+    // still inside the outage, starts a fresh fill instead of joining it.
+    h.other.fetch({.id = id, .bytes = 50'000}, record(2));
+    EXPECT_EQ(h.edge.stats().coalesced, 1);
+  });
+  EXPECT_EQ(h.edge.stats().coalesced, 1);
+  h.simulator.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));  // once each, in join order
+  EXPECT_EQ(h.edge.stats().egress_bytes, 0);
+  EXPECT_FALSE(h.edge.cache().contains(id));
+
+  // A retry after the outage starts a fresh fill instead of joining the
+  // one that died, and completes.
+  TransferResult retry{};
+  h.other.fetch({.id = id, .bytes = 50'000}, [&](const TransferResult& r) {
+    retry = r;
+  });
+  EXPECT_EQ(h.edge.stats().misses, 4);
+  EXPECT_EQ(h.edge.stats().coalesced, 1);
+  h.simulator.run();
+  EXPECT_TRUE(retry.completed());
+  EXPECT_EQ(retry.bytes_delivered, 50'000);
+  EXPECT_EQ(h.edge.stats().egress_bytes, 50'000);  // counted once
+  EXPECT_EQ(h.counter("cdn.origin.egress_bytes"), 50'000);
+  EXPECT_EQ(h.backhaul.bytes_delivered(), 50'000);
+}
+
+TEST(EdgeSource, CancelDetachesOneOfTwoSharedWaiters) {
+  EdgeHarness h;
+  const ChunkId id = cid(6);
+  TransferResult kept{};
+  TransferResult dropped{};
+  int kept_fired = 0;
+  int dropped_fired = 0;
+  const net::FetchId keep = h.source.fetch(
+      {.id = id, .bytes = 80'000}, [&](const TransferResult& r) {
+        kept = r;
+        ++kept_fired;
+      });
+  const net::FetchId drop = h.other.fetch(
+      {.id = id, .bytes = 80'000}, [&](const TransferResult& r) {
+        dropped = r;
+        ++dropped_fired;
+      });
+  // Fetch ids are per source: the fill tells the waiters apart by source.
+  ASSERT_EQ(keep, drop);
+
+  // Cancelling fires the dropped waiter synchronously with kCancelled…
+  EXPECT_TRUE(h.other.cancel(drop));
+  EXPECT_EQ(dropped_fired, 1);
+  EXPECT_EQ(dropped.status, TransferStatus::kCancelled);
+  EXPECT_EQ(dropped.bytes_delivered, 0);
+  EXPECT_FALSE(h.other.cancel(drop));  // already settled: fires nothing
+  EXPECT_EQ(kept_fired, 0);
+
+  // …while the fill keeps running for the remaining waiter.
+  h.simulator.run();
+  EXPECT_EQ(kept_fired, 1);
+  EXPECT_TRUE(kept.completed());
+  EXPECT_EQ(kept.bytes_delivered, 80'000);
+  EXPECT_EQ(dropped_fired, 1);
+  EXPECT_EQ(h.edge.stats().egress_bytes, 80'000);
+  EXPECT_FALSE(h.source.cancel(keep));  // settled fetches cannot cancel
 }
 
 TEST(EdgeSource, BackhaulFaultReachesClientAsFailure) {
@@ -468,8 +471,8 @@ TEST(EdgeWarm, PreloadsTheCrowdsFavouriteTiles) {
 
   const media::VideoModel video(tiny_video());
   const hmp::ViewingHeatmap crowd = hot_tile_crowd(video, /*hot=*/4);
-  const int warmed = edge.warm(video, crowd,
-                               {.tiles_per_chunk = 2, .level = 1});
+  const int warmed =
+      edge.warm(video, crowd, /*tiles_per_chunk=*/2, /*level=*/1);
   // 2 tiles per chunk x 4 chunks, one AVC object each.
   EXPECT_EQ(warmed, 8);
   EXPECT_EQ(edge.stats().warmed, 8);
@@ -478,7 +481,7 @@ TEST(EdgeWarm, PreloadsTheCrowdsFavouriteTiles) {
   for (std::int32_t chunk = 0; chunk < 4; ++chunk) {
     EXPECT_TRUE(edge.cache().contains(cid(4, chunk, 1))) << "chunk " << chunk;
   }
-  EXPECT_EQ(edge.cache().evictions(), 0u);  // warming never evicts
+  EXPECT_EQ(edge.stats().evictions, 0);  // warming never evicts
 }
 
 TEST(EdgeWarm, IsDeterministicAcrossEdges) {
@@ -489,8 +492,7 @@ TEST(EdgeWarm, IsDeterministicAcrossEdges) {
 
   Edge a(backhaul, {.capacity_bytes = 200'000}, nullptr);
   Edge b(backhaul, {.capacity_bytes = 200'000}, nullptr);
-  const WarmSpec spec{.tiles_per_chunk = 3, .level = 2};
-  EXPECT_EQ(a.warm(video, crowd, spec), b.warm(video, crowd, spec));
+  EXPECT_EQ(a.warm(video, crowd, 3, 2), b.warm(video, crowd, 3, 2));
   EXPECT_EQ(a.cache().resident(), b.cache().resident());
   EXPECT_EQ(a.cache().used_bytes(), b.cache().used_bytes());
 }
@@ -508,9 +510,10 @@ TEST(EdgeWarm, StopsAtTheByteBudgetWithoutEvicting) {
                         .encoding = media::Encoding::kAvc,
                         .level = 0});
   Edge edge(backhaul, {.capacity_bytes = one_object}, nullptr);
-  const int warmed = edge.warm(video, crowd, {.tiles_per_chunk = 6});
+  const int warmed =
+      edge.warm(video, crowd, /*tiles_per_chunk=*/6, /*level=*/0);
   EXPECT_GE(warmed, 1);
-  EXPECT_EQ(edge.cache().evictions(), 0u);
+  EXPECT_EQ(edge.stats().evictions, 0);
   EXPECT_LE(edge.cache().used_bytes(), edge.cache().capacity_bytes());
   // The single highest-probability object made it in.
   EXPECT_TRUE(edge.cache().contains(cid(0, 0, 0)));
@@ -523,7 +526,7 @@ TEST(EdgeWarm, WarmsOnlyTheAvcCopyAtTheLevel) {
   net::Link backhaul(simulator, link_config("backhaul"));
   Edge edge(backhaul, {.capacity_bytes = 1LL << 30}, nullptr);
 
-  EXPECT_EQ(edge.warm(video, crowd, {.tiles_per_chunk = 1, .level = 2}), 4);
+  EXPECT_EQ(edge.warm(video, crowd, /*tiles_per_chunk=*/1, /*level=*/2), 4);
   // One object per chunk, the level-2 AVC copy under the default video
   // coordinate: no lower rung and no SVC layer.
   EXPECT_EQ(edge.cache().size(), 4);
@@ -532,13 +535,28 @@ TEST(EdgeWarm, WarmsOnlyTheAvcCopyAtTheLevel) {
   }
 }
 
+TEST(EdgeWarm, RejectsAHeatmapOfAnotherTileCount) {
+  // A heatmap smaller than the video would be read past its end.
+  const media::VideoModel video(tiny_video());
+  const hmp::ViewingHeatmap crowd(/*tile_count=*/2, video.chunk_count());
+  sim::Simulator simulator;
+  net::Link backhaul(simulator, link_config("backhaul"));
+  Edge edge(backhaul, {.capacity_bytes = 1LL << 30}, nullptr);
+  EXPECT_THROW((void)edge.warm(video, crowd, 2, 0), std::invalid_argument);
+  EXPECT_EQ(edge.cache().size(), 0);
+}
+
 // ------------------------------------------------------------------ topology
 
 TEST(TopologyValidate, ErrorsListTheValidFieldNames) {
-  const auto expect_fields = [](TopologySpec spec, bool has_crowd,
-                                const std::string& needle) {
+  const media::VideoModelConfig video;  // 4x6 tiles, 5-rung ladder
+  const hmp::ViewingHeatmap crowd(24, 4);
+  const hmp::ViewingHeatmap small_crowd(2, 4);
+  const auto expect_fields = [&](TopologySpec spec,
+                                 const hmp::ViewingHeatmap* heatmap,
+                                 const std::string& needle) {
     try {
-      validate(spec, /*sessions_per_link=*/4, has_crowd);
+      validate(spec, /*sessions_per_link=*/4, heatmap, video);
       FAIL() << "expected std::invalid_argument for " << needle;
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
@@ -553,40 +571,50 @@ TEST(TopologyValidate, ErrorsListTheValidFieldNames) {
 
   TopologySpec negative;
   negative.sessions_per_edge = -1;
-  expect_fields(negative, false, "sessions_per_edge");
+  expect_fields(negative, nullptr, "sessions_per_edge");
 
   TopologySpec indivisible;
   indivisible.sessions_per_edge = 6;  // not a multiple of 4
-  expect_fields(indivisible, false, "multiple of sessions_per_link");
+  expect_fields(indivisible, nullptr, "multiple of sessions_per_link");
 
   TopologySpec no_budget;
   no_budget.sessions_per_edge = 8;
   no_budget.cache_capacity_bytes = 0;
-  expect_fields(no_budget, false, "cache_capacity_bytes");
+  expect_fields(no_budget, nullptr, "cache_capacity_bytes");
 
   TopologySpec bad_policy;
   bad_policy.sessions_per_edge = 8;
   bad_policy.cache_policy = "arc";
-  expect_fields(bad_policy, false, "valid names: lru, lfu");
+  expect_fields(bad_policy, nullptr, "valid names: lru, lfu");
 
   TopologySpec warm_without_crowd;
   warm_without_crowd.sessions_per_edge = 8;
   warm_without_crowd.warm_tiles_per_chunk = 2;
-  expect_fields(warm_without_crowd, false, "crowd heatmap");
+  expect_fields(warm_without_crowd, nullptr, "crowd heatmap");
 
   TopologySpec bad_level;
   bad_level.sessions_per_edge = 8;
   bad_level.warm_tiles_per_chunk = 2;
   bad_level.warm_level = -1;
-  expect_fields(bad_level, true, "warm_level");
+  expect_fields(bad_level, &crowd, "warm_level");
+  bad_level.warm_level = 5;  // one past the top rung
+  expect_fields(bad_level, &crowd, "warm_level (= 5)");
+
+  TopologySpec warm_small_crowd;
+  warm_small_crowd.sessions_per_edge = 8;
+  warm_small_crowd.warm_tiles_per_chunk = 2;
+  expect_fields(warm_small_crowd, &small_crowd, "video's 24 tiles (it has 2)");
 
   // Well-formed sections pass: disabled, enabled, enabled + warming.
-  EXPECT_NO_THROW(validate(TopologySpec{}, 4, false));
+  EXPECT_NO_THROW(validate(TopologySpec{}, 4, nullptr, video));
   TopologySpec enabled;
   enabled.sessions_per_edge = 8;
-  EXPECT_NO_THROW(validate(enabled, 4, false));
+  EXPECT_NO_THROW(validate(enabled, 4, nullptr, video));
+  // Without warming the crowd is not read, whatever its tile count.
+  EXPECT_NO_THROW(validate(enabled, 4, &small_crowd, video));
   enabled.warm_tiles_per_chunk = 2;
-  EXPECT_NO_THROW(validate(enabled, 4, true));
+  enabled.warm_level = 4;
+  EXPECT_NO_THROW(validate(enabled, 4, &crowd, video));
 }
 
 TEST(Topology, DisabledTierFetchesOverAccessLinks) {

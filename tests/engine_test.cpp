@@ -750,6 +750,46 @@ TEST(EngineCdn, ValidateRejectsBadTopologySections) {
   expect_cdn_error(no_crowd, "crowd heatmap");
 }
 
+TEST(EngineCdn, ValidateRejectsACrowdSmallerThanTheVideo) {
+  // Warming ranks every tile of the video by the crowd's probabilities, so
+  // a heatmap with fewer tiles fails validation instead of the shard build.
+  engine::WorldSpec spec = cdn_world(1);
+  const hmp::ViewingHeatmap crowd(/*tile_count=*/2, /*chunk_count=*/4);
+  spec.crowd = &crowd;
+  spec.cdn.warm_tiles_per_chunk = 4;
+  try {
+    engine::validate(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("video's 24 tiles (it has 2)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("valid fields: sessions_per_edge"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(EngineCdn, ValidateRejectsAWarmLevelOffTheLadder) {
+  engine::WorldSpec spec = cdn_world(1);
+  const media::VideoModel video(spec.video);
+  const hmp::ViewingHeatmap crowd(video.tile_count(), video.chunk_count());
+  spec.crowd = &crowd;
+  spec.cdn.warm_tiles_per_chunk = 4;
+  spec.cdn.warm_level = 9;  // the default ladder has 5 rungs
+  try {
+    engine::validate(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("warm_level (= 9)"), std::string::npos) << what;
+    EXPECT_NE(what.find("5-rung ladder"), std::string::npos) << what;
+    EXPECT_NE(what.find("valid fields: sessions_per_edge"), std::string::npos)
+        << what;
+  }
+  spec.cdn.warm_level = video.ladder().max_level();
+  EXPECT_NO_THROW(engine::validate(spec));
+}
+
 TEST(EngineCdn, EdgeIsThePartitionUnit) {
   engine::WorldSpec spec = cdn_world(2);
   // 6 groups, 3 edges: groups of one edge always share a shard.

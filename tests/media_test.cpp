@@ -301,6 +301,26 @@ TEST(VideoModel, TilingWithSvcCostsMoreThanWithout) {
   EXPECT_GT(vm.storage_bytes_tiling(true), vm.storage_bytes_tiling(false));
 }
 
+TEST(VideoModel, StorageTotalsThrowInsteadOfOverflowing) {
+  // An hour of the default video is ~1.8e10 bytes of AVC tiling; INT_MAX
+  // versions of it do not fit an int64.
+  VideoModelConfig hour;
+  hour.duration_s = 3600.0;
+  const VideoModel vm(hour);
+  EXPECT_THROW(
+      (void)vm.storage_bytes_versioning(std::numeric_limits<int>::max()),
+      std::overflow_error);
+  EXPECT_EQ(vm.storage_bytes_versioning(88),
+            88 * vm.storage_bytes_tiling(false));
+
+  // Every object fits an int64, but their sum does not.
+  VideoModelConfig huge = small_config();
+  huge.ladder = QualityLadder({2e16});
+  const VideoModel big(huge);
+  EXPECT_THROW((void)big.storage_bytes_tiling(false), std::overflow_error);
+  EXPECT_THROW((void)big.storage_bytes_tiling(true), std::overflow_error);
+}
+
 TEST(Mpd, RoundTripReconstructsIdenticalVideo) {
   auto cfg = small_config();
   cfg.projection = "cubemap";
