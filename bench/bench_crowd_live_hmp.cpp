@@ -188,10 +188,10 @@ int main() {
     e2e.add_row({TextTable::num(latency_s, 0),
                  TextTable::num(motion.qoe.mean_viewport_utility, 3),
                  TextTable::num(crowd_run.qoe.mean_viewport_utility, 3),
-                 TextTable::num(100.0 * motion.mean_blank_fraction, 1),
-                 TextTable::num(100.0 * crowd_run.mean_blank_fraction, 1),
-                 std::to_string(motion.chunks_skipped) + "/" +
-                     std::to_string(crowd_run.chunks_skipped)});
+                 TextTable::num(100.0 * motion.qoe.blank_fraction_mean, 1),
+                 TextTable::num(100.0 * crowd_run.qoe.blank_fraction_mean, 1),
+                 std::to_string(motion.qoe.skipped_chunks) + "/" +
+                     std::to_string(crowd_run.qoe.skipped_chunks)});
   }
   std::cout << e2e.str();
   return 0;

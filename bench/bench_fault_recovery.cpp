@@ -270,13 +270,13 @@ int main(int argc, char** argv) {
                 outage_s, vod_off.report.qoe.stall_seconds,
                 vod_off.report.qoe.score, vod_on.report.qoe.stall_seconds,
                 vod_on.report.qoe.score,
-                100.0 * live_off.mean_blank_fraction, live_off.chunks_skipped,
-                100.0 * live_on.mean_blank_fraction, live_on.chunks_skipped);
+                100.0 * live_off.qoe.blank_fraction_mean, live_off.qoe.skipped_chunks,
+                100.0 * live_on.qoe.blank_fraction_mean, live_on.qoe.skipped_chunks);
 
     if (vod_on.report.qoe.stall_seconds >= vod_off.report.qoe.stall_seconds) {
       stall_dominates = false;
     }
-    if (live_on.mean_blank_fraction >= live_off.mean_blank_fraction) {
+    if (live_on.qoe.blank_fraction_mean >= live_off.qoe.blank_fraction_mean) {
       blank_dominates = false;
     }
     rows.push_back({row_name("vod_stall_s", outage_s, false),
@@ -284,9 +284,9 @@ int main(int argc, char** argv) {
     rows.push_back({row_name("vod_stall_s", outage_s, true),
                     vod_on.report.qoe.stall_seconds});
     rows.push_back({row_name("live_blank_pct", outage_s, false),
-                    100.0 * live_off.mean_blank_fraction});
+                    100.0 * live_off.qoe.blank_fraction_mean});
     rows.push_back({row_name("live_blank_pct", outage_s, true),
-                    100.0 * live_on.mean_blank_fraction});
+                    100.0 * live_on.qoe.blank_fraction_mean});
     slo_rows.push_back({outage_s, std::move(vod_off.breaches),
                         std::move(vod_on.breaches)});
     last_on_slos = std::move(vod_on.slos);

@@ -17,15 +17,135 @@ constexpr double kHeadSampleHz = 25.0;
 constexpr int kStartupChunks = 1;
 constexpr sim::Duration kUpgradeScanPeriod = sim::milliseconds(250);
 
-std::unique_ptr<hmp::OrientationPredictor> motion_for(const SessionConfig& config) {
-  return hmp::make_orientation_predictor(config.predictor);
-}
-
 }  // namespace
 
 void validate(const SessionConfig& config) {
   if (config.prefetch_horizon_chunks < 1) {
     throw std::invalid_argument("Session: prefetch horizon < 1");
+  }
+}
+
+Viewer::Viewer(sim::Simulator& simulator,
+               std::shared_ptr<const media::VideoModel> video,
+               ChunkTransport& transport, const hmp::HeadTrace& head_trace,
+               SessionConfig config, const hmp::ViewingHeatmap* crowd,
+               SessionBatch* batch, sim::Duration urgent_slack)
+    : simulator_(simulator),
+      video_(std::move(video)),
+      transport_(transport),
+      head_trace_(head_trace),
+      config_(std::move(config)),
+      fusion_(video_->geometry_ptr(), config_.viewport,
+              hmp::make_orientation_predictor(config_.predictor), crowd,
+              config_.context, config_.fusion),
+      own_batch_(batch == nullptr ? std::make_unique<SessionBatch>(video_, 1)
+                                  : nullptr),
+      batch_(batch == nullptr ? own_batch_.get() : batch),
+      slot_(batch_->acquire()),
+      buffer_(video_, batch_->cells(slot_)),
+      policy_(abr::make_policy(video_, config_.abr)),
+      fetcher_(simulator_, *video_, transport_, buffer_, *policy_,
+               config_.telemetry, batch_->in_flight(slot_), urgent_slack,
+               config_.fetch_recovery,
+               [this](const TileFetcher::Fetch& fetch, FetchOutcome outcome) {
+                 on_settle(fetch, outcome);
+               }) {
+  validate(config_);
+  // The crowd prior is read for every chunk the planner reaches.
+  if (crowd != nullptr && crowd->chunk_count() < video_->chunk_count()) {
+    throw std::invalid_argument("Session: crowd heatmap shorter than the video");
+  }
+  predicted_.resize(static_cast<std::size_t>(config_.prefetch_horizon_chunks));
+  planned_ = batch_->planned_quality(slot_);
+  probs_ = batch_->probs(slot_);
+}
+
+void Viewer::fuse(media::ChunkIndex index, sim::Duration horizon) {
+  fusion_.tile_probabilities_into(horizon, index, probs_);
+}
+
+void Viewer::start_tasks() {
+  if (started_) throw std::logic_error("Session already started");
+  started_ = true;
+  observe_head();  // prime the predictor with the initial pose
+  head_task_.emplace(simulator_, sim::seconds(1.0 / kHeadSampleHz),
+                     [this] { observe_head(); });
+  if (policy_->upgrade_window() > sim::Duration{0}) {
+    upgrade_task_.emplace(simulator_, kUpgradeScanPeriod,
+                          [this] { scan_upgrades(); });
+  }
+}
+
+void Viewer::stop() {
+  finished_ = true;
+  if (head_task_) head_task_->stop();
+  if (upgrade_task_) upgrade_task_->stop();
+}
+
+const std::vector<geo::TileId>& Viewer::visible_at(media::ChunkIndex index) {
+  if (visible_chunk_ != index) {
+    visible_chunk_ = index;
+    video_->geometry().visible_tiles(
+        head_trace_.orientation_at(video_->chunk_start_time(index)),
+        config_.viewport, visible_, geo_scratch_);
+  }
+  return visible_;
+}
+
+const Viewer::PredictedView& Viewer::predicted_view(media::ChunkIndex index) {
+  PredictedView& view = predicted_[static_cast<std::size_t>(
+      index % config_.prefetch_horizon_chunks)];
+  const sim::Time content = content_now();
+  if (view.chunk == index && view.content == content &&
+      view.observed == last_observed_) {
+    return view;
+  }
+  view.chunk = index;
+  view.content = content;
+  view.observed = last_observed_;
+  view.orientation =
+      fusion_.predict_orientation(video_->chunk_start_time(index) - content);
+  video_->geometry().visible_tiles(view.orientation, config_.viewport, view.visible,
+                                   geo_scratch_);
+  return view;
+}
+
+const abr::ChunkPlan& Viewer::plan(media::ChunkIndex index,
+                                   sim::Duration buffer_level, double kbps) {
+  // Size the super chunk from the motion-predicted viewport, but pick the
+  // *tiles* from the fused probability map: at short horizons the map is
+  // motion-dominated (same tiles), at long horizons the crowd prior takes
+  // over, which is what makes deep prefetch viable (§3.2).
+  const std::size_t fov_size = predicted_view(index).visible.size();
+  fuse(index, video_->chunk_start_time(index) - content_now());
+  abr::super_chunk_tiles(probs_, fov_size, fov_scratch_);
+  policy_->plan_chunk_into(index, fov_scratch_, probs_, kbps, buffer_level,
+                           last_fov_quality_, vra_workspace_, plan_scratch_);
+  planned_[static_cast<std::size_t>(index)] = plan_scratch_.fov_quality;
+  last_fov_quality_ = plan_scratch_.fov_quality;
+  next_plan_ = index + 1;
+  return plan_scratch_;
+}
+
+void Viewer::observe_head() {
+  if (finished_) return;
+  const sim::Time t = content_now();
+  if (t <= last_observed_) return;  // content time frozen during stall
+  last_observed_ = t;
+  fusion_.observe({t, head_trace_.orientation_at(t)});
+}
+
+void Viewer::scan_upgrades() {
+  if (finished_) return;
+  const double est = transport_.estimated_kbps();
+  for (media::ChunkIndex index = first_unplayed(); index < next_plan_; ++index) {
+    const sim::Time deadline = deadline_of(index);
+    if (!fetcher_.in_upgrade_window(deadline)) continue;
+    const media::QualityLevel target = planned_[static_cast<std::size_t>(index)];
+    const std::vector<geo::TileId>& visible = predicted_view(index).visible;
+    if (!fetcher_.any_below(index, visible, target)) continue;
+    fuse(index, video_->chunk_start_time(index) - content_now());
+    fetcher_.upgrade(index, visible, probs_, target, deadline, est);
   }
 }
 
@@ -36,29 +156,8 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
                                    SessionConfig config,
                                    const hmp::ViewingHeatmap* crowd,
                                    SessionBatch* batch)
-    : simulator_(simulator),
-      video_(std::move(video)),
-      transport_(transport),
-      head_trace_(head_trace),
-      config_(std::move(config)),
-      fusion_(video_->geometry_ptr(), config_.viewport, motion_for(config_), crowd,
-              config_.context, config_.fusion),
-      own_batch_(batch == nullptr ? std::make_unique<SessionBatch>(video_, 1)
-                                  : nullptr),
-      batch_(batch == nullptr ? own_batch_.get() : batch),
-      slot_(batch_->acquire()),
-      buffer_(video_, batch_->cells(slot_)),
-      policy_(abr::make_policy(video_, config_.abr)),
-      fetcher_(simulator_, *video_, transport_, buffer_, *policy_,
-               config_.telemetry, batch_->in_flight(slot_), kUrgentSlack,
-               config_.fetch_recovery,
-               [this](const TileFetcher::Fetch& fetch, FetchOutcome outcome) {
-                 on_settle(fetch, outcome);
-               }) {
-  validate(config_);
-  predicted_.resize(static_cast<std::size_t>(config_.prefetch_horizon_chunks));
-  planned_ = batch_->planned_quality(slot_);
-  probs_ = batch_->probs(slot_);
+    : Viewer(simulator, std::move(video), transport, head_trace,
+             std::move(config), crowd, batch, kUrgentSlack) {
   if (config_.telemetry != nullptr) {
     obs::MetricsRegistry& m = config_.telemetry->metrics();
     TileFetcher::Metrics& fetch = fetcher_.metrics();
@@ -93,7 +192,7 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
   }
 }
 
-sim::Time StreamingSession::media_now() const {
+sim::Time StreamingSession::content_now() const {
   const sim::Time base = video_->chunk_start_time(current_chunk_);
   if (!playing_ || stalled_) return base;
   return base + (simulator_.now() - chunk_play_started_);
@@ -105,60 +204,16 @@ sim::Time StreamingSession::deadline_of(media::ChunkIndex index) const {
   return simulator_.now() + ahead;  // startup/stall: assume immediate resume
 }
 
-const std::vector<geo::TileId>& StreamingSession::playhead_visible() {
-  if (playhead_chunk_ != current_chunk_) {
-    playhead_chunk_ = current_chunk_;
-    video_->geometry().visible_tiles(
-        head_trace_.orientation_at(video_->chunk_start_time(current_chunk_)),
-        config_.viewport, playhead_visible_, geo_scratch_);
-  }
-  return playhead_visible_;
-}
-
-const StreamingSession::PredictedView& StreamingSession::predicted_view(
-    media::ChunkIndex index) {
-  PredictedView& view = predicted_[static_cast<std::size_t>(
-      index % config_.prefetch_horizon_chunks)];
-  const sim::Time media = media_now();
-  if (view.chunk == index && view.media == media && view.observed == last_observed_) {
-    return view;
-  }
-  view.chunk = index;
-  view.media = media;
-  view.observed = last_observed_;
-  view.orientation =
-      fusion_.predict_orientation(video_->chunk_start_time(index) - media);
-  video_->geometry().visible_tiles(view.orientation, config_.viewport, view.visible,
-                                   geo_scratch_);
-  return view;
-}
-
 void StreamingSession::record_trace(const obs::TraceEvent& event) {
   if (config_.telemetry != nullptr) config_.telemetry->trace().record(event);
 }
 
 void StreamingSession::start() {
-  if (started_) throw std::logic_error("Session already started");
-  started_ = true;
+  start_tasks();
   session_started_ = simulator_.now();
   record_trace({.type = obs::TraceEventType::kSessionStart,
                 .ts = simulator_.now()});
-  observe_head();  // prime the predictor with the initial pose
-  head_task_.emplace(simulator_, sim::seconds(1.0 / kHeadSampleHz),
-                     [this] { observe_head(); });
-  if (policy_->upgrade_window() > sim::Duration{0}) {
-    upgrade_task_.emplace(simulator_, kUpgradeScanPeriod,
-                          [this] { scan_upgrades(); });
-  }
   maybe_plan();
-}
-
-void StreamingSession::observe_head() {
-  if (finished_) return;
-  const sim::Time t = media_now();
-  if (t <= last_observed_) return;  // content time frozen during stall
-  last_observed_ = t;
-  fusion_.observe({t, head_trace_.orientation_at(t)});
 }
 
 void StreamingSession::maybe_plan() {
@@ -167,22 +222,6 @@ void StreamingSession::maybe_plan() {
          next_plan_ < current_chunk_ + config_.prefetch_horizon_chunks) {
     const media::ChunkIndex index = next_plan_;
     const sim::Time deadline = deadline_of(index);
-    const sim::Duration horizon =
-        video_->chunk_start_time(index) - media_now();
-
-    // Size the super chunk from the motion-predicted viewport, but pick
-    // the *tiles* from the fused probability map: at short horizons the
-    // map is motion-dominated (same tiles), at long horizons the crowd
-    // prior takes over, which is what makes deep prefetch viable (§3.2).
-    const PredictedView& predicted = predicted_view(index);
-    if (config_.telemetry != nullptr) {
-      predicted_at_plan_[index] = predicted.orientation;
-    }
-    fusion_.tile_probabilities_into(horizon, index, probs_);
-    abr::super_chunk_tiles(probs_, predicted.visible.size(), fov_scratch_);
-
-    const sim::Duration buffer_level =
-        video_->chunk_start_time(index) - media_now();
     // Data budget: treat the remaining allowance, spread over the remaining
     // chunks, as a second throughput ceiling for the regular VRA.
     double effective_kbps = transport_.estimated_kbps();
@@ -200,13 +239,12 @@ void StreamingSession::maybe_plan() {
                            ? std::min(effective_kbps, budget_kbps)
                            : budget_kbps;
     }
-    policy_->plan_chunk_into(index, fov_scratch_, probs_, effective_kbps,
-                             buffer_level, last_fov_quality_, vra_workspace_,
-                             plan_scratch_);
-    const abr::ChunkPlan& plan = plan_scratch_;
-    planned_[static_cast<std::size_t>(index)] = plan.fov_quality;
-    last_fov_quality_ = plan.fov_quality;
+    // The buffer level is the horizon to the chunk's content time.
+    const abr::ChunkPlan& plan =
+        Viewer::plan(index, video_->chunk_start_time(index) - content_now(),
+                     effective_kbps);
     if (config_.telemetry != nullptr) {
+      predicted_at_plan_[index] = predicted_view(index).orientation;
       metrics_.abr_plans->increment();
       record_trace({.type = obs::TraceEventType::kPlanComputed,
                     .ts = simulator_.now(),
@@ -219,7 +257,6 @@ void StreamingSession::maybe_plan() {
     for (const auto& fetch : plan.fetches) {
       fetcher_.dispatch(fetch.address, fetch.spatial, deadline);
     }
-    ++next_plan_;
   }
   attempt_start();
 }
@@ -273,7 +310,7 @@ void StreamingSession::attempt_start() {
   // Startup condition: the tiles visible at media time 0 are displayable
   // for the first kStartupChunks chunks.
   const int want = std::min<int>(kStartupChunks, video_->chunk_count());
-  if (buffer_.contiguous_chunks(0, playhead_visible()) < want) return;
+  if (buffer_.contiguous_chunks(0, visible_at(current_chunk_)) < want) return;
   playing_ = true;
   startup_done_ = simulator_.now();
   chunk_play_started_ = simulator_.now();
@@ -285,7 +322,7 @@ void StreamingSession::request_missing_startup_tiles() {
   // dispatch may settle another request synchronously, but only as a drop
   // or a timeout, never a delivery, so no callback can start playback and
   // move the playhead: the set stays put while it is iterated.
-  const std::vector<geo::TileId>& visible = playhead_visible();
+  const std::vector<geo::TileId>& visible = visible_at(current_chunk_);
   const int want = std::min<int>(kStartupChunks, video_->chunk_count());
   for (media::ChunkIndex index = 0; index < want; ++index) {
     for (geo::TileId tile : visible) {
@@ -301,7 +338,7 @@ void StreamingSession::play_chunk() {
   if (finished_) return;
   const media::ChunkIndex index = current_chunk_;
   const sim::Time media = video_->chunk_start_time(index);
-  const std::vector<geo::TileId>& visible = playhead_visible();
+  const std::vector<geo::TileId>& visible = visible_at(current_chunk_);
 
   // Coverage check: every visible tile must be displayable.
   std::vector<geo::TileId>& missing = missing_scratch_;
@@ -399,34 +436,13 @@ void StreamingSession::try_resume_from_stall() {
   play_chunk();  // re-checks coverage; resumes when complete
 }
 
-void StreamingSession::scan_upgrades() {
-  if (finished_) return;
-  const double est = transport_.estimated_kbps();
-  for (media::ChunkIndex index = current_chunk_ + (playing_ ? 1 : 0);
-       index < next_plan_; ++index) {
-    const sim::Time deadline = deadline_of(index);
-    if (!fetcher_.in_upgrade_window(deadline)) continue;
-    // -1 marks a chunk the planner has not reached; planned qualities are
-    // never negative.
-    const media::QualityLevel target = planned_[static_cast<std::size_t>(index)];
-    if (target < 0) continue;
-    const std::vector<geo::TileId>& visible = predicted_view(index).visible;
-    if (!fetcher_.any_below(index, visible, target)) continue;
-    const sim::Duration horizon = video_->chunk_start_time(index) - media_now();
-    fusion_.tile_probabilities_into(horizon, index, probs_);
-    fetcher_.upgrade(index, visible, probs_, target, deadline, est);
-  }
-}
-
 void StreamingSession::finish() {
   if (finished_) return;
-  finished_ = true;
+  stop();
   session_ended_ = simulator_.now();
   record_trace({.type = obs::TraceEventType::kSessionEnd,
                 .ts = session_ended_,
                 .value = sim::to_seconds(session_ended_ - session_started_)});
-  if (head_task_) head_task_->stop();
-  if (upgrade_task_) upgrade_task_->stop();
 }
 
 SessionReport StreamingSession::report() const {

@@ -5,10 +5,12 @@
 //   * head sensor sampling -> HMP fusion (hmp/fusion.h),
 //   * fetch scheduling driven by the pluggable tile-ABR policy
 //     (abr/policy.h; the paper's VRA is abr/sperke_vra.h behind it), through
-//     the fetch path it shares with the live player (core/tile_fetcher.h),
+//     the fetch path (core/tile_fetcher.h),
 //   * the encoded-chunk cache (core/buffer.h),
 //   * playback with stall semantics and QoE accounting (abr/qoe.h),
 //   * runtime incremental upgrades of mispredicted tiles (§3.1.1).
+// All but playback live in the Viewer base class, which the live player
+// (live/tiled_viewer.h) derives from as well.
 //
 // Head orientation is indexed by *content time* (as in public head-trace
 // datasets): a stall freezes both the playhead and the sensor stream.
@@ -81,67 +83,76 @@ struct SessionReport {
   bool completed = false;
 };
 
-class StreamingSession {
+// Viewer: the clock-independent half of the Sperke client (Figure 4),
+// shared by the VOD player below and the live one (live/tiled_viewer.h).
+// It owns head sampling into HMP fusion, the predicted-view ring, chunk
+// planning through the tile-ABR policy, the §3.1.1 upgrade scan and the
+// fetch path. A player derived from it supplies its clock (content time,
+// chunk deadlines, the first unplayed chunk) and what a settled fetch means
+// for playback.
+class Viewer {
  public:
-  // `transport` and `head_trace` must outlive the session. `crowd` (may be
-  // null) provides the cross-user prior for HMP fusion. `batch` (may be
-  // null) is the shared SoA arena the session claims a slot in — its hot
-  // state (tile probabilities, planned qualities, in-flight masks, buffer
-  // cells) then lives in the batch's contiguous slabs next to its shard
-  // neighbours; without one the session owns a private capacity-1 batch.
-  StreamingSession(sim::Simulator& simulator,
-                   std::shared_ptr<const media::VideoModel> video,
-                   ChunkTransport& transport, const hmp::HeadTrace& head_trace,
-                   SessionConfig config,
-                   const hmp::ViewingHeatmap* crowd = nullptr,
-                   SessionBatch* batch = nullptr);
-  // Clears the liveness token, so plays scheduled before the session is
-  // destroyed do nothing after it. The fetcher guards the requests the
-  // transport still holds the same way.
-  ~StreamingSession() { *alive_ = false; }
-  StreamingSession(const StreamingSession&) = delete;
-  StreamingSession& operator=(const StreamingSession&) = delete;
-
-  // Schedule the session's activity; drive with simulator.run()/run_until().
-  void start();
+  Viewer(const Viewer&) = delete;
+  Viewer& operator=(const Viewer&) = delete;
 
   [[nodiscard]] bool finished() const { return finished_; }
-  [[nodiscard]] SessionReport report() const;
-
   [[nodiscard]] const PlaybackBuffer& buffer() const { return buffer_; }
 
- private:
-  [[nodiscard]] sim::Time media_now() const;
-  [[nodiscard]] sim::Time deadline_of(media::ChunkIndex index) const;
+ protected:
+  // `transport` and `head_trace` must outlive the viewer. `crowd` (may be
+  // null) provides the cross-user prior for HMP fusion and must cover every
+  // chunk of the video. `batch` (may be null) is the shared SoA arena the
+  // viewer claims a slot in — its hot state (tile probabilities, planned
+  // qualities, in-flight masks, buffer cells) then lives in the batch's
+  // contiguous slabs next to its shard neighbours; without one the viewer
+  // owns a private capacity-1 batch. A fetch is urgent when its deadline is
+  // less than `urgent_slack` away.
+  Viewer(sim::Simulator& simulator, std::shared_ptr<const media::VideoModel> video,
+         ChunkTransport& transport, const hmp::HeadTrace& head_trace,
+         SessionConfig config, const hmp::ViewingHeatmap* crowd,
+         SessionBatch* batch, sim::Duration urgent_slack);
+  // Clears the liveness token, so events scheduled before the viewer is
+  // destroyed do nothing after it. The fetcher guards the requests the
+  // transport still holds the same way.
+  virtual ~Viewer() { *alive_ = false; }
 
-  // The two visibility answers the session reuses (DESIGN.md §13).
-  // Ground truth at the playhead chunk; before playback starts that is
-  // chunk 0, the startup set. Evaluated once per chunk.
-  [[nodiscard]] const std::vector<geo::TileId>& playhead_visible();
+  // The player's clock: the content time being shown now, when chunk
+  // `index` must be displayable, and the first chunk not yet shown.
+  [[nodiscard]] virtual sim::Time content_now() const = 0;
+  [[nodiscard]] virtual sim::Time deadline_of(media::ChunkIndex index) const = 0;
+  [[nodiscard]] virtual media::ChunkIndex first_unplayed() const = 0;
+  // What a settled request means for playback (TileFetcher's settle hook).
+  virtual void on_settle(const TileFetcher::Fetch& fetch, FetchOutcome outcome) = 0;
+  // Writes the fused tile probabilities of chunk `index`, played `horizon`
+  // from now, into probs_.
+  virtual void fuse(media::ChunkIndex index, sim::Duration horizon);
+
+  // Throws std::logic_error on a second call. Primes fusion with the
+  // current pose, then starts head sampling and, for a policy that
+  // upgrades, the upgrade scan.
+  void start_tasks();
+  // Marks the viewer finished and stops both tasks.
+  void stop();
+
+  // The two visibility answers the players reuse (DESIGN.md §13).
+  // Ground truth for chunk `index`, kept until another chunk is asked for.
+  [[nodiscard]] const std::vector<geo::TileId>& visible_at(media::ChunkIndex index);
   // Predicted orientation and visible tiles for a prefetch-window chunk.
   struct PredictedView {
     media::ChunkIndex chunk = -1;  // -1 = empty entry
-    sim::Time media{};             // media_now() at prediction
+    sim::Time content{};           // content_now() at prediction
     sim::Time observed{};          // last_observed_ at prediction
     geo::Orientation orientation{};
     std::vector<geo::TileId> visible;
   };
   [[nodiscard]] const PredictedView& predicted_view(media::ChunkIndex index);
 
-  void observe_head();
-  void maybe_plan();
-  void record_trace(const obs::TraceEvent& event);
-  // What a settled request means for playback (TileFetcher's settle hook).
-  void on_settle(const TileFetcher::Fetch& fetch, FetchOutcome outcome);
-  void on_fetch_done(const media::ChunkAddress& address, std::int64_t bytes);
-  void attempt_start();
-  // Re-request, at the base tier, every startup tile that is neither
-  // displayable nor being fetched at any level.
-  void request_missing_startup_tiles();
-  void play_chunk();
-  void try_resume_from_stall();
-  void scan_upgrades();
-  void finish();
+  // Plans chunk `index` (the next one to plan) at `buffer_level` and
+  // `kbps`: the FoV set is sized from the motion-predicted viewport but
+  // picked from the fused probability map. Records the planned quality and
+  // returns the plan, which stays valid until the next plan() call.
+  const abr::ChunkPlan& plan(media::ChunkIndex index, sim::Duration buffer_level,
+                             double kbps);
 
   sim::Simulator& simulator_;
   std::shared_ptr<const media::VideoModel> video_;
@@ -150,8 +161,8 @@ class StreamingSession {
   SessionConfig config_;
   hmp::FusionPredictor fusion_;
   // SoA hot-state arena (DESIGN.md §13): the shard's shared batch, or a
-  // private capacity-1 batch for standalone sessions. Declared before
-  // buffer_, which borrows its cell slab from the claimed slot.
+  // private capacity-1 batch. Declared before buffer_, which borrows its
+  // cell slab from the claimed slot.
   std::unique_ptr<SessionBatch> own_batch_;
   SessionBatch* batch_;
   int slot_;
@@ -161,11 +172,88 @@ class StreamingSession {
   // Borrows the batch slot's in-flight masks.
   TileFetcher fetcher_;
 
-  // Playback state.
   bool started_ = false;
+  bool finished_ = false;
+  // Planning state: planned quality per chunk, a batch slot span (-1 = not
+  // yet planned; qualities are never negative). Chunks are planned in
+  // order, so every chunk before next_plan_ is planned.
+  media::ChunkIndex next_plan_ = 0;
+  media::QualityLevel last_fov_quality_ = 0;
+  std::span<media::QualityLevel> planned_;
+  std::span<double> probs_;  // batch probability slot (HMP fusion output)
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+
+ private:
+  void observe_head();
+  void scan_upgrades();
+
+  sim::Time last_observed_{sim::Duration{-1}};
+
+  // Kept answers (see visible_at / predicted_view). A predicted view is
+  // reused only while its chunk, content_now() and last_observed_ are
+  // unchanged: fusion state changes only in observe_head, so those three
+  // fix the prediction exactly. Content time alone is not enough: the
+  // first head sample after a stall starts moves the prediction while
+  // content time stays frozen. One ring entry per prefetch-window chunk,
+  // slot = chunk modulo prefetch_horizon_chunks.
+  media::ChunkIndex visible_chunk_ = -1;
+  std::vector<geo::TileId> visible_;
+  std::vector<PredictedView> predicted_;
+
+  // Reusable hot-path buffers (DESIGN.md §8). The simulator is
+  // single-threaded and the transport never completes a fetch
+  // synchronously, so no two live uses of the same buffer ever overlap:
+  // plan and scan_upgrades own the fov/probs/plan set, and each finishes
+  // with its buffers before anything that reuses them can run.
+  geo::TileGeometry::Scratch geo_scratch_;
+  std::vector<geo::TileId> fov_scratch_;
+  abr::ChunkPlan plan_scratch_;
+  abr::TileAbrPolicy::PlanWorkspace vra_workspace_;
+
+  std::optional<sim::PeriodicTask> head_task_;
+  std::optional<sim::PeriodicTask> upgrade_task_;
+};
+
+// The on-demand player: content time follows the playhead, which a stall
+// freezes, and a chunk that is not displayable at its deadline stalls
+// playback until it is.
+class StreamingSession : public Viewer {
+ public:
+  // See Viewer for the arguments.
+  StreamingSession(sim::Simulator& simulator,
+                   std::shared_ptr<const media::VideoModel> video,
+                   ChunkTransport& transport, const hmp::HeadTrace& head_trace,
+                   SessionConfig config,
+                   const hmp::ViewingHeatmap* crowd = nullptr,
+                   SessionBatch* batch = nullptr);
+
+  // Schedule the session's activity; drive with simulator.run()/run_until().
+  void start();
+
+  [[nodiscard]] SessionReport report() const;
+
+ private:
+  [[nodiscard]] sim::Time content_now() const override;
+  [[nodiscard]] sim::Time deadline_of(media::ChunkIndex index) const override;
+  [[nodiscard]] media::ChunkIndex first_unplayed() const override {
+    return current_chunk_ + (playing_ ? 1 : 0);
+  }
+  void on_settle(const TileFetcher::Fetch& fetch, FetchOutcome outcome) override;
+
+  void maybe_plan();
+  void record_trace(const obs::TraceEvent& event);
+  void on_fetch_done(const media::ChunkAddress& address, std::int64_t bytes);
+  void attempt_start();
+  // Re-request, at the base tier, every startup tile that is neither
+  // displayable nor being fetched at any level.
+  void request_missing_startup_tiles();
+  void play_chunk();
+  void try_resume_from_stall();
+  void finish();
+
+  // Playback state.
   bool playing_ = false;
   bool stalled_ = false;
-  bool finished_ = false;
   media::ChunkIndex current_chunk_ = 0;     // chunk being (or next to be) played
   sim::Time chunk_play_started_{sim::kTimeZero};
   sim::Time stall_started_{sim::kTimeZero};
@@ -173,14 +261,7 @@ class StreamingSession {
   sim::Time session_ended_{sim::kTimeZero};
   sim::Time startup_done_{sim::kTimeZero};
 
-  // Planning state: planned quality per chunk, a batch slot span (-1 = not
-  // yet planned; qualities are never negative).
-  media::ChunkIndex next_plan_ = 0;
-  media::QualityLevel last_fov_quality_ = 0;
-  std::span<media::QualityLevel> planned_;
-
   std::vector<double> utility_per_chunk_;
-  sim::Time last_observed_{sim::Duration{-1}};
 
   // Telemetry (metric handles resolved once at construction; all null when
   // config_.telemetry is null). The metric values mirror the counters and
@@ -211,34 +292,8 @@ class StreamingSession {
   // scored when the chunk actually plays. Populated only with telemetry on.
   std::map<media::ChunkIndex, geo::Orientation> predicted_at_plan_;
 
-  // Kept answers (see playhead_visible / predicted_view). The playhead set
-  // changes only when the playhead advances. A predicted view is reused
-  // only while its chunk, media_now() and last_observed_ are unchanged:
-  // fusion state changes only in observe_head, so those three fix the
-  // prediction exactly. Media time alone is not enough: the first head
-  // sample after a stall starts moves the prediction while media time
-  // stays frozen. One ring entry per prefetch-window chunk, slot = chunk
-  // modulo prefetch_horizon_chunks.
-  media::ChunkIndex playhead_chunk_ = -1;
-  std::vector<geo::TileId> playhead_visible_;
-  std::vector<PredictedView> predicted_;
-
-  // Reusable hot-path buffers (DESIGN.md §8). The simulator is
-  // single-threaded and the transport never completes a fetch synchronously,
-  // so no two live uses of the same buffer ever overlap: maybe_plan and
-  // scan_upgrades own the fov/probs/plan set, play_chunk owns the missing
-  // set, and each finishes with its buffers before anything that reuses
-  // them can run.
-  geo::TileGeometry::Scratch geo_scratch_;
-  std::vector<geo::TileId> fov_scratch_;
-  std::span<double> probs_;  // batch probability slot (HMP fusion output)
+  // Play-time scratch (DESIGN.md §8): play_chunk owns the missing set.
   std::vector<geo::TileId> missing_scratch_;
-  abr::ChunkPlan plan_scratch_;
-  abr::TileAbrPolicy::PlanWorkspace vra_workspace_;
-
-  std::optional<sim::PeriodicTask> head_task_;
-  std::optional<sim::PeriodicTask> upgrade_task_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace sperke::core

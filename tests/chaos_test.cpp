@@ -203,8 +203,8 @@ TEST(Chaos, TiledLiveDegradedRetriesReduceBlankTiles) {
   EXPECT_GT(on.degraded_retries, 0);
   // Live never stalls — losses surface as blank tiles, and base-tier
   // re-requests shrink them.
-  EXPECT_LT(on.mean_blank_fraction, off.mean_blank_fraction);
-  EXPECT_GE(on.chunks_played, off.chunks_played);
+  EXPECT_LT(on.qoe.blank_fraction_mean, off.qoe.blank_fraction_mean);
+  EXPECT_GE(on.qoe.chunks_played, off.qoe.chunks_played);
 }
 
 std::string metrics_csv(const obs::MetricsRegistry& registry) {

@@ -16,6 +16,7 @@
 #include "core/tile_fetcher.h"
 #include "core/transport.h"
 #include "hmp/head_trace.h"
+#include "hmp/heatmap.h"
 #include "net/link.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
@@ -812,6 +813,24 @@ TEST_F(SessionTest, RejectsBadConfig) {
                  std::invalid_argument)
         << what;
   }
+}
+
+// The planner reads the crowd prior of every chunk it reaches, so a
+// heatmap shorter than the video is rejected at construction instead of
+// failing mid-run.
+TEST_F(SessionTest, RejectsCrowdShorterThanTheVideo) {
+  sim::Simulator simulator;
+  net::Link link(simulator, net::LinkConfig{});
+  SingleLinkTransport transport(link);
+  auto video = make_video(15.0);
+  const auto trace = steady_trace(20.0);
+  const hmp::ViewingHeatmap short_crowd(video->tile_count(), 6);
+  EXPECT_THROW(StreamingSession(simulator, video, transport, trace,
+                                SessionConfig{}, &short_crowd),
+               std::invalid_argument);
+  const hmp::ViewingHeatmap crowd(video->tile_count(), video->chunk_count());
+  EXPECT_NO_THROW(StreamingSession(simulator, video, transport, trace,
+                                   SessionConfig{}, &crowd));
 }
 
 TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {

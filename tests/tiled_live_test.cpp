@@ -126,9 +126,6 @@ void expect_pinned(const TiledLiveReport& got, const TiledLiveReport& want) {
   EXPECT_EQ(got.qoe.bytes_downloaded, want.qoe.bytes_downloaded);
   EXPECT_EQ(got.qoe.bytes_wasted, want.qoe.bytes_wasted);
   EXPECT_EQ(got.qoe.score, want.qoe.score);
-  EXPECT_EQ(got.chunks_played, want.chunks_played);
-  EXPECT_EQ(got.chunks_skipped, want.chunks_skipped);
-  EXPECT_EQ(got.mean_blank_fraction, want.mean_blank_fraction);
   EXPECT_EQ(got.fetches, want.fetches);
   EXPECT_EQ(got.upgrades, want.upgrades);
   EXPECT_EQ(got.fetch_failures, want.fetch_failures);
@@ -139,17 +136,16 @@ void expect_pinned(const TiledLiveReport& got, const TiledLiveReport& want) {
 TEST(TiledLive, FastLinkPlaysEverything) {
   const auto report = run_viewer(50'000.0, TiledLiveConfig{});
   EXPECT_TRUE(report.finished);
-  EXPECT_EQ(report.chunks_played, 30);
-  EXPECT_EQ(report.chunks_skipped, 0);
-  EXPECT_LT(report.mean_blank_fraction, 0.05);
+  EXPECT_EQ(report.qoe.chunks_played, 30);
+  EXPECT_EQ(report.qoe.skipped_chunks, 0);
+  EXPECT_LT(report.qoe.blank_fraction_mean, 0.05);
   EXPECT_GT(report.qoe.mean_viewport_utility, 0.4);
 }
 
 TEST(TiledLive, ZeroBandwidthSkipsEverything) {
   const auto report = run_viewer(0.001, TiledLiveConfig{});
   EXPECT_TRUE(report.finished);
-  EXPECT_EQ(report.chunks_played, 0);
-  EXPECT_EQ(report.chunks_skipped, 30);
+  EXPECT_EQ(report.qoe.chunks_played, 0);
   EXPECT_EQ(report.qoe.skipped_chunks, 30);
 }
 
@@ -160,7 +156,7 @@ TEST(TiledLive, ConstrainedLinkDegradesGracefully) {
   // Live never rebuffers: degradations appear as quality/blank/skips.
   EXPECT_EQ(slow.qoe.stall_events, 0);
   EXPECT_LE(slow.qoe.mean_viewport_utility, fast.qoe.mean_viewport_utility);
-  EXPECT_EQ(slow.chunks_played + slow.chunks_skipped, 30);
+  EXPECT_EQ(slow.qoe.chunks_played + slow.qoe.skipped_chunks, 30);
 }
 
 TEST(TiledLive, RejectsInfeasibleLatencyTarget) {
@@ -278,6 +274,20 @@ TEST(TiledLive, CrowdMismatchThrows) {
                std::invalid_argument);
 }
 
+// The viewer reads and writes the crowd for every chunk, so a crowd shorter
+// than the video is rejected at construction instead of failing mid-run.
+TEST(TiledLive, CrowdShorterThanTheVideoThrows) {
+  sim::Simulator simulator;
+  net::Link link(simulator, net::LinkConfig{});
+  core::SingleLinkTransport transport(link);
+  auto video = live_video();
+  const auto trace = viewer_trace(1);
+  LiveCrowdHmp short_crowd(video->tile_count(), 10);
+  EXPECT_THROW(TiledLiveSession(simulator, video, transport, trace,
+                                TiledLiveConfig{}, &short_crowd),
+               std::invalid_argument);
+}
+
 TEST(TiledLive, SvcUpgradesHappenOnGoodLinks) {
   TiledLiveConfig config;
   config.abr.sperke.mode = abr::EncodingMode::kSvc;
@@ -292,7 +302,7 @@ TEST(TiledLive, EndToEndCrowdHelpsLaggard) {
   ASSERT_TRUE(with_crowd.finished);
   ASSERT_TRUE(without.finished);
   // The crowd prior should not hurt, and typically reduces blanks/skips.
-  EXPECT_LE(with_crowd.chunks_skipped, without.chunks_skipped + 1);
+  EXPECT_LE(with_crowd.qoe.skipped_chunks, without.qoe.skipped_chunks + 1);
   EXPECT_GE(with_crowd.qoe.score, without.qoe.score - 2.0);
 }
 
@@ -314,9 +324,6 @@ TEST(TiledLive, ReportsArePinned) {
                          .bytes_downloaded = 17'072'374,
                          .bytes_wasted = 6'912'981,
                          .score = 11.27171138921835},
-                 .chunks_played = 30,
-                 .chunks_skipped = 0,
-                 .mean_blank_fraction = 0.0,
                  .fetches = 1'509,
                  .upgrades = 160,
                  .fetch_failures = 0,
@@ -336,9 +343,6 @@ TEST(TiledLive, ReportsArePinned) {
                          .bytes_downloaded = 39'639'504,
                          .bytes_wasted = 14'193'514,
                          .score = 19.844670219523312},
-                 .chunks_played = 30,
-                 .chunks_skipped = 0,
-                 .mean_blank_fraction = 0.01785714285714286,
                  .fetches = 2'333,
                  .upgrades = 227,
                  .fetch_failures = 330,
@@ -356,14 +360,89 @@ TEST(TiledLive, ReportsArePinned) {
                          .bytes_downloaded = 14'253'322,
                          .bytes_wasted = 4'840'748,
                          .score = 12.851227212630807},
-                 .chunks_played = 30,
-                 .chunks_skipped = 0,
-                 .mean_blank_fraction = 0.0070370370370370378,
                  .fetches = 1'346,
                  .upgrades = 223,
                  .fetch_failures = 0,
                  .degraded_retries = 0,
                  .finished = true});
+}
+
+// Every tile-ABR policy drives the live viewer, including those without an
+// upgrade window (no upgrade scan is scheduled for them). Each row pins
+// every report field of one fault-free 20 Mbps run.
+TEST(TiledLive, EveryPolicyIsPinned) {
+  const std::vector<std::pair<const char*, TiledLiveReport>> rows{
+      {"sperke",
+       {.qoe = {.chunks_played = 30,
+                .mean_viewport_utility = 0.89965107824054769,
+                .stall_seconds = 0.0,
+                .stall_events = 0,
+                .skipped_chunks = 0,
+                .switch_magnitude = 3.7814091636398688,
+                .blank_fraction_mean = 0.0,
+                .bytes_downloaded = 41'351'635,
+                .bytes_wasted = 15'392'331,
+                .score = 23.208123183576564},
+        .fetches = 2'184,
+        .upgrades = 214,
+        .fetch_failures = 0,
+        .degraded_retries = 0,
+        .finished = true}},
+      {"knapsack",
+       {.qoe = {.chunks_played = 30,
+                .mean_viewport_utility = 0.7744608183827647,
+                .stall_seconds = 0.0,
+                .stall_events = 0,
+                .skipped_chunks = 0,
+                .switch_magnitude = 3.3532633346367549,
+                .blank_fraction_mean = 0.0,
+                .bytes_downloaded = 42'046'702,
+                .bytes_wasted = 27'532'122,
+                .score = 19.880561216846186},
+        .fetches = 696,
+        .upgrades = 0,
+        .fetch_failures = 0,
+        .degraded_retries = 0,
+        .finished = true}},
+      {"consistency",
+       {.qoe = {.chunks_played = 30,
+                .mean_viewport_utility = 0.74232367123451648,
+                .stall_seconds = 0.0,
+                .stall_events = 0,
+                .skipped_chunks = 0,
+                .switch_magnitude = 3.8151015934437327,
+                .blank_fraction_mean = 0.0,
+                .bytes_downloaded = 30'744'538,
+                .bytes_wasted = 14'550'506,
+                .score = 18.454608543591764},
+        .fetches = 655,
+        .upgrades = 0,
+        .fetch_failures = 0,
+        .degraded_retries = 0,
+        .finished = true}},
+      {"fullpano",
+       {.qoe = {.chunks_played = 30,
+                .mean_viewport_utility = 0.58874891850572719,
+                .stall_seconds = 0.0,
+                .stall_events = 0,
+                .skipped_chunks = 0,
+                .switch_magnitude = 3.7765385579171129,
+                .blank_fraction_mean = 0.0,
+                .bytes_downloaded = 25'122'875,
+                .bytes_wasted = 16'248'683,
+                .score = 13.885928997254702},
+        .fetches = 720,
+        .upgrades = 0,
+        .fetch_failures = 0,
+        .degraded_retries = 0,
+        .finished = true}},
+  };
+  for (const auto& [policy, want] : rows) {
+    SCOPED_TRACE(policy);
+    TiledLiveConfig config;
+    config.abr.policy = policy;
+    expect_pinned(run_viewer(20'000.0, config), want);
+  }
 }
 
 // With telemetry on, every degraded retry is traced as a dispatch whose
