@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 
 namespace sperke::abr {
 namespace {
@@ -19,30 +18,22 @@ constexpr int kMaxRings = 2;
 }  // namespace
 
 ConsistencyVra::ConsistencyVra(std::shared_ptr<const media::VideoModel> video)
-    : video_(std::move(video)) {
-  if (!video_) throw std::invalid_argument("ConsistencyVra: null video");
-}
+    : TileAbrPolicy(std::move(video)) {}
 
-void ConsistencyVra::plan_chunk_into(media::ChunkIndex index,
-                                     const std::vector<geo::TileId>& predicted_fov,
-                                     std::span<const double> tile_probabilities,
-                                     double estimated_kbps,
-                                     sim::Duration /*buffer_level*/,
-                                     media::QualityLevel last_quality,
-                                     PlanWorkspace& workspace,
-                                     ChunkPlan& out) const {
-  if (predicted_fov.empty()) {
-    throw std::invalid_argument("plan_chunk: empty predicted FoV");
-  }
-  const auto& ladder = video_->ladder();
-  const auto& grid = video_->geometry().grid();
-  const double chunk_s = sim::to_seconds(video_->chunk_duration());
-  const int tiles = video_->tile_count();
+void ConsistencyVra::plan_into(media::ChunkIndex index,
+                               const std::vector<geo::TileId>& predicted_fov,
+                               std::span<const double> tile_probabilities,
+                               double estimated_kbps, sim::Duration /*buffer_level*/,
+                               media::QualityLevel last_quality,
+                               PlanWorkspace& workspace, ChunkPlan& out) const {
+  const media::VideoModel& video = this->video();
+  const auto& ladder = video.ladder();
+  const auto& grid = video.geometry().grid();
+  const double chunk_s = sim::to_seconds(video.chunk_duration());
+  const int tiles = video.tile_count();
 
   // Ring index per tile via BFS from the FoV over the tile grid (horizontal
   // wrap, no vertical wrap — geo/tile_grid.h). -1 = beyond the margin.
-  // FoV-agnostic callers pass no probability map and get no margin: the
-  // "FoV" is already the full panorama.
   auto& ring_of = workspace.tile_quality;
   ring_of.assign(static_cast<std::size_t>(tiles), -1);
   auto& frontier = workspace.frontier;
@@ -51,8 +42,7 @@ void ConsistencyVra::plan_chunk_into(media::ChunkIndex index,
     ring_of[static_cast<std::size_t>(t)] = 0;
     frontier.push_back(t);
   }
-  const int rings = tile_probabilities.empty() ? 0 : kMaxRings;
-  for (int r = 1; r <= rings; ++r) {
+  for (int r = 1; r <= kMaxRings; ++r) {
     auto& next = workspace.next_frontier;
     next.clear();
     for (geo::TileId t : frontier) {
@@ -74,7 +64,7 @@ void ConsistencyVra::plan_chunk_into(media::ChunkIndex index,
     for (geo::TileId t = 0; t < tiles; ++t) {
       const int ring = ring_of[static_cast<std::size_t>(t)];
       if (ring < 0) continue;
-      bytes += video_->avc_size_bytes(ring_quality(q_fov, ring), {t, index});
+      bytes += video.avc_size_bytes(ring_quality(q_fov, ring), {t, index});
     }
     return bytes;
   };
@@ -103,14 +93,10 @@ void ConsistencyVra::plan_chunk_into(media::ChunkIndex index,
   for (geo::TileId t = 0; t < tiles; ++t) {
     const int ring = ring_of[static_cast<std::size_t>(t)];
     if (ring < 0 || (emergency && ring > 0)) continue;
-    const double prob =
-        tile_probabilities.empty()
-            ? (ring == 0 ? 1.0 : 0.0)
-            : tile_probabilities[static_cast<std::size_t>(t)];
     out.fetches.push_back(
         {{{t, index}, media::Encoding::kAvc, ring_quality(q_fov, ring)},
          ring == 0 ? SpatialClass::kFov : SpatialClass::kOos,
-         prob});
+         tile_probabilities[static_cast<std::size_t>(t)]});
   }
 }
 

@@ -29,12 +29,6 @@ class ConsistencyVra final : public TileAbrPolicy {
   explicit ConsistencyVra(std::shared_ptr<const media::VideoModel> video);
 
   [[nodiscard]] std::string_view name() const override { return "consistency"; }
-  void plan_chunk_into(media::ChunkIndex index,
-                       const std::vector<geo::TileId>& predicted_fov,
-                       std::span<const double> tile_probabilities,
-                       double estimated_kbps, sim::Duration buffer_level,
-                       media::QualityLevel last_quality,
-                       PlanWorkspace& workspace, ChunkPlan& out) const override;
   // All-AVC: mid-flight upgrades would break exactly the temporal
   // smoothness the policy optimizes for, so there is no layered path.
   [[nodiscard]] media::Encoding base_tier_encoding() const override {
@@ -42,7 +36,12 @@ class ConsistencyVra final : public TileAbrPolicy {
   }
 
  private:
-  std::shared_ptr<const media::VideoModel> video_;
+  void plan_into(media::ChunkIndex index,
+                 const std::vector<geo::TileId>& predicted_fov,
+                 std::span<const double> tile_probabilities,
+                 double estimated_kbps, sim::Duration buffer_level,
+                 media::QualityLevel last_quality, PlanWorkspace& workspace,
+                 ChunkPlan& out) const override;
 };
 
 }  // namespace sperke::abr

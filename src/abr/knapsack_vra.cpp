@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 
 namespace sperke::abr {
 namespace {
@@ -20,25 +19,19 @@ constexpr double kMinProbability = 0.005;
 }  // namespace
 
 KnapsackVra::KnapsackVra(std::shared_ptr<const media::VideoModel> video)
-    : video_(std::move(video)) {
-  if (!video_) throw std::invalid_argument("KnapsackVra: null video");
-}
+    : TileAbrPolicy(std::move(video)) {}
 
-void KnapsackVra::plan_chunk_into(media::ChunkIndex index,
-                                  const std::vector<geo::TileId>& predicted_fov,
-                                  std::span<const double> tile_probabilities,
-                                  double estimated_kbps,
-                                  sim::Duration /*buffer_level*/,
-                                  media::QualityLevel /*last_quality*/,
-                                  PlanWorkspace& workspace,
-                                  ChunkPlan& out) const {
-  if (predicted_fov.empty()) {
-    throw std::invalid_argument("plan_chunk: empty predicted FoV");
-  }
-  const auto& ladder = video_->ladder();
+void KnapsackVra::plan_into(media::ChunkIndex index,
+                            const std::vector<geo::TileId>& predicted_fov,
+                            std::span<const double> tile_probabilities,
+                            double estimated_kbps, sim::Duration /*buffer_level*/,
+                            media::QualityLevel /*last_quality*/,
+                            PlanWorkspace& workspace, ChunkPlan& out) const {
+  const media::VideoModel& video = this->video();
+  const auto& ladder = video.ladder();
   const media::QualityLevel top = ladder.max_level();
-  const double chunk_s = sim::to_seconds(video_->chunk_duration());
-  const int tiles = video_->tile_count();
+  const double chunk_s = sim::to_seconds(video.chunk_duration());
+  const int tiles = video.tile_count();
 
   // quality[t]: -1 = not fetched, else the AVC level allocated so far.
   auto& quality = workspace.tile_quality;
@@ -47,21 +40,12 @@ void KnapsackVra::plan_chunk_into(media::ChunkIndex index,
   in_fov.assign(static_cast<std::size_t>(tiles), 0);
   for (geo::TileId t : predicted_fov) in_fov[static_cast<std::size_t>(t)] = 1;
 
-  const auto prob_of = [&](geo::TileId t) {
-    // FoV-agnostic callers pass no probability map: the whole "FoV" (the
-    // full panorama) competes at weight 1.
-    if (tile_probabilities.empty()) {
-      return in_fov[static_cast<std::size_t>(t)] != 0 ? 1.0 : 0.0;
-    }
-    return tile_probabilities[static_cast<std::size_t>(t)];
-  };
-
   // Hard constraint: the predicted viewport is covered at the base tier,
   // charged before any greedy step (even past the budget — coverage wins).
   std::int64_t spent = 0;
   for (geo::TileId t : predicted_fov) {
     quality[static_cast<std::size_t>(t)] = 0;
-    spent += video_->avc_size_bytes(0, {t, index});
+    spent += video.avc_size_bytes(0, {t, index});
   }
   // Unknown throughput (startup): the coverage floor is all we commit to.
   const std::int64_t budget =
@@ -79,17 +63,17 @@ void KnapsackVra::plan_chunk_into(media::ChunkIndex index,
     for (geo::TileId t = 0; t < tiles; ++t) {
       const media::QualityLevel q = quality[static_cast<std::size_t>(t)];
       if (q >= top) continue;
-      const double p = prob_of(t);
+      const double p = tile_probabilities[static_cast<std::size_t>(t)];
       double gain = 0.0;
       std::int64_t cost = 0;
       const media::ChunkKey key{t, index};
       if (q < 0) {
         if (p < kMinProbability) continue;  // never enters
         gain = p * (ladder.utility(0) + kEntryUtility);
-        cost = video_->avc_size_bytes(0, key);
+        cost = video.avc_size_bytes(0, key);
       } else {
         gain = p * (ladder.utility(q + 1) - ladder.utility(q));
-        cost = video_->avc_size_bytes(q + 1, key) - video_->avc_size_bytes(q, key);
+        cost = video.avc_size_bytes(q + 1, key) - video.avc_size_bytes(q, key);
       }
       if (cost <= 0) cost = 1;
       if (spent + cost > budget) continue;  // does not fit
@@ -120,7 +104,7 @@ void KnapsackVra::plan_chunk_into(media::ChunkIndex index,
     const bool fov = in_fov[static_cast<std::size_t>(t)] != 0;
     out.fetches.push_back({{{t, index}, media::Encoding::kAvc, q},
                            fov ? SpatialClass::kFov : SpatialClass::kOos,
-                           prob_of(t)});
+                           tile_probabilities[static_cast<std::size_t>(t)]});
   }
 }
 

@@ -1,31 +1,25 @@
 #include "abr/panorama_vra.h"
 
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 
 namespace sperke::abr {
 
 FullPanoramaVra::FullPanoramaVra(std::shared_ptr<const media::VideoModel> video,
                                  FullPanoramaConfig config)
-    : video_(std::move(video)), regular_(make_regular_vra(config.regular_vra)) {
-  if (!video_) throw std::invalid_argument("FullPanoramaVra: null video");
-}
+    : TileAbrPolicy(std::move(video)),
+      regular_(make_regular_vra(config.regular_vra)) {}
 
-void FullPanoramaVra::plan_chunk_into(media::ChunkIndex index,
-                                      const std::vector<geo::TileId>& predicted_fov,
-                                      std::span<const double> tile_probabilities,
-                                      double estimated_kbps,
-                                      sim::Duration buffer_level,
-                                      media::QualityLevel last_quality,
-                                      PlanWorkspace& workspace,
-                                      ChunkPlan& out) const {
-  if (predicted_fov.empty()) {
-    throw std::invalid_argument("plan_chunk: empty predicted FoV");
-  }
-  const auto& ladder = video_->ladder();
-  const double chunk_s = sim::to_seconds(video_->chunk_duration());
-  const int tiles = video_->tile_count();
+void FullPanoramaVra::plan_into(media::ChunkIndex index,
+                                const std::vector<geo::TileId>& predicted_fov,
+                                std::span<const double> tile_probabilities,
+                                double estimated_kbps, sim::Duration buffer_level,
+                                media::QualityLevel last_quality,
+                                PlanWorkspace& workspace, ChunkPlan& out) const {
+  const media::VideoModel& video = this->video();
+  const auto& ladder = video.ladder();
+  const double chunk_s = sim::to_seconds(video.chunk_duration());
+  const int tiles = video.tile_count();
 
   // The "super chunk" is the entire panorama: cost every level over all
   // tiles and let the regular VRA pick the uniform quality.
@@ -34,12 +28,12 @@ void FullPanoramaVra::plan_chunk_into(media::ChunkIndex index,
   ctx.level_utility.clear();
   ctx.estimated_kbps = estimated_kbps;
   ctx.buffer_level = buffer_level;
-  ctx.chunk_duration = video_->chunk_duration();
+  ctx.chunk_duration = video.chunk_duration();
   ctx.last_quality = last_quality;
   for (media::QualityLevel q = 0; q < ladder.levels(); ++q) {
     std::int64_t bytes = 0;
     for (geo::TileId t = 0; t < tiles; ++t) {
-      bytes += video_->avc_size_bytes(q, {t, index});
+      bytes += video.avc_size_bytes(q, {t, index});
     }
     ctx.level_kbps.push_back(static_cast<double>(bytes) * 8.0 / chunk_s / 1000.0);
     ctx.level_utility.push_back(ladder.utility(q));
@@ -56,14 +50,11 @@ void FullPanoramaVra::plan_chunk_into(media::ChunkIndex index,
   for (geo::TileId t = 0; t < tiles; ++t) {
     // Everything is fetched; the predicted FoV still rides the higher
     // transport priority class (Table 1's spatial axis).
-    const double prob = tile_probabilities.empty()
-                            ? 1.0
-                            : tile_probabilities[static_cast<std::size_t>(t)];
     out.fetches.push_back(
         {{{t, index}, media::Encoding::kAvc, q},
          in_fov[static_cast<std::size_t>(t)] != 0 ? SpatialClass::kFov
                                                   : SpatialClass::kOos,
-         prob});
+         tile_probabilities[static_cast<std::size_t>(t)]});
   }
 }
 

@@ -27,18 +27,18 @@ class FullPanoramaVra final : public TileAbrPolicy {
                   FullPanoramaConfig config);
 
   [[nodiscard]] std::string_view name() const override { return "fullpano"; }
-  void plan_chunk_into(media::ChunkIndex index,
-                       const std::vector<geo::TileId>& predicted_fov,
-                       std::span<const double> tile_probabilities,
-                       double estimated_kbps, sim::Duration buffer_level,
-                       media::QualityLevel last_quality,
-                       PlanWorkspace& workspace, ChunkPlan& out) const override;
   [[nodiscard]] media::Encoding base_tier_encoding() const override {
     return media::Encoding::kAvc;
   }
 
  private:
-  std::shared_ptr<const media::VideoModel> video_;
+  void plan_into(media::ChunkIndex index,
+                 const std::vector<geo::TileId>& predicted_fov,
+                 std::span<const double> tile_probabilities,
+                 double estimated_kbps, sim::Duration buffer_level,
+                 media::QualityLevel last_quality, PlanWorkspace& workspace,
+                 ChunkPlan& out) const override;
+
   std::unique_ptr<RegularVra> regular_;
 };
 

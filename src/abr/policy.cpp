@@ -1,8 +1,38 @@
 #include "abr/policy.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 namespace sperke::abr {
+
+TileAbrPolicy::TileAbrPolicy(std::shared_ptr<const media::VideoModel> video)
+    : video_(std::move(video)) {
+  if (!video_) throw std::invalid_argument("TileAbrPolicy: null video");
+}
+
+void TileAbrPolicy::plan_chunk_into(media::ChunkIndex index,
+                                    const std::vector<geo::TileId>& predicted_fov,
+                                    std::span<const double> tile_probabilities,
+                                    double estimated_kbps,
+                                    sim::Duration buffer_level,
+                                    media::QualityLevel last_quality,
+                                    PlanWorkspace& workspace, ChunkPlan& out) const {
+  if (predicted_fov.empty()) {
+    throw std::invalid_argument("plan_chunk: empty predicted FoV");
+  }
+  const int tiles = video_->tile_count();
+  if (tile_probabilities.size() != static_cast<std::size_t>(tiles)) {
+    throw std::invalid_argument("plan_chunk: probability map size != tile count");
+  }
+  for (const geo::TileId tile : predicted_fov) {
+    if (tile < 0 || tile >= tiles) {
+      throw std::invalid_argument("plan_chunk: FoV tile out of range");
+    }
+  }
+  plan_into(index, predicted_fov, tile_probabilities, estimated_kbps,
+            buffer_level, last_quality, workspace, out);
+}
 
 ChunkPlan TileAbrPolicy::plan_chunk(media::ChunkIndex index,
                                     const std::vector<geo::TileId>& predicted_fov,

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -55,17 +56,20 @@ class TileAbrPolicy {
   // Plan all fetches for chunk `index`, written into `out` (reset first),
   // scratch from `workspace`.
   //  `predicted_fov`        — tiles of the predicted viewport (sorted);
-  //  `tile_probabilities`   — fusion HMP output for this chunk (empty when
-  //                           the caller has no probability map);
+  //  `tile_probabilities`   — fusion HMP output for this chunk, one entry
+  //                           per tile of the grid;
   //  `estimated_kbps`       — current throughput estimate (0 = unknown);
   //  `buffer_level`         — media time buffered ahead of the playhead;
   //  `last_quality`         — previous FoV quality (switch damping).
-  virtual void plan_chunk_into(media::ChunkIndex index,
-                               const std::vector<geo::TileId>& predicted_fov,
-                               std::span<const double> tile_probabilities,
-                               double estimated_kbps, sim::Duration buffer_level,
-                               media::QualityLevel last_quality,
-                               PlanWorkspace& workspace, ChunkPlan& out) const = 0;
+  // Throws std::invalid_argument for an empty FoV, a map whose size is not
+  // the video's tile count, or a FoV tile outside [0, tile_count), then
+  // hands the checked inputs to the policy's plan_into.
+  void plan_chunk_into(media::ChunkIndex index,
+                       const std::vector<geo::TileId>& predicted_fov,
+                       std::span<const double> tile_probabilities,
+                       double estimated_kbps, sim::Duration buffer_level,
+                       media::QualityLevel last_quality,
+                       PlanWorkspace& workspace, ChunkPlan& out) const;
 
   // Allocating convenience wrapper over plan_chunk_into (cold paths, tests).
   [[nodiscard]] ChunkPlan plan_chunk(media::ChunkIndex index,
@@ -96,6 +100,25 @@ class TileAbrPolicy {
   [[nodiscard]] virtual sim::Duration upgrade_window() const {
     return sim::Duration{0};
   }
+
+ protected:
+  // Throws std::invalid_argument for a null video.
+  explicit TileAbrPolicy(std::shared_ptr<const media::VideoModel> video);
+
+  // The video every plan is costed against.
+  [[nodiscard]] const media::VideoModel& video() const { return *video_; }
+
+ private:
+  // plan_chunk_into with inputs already checked: a non-empty FoV of
+  // in-range tiles and a full probability map.
+  virtual void plan_into(media::ChunkIndex index,
+                         const std::vector<geo::TileId>& predicted_fov,
+                         std::span<const double> tile_probabilities,
+                         double estimated_kbps, sim::Duration buffer_level,
+                         media::QualityLevel last_quality,
+                         PlanWorkspace& workspace, ChunkPlan& out) const = 0;
+
+  std::shared_ptr<const media::VideoModel> video_;
 };
 
 // The super chunk's tiles (§3.1.2): the `count` most probable tiles of

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <stdexcept>
 
 namespace sperke::abr {
 namespace {
@@ -32,12 +31,10 @@ std::string to_string(EncodingMode mode) {
 
 SperkeVra::SperkeVra(std::shared_ptr<const media::VideoModel> video,
                      SperkeVraConfig config)
-    : video_(std::move(video)),
+    : TileAbrPolicy(std::move(video)),
       config_(std::move(config)),
       regular_(make_regular_vra(config_.regular_vra)),
-      oos_(config_.oos) {
-  if (!video_) throw std::invalid_argument("SperkeVra: null video");
-}
+      oos_(config_.oos) {}
 
 media::Encoding SperkeVra::fov_encoding() const {
   // Only pure-SVC mode pays the layering tax on FoV tiles; hybrid treats
@@ -58,17 +55,15 @@ media::Encoding SperkeVra::oos_encoding() const {
   return media::Encoding::kAvc;
 }
 
-void SperkeVra::plan_chunk_into(media::ChunkIndex index,
-                                const std::vector<geo::TileId>& predicted_fov,
-                                std::span<const double> tile_probabilities,
-                                double estimated_kbps, sim::Duration buffer_level,
-                                media::QualityLevel last_quality,
-                                PlanWorkspace& workspace, ChunkPlan& out) const {
-  if (predicted_fov.empty()) {
-    throw std::invalid_argument("plan_chunk: empty predicted FoV");
-  }
-  const auto& ladder = video_->ladder();
-  const double chunk_s = sim::to_seconds(video_->chunk_duration());
+void SperkeVra::plan_into(media::ChunkIndex index,
+                          const std::vector<geo::TileId>& predicted_fov,
+                          std::span<const double> tile_probabilities,
+                          double estimated_kbps, sim::Duration buffer_level,
+                          media::QualityLevel last_quality,
+                          PlanWorkspace& workspace, ChunkPlan& out) const {
+  const media::VideoModel& video = this->video();
+  const auto& ladder = video.ladder();
+  const double chunk_s = sim::to_seconds(video.chunk_duration());
 
   // Part 1: super-chunk cost per quality level -> regular VRA choice.
   VraContext& ctx = workspace.ctx;
@@ -76,15 +71,15 @@ void SperkeVra::plan_chunk_into(media::ChunkIndex index,
   ctx.level_utility.clear();
   ctx.estimated_kbps = estimated_kbps;
   ctx.buffer_level = buffer_level;
-  ctx.chunk_duration = video_->chunk_duration();
+  ctx.chunk_duration = video.chunk_duration();
   ctx.last_quality = last_quality;
   for (media::QualityLevel q = 0; q < ladder.levels(); ++q) {
     std::int64_t bytes = 0;
     for (geo::TileId tile : predicted_fov) {
       const media::ChunkKey key{tile, index};
       bytes += (fov_encoding() == media::Encoding::kSvc)
-                   ? video_->svc_cumulative_size_bytes(q, key)
-                   : video_->avc_size_bytes(q, key);
+                   ? video.svc_cumulative_size_bytes(q, key)
+                   : video.avc_size_bytes(q, key);
     }
     ctx.level_kbps.push_back(static_cast<double>(bytes) * 8.0 / chunk_s / 1000.0);
     ctx.level_utility.push_back(ladder.utility(q));
@@ -96,9 +91,7 @@ void SperkeVra::plan_chunk_into(media::ChunkIndex index,
   out.fetches.clear();
 
   for (geo::TileId tile : predicted_fov) {
-    const double prob = tile_probabilities.empty()
-                            ? 1.0
-                            : tile_probabilities[static_cast<std::size_t>(tile)];
+    const double prob = tile_probabilities[static_cast<std::size_t>(tile)];
     const media::ChunkKey key{tile, index};
     if (fov_encoding() == media::Encoding::kAvc) {
       out.fetches.push_back(
@@ -112,10 +105,8 @@ void SperkeVra::plan_chunk_into(media::ChunkIndex index,
   }
 
   // Part 2: OOS margin.
-  if (!tile_probabilities.empty()) {
-    oos_.select(out, *video_, predicted_fov, tile_probabilities, oos_encoding(),
-                workspace.oos);
-  }
+  oos_.select(out, video, predicted_fov, tile_probabilities, oos_encoding(),
+              workspace.oos);
 }
 
 TileAbrPolicy::UpgradeDecision SperkeVra::consider_upgrade(
@@ -129,10 +120,10 @@ TileAbrPolicy::UpgradeDecision SperkeVra::consider_upgrade(
   if (time_to_deadline <= sim::Duration{0}) return decision;
   // Too early: HMP may still change; wait until inside the upgrade window.
   if (time_to_deadline > kUpgradeWindow) return decision;
-  const double lift = visible_probability * video_->tile_count();
+  const double lift = visible_probability * video().tile_count();
   if (lift < kUpgradeProbThreshold) return decision;
-  const double gain = video_->ladder().utility(target) -
-                      video_->ladder().utility(std::max(current, 0));
+  const double gain = video().ladder().utility(target) -
+                      video().ladder().utility(std::max(current, 0));
   if (lift * gain < kUpgradeMinBenefit) return decision;
 
   // Candidate paths: a delta stack on the buffered SVC base, and/or a full
@@ -141,9 +132,9 @@ TileAbrPolicy::UpgradeDecision SperkeVra::consider_upgrade(
   std::int64_t delta_bytes = 0;
   for (media::LayerIndex l = svc_layer_base + 1; l <= target; ++l) {
     delta_fetches.push_back({key, media::Encoding::kSvc, l});
-    delta_bytes += video_->svc_layer_size_bytes(l, key);
+    delta_bytes += video().svc_layer_size_bytes(l, key);
   }
-  const std::int64_t refetch_bytes = video_->avc_size_bytes(target, key);
+  const std::int64_t refetch_bytes = video().avc_size_bytes(target, key);
 
   std::vector<media::ChunkAddress> fetches;
   std::int64_t bytes = 0;

@@ -50,14 +50,6 @@ class SperkeVra final : public TileAbrPolicy {
 
   [[nodiscard]] std::string_view name() const override { return "sperke"; }
 
-  // Plan all fetches for chunk `index` (see TileAbrPolicy for the params).
-  void plan_chunk_into(media::ChunkIndex index,
-                       const std::vector<geo::TileId>& predicted_fov,
-                       std::span<const double> tile_probabilities,
-                       double estimated_kbps, sim::Duration buffer_level,
-                       media::QualityLevel last_quality,
-                       PlanWorkspace& workspace, ChunkPlan& out) const override;
-
   // Part 3: should a buffered tile displayed at `current` quality be
   // upgraded to `target`, given its display probability and deadline slack?
   //  * upgrade-or-not — the tile's visibility probability must be at least
@@ -91,11 +83,18 @@ class SperkeVra final : public TileAbrPolicy {
   // Upgrades wait until this close to the deadline.
   static constexpr sim::Duration kUpgradeWindow = sim::seconds(4);
 
+  // Plan all fetches for chunk `index` (see TileAbrPolicy for the params).
+  void plan_into(media::ChunkIndex index,
+                 const std::vector<geo::TileId>& predicted_fov,
+                 std::span<const double> tile_probabilities,
+                 double estimated_kbps, sim::Duration buffer_level,
+                 media::QualityLevel last_quality, PlanWorkspace& workspace,
+                 ChunkPlan& out) const override;
+
   // Encoding used for FoV fetches / for OOS fetches under the mode.
   [[nodiscard]] media::Encoding fov_encoding() const;
   [[nodiscard]] media::Encoding oos_encoding() const;
 
-  std::shared_ptr<const media::VideoModel> video_;
   SperkeVraConfig config_;
   std::unique_ptr<RegularVra> regular_;
   OosSelector oos_;

@@ -140,7 +140,6 @@ void FetchQueue::dispatch(Pending pending, sim::Time now) {
     metrics.queue_wait_ms->observe(sim::to_milliseconds(now - pending.enqueued));
   }
   if (pending.attempts == 0) pending.first_dispatched = now;
-  pending.settled = false;
   auto flight = std::make_shared<Pending>(std::move(pending));
   const ChunkRequest& request = flight->request;
   if (options_.telemetry != nullptr) {
@@ -172,19 +171,19 @@ void FetchQueue::dispatch(Pending pending, sim::Time now) {
   if (options_.recovery.enabled) {
     // Deadline-derived timeout on the in-flight transfer. The min_timeout
     // floor keeps already-late emergency fetches (deadline == now) alive
-    // long enough to have a chance.
+    // long enough to have a chance. A settled attempt needs no guard: the
+    // source issues each id once and cancel() of a settled id fires
+    // nothing, so a stale timeout can never touch this request's retry.
     const sim::Time timeout_at =
         std::max(request.deadline, now + options_.recovery.min_timeout);
-    source_.simulator().schedule_at(timeout_at, [this, alive = alive_, flight, id] {
-      if (!*alive || flight->settled) return;
-      source_.cancel(id);  // fires the kCancelled completion synchronously
+    source_.simulator().schedule_at(timeout_at, [this, alive = alive_, id] {
+      if (*alive) source_.cancel(id);  // fires kCancelled synchronously
     });
   }
 }
 
 void FetchQueue::on_attempt_done(const std::shared_ptr<Pending>& flight,
                                  sim::Time started, const net::TransferResult& r) {
-  flight->settled = true;
   --active_;
   const std::int64_t bytes = flight->request.bytes;
   load_bytes_ -= bytes;

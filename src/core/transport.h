@@ -200,7 +200,6 @@ class FetchQueue {
     sim::Time enqueued{sim::kTimeZero};
     int attempts = 0;  // completed (failed) dispatch attempts so far
     sim::Time first_dispatched{sim::kTimeZero};
-    bool settled = false;  // guards the timeout event against re-fire
   };
 
   void insert(Pending pending);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -14,27 +15,26 @@ namespace {
 constexpr int kPathFailureThreshold = 3;
 constexpr sim::Duration kProbeInterval = sim::seconds(1.0);
 
-// Static path quality used by the content-aware policy: usable rate
-// (capacity tempered by the Mathis cap), discounted by latency.
-double quality_of(const net::Link& link) {
-  const double rate = std::min(link.capacity_kbps_now(), link.mathis_cap_kbps());
-  const double rtt_penalty = 1.0 + sim::to_seconds(link.rtt()) * 5.0;
-  return rate / rtt_penalty;
+// Usable rate of a link right now: capacity tempered by the Mathis cap.
+double usable_kbps(const net::Link& link) {
+  return std::min(link.capacity_kbps_now(), link.mathis_cap_kbps());
 }
 
-}  // namespace
+// Static path quality used by the content-aware policy: usable rate,
+// discounted by latency.
+double quality_of(const net::Link& link) {
+  const double rtt_penalty = 1.0 + sim::to_seconds(link.rtt()) * 5.0;
+  return usable_kbps(link) / rtt_penalty;
+}
 
-std::size_t MinRttScheduler::pick(const core::ChunkRequest& request,
-                                  const std::vector<PathState>& paths) {
-  (void)request;  // content-agnostic by definition
-  // Earliest-available path: smallest drain time of the queued bytes.
+// Earliest-available path: the smallest drain time of its queued bytes at
+// `rate_kbps(path)`, plus one RTT. Ties go to the lower index.
+std::size_t earliest_available(const std::vector<PathState>& paths,
+                               double (*rate_kbps)(const PathState&)) {
   std::size_t best = 0;
   double best_drain = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    const double rate =
-        std::max(paths[i].estimated_kbps,
-                 std::min(paths[i].link->capacity_kbps_now(),
-                          paths[i].link->mathis_cap_kbps()));
+    const double rate = rate_kbps(paths[i]);
     const double drain =
         rate > 0.0
             ? static_cast<double>(paths[i].queued_bytes) * 8.0 / (rate * 1000.0) +
@@ -46,6 +46,16 @@ std::size_t MinRttScheduler::pick(const core::ChunkRequest& request,
     }
   }
   return best;
+}
+
+}  // namespace
+
+std::size_t MinRttScheduler::pick(const core::ChunkRequest& request,
+                                  const std::vector<PathState>& paths) {
+  (void)request;  // content-agnostic by definition
+  return earliest_available(paths, [](const PathState& path) {
+    return std::max(path.estimated_kbps, usable_kbps(*path.link));
+  });
 }
 
 std::size_t RoundRobinScheduler::pick(const core::ChunkRequest& request,
@@ -63,29 +73,6 @@ std::size_t SinglePathScheduler::pick(const core::ChunkRequest& request,
   return index_;
 }
 
-namespace {
-
-// Earliest-available path by queue drain time (the aggregation choice).
-std::size_t earliest_available(const std::vector<PathState>& paths) {
-  std::size_t best = 0;
-  double best_drain = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const double rate = std::max(paths[i].estimated_kbps, paths[i].quality_score);
-    const double drain =
-        rate > 0.0
-            ? static_cast<double>(paths[i].queued_bytes) * 8.0 / (rate * 1000.0) +
-                  sim::to_seconds(paths[i].link->rtt())
-            : std::numeric_limits<double>::infinity();
-    if (drain < best_drain) {
-      best_drain = drain;
-      best = i;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 std::size_t ContentAwareScheduler::pick(const core::ChunkRequest& request,
                                         const std::vector<PathState>& paths) {
   // Strategic assignment (§3.3):
@@ -102,7 +89,10 @@ std::size_t ContentAwareScheduler::pick(const core::ChunkRequest& request,
   const PriorityClass priority = classify(request);
   if (priority.temporal == TemporalClass::kUrgent) return best;
   if (priority.spatial == abr::SpatialClass::kFov) {
-    return earliest_available(paths);
+    // Aggregation: queue drain time at the estimate or the static quality.
+    return earliest_available(paths, [](const PathState& path) {
+      return std::max(path.estimated_kbps, path.quality_score);
+    });
   }
   return worst;
 }
@@ -329,9 +319,7 @@ double MultipathTransport::estimated_kbps() const {
   double total = 0.0;
   for (const Path& path : paths_) {
     const double est = path.queue.estimated_kbps();
-    total += est > 0.0 ? est
-                       : std::min(path.link.capacity_kbps_now(),
-                                  path.link.mathis_cap_kbps());
+    total += est > 0.0 ? est : usable_kbps(path.link);
   }
   return total;
 }

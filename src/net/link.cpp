@@ -111,32 +111,25 @@ double Link::mathis_cap_kbps() const {
   return bps / 1000.0;
 }
 
+std::size_t Link::find(FetchId id) const {
+  const auto it = std::lower_bound(
+      transfers_.begin(), transfers_.end(), id,
+      [](const Transfer& t, FetchId value) { return t.id < value; });
+  return it != transfers_.end() && it->id == id
+             ? static_cast<std::size_t>(it - transfers_.begin())
+             : transfers_.size();
+}
+
 double Link::transfer_rate_kbps(FetchId id) const {
-  const auto it = transfers_.find(id);
-  return it != transfers_.end() && it->second.active ? it->second.rate_bps / 1000.0
-                                                     : 0.0;
+  const std::size_t i = find(id);
+  return i < transfers_.size() && transfers_[i].active
+             ? transfers_[i].rate_bps / 1000.0
+             : 0.0;
 }
 
-void Link::activate(FetchId id) {
-  Transfer& t = transfers_.at(id);
-  // Double activation would insert a duplicate active_ entry and count the
-  // transfer twice in every water-filling weight sum.
-  SPERKE_CHECK(!t.active, "Link: transfer activated twice");
-  t.active = true;
-  // Activations arrive in id order (same RTT for every transfer), so this
-  // is effectively a push_back; lower_bound keeps the id ordering an
-  // invariant rather than an accident.
-  const auto pos = std::lower_bound(
-      active_.begin(), active_.end(), id,
-      [](const auto& entry, FetchId value) { return entry.first < value; });
-  active_.insert(pos, {id, &t});
-}
-
-void Link::deactivate(FetchId id) {
-  const auto pos = std::lower_bound(
-      active_.begin(), active_.end(), id,
-      [](const auto& entry, FetchId value) { return entry.first < value; });
-  if (pos != active_.end() && pos->first == id) active_.erase(pos);
+int Link::active_transfers() const {
+  return static_cast<int>(std::count_if(transfers_.begin(), transfers_.end(),
+                                        [](const Transfer& t) { return t.active; }));
 }
 
 FetchId Link::start_transfer(std::int64_t bytes, TransferCallback on_complete,
@@ -145,6 +138,7 @@ FetchId Link::start_transfer(std::int64_t bytes, TransferCallback on_complete,
   if (weight <= 0.0) throw std::invalid_argument("Link: non-positive weight");
   const FetchId id = next_id_++;
   Transfer t;
+  t.id = id;
   t.remaining_bytes = static_cast<double>(bytes);
   t.total_bytes = bytes;
   t.weight = weight;
@@ -158,47 +152,47 @@ FetchId Link::start_transfer(std::int64_t bytes, TransferCallback on_complete,
     t.fail_at_remaining_bytes =
         static_cast<double>(bytes) * (1.0 - delivered_fraction);
   }
-  transfers_.emplace(id, std::move(t));
+  // The water-filling sums walk the table in id order; an out-of-order
+  // append would silently change their floating-point results.
+  SPERKE_DCHECK(transfers_.empty() || transfers_.back().id < id,
+                "Link: transfer ids not strictly ascending at ", id);
+  transfers_.push_back(std::move(t));
   // First byte flows one RTT after the request is issued.
   simulator_.schedule_after(rtt(), [this, id, alive = alive_] {
     if (!*alive) return;
-    const auto it = transfers_.find(id);
-    if (it == transfers_.end()) return;  // cancelled/failed during warmup
+    const std::size_t i = find(id);
+    if (i == transfers_.size()) return;  // cancelled/failed during warmup
+    Transfer& transfer = transfers_[i];
     if (has_faults_ && in_outage()) {
       // The request hit a dead link: the handshake times out after the RTT
       // instead of ever activating.
-      Completion failed{id, std::move(it->second.on_complete),
+      Completion failed{id, std::move(transfer.on_complete),
                         {TransferStatus::kFailed, simulator_.now(), 0}};
-      transfers_.erase(it);
-      std::vector<Completion> completions = std::move(completed_scratch_);
-      completions.clear();
-      completions.push_back(std::move(failed));
-      fire_completions(std::move(completions));
+      transfers_.erase(transfers_.begin() + static_cast<std::ptrdiff_t>(i));
+      fire_one(std::move(failed));
       return;
     }
+    // Activating twice would count the transfer twice in every
+    // water-filling weight sum.
+    SPERKE_CHECK(!transfer.active, "Link: transfer activated twice");
     advance();
-    activate(id);
+    transfer.active = true;
     reflow();
-    dcheck_active_consistent();
   });
   return id;
 }
 
 bool Link::cancel(FetchId id) {
-  const auto it = transfers_.find(id);
-  if (it == transfers_.end()) return false;  // finished/failed: never re-fires
+  const std::size_t i = find(id);
+  if (i == transfers_.size()) return false;  // finished/failed: never re-fires
   advance();
-  Completion cancelled{id, std::move(it->second.on_complete),
+  Transfer& t = transfers_[i];
+  Completion cancelled{id, std::move(t.on_complete),
                        {TransferStatus::kCancelled, simulator_.now(),
-                        it->second.counted_bytes}};
-  if (it->second.active) deactivate(id);
-  transfers_.erase(it);
+                        t.counted_bytes}};
+  transfers_.erase(transfers_.begin() + static_cast<std::ptrdiff_t>(i));
   reflow();
-  dcheck_active_consistent();
-  std::vector<Completion> completions = std::move(completed_scratch_);
-  completions.clear();
-  completions.push_back(std::move(cancelled));
-  fire_completions(std::move(completions));
+  fire_one(std::move(cancelled));
   return true;
 }
 
@@ -209,12 +203,11 @@ void Link::on_outage_begin() {
   std::vector<Completion> completions = std::move(completed_scratch_);
   completions.clear();
   const sim::Time now = simulator_.now();
-  for (auto& [id, t] : transfers_) {
-    completions.push_back({id, std::move(t.on_complete),
+  for (Transfer& t : transfers_) {
+    completions.push_back({t.id, std::move(t.on_complete),
                            {TransferStatus::kFailed, now, t.counted_bytes}});
   }
   transfers_.clear();
-  active_.clear();
   reflow();
   fire_completions(std::move(completions));
 }
@@ -231,19 +224,18 @@ void Link::advance() {
   // negative dt means time ran backwards and every fluid integral is wrong.
   SPERKE_DCHECK(dt >= 0.0, "Link: advance with negative dt=", dt);
   if (dt > 0.0) {
-    for (auto& [id, t] : active_) {
-      if (t->rate_bps <= 0.0) continue;
-      const double delivered =
-          std::min(t->remaining_bytes, t->rate_bps / 8.0 * dt);
-      t->remaining_bytes -= delivered;
+    for (Transfer& t : transfers_) {
+      if (t.rate_bps <= 0.0) continue;  // also every warmup transfer
+      const double delivered = std::min(t.remaining_bytes, t.rate_bps / 8.0 * dt);
+      t.remaining_bytes -= delivered;
       const auto inc = static_cast<std::int64_t>(std::llround(delivered));
-      t->counted_bytes += inc;
+      t.counted_bytes += inc;
       bytes_delivered_ += inc;
       // Byte conservation per transfer: the fluid model can neither deliver
       // more than the object holds nor drive the residue negative.
-      SPERKE_DCHECK(t->remaining_bytes >= 0.0 &&
-                        t->remaining_bytes <= static_cast<double>(t->total_bytes),
-                    "Link: remaining_bytes out of [0, total] for transfer ", id);
+      SPERKE_DCHECK(t.remaining_bytes >= 0.0 &&
+                        t.remaining_bytes <= static_cast<double>(t.total_bytes),
+                    "Link: remaining_bytes out of [0, total] for transfer ", t.id);
     }
   }
   last_update_ = now;
@@ -263,9 +255,10 @@ void Link::recompute_rates() {
   const double cap_bps = mathis_cap_kbps() * 1000.0;
   auto& unallocated = waterfill_scratch_;
   unallocated.clear();
-  for (auto& [id, t] : active_) {
-    t->rate_bps = 0.0;
-    unallocated.push_back(t);
+  for (Transfer& t : transfers_) {
+    if (!t.active) continue;
+    t.rate_bps = 0.0;
+    unallocated.push_back(&t);
   }
   double remaining_capacity = capacity_bps;
   bool someone_capped = true;
@@ -298,10 +291,10 @@ void Link::recompute_rates() {
     // link's capacity (1e-9 relative slack for the divisions above), and
     // no transfer exceeds its Mathis ceiling.
     double allocated_bps = 0.0;
-    for (const auto& [id, t] : active_) {
-      allocated_bps += t->rate_bps;
-      SPERKE_DCHECK(t->rate_bps <= cap_bps * (1.0 + 1e-9) + 1e-6,
-                    "Link: transfer ", id, " exceeds Mathis cap");
+    for (const Transfer& t : transfers_) {
+      allocated_bps += t.rate_bps;
+      SPERKE_DCHECK(t.rate_bps <= cap_bps * (1.0 + 1e-9) + 1e-6,
+                    "Link: transfer ", t.id, " exceeds Mathis cap");
     }
     SPERKE_DCHECK(allocated_bps <= capacity_bps * (1.0 + 1e-9) + 1e-6,
                   "Link: water-filling over-allocated ", allocated_bps,
@@ -313,13 +306,12 @@ void Link::arm_wakeup() {
   // Next wake-up: earliest completion (or scheduled mid-flight failure) or
   // bandwidth-trace step. Fault-window boundaries have their own events.
   sim::Time next = sim::Time{std::numeric_limits<std::int64_t>::max()};
-  for (const auto& [id, t] : active_) {
-    if (t->rate_bps <= 0.0) continue;
-    const double to_go =
-        t->fail_at_remaining_bytes >= 0.0
-            ? t->remaining_bytes - t->fail_at_remaining_bytes
-            : t->remaining_bytes;
-    const double secs = std::max(to_go, 0.0) * 8.0 / t->rate_bps;
+  for (const Transfer& t : transfers_) {
+    if (t.rate_bps <= 0.0) continue;  // also every warmup transfer
+    const double to_go = t.fail_at_remaining_bytes >= 0.0
+                             ? t.remaining_bytes - t.fail_at_remaining_bytes
+                             : t.remaining_bytes;
+    const double secs = std::max(to_go, 0.0) * 8.0 / t.rate_bps;
     // Round *up* to at least one microsecond: rounding a sub-tick
     // completion down to zero would respawn this event at the same
     // instant forever.
@@ -347,34 +339,32 @@ void Link::arm_wakeup() {
 void Link::on_wakeup() {
   advance();
   // Collect completions before reflowing so freed capacity redistributes.
-  // Compacting active_ in place preserves its ascending-id order, which is
-  // also the callback firing order.
+  // Compacting the table in place preserves its ascending-id order, which
+  // is also the callback firing order. Warmup transfers are always kept.
   std::vector<Completion> completions = std::move(completed_scratch_);
   completions.clear();
   const sim::Time now = simulator_.now();
   std::size_t keep = 0;
-  for (std::size_t read = 0; read < active_.size(); ++read) {
-    Transfer* t = active_[read].second;
-    if (t->fail_at_remaining_bytes >= 0.0 &&
-        t->remaining_bytes <= t->fail_at_remaining_bytes + kCompleteEpsilonBytes) {
+  for (std::size_t read = 0; read < transfers_.size(); ++read) {
+    Transfer& t = transfers_[read];
+    if (t.active && t.fail_at_remaining_bytes >= 0.0 &&
+        t.remaining_bytes <= t.fail_at_remaining_bytes + kCompleteEpsilonBytes) {
       // Scheduled mid-flight failure: report the partial progress.
-      completions.push_back({active_[read].first, std::move(t->on_complete),
-                             {TransferStatus::kFailed, now, t->counted_bytes}});
-      transfers_.erase(active_[read].first);
-    } else if (t->remaining_bytes <= kCompleteEpsilonBytes) {
+      completions.push_back({t.id, std::move(t.on_complete),
+                             {TransferStatus::kFailed, now, t.counted_bytes}});
+    } else if (t.active && t.remaining_bytes <= kCompleteEpsilonBytes) {
       // Square up the fluid rounding: a completed transfer delivered
       // exactly its size, no matter how the increments rounded.
-      bytes_delivered_ += t->total_bytes - t->counted_bytes;
-      completions.push_back(
-          {active_[read].first, std::move(t->on_complete),
-           {TransferStatus::kCompleted, now, t->total_bytes}});
-      transfers_.erase(active_[read].first);
+      bytes_delivered_ += t.total_bytes - t.counted_bytes;
+      completions.push_back({t.id, std::move(t.on_complete),
+                             {TransferStatus::kCompleted, now, t.total_bytes}});
     } else {
-      active_[keep++] = active_[read];
+      if (keep != read) transfers_[keep] = std::move(t);
+      ++keep;
     }
   }
-  active_.resize(keep);
-  dcheck_active_consistent();
+  transfers_.erase(transfers_.begin() + static_cast<std::ptrdiff_t>(keep),
+                   transfers_.end());
   if (completions.empty() && capacity_kbps_now() * 1000.0 == rates_capacity_bps_) {
     // Nothing changed: the active set is intact and capacity is what the
     // current rates were computed from, so recomputing would reproduce
@@ -383,6 +373,13 @@ void Link::on_wakeup() {
   } else {
     reflow();
   }
+  fire_completions(std::move(completions));
+}
+
+void Link::fire_one(Completion completion) {
+  std::vector<Completion> completions = std::move(completed_scratch_);
+  completions.clear();
+  completions.push_back(std::move(completion));
   fire_completions(std::move(completions));
 }
 
@@ -396,7 +393,7 @@ void Link::fire_completions(std::vector<Completion> completions) {
       // No-double-fire: a completion only exists for a transfer already
       // erased from the tracked set — cancel() on a finished/failed id must
       // find nothing and return false, never re-fire (DESIGN.md §10).
-      SPERKE_CHECK(transfers_.find(c.id) == transfers_.end(),
+      SPERKE_CHECK(find(c.id) == transfers_.size(),
                    "Link: completion fired for still-tracked transfer ", c.id);
       if constexpr (SPERKE_DCHECK_IS_ON) {
         SPERKE_DCHECK(fired_ids_.insert(c.id).second,
@@ -406,22 +403,6 @@ void Link::fire_completions(std::vector<Completion> completions) {
     if (c.callback) c.callback(c.result);
   }
   if (*alive) completed_scratch_ = std::move(completions);
-}
-
-void Link::dcheck_active_consistent() const {
-  if constexpr (SPERKE_DCHECK_IS_ON) {
-    FetchId prev = 0;
-    for (const auto& [id, t] : active_) {
-      SPERKE_DCHECK(prev < id || prev == 0,
-                    "Link: active_ ids not strictly ascending at ", id);
-      prev = id;
-      const auto it = transfers_.find(id);
-      SPERKE_DCHECK(it != transfers_.end(),
-                    "Link: active_ references erased transfer ", id);
-      SPERKE_DCHECK(&it->second == t && it->second.active,
-                    "Link: active_ entry stale for transfer ", id);
-    }
-  }
 }
 
 }  // namespace sperke::net

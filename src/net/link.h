@@ -18,8 +18,8 @@
 // deadline are never looked at.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -90,10 +90,8 @@ class Link final : public ChunkSource {
   // Scheduled outage time already elapsed, in seconds.
   [[nodiscard]] double outage_seconds() const;
 
-  // O(1): the active-transfer index is maintained incrementally.
-  [[nodiscard]] int active_transfers() const {
-    return static_cast<int>(active_.size());
-  }
+  // Transfers past their RTT warmup (a count over the table).
+  [[nodiscard]] int active_transfers() const;
   [[nodiscard]] std::int64_t bytes_delivered() const { return bytes_delivered_; }
 
   // Current allocated rate of a transfer in kbps (0 while in RTT warmup or
@@ -102,10 +100,11 @@ class Link final : public ChunkSource {
 
  private:
   struct Transfer {
+    FetchId id = 0;
     double remaining_bytes = 0.0;
     std::int64_t total_bytes = 0;
     std::int64_t counted_bytes = 0;  // already added to bytes_delivered_
-    double rate_bps = 0.0;
+    double rate_bps = 0.0;  // stays 0 until the transfer is active
     double weight = 1.0;
     bool active = false;  // false while waiting out the initial RTT
     // Seeded mid-flight failure: the transfer fails once remaining_bytes
@@ -119,17 +118,16 @@ class Link final : public ChunkSource {
     TransferResult result;
   };
 
+  // Index of `id` in transfers_, or transfers_.size() once it settled.
+  [[nodiscard]] std::size_t find(FetchId id) const;
   // Move all active transfers forward to now() at their current rates.
   void advance();
   // Recompute fair-share rates (recompute_rates) and (re)schedule the next
-  // wake-up event (arm_wakeup). All three walk only the active index, so a
-  // reflow is O(active + water-filling), independent of warmup transfers.
+  // wake-up event (arm_wakeup). All three skip transfers still in warmup.
   void reflow();
   void recompute_rates();
   void arm_wakeup();
   void on_wakeup();
-  void activate(FetchId id);
-  void deactivate(FetchId id);
   // Outage start: fail every in-flight transfer (warmup included).
   void on_outage_begin();
   // Any fault-window boundary: settle progress and recompute rates.
@@ -137,21 +135,22 @@ class Link final : public ChunkSource {
   // Fault-window lookups at an absolute time.
   [[nodiscard]] bool in_outage_at(sim::Time t) const;
   [[nodiscard]] double fault_capacity_factor_at(sim::Time t) const;
+  // Fire one completion through the scratch vector (cancel, warmup outage).
+  void fire_one(Completion completion);
   void fire_completions(std::vector<Completion> completions);
-  // DCHECK-build verification that active_ mirrors transfers_: strictly
-  // ascending ids, every entry present and flagged active, pointers fresh.
-  // Compiled out entirely (if constexpr) outside the check preset.
-  void dcheck_active_consistent() const;
 
   sim::Simulator& simulator_;
   LinkConfig config_;
-  std::map<FetchId, Transfer> transfers_;
-  // Active transfers sorted by ascending id — the same iteration order as
-  // the transfers_ map, which the water-filling weight sums depend on for
-  // bit-exact determinism. Map nodes are pointer-stable, so the raw
-  // pointers survive unrelated inserts/erases.
-  std::vector<std::pair<FetchId, Transfer*>> active_;
-  std::vector<Transfer*> waterfill_scratch_;  // reused by recompute_rates()
+  // Every unsettled transfer, warmup and active, in strictly ascending id
+  // order: ids are issued increasing and appended, and erasing keeps the
+  // order. The water-filling weight sums, the advance increments and the
+  // completion firing order all walk this order, which keeps them
+  // bit-exact. A completion callback may grow or shrink the table, so no
+  // iterator is held across one.
+  std::vector<Transfer> transfers_;
+  // Reused by recompute_rates(); its pointers into transfers_ live only
+  // for that call.
+  std::vector<Transfer*> waterfill_scratch_;
   std::vector<Completion> completed_scratch_;
   FetchId next_id_ = 1;
   sim::Time last_update_ = sim::kTimeZero;

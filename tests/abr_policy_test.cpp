@@ -179,6 +179,40 @@ TEST_P(PolicyGolden, EmptyFovThrows) {
       std::invalid_argument);
 }
 
+TEST(PolicyInputs, RejectsMalformedPlanInputs) {
+  // plan_chunk_into checks its inputs once, for every policy, before any
+  // per-tile array is indexed: a short probability map is never read past
+  // its end and an out-of-range FoV tile is never written through.
+  const auto video = make_video();
+  const std::vector<geo::TileId> fov{7, 8, 9};
+  const std::vector<double> full = probs_for(*video, fov);
+  const std::vector<double> short_map(full.begin(), full.end() - 1);
+  struct Case {
+    const char* what;
+    std::vector<geo::TileId> fov;
+    const std::vector<double>* probs;
+  };
+  const std::vector<Case> cases{
+      {"short map", fov, &short_map},
+      {"FoV tile == tile_count", {7, video->tile_count()}, &full},
+      {"negative FoV tile", {-1, 7}, &full},
+  };
+  for (const std::string_view name : policy_names()) {
+    TileAbrConfig config;
+    config.policy = std::string(name);
+    const auto policy = make_policy(video, config);
+    for (const Case& c : cases) {
+      EXPECT_THROW((void)policy->plan_chunk(0, c.fov, *c.probs, 8'000.0,
+                                            sim::seconds(2.0), 0),
+                   std::invalid_argument)
+          << name << ": " << c.what;
+    }
+    EXPECT_NO_THROW(
+        (void)policy->plan_chunk(0, fov, full, 8'000.0, sim::seconds(2.0), 0))
+        << name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyGolden,
                          ::testing::Values("sperke", "knapsack", "consistency",
                                            "fullpano"),

@@ -347,6 +347,44 @@ TEST_F(TransportRecoveryTest, RetriesThroughOutageAndDelivers) {
   EXPECT_EQ(transport.in_flight(), 0);
 }
 
+TEST_F(TransportRecoveryTest, StaleAttemptTimeoutNeverCancelsItsRetry) {
+  // 1 MB/s, RTT 0. The outage at 0.05 s kills attempt 0 after 50 kB; the
+  // retry starts after the 100 ms backoff at 0.15 s and needs 0.15 s for
+  // the 150 kB. Attempt 0's timeout, max(deadline 0.2, 0 + 0.25), fires at
+  // 0.25 s while the retry is on the wire: it must cancel nothing.
+  net::FaultPlan faults;
+  faults.outages.push_back({.start_s = 0.05, .duration_s = 0.03});
+  auto link = make_faulty_link(std::move(faults));
+  obs::Telemetry telemetry;
+  TransportOptions options = recovery_options();
+  options.telemetry = &telemetry;
+  SingleLinkTransport transport(link, options);
+  std::optional<FetchOutcome> outcome;
+  sim::Time settled{sim::kTimeZero};
+  ChunkRequest req;
+  req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
+  req.bytes = 150'000;
+  req.deadline = sim::seconds(0.2);
+  req.on_done = [&](sim::Time t, FetchOutcome o) {
+    outcome = o;
+    settled = t;
+  };
+  transport.fetch(std::move(req));
+  simulator.run();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(*outcome, FetchOutcome::kDelivered);
+  EXPECT_EQ(settled, sim::seconds(0.3));
+  std::vector<sim::Time> starts;
+  for (const obs::TraceEvent& e : telemetry.trace().events()) {
+    if (e.type == obs::TraceEventType::kFetchAttemptStart) starts.push_back(e.ts);
+  }
+  EXPECT_EQ(starts, (std::vector<sim::Time>{sim::kTimeZero, sim::seconds(0.15)}));
+  EXPECT_EQ(telemetry.metrics().counter("transport.retries").value(), 1);
+  EXPECT_EQ(telemetry.metrics().counter("transport.timeouts").value(), 0);
+  EXPECT_EQ(transport.bytes_fetched(), 150'000);
+  EXPECT_EQ(transport.in_flight(), 0);
+}
+
 TEST_F(TransportRecoveryTest, BudgetExhaustionReportsFailed) {
   net::FaultPlan faults;
   faults.outages.push_back({.start_s = 0.2, .duration_s = 60.0});

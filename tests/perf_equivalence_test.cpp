@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -492,6 +494,90 @@ TEST(LinkEquivalence, ChurnIsDeterministicAcrossRuns) {
     return completion_ticks;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(LinkEquivalence, SettleTimelineIsPinned) {
+  // One seeded link through every way a transfer can settle: weighted
+  // sharing under a Mathis cap and a stepped trace, an outage that fails
+  // warmup and active transfers alike, a handshake into the dead link, a
+  // capacity collapse, an RTT spike, seeded mid-flight failures, a cancel
+  // in warmup, a cancel of an active transfer and a completion callback
+  // that starts a new transfer. Every settle is pinned in firing order, so
+  // a change that reorders the table (consistently across runs) shows.
+  sim::Simulator simulator;
+  net::FaultPlan faults;
+  faults.outages.push_back({.start_s = 0.6, .duration_s = 0.1});
+  faults.capacity_collapses.push_back(
+      {.start_s = 1.0, .duration_s = 0.3, .factor = 0.25});
+  faults.rtt_spikes.push_back({.start_s = 1.5, .duration_s = 0.4, .factor = 3.0});
+  faults.transfer_failure_prob = 0.3;
+  faults.seed = 7;
+  net::Link link(
+      simulator,
+      net::LinkConfig{.bandwidth = net::BandwidthTrace::steps(
+                          {{0.0, 20'000.0}, {0.4, 35'000.0}, {1.2, 12'000.0}}),
+                      .rtt = sim::milliseconds(30),
+                      .loss_rate = 0.001,
+                      .faults = std::move(faults)});
+  using Settle = std::tuple<net::FetchId, int, std::int64_t, std::int64_t>;
+  std::vector<Settle> settles;
+  std::function<net::FetchId(std::int64_t, double, bool)> start;
+  start = [&](std::int64_t bytes, double weight, bool chain) {
+    auto id = std::make_shared<net::FetchId>(0);
+    *id = link.start_transfer(
+        bytes,
+        [&, id, chain](const net::TransferResult& r) {
+          settles.emplace_back(*id, static_cast<int>(r.status), r.time.count(),
+                               r.bytes_delivered);
+          if (chain) start(90'000, 2.0, false);
+        },
+        weight);
+    return *id;
+  };
+  const auto at = [&](double t_s, std::function<void()> action) {
+    simulator.schedule_at(sim::seconds(t_s), std::move(action));
+  };
+  at(0.0, [&] {
+    start(300'000, 1.0, true);
+    start(500'000, 2.0, false);
+    start(200'000, 4.0, true);
+    start(700'000, 1.0, false);
+  });
+  at(0.45, [&] { start(800'000, 1.0, false); });  // active at 0.6
+  at(0.5, [&] { start(600'000, 2.0, false); });   // active at 0.6
+  at(0.58, [&] { start(400'000, 1.0, false); });  // still in warmup at 0.6
+  at(0.65, [&] { start(100'000, 1.0, false); });  // handshake into the outage
+  net::FetchId warm_cancel = 0;
+  net::FetchId active_cancel = 0;
+  at(0.8, [&] {
+    start(250'000, 1.0, true);
+    warm_cancel = start(600'000, 2.0, false);
+    active_cancel = start(900'000, 1.0, false);
+    start(350'000, 4.0, false);
+  });
+  at(0.81, [&] { EXPECT_TRUE(link.cancel(warm_cancel)); });
+  at(0.9, [&] { EXPECT_TRUE(link.cancel(active_cancel)); });
+  at(1.1, [&] {
+    start(450'000, 1.0, true);
+    start(150'000, 2.0, false);
+  });
+  at(1.6, [&] {
+    start(500'000, 1.0, false);
+    start(80'000, 4.0, true);
+  });
+  simulator.run_until(sim::seconds(10.0));
+  // (id, status: 0 completed / 1 failed / 2 cancelled, time in us, bytes)
+  const std::vector<Settle> expected{
+      {3, 1, 166436, 170545},   {4, 1, 216410, 69709},    {5, 0, 289765, 90000},
+      {1, 0, 454194, 300000},   {2, 0, 455127, 500000},   {7, 1, 517562, 62650},
+      {6, 1, 600000, 225305},   {8, 1, 600000, 131428},   {9, 1, 600000, 0},
+      {10, 1, 680000, 0},       {12, 2, 810000, 0},       {13, 2, 900000, 87411},
+      {11, 0, 986597, 250000},  {14, 0, 1033964, 350000}, {15, 0, 1110461, 90000},
+      {17, 1, 1315234, 91276},  {16, 0, 1708994, 450000}, {19, 1, 1710620, 12905},
+      {18, 1, 1766752, 44450},  {20, 1, 1853697, 34236},  {21, 0, 1918536, 90000},
+  };
+  EXPECT_EQ(settles, expected);
+  EXPECT_EQ(link.bytes_delivered(), 3'049'915);
 }
 
 TEST(PlanEquivalence, PlanChunkIntoMatchesPlanChunkAcrossWorkspaceReuse) {
