@@ -9,6 +9,32 @@
 #include "util/math.h"
 
 namespace sperke::geo {
+namespace {
+
+// Solid-angle sample lattice: stratified in longitude and in sin(latitude)
+// (equal-area bands), so each sample stands for the same solid angle.
+constexpr int kLonSamples = 256;
+constexpr int kLatSamples = 128;
+
+double sample_lon_deg(int i) { return (i + 0.5) / kLonSamples * 360.0 - 180.0; }
+
+double sample_lat_deg(int j) {
+  const double z = (j + 0.5) / kLatSamples * 2.0 - 1.0;  // sin(lat)
+  return rad_to_deg(std::asin(z));
+}
+
+// Per-axis sample coordinates closer than this to a tile boundary send the
+// solid-angle table back to the per-sample loop. The loop's direction
+// round trip moves a coordinate by a few ulps only, so any coordinate
+// farther out lands in the same tile on both paths.
+constexpr double kSampleEdgeEps = 1e-9;
+
+bool near_boundary(double x, int tiles) {
+  const double k = std::round(x * tiles);
+  return std::abs(x - k / tiles) < kSampleEdgeEps;
+}
+
+}  // namespace
 
 TileGeometry::TileGeometry(std::shared_ptr<const Projection> projection,
                            TileGrid grid, int samples_per_axis)
@@ -41,19 +67,16 @@ TileGeometry::TileGeometry(std::shared_ptr<const Projection> projection,
     edge_planes_.insert(edge_planes_.end(), col_pos_.begin(), col_pos_.end());
   }
 
-  // Precompute per-tile solid angle by sampling the sphere uniformly:
-  // stratified in longitude and in sin(latitude) (equal-area bands).
-  const int kLonSamples = 256;
-  const int kLatSamples = 128;
+  // Per-tile solid angle: the share of the sample lattice in each tile.
   solid_angle_.assign(static_cast<std::size_t>(grid_.tile_count()), 0.0);
-  for (int i = 0; i < kLonSamples; ++i) {
-    const double lon = (i + 0.5) / kLonSamples * 360.0 - 180.0;
-    for (int j = 0; j < kLatSamples; ++j) {
-      const double z = (j + 0.5) / kLatSamples * 2.0 - 1.0;  // sin(lat)
-      const double lat = rad_to_deg(std::asin(z));
-      const Vec3 dir = direction_from_lonlat(lon, lat);
-      const TileId id = grid_.tile_at(projection_->uv_from_direction(dir));
-      solid_angle_[static_cast<std::size_t>(id)] += 1.0;
+  if (!equirect_fast_ || !count_equirect_samples()) {
+    for (int i = 0; i < kLonSamples; ++i) {
+      const double lon = sample_lon_deg(i);
+      for (int j = 0; j < kLatSamples; ++j) {
+        const Vec3 dir = direction_from_lonlat(lon, sample_lat_deg(j));
+        const TileId id = grid_.tile_at(projection_->uv_from_direction(dir));
+        solid_angle_[static_cast<std::size_t>(id)] += 1.0;
+      }
     }
   }
   const double total = kLonSamples * static_cast<double>(kLatSamples);
@@ -63,6 +86,34 @@ TileGeometry::TileGeometry(std::shared_ptr<const Projection> projection,
   for (TileId id = 0; id < grid_.tile_count(); ++id) {
     tile_centers_.push_back(projection_->direction_from_uv(grid_.tile_center(id)));
   }
+}
+
+bool TileGeometry::count_equirect_samples() {
+  // An equirect tile is a lon x lat box, so a sample's column depends on
+  // its longitude only and its row on its latitude only: the per-tile
+  // sample count is the product of per-axis counts (small integers, so the
+  // product is exact), and no trig runs per sample pair.
+  const int cols = grid_.cols();
+  const int rows = grid_.rows();
+  std::vector<double> per_col(static_cast<std::size_t>(cols), 0.0);
+  std::vector<double> per_row(static_cast<std::size_t>(rows), 0.0);
+  for (int i = 0; i < kLonSamples; ++i) {
+    const double u = (sample_lon_deg(i) + 180.0) / 360.0;
+    if (near_boundary(u, cols)) return false;
+    per_col[static_cast<std::size_t>(grid_.tile_at({u, 0.0}))] += 1.0;  // row 0
+  }
+  for (int j = 0; j < kLatSamples; ++j) {
+    const double v = (90.0 - sample_lat_deg(j)) / 180.0;
+    if (near_boundary(v, rows)) return false;
+    per_row[static_cast<std::size_t>(grid_.tile_at({0.0, v}) / cols)] += 1.0;
+  }
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      solid_angle_[static_cast<std::size_t>(r * cols + c)] =
+          per_row[static_cast<std::size_t>(r)] * per_col[static_cast<std::size_t>(c)];
+    }
+  }
+  return true;
 }
 
 TileId TileGeometry::classify_equirect(const Vec3& d) const {

@@ -84,7 +84,8 @@ class TileGeometry {
                  Scratch& scratch) const;
 
   // Fraction of the sphere's solid angle covered by each tile (sums to ~1).
-  // Precomputed by uniform-on-sphere sampling at construction.
+  // Precomputed by uniform-on-sphere sampling at construction; for the
+  // equirect projection from per-axis sample counts (DESIGN.md §8).
   [[nodiscard]] const std::vector<double>& solid_angle_fractions() const {
     return solid_angle_;
   }
@@ -95,6 +96,11 @@ class TileGeometry {
   [[nodiscard]] const std::vector<Vec3>& tile_centers() const { return tile_centers_; }
 
  private:
+  // Fills solid_angle_ with equirect sample counts from per-axis counts;
+  // false (nothing written) when a sample coordinate lies too close to a
+  // tile boundary for the per-axis value to be trusted over the per-sample
+  // direction round trip.
+  [[nodiscard]] bool count_equirect_samples();
   [[nodiscard]] TileId classify_equirect(const Vec3& dir) const;
   [[nodiscard]] TileId classify(const Vec3& dir) const;
   // Equirect tile of a direction (any length) farther than the crossing

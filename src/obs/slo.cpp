@@ -68,42 +68,51 @@ SloEvaluator::SloEvaluator(std::vector<SloSpec> specs,
   }
 }
 
-double SloEvaluator::signal_at(const SloSpec& spec,
+const TimeSeries* SloEvaluator::series_for(std::size_t s) {
+  State& state = states_[s];
+  if (state.series == kUnbound) {
+    const TimeSeries* found = store_.find(specs_[s].metric);
+    if (found == nullptr) return nullptr;
+    state.series = static_cast<std::size_t>(found - store_.series().data());
+  }
+  const TimeSeries& series = store_.series()[state.series];
+  SPERKE_DCHECK(series.name == specs_[s].metric, "SLO '", specs_[s].name,
+                "' bound to series '", series.name, "'");
+  return &series;
+}
+
+double SloEvaluator::signal_at(const SloSpec& spec, const TimeSeries& series,
                                std::size_t interval) const {
-  const TimeSeries* series = store_.find(spec.metric);
-  // A metric that never registered reads as zero activity — an SLO can
-  // watch an instrument the workload only creates under load.
-  if (series == nullptr) return 0.0;
   const auto window = static_cast<std::size_t>(spec.window_intervals);
   const std::size_t first = interval + 1 >= window ? interval + 1 - window : 0;
   const std::size_t spanned = interval - first + 1;
   switch (spec.signal) {
     case SloSignal::kCounterRate: {
-      if (series->kind != MetricKind::kCounter) {
+      if (series.kind != MetricKind::kCounter) {
         throw std::invalid_argument("SloSpec '" + spec.name + "': metric '" +
                                     spec.metric + "' is not a counter");
       }
       std::int64_t total = 0;
       for (std::size_t i = first; i <= interval; ++i) {
-        total += series->counter_deltas[i];
+        total += series.counter_deltas[i];
       }
       const double elapsed_s =
           sim::to_seconds(store_.period()) * static_cast<double>(spanned);
       return static_cast<double>(total) / elapsed_s;
     }
     case SloSignal::kGaugeValue: {
-      if (series->kind != MetricKind::kGauge) {
+      if (series.kind != MetricKind::kGauge) {
         throw std::invalid_argument("SloSpec '" + spec.name + "': metric '" +
                                     spec.metric + "' is not a gauge");
       }
       double total = 0.0;
       for (std::size_t i = first; i <= interval; ++i) {
-        total += series->gauge_samples[i];
+        total += series.gauge_samples[i];
       }
       return total / static_cast<double>(spanned);
     }
     case SloSignal::kHistogramQuantile:
-      return series_window_quantile_bound(*series, first, interval,
+      return series_window_quantile_bound(series, first, interval,
                                           spec.quantile);
   }
   return 0.0;
@@ -114,7 +123,10 @@ void SloEvaluator::evaluate() {
     for (std::size_t s = 0; s < specs_.size(); ++s) {
       const SloSpec& spec = specs_[s];
       State& state = states_[s];
-      const double signal = signal_at(spec, i);
+      // A metric that never registered reads as zero activity — an SLO can
+      // watch an instrument the workload only creates under load.
+      const TimeSeries* series = series_for(s);
+      const double signal = series == nullptr ? 0.0 : signal_at(spec, *series, i);
       const bool breached = signal > spec.threshold;
       ++state.evaluated;
       state.last_signal = signal;

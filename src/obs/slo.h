@@ -76,13 +76,18 @@ class SloEvaluator {
   [[nodiscard]] std::vector<SloStatus> status() const;
 
  private:
-  [[nodiscard]] double signal_at(const SloSpec& spec,
+  // The series spec `s` reads, or nullptr while its metric has not
+  // registered; the index is looked up by name once and then kept (store
+  // series are append-only).
+  [[nodiscard]] const TimeSeries* series_for(std::size_t s);
+  [[nodiscard]] double signal_at(const SloSpec& spec, const TimeSeries& series,
                                  std::size_t interval) const;
 
   std::vector<SloSpec> specs_;
   const TimeSeriesStore& store_;
   Telemetry& telemetry_;
 
+  static constexpr std::size_t kUnbound = static_cast<std::size_t>(-1);
   struct State {
     Counter* budget = nullptr;
     bool breached = false;
@@ -90,6 +95,7 @@ class SloEvaluator {
     std::int64_t breached_intervals = 0;
     std::int64_t breach_events = 0;
     double last_signal = 0.0;
+    std::size_t series = kUnbound;  // index into store_.series()
   };
   std::vector<State> states_;      // parallel to specs_
   std::size_t next_interval_ = 0;  // first store interval not yet evaluated

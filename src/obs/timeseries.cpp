@@ -65,28 +65,28 @@ const TimeSeries* TimeSeriesStore::find(std::string_view name) const {
   return it == index_.end() ? nullptr : &series_[it->second];
 }
 
-TimeSeries& TimeSeriesStore::resolve(const TimeSeries& like) {
-  const auto it = index_.find(like.name);
+std::size_t TimeSeriesStore::resolve(std::string_view name, MetricKind kind,
+                                     const std::vector<double>& upper_bounds) {
+  const auto it = index_.find(name);
   if (it != index_.end()) {
-    TimeSeries& mine = series_[it->second];
-    if (mine.kind != like.kind) {
+    const TimeSeries& mine = series_[it->second];
+    if (mine.kind != kind) {
       throw std::invalid_argument("TimeSeriesStore: '" + mine.name +
                                   "' already tracked as " +
                                   std::string(metric_kind_name(mine.kind)));
     }
-    if (mine.kind == MetricKind::kHistogram &&
-        mine.upper_bounds != like.upper_bounds) {
+    if (mine.kind == MetricKind::kHistogram && mine.upper_bounds != upper_bounds) {
       throw std::invalid_argument("TimeSeriesStore: '" + mine.name +
                                   "' bucket layout mismatch");
     }
-    return mine;
+    return it->second;
   }
   // First appearance: zero-pad history back to interval 0 so every series
   // always spans the full run.
   TimeSeries fresh;
-  fresh.name = like.name;
-  fresh.kind = like.kind;
-  fresh.upper_bounds = like.upper_bounds;
+  fresh.name = name;
+  fresh.kind = kind;
+  fresh.upper_bounds = upper_bounds;
   switch (fresh.kind) {
     case MetricKind::kCounter:
       fresh.counter_deltas.assign(intervals_, 0);
@@ -101,24 +101,34 @@ TimeSeries& TimeSeriesStore::resolve(const TimeSeries& like) {
       fresh.sum_deltas.assign(intervals_, 0.0);
       break;
   }
-  index_.emplace(fresh.name, series_.size());
+  const std::size_t index = series_.size();
+  index_.emplace(fresh.name, index);
   series_.push_back(std::move(fresh));
   last_.emplace_back();
-  return series_.back();
+  return index;
 }
 
 void TimeSeriesStore::sample(const MetricsRegistry& registry) {
   SPERKE_CHECK(period_ > sim::Duration{0},
                "TimeSeriesStore: sample() on an inactive store");
-  for (const MetricsRegistry::Entry& entry : registry.entries()) {
-    TimeSeries like;
-    like.name = entry.name;
-    like.kind = entry.kind;
-    if (entry.kind == MetricKind::kHistogram) {
-      like.upper_bounds = entry.histogram->upper_bounds();
+  const std::vector<MetricsRegistry::Entry>& entries = registry.entries();
+  if (&registry != bound_registry_ || entries.size() < bound_.size()) {
+    bound_registry_ = &registry;
+    bound_.clear();
+  }
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    const MetricsRegistry::Entry& entry = entries[e];
+    if (e == bound_.size()) {
+      bound_.push_back(resolve(entry.name, entry.kind,
+                               entry.kind == MetricKind::kHistogram
+                                   ? entry.histogram->upper_bounds()
+                                   : std::vector<double>{}));
     }
-    TimeSeries& mine = resolve(like);
-    Cumulative& prev = last_[index_.find(entry.name)->second];
+    const std::size_t index = bound_[e];
+    TimeSeries& mine = series_[index];
+    SPERKE_DCHECK(mine.name == entry.name, "registry entry '", entry.name,
+                  "' bound to series '", mine.name, "'");
+    Cumulative& prev = last_[index];
     switch (entry.kind) {
       case MetricKind::kCounter: {
         const std::int64_t now = entry.counter->value();
@@ -135,8 +145,13 @@ void TimeSeriesStore::sample(const MetricsRegistry& registry) {
         const Histogram& hist = *entry.histogram;
         const std::vector<std::int64_t>& counts = hist.bucket_counts();
         if (prev.buckets.empty()) prev.buckets.assign(counts.size(), 0);
+        // One resize per interval, then a plain loop: cheaper than a
+        // capacity check per bucket.
+        const std::size_t at = mine.bucket_deltas.size();
+        mine.bucket_deltas.resize(at + counts.size());
+        std::int64_t* deltas = mine.bucket_deltas.data() + at;
         for (std::size_t b = 0; b < counts.size(); ++b) {
-          mine.bucket_deltas.push_back(counts[b] - prev.buckets[b]);
+          deltas[b] = counts[b] - prev.buckets[b];
           prev.buckets[b] = counts[b];
         }
         mine.count_deltas.push_back(hist.count() - prev.count);
@@ -166,10 +181,14 @@ void TimeSeriesStore::sample(const MetricsRegistry& registry) {
 void TimeSeriesStore::merge_from(const TimeSeriesStore& other) {
   SPERKE_CHECK(&other != this, "TimeSeriesStore: merge_from(self)");
   if (other.period_ <= sim::Duration{0} && other.series_.empty()) return;
-  if (period_ <= sim::Duration{0} && series_.empty()) {
-    *this = other;  // inactive store adopts the first shard wholesale
-    return;
-  }
+  // An inactive store adopts the first shard wholesale.
+  const bool adopt = period_ <= sim::Duration{0} && series_.empty();
+  if (adopt) *this = other;
+  // Either way the next sample rebinds from scratch; an adopted binding
+  // would name other's registry.
+  bound_registry_ = nullptr;
+  bound_.clear();
+  if (adopt) return;
   if (period_ != other.period_) {
     throw std::invalid_argument("TimeSeriesStore: period mismatch in merge");
   }
@@ -178,7 +197,8 @@ void TimeSeriesStore::merge_from(const TimeSeriesStore& other) {
         "TimeSeriesStore: interval count mismatch in merge");
   }
   for (const TimeSeries& theirs : other.series_) {
-    TimeSeries& mine = resolve(theirs);  // appends zero-padded when absent
+    // Appends zero-padded when absent.
+    TimeSeries& mine = series_[resolve(theirs.name, theirs.kind, theirs.upper_bounds)];
     switch (theirs.kind) {
       case MetricKind::kCounter:
         for (std::size_t i = 0; i < intervals_; ++i) {

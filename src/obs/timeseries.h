@@ -81,7 +81,9 @@ class TimeSeriesStore {
 
   // Close one interval: walk `registry` in registration order, record each
   // instrument's delta (counter/histogram) or sample (gauge) since the
-  // previous call, zero-padding instruments seen for the first time.
+  // previous call, zero-padding instruments seen for the first time. Each
+  // registry entry is matched to its series by name once, when first seen;
+  // later samples of the same registry reuse that binding.
   void sample(const MetricsRegistry& registry);
 
   // Fold another store in (shard merge, shard-id order). An inactive store
@@ -98,13 +100,26 @@ class TimeSeriesStore {
     double sum = 0.0;
   };
 
-  TimeSeries& resolve(const TimeSeries& like);
+  // Index of the series named `name`, appended zero-padded on first
+  // appearance; throws when the kind or histogram bounds disagree.
+  std::size_t resolve(std::string_view name, MetricKind kind,
+                      const std::vector<double>& upper_bounds);
 
   sim::Duration period_{0};
   std::size_t intervals_ = 0;
   std::vector<TimeSeries> series_;
   std::vector<Cumulative> last_;  // parallel to series_
   std::map<std::string, std::size_t, std::less<>> index_;
+
+  // Series index per entry position of bound_registry_. Registry entries
+  // are append-only, so only positions past bound_.size() go through
+  // resolve(); sampling another registry, or merging, rebinds from scratch.
+  // The binding is keyed by the registry's address: a registry built where
+  // the last sampled one was destroyed would inherit its binding, so do not
+  // sample a new registry through a store whose last registry is gone (the
+  // check preset asserts that each bound series carries its entry's name).
+  const MetricsRegistry* bound_registry_ = nullptr;
+  std::vector<std::size_t> bound_;
 };
 
 }  // namespace sperke::obs

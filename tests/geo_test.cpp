@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "geo/orientation.h"
 #include "geo/projection.h"
 #include "geo/tile_grid.h"
 #include "geo/visibility.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace sperke::geo {
@@ -214,6 +218,83 @@ TEST_F(TileGeometryTest, SolidAnglesSumToOne) {
     EXPECT_NEAR(sum, 1.0, 1e-9) << proj;
     for (double f : w) EXPECT_GT(f, 0.0) << proj;
   }
+}
+
+// The solid-angle table as first written: 256 x 128 directions, each
+// classified through the projection. TileGeometry must reproduce it bit
+// for bit however it computes the table.
+std::vector<double> per_sample_solid_angles(const Projection& projection,
+                                            const TileGrid& grid) {
+  const int lon_samples = 256;
+  const int lat_samples = 128;
+  std::vector<double> out(static_cast<std::size_t>(grid.tile_count()), 0.0);
+  for (int i = 0; i < lon_samples; ++i) {
+    const double lon = (i + 0.5) / lon_samples * 360.0 - 180.0;
+    for (int j = 0; j < lat_samples; ++j) {
+      const double z = (j + 0.5) / lat_samples * 2.0 - 1.0;
+      const double lat = rad_to_deg(std::asin(z));
+      const TileId id =
+          grid.tile_at(projection.uv_from_direction(direction_from_lonlat(lon, lat)));
+      out[static_cast<std::size_t>(id)] += 1.0;
+    }
+  }
+  const double total = lon_samples * static_cast<double>(lat_samples);
+  for (double& f : out) f /= total;
+  return out;
+}
+
+void expect_bitwise_per_sample(const char* proj, int rows, int cols) {
+  const TileGeometry tg(make_projection(proj), TileGrid(rows, cols));
+  const std::vector<double> want = per_sample_solid_angles(tg.projection(), tg.grid());
+  const std::vector<double>& got = tg.solid_angle_fractions();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+      << proj << " " << rows << "x" << cols;
+}
+
+TEST_F(TileGeometryTest, SolidAnglesBitIdenticalToPerSampleLoop) {
+  for (int rows = 1; rows <= 24; ++rows) {
+    for (int cols = 1; cols <= 24; ++cols) {
+      expect_bitwise_per_sample("equirectangular", rows, cols);
+    }
+  }
+  for (const char* proj : {"cubemap", "offset-cubemap"}) {
+    for (const auto& [rows, cols] : {std::pair{2, 3}, std::pair{4, 6}, std::pair{6, 9},
+                                     std::pair{8, 12}, std::pair{5, 7}}) {
+      expect_bitwise_per_sample(proj, rows, cols);
+    }
+  }
+}
+
+TEST_F(TileGeometryTest, SolidAnglesFallBackNearSampleOnBoundary) {
+  // With 512 columns every longitude sample (2i + 1)/512 sits on a column
+  // boundary, where the direction round trip's last ulps pick the column:
+  // only the per-sample loop reproduces them.
+  expect_bitwise_per_sample("equirectangular", 1, 512);
+  expect_bitwise_per_sample("equirectangular", 4, 512);
+}
+
+TEST_F(TileGeometryTest, SolidAnglesPinned) {
+  // Sample counts out of 256 x 128, captured from the per-sample loop.
+  const auto expect_counts = [](const TileGeometry& tg, const std::vector<int>& counts) {
+    const std::vector<double>& got = tg.solid_angle_fractions();
+    ASSERT_EQ(got.size(), counts.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], counts[i] / 32768.0) << "tile " << i;
+    }
+  };
+  expect_counts(make("equirectangular", 4, 6),
+                {817,  798,  817,  817,  798,  817,  1935, 1890, 1935, 1935, 1890, 1935,
+                 1935, 1890, 1935, 1935, 1890, 1935, 817,  798,  817,  817,  798,  817});
+  expect_counts(make("equirectangular", 8, 12),
+                {105, 110, 105, 105, 110, 105, 105, 110, 105, 105, 110, 105,
+                 294, 308, 294, 294, 308, 294, 294, 308, 294, 294, 308, 294,
+                 441, 462, 441, 441, 462, 441, 441, 462, 441, 441, 462, 441,
+                 504, 528, 504, 504, 528, 504, 504, 528, 504, 504, 528, 504,
+                 504, 528, 504, 504, 528, 504, 504, 528, 504, 504, 528, 504,
+                 441, 462, 441, 441, 462, 441, 441, 462, 441, 441, 462, 441,
+                 294, 308, 294, 294, 308, 294, 294, 308, 294, 294, 308, 294,
+                 105, 110, 105, 105, 110, 105, 105, 110, 105, 105, 110, 105});
 }
 
 TEST_F(TileGeometryTest, EquirectPoleTilesHaveSmallerSolidAngle) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -351,6 +352,53 @@ TEST_F(LinkTest, FaultPlanValidation) {
   EXPECT_THROW(validate(bad), std::invalid_argument);
   LinkConfig cfg;
   cfg.faults.outages = {{.start_s = 0.0, .duration_s = 0.0}};
+  EXPECT_THROW(Link(simulator, cfg), std::invalid_argument);
+}
+
+// Every value below once passed validate() and reached a float-to-int64
+// cast in sim::seconds: the window boundaries in Link's constructor, a NaN
+// capacity factor through the wake-up timer, an infinite RTT factor
+// through rtt().
+TEST(FaultPlanValidate, RejectsNonFiniteAndOversizedWindows) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const FaultWindow bad_window :
+       {FaultWindow{.start_s = nan, .duration_s = 1.0},
+        FaultWindow{.start_s = inf, .duration_s = 1.0},
+        FaultWindow{.start_s = 1e300, .duration_s = 1.0},
+        FaultWindow{.start_s = 0.0, .duration_s = nan},
+        FaultWindow{.start_s = 0.0, .duration_s = inf},
+        FaultWindow{.start_s = 1.0, .duration_s = 1e300},
+        FaultWindow{.start_s = 9.1e12, .duration_s = 1e11}}) {
+    FaultPlan plan;
+    plan.outages = {bad_window};
+    EXPECT_THROW(validate(plan), std::invalid_argument)
+        << bad_window.start_s << " + " << bad_window.duration_s;
+    plan = {};
+    plan.rtt_spikes = {bad_window};
+    EXPECT_THROW(validate(plan), std::invalid_argument);
+  }
+  FaultPlan plan;
+  plan.capacity_collapses = {{.start_s = 0.0, .duration_s = 1.0, .factor = nan}};
+  EXPECT_THROW(validate(plan), std::invalid_argument);
+  for (const double factor : {nan, inf}) {
+    plan = {};
+    plan.rtt_spikes = {{.start_s = 0.0, .duration_s = 1.0, .factor = factor}};
+    EXPECT_THROW(validate(plan), std::invalid_argument);
+  }
+  plan = {};
+  plan.transfer_failure_prob = nan;
+  EXPECT_THROW(validate(plan), std::invalid_argument);
+
+  // The largest windows the clock holds stay legal.
+  plan = {};
+  plan.outages = {{.start_s = 9.0e12, .duration_s = 1.0e11}};
+  plan.rtt_spikes = {{.start_s = 0.0, .duration_s = 1.0, .factor = 1e6}};
+  EXPECT_NO_THROW(validate(plan));
+
+  sim::Simulator simulator;
+  LinkConfig cfg;
+  cfg.faults.outages = {{.start_s = nan, .duration_s = 1.0}};
   EXPECT_THROW(Link(simulator, cfg), std::invalid_argument);
 }
 

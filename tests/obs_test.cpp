@@ -483,6 +483,79 @@ TEST(TimeSeriesTest, MergeAddsElementwiseAndValidatesShape) {
   EXPECT_THROW(a.merge_from(b), std::invalid_argument);
 }
 
+TEST(TimeSeriesTest, BindingFollowsRegistryGrowthAndSwitch) {
+  using I = std::vector<std::int64_t>;
+  using D = std::vector<double>;
+  const auto names = [](const obs::TimeSeriesStore& store) {
+    std::vector<std::string> out;
+    for (const obs::TimeSeries& s : store.series()) out.push_back(s.name);
+    return out;
+  };
+  obs::MetricsRegistry reg;
+  obs::TimeSeriesStore store(sim::seconds(1.0));
+  obs::Counter& a = reg.counter("a");
+  a.add(2);
+  store.sample(reg);  // interval 0
+
+  // A histogram and a counter register between samples.
+  obs::Histogram& h = reg.histogram("h", {1.0});
+  obs::Counter& b = reg.counter("b");
+  a.add(1);
+  b.add(4);
+  h.observe(0.5);
+  h.observe(3.0);
+  store.sample(reg);  // interval 1
+  a.add(5);
+  h.observe(2.0);
+  store.sample(reg);  // interval 2
+
+  // The same names registered in another order: each entry still finds its
+  // series by name, and deltas continue from the series' last cumulative.
+  obs::MetricsRegistry other;
+  other.counter("b").add(6);
+  obs::Histogram& h2 = other.histogram("h", {1.0});
+  other.counter("a").add(10);
+  for (const double x : {0.25, 0.75, 2.0, 2.0, 2.0}) h2.observe(x);
+  store.sample(other);  // interval 3
+
+  // Back to the first registry.
+  a.add(4);
+  b.add(3);
+  for (const double x : {0.5, 4.0, 4.0}) h.observe(x);
+  store.sample(reg);  // interval 4
+
+  ASSERT_EQ(store.intervals(), 5u);
+  EXPECT_EQ(names(store), (std::vector<std::string>{"a", "h", "b"}));
+  EXPECT_EQ(store.find("a")->counter_deltas, (I{2, 1, 5, 2, 2}));
+  EXPECT_EQ(store.find("b")->counter_deltas, (I{0, 4, 0, 2, 1}));
+  const obs::TimeSeries* hs = store.find("h");
+  EXPECT_EQ(hs->bucket_deltas, (I{0, 0, 1, 1, 0, 1, 1, 1, 0, 1}));
+  EXPECT_EQ(hs->count_deltas, (I{0, 2, 1, 2, 1}));
+  EXPECT_EQ(hs->sum_deltas, (D{0.0, 3.5, 2.0, 1.5, 7.0}));
+
+  // A store adopted through merge_from keeps sampling where the original
+  // left off, and a gauge registered after the adoption zero-pads.
+  obs::TimeSeriesStore adopted;
+  adopted.merge_from(store);
+  a.add(1);
+  reg.gauge("g").set(1.5);
+  h.observe(0.5);
+  adopted.sample(reg);  // interval 5
+
+  ASSERT_EQ(adopted.intervals(), 6u);
+  EXPECT_EQ(names(adopted), (std::vector<std::string>{"a", "h", "b", "g"}));
+  EXPECT_EQ(adopted.find("a")->counter_deltas, (I{2, 1, 5, 2, 2, 1}));
+  EXPECT_EQ(adopted.find("b")->counter_deltas, (I{0, 4, 0, 2, 1, 0}));
+  EXPECT_EQ(adopted.find("g")->gauge_samples, (D{0.0, 0.0, 0.0, 0.0, 0.0, 1.5}));
+  const obs::TimeSeries* ha = adopted.find("h");
+  EXPECT_EQ(ha->bucket_deltas, (I{0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0}));
+  EXPECT_EQ(ha->count_deltas, (I{0, 2, 1, 2, 1, 1}));
+  EXPECT_EQ(ha->sum_deltas, (D{0.0, 3.5, 2.0, 1.5, 7.0, 0.5}));
+  // The original store is untouched by its copy's sample.
+  EXPECT_EQ(store.intervals(), 5u);
+  EXPECT_EQ(store.find("g"), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // SLO evaluation.
 // ---------------------------------------------------------------------------
@@ -586,6 +659,36 @@ TEST(SloTest, CounterRateAndQuantileSignals) {
   EXPECT_DOUBLE_EQ(status[0].last_signal, 5.0);
   EXPECT_TRUE(status[1].breached_at_end);
   EXPECT_TRUE(std::isinf(status[1].last_signal));
+}
+
+TEST(SloTest, LateMetricReadsZeroUntilItRegisters) {
+  obs::Telemetry telemetry;
+  obs::TimeSeriesStore store(sim::seconds(1.0));
+  obs::SloEvaluator evaluator(
+      {{.name = "late", .metric = "late.level",
+        .signal = obs::SloSignal::kGaugeValue, .threshold = 1.0,
+        .window_intervals = 1}},
+      store, telemetry);
+  telemetry.metrics().counter("early").add(1);
+  for (int i = 0; i < 2; ++i) {
+    store.sample(telemetry.metrics());
+    evaluator.evaluate();
+    EXPECT_FALSE(evaluator.status()[0].breached_at_end);
+    EXPECT_EQ(evaluator.status()[0].last_signal, 0.0);
+  }
+  obs::Gauge& level = telemetry.metrics().gauge("late.level");
+  level.set(2.0);
+  store.sample(telemetry.metrics());
+  evaluator.evaluate();
+  EXPECT_TRUE(evaluator.status()[0].breached_at_end);
+  EXPECT_EQ(evaluator.status()[0].last_signal, 2.0);
+  level.set(0.5);
+  store.sample(telemetry.metrics());
+  evaluator.evaluate();
+  EXPECT_FALSE(evaluator.status()[0].breached_at_end);
+  EXPECT_EQ(evaluator.status()[0].last_signal, 0.5);
+  EXPECT_EQ(evaluator.status()[0].evaluated_intervals, 4);
+  EXPECT_EQ(evaluator.status()[0].breached_intervals, 1);
 }
 
 TEST(SloTest, MergeStatusSumsAcrossShardsAndRequiresSameSpecs) {
