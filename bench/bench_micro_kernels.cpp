@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the streaming
-// stack: FoV visibility sampling, fusion probability maps, VRA planning,
-// and the fluid link's reflow under concurrent transfers. These guard
-// against performance regressions — the client-side logic must stay far
-// cheaper than the 4-10 ms frame budget it models.
+// stack: FoV visibility sampling, fusion probability maps, VRA and knapsack
+// planning, and the fluid link's reflow under concurrent transfers. These
+// guard against performance regressions — the client-side logic must stay
+// far cheaper than the 4-10 ms frame budget it models.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -80,6 +80,36 @@ void BM_PlanChunk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanChunk);
+
+void BM_KnapsackPlan(benchmark::State& state) {
+  // The knapsack greedy on a non-uniform map: the visible tiles dominate
+  // and the rest spread over 0.002..0.014, some below the 0.005 entry
+  // floor. The budget leaves part of the ladder unreachable.
+  media::VideoModelConfig cfg;
+  cfg.duration_s = 30.0;
+  cfg.tile_rows = static_cast<int>(state.range(0));
+  cfg.tile_cols = static_cast<int>(state.range(1));
+  auto video = std::make_shared<media::VideoModel>(cfg);
+  abr::TileAbrConfig config;
+  config.policy = "knapsack";
+  const auto policy = abr::make_policy(video, config);
+  const auto fov =
+      video->geometry().visible_tiles({0.0, 0.0, 0.0}, {100.0, 90.0});
+  std::vector<double> probs(static_cast<std::size_t>(video->tile_count()));
+  for (std::size_t t = 0; t < probs.size(); ++t) {
+    probs[t] = 0.002 * static_cast<double>(1 + t % 7);
+  }
+  for (geo::TileId t : fov) probs[static_cast<std::size_t>(t)] = 0.2;
+  abr::TileAbrPolicy::PlanWorkspace workspace;
+  abr::ChunkPlan plan;
+  for (auto _ : state) {
+    policy->plan_chunk_into(3, fov, probs, 15'000.0, sim::seconds(2.0), 2,
+                            workspace, plan);
+    benchmark::DoNotOptimize(plan.fetches.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KnapsackPlan)->Args({4, 6})->Args({8, 12});
 
 void BM_LinkReflowUnderLoad(benchmark::State& state) {
   // Cost of running a full simulated second with N concurrent transfers

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 namespace sperke::abr {
 namespace {
@@ -54,39 +55,56 @@ void KnapsackVra::plan_into(media::ChunkIndex index,
                                       chunk_s * 1000.0 / 8.0)
           : spent;
 
-  // Greedy on marginal value density. Ties break to the lowest tile id
-  // (strict >, ascending scan) — fully deterministic.
-  while (true) {
-    double best_density = 0.0;
-    geo::TileId best_tile = -1;
-    std::int64_t best_cost = 0;
-    for (geo::TileId t = 0; t < tiles; ++t) {
-      const media::QualityLevel q = quality[static_cast<std::size_t>(t)];
-      if (q >= top) continue;
-      const double p = tile_probabilities[static_cast<std::size_t>(t)];
-      double gain = 0.0;
-      std::int64_t cost = 0;
-      const media::ChunkKey key{t, index};
-      if (q < 0) {
-        if (p < kMinProbability) continue;  // never enters
-        gain = p * (ladder.utility(0) + kEntryUtility);
-        cost = video.avc_size_bytes(0, key);
-      } else {
-        gain = p * (ladder.utility(q + 1) - ladder.utility(q));
-        cost = video.avc_size_bytes(q + 1, key) - video.avc_size_bytes(q, key);
-      }
-      if (cost <= 0) cost = 1;
-      if (spent + cost > budget) continue;  // does not fit
-      const double density = gain / static_cast<double>(cost);
-      if (density > best_density) {
-        best_density = density;
-        best_tile = t;
-        best_cost = cost;
-      }
+  // Greedy on marginal value density, highest first, ties to the lowest
+  // tile id. A max-heap holds each tile's next quality step; only the
+  // upgraded tile's entry changes per step. A step that does not fit the
+  // budget leaves the heap for good: `spent` only grows and the step's
+  // cost only changes when its tile is upgraded, so it would never fit
+  // later either. Steps whose density is not > 0 (zero, negative, NaN)
+  // never enter, so the heap picks exactly the tiles of a strict-> scan
+  // over all tiles in ascending order.
+  using TileStep = PlanWorkspace::TileStep;
+  const auto below = [](const TileStep& a, const TileStep& b) {
+    return a.density < b.density || (a.density == b.density && a.tile > b.tile);
+  };
+  auto& heap = workspace.step_heap;
+  heap.clear();
+  // Tile t's next quality step, or nullopt when it has none worth taking.
+  const auto next_step = [&](geo::TileId t) -> std::optional<TileStep> {
+    const media::QualityLevel q = quality[static_cast<std::size_t>(t)];
+    if (q >= top) return std::nullopt;
+    const double p = tile_probabilities[static_cast<std::size_t>(t)];
+    double gain = 0.0;
+    std::int64_t cost = 0;
+    const media::ChunkKey key{t, index};
+    if (q < 0) {
+      if (p < kMinProbability) return std::nullopt;  // never enters
+      gain = p * (ladder.utility(0) + kEntryUtility);
+      cost = video.avc_size_bytes(0, key);
+    } else {
+      gain = p * (ladder.utility(q + 1) - ladder.utility(q));
+      cost = video.avc_size_bytes(q + 1, key) - video.avc_size_bytes(q, key);
     }
-    if (best_tile < 0) break;
-    ++quality[static_cast<std::size_t>(best_tile)];
-    spent += best_cost;
+    if (cost <= 0) cost = 1;
+    const double density = gain / static_cast<double>(cost);
+    if (!(density > 0.0)) return std::nullopt;
+    return TileStep{density, t, cost};
+  };
+  for (geo::TileId t = 0; t < tiles; ++t) {
+    if (const auto step = next_step(t)) heap.push_back(*step);
+  }
+  std::make_heap(heap.begin(), heap.end(), below);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), below);
+    const TileStep step = heap.back();
+    heap.pop_back();
+    if (spent + step.cost > budget) continue;  // does not fit, now or later
+    ++quality[static_cast<std::size_t>(step.tile)];
+    spent += step.cost;
+    if (const auto next = next_step(step.tile)) {
+      heap.push_back(*next);
+      std::push_heap(heap.begin(), heap.end(), below);
+    }
   }
 
   out.index = index;

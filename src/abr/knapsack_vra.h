@@ -13,6 +13,10 @@
 // drops. The predicted FoV is fetched at the base tier unconditionally
 // (viewport coverage is a hard constraint in the paper), charged against
 // the budget before the greedy runs.
+//
+// Cost: the greedy keeps each tile's next quality step in a max-heap, so
+// one plan is O(T·L·log T) for T tiles and L ladder levels (each step is
+// pushed and popped once), not a scan of all T tiles per step.
 #pragma once
 
 #include <memory>

@@ -39,6 +39,14 @@ class TileAbrPolicy {
     std::vector<char> tile_flag;
     std::vector<geo::TileId> frontier;
     std::vector<geo::TileId> next_frontier;
+    // The knapsack planner's max-heap: one entry per tile, that tile's next
+    // quality step with its value density and marginal bytes.
+    struct TileStep {
+      double density = 0.0;
+      geo::TileId tile = 0;
+      std::int64_t cost = 0;
+    };
+    std::vector<TileStep> step_heap;
   };
 
   struct UpgradeDecision {

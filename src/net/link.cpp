@@ -13,6 +13,25 @@ constexpr double kMathisConstant = 1.22;
 // A transfer is complete when less than half a byte remains (absorbs
 // floating-point drift in the fluid model).
 constexpr double kCompleteEpsilonBytes = 0.5;
+// The largest effective RTT (seconds) that spikes may produce: half the
+// microsecond clock's range, so that now + rtt() still fits for any instant
+// in the other half (about 146 000 years).
+constexpr double kMaxSpikedRttS = 4.6e12;
+
+// The largest product of RTT spike factors in force at one instant. Every
+// factor is >= 1, and every window open at an instant t is also open at the
+// latest start among them, so the maximum is taken at some window's start.
+double max_spike_factor(const std::vector<FaultWindow>& spikes) {
+  double worst = 1.0;
+  for (const FaultWindow& at : spikes) {
+    double factor = 1.0;
+    for (const FaultWindow& w : spikes) {
+      if (w.contains_s(at.start_s)) factor *= w.factor;
+    }
+    worst = std::max(worst, factor);
+  }
+  return worst;
+}
 
 }  // namespace
 
@@ -25,6 +44,12 @@ Link::Link(sim::Simulator& simulator, LinkConfig config)
     throw std::invalid_argument("Link: loss_rate must be in [0,1)");
   }
   validate(config_.faults);
+  const double max_rtt_s = sim::to_seconds(config_.rtt) *
+                           max_spike_factor(config_.faults.rtt_spikes);
+  if (!(max_rtt_s <= kMaxSpikedRttS)) {
+    throw std::invalid_argument(
+        "Link: RTT spikes push the RTT past the clock range");
+  }
   has_faults_ = !config_.faults.empty();
   last_update_ = simulator_.now();
   if (has_faults_) {

@@ -45,6 +45,9 @@ struct LinkConfig {
 
 class Link final : public ChunkSource {
  public:
+  // Throws std::invalid_argument for a negative RTT, a loss rate outside
+  // [0,1), a malformed fault plan, or RTT spikes whose overlapping factors
+  // push the effective RTT past half the clock range.
   Link(sim::Simulator& simulator, LinkConfig config);
   ~Link() override;
   Link(const Link&) = delete;

@@ -16,10 +16,18 @@ void AggregateWindowEstimator::record(sim::Time start, sim::Time end,
   if (end < start || bytes <= 0) return;
   samples_.push_back({start, end, bytes});
   while (samples_.size() > window_) samples_.pop_front();
+  stale_ = true;
 }
 
 double AggregateWindowEstimator::estimate_kbps() const {
-  if (samples_.empty()) return 0.0;
+  if (stale_) {
+    cached_kbps_ = union_kbps();
+    stale_ = false;
+  }
+  return cached_kbps_;
+}
+
+double AggregateWindowEstimator::union_kbps() const {
   // Union of the active intervals (samples arrive ordered by end time, but
   // their starts may interleave arbitrarily).
   std::vector<std::pair<sim::Time, sim::Time>> intervals;

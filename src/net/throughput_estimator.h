@@ -14,6 +14,12 @@ namespace sperke::net {
 // under-read the link by the concurrency factor (each connection only sees
 // its fair share), so this estimator divides the bytes of the last K
 // completed transfers by the union of their active intervals.
+//
+// The estimate is cached lazily: `record` only marks it stale, and the
+// first read after that recomputes the union. Readers outnumber samples in
+// the multipath scheduler (one read per pick), samples outnumber reads in
+// a single-path player (one read per plan), so neither side pays for the
+// other.
 class AggregateWindowEstimator {
  public:
   explicit AggregateWindowEstimator(std::size_t window = 12);
@@ -24,6 +30,10 @@ class AggregateWindowEstimator {
   [[nodiscard]] double estimate_kbps() const;
 
  private:
+  // The estimate from scratch: total bytes over the union of the sampled
+  // intervals. Needs at least one sample, which a stale cache implies.
+  [[nodiscard]] double union_kbps() const;
+
   struct Sample {
     sim::Time start{sim::kTimeZero};
     sim::Time end{sim::kTimeZero};
@@ -31,6 +41,9 @@ class AggregateWindowEstimator {
   };
   std::size_t window_;
   std::deque<Sample> samples_;
+  // union_kbps() as of the last read; valid unless stale_.
+  mutable double cached_kbps_ = 0.0;
+  mutable bool stale_ = false;
 };
 
 }  // namespace sperke::net

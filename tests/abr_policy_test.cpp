@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "abr/factory.h"
 #include "abr/regular_vra.h"
+#include "util/rng.h"
 
 namespace sperke::abr {
 namespace {
@@ -443,6 +447,66 @@ TEST_F(KnapsackTest, PlansAtThePublishedValues) {
   int eligible = 0;
   for (const double p : probs) eligible += p >= 0.005 ? 1 : 0;
   EXPECT_EQ(fetched, eligible);
+}
+
+// The heap planner against the rescanning greedy above, on random maps:
+// 4x6 and 8x12 grids, several chunks, budgets from zero to unbounded, one
+// workspace reused throughout. A flat-complexity video gives every tile of
+// a row the same sizes, so maps drawn from a few values tie exactly on
+// density. The values straddle the 0.005 entry floor and include zero.
+TEST_F(KnapsackTest, HeapPlannerMatchesRescanningGreedy) {
+  constexpr std::array kValues{0.0, 0.004, 0.0049999, 0.005, 0.0050001,
+                               0.02, 0.05, 0.2};
+  TileAbrPolicy::PlanWorkspace workspace;
+  ChunkPlan plan;
+  int plans = 0;
+  for (const auto& [rows, cols] : {std::pair{4, 6}, std::pair{8, 12}}) {
+    for (const double sigma : {0.25, 0.0}) {
+      media::VideoModelConfig cfg;
+      cfg.duration_s = 20.0;
+      cfg.tile_rows = rows;
+      cfg.tile_cols = cols;
+      cfg.complexity_sigma = sigma;
+      cfg.seed = 5;
+      const auto grid_video = std::make_shared<media::VideoModel>(cfg);
+      const KnapsackVra vra(grid_video);
+      const auto tiles = static_cast<std::size_t>(grid_video->tile_count());
+      Rng rng(static_cast<std::uint64_t>(rows * 100 + cols) +
+              (sigma > 0.0 ? 1 : 0));
+      for (const media::ChunkIndex index : {0, 3, 11, 19}) {
+        for (int trial = 0; trial < 20; ++trial) {
+          // Half the maps draw only from kValues (ties); the rest mix in
+          // continuous values.
+          const bool ties = trial % 2 == 0;
+          std::vector<double> probs(tiles);
+          for (double& p : probs) {
+            p = ties || rng.bernoulli(0.5)
+                    ? kValues[static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(kValues.size()) - 1))]
+                    : rng.uniform(0.0, 0.3);
+          }
+          std::vector<geo::TileId> fov;
+          for (std::int64_t n = rng.uniform_int(1, 8); n > 0; --n) {
+            fov.push_back(static_cast<geo::TileId>(
+                rng.uniform_int(0, static_cast<std::int64_t>(tiles) - 1)));
+          }
+          std::sort(fov.begin(), fov.end());
+          fov.erase(std::unique(fov.begin(), fov.end()), fov.end());
+          for (const double kbps : {0.0, 300.0, 1'500.0, 4'000.0, 10'000.0,
+                                    25'000.0, 80'000.0, 1e12}) {
+            vra.plan_chunk_into(index, fov, probs, kbps, sim::seconds(2.0), 0,
+                                workspace, plan);
+            ASSERT_TRUE(same_plan(
+                plan, knapsack_reference(*grid_video, index, fov, probs, kbps)))
+                << rows << "x" << cols << " sigma " << sigma << " chunk "
+                << index << " trial " << trial << " at " << kbps << " kbps";
+            ++plans;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(plans, 2 * 2 * 4 * 20 * 8);
 }
 
 // ---------------------------------------------------------- consistency

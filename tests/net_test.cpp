@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -12,6 +13,7 @@
 #include "net/link.h"
 #include "net/throughput_estimator.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace sperke::net {
 namespace {
@@ -402,6 +404,42 @@ TEST(FaultPlanValidate, RejectsNonFiniteAndOversizedWindows) {
   EXPECT_THROW(Link(simulator, cfg), std::invalid_argument);
 }
 
+// A finite spike factor passes validate(), but the spiked RTT must still
+// fit the microsecond clock with room for now + rtt(). The bound is on the
+// product of the spikes open at one instant.
+TEST_F(LinkTest, RejectsRttSpikesPastTheClockRange) {
+  LinkConfig cfg;
+  cfg.rtt = sim::milliseconds(30);
+  cfg.faults.rtt_spikes = {
+      {.start_s = 0.0, .duration_s = 1.0, .factor = 1e300}};
+  EXPECT_NO_THROW(validate(cfg.faults));
+  EXPECT_THROW(Link(simulator, cfg), std::invalid_argument);
+
+  // Two 1e7 spikes on a 1 s link: 1e7 s each fits, 1e14 s where they
+  // overlap does not.
+  cfg.rtt = sim::seconds(1.0);
+  cfg.faults.rtt_spikes = {{.start_s = 0.0, .duration_s = 2.0, .factor = 1e7},
+                           {.start_s = 2.0, .duration_s = 2.0, .factor = 1e7}};
+  {
+    Link link(simulator, cfg);
+    EXPECT_EQ(link.rtt(), sim::seconds(1e7));
+  }
+  cfg.faults.rtt_spikes[1].start_s = 1.5;
+  EXPECT_THROW(Link(simulator, cfg), std::invalid_argument);
+
+  // The largest legal spike still carries a transfer to completion.
+  cfg.rtt = sim::milliseconds(30);
+  cfg.faults.rtt_spikes = {
+      {.start_s = 0.0, .duration_s = 1.0, .factor = 1e14}};
+  Link link(simulator, cfg);
+  std::optional<TransferResult> result;
+  link.start_transfer(1'000, [&](const TransferResult& r) { result = r; });
+  simulator.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, TransferStatus::kCompleted);
+  EXPECT_GE(result->time, sim::seconds(3e12));
+}
+
 TEST_F(LinkTest, WeightedTransfersShareProportionally) {
   LinkConfig cfg;
   cfg.bandwidth = BandwidthTrace::constant(8000.0);  // 1 MB/s
@@ -585,6 +623,97 @@ TEST_F(LinkTest, FetchDuringOutageSettlesFailedExactlyOnce) {
   EXPECT_NEAR(static_cast<double>(result->bytes_delivered), 1'000'000.0, 20'000.0);
   EXPECT_FALSE(source.cancel(id));
   EXPECT_EQ(fires, 1);
+}
+
+// ------------------------------------------------- AggregateWindowEstimator
+
+// One estimator input; end < start or bytes <= 0 is ignored.
+struct Sample {
+  Time start{sim::kTimeZero};
+  Time end{sim::kTimeZero};
+  std::int64_t bytes = 0;
+};
+
+// The aggregate estimate from scratch: the bytes of the last `window`
+// accepted samples over the union of their intervals, merged group by
+// group.
+double union_kbps_reference(const std::vector<Sample>& samples,
+                            std::size_t window) {
+  std::vector<Sample> kept;
+  for (const Sample& s : samples) {
+    if (s.end >= s.start && s.bytes > 0) kept.push_back(s);
+  }
+  if (kept.size() > window) {
+    kept.erase(kept.begin(),
+               kept.end() - static_cast<std::ptrdiff_t>(window));
+  }
+  if (kept.empty()) return 0.0;
+  std::sort(kept.begin(), kept.end(), [](const Sample& a, const Sample& b) {
+    return a.start < b.start;
+  });
+  std::int64_t bytes = 0;
+  sim::Duration covered{0};
+  Time group_start = kept.front().start;
+  Time group_end = kept.front().end;
+  for (const Sample& s : kept) {
+    bytes += s.bytes;
+    if (s.start > group_end) {
+      covered += group_end - group_start;
+      group_start = s.start;
+    }
+    group_end = std::max(group_end, s.end);
+  }
+  covered += group_end - group_start;
+  const double secs = sim::to_seconds(covered);
+  if (secs <= 0.0) return 0.0;
+  return static_cast<double>(bytes) * 8.0 / secs / 1000.0;
+}
+
+TEST(AggregateEstimator, ReadsZeroUntilAnIntervalHasLength) {
+  AggregateWindowEstimator estimator(4);
+  EXPECT_EQ(estimator.estimate_kbps(), 0.0);
+  estimator.record(seconds(1.0), seconds(2.0), 0);      // no bytes
+  estimator.record(seconds(1.0), seconds(2.0), -5);     // negative bytes
+  estimator.record(seconds(2.0), seconds(1.0), 1'000);  // ends before it starts
+  EXPECT_EQ(estimator.estimate_kbps(), 0.0);
+  estimator.record(seconds(1.0), seconds(1.0), 1'000);  // zero length
+  EXPECT_EQ(estimator.estimate_kbps(), 0.0);
+  // 126 kB over the one second [1 s, 2 s).
+  estimator.record(seconds(1.0), seconds(2.0), 125'000);
+  EXPECT_DOUBLE_EQ(estimator.estimate_kbps(), 1'008.0);
+}
+
+// The estimate is cached between records. After every record, accepted or
+// ignored, it must equal the union computed from scratch, and reads in
+// between must not move it.
+TEST(AggregateEstimator, CachedEstimateMatchesFromScratchUnion) {
+  for (const std::size_t window :
+       {std::size_t{1}, std::size_t{3}, std::size_t{12}}) {
+    Rng rng(17 + window);
+    AggregateWindowEstimator estimator(window);
+    std::vector<Sample> samples;
+    Time end = seconds(1.0);
+    for (int i = 0; i < 500; ++i) {
+      // Ends arrive in order, with gaps; starts interleave.
+      end += sim::microseconds(rng.uniform_int(0, 600'000));
+      Sample s{end - sim::microseconds(rng.uniform_int(0, 2'000'000)), end,
+               rng.uniform_int(1, 400'000)};
+      const double kind = rng.uniform(0.0, 1.0);
+      if (kind < 0.1) {
+        s.start = s.end;  // zero length
+      } else if (kind < 0.15) {
+        s.bytes = -rng.uniform_int(0, 10);  // ignored: no bytes
+      } else if (kind < 0.2) {
+        s.start = s.end + sim::microseconds(1);  // ignored: negative length
+      }
+      samples.push_back(s);
+      estimator.record(s.start, s.end, s.bytes);
+      const double first = estimator.estimate_kbps();
+      EXPECT_EQ(first, union_kbps_reference(samples, window))
+          << "window " << window << " record " << i;
+      EXPECT_EQ(estimator.estimate_kbps(), first);
+    }
+  }
 }
 
 }  // namespace
