@@ -1,21 +1,24 @@
 // Byte-budgeted edge cache over net::ChunkId objects (DESIGN.md §15).
 //
 // The cache is a pure deterministic data structure — no clocks, no
-// entropy: recency/frequency state advances on an internal logical counter
-// bumped once per touch/insert, so a given operation sequence always
-// produces the same eviction sequence (golden-tested). Policies:
+// entropy — so a given operation sequence always produces the same
+// eviction sequence (golden-tested). Policies:
 //
 //   lru  — evict the least recently used object.
 //   lfu  — evict the least frequently used object; ties broken by least
 //          recent use (classic LFU-with-LRU-tiebreak).
+//
+// A hash index maps each resident id to a node in a slab. Nodes sit on
+// intrusive recency lists, least recently used first: one list under lru,
+// one per use count under lfu, the lists chained in ascending count. A
+// touch or an eviction relinks nodes and allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "net/chunk_source.h"
@@ -43,7 +46,7 @@ class EdgeCache {
   explicit EdgeCache(EdgeCacheConfig config);
 
   [[nodiscard]] bool contains(const net::ChunkId& id) const {
-    return entries_.contains(id);
+    return index_.contains(id);
   }
 
   // Lookup-with-bookkeeping: bump the object's recency (lru) or frequency +
@@ -59,37 +62,47 @@ class EdgeCache {
     return config_.capacity_bytes;
   }
   [[nodiscard]] std::int64_t used_bytes() const { return used_bytes_; }
-  [[nodiscard]] int size() const { return static_cast<int>(entries_.size()); }
+  [[nodiscard]] int size() const { return static_cast<int>(index_.size()); }
 
   // Resident ids in ascending ChunkId order (deterministic snapshot for
   // tests and debugging).
   [[nodiscard]] std::vector<net::ChunkId> resident() const;
 
  private:
-  struct Entry {
-    std::int64_t bytes = 0;
-    std::uint64_t freq = 0;
-    std::uint64_t seq = 0;
-  };
-  // Eviction order: ascending (rank, seq, id). rank is 0 under lru (pure
-  // recency via seq) and the use count under lfu; the ChunkId tail makes
-  // the key unique without affecting the policy ordering.
-  struct EvictKey {
-    std::uint64_t rank = 0;
-    std::uint64_t seq = 0;
+  // Both slabs thread their records on circular doubly linked rings by
+  // index. A ring hangs off a sentinel record that links to itself while
+  // the ring is empty; spare records wait on the ring at index 0.
+  static constexpr std::uint32_t kSpares = 0;
+  static constexpr std::uint32_t kChain = 1;  // lists_: ascending rank
+
+  // A resident object on its list's ring, least recently used first.
+  struct Node {
     net::ChunkId id;
-
-    friend auto operator<=>(const EvictKey&, const EvictKey&) = default;
+    std::int64_t bytes = 0;
+    std::uint32_t list = 0;
+    std::uint32_t prev = 0;
+    std::uint32_t next = 0;
+  };
+  // The residents of one rank — the use count under lfu, 0 under lru —
+  // on the ring of sentinel node `ring` (0 until the list first gets one).
+  struct List {
+    std::uint64_t rank = 0;
+    std::uint32_t ring = 0;
+    std::uint32_t prev = 0;
+    std::uint32_t next = 0;
   };
 
-  [[nodiscard]] EvictKey key_of(const net::ChunkId& id, const Entry& entry) const;
+  // The list of `rank` right after `after` in the chain, added if absent.
+  std::uint32_t list_after(std::uint32_t after, std::uint64_t rank);
+  void append(std::uint32_t node, std::uint32_t list);
+  void retire_if_empty(std::uint32_t list);
   void evict_one();
 
   EdgeCacheConfig config_;
-  std::map<net::ChunkId, Entry> entries_;
-  std::set<EvictKey> evict_order_;
+  std::unordered_map<net::ChunkId, std::uint32_t> index_;
+  std::vector<Node> nodes_;
+  std::vector<List> lists_;
   std::int64_t used_bytes_ = 0;
-  std::uint64_t clock_ = 0;  // logical time: one tick per touch/insert
 };
 
 }  // namespace sperke::cdn

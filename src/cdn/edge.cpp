@@ -1,6 +1,7 @@
 #include "cdn/edge.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -36,33 +37,39 @@ bool Edge::lookup(const net::ChunkId& id) {
   return false;
 }
 
+std::vector<Edge::Fill>::iterator Edge::find_fill(const net::ChunkId& id) {
+  return std::find_if(fills_.begin(), fills_.end(),
+                      [&id](const Fill& fill) { return fill.id == id; });
+}
+
 void Edge::join_fill(const net::ChunkId& id, std::int64_t bytes, double weight,
                      Waiter waiter) {
-  auto it = fills_.find(id);
-  if (it == fills_.end()) {
-    it = fills_.emplace(id, Fill{.bytes = bytes, .waiters = {}}).first;
-    backhaul_.start_transfer(
-        bytes,
-        [this, alive = alive_, id](const net::TransferResult& r) {
-          if (*alive) settle(id, r);
-        },
-        weight);
-  } else {
+  const auto it = find_fill(id);
+  if (it != fills_.end()) {
     // Same ChunkId must mean same object: a size mismatch would silently
     // deliver the wrong byte count to whoever joined second.
-    SPERKE_CHECK(it->second.bytes == bytes, "Edge: coalesced size mismatch (",
-                 it->second.bytes, " vs ", bytes, ")");
+    SPERKE_CHECK(it->bytes == bytes, "Edge: coalesced size mismatch (",
+                 it->bytes, " vs ", bytes, ")");
     ++stats_.coalesced;
     if (coalesced_metric_ != nullptr) coalesced_metric_->increment();
+    it->waiters.push_back(std::move(waiter));
+    return;
   }
-  it->second.waiters.push_back(std::move(waiter));
+  fills_.push_back(Fill{.id = id, .bytes = bytes, .waiters = {}});
+  fills_.back().waiters.push_back(std::move(waiter));
+  backhaul_.start_transfer(
+      bytes,
+      [this, alive = alive_, id](const net::TransferResult& r) {
+        if (*alive) settle(id, r);
+      },
+      weight);
 }
 
 bool Edge::leave_fill(const net::ChunkId& id, const EdgeSource* source,
                       net::FetchId fetch) {
-  auto it = fills_.find(id);
+  const auto it = find_fill(id);
   if (it == fills_.end()) return false;
-  std::vector<Waiter>& waiters = it->second.waiters;
+  std::vector<Waiter>& waiters = it->waiters;
   for (auto wit = waiters.begin(); wit != waiters.end(); ++wit) {
     if (wit->source != source || wit->fetch != fetch) continue;
     net::TransferCallback cb = std::move(wit->on_done);
@@ -81,13 +88,14 @@ bool Edge::leave_fill(const net::ChunkId& id, const EdgeSource* source,
 }
 
 void Edge::settle(const net::ChunkId& id, const net::TransferResult& r) {
-  auto it = fills_.find(id);
+  const auto it = find_fill(id);
   SPERKE_CHECK(it != fills_.end(), "Edge: settle without a fill in flight");
-  Fill fill = std::move(it->second);
+  std::vector<Waiter> waiters = std::move(it->waiters);
   // Clear the fill *before* firing anyone: a waiter's callback may re-fetch
   // the same id (transport retry), which must start a fresh fill rather
   // than join the one that just settled.
-  fills_.erase(it);
+  if (it != fills_.end() - 1) *it = std::move(fills_.back());
+  fills_.pop_back();
   stats_.egress_bytes += r.bytes_delivered;
   if (egress_metric_ != nullptr) egress_metric_->add(r.bytes_delivered);
   // Exactly-once cache fill, before any waiter fires, so a fetch issued
@@ -99,7 +107,7 @@ void Edge::settle(const net::ChunkId& id, const net::TransferResult& r) {
       if (evictions_metric_ != nullptr) evictions_metric_->add(evicted);
     }
   }
-  for (Waiter& w : fill.waiters) {
+  for (Waiter& w : waiters) {
     if (w.on_done) w.on_done(r);
   }
 }
@@ -121,7 +129,8 @@ int Edge::warm(const media::VideoModel& video, const hmp::ViewingHeatmap& crowd,
     const net::ChunkId id = net::to_chunk_id(address);
     if (cache_.contains(id)) return true;
     const std::int64_t bytes = video.size_bytes(address);
-    if (cache_.used_bytes() + bytes > cache_.capacity_bytes()) return false;
+    // Against the remaining budget: used + bytes could overflow.
+    if (bytes > cache_.capacity_bytes() - cache_.used_bytes()) return false;
     cache_.insert(id, bytes);
     ++warmed;
     return true;
@@ -158,11 +167,26 @@ EdgeSource::EdgeSource(net::Link& access, Edge& edge)
 
 EdgeSource::~EdgeSource() { *alive_ = false; }
 
+std::size_t EdgeSource::find(net::FetchId id) const {
+  const auto it = std::lower_bound(
+      pending_.begin(), pending_.end(), id,
+      [](const Pending& p, net::FetchId key) { return p.id < key; });
+  if (it == pending_.end() || it->id != id) return pending_.size();
+  return static_cast<std::size_t>(it - pending_.begin());
+}
+
+void EdgeSource::erase(net::FetchId id) {
+  const std::size_t i = find(id);
+  if (i != pending_.size()) {
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+}
+
 net::FetchId EdgeSource::fetch(const net::FetchSpec& spec,
                                net::TransferCallback on_done) {
   SPERKE_CHECK(spec.bytes > 0, "EdgeSource::fetch: non-positive bytes");
   const net::FetchId id = next_id_++;
-  pending_.emplace(id, Pending{.fill = spec.id});
+  pending_.push_back(Pending{.id = id, .fill = spec.id});
   if (edge_.lookup(spec.id)) {
     serve(id, spec, std::move(on_done));
     return id;
@@ -178,7 +202,7 @@ net::FetchId EdgeSource::fetch(const net::FetchSpec& spec,
          if (!*alive) return;
          if (!r.completed()) {
            // Backhaul fault or our own cancel: nothing reached the client.
-           pending_.erase(id);
+           erase(id);
            net::TransferResult client = r;
            client.bytes_delivered = 0;
            if (on_done) on_done(client);
@@ -195,29 +219,31 @@ void EdgeSource::serve(net::FetchId id, const net::FetchSpec& spec,
       spec.bytes,
       [this, alive = alive_, id,
        on_done = std::move(on_done)](const net::TransferResult& r) {
-        if (*alive) pending_.erase(id);
+        if (*alive) erase(id);
         if (on_done) on_done(r);
       },
       spec.weight);
-  auto it = pending_.find(id);
-  SPERKE_CHECK(it != pending_.end(), "EdgeSource::serve: pending entry lost");
-  it->second.serving = true;
-  it->second.serve_id = serve_id;
+  const std::size_t i = find(id);
+  SPERKE_CHECK(i != pending_.size(), "EdgeSource::serve: pending entry lost");
+  pending_[i].serving = true;
+  pending_[i].serve_id = serve_id;
 }
 
 bool EdgeSource::cancel(net::FetchId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  if (it->second.serving) {
+  const std::size_t i = find(id);
+  if (i == pending_.size()) return false;
+  if (pending_[i].serving) {
     // Link::cancel fires the serve callback synchronously (kCancelled),
     // which erases the pending entry.
-    return access_.cancel(it->second.serve_id);
+    return access_.cancel(pending_[i].serve_id);
   }
   // Waiting on a fill: detach our waiter. Edge::leave_fill fires our fill
-  // callback synchronously with kCancelled, which erases the entry and
-  // forwards kCancelled (0 bytes) to the client — exactly the Link::cancel
-  // contract. The backhaul transfer keeps running for the cache's benefit.
-  return edge_.leave_fill(it->second.fill, this, id);
+  // callback synchronously with kCancelled, which erases the entry (hence
+  // the copy of its id) and forwards kCancelled (0 bytes) to the client —
+  // exactly the Link::cancel contract. The backhaul transfer keeps running
+  // for the cache's benefit.
+  const net::ChunkId fill = pending_[i].fill;
+  return edge_.leave_fill(fill, this, id);
 }
 
 }  // namespace sperke::cdn

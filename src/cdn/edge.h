@@ -21,8 +21,8 @@
 // byte budget is exhausted, so a flash crowd's first requests already hit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -82,6 +82,7 @@ class Edge {
   };
   // One backhaul transfer and everyone waiting on it, in join order.
   struct Fill {
+    net::ChunkId id;
     std::int64_t bytes = 0;
     std::vector<Waiter> waiters;
   };
@@ -98,6 +99,8 @@ class Edge {
   bool leave_fill(const net::ChunkId& id, const EdgeSource* source,
                   net::FetchId fetch);
   void settle(const net::ChunkId& id, const net::TransferResult& r);
+  // The fill for `id` in fills_, or fills_.end().
+  std::vector<Fill>::iterator find_fill(const net::ChunkId& id);
 
   net::Link& backhaul_;
   obs::Counter* egress_metric_ = nullptr;
@@ -107,7 +110,9 @@ class Edge {
   obs::Counter* coalesced_metric_ = nullptr;
   obs::Counter* warmed_metric_ = nullptr;
   EdgeCache cache_;
-  std::map<net::ChunkId, Fill> fills_;
+  // The fills in flight, unordered and only ever searched by id: a fill
+  // lasts one backhaul transfer, so the table stays short.
+  std::vector<Fill> fills_;
   EdgeStats stats_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
@@ -138,6 +143,7 @@ class EdgeSource final : public net::ChunkSource {
 
  private:
   struct Pending {
+    net::FetchId id = 0;
     bool serving = false;       // true once bytes flow on the access link
     net::FetchId serve_id = 0;  // access transfer (serving phase)
     net::ChunkId fill;          // the object, whose fill a miss joins
@@ -145,10 +151,15 @@ class EdgeSource final : public net::ChunkSource {
 
   void serve(net::FetchId id, const net::FetchSpec& spec,
              net::TransferCallback on_done);
+  // Index of the unsettled fetch `id` in pending_, or pending_.size().
+  [[nodiscard]] std::size_t find(net::FetchId id) const;
+  void erase(net::FetchId id);
 
   net::Link& access_;
   Edge& edge_;
-  std::map<net::FetchId, Pending> pending_;
+  // Unsettled fetches in strictly ascending id order: ids come from
+  // next_id_, so a new fetch appends and a lookup bisects.
+  std::vector<Pending> pending_;
   net::FetchId next_id_ = 1;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

@@ -140,8 +140,7 @@ void FetchQueue::dispatch(Pending pending, sim::Time now) {
     metrics.queue_wait_ms->observe(sim::to_milliseconds(now - pending.enqueued));
   }
   if (pending.attempts == 0) pending.first_dispatched = now;
-  auto flight = std::make_shared<Pending>(std::move(pending));
-  const ChunkRequest& request = flight->request;
+  const ChunkRequest& request = pending.request;
   if (options_.telemetry != nullptr) {
     options_.telemetry->trace().record(
         {.type = obs::TraceEventType::kFetchAttemptStart,
@@ -152,7 +151,7 @@ void FetchQueue::dispatch(Pending pending, sim::Time now) {
          .path = trace_path_,
          .bytes = request.bytes,
          .urgent = request.urgent,
-         .value = static_cast<double>(flight->attempts),
+         .value = static_cast<double>(pending.attempts),
          .request = request.request_id,
          .parent = request.parent_id});
   }
@@ -160,13 +159,24 @@ void FetchQueue::dispatch(Pending pending, sim::Time now) {
   // and within a class FoV outweighs OOS (Table 1).
   const double weight = (request.urgent ? 4.0 : 1.0) *
                         (request.spatial == abr::SpatialClass::kFov ? 2.0 : 1.0);
+  const net::FetchSpec spec{.id = request.id,
+                            .bytes = request.bytes,
+                            .weight = weight,
+                            .deadline = request.deadline};
+  std::uint32_t slot = 0;
+  if (free_flights_.empty()) {
+    slot = static_cast<std::uint32_t>(flights_.size());
+    flights_.push_back(std::move(pending));
+  } else {
+    slot = free_flights_.back();
+    free_flights_.pop_back();
+    flights_[slot] = std::move(pending);
+  }
+  // The source may settle inside fetch(), and that settle may free `slot`
+  // and dispatch again, so nothing below reads the slab.
   const net::FetchId id = source_.fetch(
-      {.id = request.id,
-       .bytes = request.bytes,
-       .weight = weight,
-       .deadline = request.deadline},
-      [this, alive = alive_, flight, now](const net::TransferResult& r) {
-        if (*alive) on_attempt_done(flight, now, r);
+      spec, [this, alive = alive_, slot, now](const net::TransferResult& r) {
+        if (*alive) on_attempt_done(slot, now, r);
       });
   if (options_.recovery.enabled) {
     // Deadline-derived timeout on the in-flight transfer. The min_timeout
@@ -175,71 +185,85 @@ void FetchQueue::dispatch(Pending pending, sim::Time now) {
     // source issues each id once and cancel() of a settled id fires
     // nothing, so a stale timeout can never touch this request's retry.
     const sim::Time timeout_at =
-        std::max(request.deadline, now + options_.recovery.min_timeout);
+        std::max(spec.deadline, now + options_.recovery.min_timeout);
     source_.simulator().schedule_at(timeout_at, [this, alive = alive_, id] {
       if (*alive) source_.cancel(id);  // fires kCancelled synchronously
     });
   }
 }
 
-void FetchQueue::on_attempt_done(const std::shared_ptr<Pending>& flight,
-                                 sim::Time started, const net::TransferResult& r) {
+FetchQueue::Pending FetchQueue::release(std::uint32_t slot) {
+  Pending pending = std::move(flights_[slot]);
+  free_flights_.push_back(slot);
+  return pending;
+}
+
+void FetchQueue::on_attempt_done(std::uint32_t slot, sim::Time started,
+                                 const net::TransferResult& r) {
   --active_;
-  const std::int64_t bytes = flight->request.bytes;
+  const std::int64_t bytes = flights_[slot].request.bytes;
   load_bytes_ -= bytes;
   if (options_.telemetry != nullptr) {
+    const Pending& flight = flights_[slot];
     options_.telemetry->trace().record(
         {.type = obs::TraceEventType::kFetchAttemptEnd,
          .ts = r.time,
-         .tile = flight->request.id.tile,
-         .chunk = flight->request.id.chunk,
-         .quality = flight->request.id.level(),
+         .tile = flight.request.id.tile,
+         .chunk = flight.request.id.chunk,
+         .quality = flight.request.id.level(),
          .path = trace_path_,
          .bytes = r.completed() ? bytes : 0,
-         .urgent = flight->request.urgent,
-         .value = static_cast<double>(flight->attempts),
-         .request = flight->request.request_id,
-         .parent = flight->request.parent_id});
+         .urgent = flight.request.urgent,
+         .value = static_cast<double>(flight.attempts),
+         .request = flight.request.request_id,
+         .parent = flight.request.parent_id});
   }
+  // The attempt keeps its slot through this callback, which may dispatch.
   if (on_attempt_settled) on_attempt_settled(r);
   if (metrics.in_flight != nullptr) metrics.in_flight->set(in_flight());
   if (r.completed()) {
+    Pending flight = release(slot);
     bytes_fetched_ += bytes;
     // Small tile objects are RTT-dominated; measure from the start of data
     // flow, and let the aggregate estimator fold in concurrency.
     estimator_.record(started + source_.rtt(), r.time, bytes);
     if (metrics.bytes != nullptr) metrics.bytes->add(bytes);
-    if (flight->attempts > 0 && metrics.recovery.recovered_requests != nullptr) {
+    if (flight.attempts > 0 && metrics.recovery.recovered_requests != nullptr) {
       metrics.recovery.recovered_requests->increment();
       metrics.recovery.recovery_latency_ms->observe(
-          sim::to_milliseconds(r.time - flight->first_dispatched));
+          sim::to_milliseconds(r.time - flight.first_dispatched));
     }
-    if (flight->request.on_done) {
-      flight->request.on_done(r.time, FetchOutcome::kDelivered);
+    if (flight.request.on_done) {
+      flight.request.on_done(r.time, FetchOutcome::kDelivered);
     }
   } else if (r.status == net::TransferStatus::kCancelled) {
     // Only our own deadline timeout cancels transfers.
-    settle_undelivered(*flight, r.time, FetchOutcome::kTimedOut);
+    Pending flight = release(slot);
+    settle_undelivered(flight, r.time, FetchOutcome::kTimedOut);
   } else {
     // Injected fault (kFailed): retry with exponential backoff while the
     // budget and the deadline both allow it.
-    const sim::Duration backoff = retry_backoff(flight->attempts + 1);
+    Pending& flight = flights_[slot];
+    const sim::Duration backoff = retry_backoff(flight.attempts + 1);
     const bool budget_left =
-        retry_allowed(options_.recovery, flight->request, flight->attempts);
-    if (budget_left && r.time + backoff < flight->request.deadline) {
-      ++flight->attempts;
+        retry_allowed(options_.recovery, flight.request, flight.attempts);
+    if (budget_left && r.time + backoff < flight.request.deadline) {
+      // The retry waits out its backoff in the same slot.
+      ++flight.attempts;
       if (metrics.recovery.retries != nullptr) metrics.recovery.retries->increment();
       ++retry_waiting_;
-      source_.simulator().schedule_after(backoff, [this, alive = alive_, flight] {
+      source_.simulator().schedule_after(backoff, [this, alive = alive_, slot] {
         if (!*alive) return;
         --retry_waiting_;
-        flight->enqueued = source_.simulator().now();
+        Pending retry = release(slot);
+        retry.enqueued = source_.simulator().now();
         FetchQueue& target = route_retry ? route_retry() : *this;
-        target.insert(std::move(*flight));
+        target.insert(std::move(retry));
         target.pump();
       });
     } else {
-      settle_undelivered(*flight, r.time,
+      Pending failed = release(slot);
+      settle_undelivered(failed, r.time,
                          budget_left ? FetchOutcome::kTimedOut : FetchOutcome::kFailed);
     }
   }

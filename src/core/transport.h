@@ -18,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "abr/plan.h"
 #include "net/chunk_source.h"
@@ -204,8 +205,10 @@ class FetchQueue {
 
   void insert(Pending pending);
   void dispatch(Pending pending, sim::Time now);
-  void on_attempt_done(const std::shared_ptr<Pending>& flight, sim::Time started,
+  void on_attempt_done(std::uint32_t slot, sim::Time started,
                        const net::TransferResult& result);
+  // Move the attempt out of its slab slot and free the slot.
+  Pending release(std::uint32_t slot);
   void settle_undelivered(Pending& pending, sim::Time when, FetchOutcome outcome);
 
   net::ChunkSource& source_;
@@ -214,6 +217,11 @@ class FetchQueue {
   net::AggregateWindowEstimator estimator_;
   // Every deque holds strictly ascending seq values front-to-back.
   std::array<std::deque<Pending>, kClasses> queues_;
+  // The attempts on the wire or waiting out a retry backoff, by slot; a
+  // source callback names its attempt by slot. Callbacks may dispatch and
+  // grow the slab, so no reference into it is held across one.
+  std::vector<Pending> flights_;
+  std::vector<std::uint32_t> free_flights_;
   int active_ = 0;
   int retry_waiting_ = 0;  // retries parked in a backoff wait
   bool paused_ = false;

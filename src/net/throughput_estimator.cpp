@@ -1,9 +1,8 @@
 #include "net/throughput_estimator.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 #include <stdexcept>
+#include <utility>
 
 namespace sperke::net {
 AggregateWindowEstimator::AggregateWindowEstimator(std::size_t window)
@@ -29,18 +28,22 @@ double AggregateWindowEstimator::estimate_kbps() const {
 
 double AggregateWindowEstimator::union_kbps() const {
   // Union of the active intervals (samples arrive ordered by end time, but
-  // their starts may interleave arbitrarily).
-  std::vector<std::pair<sim::Time, sim::Time>> intervals;
-  intervals.reserve(samples_.size());
+  // their starts may interleave arbitrarily). An insertion sort on
+  // (start, end) into the scratch: at most window_ entries, mostly in order.
+  intervals_.clear();
   std::int64_t total_bytes = 0;
   for (const Sample& s : samples_) {
-    intervals.emplace_back(s.start, s.end);
+    const std::pair<sim::Time, sim::Time> interval{s.start, s.end};
+    intervals_.push_back(interval);
+    for (std::size_t i = intervals_.size() - 1;
+         i > 0 && interval < intervals_[i - 1]; --i) {
+      std::swap(intervals_[i], intervals_[i - 1]);
+    }
     total_bytes += s.bytes;
   }
-  std::sort(intervals.begin(), intervals.end());
   sim::Duration covered{0};
-  sim::Time cursor = intervals.front().first;
-  for (const auto& [start, end] : intervals) {
+  sim::Time cursor = intervals_.front().first;
+  for (const auto& [start, end] : intervals_) {
     const sim::Time from = std::max(cursor, start);
     if (end > from) {
       covered += end - from;

@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -41,6 +43,8 @@ class AggregateWindowEstimator {
   };
   std::size_t window_;
   std::deque<Sample> samples_;
+  // union_kbps() scratch: the sampled intervals in (start, end) order.
+  mutable std::vector<std::pair<sim::Time, sim::Time>> intervals_;
   // union_kbps() as of the last read; valid unless stale_.
   mutable double cached_kbps_ = 0.0;
   mutable bool stale_ = false;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,6 +21,7 @@
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/rng.h"
 
 namespace sperke::cdn {
 namespace {
@@ -164,6 +168,129 @@ TEST(EdgeCache, OversizedObjectIsNeverAdmitted) {
   EXPECT_TRUE(cache.contains(cid(0)));
   EXPECT_EQ(cache.used_bytes(), 100);
   EXPECT_EQ(cache.size(), 1);
+}
+
+TEST(EdgeCache, CapacityNearInt64MaxDoesNotOverflow) {
+  // used + bytes would pass INT64_MAX: the budget check must compare
+  // against what is left instead.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kHalf = kMax / 2 + 1;
+  EdgeCache cache({.policy = CachePolicy::kLru, .capacity_bytes = kMax});
+  EXPECT_EQ(cache.insert(cid(0), kHalf), 0);
+  EXPECT_EQ(cache.insert(cid(1), kHalf), 1);
+  EXPECT_EQ(cache.resident(), (std::vector<ChunkId>{cid(1)}));
+  EXPECT_EQ(cache.used_bytes(), kHalf);
+  EXPECT_EQ(cache.insert(cid(2), kMax - kHalf), 0);
+  EXPECT_EQ(cache.used_bytes(), kMax);
+}
+
+// The cache as it was first written: a std::map of entries and a std::set
+// of (rank, seq, id) eviction keys, rank being the use count under lfu and
+// 0 under lru, seq a tick bumped by every touch and insert.
+class OrderedReferenceCache {
+ public:
+  OrderedReferenceCache(CachePolicy policy, std::int64_t capacity)
+      : policy_(policy), capacity_(capacity) {}
+
+  [[nodiscard]] bool contains(const ChunkId& id) const {
+    return entries_.contains(id);
+  }
+
+  bool touch(const ChunkId& id) {
+    auto it = entries_.find(id);
+    if (it == entries_.end()) return false;
+    order_.erase(key_of(id, it->second));
+    it->second.seq = ++clock_;
+    ++it->second.freq;
+    order_.insert(key_of(id, it->second));
+    return true;
+  }
+
+  int insert(const ChunkId& id, std::int64_t bytes) {
+    if (touch(id)) return 0;
+    if (bytes > capacity_) return -1;
+    int evicted = 0;
+    while (bytes > capacity_ - used_) {
+      const Key victim = *order_.begin();
+      order_.erase(order_.begin());
+      used_ -= entries_.at(victim.id).bytes;
+      entries_.erase(victim.id);
+      ++evicted;
+    }
+    const Entry entry{.bytes = bytes, .freq = 1, .seq = ++clock_};
+    order_.insert(key_of(id, entry));
+    entries_.emplace(id, entry);
+    used_ += bytes;
+    return evicted;
+  }
+
+  [[nodiscard]] std::int64_t used_bytes() const { return used_; }
+  [[nodiscard]] int size() const { return static_cast<int>(entries_.size()); }
+  [[nodiscard]] std::vector<ChunkId> resident() const {
+    std::vector<ChunkId> ids;
+    for (const auto& [id, entry] : entries_) ids.push_back(id);
+    return ids;
+  }
+
+ private:
+  struct Entry {
+    std::int64_t bytes = 0;
+    std::uint64_t freq = 0;
+    std::uint64_t seq = 0;
+  };
+  struct Key {
+    std::uint64_t rank = 0;
+    std::uint64_t seq = 0;
+    ChunkId id;
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+
+  [[nodiscard]] Key key_of(const ChunkId& id, const Entry& entry) const {
+    return {.rank = policy_ == CachePolicy::kLfu ? entry.freq : 0,
+            .seq = entry.seq,
+            .id = id};
+  }
+
+  CachePolicy policy_;
+  std::int64_t capacity_;
+  std::map<ChunkId, Entry> entries_;
+  std::set<Key> order_;
+  std::int64_t used_ = 0;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(EdgeCache, MatchesOrderedReferenceModel) {
+  // Random operation sequences over a dozen ids on caches of a few
+  // objects: repeated ids, objects larger than the whole cache, and
+  // inserts that evict several residents. After every operation both
+  // caches must agree on the result and on the resident set.
+  for (const CachePolicy policy : {CachePolicy::kLru, CachePolicy::kLfu}) {
+    Rng rng(policy == CachePolicy::kLru ? 11 : 12);
+    for (int sequence = 0; sequence < 1500; ++sequence) {
+      const std::int64_t capacity = rng.uniform_int(1, 600);
+      EdgeCache cache({.policy = policy, .capacity_bytes = capacity});
+      OrderedReferenceCache reference(policy, capacity);
+      for (int op = 0; op < 60; ++op) {
+        const auto tile = static_cast<std::int32_t>(rng.uniform_int(0, 5));
+        const auto chunk = static_cast<std::int32_t>(rng.uniform_int(0, 1));
+        const ChunkId id = cid(tile, chunk);
+        const std::int64_t kind = rng.uniform_int(0, 9);
+        if (kind < 4) {
+          EXPECT_EQ(cache.touch(id), reference.touch(id));
+        } else if (kind < 9) {
+          const std::int64_t bytes = rng.uniform_int(1, capacity * 5 / 4 + 1);
+          EXPECT_EQ(cache.insert(id, bytes), reference.insert(id, bytes));
+        } else {
+          EXPECT_EQ(cache.contains(id), reference.contains(id));
+        }
+        EXPECT_EQ(cache.used_bytes(), reference.used_bytes());
+        EXPECT_EQ(cache.size(), reference.size());
+        ASSERT_EQ(cache.resident(), reference.resident())
+            << "policy " << static_cast<int>(policy) << " sequence " << sequence
+            << " op " << op;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------- Edge
@@ -533,6 +660,22 @@ TEST(EdgeWarm, WarmsOnlyTheAvcCopyAtTheLevel) {
   for (std::int32_t chunk = 0; chunk < 4; ++chunk) {
     EXPECT_TRUE(edge.cache().contains(cid(3, chunk, 2))) << "chunk " << chunk;
   }
+}
+
+TEST(EdgeWarm, CapacityNearInt64MaxDoesNotOverflow) {
+  // With a nearly full INT64_MAX budget, used + bytes would wrap negative
+  // and warming would admit objects that do not fit.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const media::VideoModel video(tiny_video());
+  const hmp::ViewingHeatmap crowd = hot_tile_crowd(video, /*hot=*/2);
+  sim::Simulator simulator;
+  net::Link backhaul(simulator, link_config("backhaul"));
+  Edge edge(backhaul, {.capacity_bytes = kMax}, nullptr);
+  const ChunkId resident{.video = 1};
+  EXPECT_EQ(edge.cache().insert(resident, kMax - 10), 0);
+  EXPECT_EQ(edge.warm(video, crowd, /*tiles_per_chunk=*/2, /*level=*/0), 0);
+  EXPECT_EQ(edge.cache().resident(), (std::vector<ChunkId>{resident}));
+  EXPECT_EQ(edge.cache().used_bytes(), kMax - 10);
 }
 
 TEST(EdgeWarm, RejectsAHeatmapOfAnotherTileCount) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -534,6 +535,125 @@ TEST_F(TransportRecoveryTest, RecoveryDisabledKeepsLegacySemantics) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome, FetchOutcome::kFailed);
   EXPECT_EQ(transport.in_flight(), 0);
+}
+
+// A ChunkSource that settles most fetches inside fetch() itself, as an
+// in-memory source may. A tile that is a multiple of 5 settles 10 ms later
+// instead; a tile that is 3 mod 7 fails its first attempt inline.
+class InlineSource final : public net::ChunkSource {
+ public:
+  explicit InlineSource(sim::Simulator& simulator) : simulator_(simulator) {}
+
+  net::FetchId fetch(const net::FetchSpec& spec,
+                     net::TransferCallback on_done) override {
+    const net::FetchId id = next_id_++;
+    ++depth_;
+    max_depth = std::max(max_depth, depth_);
+    const bool fail =
+        spec.id.tile % 7 == 3 && failed_tiles_.insert(spec.id.tile).second;
+    if (fail) {
+      on_done({.status = net::TransferStatus::kFailed,
+               .time = simulator_.now(),
+               .bytes_delivered = 0});
+    } else if (spec.id.tile % 5 == 0) {
+      deferred_.emplace(id, std::make_pair(spec.bytes, std::move(on_done)));
+      simulator_.schedule_after(sim::milliseconds(10), [this, id] {
+        const auto it = deferred_.find(id);
+        if (it == deferred_.end()) return;
+        auto [bytes, callback] = std::move(it->second);
+        deferred_.erase(it);
+        callback({.status = net::TransferStatus::kCompleted,
+                  .time = simulator_.now(),
+                  .bytes_delivered = bytes});
+      });
+    } else {
+      on_done({.status = net::TransferStatus::kCompleted,
+               .time = simulator_.now(),
+               .bytes_delivered = spec.bytes});
+    }
+    --depth_;
+    return id;
+  }
+
+  bool cancel(net::FetchId id) override {
+    const auto it = deferred_.find(id);
+    if (it == deferred_.end()) return false;
+    net::TransferCallback callback = std::move(it->second.second);
+    deferred_.erase(it);
+    callback({.status = net::TransferStatus::kCancelled,
+              .time = simulator_.now(),
+              .bytes_delivered = 0});
+    return true;
+  }
+
+  [[nodiscard]] sim::Duration rtt() const override { return sim::Duration{0}; }
+  [[nodiscard]] sim::Simulator& simulator() override { return simulator_; }
+
+  int max_depth = 0;  // deepest nesting of fetch() calls seen
+
+ private:
+  sim::Simulator& simulator_;
+  net::FetchId next_id_ = 1;
+  int depth_ = 0;
+  std::set<std::int32_t> failed_tiles_;
+  // Deferred fetches: their bytes and callback.
+  std::map<net::FetchId, std::pair<std::int64_t, net::TransferCallback>>
+      deferred_;
+};
+
+TEST(FetchQueueSlab, InlineSettlesAndNestedDispatchesSettleEachRequestOnce) {
+  // Every settled attempt submits the next request while its own slot is
+  // still taken, and most of those settle inside fetch(): the attempt slab
+  // grows under nested dispatches. The inline failures wait out their
+  // backoff and retry on a second queue through route_retry.
+  sim::Simulator simulator;
+  InlineSource source(simulator);
+  TransportOptions options;
+  options.max_concurrent = 3;
+  options.recovery.enabled = true;
+  FetchQueue queue(source, options, /*trace_path=*/-1);
+  FetchQueue retries(source, options, /*trace_path=*/-1);
+  queue.route_retry = [&retries]() -> FetchQueue& { return retries; };
+
+  constexpr int kRequests = 80;
+  std::vector<int> settles(kRequests, 0);
+  std::vector<std::optional<FetchOutcome>> outcomes(kRequests);
+  int submitted = 0;
+  std::int64_t retried_bytes = 0;
+  std::int64_t total_bytes = 0;
+  const auto submit = [&] {
+    const int tile = submitted++;
+    ChunkRequest req;
+    req.id = net::to_chunk_id({{tile, 0}, Encoding::kAvc, 0});
+    req.bytes = 1'000 + tile;
+    req.deadline = sim::seconds(30.0);
+    req.on_done = [&settles, &outcomes, tile](sim::Time, FetchOutcome o) {
+      ++settles[static_cast<std::size_t>(tile)];
+      outcomes[static_cast<std::size_t>(tile)] = o;
+    };
+    total_bytes += req.bytes;
+    if (tile % 7 == 3) retried_bytes += req.bytes;
+    queue.submit(std::move(req), static_cast<std::size_t>(tile % 2),
+                 static_cast<std::uint64_t>(tile), /*best_effort=*/false);
+  };
+  queue.on_attempt_settled = [&](const net::TransferResult&) {
+    if (submitted < kRequests) submit();
+  };
+  for (int i = 0; i < 3; ++i) submit();
+  simulator.run();
+
+  EXPECT_EQ(submitted, kRequests);
+  for (int tile = 0; tile < kRequests; ++tile) {
+    EXPECT_EQ(settles[static_cast<std::size_t>(tile)], 1) << "tile " << tile;
+    EXPECT_EQ(outcomes[static_cast<std::size_t>(tile)],
+              FetchOutcome::kDelivered)
+        << "tile " << tile;
+  }
+  EXPECT_GE(source.max_depth, 3);
+  EXPECT_EQ(retries.bytes_fetched(), retried_bytes);
+  EXPECT_EQ(queue.bytes_fetched() + retries.bytes_fetched(), total_bytes);
+  EXPECT_EQ(queue.in_flight(), 0);
+  EXPECT_EQ(retries.in_flight(), 0);
 }
 
 // TileFetcher over a transport that only records: each test settles the
