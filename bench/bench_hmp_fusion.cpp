@@ -77,7 +77,8 @@ int main() {
   TextTable fusion_table(
       {"Horizon s", "motion only", "+crowd", "+crowd+context"});
   hmp::ViewingContext speed_context;
-  speed_context.max_speed_dps = 130.0;  // learned per-user bound
+  // Set by hand, above the adult profile's 120 deg/s peak.
+  speed_context.max_speed_dps = 130.0;
   const auto test_trace = standard_trace(502);
   for (double h : horizons_s) {
     const auto horizon = sim::seconds(h);

@@ -69,10 +69,12 @@ void ConsistencyVra::plan_into(media::ChunkIndex index,
     return bytes;
   };
 
+  // The cap keeps the cast defined for any estimate; a whole plan is below
+  // it (VideoModel's bound).
   const std::int64_t budget =
       estimated_kbps > 0.0
-          ? static_cast<std::int64_t>(estimated_kbps * kSafety *
-                                      chunk_s * 1000.0 / 8.0)
+          ? static_cast<std::int64_t>(std::min(
+                estimated_kbps * kSafety * chunk_s * 1000.0 / 8.0, 9.2e18))
           : 0;
   // Largest affordable FoV quality, capped by the temporal rise limit.
   // Cost is monotone in q_fov, so an ascending scan finds the maximum.

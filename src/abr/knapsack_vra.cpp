@@ -49,10 +49,12 @@ void KnapsackVra::plan_into(media::ChunkIndex index,
     spent += video.avc_size_bytes(0, {t, index});
   }
   // Unknown throughput (startup): the coverage floor is all we commit to.
+  // The cap keeps the cast defined for any estimate; a whole plan is below
+  // it (VideoModel's bound).
   const std::int64_t budget =
       estimated_kbps > 0.0
-          ? static_cast<std::int64_t>(estimated_kbps * kSafety *
-                                      chunk_s * 1000.0 / 8.0)
+          ? static_cast<std::int64_t>(std::min(
+                estimated_kbps * kSafety * chunk_s * 1000.0 / 8.0, 9.2e18))
           : spent;
 
   // Greedy on marginal value density, highest first, ties to the lowest

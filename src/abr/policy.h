@@ -67,8 +67,9 @@ class TileAbrPolicy {
   //  `tile_probabilities`   — fusion HMP output for this chunk, one entry
   //                           per tile of the grid;
   //  `estimated_kbps`       — current throughput estimate (0 = unknown);
-  //  `buffer_level`         — media time buffered ahead of the playhead;
-  //  `last_quality`         — previous FoV quality (switch damping).
+  //  `buffer_level`         — media time buffered ahead of the playhead
+  //                           (no current policy reads it);
+  //  `last_quality`         — previous FoV quality (consistency's rise cap).
   // Throws std::invalid_argument for an empty FoV, a map whose size is not
   // the video's tile count, or a FoV tile outside [0, tile_count), then
   // hands the checked inputs to the policy's plan_into.

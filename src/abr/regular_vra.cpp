@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -13,15 +11,6 @@ namespace {
 media::QualityLevel max_level(const VraContext& ctx) {
   if (ctx.level_kbps.empty()) throw std::invalid_argument("VraContext: empty ladder");
   return static_cast<media::QualityLevel>(ctx.level_kbps.size()) - 1;
-}
-
-double utility_of(const VraContext& ctx, media::QualityLevel q) {
-  if (static_cast<std::size_t>(q) < ctx.level_utility.size()) {
-    return ctx.level_utility[static_cast<std::size_t>(q)];
-  }
-  // Fallback: linear in level index.
-  const auto top = static_cast<double>(ctx.level_kbps.size() - 1);
-  return top > 0.0 ? static_cast<double>(q) / top : 1.0;
 }
 
 }  // namespace
@@ -41,52 +30,6 @@ media::QualityLevel ThroughputVra::choose(const VraContext& ctx) const {
   return pick;
 }
 
-BufferVra::BufferVra(sim::Duration reservoir, sim::Duration cushion)
-    : reservoir_(reservoir), cushion_(cushion) {
-  if (reservoir < sim::Duration{0} || cushion <= reservoir) {
-    throw std::invalid_argument("BufferVra: need 0 <= reservoir < cushion");
-  }
-}
-
-media::QualityLevel BufferVra::choose(const VraContext& ctx) const {
-  const media::QualityLevel top = max_level(ctx);
-  if (ctx.buffer_level <= reservoir_) return 0;
-  if (ctx.buffer_level >= cushion_) return top;
-  const double f = sim::to_seconds(ctx.buffer_level - reservoir_) /
-                   sim::to_seconds(cushion_ - reservoir_);
-  return static_cast<media::QualityLevel>(
-      std::lround(f * static_cast<double>(top)));
-}
-
-BolaVra::BolaVra(double target_buffer_s, double gp)
-    : target_buffer_s_(target_buffer_s), gp_(gp) {
-  if (target_buffer_s <= 0.0) throw std::invalid_argument("BolaVra: bad target");
-  if (gp <= 0.0) throw std::invalid_argument("BolaVra: bad gp");
-}
-
-media::QualityLevel BolaVra::choose(const VraContext& ctx) const {
-  const media::QualityLevel top = max_level(ctx);
-  // V calibrated so that the top level's score crosses zero at the target
-  // buffer: V * (u_max + gp) = target.
-  const double u_max = utility_of(ctx, top);
-  const double v = target_buffer_s_ / (u_max + gp_);
-  const double buffer_s = sim::to_seconds(ctx.buffer_level);
-  double best_score = -std::numeric_limits<double>::infinity();
-  media::QualityLevel best = 0;
-  for (media::QualityLevel q = 0; q <= top; ++q) {
-    const double size = ctx.level_kbps[static_cast<std::size_t>(q)];
-    if (size <= 0.0) continue;
-    const double score = (v * (utility_of(ctx, q) + gp_) - buffer_s) / size;
-    if (score > best_score) {
-      best_score = score;
-      best = q;
-    }
-  }
-  // Every score negative: the buffer is beyond the control region — BOLA
-  // would pause; lacking a pause, stream the top quality.
-  return best_score < 0.0 ? top : best;
-}
-
 FixedVra::FixedVra(media::QualityLevel level) : level_(level) {
   if (level < 0) throw std::invalid_argument("FixedVra: negative level");
 }
@@ -95,52 +38,8 @@ media::QualityLevel FixedVra::choose(const VraContext& ctx) const {
   return std::min(level_, max_level(ctx));
 }
 
-MpcVra::MpcVra(int lookahead_chunks, double stall_penalty, double switch_penalty)
-    : lookahead_(lookahead_chunks),
-      stall_penalty_(stall_penalty),
-      switch_penalty_(switch_penalty) {
-  if (lookahead_chunks < 1) throw std::invalid_argument("MpcVra: bad lookahead");
-}
-
-media::QualityLevel MpcVra::choose(const VraContext& ctx) const {
-  const media::QualityLevel top = max_level(ctx);
-  if (ctx.estimated_kbps <= 0.0) return 0;
-  // Score holding quality q for the lookahead window: utility accrues per
-  // chunk; rebuffering occurs when cumulative download time outruns the
-  // buffer plus played media time.
-  double best_score = -1e18;
-  media::QualityLevel best = 0;
-  const double chunk_s = sim::to_seconds(ctx.chunk_duration);
-  for (media::QualityLevel q = 0; q <= top; ++q) {
-    const double dl_per_chunk_s =
-        ctx.level_kbps[static_cast<std::size_t>(q)] * chunk_s / ctx.estimated_kbps;
-    double buffer_s = sim::to_seconds(ctx.buffer_level);
-    double stall_s = 0.0;
-    for (int i = 0; i < lookahead_; ++i) {
-      buffer_s -= dl_per_chunk_s;      // downloading consumes buffer headroom
-      if (buffer_s < 0.0) {
-        stall_s += -buffer_s;
-        buffer_s = 0.0;
-      }
-      buffer_s += chunk_s;             // the fetched chunk extends the buffer
-    }
-    const double score = lookahead_ * utility_of(ctx, q) -
-                         stall_penalty_ * stall_s -
-                         switch_penalty_ * std::abs(utility_of(ctx, q) -
-                                                    utility_of(ctx, ctx.last_quality));
-    if (score > best_score) {
-      best_score = score;
-      best = q;
-    }
-  }
-  return best;
-}
-
 std::unique_ptr<RegularVra> make_regular_vra(std::string_view name) {
   if (name == "throughput") return std::make_unique<ThroughputVra>();
-  if (name == "buffer") return std::make_unique<BufferVra>();
-  if (name == "mpc") return std::make_unique<MpcVra>();
-  if (name == "bola") return std::make_unique<BolaVra>();
   // "fixed-<level>" pins the quality, e.g. "fixed-2". A malformed level
   // ("fixed-", "fixed-x", "fixed--1") falls through to the listing error
   // below instead of whatever std::stoi would have thrown.
@@ -156,8 +55,7 @@ std::unique_ptr<RegularVra> make_regular_vra(std::string_view name) {
   }
   throw std::invalid_argument("make_regular_vra: unknown VRA \"" +
                               std::string(name) +
-                              "\"; valid names: throughput, buffer, mpc, "
-                              "bola, fixed-<level>");
+                              "\"; valid names: throughput, fixed-<level>");
 }
 
 }  // namespace sperke::abr

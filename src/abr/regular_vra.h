@@ -6,11 +6,7 @@
 // the pluggable "regular VRA" engines:
 //   * ThroughputVra — FESTIVE-like [29]: pick the highest level sustainable
 //     at a safety-discounted throughput estimate.
-//   * BufferVra — BBA-like [28]: map buffer occupancy linearly onto the
-//     ladder between two reservoirs. (The paper notes this interacts poorly
-//     with short HMP windows — our benches can show exactly that.)
-//   * MpcVra — control-theoretic lite [44]: lookahead scoring of candidate
-//     levels balancing utility, switching and predicted rebuffering.
+//   * FixedVra — one pinned level, for equal-quality comparisons.
 #pragma once
 
 #include <memory>
@@ -18,7 +14,6 @@
 #include <vector>
 
 #include "media/quality_ladder.h"
-#include "sim/time.h"
 
 namespace sperke::abr {
 
@@ -27,12 +22,7 @@ struct VraContext {
   // Cost of the next super chunk at each ladder level, in kbps of effective
   // bitrate (bytes*8 / chunk duration). Index = quality level.
   std::vector<double> level_kbps;
-  double estimated_kbps = 0.0;        // throughput estimate (0 = unknown)
-  sim::Duration buffer_level{0};      // media time buffered ahead of playhead
-  sim::Duration chunk_duration{sim::seconds(1.0)};
-  media::QualityLevel last_quality = 0;
-  // Per-level utility in [0,1] (usually ladder utilities).
-  std::vector<double> level_utility;
+  double estimated_kbps = 0.0;  // throughput estimate (0 = unknown)
 };
 
 class RegularVra {
@@ -52,38 +42,6 @@ class ThroughputVra final : public RegularVra {
   double safety_;
 };
 
-class BufferVra final : public RegularVra {
- public:
-  // Below `reservoir` play the lowest level; above `cushion` the highest;
-  // linear in between.
-  BufferVra(sim::Duration reservoir = sim::seconds(5.0),
-            sim::Duration cushion = sim::seconds(15.0));
-  [[nodiscard]] media::QualityLevel choose(const VraContext& ctx) const override;
-  [[nodiscard]] std::string_view name() const override { return "buffer"; }
-
- private:
-  sim::Duration reservoir_;
-  sim::Duration cushion_;
-};
-
-// BOLA-style Lyapunov buffer controller: pick the level maximizing
-//   (V * utility(q) + gamma - buffer_s) ... scaled by the level's size —
-// concretely argmax_q (V * (utility(q) + gp) - buffer_s) / size(q),
-// choosing 0 when every score is negative. Buffer-driven like BBA but with
-// a principled utility/size tradeoff; included as the fourth regular-VRA
-// baseline the 360° planner can sit on.
-class BolaVra final : public RegularVra {
- public:
-  // `target_buffer_s` tunes V so the controller stabilizes around it.
-  explicit BolaVra(double target_buffer_s = 12.0, double gp = 5.0);
-  [[nodiscard]] media::QualityLevel choose(const VraContext& ctx) const override;
-  [[nodiscard]] std::string_view name() const override { return "bola"; }
-
- private:
-  double target_buffer_s_;
-  double gp_;
-};
-
 // Pins every chunk to one ladder level. Not a real adaptation policy —
 // used by equal-quality comparisons (e.g. measuring FoV-guided bandwidth
 // savings at the *same* displayed quality, §2) and as an ablation control.
@@ -95,19 +53,6 @@ class FixedVra final : public RegularVra {
 
  private:
   media::QualityLevel level_;
-};
-
-class MpcVra final : public RegularVra {
- public:
-  explicit MpcVra(int lookahead_chunks = 3, double stall_penalty = 4.0,
-                  double switch_penalty = 1.0);
-  [[nodiscard]] media::QualityLevel choose(const VraContext& ctx) const override;
-  [[nodiscard]] std::string_view name() const override { return "mpc"; }
-
- private:
-  int lookahead_;
-  double stall_penalty_;
-  double switch_penalty_;
 };
 
 [[nodiscard]] std::unique_ptr<RegularVra> make_regular_vra(std::string_view name);

@@ -58,8 +58,8 @@ media::Encoding SperkeVra::oos_encoding() const {
 void SperkeVra::plan_into(media::ChunkIndex index,
                           const std::vector<geo::TileId>& predicted_fov,
                           std::span<const double> tile_probabilities,
-                          double estimated_kbps, sim::Duration buffer_level,
-                          media::QualityLevel last_quality,
+                          double estimated_kbps, sim::Duration /*buffer_level*/,
+                          media::QualityLevel /*last_quality*/,
                           PlanWorkspace& workspace, ChunkPlan& out) const {
   const media::VideoModel& video = this->video();
   const auto& ladder = video.ladder();
@@ -68,11 +68,7 @@ void SperkeVra::plan_into(media::ChunkIndex index,
   // Part 1: super-chunk cost per quality level -> regular VRA choice.
   VraContext& ctx = workspace.ctx;
   ctx.level_kbps.clear();
-  ctx.level_utility.clear();
   ctx.estimated_kbps = estimated_kbps;
-  ctx.buffer_level = buffer_level;
-  ctx.chunk_duration = video.chunk_duration();
-  ctx.last_quality = last_quality;
   for (media::QualityLevel q = 0; q < ladder.levels(); ++q) {
     std::int64_t bytes = 0;
     for (geo::TileId tile : predicted_fov) {
@@ -82,7 +78,6 @@ void SperkeVra::plan_into(media::ChunkIndex index,
                    : video.avc_size_bytes(q, key);
     }
     ctx.level_kbps.push_back(static_cast<double>(bytes) * 8.0 / chunk_s / 1000.0);
-    ctx.level_utility.push_back(ladder.utility(q));
   }
   const media::QualityLevel q_fov = regular_->choose(ctx);
 

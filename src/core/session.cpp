@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -20,8 +21,30 @@ constexpr sim::Duration kUpgradeScanPeriod = sim::milliseconds(250);
 }  // namespace
 
 void validate(const SessionConfig& config) {
+  // Every check is written so that NaN fails it.
   if (config.prefetch_horizon_chunks < 1) {
     throw std::invalid_argument("Session: prefetch horizon < 1");
+  }
+  // The view frustum takes tan(extent / 2): at 180 degrees or more it mirrors.
+  if (!(config.viewport.width_deg > 0.0 && config.viewport.width_deg < 180.0)) {
+    throw std::invalid_argument("Session: viewport width must be in (0, 180) degrees");
+  }
+  if (!(config.viewport.height_deg > 0.0 && config.viewport.height_deg < 180.0)) {
+    throw std::invalid_argument("Session: viewport height must be in (0, 180) degrees");
+  }
+  const hmp::ViewingContext& context = config.context;
+  if (!(context.engagement >= 0.0 && context.engagement <= 1.0)) {
+    throw std::invalid_argument("Session: engagement must be in [0, 1]");
+  }
+  if (context.max_speed_dps.has_value() &&
+      !(*context.max_speed_dps > 0.0 && std::isfinite(*context.max_speed_dps))) {
+    throw std::invalid_argument("Session: max_speed_dps must be finite and > 0");
+  }
+  if (!std::isfinite(context.home_yaw_deg)) {
+    throw std::invalid_argument("Session: home_yaw_deg must be finite");
+  }
+  if (config.data_budget_bytes < 0) {
+    throw std::invalid_argument("Session: data_budget_bytes < 0");
   }
 }
 

@@ -65,8 +65,9 @@ struct SessionConfig {
 };
 
 // Throws std::invalid_argument naming the first field a session cannot
-// run with. The StreamingSession constructor and engine::validate call it,
-// so a bad config fails before any event is scheduled.
+// run with. The Viewer constructor (so both the VOD and the live player)
+// and engine::validate call it, so a bad config fails before any event is
+// scheduled.
 void validate(const SessionConfig& config);
 
 struct SessionReport {

@@ -1,5 +1,7 @@
 #include "engine/world.h"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "abr/factory.h"
@@ -60,6 +62,15 @@ void validate(const WorldSpec& spec) {
   }
   if (spec.sample_period < sim::Duration{0}) {
     throw std::invalid_argument("WorldSpec: sample_period < 0");
+  }
+  // Session id s starts at start_stagger * s; the last start must fit the
+  // clock.
+  if (spec.start_stagger < sim::Duration{0}) {
+    throw std::invalid_argument("WorldSpec: start_stagger < 0");
+  }
+  if (spec.start_stagger.count() >
+      std::numeric_limits<std::int64_t>::max() / spec.sessions) {
+    throw std::invalid_argument("WorldSpec: start_stagger * sessions overflows the clock");
   }
   if (!spec.slos.empty() && spec.sample_period <= sim::Duration{0}) {
     throw std::invalid_argument("WorldSpec: slos require sample_period > 0");

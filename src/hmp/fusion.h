@@ -28,7 +28,7 @@ namespace sperke::hmp {
 // Per-user / per-session context (§3.2's third data dimension).
 struct ViewingContext {
   std::optional<Pose> pose;               // constrains reachable yaw band
-  std::optional<double> max_speed_dps;    // learned per-user speed bound
+  std::optional<double> max_speed_dps;    // per-user head speed bound (deg/s)
   double home_yaw_deg = 0.0;              // pose band center
   // Engagement level from reaction sensing / gaze tracking ([15], §3.2):
   // 1 = locked onto the content (small prediction spread, sharp saccades

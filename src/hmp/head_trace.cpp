@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/csv.h"
 #include "util/math.h"
 
 namespace sperke::hmp {
@@ -13,7 +11,7 @@ namespace sperke::hmp {
 HeadTrace::HeadTrace(std::vector<HeadSample> samples, double sample_rate_hz)
     : samples_(std::move(samples)), sample_rate_hz_(sample_rate_hz) {
   if (samples_.empty()) throw std::invalid_argument("HeadTrace: empty");
-  if (sample_rate_hz_ <= 0.0) throw std::invalid_argument("HeadTrace: bad rate");
+  if (!(sample_rate_hz_ > 0.0)) throw std::invalid_argument("HeadTrace: bad rate");
   for (std::size_t i = 1; i < samples_.size(); ++i) {
     if (samples_[i].t <= samples_[i - 1].t) {
       throw std::invalid_argument("HeadTrace: samples not time-ordered");
@@ -98,7 +96,10 @@ geo::Orientation clamp_to_pose(const geo::Orientation& target, double home_yaw,
 }  // namespace
 
 HeadTrace generate_head_trace(const HeadTraceConfig& config) {
-  if (config.duration_s <= 0.0 || config.sample_rate_hz <= 0.0) {
+  // NaN fails both checks: the duration and the sample period must be
+  // positive clock values.
+  if (!sim::valid_positive_seconds(config.duration_s) ||
+      !sim::valid_positive_seconds(1.0 / config.sample_rate_hz)) {
     throw std::invalid_argument("generate_head_trace: bad duration/rate");
   }
   Rng rng(config.seed);
@@ -159,37 +160,6 @@ HeadTrace generate_head_trace(const HeadTraceConfig& config) {
     current = clamp_to_pose(current, home_yaw, prof.pose);
   }
   return HeadTrace(std::move(samples), config.sample_rate_hz);
-}
-
-std::string to_csv(const HeadTrace& trace) {
-  std::ostringstream os;
-  CsvWriter writer(os);
-  writer.write_row({"seconds", "yaw_deg", "pitch_deg", "roll_deg"});
-  for (const HeadSample& sample : trace.samples()) {
-    writer.write_row({std::to_string(sim::to_seconds(sample.t)),
-                      std::to_string(sample.orientation.yaw_deg),
-                      std::to_string(sample.orientation.pitch_deg),
-                      std::to_string(sample.orientation.roll_deg)});
-  }
-  return os.str();
-}
-
-HeadTrace head_trace_from_csv(const std::string& text, double sample_rate_hz) {
-  const auto rows = parse_csv(text);
-  if (rows.size() < 2) throw std::runtime_error("head trace CSV: too short");
-  std::vector<HeadSample> samples;
-  samples.reserve(rows.size() - 1);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].size() != 4) throw std::runtime_error("head trace CSV: bad row");
-    HeadSample sample;
-    sample.t = sim::seconds(std::stod(rows[i][0]));
-    sample.orientation = geo::Orientation{std::stod(rows[i][1]),
-                                          std::stod(rows[i][2]),
-                                          std::stod(rows[i][3])}
-                             .normalized();
-    samples.push_back(sample);
-  }
-  return HeadTrace(std::move(samples), sample_rate_hz);
 }
 
 std::vector<Attractor> default_attractors(double duration_s, std::uint64_t seed) {

@@ -93,11 +93,4 @@ struct HeadTraceConfig {
 [[nodiscard]] std::vector<Attractor> default_attractors(double duration_s,
                                                         std::uint64_t seed);
 
-// CSV round-trip, four columns: seconds,yaw_deg,pitch_deg,roll_deg.
-// Compatible with common public head-movement dataset exports, so real
-// traces can stand in for the synthetic generator.
-[[nodiscard]] std::string to_csv(const HeadTrace& trace);
-[[nodiscard]] HeadTrace head_trace_from_csv(const std::string& text,
-                                            double sample_rate_hz);
-
 }  // namespace sperke::hmp

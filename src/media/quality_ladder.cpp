@@ -35,14 +35,6 @@ double QualityLadder::utility(QualityLevel q) const {
   return utility_[static_cast<std::size_t>(q)];
 }
 
-QualityLevel QualityLadder::level_for_kbps(double kbps) const {
-  QualityLevel best = 0;
-  for (QualityLevel q = 0; q < levels(); ++q) {
-    if (kbps_[static_cast<std::size_t>(q)] <= kbps) best = q;
-  }
-  return best;
-}
-
 QualityLadder QualityLadder::default_ladder() {
   // Full-panorama bitrates (kbps): 360p-ish base up to 4K-ish top rung.
   // 360° video needs ~5x the bitrate of a regular video at the same

@@ -25,10 +25,6 @@ class QualityLadder {
   // matching the diminishing returns of encoded video quality.
   [[nodiscard]] double utility(QualityLevel q) const;
 
-  // Highest level whose panorama bitrate does not exceed `kbps`
-  // (level 0 if even the base exceeds it).
-  [[nodiscard]] QualityLevel level_for_kbps(double kbps) const;
-
   [[nodiscard]] bool valid_level(QualityLevel q) const {
     return q >= 0 && q < levels();
   }

@@ -71,15 +71,17 @@ VideoModel::VideoModel(VideoModelConfig config) : config_(std::move(config)) {
   }
 
   // The largest object it can size, the top rung's SVC stack of the largest
-  // tile share at the largest complexity, must fit the int64 size casts.
-  // Every other object's factors are no larger, and rounding is monotone.
+  // tile share at the largest complexity, must fit the int64 size casts,
+  // and so must one such object per tile: every planner sums a chunk's
+  // objects across tiles. Every other object's factors are no larger, and
+  // rounding is monotone.
   const double max_bytes =
       ladder().panorama_kbps(ladder().max_level()) * 1000.0 *
       config_.chunk_duration_s *
       *std::max_element(tile_shares_.begin(), tile_shares_.end()) *
       max_complexity / 8.0;
-  if (!(max_bytes * (1.0 + config_.svc_overhead) < 9.2e18)) {
-    throw std::invalid_argument("VideoModel: object sizes overflow int64");
+  if (!(max_bytes * (1.0 + config_.svc_overhead) * tile_count() < 9.2e18)) {
+    throw std::invalid_argument("VideoModel: a chunk's object sizes overflow int64");
   }
 }
 

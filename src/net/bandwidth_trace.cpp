@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/csv.h"
 #include "util/rng.h"
 
 namespace sperke::net {
@@ -91,41 +89,6 @@ std::optional<sim::Time> BandwidthTrace::next_change_after(sim::Time t) const {
       [](sim::Time value, const auto& seg) { return value < seg.first; });
   if (it == segments_.end()) return std::nullopt;
   return it->first;
-}
-
-double BandwidthTrace::average_kbps(sim::Duration horizon) const {
-  if (horizon <= sim::Duration{0}) throw std::invalid_argument("average_kbps: horizon <= 0");
-  double weighted = 0.0;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const sim::Time start = segments_[i].first;
-    if (start >= horizon) break;
-    const sim::Time end =
-        (i + 1 < segments_.size()) ? std::min<sim::Time>(segments_[i + 1].first, horizon)
-                                   : horizon;
-    weighted += segments_[i].second * sim::to_seconds(end - start);
-  }
-  return weighted / sim::to_seconds(horizon);
-}
-
-std::string BandwidthTrace::to_csv() const {
-  std::ostringstream os;
-  CsvWriter writer(os);
-  writer.write_row({"start_seconds", "kbps"});
-  for (const auto& [t, kbps] : segments_) {
-    writer.write_row({std::to_string(sim::to_seconds(t)), std::to_string(kbps)});
-  }
-  return os.str();
-}
-
-BandwidthTrace BandwidthTrace::from_csv(const std::string& text) {
-  const auto rows = parse_csv(text);
-  if (rows.size() < 2) throw std::runtime_error("BandwidthTrace: CSV too short");
-  std::vector<std::pair<double, double>> steps;
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].size() != 2) throw std::runtime_error("BandwidthTrace: bad CSV row");
-    steps.emplace_back(std::stod(rows[i][0]), std::stod(rows[i][1]));
-  }
-  return BandwidthTrace::steps(steps);
 }
 
 }  // namespace sperke::net

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,13 +47,6 @@ class BandwidthTrace {
   [[nodiscard]] const std::vector<std::pair<sim::Time, double>>& segments() const {
     return segments_;
   }
-
-  // Time-average bandwidth over [0, horizon].
-  [[nodiscard]] double average_kbps(sim::Duration horizon) const;
-
-  // CSV round-trip: two columns, start_seconds,kbps.
-  [[nodiscard]] std::string to_csv() const;
-  [[nodiscard]] static BandwidthTrace from_csv(const std::string& text);
 
  private:
   std::vector<std::pair<sim::Time, double>> segments_;

@@ -331,12 +331,17 @@ void Link::arm_wakeup() {
   // Next wake-up: earliest completion (or scheduled mid-flight failure) or
   // bandwidth-trace step. Fault-window boundaries have their own events.
   sim::Time next = sim::Time{std::numeric_limits<std::int64_t>::max()};
+  const double clock_room_us = 9.2e18 - static_cast<double>(simulator_.now().count());
   for (const Transfer& t : transfers_) {
     if (t.rate_bps <= 0.0) continue;  // also every warmup transfer
     const double to_go = t.fail_at_remaining_bytes >= 0.0
                              ? t.remaining_bytes - t.fail_at_remaining_bytes
                              : t.remaining_bytes;
     const double secs = std::max(to_go, 0.0) * 8.0 / t.rate_bps;
+    // A completion past the clock's range (a near-zero rate, as under a
+    // 1e-200 capacity collapse) arms nothing, like a zero rate: the
+    // window's end or a trace step reflows the transfer first.
+    if (!(secs * 1e6 < clock_room_us)) continue;
     // Round *up* to at least one microsecond: rounding a sub-tick
     // completion down to zero would respawn this event at the same
     // instant forever.

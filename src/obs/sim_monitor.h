@@ -26,11 +26,6 @@ class SimMonitor {
   void stop() { task_.stop(); }
   [[nodiscard]] bool running() const { return task_.running(); }
 
-  // Take one sample immediately (e.g. a final reading at the horizon). A
-  // zero-elapsed sample still records queue depth and bumps sim.samples,
-  // but leaves events_per_sec untouched — 0/0 is not a rate.
-  void sample_now() { sample(); }
-
   // Queue-depth quantile bound over all samples so far (q in [0,1]),
   // straight from sim.queue_depth_hist via histogram_quantile_bound().
   [[nodiscard]] double queue_depth_quantile(double q) const {

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -19,12 +18,6 @@ namespace sperke {
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
-
-  // Derive a child RNG with a decorrelated seed; use to give each
-  // subcomponent an independent stream from one master seed.
-  [[nodiscard]] Rng fork() {
-    return Rng(engine_() ^ 0x9e3779b97f4a7c15ULL);
-  }
 
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi) {
@@ -54,13 +47,6 @@ class Rng {
 
   bool bernoulli(double p) {
     return std::bernoulli_distribution(p)(engine_);
-  }
-
-  // Sample an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_index(std::span<const double> weights) {
-    if (weights.empty()) throw std::invalid_argument("weighted_index: empty weights");
-    std::discrete_distribution<std::size_t> dist(weights.begin(), weights.end());
-    return dist(engine_);
   }
 
   template <typename T>

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -112,9 +113,11 @@ TEST(RegularVraFactory, UnknownNameErrorListsValidNames) {
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("quantum"), std::string::npos) << what;
-    for (const char* name :
-         {"throughput", "buffer", "mpc", "bola", "fixed-<level>"}) {
+    for (const char* name : {"throughput", "fixed-<level>"}) {
       EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+    for (const char* gone : {"buffer", "mpc", "bola"}) {
+      EXPECT_EQ(what.find(gone), std::string::npos) << what;
     }
   }
 }
@@ -214,6 +217,37 @@ TEST(PolicyInputs, RejectsMalformedPlanInputs) {
     EXPECT_NO_THROW(
         (void)policy->plan_chunk(0, fov, full, 8'000.0, sim::seconds(2.0), 0))
         << name;
+  }
+}
+
+// VideoModel bounds tile_count() times its largest object, so a model just
+// under that bound plans in every policy and encoding mode without a byte
+// sum overflowing, and no throughput estimate overflows a byte budget.
+TEST(PolicyInputs, PlansAModelJustUnderTheInt64Bound) {
+  media::VideoModelConfig cfg;
+  cfg.duration_s = 4.0;
+  cfg.tile_rows = 2;
+  cfg.tile_cols = 2;
+  cfg.complexity_sigma = 0.0;
+  cfg.area_mix = 0.0;
+  cfg.ladder = media::QualityLadder({6e16});  // 8.25e18 SVC bytes per chunk
+  const auto video = std::make_shared<media::VideoModel>(cfg);
+  const std::vector<geo::TileId> fov{0, 1};
+  const auto probs = probs_for(*video, fov);
+  for (const std::string_view name : policy_names()) {
+    for (const EncodingMode mode :
+         {EncodingMode::kAvcNoUpgrade, EncodingMode::kSvc, EncodingMode::kHybrid}) {
+      TileAbrConfig config;
+      config.policy = std::string(name);
+      config.sperke.mode = mode;
+      const auto policy = make_policy(video, config);
+      for (const double kbps :
+           {0.0, 8'000.0, 6e16, std::numeric_limits<double>::infinity()}) {
+        const ChunkPlan plan =
+            policy->plan_chunk(0, fov, probs, kbps, sim::seconds(2.0), 0);
+        EXPECT_GT(plan.total_bytes(*video), 0) << name << " @ " << kbps;
+      }
+    }
   }
 }
 

@@ -25,14 +25,10 @@ std::shared_ptr<media::VideoModel> make_video() {
   return std::make_shared<media::VideoModel>(cfg);
 }
 
-VraContext context_with(double est_kbps, double buffer_s,
-                        media::QualityLevel last = 0) {
+VraContext context_with(double est_kbps) {
   VraContext ctx;
   ctx.level_kbps = {1000.0, 2500.0, 5000.0, 10000.0, 20000.0};
-  ctx.level_utility = {0.0, 0.25, 0.5, 0.75, 1.0};
   ctx.estimated_kbps = est_kbps;
-  ctx.buffer_level = sim::seconds(buffer_s);
-  ctx.last_quality = last;
   return ctx;
 }
 
@@ -68,10 +64,10 @@ TEST(QoeTracker, RejectsBadInputs) {
 
 TEST(ThroughputVra, PicksSustainableLevel) {
   ThroughputVra vra(0.85);
-  EXPECT_EQ(vra.choose(context_with(12000.0, 10.0)), 3);  // 0.85*12000 >= 10000
-  EXPECT_EQ(vra.choose(context_with(3000.0, 10.0)), 1);
-  EXPECT_EQ(vra.choose(context_with(500.0, 10.0)), 0);
-  EXPECT_EQ(vra.choose(context_with(0.0, 10.0)), 0);  // unknown throughput
+  EXPECT_EQ(vra.choose(context_with(12000.0)), 3);  // 0.85*12000 >= 10000
+  EXPECT_EQ(vra.choose(context_with(3000.0)), 1);
+  EXPECT_EQ(vra.choose(context_with(500.0)), 0);
+  EXPECT_EQ(vra.choose(context_with(0.0)), 0);  // unknown throughput
 }
 
 TEST(ThroughputVra, RejectsBadSafety) {
@@ -79,68 +75,19 @@ TEST(ThroughputVra, RejectsBadSafety) {
   EXPECT_THROW(ThroughputVra(1.5), std::invalid_argument);
 }
 
-TEST(BufferVra, MapsBufferToLadder) {
-  BufferVra vra(sim::seconds(5.0), sim::seconds(15.0));
-  EXPECT_EQ(vra.choose(context_with(9999.0, 2.0)), 0);   // below reservoir
-  EXPECT_EQ(vra.choose(context_with(9999.0, 20.0)), 4);  // above cushion
-  EXPECT_EQ(vra.choose(context_with(9999.0, 10.0)), 2);  // midpoint
-}
-
-TEST(BufferVra, RejectsBadReservoirs) {
-  EXPECT_THROW(BufferVra(sim::seconds(5.0), sim::seconds(5.0)), std::invalid_argument);
-}
-
-TEST(MpcVra, HighBandwidthPicksHigh) {
-  MpcVra vra;
-  EXPECT_GE(vra.choose(context_with(40000.0, 8.0, 4)), 3);
-}
-
-TEST(MpcVra, LowBufferIsConservative) {
-  MpcVra vra;
-  const auto starved = vra.choose(context_with(10000.0, 0.3, 0));
-  const auto healthy = vra.choose(context_with(10000.0, 12.0, 0));
-  EXPECT_LE(starved, healthy);
-}
-
-TEST(MpcVra, SwitchPenaltyDampsJumps) {
-  MpcVra damped(3, 4.0, /*switch_penalty=*/50.0);
-  // Huge switching penalty: stick near the last quality.
-  EXPECT_EQ(damped.choose(context_with(40000.0, 10.0, 1)), 1);
-}
-
 TEST(RegularVraFactory, MakesAllKinds) {
   EXPECT_EQ(make_regular_vra("throughput")->name(), "throughput");
-  EXPECT_EQ(make_regular_vra("buffer")->name(), "buffer");
-  EXPECT_EQ(make_regular_vra("mpc")->name(), "mpc");
-  EXPECT_EQ(make_regular_vra("bola")->name(), "bola");
   EXPECT_EQ(make_regular_vra("fixed-2")->name(), "fixed");
   EXPECT_THROW((void)make_regular_vra("festive2"), std::invalid_argument);
-}
-
-TEST(BolaVra, QualityRisesWithBuffer) {
-  BolaVra vra(12.0);
-  const auto starved = vra.choose(context_with(0.0, 0.5));
-  const auto mid = vra.choose(context_with(0.0, 8.0));
-  const auto full = vra.choose(context_with(0.0, 14.0));
-  EXPECT_EQ(starved, 0);
-  EXPECT_GE(mid, starved);
-  EXPECT_GE(full, mid);
-  EXPECT_EQ(full, 4);  // beyond the control region -> top
-}
-
-TEST(BolaVra, IgnoresThroughputEstimate) {
-  BolaVra vra;
-  EXPECT_EQ(vra.choose(context_with(1e9, 0.5)), vra.choose(context_with(0.0, 0.5)));
-}
-
-TEST(BolaVra, RejectsBadParameters) {
-  EXPECT_THROW(BolaVra(0.0), std::invalid_argument);
-  EXPECT_THROW(BolaVra(10.0, 0.0), std::invalid_argument);
+  // Only throughput and fixed-<level> resolve.
+  for (const char* name : {"buffer", "mpc", "bola"}) {
+    EXPECT_THROW((void)make_regular_vra(name), std::invalid_argument) << name;
+  }
 }
 
 TEST(FixedVra, ClampsToLadderTop) {
   FixedVra vra(99);
-  EXPECT_EQ(vra.choose(context_with(0.0, 0.0)), 4);
+  EXPECT_EQ(vra.choose(context_with(0.0)), 4);
   EXPECT_THROW(FixedVra(-1), std::invalid_argument);
 }
 

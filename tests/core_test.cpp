@@ -6,7 +6,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -972,6 +974,69 @@ TEST_F(SessionTest, RejectsBadConfig) {
         << what;
   }
 }
+
+// One row per SessionConfig field that validate() bounds past the prefetch
+// horizon. A viewport of 180 degrees or more would mirror the frustum
+// (visible_tiles takes tan(extent / 2)); NaN must fail every check.
+struct SessionField {
+  const char* name;
+  void (*set)(SessionConfig&, double);
+  std::vector<double> bad;
+  double good;  // the nearest legal value, still accepted
+};
+
+void PrintTo(const SessionField& field, std::ostream* os) { *os << field.name; }
+
+class SessionFieldValidation : public SessionTest,
+                               public ::testing::WithParamInterface<SessionField> {};
+
+TEST_P(SessionFieldValidation, ValidateAndConstructorRejectEveryBadValue) {
+  const SessionField& field = GetParam();
+  sim::Simulator simulator;
+  net::Link link(simulator, net::LinkConfig{});
+  SingleLinkTransport transport(link);
+  auto video = make_video(5.0);
+  const auto trace = steady_trace(10.0);
+  for (const double value : field.bad) {
+    SessionConfig bad;
+    field.set(bad, value);
+    EXPECT_THROW(validate(bad), std::invalid_argument) << field.name << " = " << value;
+    EXPECT_THROW(StreamingSession(simulator, video, transport, trace, bad),
+                 std::invalid_argument)
+        << field.name << " = " << value;
+  }
+  SessionConfig good;
+  field.set(good, field.good);
+  EXPECT_NO_THROW(validate(good)) << field.name << " = " << field.good;
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, SessionFieldValidation,
+    ::testing::Values(
+        SessionField{"viewport_width",
+                     [](SessionConfig& c, double v) { c.viewport.width_deg = v; },
+                     {kNan, 0.0, -90.0, kInf, 180.0, 720.0}, 179.0},
+        SessionField{"viewport_height",
+                     [](SessionConfig& c, double v) { c.viewport.height_deg = v; },
+                     {kNan, 0.0, -90.0, kInf, 180.0, 720.0}, 179.0},
+        SessionField{"engagement",
+                     [](SessionConfig& c, double v) { c.context.engagement = v; },
+                     {kNan, -0.1, 1.5, kInf}, 1.0},
+        SessionField{"max_speed_dps",
+                     [](SessionConfig& c, double v) { c.context.max_speed_dps = v; },
+                     {kNan, 0.0, -30.0, kInf}, 1.0},
+        SessionField{"home_yaw_deg",
+                     [](SessionConfig& c, double v) { c.context.home_yaw_deg = v; },
+                     {kNan, kInf, -kInf}, -180.0},
+        SessionField{"data_budget_bytes",
+                     [](SessionConfig& c, double v) {
+                       c.data_budget_bytes = static_cast<std::int64_t>(v);
+                     },
+                     {-1.0, -1e6}, 0.0}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // The planner reads the crowd prior of every chunk it reaches, so a
 // heatmap shorter than the video is rejected at construction instead of

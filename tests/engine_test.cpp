@@ -534,6 +534,38 @@ TEST(Engine, ValidateRejectsBadSpecs) {
   EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument);
 }
 
+// Session s starts at start_stagger * s, so the stagger must be
+// non-negative and that product must fit the clock.
+TEST(Engine, ValidateRejectsNegativeStartStagger) {
+  engine::WorldSpec spec = small_world(1);
+  spec.start_stagger = sim::milliseconds(-10);
+  EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument);
+  spec.start_stagger = sim::Duration{0};
+  EXPECT_NO_THROW(engine::validate(spec));
+}
+
+TEST(Engine, ValidateRejectsStartStaggerPastTheClock) {
+  engine::WorldSpec spec = small_world(1);
+  spec.sessions = 4;
+  spec.start_stagger = sim::seconds(4e12);  // 3 * 4e12 s overflows
+  EXPECT_THROW(engine::ShardedEngine{spec}, std::invalid_argument);
+  spec.start_stagger = sim::seconds(2e12);  // the last start, 6e12 s, fits
+  EXPECT_NO_THROW(engine::validate(spec));
+}
+
+// A non-finite trace template fails the world with a clean exception
+// before any sample count is computed from it.
+TEST(Engine, NonFiniteTraceTemplateFailsCleanly) {
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    engine::WorldSpec spec = small_world(1);
+    spec.trace_template.duration_s = bad;
+    EXPECT_THROW((void)engine::run_world(spec), std::invalid_argument) << bad;
+    spec = small_world(1);
+    spec.trace_template.sample_rate_hz = bad;
+    EXPECT_THROW((void)engine::run_world(spec), std::invalid_argument) << bad;
+  }
+}
+
 TEST(Engine, ValidateRejectsBadRecoveryPolicies) {
   // A negative timeout floor must be rejected the same way by both
   // transports and by ShardedEngine, before any shard is built.

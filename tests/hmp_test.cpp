@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "hmp/accuracy.h"
@@ -8,7 +9,6 @@
 #include "hmp/head_trace.h"
 #include "hmp/heatmap.h"
 #include "hmp/predictor.h"
-#include "hmp/user_model.h"
 
 namespace sperke::hmp {
 namespace {
@@ -117,6 +117,27 @@ TEST(HeadTrace, RejectsBadInput) {
   auto cfg = trace_config();
   cfg.duration_s = -1.0;
   EXPECT_THROW((void)generate_head_trace(cfg), std::invalid_argument);
+}
+
+// NaN and infinity must fail before the sample-count cast.
+TEST(HeadTrace, GeneratorRejectsNonFiniteDuration) {
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           0.0, 1e300}) {
+    auto cfg = trace_config();
+    cfg.duration_s = bad;
+    EXPECT_THROW((void)generate_head_trace(cfg), std::invalid_argument) << bad;
+  }
+}
+
+TEST(HeadTrace, GeneratorRejectsNonFiniteSampleRate) {
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           0.0, -25.0}) {
+    auto cfg = trace_config();
+    cfg.sample_rate_hz = bad;
+    EXPECT_THROW((void)generate_head_trace(cfg), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(HeadTrace({{sim::seconds(0.0), {}}}, std::nan("")),
+               std::invalid_argument);
 }
 
 TEST(Predictors, StaticReturnsLastObservation) {
@@ -395,51 +416,6 @@ TEST_F(FusionTest, EngagementConcentratesPrediction) {
 TEST_F(FusionTest, MismatchedHeatmapThrows) {
   ViewingHeatmap wrong(99, 10);
   EXPECT_THROW(make_fusion(&wrong), std::invalid_argument);
-}
-
-TEST(UserModel, LearnsSpeedBoundFromTraces) {
-  UserModel model;
-  EXPECT_FALSE(model.speed_bound_dps().has_value());
-  auto cfg = trace_config(61);
-  cfg.profile = UserProfile::elderly();
-  for (int i = 0; i < 3; ++i) {
-    cfg.seed = 61 + i;
-    model.observe_trace(generate_head_trace(cfg));
-  }
-  ASSERT_TRUE(model.speed_bound_dps().has_value());
-  EXPECT_EQ(model.traces_observed(), 3);
-  // The learned bound covers the profile's peak speed with margin, but is
-  // not wildly above it.
-  EXPECT_GT(*model.speed_bound_dps(), cfg.profile.max_speed_dps * 0.5);
-  EXPECT_LT(*model.speed_bound_dps(), cfg.profile.max_speed_dps * 2.5);
-}
-
-TEST(UserModel, ElderlyBoundBelowTeenagerBound) {
-  auto learn = [](UserProfile profile) {
-    UserModel model;
-    auto cfg = trace_config(71, 60.0);
-    cfg.profile = profile;
-    for (int i = 0; i < 3; ++i) {
-      cfg.seed = 71 + i;
-      model.observe_trace(generate_head_trace(cfg));
-    }
-    return *model.speed_bound_dps();
-  };
-  EXPECT_LT(learn(UserProfile::elderly()), learn(UserProfile::teenager()));
-}
-
-TEST(UserModel, ContextCarriesLearnedBound) {
-  UserModel model;
-  model.observe_trace(generate_head_trace(trace_config(81)));
-  const ViewingContext context = model.context();
-  ASSERT_TRUE(context.max_speed_dps.has_value());
-  EXPECT_DOUBLE_EQ(*context.max_speed_dps, *model.speed_bound_dps());
-}
-
-TEST(UserModel, RejectsBadParameters) {
-  EXPECT_THROW(UserModel(0.0), std::invalid_argument);
-  EXPECT_THROW(UserModel(101.0), std::invalid_argument);
-  EXPECT_THROW(UserModel(95.0, 0.5), std::invalid_argument);
 }
 
 TEST(TileHitRate, PerfectWhenBudgetCoversAll) {

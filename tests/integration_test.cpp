@@ -292,15 +292,5 @@ TEST(Integration, LossySpikyLinkStillCompletes) {
   EXPECT_EQ(report.qoe.chunks_played, static_cast<int>(kVideoSeconds));
 }
 
-TEST(Integration, BufferVraAndMpcAlsoDriveSessions) {
-  for (const char* vra : {"buffer", "mpc"}) {
-    core::SessionConfig config;
-    config.abr.sperke.regular_vra = vra;
-    const auto report = run_single_link(20'000.0, config);
-    EXPECT_TRUE(report.completed) << vra;
-    EXPECT_EQ(report.qoe.chunks_played, static_cast<int>(kVideoSeconds)) << vra;
-  }
-}
-
 }  // namespace
 }  // namespace sperke

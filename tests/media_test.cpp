@@ -10,6 +10,7 @@
 #include "media/mpd.h"
 #include "media/quality_ladder.h"
 #include "media/video_model.h"
+#include "mutation.h"
 
 namespace sperke::media {
 namespace {
@@ -48,14 +49,6 @@ TEST(QualityLadder, UtilityNormalizedAndMonotone) {
   for (QualityLevel q = 1; q < ladder.levels(); ++q) {
     EXPECT_GT(ladder.utility(q), ladder.utility(q - 1));
   }
-}
-
-TEST(QualityLadder, LevelForKbps) {
-  const QualityLadder ladder({1000.0, 2000.0, 4000.0});
-  EXPECT_EQ(ladder.level_for_kbps(500.0), 0);   // below base: still level 0
-  EXPECT_EQ(ladder.level_for_kbps(1000.0), 0);
-  EXPECT_EQ(ladder.level_for_kbps(2500.0), 1);
-  EXPECT_EQ(ladder.level_for_kbps(9999.0), 2);
 }
 
 TEST(QualityLadder, BadLevelThrows) {
@@ -321,6 +314,27 @@ TEST(VideoModel, StorageTotalsThrowInsteadOfOverflowing) {
   EXPECT_THROW((void)big.storage_bytes_tiling(true), std::overflow_error);
 }
 
+// Every planner sums one object per tile for a chunk, so the model bounds
+// tile_count() times its largest object, not the largest object alone.
+TEST(VideoModel, RejectsChunkWhosePanoramaOverflowsInt64) {
+  VideoModelConfig cfg = small_config();
+  cfg.tile_rows = 2;
+  cfg.tile_cols = 2;
+  cfg.complexity_sigma = 0.0;
+  cfg.area_mix = 0.0;
+  // 3.125e18 bytes per tile fits an int64; 1.25e19 per chunk does not.
+  cfg.ladder = QualityLadder({1e17});
+  EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  // Just under the bound, a whole chunk's SVC stacks still sum exactly.
+  cfg.ladder = QualityLadder({6e16});
+  const VideoModel fits(cfg);
+  std::int64_t chunk_bytes = 0;
+  for (geo::TileId t = 0; t < fits.tile_count(); ++t) {
+    chunk_bytes += fits.svc_cumulative_size_bytes(0, {t, 0});
+  }
+  EXPECT_EQ(chunk_bytes, 4 * fits.svc_cumulative_size_bytes(0, {0, 0}));
+}
+
 TEST(Mpd, RoundTripReconstructsIdenticalVideo) {
   auto cfg = small_config();
   cfg.projection = "cubemap";
@@ -419,6 +433,39 @@ TEST(Mpd, RejectsMalformedDocuments) {
   EXPECT_THROW((void)VideoModel(parse_mpd(with("tileRows", "0"))),
                std::invalid_argument);
 }
+
+// The manifest's mutation corpus: every single-edit mutant of a written MPD
+// either parses to a config the model accepts, whose chunk then sizes
+// without overflow, or is rejected with a typed exception.
+class MpdMutation : public ::testing::TestWithParam<fuzz::Mutation> {};
+
+TEST_P(MpdMutation, ParsesToAValidModelOrThrowsTyped) {
+  const std::string doc = write_mpd(small_config());
+  Rng rng(11 + static_cast<std::uint64_t>(GetParam()));
+  int rejected = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::string mutant = fuzz::mutate(doc, GetParam(), rng);
+    try {
+      const VideoModel video(parse_mpd(mutant));
+      const QualityLevel top = video.ladder().max_level();
+      std::int64_t chunk_bytes = 0;
+      for (geo::TileId t = 0; t < video.tile_count(); ++t) {
+        chunk_bytes += video.svc_cumulative_size_bytes(top, {t, 0});
+      }
+      EXPECT_GT(chunk_bytes, 0) << mutant;
+    } catch (const std::runtime_error&) {  // parse_mpd
+      ++rejected;
+    } catch (const std::invalid_argument&) {  // VideoModel
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, MpdMutation, ::testing::ValuesIn(fuzz::kAllMutations),
+                         [](const auto& info) {
+                           return std::string(fuzz::to_string(info.param));
+                         });
 
 TEST(Mpd, ToleratesWhitespaceVariants) {
   const std::string mpd =

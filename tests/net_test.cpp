@@ -4,8 +4,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/bandwidth_trace.h"
@@ -13,6 +16,7 @@
 #include "net/link.h"
 #include "net/throughput_estimator.h"
 #include "sim/simulator.h"
+#include "mutation.h"
 #include "util/rng.h"
 
 namespace sperke::net {
@@ -52,12 +56,6 @@ TEST(BandwidthTrace, RejectsMalformedSegments) {
       std::invalid_argument);
 }
 
-TEST(BandwidthTrace, AverageKbpsWeighted) {
-  const auto trace = BandwidthTrace::steps({{0.0, 1000.0}, {5.0, 3000.0}});
-  EXPECT_NEAR(trace.average_kbps(seconds(10.0)), 2000.0, 1e-9);
-  EXPECT_NEAR(trace.average_kbps(seconds(5.0)), 1000.0, 1e-9);
-}
-
 TEST(BandwidthTrace, RandomWalkStaysInBounds) {
   const auto trace =
       BandwidthTrace::random_walk(5000.0, 0.3, 1.0, 120.0, 7, 1000.0, 10000.0);
@@ -86,13 +84,6 @@ TEST(BandwidthTrace, MarkovAlternatesStates) {
   }
   EXPECT_TRUE(saw_good);
   EXPECT_TRUE(saw_bad);
-}
-
-TEST(BandwidthTrace, CsvRoundTrip) {
-  const auto trace = BandwidthTrace::steps({{0.0, 1234.5}, {3.0, 678.9}});
-  const auto restored = BandwidthTrace::from_csv(trace.to_csv());
-  EXPECT_DOUBLE_EQ(restored.kbps_at(seconds(1.0)), 1234.5);
-  EXPECT_DOUBLE_EQ(restored.kbps_at(seconds(4.0)), 678.9);
 }
 
 class LinkTest : public ::testing::Test {
@@ -403,6 +394,101 @@ TEST(FaultPlanValidate, RejectsNonFiniteAndOversizedWindows) {
   cfg.faults.outages = {{.start_s = nan, .duration_s = 1.0}};
   EXPECT_THROW(Link(simulator, cfg), std::invalid_argument);
 }
+
+// The fault plan's mutation corpus. A plan is laid out as bytes: the
+// failure probability, then one record per window (a list tag, start,
+// duration and factor as raw doubles). Mutating that image yields the NaNs,
+// infinities, denormals and huge values a corrupted plan could carry; a
+// partial trailing record is dropped. Every mutant must be rejected by
+// validate() or Link with std::invalid_argument, or run a link to the end
+// with each transfer settled exactly once.
+std::string fault_plan_bytes(const FaultPlan& plan) {
+  std::string bytes;
+  const auto put = [&bytes](double value) {
+    char raw[sizeof value];
+    std::memcpy(raw, &value, sizeof value);
+    bytes.append(raw, sizeof value);
+  };
+  put(plan.transfer_failure_prob);
+  const std::vector<FaultWindow>* lists[] = {&plan.outages, &plan.capacity_collapses,
+                                             &plan.rtt_spikes};
+  for (char tag = 0; tag < 3; ++tag) {
+    for (const FaultWindow& w : *lists[static_cast<std::size_t>(tag)]) {
+      bytes.push_back(tag);
+      put(w.start_s);
+      put(w.duration_s);
+      put(w.factor);
+    }
+  }
+  return bytes;
+}
+
+FaultPlan fault_plan_from_bytes(const std::string& bytes) {
+  constexpr std::size_t kDouble = sizeof(double);
+  constexpr std::size_t kRecord = 1 + 3 * kDouble;
+  const auto get = [&bytes](std::size_t at) {
+    double value = 0.0;
+    std::memcpy(&value, bytes.data() + at, kDouble);
+    return value;
+  };
+  FaultPlan plan;
+  if (bytes.size() < kDouble) return plan;
+  plan.transfer_failure_prob = get(0);
+  std::vector<FaultWindow>* lists[] = {&plan.outages, &plan.capacity_collapses,
+                                       &plan.rtt_spikes};
+  for (std::size_t at = kDouble; at + kRecord <= bytes.size(); at += kRecord) {
+    const auto tag = static_cast<unsigned char>(bytes[at]) % 3;
+    lists[tag]->push_back({.start_s = get(at + 1),
+                           .duration_s = get(at + 1 + kDouble),
+                           .factor = get(at + 1 + 2 * kDouble)});
+  }
+  return plan;
+}
+
+class FaultPlanMutation : public ::testing::TestWithParam<fuzz::Mutation> {};
+
+TEST_P(FaultPlanMutation, RejectedOrRunsToCompletion) {
+  FaultPlan base;
+  base.outages = {{.start_s = 2.0, .duration_s = 1.0}, {.start_s = 10.0, .duration_s = 2.0}};
+  base.capacity_collapses = {{.start_s = 4.0, .duration_s = 3.0, .factor = 0.5},
+                             {.start_s = 15.0, .duration_s = 2.0, .factor = 0.2}};
+  base.rtt_spikes = {{.start_s = 6.0, .duration_s = 2.0, .factor = 3.0},
+                     {.start_s = 20.0, .duration_s = 1.0, .factor = 10.0}};
+  base.transfer_failure_prob = 0.1;
+  ASSERT_EQ(fault_plan_from_bytes(fault_plan_bytes(base)).outages.size(), 2u);
+  const std::string image = fault_plan_bytes(base);
+  Rng rng(31 + static_cast<std::uint64_t>(GetParam()));
+  for (int i = 0; i < 300; ++i) {
+    LinkConfig cfg;
+    cfg.bandwidth = BandwidthTrace::constant(8000.0);
+    cfg.rtt = sim::milliseconds(30);
+    cfg.faults = fault_plan_from_bytes(fuzz::mutate(image, GetParam(), rng));
+    sim::Simulator simulator;
+    try {
+      Link link(simulator, cfg);
+      std::vector<int> settled(8, 0);
+      for (std::size_t k = 0; k < settled.size(); ++k) {
+        simulator.schedule_at(seconds(3.0 * static_cast<double>(k)), [&, k] {
+          link.start_transfer(500'000, [&settled, k](const TransferResult&) {
+            ++settled[k];
+          });
+        });
+      }
+      simulator.run();
+      for (std::size_t k = 0; k < settled.size(); ++k) {
+        EXPECT_EQ(settled[k], 1) << "mutant " << i << ", transfer " << k;
+      }
+    } catch (const std::invalid_argument&) {
+      // Rejected before any event was scheduled.
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, FaultPlanMutation,
+                         ::testing::ValuesIn(fuzz::kAllMutations),
+                         [](const auto& info) {
+                           return std::string(fuzz::to_string(info.param));
+                         });
 
 // A finite spike factor passes validate(), but the spiked RTT must still
 // fit the microsecond clock with room for now + rtt(). The bound is on the

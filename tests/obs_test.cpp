@@ -847,18 +847,6 @@ TEST(TelemetryEndToEnd, FetchEventsCarryUniqueCausalRequestIds) {
 // SimMonitor satellites.
 // ---------------------------------------------------------------------------
 
-TEST(SimMonitorTest, ZeroElapsedSampleRecordsDepthButNoRate) {
-  obs::Telemetry telemetry;
-  sim::Simulator simulator;
-  obs::SimMonitor monitor(simulator, telemetry, sim::seconds(1.0));
-  monitor.sample_now();  // elapsed == 0: must not divide by zero
-  EXPECT_EQ(telemetry.metrics().find_counter("sim.samples")->value(), 1);
-  EXPECT_EQ(
-      telemetry.metrics().find_histogram("sim.queue_depth_hist")->count(), 1);
-  EXPECT_DOUBLE_EQ(telemetry.metrics().find_gauge("sim.events_per_sec")->value(),
-                   0.0);
-}
-
 TEST(SimMonitorTest, StopHaltsSamplingAndReArmContinuesCounts) {
   obs::Telemetry telemetry;
   sim::Simulator simulator;

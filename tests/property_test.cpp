@@ -439,29 +439,5 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::string("sperke"),
                                          std::string("fullpano"))));
 
-// ---------------------------------------------------------------------------
-// Head trace CSV round trip.
-
-TEST(HeadTraceCsv, RoundTripPreservesOrientations) {
-  hmp::HeadTraceConfig cfg;
-  cfg.duration_s = 5.0;
-  cfg.seed = 23;
-  const auto trace = hmp::generate_head_trace(cfg);
-  const auto restored = hmp::head_trace_from_csv(hmp::to_csv(trace), 25.0);
-  ASSERT_EQ(restored.samples().size(), trace.samples().size());
-  for (std::size_t i = 0; i < trace.samples().size(); i += 17) {
-    EXPECT_NEAR(restored.samples()[i].orientation.yaw_deg,
-                trace.samples()[i].orientation.yaw_deg, 1e-4);
-    EXPECT_NEAR(restored.samples()[i].orientation.pitch_deg,
-                trace.samples()[i].orientation.pitch_deg, 1e-4);
-  }
-}
-
-TEST(HeadTraceCsv, RejectsMalformedInput) {
-  EXPECT_THROW((void)hmp::head_trace_from_csv("", 25.0), std::runtime_error);
-  EXPECT_THROW((void)hmp::head_trace_from_csv("a,b\n1,2\n", 25.0),
-               std::runtime_error);
-}
-
 }  // namespace
 }  // namespace sperke

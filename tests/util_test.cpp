@@ -60,33 +60,6 @@ TEST(Rng, NormalRoughMoments) {
   EXPECT_NEAR(s.stddev(), 2.0, 0.1);
 }
 
-TEST(Rng, ForkDecorrelates) {
-  Rng parent(3);
-  Rng child = parent.fork();
-  // Child stream should not reproduce the parent stream.
-  Rng parent2(3);
-  (void)parent2.fork();
-  bool any_diff = false;
-  for (int i = 0; i < 16; ++i) {
-    if (child.uniform(0.0, 1.0) != parent.uniform(0.0, 1.0)) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(13);
-  const std::vector<double> w{0.0, 1.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 4000; ++i) ++counts[rng.weighted_index(w)];
-  EXPECT_EQ(counts[0], 0);
-  EXPECT_GT(counts[2], counts[1]);
-}
-
-TEST(Rng, WeightedIndexEmptyThrows) {
-  Rng rng(1);
-  EXPECT_THROW((void)rng.weighted_index({}), std::invalid_argument);
-}
-
 TEST(RunningStats, BasicMoments) {
   RunningStats s;
   for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
