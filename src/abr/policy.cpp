@@ -47,12 +47,28 @@ ChunkPlan TileAbrPolicy::plan_chunk(media::ChunkIndex index,
   return plan;
 }
 
+void TileAbrPolicy::consider_upgrade_into(
+    const media::ChunkKey& key, media::QualityLevel current,
+    media::QualityLevel svc_layer_base, media::QualityLevel target,
+    double visible_probability, sim::Duration time_to_deadline,
+    double estimated_kbps, UpgradeDecision& out) const {
+  out.upgrade = false;
+  out.fetches.clear();
+  out.bytes = 0;
+  decide_upgrade(key, current, svc_layer_base, target, visible_probability,
+                 time_to_deadline, estimated_kbps, out);
+}
+
 TileAbrPolicy::UpgradeDecision TileAbrPolicy::consider_upgrade(
-    const media::ChunkKey& /*key*/, media::QualityLevel /*current*/,
-    media::QualityLevel /*svc_layer_base*/, media::QualityLevel /*target*/,
-    double /*visible_probability*/, sim::Duration /*time_to_deadline*/,
-    double /*estimated_kbps*/) const {
-  return {};
+    const media::ChunkKey& key, media::QualityLevel current,
+    media::QualityLevel svc_layer_base, media::QualityLevel target,
+    double visible_probability, sim::Duration time_to_deadline,
+    double estimated_kbps) const {
+  UpgradeDecision decision;
+  consider_upgrade_into(key, current, svc_layer_base, target,
+                        visible_probability, time_to_deadline, estimated_kbps,
+                        decision);
+  return decision;
 }
 
 void super_chunk_tiles(std::span<const double> probs, std::size_t count,

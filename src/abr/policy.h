@@ -90,10 +90,21 @@ class TileAbrPolicy {
 
   // Runtime incremental upgrades (§3.1.1, part 3 of the VRA): should a
   // buffered tile displayed at `current` quality be upgraded to `target`,
-  // given its display probability and deadline slack? Policies without an
-  // upgrade concept keep the default no-upgrade answer and return a zero
+  // given its display probability and deadline slack? The answer is written
+  // into `out`, reset first; its fetch list keeps its capacity, so a caller
+  // that reuses one decision allocates nothing. Policies without an upgrade
+  // concept keep the default no-upgrade answer and return a zero
   // upgrade_window() so the session never even schedules the scan.
-  [[nodiscard]] virtual UpgradeDecision consider_upgrade(
+  void consider_upgrade_into(const media::ChunkKey& key,
+                             media::QualityLevel current,
+                             media::QualityLevel svc_layer_base,
+                             media::QualityLevel target,
+                             double visible_probability,
+                             sim::Duration time_to_deadline,
+                             double estimated_kbps, UpgradeDecision& out) const;
+
+  // Allocating convenience wrapper over consider_upgrade_into (tests).
+  [[nodiscard]] UpgradeDecision consider_upgrade(
       const media::ChunkKey& key, media::QualityLevel current,
       media::QualityLevel svc_layer_base, media::QualityLevel target,
       double visible_probability, sim::Duration time_to_deadline,
@@ -126,6 +137,17 @@ class TileAbrPolicy {
                          double estimated_kbps, sim::Duration buffer_level,
                          media::QualityLevel last_quality,
                          PlanWorkspace& workspace, ChunkPlan& out) const = 0;
+
+  // consider_upgrade_into after `out` is reset to "no upgrade", which the
+  // default keeps.
+  virtual void decide_upgrade(const media::ChunkKey& /*key*/,
+                              media::QualityLevel /*current*/,
+                              media::QualityLevel /*svc_layer_base*/,
+                              media::QualityLevel /*target*/,
+                              double /*visible_probability*/,
+                              sim::Duration /*time_to_deadline*/,
+                              double /*estimated_kbps*/,
+                              UpgradeDecision& /*out*/) const {}
 
   std::shared_ptr<const media::VideoModel> video_;
 };

@@ -104,69 +104,52 @@ void SperkeVra::plan_into(media::ChunkIndex index,
               workspace.oos);
 }
 
-TileAbrPolicy::UpgradeDecision SperkeVra::consider_upgrade(
-    const media::ChunkKey& key, media::QualityLevel current,
-    media::QualityLevel svc_layer_base, media::QualityLevel target,
-    double visible_probability, sim::Duration time_to_deadline,
-    double estimated_kbps) const {
-  UpgradeDecision decision;
-  if (target <= current) return decision;
-  if (config_.mode == EncodingMode::kAvcNoUpgrade) return decision;
-  if (time_to_deadline <= sim::Duration{0}) return decision;
+void SperkeVra::decide_upgrade(const media::ChunkKey& key,
+                               media::QualityLevel current,
+                               media::QualityLevel svc_layer_base,
+                               media::QualityLevel target,
+                               double visible_probability,
+                               sim::Duration time_to_deadline,
+                               double estimated_kbps, UpgradeDecision& out) const {
+  if (target <= current) return;
+  if (config_.mode == EncodingMode::kAvcNoUpgrade) return;
+  if (time_to_deadline <= sim::Duration{0}) return;
   // Too early: HMP may still change; wait until inside the upgrade window.
-  if (time_to_deadline > kUpgradeWindow) return decision;
+  if (time_to_deadline > kUpgradeWindow) return;
   const double lift = visible_probability * video().tile_count();
-  if (lift < kUpgradeProbThreshold) return decision;
+  if (lift < kUpgradeProbThreshold) return;
   const double gain = video().ladder().utility(target) -
                       video().ladder().utility(std::max(current, 0));
-  if (lift * gain < kUpgradeMinBenefit) return decision;
+  if (lift * gain < kUpgradeMinBenefit) return;
 
-  // Candidate paths: a delta stack on the buffered SVC base, and/or a full
-  // AVC refetch of the target quality.
-  std::vector<media::ChunkAddress> delta_fetches;
+  // Candidate paths: a delta stack on the buffered SVC base, or a full AVC
+  // refetch of the target quality. SVC mode takes the delta, refetch mode
+  // the full copy, hybrid whichever is cheaper from the buffered state.
   std::int64_t delta_bytes = 0;
   for (media::LayerIndex l = svc_layer_base + 1; l <= target; ++l) {
-    delta_fetches.push_back({key, media::Encoding::kSvc, l});
     delta_bytes += video().svc_layer_size_bytes(l, key);
   }
   const std::int64_t refetch_bytes = video().avc_size_bytes(target, key);
-
-  std::vector<media::ChunkAddress> fetches;
-  std::int64_t bytes = 0;
-  switch (config_.mode) {
-    case EncodingMode::kAvcRefetch:
-      fetches = {{key, media::Encoding::kAvc, target}};
-      bytes = refetch_bytes;
-      break;
-    case EncodingMode::kSvc:
-      fetches = std::move(delta_fetches);
-      bytes = delta_bytes;
-      break;
-    case EncodingMode::kHybrid:
-      // Whichever path is cheaper from the buffered state.
-      if (delta_bytes <= refetch_bytes) {
-        fetches = std::move(delta_fetches);
-        bytes = delta_bytes;
-      } else {
-        fetches = {{key, media::Encoding::kAvc, target}};
-        bytes = refetch_bytes;
-      }
-      break;
-    case EncodingMode::kAvcNoUpgrade:
-      return decision;  // unreachable; handled above
-  }
-  if (fetches.empty()) return decision;
+  const bool delta = config_.mode == EncodingMode::kSvc ||
+                     (config_.mode == EncodingMode::kHybrid &&
+                      delta_bytes <= refetch_bytes);
+  // A base already at the target leaves no delta to fetch.
+  if (delta && svc_layer_base >= target) return;
+  const std::int64_t bytes = delta ? delta_bytes : refetch_bytes;
 
   // Feasibility: the bytes must arrive inside the safety-discounted slack.
-  if (estimated_kbps <= 0.0) return decision;
+  if (estimated_kbps <= 0.0) return;
   const double download_s = static_cast<double>(bytes) * 8.0 / (estimated_kbps * 1000.0);
-  if (download_s > kUpgradeSafety * sim::to_seconds(time_to_deadline)) {
-    return decision;
+  if (download_s > kUpgradeSafety * sim::to_seconds(time_to_deadline)) return;
+  out.upgrade = true;
+  out.bytes = bytes;
+  if (!delta) {
+    out.fetches.push_back({key, media::Encoding::kAvc, target});
+    return;
   }
-  decision.upgrade = true;
-  decision.fetches = std::move(fetches);
-  decision.bytes = bytes;
-  return decision;
+  for (media::LayerIndex l = svc_layer_base + 1; l <= target; ++l) {
+    out.fetches.push_back({key, media::Encoding::kSvc, l});
+  }
 }
 
 }  // namespace sperke::abr

@@ -50,23 +50,6 @@ class SperkeVra final : public TileAbrPolicy {
 
   [[nodiscard]] std::string_view name() const override { return "sperke"; }
 
-  // Part 3: should a buffered tile displayed at `current` quality be
-  // upgraded to `target`, given its display probability and deadline slack?
-  //  * upgrade-or-not — the tile's visibility probability must be at least
-  //    1.5x uniform, the expected benefit (that lift x utility gain) must
-  //    reach 0.35, and the download must fit in 80 % of the deadline slack;
-  //  * when — not earlier than kUpgradeWindow (4 s) before the deadline,
-  //    since HMP may still change (too early wastes bytes; too late misses
-  //    it);
-  //  * how — a delta on the cell's SVC base (`svc_layer_base`, -1 if the
-  //    cell holds no contiguous layers) or an AVC refetch, depending on
-  //    the encoding mode; hybrid picks whichever is cheaper.
-  [[nodiscard]] UpgradeDecision consider_upgrade(
-      const media::ChunkKey& key, media::QualityLevel current,
-      media::QualityLevel svc_layer_base, media::QualityLevel target,
-      double visible_probability, sim::Duration time_to_deadline,
-      double estimated_kbps) const override;
-
   // Base-tier emergencies reuse the mode's non-upgradable encoding: plain
   // AVC in the AVC modes, the layer-0 SVC base otherwise.
   [[nodiscard]] media::Encoding base_tier_encoding() const override {
@@ -90,6 +73,25 @@ class SperkeVra final : public TileAbrPolicy {
                  double estimated_kbps, sim::Duration buffer_level,
                  media::QualityLevel last_quality, PlanWorkspace& workspace,
                  ChunkPlan& out) const override;
+
+  // Part 3: should a buffered tile displayed at `current` quality be
+  // upgraded to `target`, given its display probability and deadline slack?
+  //  * upgrade-or-not — the tile's visibility probability must be at least
+  //    1.5x uniform, the expected benefit (that lift x utility gain) must
+  //    reach 0.35, and the download must fit in 80 % of the deadline slack;
+  //  * when — not earlier than kUpgradeWindow (4 s) before the deadline,
+  //    since HMP may still change (too early wastes bytes; too late misses
+  //    it);
+  //  * how — a delta on the cell's SVC base (`svc_layer_base`, -1 if the
+  //    cell holds no contiguous layers) or an AVC refetch, depending on
+  //    the encoding mode; hybrid picks whichever is cheaper.
+  // Reached through consider_upgrade_into, which has reset `out`; the
+  // fetch list is written only once the upgrade is decided.
+  void decide_upgrade(const media::ChunkKey& key, media::QualityLevel current,
+                      media::QualityLevel svc_layer_base,
+                      media::QualityLevel target, double visible_probability,
+                      sim::Duration time_to_deadline, double estimated_kbps,
+                      UpgradeDecision& out) const override;
 
   // Encoding used for FoV fetches / for OOS fetches under the mode.
   [[nodiscard]] media::Encoding fov_encoding() const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "geo/orientation.h"
@@ -78,7 +79,6 @@ Viewer::Viewer(sim::Simulator& simulator,
   if (crowd != nullptr && crowd->chunk_count() < video_->chunk_count()) {
     throw std::invalid_argument("Session: crowd heatmap shorter than the video");
   }
-  predicted_.resize(static_cast<std::size_t>(config_.prefetch_horizon_chunks));
   planned_ = batch_->planned_quality(slot_);
   probs_ = batch_->probs(slot_);
 }
@@ -116,21 +116,11 @@ const std::vector<geo::TileId>& Viewer::visible_at(media::ChunkIndex index) {
 }
 
 const Viewer::PredictedView& Viewer::predicted_view(media::ChunkIndex index) {
-  PredictedView& view = predicted_[static_cast<std::size_t>(
-      index % config_.prefetch_horizon_chunks)];
-  const sim::Time content = content_now();
-  if (view.chunk == index && view.content == content &&
-      view.observed == last_observed_) {
-    return view;
-  }
-  view.chunk = index;
-  view.content = content;
-  view.observed = last_observed_;
-  view.orientation =
-      fusion_.predict_orientation(video_->chunk_start_time(index) - content);
-  video_->geometry().visible_tiles(view.orientation, config_.viewport, view.visible,
-                                   geo_scratch_);
-  return view;
+  predicted_.orientation =
+      fusion_.predict_orientation(video_->chunk_start_time(index) - content_now());
+  video_->geometry().visible_tiles(predicted_.orientation, config_.viewport,
+                                   predicted_.visible, geo_scratch_);
+  return predicted_;
 }
 
 const abr::ChunkPlan& Viewer::plan(media::ChunkIndex index,
@@ -139,7 +129,9 @@ const abr::ChunkPlan& Viewer::plan(media::ChunkIndex index,
   // *tiles* from the fused probability map: at short horizons the map is
   // motion-dominated (same tiles), at long horizons the crowd prior takes
   // over, which is what makes deep prefetch viable (§3.2).
-  const std::size_t fov_size = predicted_view(index).visible.size();
+  const PredictedView& view = predicted_view(index);
+  plan_orientation_ = view.orientation;
+  const std::size_t fov_size = view.visible.size();
   fuse(index, video_->chunk_start_time(index) - content_now());
   abr::super_chunk_tiles(probs_, fov_size, fov_scratch_);
   policy_->plan_chunk_into(index, fov_scratch_, probs_, kbps, buffer_level,
@@ -164,11 +156,16 @@ void Viewer::scan_upgrades() {
   for (media::ChunkIndex index = first_unplayed(); index < next_plan_; ++index) {
     const sim::Time deadline = deadline_of(index);
     if (!fetcher_.in_upgrade_window(deadline)) continue;
-    const media::QualityLevel target = planned_[static_cast<std::size_t>(index)];
-    const std::vector<geo::TileId>& visible = predicted_view(index).visible;
-    if (!fetcher_.any_below(index, visible, target)) continue;
+    // Fusion is pure and cheap next to the frustum, which the fetcher asks
+    // for only once some tile would send an upgrade. The visible span stays
+    // valid for the pass: only plan() predicts again, and a send never
+    // delivers synchronously, so no plan runs inside it.
     fuse(index, video_->chunk_start_time(index) - content_now());
-    fetcher_.upgrade(index, visible, probs_, target, deadline, est);
+    fetcher_.upgrade(index, probs_, planned_[static_cast<std::size_t>(index)],
+                     deadline, est, [this, index] {
+                       return std::span<const geo::TileId>(
+                           predicted_view(index).visible);
+                     });
   }
 }
 
@@ -206,6 +203,7 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
     // worlds merge into one row per policy.
     metrics_.abr_plans =
         &m.counter("abr." + std::string(policy_->name()) + ".plans");
+    predicted_at_plan_.resize(static_cast<std::size_t>(video_->chunk_count()));
     // Bound iff fetch_recovery is on, so fault-free worlds keep their
     // exact pre-fault metric set.
     if (config_.fetch_recovery) {
@@ -267,7 +265,7 @@ void StreamingSession::maybe_plan() {
         Viewer::plan(index, video_->chunk_start_time(index) - content_now(),
                      effective_kbps);
     if (config_.telemetry != nullptr) {
-      predicted_at_plan_[index] = predicted_view(index).orientation;
+      predicted_at_plan_[static_cast<std::size_t>(index)] = plan_orientation_;
       metrics_.abr_plans->increment();
       record_trace({.type = obs::TraceEventType::kPlanComputed,
                     .ts = simulator_.now(),
@@ -419,11 +417,12 @@ void StreamingSession::play_chunk() {
   if (config_.telemetry != nullptr) {
     metrics_.chunks_played->increment();
     metrics_.viewport_utility->observe(viewport_utility);
-    const auto predicted_it = predicted_at_plan_.find(index);
-    if (predicted_it != predicted_at_plan_.end()) {
+    std::optional<geo::Orientation>& predicted =
+        predicted_at_plan_[static_cast<std::size_t>(index)];
+    if (predicted) {
       metrics_.hmp_error_deg->observe(geo::angular_distance_deg(
-          predicted_it->second, head_trace_.orientation_at(media)));
-      predicted_at_plan_.erase(predicted_it);
+          *predicted, head_trace_.orientation_at(media)));
+      predicted.reset();
     }
     record_trace({.type = obs::TraceEventType::kChunkPlayed,
                   .ts = simulator_.now(),

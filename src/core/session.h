@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -86,7 +85,7 @@ struct SessionReport {
 
 // Viewer: the clock-independent half of the Sperke client (Figure 4),
 // shared by the VOD player below and the live one (live/tiled_viewer.h).
-// It owns head sampling into HMP fusion, the predicted-view ring, chunk
+// It owns head sampling into HMP fusion, the predicted view, chunk
 // planning through the tile-ABR policy, the §3.1.1 upgrade scan and the
 // fetch path. A player derived from it supplies its clock (content time,
 // chunk deadlines, the first unplayed chunk) and what a settled fetch means
@@ -135,14 +134,12 @@ class Viewer {
   // Marks the viewer finished and stops both tasks.
   void stop();
 
-  // The two visibility answers the players reuse (DESIGN.md §13).
-  // Ground truth for chunk `index`, kept until another chunk is asked for.
+  // Ground truth for chunk `index`, kept until another chunk is asked for
+  // (DESIGN.md §13).
   [[nodiscard]] const std::vector<geo::TileId>& visible_at(media::ChunkIndex index);
-  // Predicted orientation and visible tiles for a prefetch-window chunk.
+  // Predicted orientation and visible tiles for a prefetch-window chunk,
+  // computed afresh; the answer is valid until the next call.
   struct PredictedView {
-    media::ChunkIndex chunk = -1;  // -1 = empty entry
-    sim::Time content{};           // content_now() at prediction
-    sim::Time observed{};          // last_observed_ at prediction
     geo::Orientation orientation{};
     std::vector<geo::TileId> visible;
   };
@@ -180,6 +177,8 @@ class Viewer {
   // order, so every chunk before next_plan_ is planned.
   media::ChunkIndex next_plan_ = 0;
   media::QualityLevel last_fov_quality_ = 0;
+  // The predicted orientation the last plan() sized its super chunk from.
+  geo::Orientation plan_orientation_{};
   std::span<media::QualityLevel> planned_;
   std::span<double> probs_;  // batch probability slot (HMP fusion output)
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
@@ -190,16 +189,10 @@ class Viewer {
 
   sim::Time last_observed_{sim::Duration{-1}};
 
-  // Kept answers (see visible_at / predicted_view). A predicted view is
-  // reused only while its chunk, content_now() and last_observed_ are
-  // unchanged: fusion state changes only in observe_head, so those three
-  // fix the prediction exactly. Content time alone is not enough: the
-  // first head sample after a stall starts moves the prediction while
-  // content time stays frozen. One ring entry per prefetch-window chunk,
-  // slot = chunk modulo prefetch_horizon_chunks.
+  // visible_at's kept answer and predicted_view's latest one.
   media::ChunkIndex visible_chunk_ = -1;
   std::vector<geo::TileId> visible_;
-  std::vector<PredictedView> predicted_;
+  PredictedView predicted_;
 
   // Reusable hot-path buffers (DESIGN.md §8). The simulator is
   // single-threaded and the transport never completes a fetch
@@ -289,9 +282,10 @@ class StreamingSession : public Viewer {
     obs::Counter* abr_plans = nullptr;
   };
   SessionMetrics metrics_;
-  // Orientation predicted at plan time, for the HMP angular-error metric
-  // scored when the chunk actually plays. Populated only with telemetry on.
-  std::map<media::ChunkIndex, geo::Orientation> predicted_at_plan_;
+  // Orientation predicted at plan time, per chunk, for the HMP angular-error
+  // metric scored (once) when the chunk actually plays. Sized and filled
+  // only with telemetry on.
+  std::vector<std::optional<geo::Orientation>> predicted_at_plan_;
 
   // Play-time scratch (DESIGN.md §8): play_chunk owns the missing set.
   std::vector<geo::TileId> missing_scratch_;

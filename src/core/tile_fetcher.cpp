@@ -1,6 +1,7 @@
 #include "core/tile_fetcher.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/check.h"
@@ -118,32 +119,29 @@ void TileFetcher::trace(obs::TraceEventType type, const Fetch& fetch, sim::Time 
                               .parent = fetch.parent_id});
 }
 
-bool TileFetcher::any_below(media::ChunkIndex index,
-                            std::span<const geo::TileId> visible,
-                            media::QualityLevel target) const {
-  return std::any_of(visible.begin(), visible.end(), [&](geo::TileId tile) {
-    return buffer_.displayable_quality({tile, index}) < target;
-  });
-}
-
-void TileFetcher::upgrade(media::ChunkIndex index,
-                          std::span<const geo::TileId> visible,
-                          std::span<const double> probs, media::QualityLevel target,
-                          sim::Time deadline, double estimated_kbps) {
+void TileFetcher::upgrade(media::ChunkIndex index, std::span<const double> probs,
+                          media::QualityLevel target, sim::Time deadline,
+                          double estimated_kbps, const VisibleTiles& visible) {
   const sim::Duration slack = deadline - simulator_.now();
-  for (geo::TileId tile : visible) {
+  std::optional<std::span<const geo::TileId>> shown;
+  for (geo::TileId tile = 0; tile < video_.tile_count(); ++tile) {
     const media::ChunkKey key{tile, index};
     const media::QualityLevel current = buffer_.displayable_quality(key);
     if (current >= target) continue;
-    const auto decision = policy_.consider_upgrade(
-        key, current, buffer_.svc_contiguous_quality(key), target,
-        probs[static_cast<std::size_t>(tile)], slack, estimated_kbps);
-    if (!decision.upgrade) continue;
-    // Trace the decision only when it commits new work; re-scans that find
-    // every layer already buffered or in flight are not new decisions.
-    if (telemetry_ != nullptr &&
-        !std::all_of(decision.fetches.begin(), decision.fetches.end(),
-                     [this](const media::ChunkAddress& a) { return covered(a); })) {
+    policy_.consider_upgrade_into(key, current, buffer_.svc_contiguous_quality(key),
+                                  target, probs[static_cast<std::size_t>(tile)],
+                                  slack, estimated_kbps, decision_);
+    // A decision whose every layer is already buffered or in flight would
+    // neither send nor be traced: re-scans that find it are not new
+    // decisions, and they need no frustum.
+    if (!decision_.upgrade ||
+        std::all_of(decision_.fetches.begin(), decision_.fetches.end(),
+                    [this](const media::ChunkAddress& a) { return covered(a); })) {
+      continue;
+    }
+    if (!shown) shown = visible();
+    if (!std::binary_search(shown->begin(), shown->end(), tile)) continue;
+    if (telemetry_ != nullptr) {
       telemetry_->trace().record({.type = obs::TraceEventType::kUpgradeDecided,
                                   .ts = simulator_.now(),
                                   .tile = tile,
@@ -151,7 +149,7 @@ void TileFetcher::upgrade(media::ChunkIndex index,
                                   .quality = target,
                                   .value = static_cast<double>(current)});
     }
-    for (const auto& address : decision.fetches) {
+    for (const auto& address : decision_.fetches) {
       send(address, abr::SpatialClass::kFov, deadline,
            current >= 0 ? Kind::kUpgrade : Kind::kCorrection, 0);
     }

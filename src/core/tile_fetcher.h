@@ -80,25 +80,26 @@ class TileFetcher {
 
   // Whether a chunk due at `deadline` is inside the policy's upgrade window.
   // Outside it the policy rejects every tile on slack alone, so players test
-  // this before computing the chunk's visibility answers.
+  // this before fusing the chunk's probabilities.
   [[nodiscard]] bool in_upgrade_window(sim::Time deadline) const {
     const sim::Duration slack = deadline - simulator_.now();
     return slack > sim::Duration{0} && slack <= policy_.upgrade_window();
   }
 
-  // Whether some `visible` tile of chunk `index` displays below `target`.
-  // upgrade() skips every other tile, so when this is false players skip
-  // computing its probabilities too.
-  [[nodiscard]] bool any_below(media::ChunkIndex index,
-                               std::span<const geo::TileId> visible,
-                               media::QualityLevel target) const;
+  // The sorted visible tiles of the chunk being upgraded, computed on demand.
+  using VisibleTiles = std::function<std::span<const geo::TileId>()>;
 
-  // The §3.1.1 upgrade pass over planned chunk `index`: each `visible` tile
-  // displayable below `target` is offered to the policy at its probability
-  // in `probs`, and the fetches the policy commits to are dispatched.
-  void upgrade(media::ChunkIndex index, std::span<const geo::TileId> visible,
-               std::span<const double> probs, media::QualityLevel target,
-               sim::Time deadline, double estimated_kbps);
+  // The §3.1.1 upgrade pass over planned chunk `index`: every tile displayed
+  // below `target` is offered to the policy, in ascending tile order, at its
+  // probability in `probs`. A decision that would send something, one with
+  // a fetch neither buffered nor in flight, is acted on only if its tile is
+  // visible: it is traced, then its fetches are dispatched. `visible` is
+  // called at most once, at the first such decision, and not at all when no
+  // tile would send, so players compute the frustum only then; the span it
+  // returns must stay valid for the rest of the pass.
+  void upgrade(media::ChunkIndex index, std::span<const double> probs,
+               media::QualityLevel target, sim::Time deadline,
+               double estimated_kbps, const VisibleTiles& visible);
 
   // Count `fetch`'s fault loss. With recovery on, a failed FoV fetch of a
   // chunk at or after `playhead` whose deadline still stands is re-requested
@@ -136,6 +137,8 @@ class TileFetcher {
   sim::Duration urgent_slack_;
   bool recovery_;
   SettleHook on_settle_;
+  // upgrade()'s policy answer, reused so a decision allocates nothing.
+  abr::TileAbrPolicy::UpgradeDecision decision_;
   Counters counters_;
   Metrics metrics_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

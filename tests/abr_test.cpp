@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "abr/oos.h"
@@ -360,6 +362,74 @@ TEST_F(SperkeVraTest, HybridUpgradePicksCheaperPath) {
   ASSERT_EQ(d.fetches.size(), 1u);
   EXPECT_EQ(d.fetches[0].encoding, media::Encoding::kSvc);
   EXPECT_EQ(d.fetches[0].level, 2);
+}
+
+TEST_F(SperkeVraTest, UpgradeDecisionsPerModeAndIntoAReusedDecision) {
+  // (current, svc base, target) per encoding mode, as "none", "avc <q>" or
+  // "svc <first>-<last>". Case (0, 2, 2) is contrived: a base at the target
+  // leaves no delta, which hybrid also finds cheapest.
+  struct Case {
+    media::QualityLevel current, base, target;
+    const char* no_upgrade;
+    const char* refetch;
+    const char* svc;
+    const char* hybrid;
+  };
+  const std::vector<Case> cases = {
+      {0, 0, 2, "none", "avc 2", "svc 1-2", "svc 1-2"},
+      {0, -1, 2, "none", "avc 2", "svc 0-2", "avc 2"},
+      {1, 1, 2, "none", "avc 2", "svc 2-2", "svc 2-2"},
+      {-1, -1, 1, "none", "avc 1", "svc 0-1", "avc 1"},
+      {2, 2, 2, "none", "none", "none", "none"},
+      {0, 2, 2, "none", "avc 2", "none", "none"},
+      {2, -1, 3, "none", "avc 3", "svc 0-3", "avc 3"},
+      {3, 3, 4, "none", "avc 4", "svc 4-4", "svc 4-4"},
+  };
+  const media::ChunkKey key{7, 3};
+  const auto describe = [&](const TileAbrPolicy::UpgradeDecision& d) {
+    if (!d.upgrade) return std::string("none");
+    std::int64_t bytes = 0;
+    for (const auto& a : d.fetches) bytes += video->size_bytes(a);
+    EXPECT_EQ(d.bytes, bytes);
+    const auto& first = d.fetches.front();
+    if (first.encoding == media::Encoding::kAvc) {
+      EXPECT_EQ(d.fetches.size(), 1U);
+      return "avc " + std::to_string(first.level);
+    }
+    for (std::size_t i = 0; i < d.fetches.size(); ++i) {
+      EXPECT_EQ(d.fetches[i].encoding, media::Encoding::kSvc);
+      EXPECT_EQ(d.fetches[i].level, first.level + static_cast<int>(i));
+    }
+    return "svc " + std::to_string(first.level) + "-" +
+           std::to_string(d.fetches.back().level);
+  };
+  // One decision serves every call: each answer replaces the last, and the
+  // fetch list never reallocates once it holds a full stack.
+  TileAbrPolicy::UpgradeDecision reused;
+  reused.fetches.reserve(8);
+  const auto* storage = reused.fetches.data();
+  for (const EncodingMode mode :
+       {EncodingMode::kAvcNoUpgrade, EncodingMode::kAvcRefetch, EncodingMode::kSvc,
+        EncodingMode::kHybrid}) {
+    const auto vra = make(mode);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(to_string(mode) + " " + std::to_string(c.current) + "/" +
+                   std::to_string(c.base) + "/" + std::to_string(c.target));
+      const char* want = mode == EncodingMode::kAvcNoUpgrade ? c.no_upgrade
+                         : mode == EncodingMode::kAvcRefetch ? c.refetch
+                         : mode == EncodingMode::kSvc        ? c.svc
+                                                             : c.hybrid;
+      const auto fresh = vra.consider_upgrade(key, c.current, c.base, c.target, 0.9,
+                                              sim::seconds(2.0), 50'000.0);
+      EXPECT_EQ(describe(fresh), want);
+      vra.consider_upgrade_into(key, c.current, c.base, c.target, 0.9,
+                                sim::seconds(2.0), 50'000.0, reused);
+      EXPECT_EQ(reused.upgrade, fresh.upgrade);
+      EXPECT_EQ(reused.fetches, fresh.fetches);
+      EXPECT_EQ(reused.bytes, fresh.bytes);
+      EXPECT_EQ(reused.fetches.data(), storage);
+    }
+  }
 }
 
 TEST_F(SperkeVraTest, UpgradeRequiresWindowAndProbability) {

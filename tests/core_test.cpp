@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -23,6 +25,7 @@
 #include "net/link.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace sperke::core {
 namespace {
@@ -794,18 +797,212 @@ TEST_F(TileFetcherTest, RecoverRetriesFailedFovFetchesAtTheBaseTier) {
   EXPECT_EQ(plain->counters().degraded_retries, 0);
 }
 
-TEST_F(TileFetcherTest, AnyBelowReadsTheBufferPerChunk) {
-  const auto fetcher = make_fetcher(false);
-  buffer.add({{2, 0}, Encoding::kSvc, 0});
-  buffer.add({{2, 0}, Encoding::kSvc, 1});
-  ASSERT_EQ(buffer.displayable_quality({2, 0}), 1);
-  const std::vector<geo::TileId> shown = {2};
-  const std::vector<geo::TileId> with_missing = {2, 3};
-  EXPECT_FALSE(fetcher->any_below(0, shown, 1));
-  EXPECT_TRUE(fetcher->any_below(0, shown, 2));
-  EXPECT_TRUE(fetcher->any_below(0, with_missing, 0));  // tile 3 shows nothing
-  EXPECT_TRUE(fetcher->any_below(1, shown, 0));         // another chunk
-  EXPECT_FALSE(fetcher->any_below(0, {}, 5));
+// The visible-first upgrade pass that TileFetcher::upgrade replaced, over
+// the public fetch path: each visible tile displayed below `target` is
+// offered to the policy, a decision with a layer neither buffered nor in
+// flight is traced, and its fetches are dispatched.
+// Buffered, or its bit set in masks laid out like TileFetcher's (AVC levels
+// in the low half, SVC layers in the high half).
+bool covered(const PlaybackBuffer& buffer, std::span<const std::uint64_t> in_flight,
+             int tile_count, const ChunkAddress& a) {
+  const std::uint64_t bit =
+      std::uint64_t{1} << (a.encoding == Encoding::kAvc ? a.level : 32 + a.level);
+  return buffer.contains(a) ||
+         (in_flight[static_cast<std::size_t>(a.key.index * tile_count + a.key.tile)] &
+          bit) != 0;
+}
+
+void visible_first_upgrade(TileFetcher& fetcher, const PlaybackBuffer& buffer,
+                           std::span<const std::uint64_t> in_flight,
+                           const abr::TileAbrPolicy& policy, int tile_count,
+                           obs::Telemetry& telemetry, sim::Time now,
+                           media::ChunkIndex index,
+                           std::span<const geo::TileId> visible,
+                           std::span<const double> probs,
+                           media::QualityLevel target, sim::Time deadline,
+                           double estimated_kbps) {
+  for (geo::TileId tile : visible) {
+    const ChunkKey key{tile, index};
+    const media::QualityLevel current = buffer.displayable_quality(key);
+    if (current >= target) continue;
+    const auto decision = policy.consider_upgrade(
+        key, current, buffer.svc_contiguous_quality(key), target,
+        probs[static_cast<std::size_t>(tile)], deadline - now, estimated_kbps);
+    if (!decision.upgrade) continue;
+    if (!std::all_of(decision.fetches.begin(), decision.fetches.end(),
+                     [&](const ChunkAddress& a) {
+                       return covered(buffer, in_flight, tile_count, a);
+                     })) {
+      telemetry.trace().record({.type = obs::TraceEventType::kUpgradeDecided,
+                                .ts = now,
+                                .tile = tile,
+                                .chunk = index,
+                                .quality = target,
+                                .value = static_cast<double>(current)});
+    }
+    for (const auto& address : decision.fetches) {
+      fetcher.dispatch(address, abr::SpatialClass::kFov, deadline);
+    }
+  }
+}
+
+TEST_F(TileFetcherTest, UpgradeMatchesTheVisibleFirstLoopAndAsksForVisibilityLazily) {
+  // Random buffer states, in-flight bits, probability maps, targets, slacks
+  // and estimates on 4x6 and 8x12 grids, in every encoding mode. The clock
+  // stays at zero, so a chunk's slack is its deadline.
+  std::vector<std::shared_ptr<media::VideoModel>> videos;
+  for (const auto& [rows, cols] : {std::pair{4, 6}, std::pair{8, 12}}) {
+    media::VideoModelConfig cfg;
+    cfg.duration_s = 4.0;
+    cfg.tile_rows = rows;
+    cfg.tile_cols = cols;
+    cfg.seed = 11;
+    videos.push_back(std::make_shared<media::VideoModel>(cfg));
+  }
+  constexpr std::array kModes{abr::EncodingMode::kAvcNoUpgrade,
+                              abr::EncodingMode::kAvcRefetch,
+                              abr::EncodingMode::kSvc, abr::EncodingMode::kHybrid};
+  const auto event_fields = [](const obs::TraceEvent& e) {
+    return std::tuple(e.type, e.ts, e.tile, e.chunk, e.quality, e.bytes, e.urgent,
+                      e.value, e.request, e.parent);
+  };
+
+  Rng rng(2024);
+  int sending_cases = 0;
+  int covered_only_cases = 0;  // some decision to upgrade, all of it covered
+  constexpr int kCases = 3000;
+  for (int c = 0; c < kCases; ++c) {
+    const auto& model = videos[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+    abr::TileAbrConfig config;
+    config.sperke.mode = kModes[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+    const auto upgrade_policy = abr::make_policy(model, config);
+    const int tiles = model->tile_count();
+    const int levels = model->ladder().levels();
+    const auto index = static_cast<media::ChunkIndex>(
+        rng.uniform_int(0, model->chunk_count() - 1));
+
+    // Buffer contents: nothing, an AVC copy, contiguous SVC layers, or SVC
+    // layers with a gap over an AVC copy.
+    std::vector<ChunkAddress> held;
+    for (geo::TileId tile = 0; tile < tiles; ++tile) {
+      const ChunkKey key{tile, index};
+      const auto level = [&] {
+        return static_cast<media::QualityLevel>(rng.uniform_int(0, levels - 1));
+      };
+      const double kind = rng.uniform(0.0, 1.0);
+      if (kind < 0.3) continue;
+      if (kind < 0.55 || kind >= 0.9) held.push_back({key, Encoding::kAvc, level()});
+      if (kind >= 0.55) {
+        const media::QualityLevel top = level();
+        for (media::LayerIndex l = kind < 0.9 ? 0 : 1; l <= top; ++l) {
+          held.push_back({key, Encoding::kSvc, l});
+        }
+      }
+    }
+    // In-flight bits over both encodings' levels.
+    std::vector<std::uint64_t> flying(
+        static_cast<std::size_t>(model->chunk_count() * tiles), 0);
+    const double in_flight_p = std::array{0.0, 0.15, 0.5, 0.9}[static_cast<std::size_t>(
+        rng.uniform_int(0, 3))];
+    for (geo::TileId tile = 0; tile < tiles; ++tile) {
+      for (int b = 0; b < levels; ++b) {
+        auto& cell = flying[static_cast<std::size_t>(index * tiles + tile)];
+        if (rng.bernoulli(in_flight_p)) cell |= std::uint64_t{1} << b;
+        if (rng.bernoulli(in_flight_p)) cell |= std::uint64_t{1} << (32 + b);
+      }
+    }
+    // A peaked probability map, so the policy's lift gate passes some tiles.
+    std::vector<double> probs(static_cast<std::size_t>(tiles));
+    double sum = 0.0;
+    for (double& p : probs) {
+      p = std::exp(rng.normal(0.0, 1.5));
+      sum += p;
+    }
+    for (double& p : probs) p /= sum;
+    std::vector<geo::TileId> visible;
+    const double visible_p = rng.uniform(0.05, 0.6);
+    for (geo::TileId tile = 0; tile < tiles; ++tile) {
+      if (rng.bernoulli(visible_p)) visible.push_back(tile);
+    }
+    const auto target =
+        static_cast<media::QualityLevel>(rng.uniform_int(0, levels - 1));
+    const sim::Time deadline = sim::milliseconds(rng.uniform_int(-200, 4'500));
+    const double kbps = std::exp(rng.uniform(std::log(50.0), std::log(200'000.0)));
+
+    struct World {
+      World(sim::Simulator& simulator, const std::shared_ptr<media::VideoModel>& v,
+            const abr::TileAbrPolicy& p, const std::vector<ChunkAddress>& held,
+            const std::vector<std::uint64_t>& flying)
+          : buffer(v),
+            in_flight(flying),
+            fetcher(simulator, *v, transport, buffer, p, &telemetry,
+                    std::span<std::uint64_t>(in_flight), sim::seconds(1.0), false,
+                    [](const TileFetcher::Fetch&, FetchOutcome) {}) {
+        for (const ChunkAddress& a : held) buffer.add(a);
+      }
+      PlaybackBuffer buffer;
+      obs::Telemetry telemetry;
+      RecordingTransport transport;
+      std::vector<std::uint64_t> in_flight;
+      TileFetcher fetcher;
+    };
+    World lazy(simulator, model, *upgrade_policy, held, flying);
+    World reference(simulator, model, *upgrade_policy, held, flying);
+
+    // Whether any tile, visible or not, has a decision that would send.
+    bool would_send = false;
+    bool would_upgrade = false;
+    for (geo::TileId tile = 0; tile < tiles; ++tile) {
+      const ChunkKey key{tile, index};
+      const media::QualityLevel current = lazy.buffer.displayable_quality(key);
+      if (current >= target) continue;
+      const auto decision = upgrade_policy->consider_upgrade(
+          key, current, lazy.buffer.svc_contiguous_quality(key), target,
+          probs[static_cast<std::size_t>(tile)], deadline - simulator.now(), kbps);
+      would_upgrade |= decision.upgrade;
+      for (const ChunkAddress& a : decision.fetches) {
+        would_send |= !covered(lazy.buffer, flying, tiles, a);
+      }
+    }
+    sending_cases += would_send ? 1 : 0;
+    covered_only_cases += would_upgrade && !would_send ? 1 : 0;
+
+    int asked = 0;
+    lazy.fetcher.upgrade(index, probs, target, deadline, kbps, [&] {
+      ++asked;
+      return std::span<const geo::TileId>(visible);
+    });
+    visible_first_upgrade(reference.fetcher, reference.buffer, reference.in_flight,
+                          *upgrade_policy, tiles, reference.telemetry,
+                          simulator.now(), index,
+                          visible, probs, target, deadline, kbps);
+
+    SCOPED_TRACE("case " + std::to_string(c));
+    EXPECT_EQ(asked, would_send ? 1 : 0);
+    ASSERT_EQ(lazy.transport.requests.size(), reference.transport.requests.size());
+    for (std::size_t r = 0; r < lazy.transport.requests.size(); ++r) {
+      const ChunkRequest& got = lazy.transport.requests[r];
+      const ChunkRequest& want = reference.transport.requests[r];
+      EXPECT_EQ(got.id, want.id);
+      EXPECT_EQ(got.urgent, want.urgent);
+      EXPECT_EQ(got.deadline, want.deadline);
+      EXPECT_EQ(got.bytes, want.bytes);
+      EXPECT_EQ(got.request_id, want.request_id);
+    }
+    const auto& got_events = lazy.telemetry.trace().events();
+    const auto& want_events = reference.telemetry.trace().events();
+    ASSERT_EQ(got_events.size(), want_events.size());
+    for (std::size_t e = 0; e < got_events.size(); ++e) {
+      EXPECT_EQ(event_fields(got_events[e]), event_fields(want_events[e]));
+    }
+    EXPECT_EQ(lazy.fetcher.counters().upgrades +
+                  lazy.fetcher.counters().late_corrections,
+              reference.fetcher.counters().fetches);
+  }
+  // The draw reaches every branch: sending passes, and passes whose only
+  // upgrade decisions are already covered.
+  EXPECT_GT(sending_cases, kCases / 10);
+  EXPECT_GT(covered_only_cases, kCases / 50);
 }
 
 class SessionTest : public ::testing::Test {
