@@ -42,8 +42,7 @@ Measured measure(std::shared_ptr<const geo::TileGeometry> geometry,
 
 int main() {
   // The paper's setup: 2K video, 2x4 tiles, 8 decoders, SGS7 display.
-  auto geometry = std::make_shared<geo::TileGeometry>(
-      geo::make_projection("equirectangular"), geo::TileGrid(2, 4));
+  auto geometry = std::make_shared<geo::TileGeometry>(geo::TileGrid(2, 4));
   hmp::HeadTraceConfig trace_cfg;
   trace_cfg.duration_s = 30.0;
   trace_cfg.sample_rate_hz = 25.0;
@@ -84,8 +83,7 @@ int main() {
   // FoV shift reuse cached neighbours ("changing only the delta tiles")
   // instead of surprising the render loop. Evaluated where it matters — a
   // fast-moving head on a finer grid (margin cost is small, shifts common).
-  auto fine_geometry = std::make_shared<geo::TileGeometry>(
-      geo::make_projection("equirectangular"), geo::TileGrid(4, 8));
+  auto fine_geometry = std::make_shared<geo::TileGeometry>(geo::TileGrid(4, 8));
   hmp::HeadTraceConfig fast_cfg;
   fast_cfg.duration_s = 30.0;
   fast_cfg.profile = hmp::UserProfile::teenager();

@@ -24,8 +24,7 @@ namespace {
 using namespace sperke;
 
 std::shared_ptr<geo::TileGeometry> geometry_for(int rows, int cols) {
-  return std::make_shared<geo::TileGeometry>(
-      geo::make_projection("equirectangular"), geo::TileGrid(rows, cols));
+  return std::make_shared<geo::TileGeometry>(geo::TileGrid(rows, cols));
 }
 
 void BM_VisibleTiles(benchmark::State& state) {

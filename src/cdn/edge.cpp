@@ -10,9 +10,9 @@
 
 namespace sperke::cdn {
 
-Edge::Edge(net::Link& backhaul, const EdgeCacheConfig& cache_config,
+Edge::Edge(net::Link& backhaul, std::int64_t cache_capacity_bytes,
            obs::Telemetry* telemetry)
-    : backhaul_(backhaul), cache_(cache_config) {
+    : backhaul_(backhaul), cache_(cache_capacity_bytes) {
   if (telemetry != nullptr) {
     obs::MetricsRegistry& m = telemetry->metrics();
     egress_metric_ = &m.counter("cdn.origin.egress_bytes");

@@ -53,8 +53,9 @@ struct EdgeStats {
 class Edge {
  public:
   // `backhaul` must outlive the edge; `telemetry` (nullable) receives
-  // cdn.origin.egress_bytes and the cdn.edge.* counters.
-  Edge(net::Link& backhaul, const EdgeCacheConfig& cache_config,
+  // cdn.origin.egress_bytes and the cdn.edge.* counters. Throws
+  // std::invalid_argument when cache_capacity_bytes <= 0.
+  Edge(net::Link& backhaul, std::int64_t cache_capacity_bytes,
        obs::Telemetry* telemetry);
   ~Edge();
   Edge(const Edge&) = delete;

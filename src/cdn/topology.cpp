@@ -53,12 +53,15 @@ void validate(const TopologySpec& spec, int sessions_per_link,
   if (spec.cache_capacity_bytes <= 0) {
     fail_field("cache_capacity_bytes must be positive when the tier is enabled");
   }
-  try {
-    (void)parse_cache_policy(spec.cache_policy);
-  } catch (const std::invalid_argument& e) {
-    fail_field("cache_policy: " + std::string(e.what()));
+  if (spec.cache_policy != "lru") {
+    fail_field("cache_policy: unknown cache policy \"" + spec.cache_policy +
+               "\"; the edge cache is LRU, so the only valid name is lru");
   }
-  net::validate(spec.backhaul.faults);
+  try {
+    net::validate(spec.backhaul);
+  } catch (const std::invalid_argument& e) {
+    fail_field("backhaul: " + std::string(e.what()));
+  }
   if (spec.warm_tiles_per_chunk < 0) {
     fail_field("warm_tiles_per_chunk < 0");
   }
@@ -105,11 +108,8 @@ Edge& Topology::edge_for(int edge_id) {
   if (it != edge_index_.end()) return *edges_[it->second];
   backhaul_links_.push_back(
       std::make_unique<net::Link>(simulator_, spec_.backhaul));
-  const EdgeCacheConfig cache_config{
-      .policy = parse_cache_policy(spec_.cache_policy),
-      .capacity_bytes = spec_.cache_capacity_bytes};
-  edges_.push_back(std::make_unique<Edge>(*backhaul_links_.back(), cache_config,
-                                          telemetry_));
+  edges_.push_back(std::make_unique<Edge>(
+      *backhaul_links_.back(), spec_.cache_capacity_bytes, telemetry_));
   edge_index_.emplace(edge_id, edges_.size() - 1);
   Edge& built = *edges_.back();
   if (spec_.warm_tiles_per_chunk > 0) {

@@ -47,7 +47,8 @@ struct TopologySpec {
   // Backhaul faults ride in the config's FaultPlan.
   net::LinkConfig backhaul;
 
-  // Edge cache: eviction policy name (cache_policy_names()) and byte budget.
+  // Edge cache: eviction policy name and byte budget. The edge cache is
+  // LRU, so "lru" is the only name validate() accepts.
   std::string cache_policy = "lru";
   std::int64_t cache_capacity_bytes = 256LL * 1024 * 1024;
 

@@ -76,6 +76,7 @@ void validate(const WorldSpec& spec) {
     throw std::invalid_argument("WorldSpec: slos require sample_period > 0");
   }
   for (const obs::SloSpec& slo : spec.slos) obs::validate_slo(slo);
+  net::validate(spec.link);
   net::validate(spec.faults);
   core::validate(spec.transport_recovery);
   core::validate(spec.session);

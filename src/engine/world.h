@@ -141,7 +141,8 @@ struct WorldSpec {
 [[nodiscard]] net::FaultPlan faults_of_group(const WorldSpec& spec, int group);
 
 // Throws std::invalid_argument on nonsensical specs (no sessions, bad
-// group size, shards < 1, empty trace pool).
+// group size, shards < 1, empty trace pool, a malformed link, SLO or CDN
+// section).
 void validate(const WorldSpec& spec);
 
 // Generate the shared head-trace pool (trace_template with seed + k).

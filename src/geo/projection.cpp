@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "geo/orientation.h"
-#include "util/math.h"
 
 namespace sperke::geo {
 namespace {
@@ -18,90 +16,16 @@ double wrap01(double x) {
 
 }  // namespace
 
-Uv EquirectangularProjection::uv_from_direction(const Vec3& dir) const {
+Uv uv_from_direction(const Vec3& dir) {
   const LonLat ll = lonlat_from_direction(dir);
   return Uv{wrap01((ll.lon_deg + 180.0) / 360.0),
             std::clamp((90.0 - ll.lat_deg) / 180.0, 0.0, 1.0 - 1e-12)};
 }
 
-Vec3 EquirectangularProjection::direction_from_uv(Uv uv) const {
+Vec3 direction_from_uv(Uv uv) {
   const double lon = wrap01(uv.u) * 360.0 - 180.0;
   const double lat = 90.0 - std::clamp(uv.v, 0.0, 1.0) * 180.0;
   return direction_from_lonlat(lon, lat);
-}
-
-Uv CubeMapProjection::uv_from_direction(const Vec3& d) const {
-  const double ax = std::abs(d.x), ay = std::abs(d.y), az = std::abs(d.z);
-  int face;      // 0:+x 1:-x 2:+y 3:-y 4:+z 5:-z
-  double s, t;   // face-local coordinates in [-1,1]
-  if (ax >= ay && ax >= az) {
-    face = d.x >= 0 ? 0 : 1;
-    s = (d.x >= 0 ? d.y : -d.y) / ax;
-    t = d.z / ax;
-  } else if (ay >= ax && ay >= az) {
-    face = d.y >= 0 ? 2 : 3;
-    s = (d.y >= 0 ? -d.x : d.x) / ay;
-    t = d.z / ay;
-  } else {
-    face = d.z >= 0 ? 4 : 5;
-    s = d.y / az;
-    t = (d.z >= 0 ? -d.x : d.x) / az;
-  }
-  const double fu = std::clamp((s + 1.0) / 2.0, 0.0, 1.0 - 1e-12);
-  const double fv = std::clamp((1.0 - t) / 2.0, 0.0, 1.0 - 1e-12);
-  const int col = face % 3;
-  const int row = face / 3;
-  return Uv{(col + fu) / 3.0, (row + fv) / 2.0};
-}
-
-Vec3 CubeMapProjection::direction_from_uv(Uv uv) const {
-  const double u = std::clamp(uv.u, 0.0, 1.0 - 1e-12);
-  const double v = std::clamp(uv.v, 0.0, 1.0 - 1e-12);
-  const int col = std::min(2, static_cast<int>(u * 3.0));
-  const int row = std::min(1, static_cast<int>(v * 2.0));
-  const int face = row * 3 + col;
-  const double fu = u * 3.0 - col;
-  const double fv = v * 2.0 - row;
-  const double s = fu * 2.0 - 1.0;
-  const double t = 1.0 - fv * 2.0;
-  Vec3 d;
-  switch (face) {
-    case 0: d = Vec3{1.0, s, t}; break;
-    case 1: d = Vec3{-1.0, -s, t}; break;
-    case 2: d = Vec3{-s, 1.0, t}; break;
-    case 3: d = Vec3{s, -1.0, t}; break;
-    case 4: d = Vec3{-t, s, 1.0}; break;
-    case 5: d = Vec3{t, s, -1.0}; break;
-    default: d = Vec3{1.0, 0.0, 0.0}; break;
-  }
-  return d.normalized();
-}
-
-OffsetCubeMapProjection::OffsetCubeMapProjection(Vec3 offset) : offset_(offset) {
-  if (offset_.norm() >= 1.0) {
-    throw std::invalid_argument("OffsetCubeMap: |offset| must be < 1");
-  }
-}
-
-Uv OffsetCubeMapProjection::uv_from_direction(const Vec3& dir) const {
-  const Vec3 d = dir.normalized();
-  return cube_.uv_from_direction((d - offset_).normalized());
-}
-
-Vec3 OffsetCubeMapProjection::direction_from_uv(Uv uv) const {
-  const Vec3 w = cube_.direction_from_uv(uv);  // unit warp direction
-  // Find s > 0 with |offset + s*w| = 1:  s^2 + 2 s (o.w) + |o|^2 - 1 = 0.
-  const double ow = offset_.dot(w);
-  const double c = offset_.dot(offset_) - 1.0;
-  const double s = -ow + std::sqrt(ow * ow - c);
-  return (offset_ + w * s).normalized();
-}
-
-std::unique_ptr<Projection> make_projection(std::string_view name) {
-  if (name == "equirectangular") return std::make_unique<EquirectangularProjection>();
-  if (name == "cubemap") return std::make_unique<CubeMapProjection>();
-  if (name == "offset-cubemap") return std::make_unique<OffsetCubeMapProjection>();
-  throw std::invalid_argument("unknown projection: " + std::string(name));
 }
 
 }  // namespace sperke::geo

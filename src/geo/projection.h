@@ -1,14 +1,11 @@
-// Sphere-to-plane projections.
+// The equirectangular sphere-to-plane projection (YouTube's layout, one of
+// the two schemes the paper names in §2).
 //
-// A Projection maps view directions to normalized panorama coordinates
-// (u, v) in [0,1)^2 and back. Tiles (geo/tile_grid.h) are rectangles in this
-// normalized plane, so the same tiling machinery works for both the
-// equirectangular layout (YouTube) and the cube-map atlas (Facebook), the
-// two schemes the paper names in §2.
+// u is longitude and v is latitude, both linear in angle, normalized into
+// [0,1)^2. Tiles (geo/tile_grid.h) are rectangles in this plane. The
+// projection heavily oversamples the poles, which is why per-tile
+// solid-angle weights (geo/visibility.h) matter for bandwidth accounting.
 #pragma once
-
-#include <memory>
-#include <string_view>
 
 #include "geo/vec.h"
 
@@ -19,61 +16,10 @@ struct Uv {
   double v = 0.0;  // [0,1): vertical position, 0 = top
 };
 
-class Projection {
- public:
-  virtual ~Projection() = default;
+// Project a (non-zero) direction onto the panorama plane.
+[[nodiscard]] Uv uv_from_direction(const Vec3& dir);
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
-
-  // Project a (non-zero) direction onto the panorama plane.
-  [[nodiscard]] virtual Uv uv_from_direction(const Vec3& dir) const = 0;
-
-  // Inverse projection; uv components are wrapped/clamped into [0,1).
-  [[nodiscard]] virtual Vec3 direction_from_uv(Uv uv) const = 0;
-};
-
-// Equirectangular: u is longitude, v is latitude (linear in angle).
-// Heavily oversamples the poles, which is why per-tile solid-angle weights
-// (geo/tile_geometry.h) matter for bandwidth accounting.
-class EquirectangularProjection final : public Projection {
- public:
-  [[nodiscard]] std::string_view name() const override { return "equirectangular"; }
-  [[nodiscard]] Uv uv_from_direction(const Vec3& dir) const override;
-  [[nodiscard]] Vec3 direction_from_uv(Uv uv) const override;
-};
-
-// Cube map in a 3x2 atlas (faces: +x -x +y | -y +z -z), as used by
-// Facebook's 360 pipeline. More uniform pixel density than equirectangular.
-class CubeMapProjection final : public Projection {
- public:
-  [[nodiscard]] std::string_view name() const override { return "cubemap"; }
-  [[nodiscard]] Uv uv_from_direction(const Vec3& dir) const override;
-  [[nodiscard]] Vec3 direction_from_uv(Uv uv) const override;
-};
-
-// Offset cube map (Facebook's next-generation 360 encoding, the paper's
-// [6]): directions are warped toward a preferred axis before cube mapping,
-// spending more pixels (plane area) near the "front" of the scene. With a
-// zero offset this degenerates to the plain cube map.
-//
-// Warp: forward  w = normalize(d - offset); inverse solves |offset + s*w| = 1
-// for s > 0, so the mapping round-trips exactly.
-class OffsetCubeMapProjection final : public Projection {
- public:
-  // |offset| must be < 1; the default expands +x ("front") in the atlas.
-  explicit OffsetCubeMapProjection(Vec3 offset = Vec3{0.35, 0.0, 0.0});
-
-  [[nodiscard]] std::string_view name() const override { return "offset-cubemap"; }
-  [[nodiscard]] Uv uv_from_direction(const Vec3& dir) const override;
-  [[nodiscard]] Vec3 direction_from_uv(Uv uv) const override;
-
-  [[nodiscard]] const Vec3& offset() const { return offset_; }
-
- private:
-  Vec3 offset_;
-  CubeMapProjection cube_;
-};
-
-[[nodiscard]] std::unique_ptr<Projection> make_projection(std::string_view name);
+// Inverse projection; uv components are wrapped/clamped into [0,1).
+[[nodiscard]] Vec3 direction_from_uv(Uv uv);
 
 }  // namespace sperke::geo

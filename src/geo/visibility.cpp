@@ -11,6 +11,9 @@
 namespace sperke::geo {
 namespace {
 
+// Frustum samples per axis in visible_tiles.
+constexpr int kSamplesPerAxis = 24;
+
 // Solid-angle sample lattice: stratified in longitude and in sin(latitude)
 // (equal-area bands), so each sample stands for the same solid angle.
 constexpr int kLonSamples = 256;
@@ -36,45 +39,35 @@ bool near_boundary(double x, int tiles) {
 
 }  // namespace
 
-TileGeometry::TileGeometry(std::shared_ptr<const Projection> projection,
-                           TileGrid grid, int samples_per_axis)
-    : projection_(std::move(projection)),
-      grid_(grid),
-      samples_per_axis_(samples_per_axis) {
-  if (!projection_) throw std::invalid_argument("TileGeometry: null projection");
-  if (samples_per_axis_ < 2) throw std::invalid_argument("TileGeometry: samples_per_axis < 2");
-
-  // Equirect tile edges are constant-lat/lon lines; precompute them for the
-  // sign-test classifier (see classify_equirect).
-  if (dynamic_cast<const EquirectangularProjection*>(projection_.get()) != nullptr) {
-    equirect_fast_ = true;
-    for (int j = 1; j < grid_.rows(); ++j) {
-      row_sin_.push_back(std::sin(deg_to_rad(90.0 - 180.0 * j / grid_.rows())));
-    }
-    for (int k = 1; k < grid_.cols(); ++k) {
-      const double lon = 360.0 * k / grid_.cols() - 180.0;
-      const double r = deg_to_rad(lon);
-      if (lon <= 0.0) {
-        ++col_base_;
-        // The lon == 0 meridian needs no test: every lon >= 0 passes it.
-        if (lon < 0.0) col_neg_.emplace_back(std::cos(r), std::sin(r));
-      } else {
-        col_pos_.emplace_back(std::cos(r), std::sin(r));
-      }
-    }
-    edge_planes_.emplace_back(1.0, 0.0);
-    edge_planes_.insert(edge_planes_.end(), col_neg_.begin(), col_neg_.end());
-    edge_planes_.insert(edge_planes_.end(), col_pos_.begin(), col_pos_.end());
+TileGeometry::TileGeometry(TileGrid grid) : grid_(grid) {
+  // Tile edges are constant-lat/lon lines; precompute them for the
+  // sign-test classifier (see classify).
+  for (int j = 1; j < grid_.rows(); ++j) {
+    row_sin_.push_back(std::sin(deg_to_rad(90.0 - 180.0 * j / grid_.rows())));
   }
+  for (int k = 1; k < grid_.cols(); ++k) {
+    const double lon = 360.0 * k / grid_.cols() - 180.0;
+    const double r = deg_to_rad(lon);
+    if (lon <= 0.0) {
+      ++col_base_;
+      // The lon == 0 meridian needs no test: every lon >= 0 passes it.
+      if (lon < 0.0) col_neg_.emplace_back(std::cos(r), std::sin(r));
+    } else {
+      col_pos_.emplace_back(std::cos(r), std::sin(r));
+    }
+  }
+  edge_planes_.emplace_back(1.0, 0.0);
+  edge_planes_.insert(edge_planes_.end(), col_neg_.begin(), col_neg_.end());
+  edge_planes_.insert(edge_planes_.end(), col_pos_.begin(), col_pos_.end());
 
   // Per-tile solid angle: the share of the sample lattice in each tile.
   solid_angle_.assign(static_cast<std::size_t>(grid_.tile_count()), 0.0);
-  if (!equirect_fast_ || !count_equirect_samples()) {
+  if (!count_samples()) {
     for (int i = 0; i < kLonSamples; ++i) {
       const double lon = sample_lon_deg(i);
       for (int j = 0; j < kLatSamples; ++j) {
         const Vec3 dir = direction_from_lonlat(lon, sample_lat_deg(j));
-        const TileId id = grid_.tile_at(projection_->uv_from_direction(dir));
+        const TileId id = grid_.tile_at(uv_from_direction(dir));
         solid_angle_[static_cast<std::size_t>(id)] += 1.0;
       }
     }
@@ -84,15 +77,15 @@ TileGeometry::TileGeometry(std::shared_ptr<const Projection> projection,
 
   tile_centers_.reserve(static_cast<std::size_t>(grid_.tile_count()));
   for (TileId id = 0; id < grid_.tile_count(); ++id) {
-    tile_centers_.push_back(projection_->direction_from_uv(grid_.tile_center(id)));
+    tile_centers_.push_back(direction_from_uv(grid_.tile_center(id)));
   }
 }
 
-bool TileGeometry::count_equirect_samples() {
-  // An equirect tile is a lon x lat box, so a sample's column depends on
-  // its longitude only and its row on its latitude only: the per-tile
-  // sample count is the product of per-axis counts (small integers, so the
-  // product is exact), and no trig runs per sample pair.
+bool TileGeometry::count_samples() {
+  // A tile is a lon x lat box, so a sample's column depends on its
+  // longitude only and its row on its latitude only: the per-tile sample
+  // count is the product of per-axis counts (small integers, so the product
+  // is exact), and no trig runs per sample pair.
   const int cols = grid_.cols();
   const int rows = grid_.rows();
   std::vector<double> per_col(static_cast<std::size_t>(cols), 0.0);
@@ -116,11 +109,12 @@ bool TileGeometry::count_equirect_samples() {
   return true;
 }
 
-TileId TileGeometry::classify_equirect(const Vec3& d) const {
-  // Directions within ~1e-12 of a tile edge defer to the generic chain: its
-  // rounding there is not reproducible from sign tests alone (e.g. a |lat|
-  // below half an ulp of 90.0 vanishes inside (90 - lat) / 180, flipping the
-  // row), so the guard band keeps the two paths bit-identical everywhere.
+TileId TileGeometry::classify(const Vec3& d) const {
+  // Directions within ~1e-12 of a tile edge defer to the generic chain
+  // (uv_from_direction, then tile_at): its rounding there is not
+  // reproducible from sign tests alone (e.g. a |lat| below half an ulp of
+  // 90.0 vanishes inside (90 - lat) / 180, flipping the row), so the guard
+  // band keeps the two paths bit-identical everywhere.
   constexpr double kEdgeEps = 1e-12;
 
   // Row: count latitude boundaries at or above the direction. The generic
@@ -130,7 +124,7 @@ TileId TileGeometry::classify_equirect(const Vec3& d) const {
   int row = 0;
   for (const double s : row_sin_) {
     if (std::abs(z - s) < kEdgeEps) {
-      return grid_.tile_at(projection_->uv_from_direction(d));
+      return grid_.tile_at(uv_from_direction(d));
     }
     row += (z <= s) ? 1 : 0;
   }
@@ -139,7 +133,7 @@ TileId TileGeometry::classify_equirect(const Vec3& d) const {
     // On or near the lon == 0 / ±180 half-split (this also covers the
     // degenerate x == y == 0 vertical, where atan2(±0, ±0) semantics pick
     // the seam column); defer to the generic chain rather than replicate it.
-    return grid_.tile_at(projection_->uv_from_direction(d));
+    return grid_.tile_at(uv_from_direction(d));
   }
 
   // Column: split on the sign of the longitude (the lon >= 0 test below
@@ -147,51 +141,32 @@ TileId TileGeometry::classify_equirect(const Vec3& d) const {
   // passed via cross-product sign tests. Restricted to one half, every
   // test spans less than 180° of longitude, so the half-plane test is
   // exact; the tests are scale-invariant, so no normalization is needed.
-  int col;
   const double xy_scale = std::abs(d.x) + std::abs(d.y);
   const bool lon_nonneg = d.y > 0.0;
-  if (lon_nonneg) {
-    col = col_base_;
-    for (const auto& [c, s] : col_pos_) {
-      const double cross = d.y * c - d.x * s;
-      if (std::abs(cross) < kEdgeEps * xy_scale) {
-        return grid_.tile_at(projection_->uv_from_direction(d));
-      }
-      col += (cross >= 0.0) ? 1 : 0;
+  int col = lon_nonneg ? col_base_ : 0;
+  for (const auto& [c, s] : lon_nonneg ? col_pos_ : col_neg_) {
+    const double cross = d.y * c - d.x * s;
+    if (std::abs(cross) < kEdgeEps * xy_scale) {
+      return grid_.tile_at(uv_from_direction(d));
     }
-  } else {
-    col = 0;
-    for (const auto& [c, s] : col_neg_) {
-      const double cross = d.y * c - d.x * s;
-      if (std::abs(cross) < kEdgeEps * xy_scale) {
-        return grid_.tile_at(projection_->uv_from_direction(d));
-      }
-      col += (cross >= 0.0) ? 1 : 0;
-    }
+    col += (cross >= 0.0) ? 1 : 0;
   }
   return static_cast<TileId>(row * grid_.cols() + col);
 }
 
 TileId TileGeometry::classify_clear(const Vec3& p) const {
-  // classify_equirect's sign tests without its guard band, which a
-  // direction this far from every edge never enters; p need not be unit
-  // length, so the row test compares z against s·|p|.
+  // classify's sign tests without its guard band, which a direction this
+  // far from every edge never enters; p need not be unit length, so the
+  // row test compares z against s·|p|.
   const double norm = p.norm();
   int row = 0;
   for (const double s : row_sin_) row += (p.z <= s * norm) ? 1 : 0;
-  int col = 0;
-  if (p.y > 0.0) {
-    col = col_base_;
-    for (const auto& [c, s] : col_pos_) col += (p.y * c - p.x * s >= 0.0) ? 1 : 0;
-  } else {
-    for (const auto& [c, s] : col_neg_) col += (p.y * c - p.x * s >= 0.0) ? 1 : 0;
+  const bool lon_nonneg = p.y > 0.0;
+  int col = lon_nonneg ? col_base_ : 0;
+  for (const auto& [c, s] : lon_nonneg ? col_pos_ : col_neg_) {
+    col += (p.y * c - p.x * s >= 0.0) ? 1 : 0;
   }
   return static_cast<TileId>(row * grid_.cols() + col);
-}
-
-TileId TileGeometry::classify(const Vec3& dir) const {
-  return equirect_fast_ ? classify_equirect(dir)
-                        : grid_.tile_at(projection_->uv_from_direction(dir));
 }
 
 std::vector<TileId> TileGeometry::visible_tiles(const Orientation& view,
@@ -231,7 +206,7 @@ bool TileGeometry::mark_crossings(const Vec3& fr, const Vec3& up_step,
   // first sample and the first after each window; the caller classifies
   // the former and sign-tests the latter. Bit n is a sink for crossings
   // past the last sample, so a crossing outside the column needs no branch.
-  const int n = samples_per_axis_;
+  const int n = kSamplesPerAxis;
   auto& near = scratch.near;
   auto& starts = scratch.starts;
   near.assign(static_cast<std::size_t>(n / 64 + 1), 0);
@@ -347,7 +322,7 @@ void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewpo
 
   auto& seen = scratch.seen;
   seen.assign(static_cast<std::size_t>(grid_.tile_count()), 0);
-  const int n = samples_per_axis_;  // >= 2, enforced by the constructor
+  const int n = kSamplesPerAxis;
   auto& up_terms = scratch.up_terms;
   up_terms.clear();
   for (int j = 0; j < n; ++j) {
@@ -355,21 +330,19 @@ void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewpo
     up_terms.push_back(basis.up * (b * tan_h));
   }
   const Vec3 up_step = basis.up * tan_h;
-  if (equirect_fast_) {
-    // A plane's sign test is linear over the frustum, c·p.y - s·p.x =
-    // f0 + a·fa + b·fb for p = forward + a·right·tan_w + b·up·tan_h, so a
-    // plane farther than |fa| + |fb| plus every column's margin from the
-    // center crosses no column. reach_bound >= any column's reach2.
-    const Vec3 right_step = basis.right * tan_w;
-    const double reach_bound = 2.0 * (1.0 + tan_w * tan_w + tan_h * tan_h);
-    scratch.planes.clear();
-    for (const auto& [c, s] : edge_planes_) {
-      const double f0 = basis.forward.y * c - basis.forward.x * s;
-      const double fa = right_step.y * c - right_step.x * s;
-      const double fb = up_step.y * c - up_step.x * s;
-      if (std::abs(f0) > std::abs(fa) + std::abs(fb) + kCrossMargin * reach_bound) continue;
-      scratch.planes.push_back({c, s, std::abs(fb) > kFlatSlope ? 1.0 / fb : 0.0});
-    }
+  // A plane's sign test is linear over the frustum, c·p.y - s·p.x =
+  // f0 + a·fa + b·fb for p = forward + a·right·tan_w + b·up·tan_h, so a
+  // plane farther than |fa| + |fb| plus every column's margin from the
+  // center crosses no column. reach_bound >= any column's reach2.
+  const Vec3 right_step = basis.right * tan_w;
+  const double reach_bound = 2.0 * (1.0 + tan_w * tan_w + tan_h * tan_h);
+  scratch.planes.clear();
+  for (const auto& [c, s] : edge_planes_) {
+    const double f0 = basis.forward.y * c - basis.forward.x * s;
+    const double fa = right_step.y * c - right_step.x * s;
+    const double fb = up_step.y * c - up_step.x * s;
+    if (std::abs(f0) > std::abs(fa) + std::abs(fb) + kCrossMargin * reach_bound) continue;
+    scratch.planes.push_back({c, s, std::abs(fb) > kFlatSlope ? 1.0 / fb : 0.0});
   }
   const auto mark = [&](const Vec3& fr, int j) {
     const Vec3 dir = (fr + up_terms[static_cast<std::size_t>(j)]).normalized();
@@ -378,7 +351,7 @@ void TileGeometry::visible_tiles(const Orientation& view, const Viewport& viewpo
   for (int i = 0; i < n; ++i) {
     const double a = static_cast<double>(i) / (n - 1) * 2.0 - 1.0;
     const Vec3 fr = basis.forward + basis.right * (a * tan_w);
-    if (equirect_fast_ && mark_crossings(fr, up_step, scratch)) {
+    if (mark_crossings(fr, up_step, scratch)) {
       for (std::size_t w = 0; w < scratch.near.size(); ++w) {
         const auto base = static_cast<int>(w * 64);
         for (std::uint64_t bits = scratch.near[w]; bits != 0; bits &= bits - 1) {

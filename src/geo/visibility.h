@@ -1,17 +1,18 @@
 // FoV -> tile-set computation: the heart of FoV-guided streaming.
 //
-// TileGeometry binds a Projection and a TileGrid and answers the questions
-// the streaming stack keeps asking:
+// TileGeometry binds a TileGrid on the equirectangular projection
+// (geo/projection.h) and answers the questions the streaming stack keeps
+// asking:
 //   * which tiles does this viewport cover? (visible set)
 //   * how far is a tile from the view center? (OOS ranking, §3.1.2)
 //   * what fraction of the sphere does a tile cover? (bandwidth weighting)
 //
 // Hot-path notes (DESIGN.md §8): every query has an out-parameter overload
 // taking a reusable Scratch so steady-state callers allocate nothing; the
-// allocating signatures are thin wrappers. For the equirectangular
-// projection the per-sample direction->tile classification runs on
-// precomputed sin(latitude) row thresholds and column-boundary half-plane
-// tests instead of the generic asin/atan2 chain, and visible_tiles
+// allocating signatures are thin wrappers. The per-sample direction->tile
+// classification runs on precomputed sin(latitude) row thresholds and
+// column-boundary half-plane tests instead of the asin/atan2 chain of
+// uv_from_direction, and visible_tiles
 // classifies only the samples next to a tile edge crossing plus one sample
 // per run between crossings (see mark_crossings). Nothing is cached: a
 // caller that re-asks a question keeps the answer itself (the streaming
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -58,11 +58,8 @@ class TileGeometry {
     std::vector<TileId> queue;                     // oos_rings BFS FIFO
   };
 
-  // Takes shared ownership of the projection so sessions can share one.
-  TileGeometry(std::shared_ptr<const Projection> projection, TileGrid grid,
-               int samples_per_axis = 24);
+  explicit TileGeometry(TileGrid grid);
 
-  [[nodiscard]] const Projection& projection() const { return *projection_; }
   [[nodiscard]] const TileGrid& grid() const { return grid_; }
 
   // Tiles intersected by the perspective viewport at the given orientation.
@@ -84,8 +81,8 @@ class TileGeometry {
                  Scratch& scratch) const;
 
   // Fraction of the sphere's solid angle covered by each tile (sums to ~1).
-  // Precomputed by uniform-on-sphere sampling at construction; for the
-  // equirect projection from per-axis sample counts (DESIGN.md §8).
+  // Precomputed by uniform-on-sphere sampling at construction, from
+  // per-axis sample counts (DESIGN.md §8).
   [[nodiscard]] const std::vector<double>& solid_angle_fractions() const {
     return solid_angle_;
   }
@@ -96,15 +93,14 @@ class TileGeometry {
   [[nodiscard]] const std::vector<Vec3>& tile_centers() const { return tile_centers_; }
 
  private:
-  // Fills solid_angle_ with equirect sample counts from per-axis counts;
-  // false (nothing written) when a sample coordinate lies too close to a
-  // tile boundary for the per-axis value to be trusted over the per-sample
+  // Fills solid_angle_ with sample counts from per-axis counts; false
+  // (nothing written) when a sample coordinate lies too close to a tile
+  // boundary for the per-axis value to be trusted over the per-sample
   // direction round trip.
-  [[nodiscard]] bool count_equirect_samples();
-  [[nodiscard]] TileId classify_equirect(const Vec3& dir) const;
+  [[nodiscard]] bool count_samples();
   [[nodiscard]] TileId classify(const Vec3& dir) const;
-  // Equirect tile of a direction (any length) farther than the crossing
-  // margin from every tile edge.
+  // Tile of a direction (any length) farther than the crossing margin from
+  // every tile edge.
   [[nodiscard]] TileId classify_clear(const Vec3& p) const;
   // Fills scratch.near / scratch.starts for the frustum column fr + b·up_step
   // (b in [-1, 1]); false when the column grazes an edge, and every sample
@@ -112,19 +108,16 @@ class TileGeometry {
   [[nodiscard]] bool mark_crossings(const Vec3& fr, const Vec3& up_step,
                                     Scratch& scratch) const;
 
-  std::shared_ptr<const Projection> projection_;
   TileGrid grid_;
-  int samples_per_axis_;
   std::vector<double> solid_angle_;
   std::vector<Vec3> tile_centers_;
 
-  // Equirect fast-classifier tables (empty for other projections). Tile
-  // edges are constant-latitude / constant-longitude lines, so a sample
-  // classifies with sign tests only: the row counts z against the
-  // precomputed sin(latitude) band boundaries, the column counts
-  // cross-product tests against the precomputed boundary meridians of the
-  // sample's longitude half (each test spans < 180°, so it is exact there).
-  bool equirect_fast_ = false;
+  // Sign-test classifier tables. Tile edges are constant-latitude /
+  // constant-longitude lines, so a sample classifies with sign tests only:
+  // the row counts z against the precomputed sin(latitude) band
+  // boundaries, the column counts cross-product tests against the
+  // precomputed boundary meridians of the sample's longitude half (each
+  // test spans < 180°, so it is exact there).
   std::vector<double> row_sin_;                          // descending
   std::vector<std::pair<double, double>> col_neg_;       // (cos, sin), lon < 0
   std::vector<std::pair<double, double>> col_pos_;       // (cos, sin), lon > 0

@@ -5,6 +5,11 @@
 
 namespace sperke::live {
 
+// Capacity of a direction the network conditions leave unlimited (the
+// paper's "No limit" rows), and the RTT of both first-mile links.
+constexpr double kUnconstrainedKbps = 50'000.0;
+constexpr sim::Duration kLinkRtt = sim::milliseconds(30);
+
 LiveBroadcastSession::LiveBroadcastSession(Config config)
     : config_(std::move(config)) {
   if (config_.platform.ladder_kbps.empty()) {
@@ -13,24 +18,23 @@ LiveBroadcastSession::LiveBroadcastSession(Config config)
   if (config_.platform.segment_s <= 0.0) {
     throw std::invalid_argument("LiveBroadcastSession: bad segment length");
   }
-  const double up = config_.network.up_kbps > 0.0 ? config_.network.up_kbps
-                                                  : config_.unconstrained_kbps;
-  const double down = config_.network.down_kbps > 0.0
-                          ? config_.network.down_kbps
-                          : config_.unconstrained_kbps;
+  const double up =
+      config_.network.up_kbps > 0.0 ? config_.network.up_kbps : kUnconstrainedKbps;
+  const double down =
+      config_.network.down_kbps > 0.0 ? config_.network.down_kbps : kUnconstrainedKbps;
   // The broadcaster's physical first-mile pipes, not a chunk-fetch path —
   // no CDN tier sits on them. sperke-lint: allow(link-construction)
   uplink_ = std::make_unique<net::Link>(
       simulator_, net::LinkConfig{.name = "uplink",
                                   .bandwidth = net::BandwidthTrace::constant(up),
-                                  .rtt = config_.link_rtt,
+                                  .rtt = kLinkRtt,
                                   .loss_rate = 0.0,
                                   .faults = config_.uplink_faults});
   // sperke-lint: allow(link-construction)
   downlink_ = std::make_unique<net::Link>(
       simulator_, net::LinkConfig{.name = "downlink",
                                   .bandwidth = net::BandwidthTrace::constant(down),
-                                  .rtt = config_.link_rtt,
+                                  .rtt = kLinkRtt,
                                   .loss_rate = 0.0,
                                   .faults = config_.downlink_faults});
   downlink_est_kbps_ = config_.platform.initial_downlink_estimate_kbps;

@@ -58,8 +58,6 @@ class LiveBroadcastSession {
     // paper's repeated clock readings.
     sim::Duration measure_from{sim::seconds(40.0)};
     sim::Duration measure_to{sim::seconds(140.0)};
-    double unconstrained_kbps = 50'000.0;  // "No limit" rows
-    sim::Duration link_rtt{sim::milliseconds(30)};
     // Optional broadcaster-side upload VRA (§3.4.2). The measured platforms
     // have none (null); with one, each segment's bitrate/horizon follows
     // policy->decide(uplink capacity). Not owned; must outlive the session.

@@ -169,8 +169,7 @@ std::string write_mpd(const VideoModelConfig& config) {
   std::ostringstream os;
   os << "<MPD duration=\"" << format_number(config.duration_s)
      << "\" chunkDuration=\"" << format_number(config.chunk_duration_s)
-     << "\" projection=\"" << config.projection
-     << "\" tileRows=\"" << config.tile_rows
+     << "\" projection=\"equirectangular\" tileRows=\"" << config.tile_rows
      << "\" tileCols=\"" << config.tile_cols
      << "\" svcOverhead=\"" << format_number(config.svc_overhead)
      << "\" complexitySigma=\"" << format_number(config.complexity_sigma)
@@ -201,7 +200,9 @@ VideoModelConfig parse_mpd(const std::string& text) {
   VideoModelConfig config;
   config.duration_s = require_number(root, "duration");
   config.chunk_duration_s = require_number(root, "chunkDuration");
-  config.projection = require_string(root, "projection");
+  if (require_string(root, "projection") != "equirectangular") {
+    throw std::runtime_error("MPD: projection must be equirectangular");
+  }
   config.tile_rows = static_cast<int>(require_integer(root, "tileRows", INT_MAX));
   config.tile_cols = static_cast<int>(require_integer(root, "tileCols", INT_MAX));
   config.svc_overhead = require_number(root, "svcOverhead");

@@ -27,8 +27,9 @@ namespace sperke::media {
 
 // Parse an MPD document back into a config. Throws std::runtime_error on
 // malformed documents (unknown root, missing/duplicate attributes, no
-// representations, non-numeric or non-finite values, and tile counts or a
-// seed that are not exact in-range integers).
+// representations, non-numeric or non-finite values, a projection other
+// than equirectangular, and tile counts or a seed that are not exact
+// in-range integers).
 [[nodiscard]] VideoModelConfig parse_mpd(const std::string& text);
 
 }  // namespace sperke::media

@@ -34,7 +34,6 @@ VideoModel::VideoModel(VideoModelConfig config) : config_(std::move(config)) {
   }
 
   geometry_ = std::make_shared<geo::TileGeometry>(
-      geo::make_projection(config_.projection),
       geo::TileGrid(config_.tile_rows, config_.tile_cols));
   chunk_count_ = static_cast<ChunkIndex>(chunks);
 
@@ -175,8 +174,8 @@ std::int64_t VideoModel::storage_bytes_versioning(int version_count) const {
 
 std::string VideoModel::describe() const {
   std::ostringstream os;
-  os << "360 video: " << config_.duration_s << " s, " << config_.projection
-     << " projection, " << config_.tile_rows << "x" << config_.tile_cols
+  os << "360 video: " << config_.duration_s << " s, equirectangular projection, "
+     << config_.tile_rows << "x" << config_.tile_cols
      << " tiles, " << chunk_count_ << " chunks of " << config_.chunk_duration_s
      << " s\n";
   os << "quality ladder (panorama kbps):";

@@ -38,7 +38,6 @@ struct VideoModelConfig {
   double chunk_duration_s = 1.0;
   int tile_rows = 4;
   int tile_cols = 6;
-  std::string projection = "equirectangular";
   QualityLadder ladder = QualityLadder::default_ladder();
   double svc_overhead = 0.10;      // SVC bitstream overhead vs AVC (per [31])
   double complexity_sigma = 0.25;  // lognormal spread of content complexity

@@ -175,8 +175,6 @@ std::vector<PathState> MultipathTransport::snapshot() const {
     out.push_back({.link = &path.link,
                    .estimated_kbps = path.queue.estimated_kbps(),
                    .queued_bytes = path.queue.load_bytes(),
-                   .queued_requests = path.queue.active() +
-                                      static_cast<int>(path.queue.queued()),
                    .quality_score = quality_of(path.link)});
   }
   return out;

@@ -41,7 +41,6 @@ struct PathState {
   const net::Link* link = nullptr;
   double estimated_kbps = 0.0;   // per-path goodput estimate
   std::int64_t queued_bytes = 0; // waiting + in-flight bytes
-  int queued_requests = 0;
   // Static quality score: higher is better (bandwidth-, loss-, rtt-aware).
   double quality_score = 0.0;
 };

@@ -15,8 +15,9 @@ BandwidthTrace::BandwidthTrace(std::vector<std::pair<sim::Time, double>> segment
     throw std::invalid_argument("BandwidthTrace: first segment must start at 0");
   }
   for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i].second < 0.0) {
-      throw std::invalid_argument("BandwidthTrace: negative bandwidth");
+    const double kbps = segments_[i].second;
+    if (!(kbps >= 0.0 && std::isfinite(kbps))) {
+      throw std::invalid_argument("BandwidthTrace: bandwidth must be finite and >= 0");
     }
     if (i > 0 && segments_[i].first <= segments_[i - 1].first) {
       throw std::invalid_argument("BandwidthTrace: segments not strictly increasing");

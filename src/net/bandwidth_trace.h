@@ -16,8 +16,8 @@ namespace sperke::net {
 class BandwidthTrace {
  public:
   // Segments: (start time, bandwidth kbps), sorted by start time; the first
-  // segment must start at 0, bandwidths must be non-negative. The last
-  // segment extends forever.
+  // segment must start at 0, bandwidths must be finite and non-negative
+  // (std::invalid_argument otherwise). The last segment extends forever.
   explicit BandwidthTrace(std::vector<std::pair<sim::Time, double>> segments);
 
   [[nodiscard]] static BandwidthTrace constant(double kbps);

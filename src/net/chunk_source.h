@@ -27,9 +27,8 @@ namespace sperke::net {
 // it. `layer` disambiguates the quality axis: layer == -1 is a single-layer
 // (AVC) object whose ladder rung is `quality`; layer >= 0 is the SVC layer
 // object `layer` (quality stays 0 — the layer IS the quality coordinate).
-// Single-video worlds leave `video` at 0.
+// Every world streams one video, so the key names no content.
 struct ChunkId {
-  std::int32_t video = 0;    // content id
   std::int32_t chunk = 0;    // temporal index (media::ChunkIndex)
   std::int32_t tile = 0;     // spatial tile (geo::TileId)
   std::int32_t quality = 0;  // AVC ladder rung; 0 for SVC layer objects
@@ -47,11 +46,9 @@ struct ChunkId {
 };
 
 // Lossless round-trip with the media-layer address (the key ABR plans in).
-[[nodiscard]] constexpr ChunkId to_chunk_id(const media::ChunkAddress& address,
-                                            std::int32_t video = 0) {
+[[nodiscard]] constexpr ChunkId to_chunk_id(const media::ChunkAddress& address) {
   const bool svc = address.encoding == media::Encoding::kSvc;
-  return ChunkId{.video = video,
-                 .chunk = address.key.index,
+  return ChunkId{.chunk = address.key.index,
                  .tile = address.key.tile,
                  .quality = svc ? 0 : address.level,
                  .layer = svc ? address.level : -1};
@@ -135,7 +132,7 @@ struct std::hash<sperke::net::ChunkId> {
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.quality)) << 32) |
         static_cast<std::uint32_t>(id.layer);
     std::uint64_t h = std::hash<std::uint64_t>{}(lo);
-    h ^= std::hash<std::uint64_t>{}(hi ^ static_cast<std::uint32_t>(id.video)) +
+    h ^= std::hash<std::uint64_t>{}(hi) +
          0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     return static_cast<std::size_t>(h);
   }

@@ -35,21 +35,26 @@ double max_spike_factor(const std::vector<FaultWindow>& spikes) {
 
 }  // namespace
 
-Link::Link(sim::Simulator& simulator, LinkConfig config)
-    : simulator_(simulator),
-      config_(std::move(config)),
-      fault_rng_(config_.faults.seed) {
-  if (config_.rtt < sim::Duration{0}) throw std::invalid_argument("Link: negative RTT");
-  if (config_.loss_rate < 0.0 || config_.loss_rate >= 1.0) {
+void validate(const LinkConfig& config) {
+  if (config.rtt < sim::Duration{0}) throw std::invalid_argument("Link: negative RTT");
+  // Written so that NaN fails: it would make the Mathis cap NaN.
+  if (!(config.loss_rate >= 0.0 && config.loss_rate < 1.0)) {
     throw std::invalid_argument("Link: loss_rate must be in [0,1)");
   }
-  validate(config_.faults);
-  const double max_rtt_s = sim::to_seconds(config_.rtt) *
-                           max_spike_factor(config_.faults.rtt_spikes);
+  validate(config.faults);
+  const double max_rtt_s = sim::to_seconds(config.rtt) *
+                           max_spike_factor(config.faults.rtt_spikes);
   if (!(max_rtt_s <= kMaxSpikedRttS)) {
     throw std::invalid_argument(
         "Link: RTT spikes push the RTT past the clock range");
   }
+}
+
+Link::Link(sim::Simulator& simulator, LinkConfig config)
+    : simulator_(simulator),
+      config_(std::move(config)),
+      fault_rng_(config_.faults.seed) {
+  validate(config_);
   has_faults_ = !config_.faults.empty();
   last_update_ = simulator_.now();
   if (has_faults_) {

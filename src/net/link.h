@@ -43,11 +43,15 @@ struct LinkConfig {
   FaultPlan faults;        // empty = the link never fails (byte-identical)
 };
 
+// Throws std::invalid_argument for a negative RTT, a loss rate outside
+// [0,1) or NaN, a malformed fault plan, or RTT spikes whose overlapping
+// factors push the effective RTT past half the clock range. The bandwidth
+// trace checks its own rates when built.
+void validate(const LinkConfig& config);
+
 class Link final : public ChunkSource {
  public:
-  // Throws std::invalid_argument for a negative RTT, a loss rate outside
-  // [0,1), a malformed fault plan, or RTT spikes whose overlapping factors
-  // push the effective RTT past half the clock range.
+  // Throws what validate(config) throws.
   Link(sim::Simulator& simulator, LinkConfig config);
   ~Link() override;
   Link(const Link&) = delete;

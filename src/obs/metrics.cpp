@@ -160,6 +160,7 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
 }
 
 double histogram_quantile_bound(const Histogram& hist, double q) {
+  SPERKE_CHECK(q >= 0.0 && q <= 1.0, "quantile ", q, " outside [0, 1]");
   const auto& counts = hist.bucket_counts();
   const auto& bounds = hist.upper_bounds();
   const auto total = hist.count();

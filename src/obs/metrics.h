@@ -139,7 +139,8 @@ class MetricsRegistry {
 // Quantile upper bound from a fixed-bucket histogram: the bucket ceiling
 // under which a `q` fraction (q in [0,1]) of the samples fall, or max()
 // when the quantile lands in the +inf overflow bucket. 0 for an empty
-// histogram. q=0.99 is the p99 the benches and SimMonitor report.
+// histogram. q=0.99 is the p99 the benches and SimMonitor report. A q
+// outside [0,1], NaN included, fails a SPERKE_CHECK.
 [[nodiscard]] double histogram_quantile_bound(const Histogram& hist, double q);
 
 }  // namespace sperke::obs

@@ -1,5 +1,6 @@
 #include "obs/slo.h"
 
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
@@ -47,10 +48,16 @@ void validate_slo(const SloSpec& spec) {
   if (spec.metric.empty()) {
     throw std::invalid_argument("SloSpec '" + spec.name + "': empty metric");
   }
+  // Written so that NaN fails: it would reach an integer cast in the
+  // quantile helpers.
   if (spec.signal == SloSignal::kHistogramQuantile &&
-      (spec.quantile < 0.0 || spec.quantile > 1.0)) {
+      !(spec.quantile >= 0.0 && spec.quantile <= 1.0)) {
     throw std::invalid_argument("SloSpec '" + spec.name +
                                 "': quantile outside [0, 1]");
+  }
+  if (!std::isfinite(spec.threshold)) {
+    throw std::invalid_argument("SloSpec '" + spec.name +
+                                "': threshold must be finite");
   }
   if (spec.window_intervals < 1) {
     throw std::invalid_argument("SloSpec '" + spec.name + "': window < 1");

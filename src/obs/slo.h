@@ -36,7 +36,7 @@ struct SloSpec {
   std::string metric;  // instrument the signal reads
   SloSignal signal = SloSignal::kGaugeValue;
   double quantile = 0.99;    // kHistogramQuantile only, in [0, 1]
-  double threshold = 0.0;    // breach when signal > threshold
+  double threshold = 0.0;    // breach when signal > threshold; finite
   int window_intervals = 1;  // trailing evaluation window, >= 1
 };
 
@@ -45,7 +45,7 @@ struct SloSpec {
 [[nodiscard]] bool valid_slo_name(std::string_view name);
 
 // Throws std::invalid_argument when a spec is malformed (bad name, empty
-// metric, quantile outside [0,1], window < 1).
+// metric, quantile outside [0,1] or NaN, non-finite threshold, window < 1).
 void validate_slo(const SloSpec& spec);
 
 // End-of-run rollup for one SLO; merges across shards field-wise.

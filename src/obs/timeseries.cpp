@@ -15,6 +15,7 @@ namespace {
 double bucket_quantile_bound(const std::vector<double>& bounds,
                              const std::vector<std::int64_t>& counts,
                              double q) {
+  SPERKE_CHECK(q >= 0.0 && q <= 1.0, "quantile ", q, " outside [0, 1]");
   std::int64_t total = 0;
   for (const std::int64_t c : counts) total += c;
   if (total <= 0) return 0.0;

@@ -54,7 +54,8 @@ struct TimeSeries {
 // ceiling under which a `q` fraction of that interval's samples fall.
 // Returns 0 for an empty interval and +infinity when the quantile lands in
 // the overflow bucket (the sample is beyond the histogram's range, which
-// must read as "worse than any threshold" to SLO math).
+// must read as "worse than any threshold" to SLO math). A q outside [0,1],
+// NaN included, fails a SPERKE_CHECK.
 [[nodiscard]] double series_quantile_bound(const TimeSeries& series,
                                            std::size_t interval, double q);
 

@@ -5,6 +5,9 @@
 
 namespace sperke::player {
 
+// Decoded tiles the player keeps, across the frames it decodes ahead.
+constexpr std::size_t kCacheCapacityTiles = 48;
+
 FrameCache::FrameCache(std::size_t capacity_tiles) : capacity_(capacity_tiles) {
   if (capacity_tiles == 0) throw std::invalid_argument("FrameCache: zero capacity");
 }
@@ -62,7 +65,7 @@ PlayerSimulation::PlayerSimulation(sim::Simulator& simulator,
       head_trace_(head_trace),
       config_(config),
       decoders_(simulator, config.decoder),
-      cache_(config.cache_capacity_tiles) {
+      cache_(kCacheCapacityTiles) {
   if (!geometry_) throw std::invalid_argument("PlayerSimulation: null geometry");
   if (config_.prefetch_frames < 1) {
     throw std::invalid_argument("PlayerSimulation: prefetch_frames < 1");

@@ -72,7 +72,6 @@ class PlayerSimulation {
     DecoderModelConfig decoder;
     PipelineConfig pipeline;
     geo::Viewport viewport{100.0, 90.0};
-    std::size_t cache_capacity_tiles = 48;
     int prefetch_frames = 3;  // how far ahead the decoding scheduler works
     // Also decode ring-1 tiles around the FoV so small shifts hit the
     // cache. Off by default: on coarse grids the ring can cover the whole

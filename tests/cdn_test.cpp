@@ -61,8 +61,7 @@ TEST(ChunkId, RoundTripsAvcAddresses) {
 TEST(ChunkId, RoundTripsSvcAddresses) {
   const media::ChunkAddress svc{
       .key = {.tile = 2, .index = 4}, .encoding = media::Encoding::kSvc, .level = 1};
-  const ChunkId id = net::to_chunk_id(svc, /*video=*/9);
-  EXPECT_EQ(id.video, 9);
+  const ChunkId id = net::to_chunk_id(svc);
   EXPECT_EQ(id.quality, 0);  // the layer IS the quality coordinate
   EXPECT_EQ(id.layer, 1);
   EXPECT_TRUE(id.svc());
@@ -83,26 +82,13 @@ TEST(ChunkId, OrdersLexicographically) {
 
 // ----------------------------------------------------------------- EdgeCache
 
-TEST(EdgeCache, ParsePolicyNames) {
-  EXPECT_EQ(parse_cache_policy("lru"), CachePolicy::kLru);
-  EXPECT_EQ(parse_cache_policy("lfu"), CachePolicy::kLfu);
-  try {
-    (void)parse_cache_policy("arc");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("arc"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("valid names: lru, lfu"),
-              std::string::npos);
-  }
-}
-
 TEST(EdgeCache, RejectsNonPositiveCapacity) {
-  EXPECT_THROW(EdgeCache({.capacity_bytes = 0}), std::invalid_argument);
-  EXPECT_THROW(EdgeCache({.capacity_bytes = -1}), std::invalid_argument);
+  EXPECT_THROW(EdgeCache(0), std::invalid_argument);
+  EXPECT_THROW(EdgeCache(-1), std::invalid_argument);
 }
 
 TEST(EdgeCache, LruGoldenEvictionSequence) {
-  EdgeCache cache({.policy = CachePolicy::kLru, .capacity_bytes = 300});
+  EdgeCache cache(300);
   EXPECT_EQ(cache.insert(cid(0), 100), 0);
   EXPECT_EQ(cache.insert(cid(1), 100), 0);
   EXPECT_EQ(cache.insert(cid(2), 100), 0);
@@ -120,34 +106,8 @@ TEST(EdgeCache, LruGoldenEvictionSequence) {
   EXPECT_EQ(cache.used_bytes(), 250);
 }
 
-TEST(EdgeCache, LfuGoldenEvictionSequence) {
-  EdgeCache cache({.policy = CachePolicy::kLfu, .capacity_bytes = 300});
-  (void)cache.insert(cid(0), 100);  // freq 1
-  (void)cache.insert(cid(1), 100);  // freq 1
-  (void)cache.insert(cid(2), 100);  // freq 1
-  EXPECT_TRUE(cache.touch(cid(0)));  // freq 3 after the next touch
-  EXPECT_TRUE(cache.touch(cid(0)));
-  EXPECT_TRUE(cache.touch(cid(1)));  // freq 2
-
-  // Least frequent wins eviction: 2 (freq 1).
-  EXPECT_EQ(cache.insert(cid(3), 100), 1);
-  EXPECT_FALSE(cache.contains(cid(2)));
-  // Then the freshly inserted 3 (freq 1) is the least frequent again.
-  EXPECT_EQ(cache.insert(cid(4), 100), 1);
-  EXPECT_EQ(cache.resident(), (std::vector<ChunkId>{cid(0), cid(1), cid(4)}));
-}
-
-TEST(EdgeCache, LfuTiesBreakByLeastRecent) {
-  EdgeCache cache({.policy = CachePolicy::kLfu, .capacity_bytes = 200});
-  (void)cache.insert(cid(0), 100);
-  (void)cache.insert(cid(1), 100);
-  // Both at freq 1: the earlier-used (0) is the victim.
-  EXPECT_EQ(cache.insert(cid(2), 100), 1);
-  EXPECT_EQ(cache.resident(), (std::vector<ChunkId>{cid(1), cid(2)}));
-}
-
 TEST(EdgeCache, ReinsertCountsAsTouch) {
-  EdgeCache cache({.policy = CachePolicy::kLru, .capacity_bytes = 300});
+  EdgeCache cache(300);
   (void)cache.insert(cid(0), 100);
   (void)cache.insert(cid(1), 100);
   EXPECT_EQ(cache.insert(cid(0), 100), 0);  // already resident: a touch
@@ -161,7 +121,7 @@ TEST(EdgeCache, ReinsertCountsAsTouch) {
 }
 
 TEST(EdgeCache, OversizedObjectIsNeverAdmitted) {
-  EdgeCache cache({.policy = CachePolicy::kLru, .capacity_bytes = 300});
+  EdgeCache cache(300);
   (void)cache.insert(cid(0), 100);
   EXPECT_EQ(cache.insert(cid(9), 301), -1);
   // Nothing was evicted to make room for an object that can never fit.
@@ -175,7 +135,7 @@ TEST(EdgeCache, CapacityNearInt64MaxDoesNotOverflow) {
   // against what is left instead.
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   constexpr std::int64_t kHalf = kMax / 2 + 1;
-  EdgeCache cache({.policy = CachePolicy::kLru, .capacity_bytes = kMax});
+  EdgeCache cache(kMax);
   EXPECT_EQ(cache.insert(cid(0), kHalf), 0);
   EXPECT_EQ(cache.insert(cid(1), kHalf), 1);
   EXPECT_EQ(cache.resident(), (std::vector<ChunkId>{cid(1)}));
@@ -185,12 +145,10 @@ TEST(EdgeCache, CapacityNearInt64MaxDoesNotOverflow) {
 }
 
 // The cache as it was first written: a std::map of entries and a std::set
-// of (rank, seq, id) eviction keys, rank being the use count under lfu and
-// 0 under lru, seq a tick bumped by every touch and insert.
+// of (seq, id) eviction keys, seq a tick bumped by every touch and insert.
 class OrderedReferenceCache {
  public:
-  OrderedReferenceCache(CachePolicy policy, std::int64_t capacity)
-      : policy_(policy), capacity_(capacity) {}
+  explicit OrderedReferenceCache(std::int64_t capacity) : capacity_(capacity) {}
 
   [[nodiscard]] bool contains(const ChunkId& id) const {
     return entries_.contains(id);
@@ -199,10 +157,9 @@ class OrderedReferenceCache {
   bool touch(const ChunkId& id) {
     auto it = entries_.find(id);
     if (it == entries_.end()) return false;
-    order_.erase(key_of(id, it->second));
+    order_.erase({it->second.seq, id});
     it->second.seq = ++clock_;
-    ++it->second.freq;
-    order_.insert(key_of(id, it->second));
+    order_.insert({it->second.seq, id});
     return true;
   }
 
@@ -211,14 +168,14 @@ class OrderedReferenceCache {
     if (bytes > capacity_) return -1;
     int evicted = 0;
     while (bytes > capacity_ - used_) {
-      const Key victim = *order_.begin();
+      const ChunkId victim = order_.begin()->second;
       order_.erase(order_.begin());
-      used_ -= entries_.at(victim.id).bytes;
-      entries_.erase(victim.id);
+      used_ -= entries_.at(victim).bytes;
+      entries_.erase(victim);
       ++evicted;
     }
-    const Entry entry{.bytes = bytes, .freq = 1, .seq = ++clock_};
-    order_.insert(key_of(id, entry));
+    const Entry entry{.bytes = bytes, .seq = ++clock_};
+    order_.insert({entry.seq, id});
     entries_.emplace(id, entry);
     used_ += bytes;
     return evicted;
@@ -235,26 +192,12 @@ class OrderedReferenceCache {
  private:
   struct Entry {
     std::int64_t bytes = 0;
-    std::uint64_t freq = 0;
     std::uint64_t seq = 0;
   };
-  struct Key {
-    std::uint64_t rank = 0;
-    std::uint64_t seq = 0;
-    ChunkId id;
-    friend auto operator<=>(const Key&, const Key&) = default;
-  };
 
-  [[nodiscard]] Key key_of(const ChunkId& id, const Entry& entry) const {
-    return {.rank = policy_ == CachePolicy::kLfu ? entry.freq : 0,
-            .seq = entry.seq,
-            .id = id};
-  }
-
-  CachePolicy policy_;
   std::int64_t capacity_;
   std::map<ChunkId, Entry> entries_;
-  std::set<Key> order_;
+  std::set<std::pair<std::uint64_t, ChunkId>> order_;
   std::int64_t used_ = 0;
   std::uint64_t clock_ = 0;
 };
@@ -264,31 +207,28 @@ TEST(EdgeCache, MatchesOrderedReferenceModel) {
   // objects: repeated ids, objects larger than the whole cache, and
   // inserts that evict several residents. After every operation both
   // caches must agree on the result and on the resident set.
-  for (const CachePolicy policy : {CachePolicy::kLru, CachePolicy::kLfu}) {
-    Rng rng(policy == CachePolicy::kLru ? 11 : 12);
-    for (int sequence = 0; sequence < 1500; ++sequence) {
-      const std::int64_t capacity = rng.uniform_int(1, 600);
-      EdgeCache cache({.policy = policy, .capacity_bytes = capacity});
-      OrderedReferenceCache reference(policy, capacity);
-      for (int op = 0; op < 60; ++op) {
-        const auto tile = static_cast<std::int32_t>(rng.uniform_int(0, 5));
-        const auto chunk = static_cast<std::int32_t>(rng.uniform_int(0, 1));
-        const ChunkId id = cid(tile, chunk);
-        const std::int64_t kind = rng.uniform_int(0, 9);
-        if (kind < 4) {
-          EXPECT_EQ(cache.touch(id), reference.touch(id));
-        } else if (kind < 9) {
-          const std::int64_t bytes = rng.uniform_int(1, capacity * 5 / 4 + 1);
-          EXPECT_EQ(cache.insert(id, bytes), reference.insert(id, bytes));
-        } else {
-          EXPECT_EQ(cache.contains(id), reference.contains(id));
-        }
-        EXPECT_EQ(cache.used_bytes(), reference.used_bytes());
-        EXPECT_EQ(cache.size(), reference.size());
-        ASSERT_EQ(cache.resident(), reference.resident())
-            << "policy " << static_cast<int>(policy) << " sequence " << sequence
-            << " op " << op;
+  Rng rng(11);
+  for (int sequence = 0; sequence < 1500; ++sequence) {
+    const std::int64_t capacity = rng.uniform_int(1, 600);
+    EdgeCache cache(capacity);
+    OrderedReferenceCache reference(capacity);
+    for (int op = 0; op < 60; ++op) {
+      const auto tile = static_cast<std::int32_t>(rng.uniform_int(0, 5));
+      const auto chunk = static_cast<std::int32_t>(rng.uniform_int(0, 1));
+      const ChunkId id = cid(tile, chunk);
+      const std::int64_t kind = rng.uniform_int(0, 9);
+      if (kind < 4) {
+        EXPECT_EQ(cache.touch(id), reference.touch(id));
+      } else if (kind < 9) {
+        const std::int64_t bytes = rng.uniform_int(1, capacity * 5 / 4 + 1);
+        EXPECT_EQ(cache.insert(id, bytes), reference.insert(id, bytes));
+      } else {
+        EXPECT_EQ(cache.contains(id), reference.contains(id));
       }
+      EXPECT_EQ(cache.used_bytes(), reference.used_bytes());
+      EXPECT_EQ(cache.size(), reference.size());
+      ASSERT_EQ(cache.resident(), reference.resident())
+          << "sequence " << sequence << " op " << op;
     }
   }
 }
@@ -311,7 +251,7 @@ struct EdgeHarness {
       : backhaul(simulator, std::move(backhaul_config)),
         access(simulator, link_config("access")),
         other_access(simulator, link_config("other_access")),
-        edge(backhaul, {.capacity_bytes = 1 << 20}, &telemetry),
+        edge(backhaul, 1 << 20, &telemetry),
         source(access, edge),
         other(other_access, edge) {}
 
@@ -506,7 +446,7 @@ TEST(EdgeSource, BackhaulFaultReachesClientAsFailure) {
   config.faults.outages.push_back({.start_s = 0.0, .duration_s = 3.0});
   net::Link backhaul(simulator, config);
   net::Link access(simulator, link_config("access"));
-  Edge edge(backhaul, {.capacity_bytes = 1 << 20}, nullptr);
+  Edge edge(backhaul, 1 << 20, nullptr);
   EdgeSource source(access, edge);
 
   TransferResult result{};
@@ -594,7 +534,7 @@ TEST(EdgeWarm, PreloadsTheCrowdsFavouriteTiles) {
   sim::Simulator simulator;
   net::Link backhaul(simulator, link_config("backhaul"));
   obs::Telemetry telemetry;
-  Edge edge(backhaul, {.capacity_bytes = 1LL << 30}, &telemetry);
+  Edge edge(backhaul, 1LL << 30, &telemetry);
 
   const media::VideoModel video(tiny_video());
   const hmp::ViewingHeatmap crowd = hot_tile_crowd(video, /*hot=*/4);
@@ -617,8 +557,8 @@ TEST(EdgeWarm, IsDeterministicAcrossEdges) {
   sim::Simulator simulator;
   net::Link backhaul(simulator, link_config("backhaul"));
 
-  Edge a(backhaul, {.capacity_bytes = 200'000}, nullptr);
-  Edge b(backhaul, {.capacity_bytes = 200'000}, nullptr);
+  Edge a(backhaul, 200'000, nullptr);
+  Edge b(backhaul, 200'000, nullptr);
   EXPECT_EQ(a.warm(video, crowd, 3, 2), b.warm(video, crowd, 3, 2));
   EXPECT_EQ(a.cache().resident(), b.cache().resident());
   EXPECT_EQ(a.cache().used_bytes(), b.cache().used_bytes());
@@ -636,7 +576,7 @@ TEST(EdgeWarm, StopsAtTheByteBudgetWithoutEvicting) {
       video.size_bytes({.key = {.tile = 0, .index = 0},
                         .encoding = media::Encoding::kAvc,
                         .level = 0});
-  Edge edge(backhaul, {.capacity_bytes = one_object}, nullptr);
+  Edge edge(backhaul, one_object, nullptr);
   const int warmed =
       edge.warm(video, crowd, /*tiles_per_chunk=*/6, /*level=*/0);
   EXPECT_GE(warmed, 1);
@@ -651,7 +591,7 @@ TEST(EdgeWarm, WarmsOnlyTheAvcCopyAtTheLevel) {
   const hmp::ViewingHeatmap crowd = hot_tile_crowd(video, /*hot=*/3);
   sim::Simulator simulator;
   net::Link backhaul(simulator, link_config("backhaul"));
-  Edge edge(backhaul, {.capacity_bytes = 1LL << 30}, nullptr);
+  Edge edge(backhaul, 1LL << 30, nullptr);
 
   EXPECT_EQ(edge.warm(video, crowd, /*tiles_per_chunk=*/1, /*level=*/2), 4);
   // One object per chunk, the level-2 AVC copy under the default video
@@ -670,8 +610,8 @@ TEST(EdgeWarm, CapacityNearInt64MaxDoesNotOverflow) {
   const hmp::ViewingHeatmap crowd = hot_tile_crowd(video, /*hot=*/2);
   sim::Simulator simulator;
   net::Link backhaul(simulator, link_config("backhaul"));
-  Edge edge(backhaul, {.capacity_bytes = kMax}, nullptr);
-  const ChunkId resident{.video = 1};
+  Edge edge(backhaul, kMax, nullptr);
+  const ChunkId resident{.layer = 0};  // an SVC layer: warming loads AVC only
   EXPECT_EQ(edge.cache().insert(resident, kMax - 10), 0);
   EXPECT_EQ(edge.warm(video, crowd, /*tiles_per_chunk=*/2, /*level=*/0), 0);
   EXPECT_EQ(edge.cache().resident(), (std::vector<ChunkId>{resident}));
@@ -684,7 +624,7 @@ TEST(EdgeWarm, RejectsAHeatmapOfAnotherTileCount) {
   const hmp::ViewingHeatmap crowd(/*tile_count=*/2, video.chunk_count());
   sim::Simulator simulator;
   net::Link backhaul(simulator, link_config("backhaul"));
-  Edge edge(backhaul, {.capacity_bytes = 1LL << 30}, nullptr);
+  Edge edge(backhaul, 1LL << 30, nullptr);
   EXPECT_THROW((void)edge.warm(video, crowd, 2, 0), std::invalid_argument);
   EXPECT_EQ(edge.cache().size(), 0);
 }
@@ -728,7 +668,9 @@ TEST(TopologyValidate, ErrorsListTheValidFieldNames) {
   TopologySpec bad_policy;
   bad_policy.sessions_per_edge = 8;
   bad_policy.cache_policy = "arc";
-  expect_fields(bad_policy, nullptr, "valid names: lru, lfu");
+  expect_fields(bad_policy, nullptr, "the only valid name is lru");
+  bad_policy.cache_policy = "lfu";
+  expect_fields(bad_policy, nullptr, "unknown cache policy \"lfu\"");
 
   TopologySpec warm_without_crowd;
   warm_without_crowd.sessions_per_edge = 8;

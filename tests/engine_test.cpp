@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "abr/factory.h"
@@ -29,6 +30,7 @@
 #include "net/link.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
 
 namespace sperke {
 namespace {
@@ -638,6 +640,68 @@ engine::WorldSpec cdn_world(int shards, int sessions = 24) {
   return spec;
 }
 
+// One WorldSpec field per instance: a finite in-range value validates, and
+// NaN, +inf and -inf each throw std::invalid_argument before a shard is
+// built. A bandwidth rejects the value as soon as a trace is built from it.
+struct WorldSpecField {
+  const char* name;
+  double valid;
+  void (*set)(engine::WorldSpec& spec, double value);
+};
+
+void set_slo(engine::WorldSpec& spec, obs::SloSpec slo) {
+  spec.sample_period = sim::seconds(1.0);
+  spec.slos = {std::move(slo)};
+}
+
+class WorldSpecFieldValidation : public ::testing::TestWithParam<WorldSpecField> {};
+
+TEST_P(WorldSpecFieldValidation, RejectsNanAndInfinities) {
+  const WorldSpecField& field = GetParam();
+  engine::WorldSpec ok = cdn_world(1);
+  field.set(ok, field.valid);
+  EXPECT_NO_THROW(engine::validate(ok));
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(
+        {
+          engine::WorldSpec spec = cdn_world(1);
+          field.set(spec, bad);
+          engine::validate(spec);
+        },
+        std::invalid_argument)
+        << field.name << " = " << bad;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonFinite, WorldSpecFieldValidation,
+    ::testing::Values(
+        WorldSpecField{"link_loss", 0.01,
+                       [](engine::WorldSpec& s, double v) { s.link.loss_rate = v; }},
+        WorldSpecField{"link_bandwidth", 1'000.0,
+                       [](engine::WorldSpec& s, double v) {
+                         s.link.bandwidth = net::BandwidthTrace::constant(v);
+                       }},
+        WorldSpecField{"backhaul_loss", 0.01,
+                       [](engine::WorldSpec& s, double v) { s.cdn.backhaul.loss_rate = v; }},
+        WorldSpecField{"backhaul_bandwidth", 1'000.0,
+                       [](engine::WorldSpec& s, double v) {
+                         s.cdn.backhaul.bandwidth = net::BandwidthTrace::constant(v);
+                       }},
+        WorldSpecField{"slo_quantile", 0.5,
+                       [](engine::WorldSpec& s, double v) {
+                         set_slo(s, {.name = "p",
+                                     .metric = "m",
+                                     .signal = obs::SloSignal::kHistogramQuantile,
+                                     .quantile = v});
+                       }},
+        WorldSpecField{"slo_threshold", 1.0,
+                       [](engine::WorldSpec& s, double v) {
+                         set_slo(s, {.name = "t", .metric = "m", .threshold = v});
+                       }}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 TEST(EngineCdn, MergedMetricsIdenticalAcrossThreadCounts) {
   // The determinism contract extends to the CDN tier: the edge is the
   // partition unit, so hit/miss/coalescing sequences — and with them every
@@ -775,7 +839,7 @@ TEST(EngineCdn, ValidateRejectsBadTopologySections) {
 
   engine::WorldSpec bad_policy = cdn_world(1);
   bad_policy.cdn.cache_policy = "arc";
-  expect_cdn_error(bad_policy, "valid names: lru, lfu");
+  expect_cdn_error(bad_policy, "the only valid name is lru");
 
   engine::WorldSpec no_crowd = cdn_world(1);
   no_crowd.cdn.warm_tiles_per_chunk = 4;  // warming needs WorldSpec::crowd

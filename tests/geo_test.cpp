@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <numeric>
-#include <utility>
 #include <vector>
 
 #include "geo/orientation.h"
@@ -85,82 +83,36 @@ TEST(Orientation, RollRotatesBasisNotDirection) {
   EXPECT_GT(angle_between(b1.up, b2.up), 0.1);
 }
 
-class ProjectionRoundTrip : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ProjectionRoundTrip, DirectionUvDirection) {
-  const auto projection = make_projection(GetParam());
+TEST(Projection, DirectionUvDirection) {
   Rng rng(17);
   for (int i = 0; i < 500; ++i) {
     const Vec3 dir =
         direction_from_lonlat(rng.uniform(-180.0, 180.0), rng.uniform(-88.0, 88.0));
-    const Uv uv = projection->uv_from_direction(dir);
+    const Uv uv = uv_from_direction(dir);
     EXPECT_GE(uv.u, 0.0);
     EXPECT_LT(uv.u, 1.0);
     EXPECT_GE(uv.v, 0.0);
     EXPECT_LT(uv.v, 1.0);
-    const Vec3 back = projection->direction_from_uv(uv);
-    EXPECT_NEAR(angle_between(dir, back), 0.0, 1e-6)
-        << "projection=" << GetParam() << " lon/lat sample " << i;
+    const Vec3 back = direction_from_uv(uv);
+    EXPECT_NEAR(angle_between(dir, back), 0.0, 1e-6) << "lon/lat sample " << i;
   }
 }
 
-TEST_P(ProjectionRoundTrip, UvDirectionUvIsStable) {
-  const auto projection = make_projection(GetParam());
+TEST(Projection, UvDirectionUvIsStable) {
   Rng rng(19);
   for (int i = 0; i < 300; ++i) {
     const Uv uv{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-    const Vec3 dir = projection->direction_from_uv(uv);
-    const Uv uv2 = projection->uv_from_direction(dir);
-    const Vec3 dir2 = projection->direction_from_uv(uv2);
+    const Vec3 dir = direction_from_uv(uv);
+    const Uv uv2 = uv_from_direction(dir);
+    const Vec3 dir2 = direction_from_uv(uv2);
     EXPECT_NEAR(angle_between(dir, dir2), 0.0, 1e-6);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllProjections, ProjectionRoundTrip,
-                         ::testing::Values("equirectangular", "cubemap",
-                                           "offset-cubemap"));
-
-TEST(OffsetCubeMap, ZeroOffsetMatchesPlainCubeMap) {
-  const CubeMapProjection plain;
-  const OffsetCubeMapProjection offset(Vec3{0.0, 0.0, 0.0});
-  Rng rng(29);
-  for (int i = 0; i < 100; ++i) {
-    const Vec3 d =
-        direction_from_lonlat(rng.uniform(-180.0, 180.0), rng.uniform(-85.0, 85.0));
-    const Uv a = plain.uv_from_direction(d);
-    const Uv b = offset.uv_from_direction(d);
-    EXPECT_NEAR(a.u, b.u, 1e-9);
-    EXPECT_NEAR(a.v, b.v, 1e-9);
-  }
-}
-
-TEST(OffsetCubeMap, SpendsMorePlaneAreaOnTheFront) {
-  // With the offset pointing away from +x, front directions spread over
-  // more of the atlas: the front-center tile covers *less* solid angle
-  // than its mirror at the back.
-  const TileGeometry tg(make_projection("offset-cubemap"), TileGrid(4, 6));
-  const auto& w = tg.solid_angle_fractions();
-  const TileId front = tg.grid().tile_at(
-      tg.projection().uv_from_direction(Vec3{1.0, 0.0, 0.0}));
-  const TileId back = tg.grid().tile_at(
-      tg.projection().uv_from_direction(Vec3{-1.0, 0.0, 0.0}));
-  EXPECT_LT(w[static_cast<std::size_t>(front)], w[static_cast<std::size_t>(back)]);
-}
-
-TEST(OffsetCubeMap, RejectsOverlongOffset) {
-  EXPECT_THROW(OffsetCubeMapProjection(Vec3{1.0, 0.0, 0.0}),
-               std::invalid_argument);
-}
-
 TEST(Projection, EquirectMapsFrontToCenter) {
-  EquirectangularProjection p;
-  const Uv uv = p.uv_from_direction(Vec3{1.0, 0.0, 0.0});
+  const Uv uv = uv_from_direction(Vec3{1.0, 0.0, 0.0});
   EXPECT_NEAR(uv.u, 0.5, 1e-12);
   EXPECT_NEAR(uv.v, 0.5, 1e-12);
-}
-
-TEST(Projection, UnknownNameThrows) {
-  EXPECT_THROW((void)make_projection("mercator"), std::invalid_argument);
 }
 
 TEST(TileGrid, BasicIndexing) {
@@ -205,26 +157,23 @@ TEST(TileGrid, NeighborsWrapHorizontally) {
 
 class TileGeometryTest : public ::testing::Test {
  protected:
-  TileGeometry make(const char* proj = "equirectangular", int rows = 4, int cols = 6) {
-    return TileGeometry(make_projection(proj), TileGrid(rows, cols));
+  TileGeometry make(int rows = 4, int cols = 6) {
+    return TileGeometry(TileGrid(rows, cols));
   }
 };
 
 TEST_F(TileGeometryTest, SolidAnglesSumToOne) {
-  for (const char* proj : {"equirectangular", "cubemap"}) {
-    const auto tg = make(proj);
-    const auto& w = tg.solid_angle_fractions();
-    const double sum = std::accumulate(w.begin(), w.end(), 0.0);
-    EXPECT_NEAR(sum, 1.0, 1e-9) << proj;
-    for (double f : w) EXPECT_GT(f, 0.0) << proj;
-  }
+  const auto tg = make();
+  const auto& w = tg.solid_angle_fractions();
+  const double sum = std::accumulate(w.begin(), w.end(), 0.0);
+  EXPECT_NEAR(sum, 1.0, 1e-9);
+  for (double f : w) EXPECT_GT(f, 0.0);
 }
 
 // The solid-angle table as first written: 256 x 128 directions, each
 // classified through the projection. TileGeometry must reproduce it bit
 // for bit however it computes the table.
-std::vector<double> per_sample_solid_angles(const Projection& projection,
-                                            const TileGrid& grid) {
+std::vector<double> per_sample_solid_angles(const TileGrid& grid) {
   const int lon_samples = 256;
   const int lat_samples = 128;
   std::vector<double> out(static_cast<std::size_t>(grid.tile_count()), 0.0);
@@ -234,7 +183,7 @@ std::vector<double> per_sample_solid_angles(const Projection& projection,
       const double z = (j + 0.5) / lat_samples * 2.0 - 1.0;
       const double lat = rad_to_deg(std::asin(z));
       const TileId id =
-          grid.tile_at(projection.uv_from_direction(direction_from_lonlat(lon, lat)));
+          grid.tile_at(uv_from_direction(direction_from_lonlat(lon, lat)));
       out[static_cast<std::size_t>(id)] += 1.0;
     }
   }
@@ -243,25 +192,19 @@ std::vector<double> per_sample_solid_angles(const Projection& projection,
   return out;
 }
 
-void expect_bitwise_per_sample(const char* proj, int rows, int cols) {
-  const TileGeometry tg(make_projection(proj), TileGrid(rows, cols));
-  const std::vector<double> want = per_sample_solid_angles(tg.projection(), tg.grid());
+void expect_bitwise_per_sample(int rows, int cols) {
+  const TileGeometry tg{TileGrid(rows, cols)};
+  const std::vector<double> want = per_sample_solid_angles(tg.grid());
   const std::vector<double>& got = tg.solid_angle_fractions();
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
-      << proj << " " << rows << "x" << cols;
+      << rows << "x" << cols;
 }
 
 TEST_F(TileGeometryTest, SolidAnglesBitIdenticalToPerSampleLoop) {
   for (int rows = 1; rows <= 24; ++rows) {
     for (int cols = 1; cols <= 24; ++cols) {
-      expect_bitwise_per_sample("equirectangular", rows, cols);
-    }
-  }
-  for (const char* proj : {"cubemap", "offset-cubemap"}) {
-    for (const auto& [rows, cols] : {std::pair{2, 3}, std::pair{4, 6}, std::pair{6, 9},
-                                     std::pair{8, 12}, std::pair{5, 7}}) {
-      expect_bitwise_per_sample(proj, rows, cols);
+      expect_bitwise_per_sample(rows, cols);
     }
   }
 }
@@ -270,8 +213,8 @@ TEST_F(TileGeometryTest, SolidAnglesFallBackNearSampleOnBoundary) {
   // With 512 columns every longitude sample (2i + 1)/512 sits on a column
   // boundary, where the direction round trip's last ulps pick the column:
   // only the per-sample loop reproduces them.
-  expect_bitwise_per_sample("equirectangular", 1, 512);
-  expect_bitwise_per_sample("equirectangular", 4, 512);
+  expect_bitwise_per_sample(1, 512);
+  expect_bitwise_per_sample(4, 512);
 }
 
 TEST_F(TileGeometryTest, SolidAnglesPinned) {
@@ -283,10 +226,10 @@ TEST_F(TileGeometryTest, SolidAnglesPinned) {
       EXPECT_EQ(got[i], counts[i] / 32768.0) << "tile " << i;
     }
   };
-  expect_counts(make("equirectangular", 4, 6),
+  expect_counts(make(4, 6),
                 {817,  798,  817,  817,  798,  817,  1935, 1890, 1935, 1935, 1890, 1935,
                  1935, 1890, 1935, 1935, 1890, 1935, 817,  798,  817,  817,  798,  817});
-  expect_counts(make("equirectangular", 8, 12),
+  expect_counts(make(8, 12),
                 {105, 110, 105, 105, 110, 105, 105, 110, 105, 105, 110, 105,
                  294, 308, 294, 294, 308, 294, 294, 308, 294, 294, 308, 294,
                  441, 462, 441, 441, 462, 441, 441, 462, 441, 441, 462, 441,
@@ -298,7 +241,7 @@ TEST_F(TileGeometryTest, SolidAnglesPinned) {
 }
 
 TEST_F(TileGeometryTest, EquirectPoleTilesHaveSmallerSolidAngle) {
-  const auto tg = make("equirectangular", 4, 6);
+  const auto tg = make(4, 6);
   const auto& w = tg.solid_angle_fractions();
   // Row 0 (top/pole) tiles cover less sphere than row 1/2 (equator) tiles.
   EXPECT_LT(w[static_cast<std::size_t>(tg.grid().tile_id(0, 0))],
@@ -313,7 +256,7 @@ TEST_F(TileGeometryTest, VisibleTilesContainCenterTile) {
     const Orientation o{rng.uniform(-180.0, 180.0), rng.uniform(-60.0, 60.0), 0.0};
     const auto visible = tg.visible_tiles(o, vp);
     const TileId center =
-        tg.grid().tile_at(tg.projection().uv_from_direction(o.direction()));
+        tg.grid().tile_at(uv_from_direction(o.direction()));
     EXPECT_NE(std::find(visible.begin(), visible.end(), center), visible.end());
   }
 }
@@ -374,7 +317,7 @@ TEST_F(TileGeometryTest, OosRingsEmptyVisibleAllUnreached) {
 
 TEST_F(TileGeometryTest, FullSphereFovSeesManyTiles) {
   // A very wide viewport on a coarse grid should cover most of the sphere.
-  const auto tg = make("equirectangular", 2, 4);
+  const auto tg = make(2, 4);
   const auto visible = tg.visible_tiles({0.0, 0.0, 0.0}, Viewport{170.0, 170.0});
   EXPECT_GE(static_cast<int>(visible.size()), 4);
 }

@@ -24,8 +24,7 @@ HeadTraceConfig trace_config(std::uint64_t seed = 1, double duration_s = 30.0) {
 }
 
 geo::TileGeometry test_geometry() {
-  return geo::TileGeometry(geo::make_projection("equirectangular"),
-                           geo::TileGrid(4, 6));
+  return geo::TileGeometry(geo::TileGrid(4, 6));
 }
 
 TEST(HeadTrace, GeneratorProducesOrderedSamples) {
@@ -300,8 +299,7 @@ TEST(Heatmap, OutOfRangeThrows) {
 class FusionTest : public ::testing::Test {
  protected:
   std::shared_ptr<geo::TileGeometry> geometry =
-      std::make_shared<geo::TileGeometry>(geo::make_projection("equirectangular"),
-                                          geo::TileGrid(4, 6));
+      std::make_shared<geo::TileGeometry>(geo::TileGrid(4, 6));
   geo::Viewport viewport{100.0, 90.0};
 
   FusionPredictor make_fusion(const ViewingHeatmap* crowd = nullptr,
@@ -328,7 +326,7 @@ TEST_F(FusionTest, MassConcentratesNearPredictedCenter) {
   }
   const auto probs = fusion.tile_probabilities(sim::milliseconds(200), 0);
   const geo::TileId center = geometry->grid().tile_at(
-      geometry->projection().uv_from_direction(geo::Orientation{}.direction()));
+      geo::uv_from_direction(geo::Orientation{}.direction()));
   // The tile under the (static) gaze should be among the most probable.
   double max_prob = 0.0;
   for (double p : probs) max_prob = std::max(max_prob, p);
@@ -354,15 +352,14 @@ TEST_F(FusionTest, MotionDominatesShortHorizons) {
   // The crowd stares at a tile far behind the user; at a 100 ms horizon
   // the user's own gaze direction must still dominate the blend.
   const geo::TileId behind = geometry->grid().tile_at(
-      geometry->projection().uv_from_direction(
-          geo::Orientation{180.0, 0.0, 0.0}.direction()));
+      geo::uv_from_direction(geo::Orientation{180.0, 0.0, 0.0}.direction()));
   ViewingHeatmap crowd(geometry->grid().tile_count(), 10);
   const std::vector<geo::TileId> popular{behind};
   for (int i = 0; i < 200; ++i) crowd.add_view(0, popular);
   auto fusion = make_fusion(&crowd);
   fusion.observe({sim::kTimeZero, {0.0, 0.0, 0.0}});
   const geo::TileId gaze = geometry->grid().tile_at(
-      geometry->projection().uv_from_direction(geo::Orientation{}.direction()));
+      geo::uv_from_direction(geo::Orientation{}.direction()));
   const auto probs = fusion.tile_probabilities(sim::milliseconds(100), 0);
   EXPECT_GT(probs[static_cast<std::size_t>(gaze)],
             probs[static_cast<std::size_t>(behind)]);
@@ -376,8 +373,7 @@ TEST_F(FusionTest, SpeedBoundPrunesFarTiles) {
   const auto probs = fusion.tile_probabilities(sim::milliseconds(500), 0);
   // A tile ~180 deg away cannot be reached in 0.5 s at 30 deg/s.
   const geo::TileId behind = geometry->grid().tile_at(
-      geometry->projection().uv_from_direction(
-          geo::Orientation{180.0, 0.0, 0.0}.direction()));
+      geo::uv_from_direction(geo::Orientation{180.0, 0.0, 0.0}.direction()));
   EXPECT_DOUBLE_EQ(probs[static_cast<std::size_t>(behind)], 0.0);
 }
 
@@ -389,8 +385,7 @@ TEST_F(FusionTest, LyingPosePrunesRearTiles) {
   fusion.observe({sim::kTimeZero, {0.0, 0.0, 0.0}});
   const auto probs = fusion.tile_probabilities(sim::seconds(2.0), 0);
   const geo::TileId behind = geometry->grid().tile_at(
-      geometry->projection().uv_from_direction(
-          geo::Orientation{180.0, 0.0, 0.0}.direction()));
+      geo::uv_from_direction(geo::Orientation{180.0, 0.0, 0.0}.direction()));
   EXPECT_DOUBLE_EQ(probs[static_cast<std::size_t>(behind)], 0.0);
 }
 

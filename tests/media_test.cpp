@@ -246,13 +246,12 @@ TEST(VideoModel, ExposesModelMetadata) {
 
 TEST(VideoModel, DescribeFollowsTheConfig) {
   auto cfg = small_config();
-  cfg.projection = "cubemap";
   cfg.tile_cols = 6;
   cfg.chunk_duration_s = 2.5;
   cfg.ladder = QualityLadder({800.0, 3200.0});
   cfg.svc_overhead = 0.25;
   EXPECT_EQ(VideoModel(cfg).describe(),
-            "360 video: 10 s, cubemap projection, 2x6 tiles, 4 chunks "
+            "360 video: 10 s, equirectangular projection, 2x6 tiles, 4 chunks "
             "of 2.5 s\n"
             "quality ladder (panorama kbps): 800 3200\n"
             "SVC overhead: 25%\n");
@@ -337,8 +336,7 @@ TEST(VideoModel, RejectsChunkWhosePanoramaOverflowsInt64) {
 
 TEST(Mpd, RoundTripReconstructsIdenticalVideo) {
   auto cfg = small_config();
-  cfg.projection = "cubemap";
-  cfg.tile_cols = 6;  // cubemap atlas wants cols % 3 == 0
+  cfg.tile_cols = 6;
   cfg.svc_overhead = 0.17;
   cfg.seed = (std::uint64_t{1} << 53) + 1;  // not representable as a double
   const std::string mpd = write_mpd(cfg);
@@ -432,6 +430,18 @@ TEST(Mpd, RejectsMalformedDocuments) {
   EXPECT_THROW((void)VideoModel(parse_mpd(huge_rung)), std::invalid_argument);
   EXPECT_THROW((void)VideoModel(parse_mpd(with("tileRows", "0"))),
                std::invalid_argument);
+}
+
+TEST(Mpd, RejectsNonEquirectProjection) {
+  // The writer always names the one projection the model tiles; a manifest
+  // naming any other is rejected rather than tiled as equirectangular.
+  const std::string good = write_mpd(small_config());
+  ASSERT_NE(good.find(" projection=\"equirectangular\""), std::string::npos);
+  for (const std::string name : {"cubemap", "offset-cubemap", "Equirectangular", ""}) {
+    std::string doc = good;
+    doc.replace(doc.find("equirectangular"), 15, name);
+    EXPECT_THROW((void)parse_mpd(doc), std::runtime_error) << name;
+  }
 }
 
 // The manifest's mutation corpus: every single-edit mutant of a written MPD

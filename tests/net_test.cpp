@@ -56,6 +56,19 @@ TEST(BandwidthTrace, RejectsMalformedSegments) {
       std::invalid_argument);
 }
 
+TEST(BandwidthTrace, RejectsNonFiniteRates) {
+  // A NaN rate passes a "negative" check, and a transfer over it never
+  // completes; +inf is no rate a link can drain either.
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)BandwidthTrace::constant(bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)BandwidthTrace::steps({{0.0, 100.0}, {5.0, bad}}),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_NO_THROW((void)BandwidthTrace::constant(0.0));
+}
+
 TEST(BandwidthTrace, RandomWalkStaysInBounds) {
   const auto trace =
       BandwidthTrace::random_walk(5000.0, 0.3, 1.0, 120.0, 7, 1000.0, 10000.0);
@@ -328,6 +341,24 @@ TEST_F(LinkTest, PerTransferFailuresAreSeededAndDeterministic) {
   EXPECT_NE(a, c);  // different seed, different stream
   EXPECT_TRUE(std::count(a.begin(), a.end(), TransferStatus::kFailed) > 0);
   EXPECT_TRUE(std::count(a.begin(), a.end(), TransferStatus::kCompleted) > 0);
+}
+
+TEST_F(LinkTest, ValidateRejectsBadLossRatesAndRtt) {
+  // The loss-rate check is written so that NaN fails it: a NaN rate would
+  // make the Mathis cap NaN. Link's constructor runs the same validate.
+  LinkConfig ok;
+  ok.loss_rate = 0.02;
+  EXPECT_NO_THROW(validate(ok));
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -0.1, 1.0}) {
+    LinkConfig cfg;
+    cfg.loss_rate = bad;
+    EXPECT_THROW(validate(cfg), std::invalid_argument) << bad;
+    EXPECT_THROW(Link(simulator, cfg), std::invalid_argument) << bad;
+  }
+  LinkConfig negative_rtt;
+  negative_rtt.rtt = sim::Duration{-1};
+  EXPECT_THROW(validate(negative_rtt), std::invalid_argument);
 }
 
 TEST_F(LinkTest, FaultPlanValidation) {
@@ -647,7 +678,7 @@ TEST_F(LinkTest, FetchIgnoresChunkIdAndDeadline) {
   };
   const auto a = settle({.id = {.chunk = 0, .tile = 1}, .bytes = 300'000},
                         {.id = {.chunk = 0, .tile = 2}, .bytes = 700'000});
-  const auto b = settle({.id = {.video = 4, .chunk = 9, .tile = 7, .layer = 2},
+  const auto b = settle({.id = {.chunk = 9, .tile = 7, .layer = 2},
                          .bytes = 300'000,
                          .deadline = seconds(0.01)},
                         {.id = {.chunk = 3, .tile = 0, .quality = 4},

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -578,6 +579,45 @@ TEST(SloTest, ValidateRejectsMalformedSpecs) {
   spec = ok;
   spec.window_intervals = 0;
   EXPECT_THROW(obs::validate_slo(spec), std::invalid_argument);
+}
+
+TEST(SloTest, ValidateRejectsNanQuantileAndNonFiniteThreshold) {
+  // NaN fails every ordered comparison, so a range check written as
+  // "reject when below or above" lets it through to an integer cast.
+  obs::SloSpec spec{.name = "p99",
+                    .metric = "m",
+                    .signal = obs::SloSignal::kHistogramQuantile};
+  EXPECT_NO_THROW(obs::validate_slo(spec));
+  spec.quantile = std::nan("");
+  EXPECT_THROW(obs::validate_slo(spec), std::invalid_argument);
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const obs::SloSignal signal :
+         {obs::SloSignal::kGaugeValue, obs::SloSignal::kHistogramQuantile}) {
+      obs::SloSpec with_threshold{.name = "t", .metric = "m", .signal = signal};
+      with_threshold.threshold = bad;
+      EXPECT_THROW(obs::validate_slo(with_threshold), std::invalid_argument) << bad;
+    }
+  }
+}
+
+// A quantile the validators would reject never reaches the helpers' integer
+// cast: both fail a SPERKE_CHECK in every build type.
+TEST(QuantileDeathTest, HelpersCheckTheQuantile) {
+  obs::Histogram hist({1.0, 5.0});
+  hist.observe(0.5);
+  EXPECT_DEATH((void)obs::histogram_quantile_bound(hist, std::nan("")),
+               "quantile nan outside");
+  EXPECT_DEATH((void)obs::histogram_quantile_bound(hist, 1.5), "outside \\[0, 1\\]");
+  obs::MetricsRegistry registry;
+  registry.histogram("lat_s", {1.0, 5.0}).observe(0.5);
+  obs::TimeSeriesStore store(sim::seconds(1.0));
+  store.sample(registry);
+  const obs::TimeSeries* lat = store.find("lat_s");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_DEATH((void)obs::series_quantile_bound(*lat, 0, std::nan("")),
+               "quantile nan outside");
+  EXPECT_DEATH((void)obs::series_quantile_bound(*lat, 0, -0.5), "outside \\[0, 1\\]");
 }
 
 TEST(SloTest, GaugeSloBreachesClearsAndBurnsBudget) {

@@ -31,12 +31,11 @@
 namespace sperke {
 namespace {
 
-constexpr int kSamplesPerAxis = 24;  // keep in sync with the reference below
+// Frustum samples per axis; keep in sync with geo/visibility.cpp.
+constexpr int kSamplesPerAxis = 24;
 
 std::shared_ptr<geo::TileGeometry> equirect_geometry(int rows, int cols) {
-  return std::make_shared<geo::TileGeometry>(
-      geo::make_projection("equirectangular"), geo::TileGrid(rows, cols),
-      kSamplesPerAxis);
+  return std::make_shared<geo::TileGeometry>(geo::TileGrid(rows, cols));
 }
 
 // The pre-optimization visible_tiles: every frustum sample goes through the
@@ -60,7 +59,7 @@ std::vector<geo::TileId> naive_visible_tiles(const geo::TileGeometry& geometry,
                              basis.up * (b * tan_h))
                                 .normalized();
       const geo::TileId id =
-          geometry.grid().tile_at(geometry.projection().uv_from_direction(dir));
+          geometry.grid().tile_at(geo::uv_from_direction(dir));
       seen[static_cast<std::size_t>(id)] = 1;
     }
   }

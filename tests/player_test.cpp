@@ -117,8 +117,7 @@ TEST(DecoderPool, ContentionSlowsSimultaneousJobs) {
 class PlayerSimTest : public ::testing::Test {
  protected:
   std::shared_ptr<geo::TileGeometry> geometry =
-      std::make_shared<geo::TileGeometry>(geo::make_projection("equirectangular"),
-                                          geo::TileGrid(2, 4));
+      std::make_shared<geo::TileGeometry>(geo::TileGrid(2, 4));
 
   hmp::HeadTrace trace = [] {
     hmp::HeadTraceConfig cfg;
