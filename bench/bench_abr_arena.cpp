@@ -20,9 +20,9 @@
 //
 //   --smoke      one cell per policy (steady bandwidth, calm viewers)
 //   --json PATH  google-benchmark-compatible JSON for bench_compare.py
+//
+// Any other argument prints the usage line and exits 2.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "abr/factory.h"
+#include "common.h"
 #include "engine/engine.h"
 #include "engine/world.h"
 #include "hmp/head_trace.h"
@@ -40,9 +41,6 @@
 namespace {
 
 using namespace sperke;
-
-constexpr double kVideoSeconds = 16.0;
-constexpr double kHorizonSeconds = 180.0;
 
 struct BandwidthFamily {
   const char* name;
@@ -56,12 +54,13 @@ std::vector<BandwidthFamily> bandwidth_families(bool smoke) {
   if (smoke) return families;
   // LTE-like fluctuation around the same mean.
   families.push_back(
-      {"lte", net::BandwidthTrace::random_walk(12'000.0, 0.3, 1.0,
-                                               kHorizonSeconds, 4242)});
+      {"lte", net::BandwidthTrace::random_walk(
+                  12'000.0, 0.3, 1.0, bench::kFleetHorizonSeconds, 4242)});
   // Bursty coverage: good/bad two-state Markov holding times.
   families.push_back(
       {"flaky", net::BandwidthTrace::markov_two_state(
-                    16'000.0, 2'500.0, 8.0, 3.0, kHorizonSeconds, 777)});
+                    16'000.0, 2'500.0, 8.0, 3.0, bench::kFleetHorizonSeconds,
+                    777)});
   return families;
 }
 
@@ -90,32 +89,13 @@ struct CellResult {
 
 CellResult run_cell(const std::string& policy, const net::BandwidthTrace& bw,
                     const hmp::UserProfile& profile) {
-  engine::WorldSpec spec;
-  spec.video.duration_s = kVideoSeconds;
-  spec.video.chunk_duration_s = 1.0;
-  spec.video.tile_rows = 4;
-  spec.video.tile_cols = 6;
-  spec.video.seed = 7;
-
-  spec.trace_template.duration_s = kHorizonSeconds;
-  spec.trace_template.sample_rate_hz = 25.0;
+  engine::WorldSpec spec = bench::fleet_world();
   spec.trace_template.profile = profile;
-  spec.trace_template.attractors = hmp::default_attractors(kHorizonSeconds, 77);
-  spec.trace_template.seed = 33;
-  spec.trace_pool = 4;
-
-  spec.link.name = "dl";
   spec.link.bandwidth = bw;
-  spec.link.rtt = sim::milliseconds(30);
   spec.sessions_per_link = 2;
-  spec.transport_max_concurrent = 8;
-
   spec.sessions = 8;
   spec.session.abr.policy = policy;
-  spec.horizon = sim::seconds(kHorizonSeconds);
   spec.shards = 2;
-  spec.seed = 5;
-  spec.session_telemetry = true;
 
   engine::EngineResult result = engine::run_world(spec, {.threads = 2});
 
@@ -140,31 +120,6 @@ CellResult run_cell(const std::string& policy, const net::BandwidthTrace& bw,
   return cell;
 }
 
-struct JsonRow {
-  std::string name;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"context\": {\"executable\": \"bench_abr_arena\"},\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                  "\"real_time\": %.6f, \"time_unit\": \"s\"}%s\n",
-                  rows[i].name.c_str(), rows[i].value,
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
-}
-
 std::string row_name(const std::string& policy, const char* bw,
                      const char* head, const char* metric) {
   return "AbrArena/" + policy + "/bw=" + bw + "/head=" + head + "/" + metric;
@@ -175,13 +130,9 @@ std::string row_name(const std::string& policy, const char* bw,
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
+  bench::parse_args(argc, argv, "bench_abr_arena [--smoke] [--json PATH]",
+                    {{.name = "--smoke", .on = &smoke},
+                     {.name = "--json", .value = &json_path}});
 
   const auto& policies = abr::policy_names();
   const auto bw_families = bandwidth_families(smoke);
@@ -191,7 +142,7 @@ int main(int argc, char** argv) {
               "families, 8 sessions / 2 shards per cell\n",
               policies.size(), bw_families.size(), hd_families.size());
 
-  std::vector<JsonRow> rows;
+  std::vector<bench::BaselineRow> rows;
   for (const auto& bw : bw_families) {
     for (const auto& head : hd_families) {
       // Rank the cell's policies by mean QoE score (the league table).
@@ -222,6 +173,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!json_path.empty()) write_json(json_path, rows);
+  if (!json_path.empty()) {
+    bench::write_baseline_json(
+        json_path, R"({"executable": "bench_abr_arena"})", rows);
+  }
   return 0;
 }

@@ -22,13 +22,14 @@
 //
 //   --smoke      smallest population + the warming pair only
 //   --json PATH  google-benchmark-compatible JSON for bench_compare.py
+//
+// Any other argument prints the usage line and exits 2.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common.h"
 #include "engine/engine.h"
 #include "engine/world.h"
 #include "hmp/head_trace.h"
@@ -42,34 +43,12 @@ namespace {
 
 using namespace sperke;
 
-constexpr double kVideoSeconds = 16.0;
-constexpr double kHorizonSeconds = 180.0;
-
 engine::WorldSpec edge_world(int sessions) {
-  engine::WorldSpec spec;
-  spec.video.duration_s = kVideoSeconds;
-  spec.video.chunk_duration_s = 1.0;
-  spec.video.tile_rows = 4;
-  spec.video.tile_cols = 6;
-  spec.video.seed = 7;
-
-  spec.trace_template.duration_s = kHorizonSeconds;
-  spec.trace_template.sample_rate_hz = 25.0;
-  spec.trace_template.attractors = hmp::default_attractors(kHorizonSeconds, 77);
-  spec.trace_template.seed = 33;
-  spec.trace_pool = 4;
-
-  spec.link.name = "dl";
+  engine::WorldSpec spec = bench::fleet_world();
   spec.link.bandwidth = net::BandwidthTrace::constant(20'000.0);
-  spec.link.rtt = sim::milliseconds(30);
   spec.sessions_per_link = 4;
-  spec.transport_max_concurrent = 8;
-
   spec.sessions = sessions;
-  spec.horizon = sim::seconds(kHorizonSeconds);
   spec.shards = 1;  // one edge => one partition unit
-  spec.seed = 5;
-  spec.session_telemetry = true;
 
   // One edge for the whole fleet, whatever its size.
   spec.cdn.sessions_per_edge = sessions;
@@ -111,45 +90,16 @@ CellResult run_cell(const engine::WorldSpec& spec) {
   return cell;
 }
 
-struct JsonRow {
-  std::string name;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"context\": {\"executable\": \"bench_cdn_scaling\"},\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                  "\"real_time\": %.6f, \"time_unit\": \"s\"}%s\n",
-                  rows[i].name.c_str(), rows[i].value,
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
+  bench::parse_args(argc, argv, "bench_cdn_scaling [--smoke] [--json PATH]",
+                    {{.name = "--smoke", .on = &smoke},
+                     {.name = "--json", .value = &json_path}});
 
-  std::vector<JsonRow> rows;
+  std::vector<bench::BaselineRow> rows;
 
   // Arm 1: population sweep behind one shared edge.
   const std::vector<int> populations = smoke ? std::vector<int>{8}
@@ -199,6 +149,9 @@ int main(int argc, char** argv) {
   rows.push_back({"CdnScaling/warm/first_minute_hit_rate",
                   warm_cell.hit_rate()});
 
-  if (!json_path.empty()) write_json(json_path, rows);
+  if (!json_path.empty()) {
+    bench::write_baseline_json(
+        json_path, R"({"executable": "bench_cdn_scaling"})", rows);
+  }
   return 0;
 }

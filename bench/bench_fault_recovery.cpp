@@ -32,15 +32,16 @@
 //                percentage (live), lower is better for both
 //   --trace PATH Chrome trace of the last recovery-on VOD run (nested
 //                fetch -> retry spans; open in ui.perfetto.dev)
+//
+// Any other argument prints the usage line and exits 2.
 #include <cstdio>
-#include <cstring>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common.h"
 #include "core/session.h"
 #include "core/transport.h"
 #include "hmp/head_trace.h"
@@ -59,16 +60,6 @@ using namespace sperke;
 
 constexpr double kVodVideoSeconds = 20.0;
 constexpr double kLiveVideoSeconds = 30.0;
-
-std::shared_ptr<media::VideoModel> make_video(double duration_s) {
-  media::VideoModelConfig cfg;
-  cfg.duration_s = duration_s;
-  cfg.chunk_duration_s = 1.0;
-  cfg.tile_rows = 4;
-  cfg.tile_cols = 6;
-  cfg.seed = 7;
-  return std::make_shared<media::VideoModel>(cfg);
-}
 
 hmp::HeadTrace make_trace(std::uint64_t seed) {
   hmp::HeadTraceConfig cfg;
@@ -146,7 +137,7 @@ VodRun run_vod(double outage_s, bool recovery) {
   core::SessionConfig config;
   config.fetch_recovery = recovery;
   config.telemetry = telemetry.get();
-  auto video = make_video(kVodVideoSeconds);
+  auto video = bench::standard_video(kVodVideoSeconds);
   const auto trace = make_trace(33);
   core::StreamingSession session(simulator, video, transport, trace, config);
 
@@ -183,37 +174,12 @@ live::TiledLiveReport run_live(double outage_s, bool recovery) {
   core::SingleLinkTransport transport(link, options);
   live::TiledLiveConfig config;
   config.fetch_recovery = recovery;
-  auto video = make_video(kLiveVideoSeconds);
+  auto video = bench::standard_video(kLiveVideoSeconds);
   const auto trace = make_trace(5);
   live::TiledLiveSession session(simulator, video, transport, trace, config);
   session.start();
   simulator.run_until(sim::seconds(kLiveVideoSeconds + 120.0));
   return session.report();
-}
-
-struct JsonRow {
-  std::string name;
-  double value = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<JsonRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"context\": {\"executable\": \"bench_fault_recovery\"},\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                  "\"real_time\": %.6f, \"time_unit\": \"s\"}%s\n",
-                  rows[i].name.c_str(), rows[i].value,
-                  i + 1 < rows.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
 }
 
 std::string row_name(const char* metric, double outage_s, bool recovery) {
@@ -229,15 +195,11 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
   std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    }
-  }
+  bench::parse_args(
+      argc, argv, "bench_fault_recovery [--smoke] [--json PATH] [--trace PATH]",
+      {{.name = "--smoke", .on = &smoke},
+       {.name = "--json", .value = &json_path},
+       {.name = "--trace", .value = &trace_path}});
   const std::vector<double> sweep =
       smoke ? std::vector<double>{2.0}
             : std::vector<double>{0.0, 1.0, 2.0, 3.0, 5.0, 8.0};
@@ -249,7 +211,7 @@ int main(int argc, char** argv) {
   std::printf("%8s | %13s %14s | %13s %14s\n", "outage s", "off", "on", "off",
               "on");
 
-  std::vector<JsonRow> rows;
+  std::vector<bench::BaselineRow> rows;
   struct SloRow {
     double outage_s = 0.0;
     std::vector<BreachWindow> off;
@@ -317,7 +279,10 @@ int main(int argc, char** argv) {
   std::printf("\nSLO rollup for the last recovery-on VOD run:\n%s",
               obs::slo_table(vod_slos(), last_on_slos).c_str());
 
-  if (!json_path.empty()) write_json(json_path, rows);
+  if (!json_path.empty()) {
+    bench::write_baseline_json(
+        json_path, R"({"executable": "bench_fault_recovery"})", rows);
+  }
   if (!trace_path.empty() && traced != nullptr) {
     try {
       obs::dump_chrome_trace(trace_path, *traced);

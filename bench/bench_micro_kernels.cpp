@@ -122,8 +122,10 @@ void BM_LinkReflowUnderLoad(benchmark::State& state) {
     for (int i = 0; i < n; ++i) {
       // Staggered small transfers keep the active set changing.
       simulator.schedule_at(sim::milliseconds(i * 7), [&link] {
-        link.start_transfer(60'000, [&link](const net::TransferResult&) {
-          link.start_transfer(60'000, [](const net::TransferResult&) {});
+        link.fetch({.id = {}, .bytes = 60'000},
+                   [&link](const net::TransferResult&) {
+          link.fetch({.id = {}, .bytes = 60'000},
+                     [](const net::TransferResult&) {});
         });
       });
     }

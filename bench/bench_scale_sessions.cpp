@@ -16,19 +16,24 @@
 //                the hardware-concurrency row is labeled "threads=hw" so
 //                baselines stay machine-portable
 //
+// N and T are whole numbers of at least 1; any other argument prints the
+// usage line and exits 2.
+//
 // Reports, per (N, threads): wall seconds, completed sessions,
 // sessions/sec, simulated events/sec (wall), and event-loop pressure from
 // the merged per-shard obs::SimMonitor histograms (mean + p99 pending-event
 // queue depth via obs::histogram_quantile_bound).
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "common.h"
 #include "engine/engine.h"
 #include "engine/world.h"
 #include "hmp/head_trace.h"
@@ -45,11 +50,7 @@ constexpr int kTracePoolSize = 32;
 
 engine::WorldSpec make_spec(int n) {
   engine::WorldSpec spec;
-  spec.video.duration_s = kVideoSeconds;
-  spec.video.chunk_duration_s = 1.0;
-  spec.video.tile_rows = 4;
-  spec.video.tile_cols = 6;
-  spec.video.seed = 7;
+  spec.video = bench::standard_video_config(kVideoSeconds);
 
   // A fixed pool of head traces reused round-robin (by global session id):
   // trace generation is itself expensive (BM_HeadTraceGeneration) and is
@@ -85,14 +86,9 @@ engine::WorldSpec make_spec(int n) {
   return spec;
 }
 
-struct Row {
-  int n = 0;
-  int threads = 0;
-  double wall_s = 0.0;
-  int completed = 0;
-};
-
-Row run_scale(int n, int threads) {
+// Runs N sessions on `threads` workers, prints the row and returns the
+// wall seconds.
+double run_scale(int n, int threads) {
   const engine::WorldSpec spec = make_spec(n);
   engine::ShardedEngine engine(spec);
 
@@ -112,69 +108,41 @@ Row run_scale(int n, int threads) {
     std::printf("WARNING: %d/%d sessions did not finish\n",
                 n - result.completed, n);
   }
-  return {n, threads, wall_s, result.completed};
+  return wall_s;
 }
 
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                int hw_threads, bool alias_hw_to_serial) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    std::exit(1);
+constexpr std::string_view kUsage =
+    "bench_scale_sessions [N ...] [--threads T] [--json PATH]";
+
+// A session or thread count: a whole number of at least 1.
+int count_arg(const std::string& text) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value < 1) {
+    bench::usage_error(kUsage);
   }
-  // Each row gets a machine-portable label: the hardware-concurrency run is
-  // "threads=hw", absolute counts otherwise. On a single-core machine
-  // (default mode) the threads=1 run *is* the hardware-concurrency run, so
-  // it is emitted twice — once under each label — keeping the baseline's
-  // shape identical across machines so bench_compare.py can always derive
-  // the threads=1 / threads=hw speedup row.
-  struct Entry {
-    int n;
-    std::string label;
-    double wall_s;
-  };
-  std::vector<Entry> entries;
-  for (const Row& row : rows) {
-    const bool is_hw = row.threads == hw_threads;
-    entries.push_back({row.n,
-                       is_hw && row.threads != 1 ? std::string("hw")
-                                                 : std::to_string(row.threads),
-                       row.wall_s});
-    if (alias_hw_to_serial && row.threads == 1 && hw_threads == 1) {
-      entries.push_back({row.n, "hw", row.wall_s});
-    }
-  }
-  out << "{\n  \"context\": {\"executable\": \"bench_scale_sessions\", "
-      << "\"num_cpus\": " << hw_threads << "},\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"ScaleSessions/N=%d/threads=%s\", "
-                  "\"run_type\": \"iteration\", \"real_time\": %.6f, "
-                  "\"time_unit\": \"s\"}%s\n",
-                  entries[i].n, entries[i].label.c_str(), entries[i].wall_s,
-                  i + 1 < entries.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
+  return value;
+}
+
+std::string row_name(int n, const std::string& threads) {
+  return "ScaleSessions/N=" + std::to_string(n) + "/threads=" + threads;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<int> sizes;
-  int forced_threads = 0;
+  std::string threads_arg;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      forced_threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      sizes.push_back(std::atoi(argv[i]));
-    }
-  }
+  const std::vector<std::string> counts = bench::parse_args(
+      argc, argv, kUsage,
+      {{.name = "--threads", .value = &threads_arg},
+       {.name = "--json", .value = &json_path}},
+      /*positionals=*/true);
+  std::vector<int> sizes;
+  for (const std::string& n : counts) sizes.push_back(count_arg(n));
   if (sizes.empty()) sizes = {100, 1000, 5000};
+  const int forced_threads = threads_arg.empty() ? 0 : count_arg(threads_arg);
 
   const int hw =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -192,14 +160,31 @@ int main(int argc, char** argv) {
   std::printf("%7s  %7s  %8s  %9s  %12s  %12s  %10s  %9s\n", "N", "threads",
               "wall s", "completed", "sessions/s", "events/s", "depth mean",
               "depth p99");
-  std::vector<Row> rows;
+  std::vector<bench::BaselineRow> rows;
   for (const int n : sizes) {
     for (const int threads : thread_counts) {
-      rows.push_back(run_scale(n, threads));
+      const double wall_s = run_scale(n, threads);
+      // Each row gets a machine-portable label: the hardware-concurrency
+      // run is "threads=hw", absolute counts otherwise. On a single-core
+      // machine (default mode) the threads=1 run *is* the
+      // hardware-concurrency run, so it is emitted twice — once under each
+      // label — keeping the baseline's shape identical across machines so
+      // bench_compare.py can always derive the threads=1 / threads=hw
+      // speedup row.
+      const bool hw_run = threads == hw && threads != 1;
+      rows.push_back(
+          {row_name(n, hw_run ? "hw" : std::to_string(threads)), wall_s});
+      if (forced_threads == 0 && hw == 1) {
+        rows.push_back({row_name(n, "hw"), wall_s});
+      }
     }
   }
   if (!json_path.empty()) {
-    write_json(json_path, rows, hw, /*alias_hw_to_serial=*/forced_threads == 0);
+    bench::write_baseline_json(
+        json_path,
+        R"({"executable": "bench_scale_sessions", "num_cpus": )" +
+            std::to_string(hw) + "}",
+        rows);
   }
   return 0;
 }

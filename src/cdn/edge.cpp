@@ -57,12 +57,10 @@ void Edge::join_fill(const net::ChunkId& id, std::int64_t bytes, double weight,
   }
   fills_.push_back(Fill{.id = id, .bytes = bytes, .waiters = {}});
   fills_.back().waiters.push_back(std::move(waiter));
-  backhaul_.start_transfer(
-      bytes,
-      [this, alive = alive_, id](const net::TransferResult& r) {
-        if (*alive) settle(id, r);
-      },
-      weight);
+  backhaul_.fetch({.id = id, .bytes = bytes, .weight = weight},
+                  [this, alive = alive_, id](const net::TransferResult& r) {
+                    if (*alive) settle(id, r);
+                  });
 }
 
 bool Edge::leave_fill(const net::ChunkId& id, const EdgeSource* source,
@@ -215,14 +213,12 @@ net::FetchId EdgeSource::fetch(const net::FetchSpec& spec,
 
 void EdgeSource::serve(net::FetchId id, const net::FetchSpec& spec,
                        net::TransferCallback on_done) {
-  const net::FetchId serve_id = access_.start_transfer(
-      spec.bytes,
-      [this, alive = alive_, id,
-       on_done = std::move(on_done)](const net::TransferResult& r) {
+  const net::FetchId serve_id = access_.fetch(
+      spec, [this, alive = alive_, id,
+             on_done = std::move(on_done)](const net::TransferResult& r) {
         if (*alive) erase(id);
         if (on_done) on_done(r);
-      },
-      spec.weight);
+      });
   const std::size_t i = find(id);
   SPERKE_CHECK(i != pending_.size(), "EdgeSource::serve: pending entry lost");
   pending_[i].serving = true;

@@ -174,7 +174,8 @@ void LiveBroadcastSession::server_push() {
   const auto bytes = static_cast<std::int64_t>(rung * 1000.0 / 8.0 *
                                                config_.platform.segment_s);
   ++push_next_;
-  downlink_->start_transfer(bytes, [this, segment, rung](const net::TransferResult& r) {
+  const net::FetchSpec spec{.id = {}, .bytes = bytes};
+  downlink_->fetch(spec, [this, segment, rung](const net::TransferResult& r) {
     pushing_ = false;
     if (!r.completed()) {
       // Push failed mid-flight: retry from this segment (the backlog cap in
@@ -242,8 +243,9 @@ void LiveBroadcastSession::viewer_maybe_request() {
   viewer_fetching_ = true;
   ++viewer_next_fetch_;
   const sim::Time started = simulator_.now();
-  downlink_->start_transfer(bytes, [this, segment, rung, bytes,
-                                    started](const net::TransferResult& r) {
+  const net::FetchSpec spec{.id = {}, .bytes = bytes};
+  downlink_->fetch(spec, [this, segment, rung, bytes,
+                          started](const net::TransferResult& r) {
     viewer_fetching_ = false;
     if (!r.completed()) {
       // Fetch failed: re-request from this segment (skip-to-live in the

@@ -55,38 +55,35 @@ Link::Link(sim::Simulator& simulator, LinkConfig config)
       config_(std::move(config)),
       fault_rng_(config_.faults.seed) {
   validate(config_);
-  has_faults_ = !config_.faults.empty();
   last_update_ = simulator_.now();
-  if (has_faults_) {
-    // Execute the schedule as simulation events. Outage starts fail the
-    // in-flight set; every other boundary just settles progress and
-    // recomputes rates under the new capacity/RTT factors.
-    for (const FaultWindow& w : config_.faults.outages) {
-      simulator_.schedule_at(sim::seconds(w.start_s), [this, alive = alive_] {
-        if (*alive) on_outage_begin();
-      });
-      simulator_.schedule_at(sim::seconds(w.end_s()), [this, alive = alive_] {
-        if (*alive) on_fault_boundary();
-      });
-    }
-    const auto boundary_events = [this](const std::vector<FaultWindow>& windows) {
-      for (const FaultWindow& w : windows) {
-        for (const double edge_s : {w.start_s, w.end_s()}) {
-          simulator_.schedule_at(sim::seconds(edge_s), [this, alive = alive_] {
-            if (*alive) on_fault_boundary();
-          });
-        }
-      }
-    };
-    boundary_events(config_.faults.capacity_collapses);
-    boundary_events(config_.faults.rtt_spikes);
+  // Execute the schedule as simulation events. Outage starts fail the
+  // in-flight set; every other boundary just settles progress and
+  // recomputes rates under the new capacity/RTT factors. An empty plan
+  // schedules nothing.
+  for (const FaultWindow& w : config_.faults.outages) {
+    simulator_.schedule_at(sim::seconds(w.start_s), [this, alive = alive_] {
+      if (*alive) on_outage_begin();
+    });
+    simulator_.schedule_at(sim::seconds(w.end_s()), [this, alive = alive_] {
+      if (*alive) on_fault_boundary();
+    });
   }
+  const auto boundary_events = [this](const std::vector<FaultWindow>& windows) {
+    for (const FaultWindow& w : windows) {
+      for (const double edge_s : {w.start_s, w.end_s()}) {
+        simulator_.schedule_at(sim::seconds(edge_s), [this, alive = alive_] {
+          if (*alive) on_fault_boundary();
+        });
+      }
+    }
+  };
+  boundary_events(config_.faults.capacity_collapses);
+  boundary_events(config_.faults.rtt_spikes);
 }
 
 Link::~Link() { *alive_ = false; }
 
 bool Link::in_outage_at(sim::Time t) const {
-  if (!has_faults_) return false;
   const double t_s = sim::to_seconds(t);
   for (const FaultWindow& w : config_.faults.outages) {
     if (w.contains_s(t_s)) return true;
@@ -97,7 +94,6 @@ bool Link::in_outage_at(sim::Time t) const {
 bool Link::in_outage() const { return in_outage_at(simulator_.now()); }
 
 double Link::outage_seconds() const {
-  if (!has_faults_) return 0.0;
   const double now_s = sim::to_seconds(simulator_.now());
   double total = 0.0;
   for (const FaultWindow& w : config_.faults.outages) {
@@ -117,13 +113,13 @@ double Link::fault_capacity_factor_at(sim::Time t) const {
 }
 
 double Link::capacity_kbps_now() const {
-  const double base = config_.bandwidth.kbps_at(simulator_.now());
-  if (!has_faults_) return base;
-  return base * fault_capacity_factor_at(simulator_.now());
+  // Without fault windows the factor is exactly 1.0: the trace's rate
+  // comes back bit for bit.
+  return config_.bandwidth.kbps_at(simulator_.now()) *
+         fault_capacity_factor_at(simulator_.now());
 }
 
 sim::Duration Link::rtt() const {
-  if (!has_faults_) return config_.rtt;
   double factor = 1.0;
   const double now_s = sim::to_seconds(simulator_.now());
   for (const FaultWindow& w : config_.faults.rtt_spikes) {
@@ -162,18 +158,20 @@ int Link::active_transfers() const {
                                         [](const Transfer& t) { return t.active; }));
 }
 
-FetchId Link::start_transfer(std::int64_t bytes, TransferCallback on_complete,
-                             double weight) {
+FetchId Link::fetch(const FetchSpec& spec, TransferCallback on_done) {
+  const std::int64_t bytes = spec.bytes;
   if (bytes <= 0) throw std::invalid_argument("Link: transfer of non-positive size");
-  if (weight <= 0.0) throw std::invalid_argument("Link: non-positive weight");
+  if (spec.weight <= 0.0) {
+    throw std::invalid_argument("Link: non-positive weight");
+  }
   const FetchId id = next_id_++;
   Transfer t;
   t.id = id;
   t.remaining_bytes = static_cast<double>(bytes);
   t.total_bytes = bytes;
-  t.weight = weight;
-  t.on_complete = std::move(on_complete);
-  if (has_faults_ && config_.faults.transfer_failure_prob > 0.0 &&
+  t.weight = spec.weight;
+  t.on_complete = std::move(on_done);
+  if (config_.faults.transfer_failure_prob > 0.0 &&
       fault_rng_.bernoulli(config_.faults.transfer_failure_prob)) {
     // Seeded mid-flight failure: the connection dies after a uniform
     // fraction of the payload has flowed. Drawn in transfer-start order,
@@ -193,7 +191,7 @@ FetchId Link::start_transfer(std::int64_t bytes, TransferCallback on_complete,
     const std::size_t i = find(id);
     if (i == transfers_.size()) return;  // cancelled/failed during warmup
     Transfer& transfer = transfers_[i];
-    if (has_faults_ && in_outage()) {
+    if (in_outage()) {
       // The request hit a dead link: the handshake times out after the RTT
       // instead of ever activating.
       Completion failed{id, std::move(transfer.on_complete),

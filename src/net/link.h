@@ -13,9 +13,9 @@
 // per-transfer failures as ordinary simulation events, and every transfer
 // reports how it ended through a typed TransferResult.
 //
-// A Link is also the direct net::ChunkSource: fetch(spec) is exactly
-// start_transfer(spec.bytes, callback, spec.weight); the ChunkId and the
-// deadline are never looked at.
+// A Link is also the direct net::ChunkSource: fetch(spec) is one transfer
+// of spec.bytes at spec.weight; the ChunkId and the deadline are never
+// looked at.
 #pragma once
 
 #include <cstddef>
@@ -57,18 +57,14 @@ class Link final : public ChunkSource {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  // Begin transferring `bytes`; `on_complete` fires exactly once with the
+  // Begin transferring `spec.bytes`; `on_done` fires exactly once with the
   // transfer's TransferResult — kCompleted, kFailed (injected fault) or
-  // kCancelled (the caller's own cancel()). `weight` sets the transfer's
-  // share of the link under contention (HTTP/2-style stream priority): a
-  // weight-2 transfer receives twice the bandwidth of a weight-1 transfer
-  // while both are active.
-  FetchId start_transfer(std::int64_t bytes, TransferCallback on_complete,
-                         double weight = 1.0);
-
-  FetchId fetch(const FetchSpec& spec, TransferCallback on_done) override {
-    return start_transfer(spec.bytes, std::move(on_done), spec.weight);
-  }
+  // kCancelled (the caller's own cancel()). `spec.weight` sets the
+  // transfer's share of the link under contention (HTTP/2-style stream
+  // priority): a weight-2 transfer receives twice the bandwidth of a
+  // weight-1 transfer while both are active. Throws std::invalid_argument
+  // for a non-positive size or weight.
+  FetchId fetch(const FetchSpec& spec, TransferCallback on_done) override;
 
   // Abort a pending/in-flight transfer: fires its callback (synchronously)
   // with kCancelled. Bytes already delivered still count toward
@@ -172,9 +168,7 @@ class Link final : public ChunkSource {
   // completion callback has already run. Populated under
   // SPERKE_DCHECK_IS_ON only; stays empty (and untouched) in release.
   std::set<FetchId> fired_ids_;
-  // Fault state. has_faults_ gates every fault check so an empty plan keeps
-  // the hot path (and its floating-point results) bit-identical.
-  bool has_faults_ = false;
+  // Draws the seeded per-transfer failures of config_.faults.
   Rng fault_rng_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

@@ -228,11 +228,12 @@ TEST_F(TransportTest, RejectsBadRequests) {
   EXPECT_THROW(SingleLinkTransport(link, bad_timeout), std::invalid_argument);
 }
 
-TEST(TransportAdapter, LinkFetchIsVerbatimStartTransfer) {
-  // A Link is the direct ChunkSource, and fetching through that interface
-  // is what keeps direct-link worlds bit-identical to driving
-  // start_transfer: a mixed-weight workload with a mid-flight cancel must
-  // settle with the same results, in the same order, at the same instants.
+TEST(TransportAdapter, LinkIsItsOwnChunkSource) {
+  // A Link is the direct ChunkSource: fetching through that interface with
+  // a ChunkId and a deadline, and cancelling through it, must match a bare
+  // {bytes, weight} fetch on the link itself. A mixed-weight workload with
+  // a mid-flight cancel settles with the same results, in the same order,
+  // at the same instants.
   struct Settled {
     int index = 0;
     net::TransferStatus status = net::TransferStatus::kCompleted;
@@ -261,9 +262,10 @@ TEST(TransportAdapter, LinkFetchIsVerbatimStartTransfer) {
                         ? source.fetch({.id = net::to_chunk_id({{i, 0}, Encoding::kAvc, 1}),
                                         .bytes = bytes,
                                         .weight = weight,
-                                        .deadline = sim::kTimeZero},
+                                        .deadline = sim::milliseconds(500)},
                                        std::move(on_done))
-                        : link.start_transfer(bytes, std::move(on_done), weight));
+                        : link.fetch({.id = {}, .bytes = bytes, .weight = weight},
+                                     std::move(on_done)));
     }
     bool cancelled = false;
     simulator.schedule_after(sim::milliseconds(60), [&] {

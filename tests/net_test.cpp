@@ -110,7 +110,8 @@ TEST_F(LinkTest, SingleTransferTakesBandwidthPlusRtt) {
   cfg.rtt = sim::milliseconds(100);
   Link link(simulator, cfg);
   std::optional<Time> done;
-  link.start_transfer(1'000'000, [&](const TransferResult& r) { done = r.time; });
+  link.fetch({.id = {}, .bytes = 1'000'000},
+             [&](const TransferResult& r) { done = r.time; });
   simulator.run();
   ASSERT_TRUE(done.has_value());
   // 1 MB at 1 MB/s = 1 s + 0.1 s RTT warmup.
@@ -124,8 +125,10 @@ TEST_F(LinkTest, TwoTransfersShareFairly) {
   cfg.rtt = sim::Duration{0};
   Link link(simulator, cfg);
   std::optional<Time> t1, t2;
-  link.start_transfer(1'000'000, [&](const TransferResult& r) { t1 = r.time; });
-  link.start_transfer(1'000'000, [&](const TransferResult& r) { t2 = r.time; });
+  link.fetch({.id = {}, .bytes = 1'000'000},
+             [&](const TransferResult& r) { t1 = r.time; });
+  link.fetch({.id = {}, .bytes = 1'000'000},
+             [&](const TransferResult& r) { t2 = r.time; });
   simulator.run();
   ASSERT_TRUE(t1 && t2);
   // Both share 1 MB/s -> each runs at 0.5 MB/s -> both done at ~2 s.
@@ -139,8 +142,10 @@ TEST_F(LinkTest, ShorterTransferFinishesFirstAndFreesCapacity) {
   cfg.rtt = sim::Duration{0};
   Link link(simulator, cfg);
   std::optional<Time> small, big;
-  link.start_transfer(500'000, [&](const TransferResult& r) { small = r.time; });
-  link.start_transfer(1'500'000, [&](const TransferResult& r) { big = r.time; });
+  link.fetch({.id = {}, .bytes = 500'000},
+             [&](const TransferResult& r) { small = r.time; });
+  link.fetch({.id = {}, .bytes = 1'500'000},
+             [&](const TransferResult& r) { big = r.time; });
   simulator.run();
   ASSERT_TRUE(small && big);
   // Shared until small is done at t=1s (0.5MB at 0.5MB/s); big then has
@@ -155,7 +160,8 @@ TEST_F(LinkTest, BandwidthStepChangesRate) {
   cfg.rtt = sim::Duration{0};
   Link link(simulator, cfg);
   std::optional<Time> done;
-  link.start_transfer(1'500'000, [&](const TransferResult& r) { done = r.time; });
+  link.fetch({.id = {}, .bytes = 1'500'000},
+             [&](const TransferResult& r) { done = r.time; });
   simulator.run();
   ASSERT_TRUE(done);
   // 1 MB in first second, remaining 0.5 MB at 0.5 MB/s -> 2 s total.
@@ -168,7 +174,8 @@ TEST_F(LinkTest, ZeroBandwidthStallsUntilRecovery) {
   cfg.rtt = sim::Duration{0};
   Link link(simulator, cfg);
   std::optional<Time> done;
-  link.start_transfer(1'000'000, [&](const TransferResult& r) { done = r.time; });
+  link.fetch({.id = {}, .bytes = 1'000'000},
+             [&](const TransferResult& r) { done = r.time; });
   simulator.run();
   ASSERT_TRUE(done);
   EXPECT_NEAR(sim::to_seconds(*done), 6.0, 0.02);
@@ -181,7 +188,8 @@ TEST_F(LinkTest, CancelStopsTransfer) {
   Link link(simulator, cfg);
   std::optional<TransferResult> result;
   const FetchId id =
-      link.start_transfer(1'000'000, [&](const TransferResult& r) { result = r; });
+      link.fetch({.id = {}, .bytes = 1'000'000},
+                 [&](const TransferResult& r) { result = r; });
   simulator.schedule_at(seconds(0.5), [&] { EXPECT_TRUE(link.cancel(id)); });
   simulator.run();
   ASSERT_TRUE(result.has_value());
@@ -199,7 +207,8 @@ TEST_F(LinkTest, CancelAfterCompletionReturnsFalseAndDoesNotDoubleFire) {
   Link link(simulator, cfg);
   int fires = 0;
   const FetchId id =
-      link.start_transfer(100'000, [&](const TransferResult&) { ++fires; });
+      link.fetch({.id = {}, .bytes = 100'000},
+                 [&](const TransferResult&) { ++fires; });
   simulator.run();
   EXPECT_EQ(fires, 1);
   EXPECT_FALSE(link.cancel(id));
@@ -216,8 +225,8 @@ TEST_F(LinkTest, CancelAfterFailureReturnsFalseAndDoesNotDoubleFire) {
   Link link(simulator, cfg);
   int fires = 0;
   std::optional<TransferResult> result;
-  const FetchId id = link.start_transfer(
-      2'000'000, [&](const TransferResult& r) {
+  const FetchId id = link.fetch(
+      {.id = {}, .bytes = 2'000'000}, [&](const TransferResult& r) {
         ++fires;
         result = r;
       });
@@ -236,7 +245,8 @@ TEST_F(LinkTest, OutageFailsInFlightTransfersAtWindowStart) {
   cfg.faults.outages = {{.start_s = 1.0, .duration_s = 2.0}};
   Link link(simulator, cfg);
   std::optional<TransferResult> result;
-  link.start_transfer(2'000'000, [&](const TransferResult& r) { result = r; });
+  link.fetch({.id = {}, .bytes = 2'000'000},
+             [&](const TransferResult& r) { result = r; });
   simulator.run_until(seconds(2.0));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->status, TransferStatus::kFailed);
@@ -255,7 +265,8 @@ TEST_F(LinkTest, TransferStartedDuringOutageFailsAtActivation) {
   Link link(simulator, cfg);
   std::optional<TransferResult> result;
   simulator.schedule_at(seconds(1.5), [&] {
-    link.start_transfer(1'000'000, [&](const TransferResult& r) { result = r; });
+    link.fetch({.id = {}, .bytes = 1'000'000},
+               [&](const TransferResult& r) { result = r; });
   });
   simulator.run_until(seconds(2.0));
   // Fails one RTT after the attempt (the request times out into the void).
@@ -274,7 +285,8 @@ TEST_F(LinkTest, TransferCompletesAfterOutageEnds) {
   std::optional<TransferResult> result;
   // Started after the outage is over: completes normally.
   simulator.schedule_at(seconds(2.5), [&] {
-    link.start_transfer(1'000'000, [&](const TransferResult& r) { result = r; });
+    link.fetch({.id = {}, .bytes = 1'000'000},
+               [&](const TransferResult& r) { result = r; });
   });
   simulator.run();
   ASSERT_TRUE(result.has_value());
@@ -291,7 +303,8 @@ TEST_F(LinkTest, CapacityCollapseSlowsTransfer) {
   cfg.faults.capacity_collapses = {{.start_s = 1.0, .duration_s = 2.0, .factor = 0.5}};
   Link link(simulator, cfg);
   std::optional<TransferResult> result;
-  link.start_transfer(2'000'000, [&](const TransferResult& r) { result = r; });
+  link.fetch({.id = {}, .bytes = 2'000'000},
+             [&](const TransferResult& r) { result = r; });
   simulator.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->status, TransferStatus::kCompleted);
@@ -306,7 +319,8 @@ TEST_F(LinkTest, RttSpikeScalesEffectiveRtt) {
   Link link(simulator, cfg);
   EXPECT_EQ(link.rtt(), sim::milliseconds(400));
   std::optional<TransferResult> result;
-  link.start_transfer(1'000'000, [&](const TransferResult& r) { result = r; });
+  link.fetch({.id = {}, .bytes = 1'000'000},
+             [&](const TransferResult& r) { result = r; });
   simulator.run();
   ASSERT_TRUE(result.has_value());
   // 0.4 s spiked warmup + 1 s of data.
@@ -326,7 +340,8 @@ TEST_F(LinkTest, PerTransferFailuresAreSeededAndDeterministic) {
     Link link(simulator, cfg);
     std::vector<TransferStatus> statuses;
     for (int i = 0; i < 32; ++i) {
-      link.start_transfer(100'000, [&statuses](const TransferResult& r) {
+      link.fetch({.id = {}, .bytes = 100'000},
+                 [&statuses](const TransferResult& r) {
         statuses.push_back(r.status);
       });
     }
@@ -500,7 +515,8 @@ TEST_P(FaultPlanMutation, RejectedOrRunsToCompletion) {
       std::vector<int> settled(8, 0);
       for (std::size_t k = 0; k < settled.size(); ++k) {
         simulator.schedule_at(seconds(3.0 * static_cast<double>(k)), [&, k] {
-          link.start_transfer(500'000, [&settled, k](const TransferResult&) {
+          link.fetch({.id = {}, .bytes = 500'000},
+                     [&settled, k](const TransferResult&) {
             ++settled[k];
           });
         });
@@ -550,7 +566,8 @@ TEST_F(LinkTest, RejectsRttSpikesPastTheClockRange) {
       {.start_s = 0.0, .duration_s = 1.0, .factor = 1e14}};
   Link link(simulator, cfg);
   std::optional<TransferResult> result;
-  link.start_transfer(1'000, [&](const TransferResult& r) { result = r; });
+  link.fetch({.id = {}, .bytes = 1'000},
+             [&](const TransferResult& r) { result = r; });
   simulator.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->status, TransferStatus::kCompleted);
@@ -564,8 +581,10 @@ TEST_F(LinkTest, WeightedTransfersShareProportionally) {
   Link link(simulator, cfg);
   std::optional<Time> heavy, light;
   // Weight 3:1 — the heavy transfer runs at 750 KB/s, the light at 250 KB/s.
-  link.start_transfer(750'000, [&](const TransferResult& r) { heavy = r.time; }, 3.0);
-  link.start_transfer(750'000, [&](const TransferResult& r) { light = r.time; }, 1.0);
+  link.fetch({.id = {}, .bytes = 750'000, .weight = 3.0},
+             [&](const TransferResult& r) { heavy = r.time; });
+  link.fetch({.id = {}, .bytes = 750'000, .weight = 1.0},
+             [&](const TransferResult& r) { light = r.time; });
   simulator.run();
   ASSERT_TRUE(heavy && light);
   // Heavy: 750 KB at 750 KB/s = 1 s. Light: 250 KB in the first second,
@@ -583,8 +602,10 @@ TEST_F(LinkTest, WeightedShareRespectsMathisCap) {
   std::optional<Time> heavy, light;
   // Weight 10:1 — the heavy transfer would claim ~7.3 Mbps but is capped,
   // so the light one picks up the slack.
-  link.start_transfer(1'000'000, [&](const TransferResult& r) { heavy = r.time; }, 10.0);
-  link.start_transfer(1'000'000, [&](const TransferResult& r) { light = r.time; }, 1.0);
+  link.fetch({.id = {}, .bytes = 1'000'000, .weight = 10.0},
+             [&](const TransferResult& r) { heavy = r.time; });
+  link.fetch({.id = {}, .bytes = 1'000'000, .weight = 1.0},
+             [&](const TransferResult& r) { light = r.time; });
   simulator.run();
   ASSERT_TRUE(heavy && light);
   const double cap_kbps = link.mathis_cap_kbps();
@@ -596,9 +617,9 @@ TEST_F(LinkTest, WeightedShareRespectsMathisCap) {
 
 TEST_F(LinkTest, RejectsNonPositiveWeight) {
   Link link(simulator, LinkConfig{});
-  EXPECT_THROW((void)link.start_transfer(1000, nullptr, 0.0),
+  EXPECT_THROW((void)link.fetch({.id = {}, .bytes = 1000, .weight = 0.0}, nullptr),
                std::invalid_argument);
-  EXPECT_THROW((void)link.start_transfer(1000, nullptr, -1.0),
+  EXPECT_THROW((void)link.fetch({.id = {}, .bytes = 1000, .weight = -1.0}, nullptr),
                std::invalid_argument);
 }
 
@@ -611,7 +632,8 @@ TEST_F(LinkTest, MathisCapLimitsLossyLink) {
   const double cap = link.mathis_cap_kbps();
   EXPECT_NEAR(cap, 1.22 * 1460.0 * 8.0 / (0.05 * 0.1) / 1000.0, 1.0);
   std::optional<Time> done;
-  link.start_transfer(1'000'000, [&](const TransferResult& r) { done = r.time; });
+  link.fetch({.id = {}, .bytes = 1'000'000},
+             [&](const TransferResult& r) { done = r.time; });
   simulator.run();
   ASSERT_TRUE(done);
   const double expected_s = 1'000'000.0 * 8.0 / (cap * 1000.0) + 0.05;
@@ -629,7 +651,7 @@ TEST_F(LinkTest, RejectsInvalidConfigAndTransfers) {
   bad.loss_rate = 1.0;
   EXPECT_THROW(Link(simulator, bad), std::invalid_argument);
   Link link(simulator, LinkConfig{});
-  EXPECT_THROW((void)link.start_transfer(0, nullptr), std::invalid_argument);
+  EXPECT_THROW((void)link.fetch({.id = {}, .bytes = 0}, nullptr), std::invalid_argument);
 }
 
 TEST_F(LinkTest, CompletionCallbackCanStartNewTransfer) {
@@ -638,8 +660,8 @@ TEST_F(LinkTest, CompletionCallbackCanStartNewTransfer) {
   cfg.rtt = sim::Duration{0};
   Link link(simulator, cfg);
   std::optional<Time> second_done;
-  link.start_transfer(1'000'000, [&](const TransferResult&) {
-    link.start_transfer(1'000'000,
+  link.fetch({.id = {}, .bytes = 1'000'000}, [&](const TransferResult&) {
+    link.fetch({.id = {}, .bytes = 1'000'000},
                         [&](const TransferResult& r) { second_done = r.time; });
   });
   simulator.run();
@@ -651,7 +673,7 @@ TEST_F(LinkTest, ActiveTransfersCountsWarmupSeparately) {
   LinkConfig cfg;
   cfg.rtt = sim::milliseconds(100);
   Link link(simulator, cfg);
-  link.start_transfer(1'000'000, [](const TransferResult&) {});
+  link.fetch({.id = {}, .bytes = 1'000'000}, [](const TransferResult&) {});
   EXPECT_EQ(link.active_transfers(), 0);  // still in RTT warmup
   simulator.run_until(seconds(0.2));
   EXPECT_EQ(link.active_transfers(), 1);

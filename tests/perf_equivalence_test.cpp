@@ -453,9 +453,9 @@ TEST(LinkEquivalence, ActiveTransferCounterTracksWarmupChurnAndCancel) {
   const auto count_completed = [&](const net::TransferResult& r) {
     if (r.completed()) ++completions;
   };
-  const auto id1 = link.start_transfer(100'000, count_completed);
-  const auto id2 = link.start_transfer(200'000, count_completed);
-  link.start_transfer(50'000, count_completed);
+  const auto id1 = link.fetch({.id = {}, .bytes = 100'000}, count_completed);
+  const auto id2 = link.fetch({.id = {}, .bytes = 200'000}, count_completed);
+  link.fetch({.id = {}, .bytes = 50'000}, count_completed);
   EXPECT_EQ(link.active_transfers(), 0);  // all in RTT warmup
   simulator.run_until(sim::milliseconds(25));
   EXPECT_EQ(link.active_transfers(), 3);
@@ -478,11 +478,13 @@ TEST(LinkEquivalence, ChurnIsDeterministicAcrossRuns) {
     std::vector<std::int64_t> completion_ticks;
     for (int i = 0; i < 24; ++i) {
       simulator.schedule_at(sim::milliseconds(i * 7), [&link, &completion_ticks] {
-        link.start_transfer(
-            60'000, [&link, &completion_ticks](const net::TransferResult& r) {
+        link.fetch(
+            {.id = {}, .bytes = 60'000},
+            [&link, &completion_ticks](const net::TransferResult& r) {
               completion_ticks.push_back(r.time.count());
-              link.start_transfer(
-                  30'000, [&completion_ticks](const net::TransferResult& r2) {
+              link.fetch(
+                  {.id = {}, .bytes = 30'000},
+                  [&completion_ticks](const net::TransferResult& r2) {
                     completion_ticks.push_back(r2.time.count());
                   });
             });
@@ -523,14 +525,13 @@ TEST(LinkEquivalence, SettleTimelineIsPinned) {
   std::function<net::FetchId(std::int64_t, double, bool)> start;
   start = [&](std::int64_t bytes, double weight, bool chain) {
     auto id = std::make_shared<net::FetchId>(0);
-    *id = link.start_transfer(
-        bytes,
+    *id = link.fetch(
+        {.id = {}, .bytes = bytes, .weight = weight},
         [&, id, chain](const net::TransferResult& r) {
           settles.emplace_back(*id, static_cast<int>(r.status), r.time.count(),
                                r.bytes_delivered);
           if (chain) start(90'000, 2.0, false);
-        },
-        weight);
+        });
     return *id;
   };
   const auto at = [&](double t_s, std::function<void()> action) {

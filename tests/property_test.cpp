@@ -169,7 +169,7 @@ TEST(LinkProperty, DeliveredBytesMatchCompletedTransfers) {
       const auto bytes = static_cast<std::int64_t>(rng.uniform(10'000.0, 2e6));
       ++started;
       simulator.schedule_at(sim::seconds(t), [&link, &expected, &completed, bytes] {
-        link.start_transfer(bytes,
+        link.fetch({.id = {}, .bytes = bytes},
                             [&expected, &completed, bytes](const net::TransferResult& r) {
                               ASSERT_EQ(r.status, net::TransferStatus::kCompleted);
                               expected += bytes;
