@@ -28,33 +28,13 @@ void ConsistencyVra::plan_into(media::ChunkIndex index,
                                PlanWorkspace& workspace, ChunkPlan& out) const {
   const media::VideoModel& video = this->video();
   const auto& ladder = video.ladder();
-  const auto& grid = video.geometry().grid();
   const double chunk_s = sim::to_seconds(video.chunk_duration());
   const int tiles = video.tile_count();
 
-  // Ring index per tile via BFS from the FoV over the tile grid (horizontal
-  // wrap, no vertical wrap — geo/tile_grid.h). -1 = beyond the margin.
+  // Ring index per tile: BFS distance from the FoV over the tile grid
+  // (geo/visibility.h). Rings past kMaxRings lie beyond the margin.
   auto& ring_of = workspace.tile_quality;
-  ring_of.assign(static_cast<std::size_t>(tiles), -1);
-  auto& frontier = workspace.frontier;
-  frontier.clear();
-  for (geo::TileId t : predicted_fov) {
-    ring_of[static_cast<std::size_t>(t)] = 0;
-    frontier.push_back(t);
-  }
-  for (int r = 1; r <= kMaxRings; ++r) {
-    auto& next = workspace.next_frontier;
-    next.clear();
-    for (geo::TileId t : frontier) {
-      for (geo::TileId n : grid.neighbors(t)) {
-        if (ring_of[static_cast<std::size_t>(n)] < 0) {
-          ring_of[static_cast<std::size_t>(n)] = r;
-          next.push_back(n);
-        }
-      }
-    }
-    frontier.swap(next);
-  }
+  video.geometry().oos_rings(predicted_fov, ring_of, workspace.geo);
 
   const auto ring_quality = [&](media::QualityLevel q_fov, int ring) {
     return std::max<media::QualityLevel>(q_fov - ring * kSpatialStep, 0);
@@ -63,7 +43,7 @@ void ConsistencyVra::plan_into(media::ChunkIndex index,
     std::int64_t bytes = 0;
     for (geo::TileId t = 0; t < tiles; ++t) {
       const int ring = ring_of[static_cast<std::size_t>(t)];
-      if (ring < 0) continue;
+      if (ring > kMaxRings) continue;
       bytes += video.avc_size_bytes(ring_quality(q_fov, ring), {t, index});
     }
     return bytes;
@@ -94,7 +74,7 @@ void ConsistencyVra::plan_into(media::ChunkIndex index,
   out.fetches.clear();
   for (geo::TileId t = 0; t < tiles; ++t) {
     const int ring = ring_of[static_cast<std::size_t>(t)];
-    if (ring < 0 || (emergency && ring > 0)) continue;
+    if (ring > kMaxRings || (emergency && ring > 0)) continue;
     out.fetches.push_back(
         {{{t, index}, media::Encoding::kAvc, ring_quality(q_fov, ring)},
          ring == 0 ? SpatialClass::kFov : SpatialClass::kOos,

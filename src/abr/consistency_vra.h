@@ -6,8 +6,8 @@
 // expected-utility objective:
 //   * spatial consistency — quality falls *gradually* with grid distance
 //     from the viewport (abrupt tile seams inside the FoV are what users
-//     notice most), implemented as two BFS rings over
-//     geo::TileGrid::neighbors dropping one level per ring;
+//     notice most), implemented as the first two rings of
+//     geo::TileGeometry::oos_rings, dropping one level per ring;
 //   * temporal consistency — the FoV quality may rise at most one level
 //     per chunk (no quality flicker), though it may drop freely when
 //     throughput collapses (stalls beat smoothness).

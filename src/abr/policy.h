@@ -20,6 +20,7 @@
 #include "abr/oos.h"
 #include "abr/plan.h"
 #include "abr/regular_vra.h"
+#include "geo/visibility.h"
 #include "media/video_model.h"
 
 namespace sperke::abr {
@@ -34,11 +35,11 @@ class TileAbrPolicy {
     VraContext ctx;
     OosSelector::Workspace oos;
     // Per-tile allocation scratch (knapsack / consistency allocators):
-    // quality or ring index per tile, FoV membership flags, BFS frontiers.
+    // quality or ring index per tile, FoV membership flags, and the ring
+    // BFS queue of TileGeometry::oos_rings.
     std::vector<media::QualityLevel> tile_quality;
     std::vector<char> tile_flag;
-    std::vector<geo::TileId> frontier;
-    std::vector<geo::TileId> next_frontier;
+    geo::TileGeometry::Scratch geo;
     // The knapsack planner's max-heap: one entry per tile, that tile's next
     // quality step with its value density and marginal bytes.
     struct TileStep {

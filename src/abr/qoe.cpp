@@ -1,6 +1,7 @@
 #include "abr/qoe.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace sperke::abr {
@@ -13,13 +14,24 @@ constexpr double kSkipPenalty = 2.0;       // skipped chunk (live)
 constexpr double kSwitchPenalty = 1.0;     // |utility delta| between chunks
 constexpr double kBlankPenalty = 4.0;      // FoV fraction with nothing shown
 
+// Adds a byte count to a session total, which stays in [0, INT64_MAX].
+void add_bytes(std::int64_t& total, std::int64_t bytes) {
+  if (bytes < 0) throw std::invalid_argument("QoeTracker: negative bytes");
+  // Against the remaining headroom: total + bytes could overflow.
+  if (bytes > std::numeric_limits<std::int64_t>::max() - total) {
+    throw std::overflow_error("QoeTracker: byte total exceeds int64");
+  }
+  total += bytes;
+}
+
 }  // namespace
 
 void QoeTracker::record_played_chunk(double viewport_utility, double blank_fraction) {
-  if (viewport_utility < 0.0 || viewport_utility > 1.0) {
+  // Written so that NaN fails.
+  if (!(viewport_utility >= 0.0 && viewport_utility <= 1.0)) {
     throw std::invalid_argument("QoeTracker: utility out of [0,1]");
   }
-  if (blank_fraction < 0.0 || blank_fraction > 1.0) {
+  if (!(blank_fraction >= 0.0 && blank_fraction <= 1.0)) {
     throw std::invalid_argument("QoeTracker: blank fraction out of [0,1]");
   }
   ++acc_.chunks_played;
@@ -44,10 +56,12 @@ void QoeTracker::record_skip(int chunks) {
 }
 
 void QoeTracker::record_downloaded(std::int64_t bytes) {
-  acc_.bytes_downloaded += bytes;
+  add_bytes(acc_.bytes_downloaded, bytes);
 }
 
-void QoeTracker::record_wasted(std::int64_t bytes) { acc_.bytes_wasted += bytes; }
+void QoeTracker::record_wasted(std::int64_t bytes) {
+  add_bytes(acc_.bytes_wasted, bytes);
+}
 
 QoeSummary QoeTracker::summary() const {
   QoeSummary out = acc_;

@@ -28,11 +28,14 @@ struct QoeSummary {
 class QoeTracker {
  public:
   // One playback step: the viewport's mean quality utility in [0,1] and the
-  // fraction of FoV tiles that had no data at all.
+  // fraction of FoV tiles that had no data at all. Throws
+  // std::invalid_argument for a value outside [0,1], NaN included.
   void record_played_chunk(double viewport_utility, double blank_fraction);
 
   void record_stall(sim::Duration length);
   void record_skip(int chunks = 1);
+  // Session byte totals. Throw std::invalid_argument for a negative count
+  // and std::overflow_error when the total would exceed INT64_MAX.
   void record_downloaded(std::int64_t bytes);
   void record_wasted(std::int64_t bytes);
 

@@ -29,7 +29,7 @@ void EdgeCache::link_before(std::uint32_t node, std::uint32_t at) {
 
 // Every touch and insert is a new latest use and relinks at the ring's
 // tail, so the ring stays in last-use order and the victim is its head.
-bool EdgeCache::touch(const net::ChunkId& id) {
+bool EdgeCache::touch(const media::ChunkAddress& id) {
   const auto it = index_.find(id);
   if (it == index_.end()) return false;
   unlink(it->second);
@@ -37,7 +37,7 @@ bool EdgeCache::touch(const net::ChunkId& id) {
   return true;
 }
 
-int EdgeCache::insert(const net::ChunkId& id, std::int64_t bytes) {
+int EdgeCache::insert(const media::ChunkAddress& id, std::int64_t bytes) {
   SPERKE_CHECK(bytes > 0, "EdgeCache::insert: non-positive size ", bytes);
   if (touch(id)) return 0;
   if (bytes > capacity_bytes_) return -1;  // can never fit
@@ -73,8 +73,8 @@ void EdgeCache::evict_one() {
   link_before(node, kSpares);
 }
 
-std::vector<net::ChunkId> EdgeCache::resident() const {
-  std::vector<net::ChunkId> ids;
+std::vector<media::ChunkAddress> EdgeCache::resident() const {
+  std::vector<media::ChunkAddress> ids;
   ids.reserve(index_.size());
   for (const auto& [id, node] : index_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());

@@ -1,4 +1,5 @@
-// Byte-budgeted LRU edge cache over net::ChunkId objects (DESIGN.md §15).
+// Byte-budgeted LRU edge cache over media::ChunkAddress objects
+// (DESIGN.md §15).
 //
 // The cache is a pure deterministic data structure — no clocks, no
 // entropy — so a given operation sequence always produces the same
@@ -14,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/chunk_source.h"
+#include "media/chunk.h"
 
 namespace sperke::cdn {
 
@@ -23,27 +24,27 @@ class EdgeCache {
   // Throws std::invalid_argument when capacity_bytes <= 0.
   explicit EdgeCache(std::int64_t capacity_bytes);
 
-  [[nodiscard]] bool contains(const net::ChunkId& id) const {
+  [[nodiscard]] bool contains(const media::ChunkAddress& id) const {
     return index_.contains(id);
   }
 
   // Lookup-with-bookkeeping: make the object the most recently used and
   // report whether it is resident.
-  bool touch(const net::ChunkId& id);
+  bool touch(const media::ChunkAddress& id);
 
   // Admit an object, evicting the least recently used until it fits.
   // Returns the number of objects evicted; -1 when the object is larger
   // than the whole cache (not admitted); 0 (counted as a touch) when
   // already resident.
-  int insert(const net::ChunkId& id, std::int64_t bytes);
+  int insert(const media::ChunkAddress& id, std::int64_t bytes);
 
   [[nodiscard]] std::int64_t capacity_bytes() const { return capacity_bytes_; }
   [[nodiscard]] std::int64_t used_bytes() const { return used_bytes_; }
   [[nodiscard]] int size() const { return static_cast<int>(index_.size()); }
 
-  // Resident ids in ascending ChunkId order (deterministic snapshot for
+  // Resident ids in ascending address order (deterministic snapshot for
   // tests and debugging).
-  [[nodiscard]] std::vector<net::ChunkId> resident() const;
+  [[nodiscard]] std::vector<media::ChunkAddress> resident() const;
 
  private:
   // Nodes thread circular doubly linked rings by index. Each ring hangs off
@@ -52,7 +53,7 @@ class EdgeCache {
   static constexpr std::uint32_t kRecency = 1;  // residents, LRU first
 
   struct Node {
-    net::ChunkId id;
+    media::ChunkAddress id;
     std::int64_t bytes = 0;
     std::uint32_t prev = 0;
     std::uint32_t next = 0;
@@ -63,7 +64,7 @@ class EdgeCache {
   void evict_one();
 
   std::int64_t capacity_bytes_;
-  std::unordered_map<net::ChunkId, std::uint32_t> index_;
+  std::unordered_map<media::ChunkAddress, std::uint32_t> index_;
   std::vector<Node> nodes_;
   std::int64_t used_bytes_ = 0;
 };

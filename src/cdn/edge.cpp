@@ -26,7 +26,7 @@ Edge::Edge(net::Link& backhaul, std::int64_t cache_capacity_bytes,
 
 Edge::~Edge() { *alive_ = false; }
 
-bool Edge::lookup(const net::ChunkId& id) {
+bool Edge::lookup(const media::ChunkAddress& id) {
   if (cache_.touch(id)) {
     ++stats_.hits;
     if (hits_metric_ != nullptr) hits_metric_->increment();
@@ -37,16 +37,17 @@ bool Edge::lookup(const net::ChunkId& id) {
   return false;
 }
 
-std::vector<Edge::Fill>::iterator Edge::find_fill(const net::ChunkId& id) {
+std::vector<Edge::Fill>::iterator Edge::find_fill(
+    const media::ChunkAddress& id) {
   return std::find_if(fills_.begin(), fills_.end(),
                       [&id](const Fill& fill) { return fill.id == id; });
 }
 
-void Edge::join_fill(const net::ChunkId& id, std::int64_t bytes, double weight,
-                     Waiter waiter) {
+void Edge::join_fill(const media::ChunkAddress& id, std::int64_t bytes,
+                     double weight, Waiter waiter) {
   const auto it = find_fill(id);
   if (it != fills_.end()) {
-    // Same ChunkId must mean same object: a size mismatch would silently
+    // Same address must mean same object: a size mismatch would silently
     // deliver the wrong byte count to whoever joined second.
     SPERKE_CHECK(it->bytes == bytes, "Edge: coalesced size mismatch (",
                  it->bytes, " vs ", bytes, ")");
@@ -63,8 +64,8 @@ void Edge::join_fill(const net::ChunkId& id, std::int64_t bytes, double weight,
                   });
 }
 
-bool Edge::leave_fill(const net::ChunkId& id, const EdgeSource* source,
-                      net::FetchId fetch) {
+bool Edge::leave_fill(const media::ChunkAddress& id,
+                      const EdgeSource* source, net::FetchId fetch) {
   const auto it = find_fill(id);
   if (it == fills_.end()) return false;
   std::vector<Waiter>& waiters = it->waiters;
@@ -85,7 +86,8 @@ bool Edge::leave_fill(const net::ChunkId& id, const EdgeSource* source,
   return false;
 }
 
-void Edge::settle(const net::ChunkId& id, const net::TransferResult& r) {
+void Edge::settle(const media::ChunkAddress& id,
+                  const net::TransferResult& r) {
   const auto it = find_fill(id);
   SPERKE_CHECK(it != fills_.end(), "Edge: settle without a fill in flight");
   std::vector<Waiter> waiters = std::move(it->waiters);
@@ -124,12 +126,11 @@ int Edge::warm(const media::VideoModel& video, const hmp::ViewingHeatmap& crowd,
   // Preload one object; false = budget exhausted (stop warming entirely —
   // evicting here would churn what was just preloaded).
   const auto warm_object = [&](const media::ChunkAddress& address) {
-    const net::ChunkId id = net::to_chunk_id(address);
-    if (cache_.contains(id)) return true;
+    if (cache_.contains(address)) return true;
     const std::int64_t bytes = video.size_bytes(address);
     // Against the remaining budget: used + bytes could overflow.
     if (bytes > cache_.capacity_bytes() - cache_.used_bytes()) return false;
-    cache_.insert(id, bytes);
+    cache_.insert(address, bytes);
     ++warmed;
     return true;
   };
@@ -238,7 +239,7 @@ bool EdgeSource::cancel(net::FetchId id) {
   // the copy of its id) and forwards kCancelled (0 bytes) to the client —
   // exactly the Link::cancel contract. The backhaul transfer keeps running
   // for the cache's benefit.
-  const net::ChunkId fill = pending_[i].fill;
+  const media::ChunkAddress fill = pending_[i].fill;
   return edge_.leave_fill(fill, this, id);
 }
 

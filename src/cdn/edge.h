@@ -8,11 +8,12 @@
 //   miss  client <-- access link -- edge <-- backhaul link -- origin
 //
 // A hit serves immediately over the requester's access link at the
-// transport's stream weight. A miss joins the fill for its net::ChunkId,
-// starting one over the shared backhaul only when none is in flight, so
-// concurrent misses spend backhaul bytes once. When the fill settles the
-// edge admits the object to its cache once, then fires the fill's waiters
-// in join order; each completed waiter is served over its own access link.
+// transport's stream weight. A miss joins the fill for its
+// media::ChunkAddress, starting one over the shared backhaul only when none
+// is in flight, so concurrent misses spend backhaul bytes once. When the
+// fill settles the edge admits the object to its cache once, then fires the
+// fill's waiters in join order; each completed waiter is served over its
+// own access link.
 // Backhaul faults propagate to the client as kFailed with 0 bytes — the
 // transport's ordinary retry machinery takes it from there.
 //
@@ -83,25 +84,25 @@ class Edge {
   };
   // One backhaul transfer and everyone waiting on it, in join order.
   struct Fill {
-    net::ChunkId id;
+    media::ChunkAddress id;
     std::int64_t bytes = 0;
     std::vector<Waiter> waiters;
   };
 
   // Counts a hit (touching the cache entry) or a miss.
-  bool lookup(const net::ChunkId& id);
+  bool lookup(const media::ChunkAddress& id);
   // Join the fill for `id`, starting its backhaul transfer (at `weight`)
   // when none is in flight. All joiners must agree on `bytes`.
-  void join_fill(const net::ChunkId& id, std::int64_t bytes, double weight,
-                 Waiter waiter);
+  void join_fill(const media::ChunkAddress& id, std::int64_t bytes,
+                 double weight, Waiter waiter);
   // Detach one waiter: fires its callback synchronously with kCancelled
   // (0 bytes) and returns true; false when it is not waiting on `id`'s
   // fill. The backhaul transfer keeps running for the cache's benefit.
-  bool leave_fill(const net::ChunkId& id, const EdgeSource* source,
+  bool leave_fill(const media::ChunkAddress& id, const EdgeSource* source,
                   net::FetchId fetch);
-  void settle(const net::ChunkId& id, const net::TransferResult& r);
+  void settle(const media::ChunkAddress& id, const net::TransferResult& r);
   // The fill for `id` in fills_, or fills_.end().
-  std::vector<Fill>::iterator find_fill(const net::ChunkId& id);
+  std::vector<Fill>::iterator find_fill(const media::ChunkAddress& id);
 
   net::Link& backhaul_;
   obs::Counter* egress_metric_ = nullptr;
@@ -147,7 +148,7 @@ class EdgeSource final : public net::ChunkSource {
     net::FetchId id = 0;
     bool serving = false;       // true once bytes flow on the access link
     net::FetchId serve_id = 0;  // access transfer (serving phase)
-    net::ChunkId fill;          // the object, whose fill a miss joins
+    media::ChunkAddress fill;   // the object, whose fill a miss joins
   };
 
   void serve(net::FetchId id, const net::FetchSpec& spec,

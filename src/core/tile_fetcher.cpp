@@ -75,7 +75,7 @@ void TileFetcher::send(const media::ChunkAddress& address,
     bump(counters_.late_corrections, metrics_.late_corrections);
   }
   trace(obs::TraceEventType::kFetchDispatched, fetch, fetch.dispatched, 0.0);
-  transport_.fetch({.id = net::to_chunk_id(address),
+  transport_.fetch({.id = address,
                     .bytes = fetch.bytes,
                     .spatial = spatial,
                     .urgent = fetch.urgent,

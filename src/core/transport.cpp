@@ -145,9 +145,9 @@ void FetchQueue::dispatch(Pending pending, sim::Time now) {
     options_.telemetry->trace().record(
         {.type = obs::TraceEventType::kFetchAttemptStart,
          .ts = now,
-         .tile = request.id.tile,
-         .chunk = request.id.chunk,
-         .quality = request.id.level(),
+         .tile = request.id.key.tile,
+         .chunk = request.id.key.index,
+         .quality = request.id.level,
          .path = trace_path_,
          .bytes = request.bytes,
          .urgent = request.urgent,
@@ -208,9 +208,9 @@ void FetchQueue::on_attempt_done(std::uint32_t slot, sim::Time started,
     options_.telemetry->trace().record(
         {.type = obs::TraceEventType::kFetchAttemptEnd,
          .ts = r.time,
-         .tile = flight.request.id.tile,
-         .chunk = flight.request.id.chunk,
-         .quality = flight.request.id.level(),
+         .tile = flight.request.id.key.tile,
+         .chunk = flight.request.id.key.index,
+         .quality = flight.request.id.level,
          .path = trace_path_,
          .bytes = r.completed() ? bytes : 0,
          .urgent = flight.request.urgent,

@@ -42,10 +42,9 @@ enum class FetchOutcome : std::uint8_t {
 }
 
 struct ChunkRequest {
-  // Canonical object identity (what caches key on and trace labels carry).
-  // Sessions build it from the planned media::ChunkAddress via
-  // net::to_chunk_id.
-  net::ChunkId id;
+  // The planned object, C(q, l, t): what caches key on and trace labels
+  // carry.
+  media::ChunkAddress id;
   std::int64_t bytes = 0;
   abr::SpatialClass spatial = abr::SpatialClass::kFov;
   bool urgent = false;                 // temporal priority (Table 1)

@@ -41,7 +41,9 @@ class TileGrid {
   [[nodiscard]] Uv tile_center(TileId id) const;
 
   // Horizontal neighbors wrap around (the panorama is periodic in u);
-  // vertical neighbors do not. Returns 4-neighbourhood.
+  // vertical neighbors do not. Returns 4-neighbourhood. The library's ring
+  // BFS (TileGeometry::oos_rings) inlines this adjacency without
+  // allocating; this allocating form is the tests' independent reference.
   [[nodiscard]] std::vector<TileId> neighbors(TileId id) const;
 
   [[nodiscard]] bool contains(TileId id) const { return id >= 0 && id < tile_count(); }

@@ -148,8 +148,7 @@ void LiveBroadcastSession::server_push() {
   if (pushing_) return;
   // RTMP fan-out to a slow viewer: when too many segments queue up behind
   // the viewer's socket, the server drops the oldest (frame dropping).
-  int latest = -1;
-  for (const auto& [index, seg] : available_) latest = std::max(latest, index);
+  const int latest = latest_available();
   if (latest >= 0 && latest - push_next_ > config_.platform.push_max_backlog) {
     push_next_ = latest - config_.platform.push_max_backlog;
   }
@@ -157,13 +156,8 @@ void LiveBroadcastSession::server_push() {
   if (it == available_.end()) {
     // The broadcaster may have dropped this index entirely; skip over gaps
     // that can no longer arrive.
-    if (!available_.empty() && latest >= push_next_) {
-      for (const auto& [index, seg] : available_) {
-        if (index >= push_next_) {
-          push_next_ = index;
-          break;
-        }
-      }
+    if (latest >= push_next_) {
+      push_next_ = available_.lower_bound(push_next_)->first;
       server_push();
     }
     return;
@@ -192,8 +186,7 @@ void LiveBroadcastSession::server_push() {
 
 void LiveBroadcastSession::viewer_poll() {
   // MPD refresh: learn about newly available segments.
-  int max_index = -1;
-  for (const auto& [index, seg] : available_) max_index = std::max(max_index, index);
+  const int max_index = latest_available();
   if (max_index >= viewer_known_) {
     viewer_known_ = max_index + 1;
     viewer_maybe_request();
@@ -205,8 +198,7 @@ void LiveBroadcastSession::viewer_maybe_request() {
   // "Skip to live": a pull viewer that has fallen too far behind the live
   // edge jumps forward instead of fetching stale segments.
   if (config_.platform.viewer_max_behind_s > 0.0) {
-    int latest = -1;
-    for (const auto& [index, seg] : available_) latest = std::max(latest, index);
+    const int latest = latest_available();
     const double behind_s =
         (latest - viewer_next_fetch_) * config_.platform.segment_s;
     if (latest >= 0 && behind_s > config_.platform.viewer_max_behind_s) {
@@ -221,11 +213,7 @@ void LiveBroadcastSession::viewer_maybe_request() {
   while (viewer_next_fetch_ < viewer_known_ &&
          !available_.contains(viewer_next_fetch_)) {
     // Dropped at the broadcaster: skip the gap.
-    bool exists_later = false;
-    for (const auto& [index, seg] : available_) {
-      if (index > viewer_next_fetch_) exists_later = true;
-    }
-    if (!exists_later) return;
+    if (available_.upper_bound(viewer_next_fetch_) == available_.end()) return;
     ++viewer_next_fetch_;
   }
   const auto it = available_.find(viewer_next_fetch_);

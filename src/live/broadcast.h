@@ -84,6 +84,10 @@ class LiveBroadcastSession {
   void viewer_maybe_request();
   void server_push();
   void viewer_play_loop();
+  // Highest ingested segment index, or -1 before the first ingest.
+  [[nodiscard]] int latest_available() const {
+    return available_.empty() ? -1 : available_.rbegin()->first;
+  }
 
   Config config_;
   sim::Simulator simulator_;
@@ -97,7 +101,7 @@ class LiveBroadcastSession {
   double upload_backlog_kbits_ = 0.0;
   int dropped_ = 0;
 
-  // Ingest state: segments ready for distribution.
+  // Ingest state: segments ready for distribution, index-ordered.
   std::map<int, Segment> available_;
   int push_next_ = 0;      // next segment index to push (RTMP push)
   bool pushing_ = false;

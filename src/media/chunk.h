@@ -55,3 +55,18 @@ struct std::hash<sperke::media::ChunkKey> {
         static_cast<std::uint32_t>(k.index));
   }
 };
+
+// Packs the key and the (encoding, level) pair into one 64-bit word each and
+// mixes the two once.
+template <>
+struct std::hash<sperke::media::ChunkAddress> {
+  std::size_t operator()(const sperke::media::ChunkAddress& a) const noexcept {
+    const auto hi =
+        (static_cast<std::uint64_t>(a.encoding) << 32) |
+        static_cast<std::uint32_t>(a.level);
+    std::uint64_t h = std::hash<sperke::media::ChunkKey>{}(a.key);
+    h ^= std::hash<std::uint64_t>{}(hi) +
+         0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    return static_cast<std::size_t>(h);
+  }
+};

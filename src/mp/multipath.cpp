@@ -204,9 +204,9 @@ void MultipathTransport::fetch(core::ChunkRequest request) {
     telemetry_->trace().record(
         {.type = obs::TraceEventType::kPathAssigned,
          .ts = simulator_.now(),
-         .tile = request.id.tile,
-         .chunk = request.id.chunk,
-         .quality = request.id.level(),
+         .tile = request.id.key.tile,
+         .chunk = request.id.key.index,
+         .quality = request.id.level,
          .path = static_cast<std::int32_t>(index),
          .bytes = request.bytes,
          .urgent = request.urgent,

@@ -6,14 +6,11 @@
 // link) and cdn::EdgeSource, a trip through a CDN edge cache with an
 // origin behind it (DESIGN.md §15).
 //
-// ChunkId is the canonical identity of a downloadable object, replacing the
-// ad-hoc (tile, chunk, level) tuples previously threaded through transport
-// and telemetry request spans. It is what caches key on, what coalescing
+// A fetch names its object by media::ChunkAddress, the paper's C(q, l, t):
+// the key the planner plans in is what caches key on, what coalescing
 // dedupes on, and what trace labels are derived from.
 #pragma once
 
-#include <compare>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -23,43 +20,9 @@
 
 namespace sperke::net {
 
-// Canonical key of one downloadable media object, as the network tier sees
-// it. `layer` disambiguates the quality axis: layer == -1 is a single-layer
-// (AVC) object whose ladder rung is `quality`; layer >= 0 is the SVC layer
-// object `layer` (quality stays 0 — the layer IS the quality coordinate).
-// Every world streams one video, so the key names no content.
-struct ChunkId {
-  std::int32_t chunk = 0;    // temporal index (media::ChunkIndex)
-  std::int32_t tile = 0;     // spatial tile (geo::TileId)
-  std::int32_t quality = 0;  // AVC ladder rung; 0 for SVC layer objects
-  std::int32_t layer = -1;   // SVC layer index; -1 = single-layer (AVC)
-
-  friend auto operator<=>(const ChunkId&, const ChunkId&) = default;
-
-  [[nodiscard]] constexpr bool svc() const { return layer >= 0; }
-
-  // The single "level" label telemetry and goldens carry: the AVC ladder
-  // rung or the SVC layer index, exactly as media::ChunkAddress::level.
-  [[nodiscard]] constexpr std::int32_t level() const {
-    return svc() ? layer : quality;
-  }
-};
-
-// Lossless round-trip with the media-layer address (the key ABR plans in).
-[[nodiscard]] constexpr ChunkId to_chunk_id(const media::ChunkAddress& address) {
-  const bool svc = address.encoding == media::Encoding::kSvc;
-  return ChunkId{.chunk = address.key.index,
-                 .tile = address.key.tile,
-                 .quality = svc ? 0 : address.level,
-                 .layer = svc ? address.level : -1};
-}
-
-[[nodiscard]] constexpr media::ChunkAddress to_chunk_address(const ChunkId& id) {
-  return media::ChunkAddress{
-      .key = {.tile = id.tile, .index = id.chunk},
-      .encoding = id.svc() ? media::Encoding::kSvc : media::Encoding::kAvc,
-      .level = id.level()};
-}
+// The former name of the fetch key, kept for code outside the library
+// that still spells it.
+using ChunkId = media::ChunkAddress;
 
 // Handle for one outstanding fetch, scoped to the issuing ChunkSource.
 using FetchId = std::uint64_t;
@@ -90,7 +53,7 @@ using TransferCallback = std::function<void(const TransferResult&)>;
 // a direct Link ignores it, the transport's own timeout machinery still
 // cancels late fetches).
 struct FetchSpec {
-  ChunkId id;
+  media::ChunkAddress id;
   std::int64_t bytes = 0;
   double weight = 1.0;
   sim::Time deadline{sim::kTimeZero};
@@ -121,19 +84,3 @@ class ChunkSource {
 };
 
 }  // namespace sperke::net
-
-template <>
-struct std::hash<sperke::net::ChunkId> {
-  std::size_t operator()(const sperke::net::ChunkId& id) const noexcept {
-    const auto lo =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.chunk)) << 32) |
-        static_cast<std::uint32_t>(id.tile);
-    const auto hi =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.quality)) << 32) |
-        static_cast<std::uint32_t>(id.layer);
-    std::uint64_t h = std::hash<std::uint64_t>{}(lo);
-    h ^= std::hash<std::uint64_t>{}(hi) +
-         0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};

@@ -14,8 +14,8 @@
 // reports how it ended through a typed TransferResult.
 //
 // A Link is also the direct net::ChunkSource: fetch(spec) is one transfer
-// of spec.bytes at spec.weight; the ChunkId and the deadline are never
-// looked at.
+// of spec.bytes at spec.weight; the chunk address and the deadline are
+// never looked at.
 #pragma once
 
 #include <cstddef>

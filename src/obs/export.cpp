@@ -67,12 +67,9 @@ void write_chrome_trace(std::ostream& out,
   std::vector<Record> records;
   records.reserve(events.size());
   // Open spans awaiting their closing event: fetches keyed by request id
-  // when the producer assigned one (ids disambiguate a retry of the same
-  // chunk cell), falling back to the chunk cell + quality for untraced
-  // events; transport attempts by (request id, attempt number); stalls by
-  // track (at most one open per session).
-  std::map<std::tuple<std::int32_t, std::int32_t, std::int32_t>, TraceEvent>
-      open_fetches;
+  // (every traced fetch carries one, and ids disambiguate a retry of the
+  // same chunk cell); transport attempts by (request id, attempt number);
+  // stalls by track (at most one open per session).
   std::map<std::int64_t, TraceEvent> open_requests;
   std::map<std::pair<std::int64_t, std::int64_t>, TraceEvent> open_attempts;
   std::map<int, TraceEvent> open_stalls;
@@ -93,38 +90,24 @@ void write_chrome_trace(std::ostream& out,
   for (const TraceEvent& e : events) {
     switch (e.type) {
       case TraceEventType::kFetchDispatched:
-        if (e.request != 0) {
-          open_requests[e.request] = e;
-        } else {
-          open_fetches[{e.tile, e.chunk, e.quality}] = e;
-        }
+        open_requests[e.request] = e;
         break;
       case TraceEventType::kFetchDone:
       case TraceEventType::kFetchDropped: {
-        const TraceEvent* begin = nullptr;
-        if (e.request != 0) {
-          const auto it = open_requests.find(e.request);
-          if (it != open_requests.end()) begin = &it->second;
-        } else {
-          const auto it = open_fetches.find({e.tile, e.chunk, e.quality});
-          if (it != open_fetches.end()) begin = &it->second;
-        }
-        if (begin != nullptr) {
+        const auto it = open_requests.find(e.request);
+        if (it != open_requests.end()) {
+          const TraceEvent& begin = it->second;
           TraceEvent span = e;
-          span.urgent = begin->urgent;
+          span.urgent = begin.urgent;
           // A retried fetch's span carries its parent linkage even when
           // only the dispatch event recorded it.
-          if (span.parent == 0) span.parent = begin->parent;
-          push(begin->ts.count(), (e.ts - begin->ts).count(),
+          if (span.parent == 0) span.parent = begin.parent;
+          push(begin.ts.count(), (e.ts - begin.ts).count(),
                e.type == TraceEventType::kFetchDone
                    ? (span.parent != 0 ? "FetchRetry" : "Fetch")
                    : "FetchDropped",
                span);
-          if (e.request != 0) {
-            open_requests.erase(e.request);
-          } else {
-            open_fetches.erase({e.tile, e.chunk, e.quality});
-          }
+          open_requests.erase(it);
         } else {
           push(e.ts.count(), -1, std::string(trace_event_name(e.type)), e);
         }
@@ -168,9 +151,6 @@ void write_chrome_trace(std::ostream& out,
   }
   // Spans that never closed (session cut off mid-fetch / mid-stall) export
   // as instants so no event is silently lost.
-  for (const auto& [key, e] : open_fetches) {
-    push(e.ts.count(), -1, "FetchDispatched", e);
-  }
   for (const auto& [request, e] : open_requests) {
     push(e.ts.count(), -1, "FetchDispatched", e);
   }

@@ -1,10 +1,11 @@
 // Exporters for the telemetry subsystem.
 //
 //  * write_chrome_trace — Chrome trace_event JSON (the "JSON Array Format"),
-//    loadable in chrome://tracing or https://ui.perfetto.dev. Fetches and
-//    stalls are paired into complete ("ph":"X") spans; everything else is an
-//    instant event. Timestamps are simulator microseconds, so the exported
-//    file is byte-identical across runs with identical seeds.
+//    loadable in chrome://tracing or https://ui.perfetto.dev. Fetches
+//    (paired by request id) and stalls become complete ("ph":"X") spans; an
+//    unmatched begin or end and everything else is an instant event.
+//    Timestamps are simulator microseconds, so the exported file is
+//    byte-identical across runs with identical seeds.
 //  * write_trace_jsonl — one raw TraceEvent per line, for ad-hoc analysis.
 //  * write_metrics_csv — one row per instrument (name, kind, count, sum,
 //    mean, min, max, value), the bench harness's figure source.

@@ -159,11 +159,14 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
                 "MetricsRegistry: name index out of sync with entries");
 }
 
-double histogram_quantile_bound(const Histogram& hist, double q) {
+double bucket_quantile_bound(std::span<const double> bounds,
+                             std::span<const std::int64_t> counts, double q,
+                             double overflow) {
   SPERKE_CHECK(q >= 0.0 && q <= 1.0, "quantile ", q, " outside [0, 1]");
-  const auto& counts = hist.bucket_counts();
-  const auto& bounds = hist.upper_bounds();
-  const auto total = hist.count();
+  SPERKE_CHECK(counts.size() == bounds.size() + 1, "quantile over ",
+               counts.size(), " bucket counts for ", bounds.size(), " bounds");
+  std::int64_t total = 0;
+  for (const std::int64_t c : counts) total += c;
   if (total <= 0) return 0.0;
   const auto target =
       static_cast<std::int64_t>(q * static_cast<double>(total));
@@ -172,7 +175,12 @@ double histogram_quantile_bound(const Histogram& hist, double q) {
     cumulative += counts[i];
     if (cumulative > target) return bounds[i];
   }
-  return hist.max();  // fell into the +inf overflow bucket
+  return overflow;
+}
+
+double histogram_quantile_bound(const Histogram& hist, double q) {
+  return bucket_quantile_bound(hist.upper_bounds(), hist.bucket_counts(), q,
+                               hist.max());
 }
 
 std::vector<double> decade_buckets() {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -136,11 +137,18 @@ class MetricsRegistry {
 // 1, 2, 5, 10, ... decades up to 10000.
 [[nodiscard]] std::vector<double> decade_buckets();
 
-// Quantile upper bound from a fixed-bucket histogram: the bucket ceiling
-// under which a `q` fraction (q in [0,1]) of the samples fall, or max()
-// when the quantile lands in the +inf overflow bucket. 0 for an empty
-// histogram. q=0.99 is the p99 the benches and SimMonitor report. A q
-// outside [0,1], NaN included, fails a SPERKE_CHECK.
+// Quantile upper bound over fixed buckets: `counts` holds one count per
+// entry of `bounds` plus the +inf overflow bucket last. Returns the bucket
+// ceiling under which a `q` fraction (q in [0,1]) of the samples fall,
+// `overflow` when the quantile lands in the overflow bucket, and 0 when
+// there are no samples. A q outside [0,1], NaN included, fails a
+// SPERKE_CHECK.
+[[nodiscard]] double bucket_quantile_bound(std::span<const double> bounds,
+                                           std::span<const std::int64_t> counts,
+                                           double q, double overflow);
+
+// bucket_quantile_bound over a histogram, answering max() for the overflow
+// bucket. q=0.99 is the p99 the benches and SimMonitor report.
 [[nodiscard]] double histogram_quantile_bound(const Histogram& hist, double q);
 
 }  // namespace sperke::obs

@@ -6,29 +6,6 @@
 #include "util/check.h"
 
 namespace sperke::obs {
-namespace {
-
-// Quantile upper bound over pre-summed bucket deltas. Mirrors
-// histogram_quantile_bound, except an interval has no min/max record, so a
-// quantile landing in the +inf overflow bucket reads as +infinity — to SLO
-// math, "beyond the histogram's range" must breach any finite threshold.
-double bucket_quantile_bound(const std::vector<double>& bounds,
-                             const std::vector<std::int64_t>& counts,
-                             double q) {
-  SPERKE_CHECK(q >= 0.0 && q <= 1.0, "quantile ", q, " outside [0, 1]");
-  std::int64_t total = 0;
-  for (const std::int64_t c : counts) total += c;
-  if (total <= 0) return 0.0;
-  const auto target = static_cast<std::int64_t>(q * static_cast<double>(total));
-  std::int64_t cumulative = 0;
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    cumulative += counts[i];
-    if (cumulative > target) return bounds[i];
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
-}  // namespace
 
 double series_quantile_bound(const TimeSeries& series, std::size_t interval,
                              double q) {
@@ -52,7 +29,9 @@ double series_window_quantile_bound(const TimeSeries& series, std::size_t first,
       window[b] += series.bucket_deltas[i * columns + b];
     }
   }
-  return bucket_quantile_bound(series.upper_bounds, window, q);
+  // An interval keeps no max, so the overflow bucket reads as +infinity.
+  return bucket_quantile_bound(series.upper_bounds, window, q,
+                               std::numeric_limits<double>::infinity());
 }
 
 TimeSeriesStore::TimeSeriesStore(sim::Duration period) : period_(period) {

@@ -60,8 +60,30 @@ TEST(QoeTracker, RejectsBadInputs) {
   QoeTracker tracker;
   EXPECT_THROW(tracker.record_played_chunk(1.5, 0.0), std::invalid_argument);
   EXPECT_THROW(tracker.record_played_chunk(0.5, -0.1), std::invalid_argument);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(tracker.record_played_chunk(kNan, 0.0), std::invalid_argument);
+  EXPECT_THROW(tracker.record_played_chunk(0.5, kNan), std::invalid_argument);
   EXPECT_THROW(tracker.record_stall(sim::Duration{-1}), std::invalid_argument);
   EXPECT_THROW(tracker.record_skip(-1), std::invalid_argument);
+  EXPECT_THROW(tracker.record_downloaded(-1), std::invalid_argument);
+  EXPECT_THROW(tracker.record_wasted(-1), std::invalid_argument);
+  // A rejected input leaves the summary untouched.
+  const QoeSummary s = tracker.summary();
+  EXPECT_EQ(s.chunks_played, 0);
+  EXPECT_EQ(s.bytes_downloaded, 0);
+  EXPECT_EQ(s.bytes_wasted, 0);
+}
+
+TEST(QoeTracker, ByteTotalsThrowInsteadOfOverflowing) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  QoeTracker tracker;
+  tracker.record_downloaded(kMax);
+  tracker.record_wasted(kMax);
+  EXPECT_THROW(tracker.record_downloaded(1), std::overflow_error);
+  EXPECT_THROW(tracker.record_wasted(1), std::overflow_error);
+  // The totals stay at the last value that fit.
+  EXPECT_EQ(tracker.summary().bytes_downloaded, kMax);
+  EXPECT_EQ(tracker.summary().bytes_wasted, kMax);
 }
 
 TEST(ThroughputVra, PicksSustainableLevel) {

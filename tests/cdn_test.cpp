@@ -26,13 +26,14 @@
 namespace sperke::cdn {
 namespace {
 
-using net::ChunkId;
+using media::ChunkAddress;
 using net::TransferResult;
 using net::TransferStatus;
 
 // Shorthand for single-video AVC objects: the tests only need one axis.
-ChunkId cid(std::int32_t tile, std::int32_t chunk = 0, std::int32_t quality = 0) {
-  return ChunkId{.chunk = chunk, .tile = tile, .quality = quality};
+ChunkAddress cid(std::int32_t tile, std::int32_t chunk = 0,
+                 std::int32_t quality = 0) {
+  return {.key = {.tile = tile, .index = chunk}, .level = quality};
 }
 
 net::LinkConfig link_config(const std::string& name, double kbps = 80'000.0) {
@@ -41,43 +42,6 @@ net::LinkConfig link_config(const std::string& name, double kbps = 80'000.0) {
   config.bandwidth = net::BandwidthTrace::constant(kbps);
   config.rtt = sim::milliseconds(20);
   return config;
-}
-
-// ------------------------------------------------------------------ ChunkId
-
-TEST(ChunkId, RoundTripsAvcAddresses) {
-  const media::ChunkAddress avc{
-      .key = {.tile = 5, .index = 7}, .encoding = media::Encoding::kAvc, .level = 3};
-  const ChunkId id = net::to_chunk_id(avc);
-  EXPECT_EQ(id.tile, 5);
-  EXPECT_EQ(id.chunk, 7);
-  EXPECT_EQ(id.quality, 3);
-  EXPECT_EQ(id.layer, -1);
-  EXPECT_FALSE(id.svc());
-  EXPECT_EQ(id.level(), 3);
-  EXPECT_EQ(net::to_chunk_address(id), avc);
-}
-
-TEST(ChunkId, RoundTripsSvcAddresses) {
-  const media::ChunkAddress svc{
-      .key = {.tile = 2, .index = 4}, .encoding = media::Encoding::kSvc, .level = 1};
-  const ChunkId id = net::to_chunk_id(svc);
-  EXPECT_EQ(id.quality, 0);  // the layer IS the quality coordinate
-  EXPECT_EQ(id.layer, 1);
-  EXPECT_TRUE(id.svc());
-  EXPECT_EQ(id.level(), 1);
-  EXPECT_EQ(net::to_chunk_address(id), svc);
-}
-
-TEST(ChunkId, OrdersLexicographically) {
-  EXPECT_LT(cid(0, 0), cid(1, 0));
-  EXPECT_LT(cid(9, 0), cid(0, 1));  // chunk dominates tile
-  EXPECT_LT(cid(3, 3, 0), cid(3, 3, 1));
-  EXPECT_EQ(cid(3, 3, 1), cid(3, 3, 1));
-  // AVC (layer -1) and SVC layer objects of the same rung never collide.
-  ChunkId svc = cid(3, 3, 0);
-  svc.layer = 1;
-  EXPECT_NE(svc, cid(3, 3, 1));
 }
 
 // ----------------------------------------------------------------- EdgeCache
@@ -98,11 +62,12 @@ TEST(EdgeCache, LruGoldenEvictionSequence) {
   EXPECT_TRUE(cache.touch(cid(0)));
   EXPECT_EQ(cache.insert(cid(3), 100), 1);
   EXPECT_FALSE(cache.contains(cid(1)));
-  EXPECT_EQ(cache.resident(), (std::vector<ChunkId>{cid(0), cid(2), cid(3)}));
+  EXPECT_EQ(cache.resident(),
+            (std::vector<ChunkAddress>{cid(0), cid(2), cid(3)}));
 
   // A 150-byte object displaces the two least recent residents: 2, then 0.
   EXPECT_EQ(cache.insert(cid(4), 150), 2);
-  EXPECT_EQ(cache.resident(), (std::vector<ChunkId>{cid(3), cid(4)}));
+  EXPECT_EQ(cache.resident(), (std::vector<ChunkAddress>{cid(3), cid(4)}));
   EXPECT_EQ(cache.used_bytes(), 250);
 }
 
@@ -138,7 +103,7 @@ TEST(EdgeCache, CapacityNearInt64MaxDoesNotOverflow) {
   EdgeCache cache(kMax);
   EXPECT_EQ(cache.insert(cid(0), kHalf), 0);
   EXPECT_EQ(cache.insert(cid(1), kHalf), 1);
-  EXPECT_EQ(cache.resident(), (std::vector<ChunkId>{cid(1)}));
+  EXPECT_EQ(cache.resident(), (std::vector<ChunkAddress>{cid(1)}));
   EXPECT_EQ(cache.used_bytes(), kHalf);
   EXPECT_EQ(cache.insert(cid(2), kMax - kHalf), 0);
   EXPECT_EQ(cache.used_bytes(), kMax);
@@ -150,11 +115,11 @@ class OrderedReferenceCache {
  public:
   explicit OrderedReferenceCache(std::int64_t capacity) : capacity_(capacity) {}
 
-  [[nodiscard]] bool contains(const ChunkId& id) const {
+  [[nodiscard]] bool contains(const ChunkAddress& id) const {
     return entries_.contains(id);
   }
 
-  bool touch(const ChunkId& id) {
+  bool touch(const ChunkAddress& id) {
     auto it = entries_.find(id);
     if (it == entries_.end()) return false;
     order_.erase({it->second.seq, id});
@@ -163,12 +128,12 @@ class OrderedReferenceCache {
     return true;
   }
 
-  int insert(const ChunkId& id, std::int64_t bytes) {
+  int insert(const ChunkAddress& id, std::int64_t bytes) {
     if (touch(id)) return 0;
     if (bytes > capacity_) return -1;
     int evicted = 0;
     while (bytes > capacity_ - used_) {
-      const ChunkId victim = order_.begin()->second;
+      const ChunkAddress victim = order_.begin()->second;
       order_.erase(order_.begin());
       used_ -= entries_.at(victim).bytes;
       entries_.erase(victim);
@@ -183,8 +148,8 @@ class OrderedReferenceCache {
 
   [[nodiscard]] std::int64_t used_bytes() const { return used_; }
   [[nodiscard]] int size() const { return static_cast<int>(entries_.size()); }
-  [[nodiscard]] std::vector<ChunkId> resident() const {
-    std::vector<ChunkId> ids;
+  [[nodiscard]] std::vector<ChunkAddress> resident() const {
+    std::vector<ChunkAddress> ids;
     for (const auto& [id, entry] : entries_) ids.push_back(id);
     return ids;
   }
@@ -196,8 +161,8 @@ class OrderedReferenceCache {
   };
 
   std::int64_t capacity_;
-  std::map<ChunkId, Entry> entries_;
-  std::set<std::pair<std::uint64_t, ChunkId>> order_;
+  std::map<ChunkAddress, Entry> entries_;
+  std::set<std::pair<std::uint64_t, ChunkAddress>> order_;
   std::int64_t used_ = 0;
   std::uint64_t clock_ = 0;
 };
@@ -215,7 +180,7 @@ TEST(EdgeCache, MatchesOrderedReferenceModel) {
     for (int op = 0; op < 60; ++op) {
       const auto tile = static_cast<std::int32_t>(rng.uniform_int(0, 5));
       const auto chunk = static_cast<std::int32_t>(rng.uniform_int(0, 1));
-      const ChunkId id = cid(tile, chunk);
+      const ChunkAddress id = cid(tile, chunk);
       const std::int64_t kind = rng.uniform_int(0, 9);
       if (kind < 4) {
         EXPECT_EQ(cache.touch(id), reference.touch(id));
@@ -262,7 +227,7 @@ struct EdgeHarness {
 
 TEST(EdgeSource, MissFillsCacheThenHitSkipsBackhaul) {
   EdgeHarness h;
-  const ChunkId id = cid(2, 1);
+  const ChunkAddress id = cid(2, 1);
 
   TransferResult miss{};
   h.source.fetch({.id = id, .bytes = 60'000}, [&](const TransferResult& r) {
@@ -295,7 +260,7 @@ TEST(EdgeSource, MissFillsCacheThenHitSkipsBackhaul) {
 
 TEST(EdgeSource, ConcurrentMissesCoalesceOnTheBackhaul) {
   EdgeHarness h;
-  const ChunkId id = cid(4);
+  const ChunkAddress id = cid(4);
   std::vector<TransferResult> results(2);
   for (int w = 0; w < 2; ++w) {
     h.source.fetch({.id = id, .bytes = 70'000}, [&, w](const TransferResult& r) {
@@ -320,7 +285,7 @@ TEST(EdgeSource, SharedEdgeFillsOnceAndIsResidentBeforeAnyServe) {
   // Two link groups miss on the same object: one backhaul transfer serves
   // both, and the cache holds the object before either waiter is served.
   EdgeHarness h;
-  const ChunkId id = cid(3);
+  const ChunkAddress id = cid(3);
   std::vector<TransferResult> results(3);
   std::vector<int> fired(3, 0);
   const auto record = [&](int w) {
@@ -361,7 +326,7 @@ TEST(EdgeSource, BackhaulFaultFailsEveryCoalescedWaiterOnce) {
   net::LinkConfig backhaul = link_config("backhaul");
   backhaul.faults.outages.push_back({.start_s = 0.0, .duration_s = 5.0});
   EdgeHarness h(backhaul);
-  const ChunkId id = cid(1);
+  const ChunkAddress id = cid(1);
   std::vector<int> order;
   const auto record = [&](int w) {
     return [&, w](const TransferResult& r) {
@@ -402,7 +367,7 @@ TEST(EdgeSource, BackhaulFaultFailsEveryCoalescedWaiterOnce) {
 
 TEST(EdgeSource, CancelDetachesOneOfTwoSharedWaiters) {
   EdgeHarness h;
-  const ChunkId id = cid(6);
+  const ChunkAddress id = cid(6);
   TransferResult kept{};
   TransferResult dropped{};
   int kept_fired = 0;
@@ -464,7 +429,7 @@ TEST(EdgeSource, BackhaulFaultReachesClientAsFailure) {
 
 TEST(EdgeSource, CancelWhileWaitingOnOriginStillFillsCache) {
   EdgeHarness h;
-  const ChunkId id = cid(8);
+  const ChunkAddress id = cid(8);
   TransferResult result{};
   int fired = 0;
   const net::FetchId fetch = h.source.fetch(
@@ -487,7 +452,7 @@ TEST(EdgeSource, CancelWhileWaitingOnOriginStillFillsCache) {
 
 TEST(EdgeSource, CancelWhileServingAbortsTheAccessTransfer) {
   EdgeHarness h;
-  const ChunkId id = cid(5);
+  const ChunkAddress id = cid(5);
   ASSERT_EQ(h.edge.cache().insert(id, 90'000), 0);  // pre-seed: fetch hits
 
   TransferResult result{};
@@ -611,10 +576,11 @@ TEST(EdgeWarm, CapacityNearInt64MaxDoesNotOverflow) {
   sim::Simulator simulator;
   net::Link backhaul(simulator, link_config("backhaul"));
   Edge edge(backhaul, kMax, nullptr);
-  const ChunkId resident{.layer = 0};  // an SVC layer: warming loads AVC only
+  // An SVC layer: warming loads AVC only.
+  const ChunkAddress resident{.key = {}, .encoding = media::Encoding::kSvc};
   EXPECT_EQ(edge.cache().insert(resident, kMax - 10), 0);
   EXPECT_EQ(edge.warm(video, crowd, /*tiles_per_chunk=*/2, /*level=*/0), 0);
-  EXPECT_EQ(edge.cache().resident(), (std::vector<ChunkId>{resident}));
+  EXPECT_EQ(edge.cache().resident(), (std::vector<ChunkAddress>{resident}));
   EXPECT_EQ(edge.cache().used_bytes(), kMax - 10);
 }
 
@@ -791,7 +757,7 @@ TEST(Topology, GroupsOfOneEdgeShareItsCache) {
 
   // Group 0's miss fills the shared cache; group 1's fetch of the same
   // object is a pure hit — that is exactly how sessions share an edge.
-  const ChunkId id = cid(7, 2);
+  const ChunkAddress id = cid(7, 2);
   TransferResult first{};
   group0.fetch({.id = id, .bytes = 30'000}, [&](const TransferResult& r) {
     first = r;
@@ -823,7 +789,7 @@ TEST(Topology, DistinctEdgeIdsGetDistinctCaches) {
   net::ChunkSource& edge1 = topology.add_group(1, link_config("a1"));
   EXPECT_EQ(topology.edge_count(), 2);
 
-  const ChunkId id = cid(1);
+  const ChunkAddress id = cid(1);
   TransferResult r0{};
   TransferResult r1{};
   edge0.fetch({.id = id, .bytes = 20'000}, [&](const TransferResult& r) { r0 = r; });

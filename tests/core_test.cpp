@@ -183,7 +183,7 @@ TEST_F(TransportTest, DeliversAndEstimates) {
   SingleLinkTransport transport(link);
   bool done = false;
   ChunkRequest req;
-  req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
+  req.id = {{0, 0}, Encoding::kAvc, 0};
   req.bytes = 1'000'000;
   req.on_done = [&](sim::Time, FetchOutcome outcome) {
     done = delivered(outcome);
@@ -202,7 +202,7 @@ TEST_F(TransportTest, ConcurrencyLimitQueues) {
   std::vector<int> order;
   auto submit = [&](int id, bool urgent) {
     ChunkRequest req;
-    req.id = net::to_chunk_id({{id, 0}, Encoding::kAvc, 0});
+    req.id = {{id, 0}, Encoding::kAvc, 0};
     req.bytes = 100'000;
     req.urgent = urgent;
     req.on_done = [&order, id](sim::Time, FetchOutcome) { order.push_back(id); };
@@ -230,10 +230,10 @@ TEST_F(TransportTest, RejectsBadRequests) {
 
 TEST(TransportAdapter, LinkIsItsOwnChunkSource) {
   // A Link is the direct ChunkSource: fetching through that interface with
-  // a ChunkId and a deadline, and cancelling through it, must match a bare
-  // {bytes, weight} fetch on the link itself. A mixed-weight workload with
-  // a mid-flight cancel settles with the same results, in the same order,
-  // at the same instants.
+  // a chunk address and a deadline, and cancelling through it, must match
+  // a bare {bytes, weight} fetch on the link itself. A mixed-weight
+  // workload with a mid-flight cancel settles with the same results, in
+  // the same order, at the same instants.
   struct Settled {
     int index = 0;
     net::TransferStatus status = net::TransferStatus::kCompleted;
@@ -259,7 +259,7 @@ TEST(TransportAdapter, LinkIsItsOwnChunkSource) {
         settled.push_back({i, r.status, r.time, r.bytes_delivered});
       };
       ids.push_back(through_fetch
-                        ? source.fetch({.id = net::to_chunk_id({{i, 0}, Encoding::kAvc, 1}),
+                        ? source.fetch({.id = {{i, 0}, Encoding::kAvc, 1},
                                         .bytes = bytes,
                                         .weight = weight,
                                         .deadline = sim::milliseconds(500)},
@@ -341,7 +341,7 @@ TEST_F(TransportRecoveryTest, RetriesThroughOutageAndDelivers) {
   SingleLinkTransport transport(link, recovery_options());
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
-  req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
+  req.id = {{0, 0}, Encoding::kAvc, 0};
   req.bytes = 1'000'000;
   req.deadline = sim::seconds(30.0);
   req.on_done = [&](sim::Time, FetchOutcome o) { outcome = o; };
@@ -370,7 +370,7 @@ TEST_F(TransportRecoveryTest, StaleAttemptTimeoutNeverCancelsItsRetry) {
   std::optional<FetchOutcome> outcome;
   sim::Time settled{sim::kTimeZero};
   ChunkRequest req;
-  req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
+  req.id = {{0, 0}, Encoding::kAvc, 0};
   req.bytes = 150'000;
   req.deadline = sim::seconds(0.2);
   req.on_done = [&](sim::Time t, FetchOutcome o) {
@@ -404,7 +404,7 @@ TEST_F(TransportRecoveryTest, BudgetExhaustionReportsFailed) {
   std::optional<FetchOutcome> outcome;
   sim::Time settled{sim::kTimeZero};
   ChunkRequest req;
-  req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
+  req.id = {{0, 0}, Encoding::kAvc, 0};
   req.bytes = 1'000'000;
   req.deadline = sim::seconds(30.0);
   req.on_done = [&](sim::Time t, FetchOutcome o) {
@@ -438,7 +438,7 @@ TEST_F(TransportRecoveryTest, DeadlineDerivedTimeoutCancelsSlowTransfer) {
   std::optional<FetchOutcome> outcome;
   sim::Time settled{sim::kTimeZero};
   ChunkRequest req;
-  req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
+  req.id = {{0, 0}, Encoding::kAvc, 0};
   req.bytes = 1'000'000;
   req.deadline = sim::seconds(0.5);
   req.on_done = [&](sim::Time t, FetchOutcome o) {
@@ -461,7 +461,7 @@ TEST_F(TransportRecoveryTest, OosPrefetchAbandonedOnFirstFailure) {
   SingleLinkTransport transport(link, recovery_options());
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
-  req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
+  req.id = {{0, 0}, Encoding::kAvc, 0};
   req.bytes = 1'000'000;
   req.spatial = abr::SpatialClass::kOos;
   req.deadline = sim::seconds(30.0);
@@ -493,7 +493,7 @@ TEST_F(TransportRecoveryTest, DispatchOrderPinsClassesAndRetryPlacement) {
   SingleLinkTransport transport(link, options);
   const auto submit = [&](std::int64_t id, abr::SpatialClass spatial, bool urgent) {
     ChunkRequest req;
-    req.id = net::to_chunk_id({{static_cast<int>(id), 0}, Encoding::kAvc, 0});
+    req.id = {{static_cast<int>(id), 0}, Encoding::kAvc, 0};
     req.bytes = 100'000;
     req.spatial = spatial;
     req.urgent = urgent;
@@ -532,7 +532,7 @@ TEST_F(TransportRecoveryTest, RecoveryDisabledKeepsLegacySemantics) {
   SingleLinkTransport transport(link);  // recovery off
   std::optional<FetchOutcome> outcome;
   ChunkRequest req;
-  req.id = net::to_chunk_id({{0, 0}, Encoding::kAvc, 0});
+  req.id = {{0, 0}, Encoding::kAvc, 0};
   req.bytes = 1'000'000;
   req.deadline = sim::seconds(30.0);
   req.on_done = [&](sim::Time, FetchOutcome o) { outcome = o; };
@@ -556,13 +556,13 @@ class InlineSource final : public net::ChunkSource {
     const net::FetchId id = next_id_++;
     ++depth_;
     max_depth = std::max(max_depth, depth_);
-    const bool fail =
-        spec.id.tile % 7 == 3 && failed_tiles_.insert(spec.id.tile).second;
+    const geo::TileId tile = spec.id.key.tile;
+    const bool fail = tile % 7 == 3 && failed_tiles_.insert(tile).second;
     if (fail) {
       on_done({.status = net::TransferStatus::kFailed,
                .time = simulator_.now(),
                .bytes_delivered = 0});
-    } else if (spec.id.tile % 5 == 0) {
+    } else if (tile % 5 == 0) {
       deferred_.emplace(id, std::make_pair(spec.bytes, std::move(on_done)));
       simulator_.schedule_after(sim::milliseconds(10), [this, id] {
         const auto it = deferred_.find(id);
@@ -631,7 +631,7 @@ TEST(FetchQueueSlab, InlineSettlesAndNestedDispatchesSettleEachRequestOnce) {
   const auto submit = [&] {
     const int tile = submitted++;
     ChunkRequest req;
-    req.id = net::to_chunk_id({{tile, 0}, Encoding::kAvc, 0});
+    req.id = {{tile, 0}, Encoding::kAvc, 0};
     req.bytes = 1'000 + tile;
     req.deadline = sim::seconds(30.0);
     req.on_done = [&settles, &outcomes, tile](sim::Time, FetchOutcome o) {
@@ -769,7 +769,7 @@ TEST_F(TileFetcherTest, RecoverRetriesFailedFovFetchesAtTheBaseTier) {
   fetcher->recover(settled[0].first, 2);
   ASSERT_EQ(transport.requests.size(), 4U);
   const ChunkRequest& retry = transport.requests[3];
-  EXPECT_EQ(retry.id, net::to_chunk_id(ChunkAddress{fov.key, Encoding::kSvc, 0}));
+  EXPECT_EQ(retry.id, (ChunkAddress{fov.key, Encoding::kSvc, 0}));
   EXPECT_EQ(retry.spatial, abr::SpatialClass::kFov);
   EXPECT_EQ(retry.deadline, sim::seconds(3.0));
   EXPECT_EQ(retry.parent_id, settled[0].first.request_id);

@@ -17,7 +17,7 @@ core::ChunkRequest request_of(abr::SpatialClass spatial, bool urgent,
                               std::int64_t bytes = 100'000,
                               sim::Time deadline = sim::seconds(100.0)) {
   core::ChunkRequest req;
-  req.id = net::to_chunk_id({{0, 0}, media::Encoding::kAvc, 0});
+  req.id = {{0, 0}, media::Encoding::kAvc, 0};
   req.bytes = bytes;
   req.spatial = spatial;
   req.urgent = urgent;

@@ -698,12 +698,14 @@ TEST_F(LinkTest, FetchIgnoresChunkIdAndDeadline) {
     sim.run();
     return results;
   };
-  const auto a = settle({.id = {.chunk = 0, .tile = 1}, .bytes = 300'000},
-                        {.id = {.chunk = 0, .tile = 2}, .bytes = 700'000});
-  const auto b = settle({.id = {.chunk = 9, .tile = 7, .layer = 2},
+  const auto a = settle({.id = {.key = {.tile = 1}}, .bytes = 300'000},
+                        {.id = {.key = {.tile = 2}}, .bytes = 700'000});
+  const auto b = settle({.id = {.key = {.tile = 7, .index = 9},
+                                .encoding = media::Encoding::kSvc,
+                                .level = 2},
                          .bytes = 300'000,
                          .deadline = seconds(0.01)},
-                        {.id = {.chunk = 3, .tile = 0, .quality = 4},
+                        {.id = {.key = {.tile = 0, .index = 3}, .level = 4},
                          .bytes = 700'000,
                          .deadline = seconds(500.0)});
   ASSERT_EQ(a.size(), 2u);

@@ -4,11 +4,13 @@
 // randomized inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "abr/oos.h"
 #include "core/session.h"
@@ -64,6 +66,45 @@ TEST_P(GeometryProperty, RingsCoverTheGridFromAnyFov) {
   for (geo::TileId id = 0; id < tg.grid().tile_count(); ++id) {
     EXPECT_GE(rings[static_cast<std::size_t>(id)], 0);
     EXPECT_LT(rings[static_cast<std::size_t>(id)], tg.grid().tile_count());
+  }
+}
+
+// The planners read oos_rings as the exact grid distance from the visible
+// set (the consistency planner keeps rings 0..2), so the BFS must agree
+// with an independent one over TileGrid::neighbors for any visible set:
+// seeded random sets of every size from one tile to the whole grid, each
+// kept in random order, with one Scratch reused throughout.
+TEST_P(GeometryProperty, RingsAreGridDistancesFromTheVisibleSet) {
+  const auto tg = make();
+  const geo::TileGrid& grid = tg.grid();
+  const int tiles = grid.tile_count();
+  std::vector<geo::TileId> ids(static_cast<std::size_t>(tiles));
+  std::iota(ids.begin(), ids.end(), 0);
+  Rng rng(11);
+  geo::TileGeometry::Scratch scratch;
+  std::vector<int> rings;
+  for (int size = 1; size <= tiles; ++size) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::shuffle(ids.begin(), ids.end(), rng.engine());
+      const std::vector<geo::TileId> visible(ids.begin(), ids.begin() + size);
+      std::vector<int> expected(static_cast<std::size_t>(tiles), -1);
+      std::vector<geo::TileId> frontier = visible;
+      for (geo::TileId t : visible) expected[static_cast<std::size_t>(t)] = 0;
+      for (int ring = 1; !frontier.empty(); ++ring) {
+        std::vector<geo::TileId> next;
+        for (geo::TileId t : frontier) {
+          for (geo::TileId n : grid.neighbors(t)) {
+            if (expected[static_cast<std::size_t>(n)] < 0) {
+              expected[static_cast<std::size_t>(n)] = ring;
+              next.push_back(n);
+            }
+          }
+        }
+        frontier = std::move(next);
+      }
+      tg.oos_rings(visible, rings, scratch);
+      ASSERT_EQ(rings, expected) << "visible set of " << size << " tiles";
+    }
   }
 }
 
@@ -224,8 +265,8 @@ TEST(RecoveryProperty, RetryBudgetAndDeadlineNeverExceeded) {
     std::vector<sim::Time> deadlines(requests, sim::kTimeZero);
     for (int i = 0; i < requests; ++i) {
       core::ChunkRequest req;
-      req.id = net::to_chunk_id(
-          {{static_cast<geo::TileId>(i % 8), 0}, media::Encoding::kAvc, 0});
+      req.id = {{static_cast<geo::TileId>(i % 8), 0}, media::Encoding::kAvc,
+                0};
       req.bytes = rng.uniform_int(50'000, 500'000);
       req.deadline = sim::seconds(rng.uniform(outage_s + 0.1, 5.0));
       deadlines[static_cast<std::size_t>(i)] = req.deadline;

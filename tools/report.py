@@ -70,21 +70,18 @@ def read_trace(fp):
 def top_spans(events, top_n):
     """Slowest closed fetch spans, via the causal request ids.
 
-    Dispatch/completion pairs match on args.request when the producer
-    assigned an id, falling back to the (tile, chunk, quality) cell for
-    untraced events — the same pairing rule as obs::write_chrome_trace.
+    Dispatch/completion pairs match on args.request, the same pairing rule
+    as obs::write_chrome_trace.
     """
     open_spans = {}
     spans = []
     for e in events:
         args = e["args"]
         rid = args.get("request", 0)
-        key = ("r", rid) if rid else ("c", args["tile"], args["chunk"],
-                                      args["quality"])
         if e["event"] == "FetchDispatched":
-            open_spans[key] = e
+            open_spans[rid] = e
         elif e["event"] in ("FetchDone", "FetchDropped"):
-            begin = open_spans.pop(key, None)
+            begin = open_spans.pop(rid, None)
             if begin is None:
                 continue
             spans.append({
@@ -232,13 +229,6 @@ SYNTH_TRACE_EVENTS = [
     {"event": "FetchDropped", "ts_us": 50_000,
      "args": {"tile": 2, "chunk": 0, "quality": 1, "bytes": 0,
               "request": 2, "parent": 0}},
-    # Untraced event (request 0): pairs on the chunk cell.
-    {"event": "FetchDispatched", "ts_us": 1000,
-     "args": {"tile": 9, "chunk": 4, "quality": 1, "bytes": 0,
-              "request": 0, "parent": 0}},
-    {"event": "FetchDone", "ts_us": 2000,
-     "args": {"tile": 9, "chunk": 4, "quality": 1, "bytes": 100,
-              "request": 0, "parent": 0}},
     # Completion without a dispatch: must be skipped, not crash.
     {"event": "FetchDone", "ts_us": 5000,
      "args": {"tile": 8, "chunk": 8, "quality": 0, "bytes": 1,
@@ -263,7 +253,7 @@ def self_check():
                                           "FetchDropped"], spans
     assert spans[0]["request"] == 3 and spans[0]["parent"] == 1, spans
     assert abs(spans[0]["dur_ms"] - 205.0) < 1e-9, spans
-    assert top_spans(events, 10)[-1]["request"] == 0, "cell-keyed span kept"
+    assert len(top_spans(events, 10)) == 3, "unmatched completion skipped"
 
     page = render(series, slos, spans)
     assert page == render(series, slos, spans), "render is not deterministic"
