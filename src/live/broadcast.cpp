@@ -1,6 +1,7 @@
 #include "live/broadcast.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace sperke::live {
@@ -9,14 +10,53 @@ namespace sperke::live {
 // paper's "No limit" rows), and the RTT of both first-mile links.
 constexpr double kUnconstrainedKbps = 50'000.0;
 constexpr sim::Duration kLinkRtt = sim::milliseconds(30);
+// How long run() keeps simulating after the broadcast ends.
+constexpr sim::Duration kDrain = sim::seconds(60.0);
 
 LiveBroadcastSession::LiveBroadcastSession(Config config)
     : config_(std::move(config)) {
-  if (config_.platform.ladder_kbps.empty()) {
+  // Each check is written so that NaN fails it; 0 kbps in the network
+  // conditions still means unconstrained.
+  const PlatformProfile& p = config_.platform;
+  const auto positive = [](double v) { return v > 0.0 && std::isfinite(v); };
+  const auto non_negative = [](double v) { return v >= 0.0 && std::isfinite(v); };
+  if (!positive(p.upload_kbps)) {
+    throw std::invalid_argument("LiveBroadcastSession: bad upload bitrate");
+  }
+  if (!sim::valid_positive_seconds(p.segment_s)) {
+    throw std::invalid_argument("LiveBroadcastSession: bad segment length");
+  }
+  if (!non_negative(p.broadcaster_queue_mbits)) {
+    throw std::invalid_argument("LiveBroadcastSession: bad broadcaster queue");
+  }
+  if (p.ladder_kbps.empty()) {
     throw std::invalid_argument("LiveBroadcastSession: empty ladder");
   }
-  if (config_.platform.segment_s <= 0.0) {
-    throw std::invalid_argument("LiveBroadcastSession: bad segment length");
+  if (!std::ranges::all_of(p.ladder_kbps, positive)) {
+    throw std::invalid_argument("LiveBroadcastSession: bad ladder rung");
+  }
+  if (p.transcode_delay < sim::Duration{0} || p.mpd_poll_period <= sim::Duration{0}) {
+    throw std::invalid_argument("LiveBroadcastSession: bad server timing");
+  }
+  if (p.viewer_buffer_segments < 0 || p.push_max_backlog < 0) {
+    throw std::invalid_argument("LiveBroadcastSession: bad viewer buffer");
+  }
+  if (!non_negative(p.viewer_max_behind_s) ||
+      !non_negative(p.initial_downlink_estimate_kbps)) {
+    throw std::invalid_argument("LiveBroadcastSession: bad viewer player");
+  }
+  if (!non_negative(config_.network.up_kbps) ||
+      !non_negative(config_.network.down_kbps)) {
+    throw std::invalid_argument("LiveBroadcastSession: bad network conditions");
+  }
+  // run() drains 60 s past the broadcast, which must not overflow the clock.
+  if (config_.broadcast_length < sim::Duration{0} ||
+      config_.broadcast_length > sim::Duration::max() - kDrain) {
+    throw std::invalid_argument("LiveBroadcastSession: bad broadcast length");
+  }
+  if (config_.measure_from < sim::Duration{0} ||
+      config_.measure_from > config_.measure_to) {
+    throw std::invalid_argument("LiveBroadcastSession: bad measurement window");
   }
   const double up =
       config_.network.up_kbps > 0.0 ? config_.network.up_kbps : kUnconstrainedKbps;
@@ -62,8 +102,7 @@ LiveSessionResult LiveBroadcastSession::run() {
     poll.emplace(simulator_, config_.platform.mpd_poll_period,
                  [this] { viewer_poll(); });
   }
-  simulator_.run_until(config_.broadcast_length +
-                       sim::seconds(60.0));  // drain the tail
+  simulator_.run_until(config_.broadcast_length + kDrain);
   capture.stop();
   if (poll) poll->stop();
 

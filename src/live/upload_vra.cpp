@@ -5,10 +5,17 @@
 #include <stdexcept>
 
 namespace sperke::live {
+namespace {
+
+// Both checks fail for NaN; positive() also rejects infinity.
+bool positive(double v) { return v > 0.0 && std::isfinite(v); }
+bool valid_safety(double v) { return v > 0.0 && v <= 1.0; }
+
+}  // namespace
 
 FixedQualityPolicy::FixedQualityPolicy(double target_kbps)
     : target_kbps_(target_kbps) {
-  if (target_kbps <= 0.0) throw std::invalid_argument("FixedQuality: bad target");
+  if (!positive(target_kbps)) throw std::invalid_argument("FixedQuality: bad target");
 }
 
 UploadDecision FixedQualityPolicy::decide(double) const {
@@ -18,10 +25,10 @@ UploadDecision FixedQualityPolicy::decide(double) const {
 QualityAdaptivePolicy::QualityAdaptivePolicy(double target_kbps, double min_kbps,
                                              double safety)
     : target_kbps_(target_kbps), min_kbps_(min_kbps), safety_(safety) {
-  if (target_kbps <= 0.0 || min_kbps <= 0.0 || min_kbps > target_kbps) {
+  if (!positive(target_kbps) || !positive(min_kbps) || min_kbps > target_kbps) {
     throw std::invalid_argument("QualityAdaptive: bad bitrates");
   }
-  if (safety <= 0.0 || safety > 1.0) throw std::invalid_argument("QualityAdaptive: bad safety");
+  if (!valid_safety(safety)) throw std::invalid_argument("QualityAdaptive: bad safety");
 }
 
 UploadDecision QualityAdaptivePolicy::decide(double capacity_kbps) const {
@@ -35,11 +42,11 @@ SpatialFallbackPolicy::SpatialFallbackPolicy(double target_kbps,
     : target_kbps_(target_kbps),
       min_horizon_deg_(min_horizon_deg),
       safety_(safety) {
-  if (target_kbps <= 0.0) throw std::invalid_argument("SpatialFallback: bad target");
-  if (min_horizon_deg <= 0.0 || min_horizon_deg > 360.0) {
+  if (!positive(target_kbps)) throw std::invalid_argument("SpatialFallback: bad target");
+  if (!(min_horizon_deg > 0.0 && min_horizon_deg <= 360.0)) {
     throw std::invalid_argument("SpatialFallback: bad min horizon");
   }
-  if (safety <= 0.0 || safety > 1.0) throw std::invalid_argument("SpatialFallback: bad safety");
+  if (!valid_safety(safety)) throw std::invalid_argument("SpatialFallback: bad safety");
 }
 
 UploadDecision SpatialFallbackPolicy::decide(double capacity_kbps) const {

@@ -193,7 +193,7 @@ TEST(EngineDeterminism, MergedMetricsIdenticalAcrossThreadCounts) {
 
 TEST(EngineDeterminism, SharedVideoModelAcrossThreads) {
   // ShardedEngine::run hands one const VideoModel to every shard, so its
-  // const queries must be race-free (tsan-check runs this test) and must
+  // const queries must be race-free (`ctest --preset tsan` runs this test) and must
   // answer each of many concurrent readers exactly as they answer serially.
   // The same holds for a const FusionPredictor: its queries keep no state
   // between calls, so any write-on-read cache coming back fails here.

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "live/broadcast.h"
 #include "live/crowd.h"
 #include "live/platform.h"
@@ -106,6 +112,123 @@ TEST(LiveBroadcast, RejectsBadConfig) {
   cfg.platform.segment_s = 0.0;
   EXPECT_THROW(LiveBroadcastSession{cfg}, std::invalid_argument);
 }
+
+// One row per numeric input of a live session or an upload policy. Every
+// bad value must throw std::invalid_argument at construction, before any
+// of them reaches a cast to the clock or to a byte count; NaN and the
+// infinities must fail every check.
+struct LiveField {
+  const char* name;
+  void (*build)(double);  // constructs the session or policy with the value
+  std::vector<double> bad;
+  double good;  // the nearest legal value, still accepted
+};
+
+void PrintTo(const LiveField& field, std::ostream* os) { *os << field.name; }
+
+class LiveFieldValidation : public ::testing::TestWithParam<LiveField> {};
+
+TEST_P(LiveFieldValidation, ConstructorRejectsEveryBadValue) {
+  const LiveField& field = GetParam();
+  for (const double value : field.bad) {
+    EXPECT_THROW(field.build(value), std::invalid_argument) << field.name << " = " << value;
+  }
+  EXPECT_NO_THROW(field.build(field.good)) << field.name << " = " << field.good;
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Builds a Facebook session after `set` changes one field of its config.
+template <auto set>
+void build_session(double value) {
+  auto cfg = config_for(PlatformProfile::facebook(), {});
+  set(cfg, value);
+  const LiveBroadcastSession session(cfg);
+}
+
+sim::Duration us(double value) { return sim::microseconds(static_cast<std::int64_t>(value)); }
+
+using Cfg = LiveBroadcastSession::Config;
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, LiveFieldValidation,
+    ::testing::Values(
+        LiveField{"upload_kbps",
+                  build_session<[](Cfg& c, double v) { c.platform.upload_kbps = v; }>,
+                  {kNan, 0.0, -1.0, kInf, -kInf}, 1.0},
+        LiveField{"segment_s",
+                  build_session<[](Cfg& c, double v) { c.platform.segment_s = v; }>,
+                  {kNan, kInf, 1e300}, 1e-6},
+        LiveField{"broadcaster_queue_mbits",
+                  build_session<[](Cfg& c, double v) {
+                    c.platform.broadcaster_queue_mbits = v;
+                  }>,
+                  {kNan, -1.0, kInf, -kInf}, 0.0},
+        LiveField{"ladder_kbps",
+                  build_session<[](Cfg& c, double v) { c.platform.ladder_kbps = {v}; }>,
+                  {kNan, 0.0, -1.0, kInf}, 1.0},
+        LiveField{"transcode_delay_us",
+                  build_session<[](Cfg& c, double v) { c.platform.transcode_delay = us(v); }>,
+                  {-1.0}, 0.0},
+        LiveField{"mpd_poll_period_us",
+                  build_session<[](Cfg& c, double v) { c.platform.mpd_poll_period = us(v); }>,
+                  {0.0, -1.0}, 1.0},
+        LiveField{"viewer_buffer_segments",
+                  build_session<[](Cfg& c, double v) {
+                    c.platform.viewer_buffer_segments = static_cast<int>(v);
+                  }>,
+                  {-1.0}, 0.0},
+        LiveField{"push_max_backlog",
+                  build_session<[](Cfg& c, double v) {
+                    c.platform.push_max_backlog = static_cast<int>(v);
+                  }>,
+                  {-1.0}, 0.0},
+        LiveField{"viewer_max_behind_s",
+                  build_session<[](Cfg& c, double v) { c.platform.viewer_max_behind_s = v; }>,
+                  {kNan, -1.0, kInf, -kInf}, 0.0},
+        LiveField{"initial_downlink_estimate_kbps",
+                  build_session<[](Cfg& c, double v) {
+                    c.platform.initial_downlink_estimate_kbps = v;
+                  }>,
+                  {kNan, -1.0, kInf, -kInf}, 0.0},
+        // +inf already fails in the link's bandwidth trace; 0 = unconstrained.
+        LiveField{"up_kbps",
+                  build_session<[](Cfg& c, double v) { c.network.up_kbps = v; }>,
+                  {kNan, -1.0, -kInf}, 0.0},
+        LiveField{"down_kbps",
+                  build_session<[](Cfg& c, double v) { c.network.down_kbps = v; }>,
+                  {kNan, -1.0, -kInf}, 0.0},
+        LiveField{"broadcast_length_us",
+                  build_session<[](Cfg& c, double v) { c.broadcast_length = us(v); }>,
+                  {-1.0, 9.223372036854774e18}, 0.0},
+        LiveField{"measure_from_s",
+                  build_session<[](Cfg& c, double v) { c.measure_from = sim::seconds(v); }>,
+                  {-1.0, 141.0}, 140.0},
+        LiveField{"measure_to_s",
+                  build_session<[](Cfg& c, double v) { c.measure_to = sim::seconds(v); }>,
+                  {39.0}, 40.0},
+        LiveField{"fixed_target_kbps", [](double v) { FixedQualityPolicy policy(v); },
+                  {kNan, kInf}, 1e-3},
+        LiveField{"quality_adaptive_target_kbps",
+                  [](double v) { QualityAdaptivePolicy policy(v, 1.0); },
+                  {kNan, kInf}, 1.0},
+        LiveField{"quality_adaptive_min_kbps",
+                  [](double v) { QualityAdaptivePolicy policy(1000.0, v); },
+                  {kNan}, 1000.0},
+        LiveField{"quality_adaptive_safety",
+                  [](double v) { QualityAdaptivePolicy policy(1000.0, 100.0, v); },
+                  {kNan}, 1.0},
+        LiveField{"spatial_fallback_target_kbps",
+                  [](double v) { SpatialFallbackPolicy policy(v, 90.0); },
+                  {kNan, kInf}, 1e-3},
+        LiveField{"spatial_fallback_min_horizon_deg",
+                  [](double v) { SpatialFallbackPolicy policy(1000.0, v); },
+                  {kNan}, 360.0},
+        LiveField{"spatial_fallback_safety",
+                  [](double v) { SpatialFallbackPolicy policy(1000.0, 90.0, v); },
+                  {kNan}, 1.0}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(LiveBroadcast, UploadPolicyPreventsBroadcasterDrops) {
   // A 4 Mbps feed over a 1 Mbps uplink: without adaptation the encoder
