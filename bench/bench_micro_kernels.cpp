@@ -135,6 +135,30 @@ void BM_LinkReflowUnderLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkReflowUnderLoad)->Arg(8)->Arg(64);
 
+void BM_LinkWarmupHeavy(benchmark::State& state) {
+  // The link shape of perfbench's vod_direct: a session's tile bursts keep
+  // about 15 transfers unsettled on a 100 Mbps, 30 ms link, only about 2 of
+  // them past their RTT warmup. Bursts of 7 small transfers every 16 ms,
+  // one simulated second per iteration (434 transfers).
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    net::Link link(simulator,
+                   net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(100'000.0),
+                                   .rtt = sim::milliseconds(30), .faults = {}});
+    for (int burst = 0; burst < 62; ++burst) {
+      simulator.schedule_at(sim::milliseconds(burst * 16), [&link] {
+        for (int k = 0; k < 7; ++k) {
+          link.fetch({.id = {}, .bytes = 12'000, .weight = 1.0 + k % 3},
+                     [](const net::TransferResult&) {});
+        }
+      });
+    }
+    simulator.run_until(sim::seconds(1.0));
+    benchmark::DoNotOptimize(link.bytes_delivered());
+  }
+}
+BENCHMARK(BM_LinkWarmupHeavy);
+
 void BM_SimulatorEventQueue(benchmark::State& state) {
   // Calendar-queue throughput: a schedule/cancel/pop mix over 1e6 events.
   // Arg 0 selects the timestamp distribution: 0 = uniform over a wide

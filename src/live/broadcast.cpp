@@ -12,19 +12,34 @@ constexpr double kUnconstrainedKbps = 50'000.0;
 constexpr sim::Duration kLinkRtt = sim::milliseconds(30);
 // How long run() keeps simulating after the broadcast ends.
 constexpr sim::Duration kDrain = sim::seconds(60.0);
+// Half the clock's range. The link bounds a spiked RTT the same way, so an
+// ingest's RTT + transcode delay always fits.
+constexpr sim::Duration kMaxTranscodeDelay = sim::seconds(4.6e12);
+
+namespace {
+
+// True when a rate's segment byte count, kbps * 125 * segment_s, is
+// positive and fits the int64 casts below. NaN and +inf fail.
+bool segment_bytes_fit(double kbps, double segment_s) {
+  return kbps > 0.0 && kbps * 1000.0 / 8.0 * segment_s < 9.2e18;
+}
+
+}  // namespace
 
 LiveBroadcastSession::LiveBroadcastSession(Config config)
     : config_(std::move(config)) {
   // Each check is written so that NaN fails it; 0 kbps in the network
   // conditions still means unconstrained.
   const PlatformProfile& p = config_.platform;
-  const auto positive = [](double v) { return v > 0.0 && std::isfinite(v); };
   const auto non_negative = [](double v) { return v >= 0.0 && std::isfinite(v); };
-  if (!positive(p.upload_kbps)) {
-    throw std::invalid_argument("LiveBroadcastSession: bad upload bitrate");
-  }
   if (!sim::valid_positive_seconds(p.segment_s)) {
     throw std::invalid_argument("LiveBroadcastSession: bad segment length");
+  }
+  const auto fits = [&p](double kbps) {
+    return segment_bytes_fit(kbps, p.segment_s);
+  };
+  if (!fits(p.upload_kbps)) {
+    throw std::invalid_argument("LiveBroadcastSession: bad upload bitrate");
   }
   if (!non_negative(p.broadcaster_queue_mbits)) {
     throw std::invalid_argument("LiveBroadcastSession: bad broadcaster queue");
@@ -32,10 +47,12 @@ LiveBroadcastSession::LiveBroadcastSession(Config config)
   if (p.ladder_kbps.empty()) {
     throw std::invalid_argument("LiveBroadcastSession: empty ladder");
   }
-  if (!std::ranges::all_of(p.ladder_kbps, positive)) {
+  if (!std::ranges::all_of(p.ladder_kbps, fits)) {
     throw std::invalid_argument("LiveBroadcastSession: bad ladder rung");
   }
-  if (p.transcode_delay < sim::Duration{0} || p.mpd_poll_period <= sim::Duration{0}) {
+  if (p.transcode_delay < sim::Duration{0} ||
+      p.transcode_delay > kMaxTranscodeDelay ||
+      p.mpd_poll_period <= sim::Duration{0}) {
     throw std::invalid_argument("LiveBroadcastSession: bad server timing");
   }
   if (p.viewer_buffer_segments < 0 || p.push_max_backlog < 0) {
@@ -89,6 +106,20 @@ LiveBroadcastSession::LiveBroadcastSession(Config config)
   }
 }
 
+void LiveBroadcastSession::schedule_within_run(double delay_s,
+                                               sim::Duration extra,
+                                               sim::EventFn fn) {
+  // run() stops at broadcast_length + kDrain, so a later event could never
+  // fire; a slack second absorbs the rounding of the double sum. Checked
+  // before the cast, which the clock's range bounds.
+  const double end_s =
+      sim::to_seconds(config_.broadcast_length + kDrain) + 1.0;
+  const double at_s =
+      sim::to_seconds(simulator_.now()) + delay_s + sim::to_seconds(extra);
+  if (!(at_s <= end_s)) return;
+  simulator_.schedule_after(sim::seconds(delay_s) + extra, std::move(fn));
+}
+
 void LiveBroadcastSession::record_trace(const obs::TraceEvent& event) {
   if (config_.telemetry != nullptr) config_.telemetry->trace().record(event);
 }
@@ -132,6 +163,10 @@ void LiveBroadcastSession::capture_segment() {
   if (config_.upload_policy != nullptr) {
     const UploadDecision decision =
         config_.upload_policy->decide(uplink_->capacity_kbps_now());
+    if (!segment_bytes_fit(decision.upload_kbps, seg_s) ||
+        !(decision.horizon_deg > 0.0 && decision.horizon_deg <= 360.0)) {
+      throw std::invalid_argument("LiveBroadcastSession: bad upload decision");
+    }
     upload_kbps = decision.upload_kbps;
     horizon_deg = decision.horizon_deg;
   }
@@ -172,10 +207,9 @@ void LiveBroadcastSession::capture_segment() {
                 .value = upload_kbps});
   const double upload_delay_s =
       cap_kbps > 0.0 ? upload_backlog_kbits_ / cap_kbps : 1e9;
-  simulator_.schedule_after(
-      sim::seconds(upload_delay_s) + uplink_->rtt() +
-          config_.platform.transcode_delay,
-      [this, segment] { on_segment_ingested(segment); });
+  schedule_within_run(upload_delay_s,
+                      uplink_->rtt() + config_.platform.transcode_delay,
+                      [this, segment] { on_segment_ingested(segment); });
 }
 
 void LiveBroadcastSession::on_segment_ingested(Segment segment) {
@@ -302,13 +336,12 @@ void LiveBroadcastSession::viewer_play_loop() {
       !viewer_force_start_) {
     if (!viewer_prebuffer_timer_armed_ && !viewer_buffer_.empty()) {
       viewer_prebuffer_timer_armed_ = true;
-      simulator_.schedule_after(
-          sim::seconds(2.0 * config_.platform.viewer_buffer_segments *
-                       config_.platform.segment_s),
-          [this] {
-            viewer_force_start_ = true;
-            viewer_play_loop();
-          });
+      schedule_within_run(2.0 * config_.platform.viewer_buffer_segments *
+                              config_.platform.segment_s,
+                          sim::Duration{0}, [this] {
+                            viewer_force_start_ = true;
+                            viewer_play_loop();
+                          });
     }
     return;
   }

@@ -84,6 +84,12 @@ class LiveBroadcastSession {
   void viewer_maybe_request();
   void server_push();
   void viewer_play_loop();
+  // Schedules `fn` after seconds(delay_s) + extra, or drops it when it
+  // would land past the end of run(): it could never fire there, and a
+  // delay that long (a collapsed uplink's backlog, a huge prebuffer
+  // target) could overflow the clock. delay_s and extra are >= 0.
+  void schedule_within_run(double delay_s, sim::Duration extra,
+                           sim::EventFn fn);
   // Highest ingested segment index, or -1 before the first ingest.
   [[nodiscard]] int latest_available() const {
     return available_.empty() ? -1 : available_.rbegin()->first;

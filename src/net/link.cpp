@@ -137,25 +137,36 @@ double Link::mathis_cap_kbps() const {
   return bps / 1000.0;
 }
 
-std::size_t Link::find(FetchId id) const {
-  const auto it = std::lower_bound(
-      transfers_.begin(), transfers_.end(), id,
-      [](const Transfer& t, FetchId value) { return t.id < value; });
-  return it != transfers_.end() && it->id == id
-             ? static_cast<std::size_t>(it - transfers_.begin())
-             : transfers_.size();
+std::size_t Link::slot_of(FetchId id) const {
+  if (id == 0) return slots_.size();  // 0 marks a free slot, never a fetch
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].id == id) return slot;
+  }
+  return slots_.size();
+}
+
+std::uint32_t Link::take_slot() {
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+Link::Completion Link::settle(std::uint32_t slot, TransferResult result) {
+  Transfer& t = slots_[slot];
+  Completion completion{t.id, slot, std::move(t.on_complete), result};
+  t.id = 0;
+  free_slots_.push_back(slot);
+  return completion;
 }
 
 double Link::transfer_rate_kbps(FetchId id) const {
-  const std::size_t i = find(id);
-  return i < transfers_.size() && transfers_[i].active
-             ? transfers_[i].rate_bps / 1000.0
-             : 0.0;
-}
-
-int Link::active_transfers() const {
-  return static_cast<int>(std::count_if(transfers_.begin(), transfers_.end(),
-                                        [](const Transfer& t) { return t.active; }));
+  // A transfer in warmup has rate 0 until it activates.
+  const std::size_t slot = slot_of(id);
+  return slot < slots_.size() ? slots_[slot].rate_bps / 1000.0 : 0.0;
 }
 
 FetchId Link::fetch(const FetchSpec& spec, TransferCallback on_done) {
@@ -165,7 +176,9 @@ FetchId Link::fetch(const FetchSpec& spec, TransferCallback on_done) {
     throw std::invalid_argument("Link: non-positive weight");
   }
   const FetchId id = next_id_++;
-  Transfer t;
+  const std::uint32_t slot = take_slot();
+  Transfer& t = slots_[slot];
+  t = Transfer{};
   t.id = id;
   t.remaining_bytes = static_cast<double>(bytes);
   t.total_bytes = bytes;
@@ -180,45 +193,48 @@ FetchId Link::fetch(const FetchSpec& spec, TransferCallback on_done) {
     t.fail_at_remaining_bytes =
         static_cast<double>(bytes) * (1.0 - delivered_fraction);
   }
-  // The water-filling sums walk the table in id order; an out-of-order
-  // append would silently change their floating-point results.
-  SPERKE_DCHECK(transfers_.empty() || transfers_.back().id < id,
-                "Link: transfer ids not strictly ascending at ", id);
-  transfers_.push_back(std::move(t));
-  // First byte flows one RTT after the request is issued.
-  simulator_.schedule_after(rtt(), [this, id, alive = alive_] {
-    if (!*alive) return;
-    const std::size_t i = find(id);
-    if (i == transfers_.size()) return;  // cancelled/failed during warmup
-    Transfer& transfer = transfers_[i];
-    if (in_outage()) {
-      // The request hit a dead link: the handshake times out after the RTT
-      // instead of ever activating.
-      Completion failed{id, std::move(transfer.on_complete),
-                        {TransferStatus::kFailed, simulator_.now(), 0}};
-      transfers_.erase(transfers_.begin() + static_cast<std::ptrdiff_t>(i));
-      fire_one(std::move(failed));
-      return;
-    }
-    // Activating twice would count the transfer twice in every
-    // water-filling weight sum.
-    SPERKE_CHECK(!transfer.active, "Link: transfer activated twice");
-    advance();
-    transfer.active = true;
-    reflow();
+  // First byte flows one RTT after the request is issued. A transfer that
+  // settles in warmup frees its slot, and a later fetch may take it: the
+  // id tells the two apart.
+  simulator_.schedule_after(rtt(), [this, id, slot, alive = alive_] {
+    if (*alive) on_activate(id, slot);
   });
   return id;
 }
 
-bool Link::cancel(FetchId id) {
-  const std::size_t i = find(id);
-  if (i == transfers_.size()) return false;  // finished/failed: never re-fires
+void Link::on_activate(FetchId id, std::uint32_t slot) {
+  if (slots_[slot].id != id) return;  // cancelled/failed during warmup
+  if (in_outage()) {
+    // The request hit a dead link: the handshake times out after the RTT
+    // instead of ever activating.
+    fire_one(settle(slot, {TransferStatus::kFailed, simulator_.now(), 0}));
+    return;
+  }
   advance();
-  Transfer& t = transfers_[i];
-  Completion cancelled{id, std::move(t.on_complete),
-                       {TransferStatus::kCancelled, simulator_.now(),
-                        t.counted_bytes}};
-  transfers_.erase(transfers_.begin() + static_cast<std::ptrdiff_t>(i));
+  // An RTT spike can activate a later id before an earlier one, so the
+  // slot goes to its id position, not to the back.
+  const auto at = std::lower_bound(
+      active_.begin(), active_.end(), id,
+      [this](std::uint32_t s, FetchId value) { return slots_[s].id < value; });
+  // Activating twice would count the transfer twice in every
+  // water-filling weight sum.
+  SPERKE_CHECK(at == active_.end() || slots_[*at].id != id,
+               "Link: transfer activated twice");
+  active_.insert(at, slot);
+  reflow();
+}
+
+bool Link::cancel(FetchId id) {
+  const std::size_t slot = slot_of(id);
+  if (slot == slots_.size()) return false;  // finished/failed: never re-fires
+  advance();
+  const auto active = std::find(active_.begin(), active_.end(), slot);
+  if (active != active_.end()) active_.erase(active);
+  // A warmup cancel reflows too: the re-armed wake-up takes a new event
+  // sequence number, which later same-time ties depend on.
+  Completion cancelled = settle(static_cast<std::uint32_t>(slot),
+                                {TransferStatus::kCancelled, simulator_.now(),
+                                 slots_[slot].counted_bytes});
   reflow();
   fire_one(std::move(cancelled));
   return true;
@@ -227,15 +243,23 @@ bool Link::cancel(FetchId id) {
 void Link::on_outage_begin() {
   advance();
   // Every transfer — active or still in RTT warmup — fails at the outage
-  // edge; partial progress stays counted in bytes_delivered().
+  // edge, in ascending id order; partial progress stays counted in
+  // bytes_delivered().
+  std::vector<std::uint32_t> live;
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].id != 0) live.push_back(slot);
+  }
+  std::sort(live.begin(), live.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return slots_[a].id < slots_[b].id;
+  });
   std::vector<Completion> completions = std::move(completed_scratch_);
   completions.clear();
   const sim::Time now = simulator_.now();
-  for (Transfer& t : transfers_) {
-    completions.push_back({t.id, std::move(t.on_complete),
-                           {TransferStatus::kFailed, now, t.counted_bytes}});
+  for (const std::uint32_t slot : live) {
+    completions.push_back(settle(
+        slot, {TransferStatus::kFailed, now, slots_[slot].counted_bytes}));
   }
-  transfers_.clear();
+  active_.clear();
   reflow();
   fire_completions(std::move(completions));
 }
@@ -252,8 +276,9 @@ void Link::advance() {
   // negative dt means time ran backwards and every fluid integral is wrong.
   SPERKE_DCHECK(dt >= 0.0, "Link: advance with negative dt=", dt);
   if (dt > 0.0) {
-    for (Transfer& t : transfers_) {
-      if (t.rate_bps <= 0.0) continue;  // also every warmup transfer
+    for (const std::uint32_t slot : active_) {
+      Transfer& t = slots_[slot];
+      if (t.rate_bps <= 0.0) continue;
       const double delivered = std::min(t.remaining_bytes, t.rate_bps / 8.0 * dt);
       t.remaining_bytes -= delivered;
       const auto inc = static_cast<std::int64_t>(std::llround(delivered));
@@ -283,22 +308,23 @@ void Link::recompute_rates() {
   const double cap_bps = mathis_cap_kbps() * 1000.0;
   auto& unallocated = waterfill_scratch_;
   unallocated.clear();
-  for (Transfer& t : transfers_) {
-    if (!t.active) continue;
-    t.rate_bps = 0.0;
-    unallocated.push_back(&t);
+  for (const std::uint32_t slot : active_) {
+    slots_[slot].rate_bps = 0.0;
+    unallocated.push_back(slot);
   }
   double remaining_capacity = capacity_bps;
   bool someone_capped = true;
   while (!unallocated.empty() && someone_capped && remaining_capacity > 0.0) {
     someone_capped = false;
     double total_weight = 0.0;
-    for (Transfer* t : unallocated) total_weight += t->weight;
+    for (const std::uint32_t slot : unallocated) {
+      total_weight += slots_[slot].weight;
+    }
     for (auto it = unallocated.begin(); it != unallocated.end();) {
-      const double share =
-          remaining_capacity * (*it)->weight / total_weight;
+      Transfer& t = slots_[*it];
+      const double share = remaining_capacity * t.weight / total_weight;
       if (share >= cap_bps) {
-        (*it)->rate_bps = cap_bps;
+        t.rate_bps = cap_bps;
         remaining_capacity -= cap_bps;
         it = unallocated.erase(it);
         someone_capped = true;
@@ -309,17 +335,26 @@ void Link::recompute_rates() {
   }
   if (!unallocated.empty() && remaining_capacity > 0.0) {
     double total_weight = 0.0;
-    for (Transfer* t : unallocated) total_weight += t->weight;
-    for (Transfer* t : unallocated) {
-      t->rate_bps = remaining_capacity * t->weight / total_weight;
+    for (const std::uint32_t slot : unallocated) {
+      total_weight += slots_[slot].weight;
+    }
+    for (const std::uint32_t slot : unallocated) {
+      Transfer& t = slots_[slot];
+      t.rate_bps = remaining_capacity * t.weight / total_weight;
     }
   }
   if constexpr (SPERKE_DCHECK_IS_ON) {
     // Rate conservation: the water-filling never allocates more than the
     // link's capacity (1e-9 relative slack for the divisions above), and
-    // no transfer exceeds its Mathis ceiling.
+    // no transfer exceeds its Mathis ceiling. The active index is in
+    // strictly ascending id order, the order every sum above relies on.
     double allocated_bps = 0.0;
-    for (const Transfer& t : transfers_) {
+    FetchId previous = 0;
+    for (const std::uint32_t slot : active_) {
+      const Transfer& t = slots_[slot];
+      SPERKE_DCHECK(t.id > previous,
+                    "Link: active ids not strictly ascending at ", t.id);
+      previous = t.id;
       allocated_bps += t.rate_bps;
       SPERKE_DCHECK(t.rate_bps <= cap_bps * (1.0 + 1e-9) + 1e-6,
                     "Link: transfer ", t.id, " exceeds Mathis cap");
@@ -335,8 +370,9 @@ void Link::arm_wakeup() {
   // bandwidth-trace step. Fault-window boundaries have their own events.
   sim::Time next = sim::Time{std::numeric_limits<std::int64_t>::max()};
   const double clock_room_us = 9.2e18 - static_cast<double>(simulator_.now().count());
-  for (const Transfer& t : transfers_) {
-    if (t.rate_bps <= 0.0) continue;  // also every warmup transfer
+  for (const std::uint32_t slot : active_) {
+    const Transfer& t = slots_[slot];
+    if (t.rate_bps <= 0.0) continue;
     const double to_go = t.fail_at_remaining_bytes >= 0.0
                              ? t.remaining_bytes - t.fail_at_remaining_bytes
                              : t.remaining_bytes;
@@ -372,32 +408,30 @@ void Link::arm_wakeup() {
 void Link::on_wakeup() {
   advance();
   // Collect completions before reflowing so freed capacity redistributes.
-  // Compacting the table in place preserves its ascending-id order, which
-  // is also the callback firing order. Warmup transfers are always kept.
+  // Compacting the active index in place preserves its ascending-id
+  // order, which is also the callback firing order.
   std::vector<Completion> completions = std::move(completed_scratch_);
   completions.clear();
   const sim::Time now = simulator_.now();
   std::size_t keep = 0;
-  for (std::size_t read = 0; read < transfers_.size(); ++read) {
-    Transfer& t = transfers_[read];
-    if (t.active && t.fail_at_remaining_bytes >= 0.0 &&
+  for (const std::uint32_t slot : active_) {
+    Transfer& t = slots_[slot];
+    if (t.fail_at_remaining_bytes >= 0.0 &&
         t.remaining_bytes <= t.fail_at_remaining_bytes + kCompleteEpsilonBytes) {
       // Scheduled mid-flight failure: report the partial progress.
-      completions.push_back({t.id, std::move(t.on_complete),
-                             {TransferStatus::kFailed, now, t.counted_bytes}});
-    } else if (t.active && t.remaining_bytes <= kCompleteEpsilonBytes) {
+      completions.push_back(
+          settle(slot, {TransferStatus::kFailed, now, t.counted_bytes}));
+    } else if (t.remaining_bytes <= kCompleteEpsilonBytes) {
       // Square up the fluid rounding: a completed transfer delivered
       // exactly its size, no matter how the increments rounded.
       bytes_delivered_ += t.total_bytes - t.counted_bytes;
-      completions.push_back({t.id, std::move(t.on_complete),
-                             {TransferStatus::kCompleted, now, t.total_bytes}});
+      completions.push_back(
+          settle(slot, {TransferStatus::kCompleted, now, t.total_bytes}));
     } else {
-      if (keep != read) transfers_[keep] = std::move(t);
-      ++keep;
+      active_[keep++] = slot;
     }
   }
-  transfers_.erase(transfers_.begin() + static_cast<std::ptrdiff_t>(keep),
-                   transfers_.end());
+  active_.resize(keep);
   if (completions.empty() && capacity_kbps_now() * 1000.0 == rates_capacity_bps_) {
     // Nothing changed: the active set is intact and capacity is what the
     // current rates were computed from, so recomputing would reproduce
@@ -420,13 +454,18 @@ void Link::fire_completions(std::vector<Completion> completions) {
   // The vector is a local (not the scratch member) while callbacks run: a
   // callback may destroy the Link, and a local stays valid through that.
   // The capacity returns to the scratch afterwards.
+  if (completions.empty()) {  // a wake-up that settled nothing
+    completed_scratch_ = std::move(completions);
+    return;
+  }
   const auto alive = alive_;
   for (Completion& c : completions) {
     if (*alive) {  // members are gone once a callback destroys the Link
-      // No-double-fire: a completion only exists for a transfer already
-      // erased from the tracked set — cancel() on a finished/failed id must
-      // find nothing and return false, never re-fire (DESIGN.md §10).
-      SPERKE_CHECK(find(c.id) == transfers_.size(),
+      // No-double-fire: a completion only exists for a transfer whose slot
+      // was already freed (and maybe taken by a later fetch) — cancel() on
+      // a finished/failed id must find nothing and return false, never
+      // re-fire (DESIGN.md §10).
+      SPERKE_CHECK(slots_[c.slot].id != c.id,
                    "Link: completion fired for still-tracked transfer ", c.id);
       if constexpr (SPERKE_DCHECK_IS_ON) {
         SPERKE_DCHECK(fired_ids_.insert(c.id).second,

@@ -93,8 +93,10 @@ class Link final : public ChunkSource {
   // Scheduled outage time already elapsed, in seconds.
   [[nodiscard]] double outage_seconds() const;
 
-  // Transfers past their RTT warmup (a count over the table).
-  [[nodiscard]] int active_transfers() const;
+  // Transfers past their RTT warmup (the size of the active index).
+  [[nodiscard]] int active_transfers() const {
+    return static_cast<int>(active_.size());
+  }
   [[nodiscard]] std::int64_t bytes_delivered() const { return bytes_delivered_; }
 
   // Current allocated rate of a transfer in kbps (0 while in RTT warmup or
@@ -103,13 +105,12 @@ class Link final : public ChunkSource {
 
  private:
   struct Transfer {
-    FetchId id = 0;
+    FetchId id = 0;  // 0 = a free slot
     double remaining_bytes = 0.0;
     std::int64_t total_bytes = 0;
     std::int64_t counted_bytes = 0;  // already added to bytes_delivered_
     double rate_bps = 0.0;  // stays 0 until the transfer is active
     double weight = 1.0;
-    bool active = false;  // false while waiting out the initial RTT
     // Seeded mid-flight failure: the transfer fails once remaining_bytes
     // drops to this threshold. Negative = will not fail.
     double fail_at_remaining_bytes = -1.0;
@@ -117,20 +118,28 @@ class Link final : public ChunkSource {
   };
   struct Completion {
     FetchId id = 0;
+    std::uint32_t slot = 0;  // the slot the transfer held until it settled
     TransferCallback callback;
     TransferResult result;
   };
 
-  // Index of `id` in transfers_, or transfers_.size() once it settled.
-  [[nodiscard]] std::size_t find(FetchId id) const;
+  // Slot of the unsettled transfer `id`, or slots_.size() once it settled.
+  [[nodiscard]] std::size_t slot_of(FetchId id) const;
+  // Take a free slot (or grow the table) for a new transfer.
+  [[nodiscard]] std::uint32_t take_slot();
+  // Hand a settled transfer's slot back: it becomes free (id 0), and its
+  // callback moves into the returned completion.
+  [[nodiscard]] Completion settle(std::uint32_t slot, TransferResult result);
   // Move all active transfers forward to now() at their current rates.
   void advance();
   // Recompute fair-share rates (recompute_rates) and (re)schedule the next
-  // wake-up event (arm_wakeup). All three skip transfers still in warmup.
+  // wake-up event (arm_wakeup). All three walk the active index only.
   void reflow();
   void recompute_rates();
   void arm_wakeup();
   void on_wakeup();
+  // First byte of the transfer in `slot`: it joins the active index.
+  void on_activate(FetchId id, std::uint32_t slot);
   // Outage start: fail every in-flight transfer (warmup included).
   void on_outage_begin();
   // Any fault-window boundary: settle progress and recompute rates.
@@ -144,16 +153,23 @@ class Link final : public ChunkSource {
 
   sim::Simulator& simulator_;
   LinkConfig config_;
-  // Every unsettled transfer, warmup and active, in strictly ascending id
-  // order: ids are issued increasing and appended, and erasing keeps the
-  // order. The water-filling weight sums, the advance increments and the
-  // completion firing order all walk this order, which keeps them
-  // bit-exact. A completion callback may grow or shrink the table, so no
-  // iterator is held across one.
-  std::vector<Transfer> transfers_;
-  // Reused by recompute_rates(); its pointers into transfers_ live only
-  // for that call.
-  std::vector<Transfer*> waterfill_scratch_;
+  // Every unsettled transfer, warmup and active, in a stable slot: a
+  // transfer keeps its slot from fetch() until it settles, and a settled
+  // slot (id 0) goes on free_slots_ for the next fetch. Slot order carries
+  // no meaning; the table only grows.
+  std::vector<Transfer> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  // Slots of the transfers past their RTT warmup, in strictly ascending id
+  // order. An activation inserts at its id position (an RTT spike can
+  // activate a later id first), and settling erases in place, so the
+  // order holds. The water-filling weight sums, the advance increments and
+  // the completion firing order all walk this index, which keeps them
+  // bit-exact with a walk of every transfer in id order. A completion
+  // callback may fetch or cancel, so no iterator or reference is held
+  // across one.
+  std::vector<std::uint32_t> active_;
+  // Reused by recompute_rates(): the active slots still unallocated.
+  std::vector<std::uint32_t> waterfill_scratch_;
   std::vector<Completion> completed_scratch_;
   FetchId next_id_ = 1;
   sim::Time last_update_ = sim::kTimeZero;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "live/broadcast.h"
@@ -156,7 +157,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         LiveField{"upload_kbps",
                   build_session<[](Cfg& c, double v) { c.platform.upload_kbps = v; }>,
-                  {kNan, 0.0, -1.0, kInf, -kInf}, 1.0},
+                  {kNan, 0.0, -1.0, kInf, -kInf, 1e300}, 1.0},
         LiveField{"segment_s",
                   build_session<[](Cfg& c, double v) { c.platform.segment_s = v; }>,
                   {kNan, kInf, 1e300}, 1e-6},
@@ -167,10 +168,10 @@ INSTANTIATE_TEST_SUITE_P(
                   {kNan, -1.0, kInf, -kInf}, 0.0},
         LiveField{"ladder_kbps",
                   build_session<[](Cfg& c, double v) { c.platform.ladder_kbps = {v}; }>,
-                  {kNan, 0.0, -1.0, kInf}, 1.0},
+                  {kNan, 0.0, -1.0, kInf, 1e300}, 1.0},
         LiveField{"transcode_delay_us",
                   build_session<[](Cfg& c, double v) { c.platform.transcode_delay = us(v); }>,
-                  {-1.0}, 0.0},
+                  {-1.0, 4.7e18}, 0.0},
         LiveField{"mpd_poll_period_us",
                   build_session<[](Cfg& c, double v) { c.platform.mpd_poll_period = us(v); }>,
                   {0.0, -1.0}, 1.0},
@@ -360,6 +361,64 @@ TEST(UploadVra, QualityDropWinsWhenInterestIsEverywhere) {
   const double u_spatial =
       expected_viewer_utility(spatial.decide(2500.0), target, 170.0);
   EXPECT_GT(u_quality, u_spatial);
+}
+
+TEST(LiveBroadcast, RejectsABadUploadDecision) {
+  // A policy's constructor accepts any finite target, so the session
+  // checks each decision before a segment's byte count is cast from it.
+  struct Canned final : UploadPolicy {
+    UploadDecision decision;
+    explicit Canned(UploadDecision d) : decision(d) {}
+    UploadDecision decide(double) const override { return decision; }
+    std::string_view name() const override { return "canned"; }
+  };
+  const FixedQualityPolicy huge(1e300);
+  const Canned bad[] = {Canned({360.0, kNan}), Canned({360.0, 0.0}),
+                       Canned({kNan, 1000.0}), Canned({0.0, 1000.0}),
+                       Canned({361.0, 1000.0})};
+  std::vector<const UploadPolicy*> policies{&huge};
+  for (const Canned& policy : bad) policies.push_back(&policy);
+  for (const UploadPolicy* policy : policies) {
+    auto cfg = config_for(PlatformProfile::facebook(), {});
+    cfg.upload_policy = policy;
+    LiveBroadcastSession session(cfg);
+    EXPECT_THROW(static_cast<void>(session.run()), std::invalid_argument);
+  }
+  const Canned good({120.0, 1000.0});
+  auto cfg = config_for(PlatformProfile::facebook(), {});
+  cfg.upload_policy = &good;
+  EXPECT_GT(LiveBroadcastSession(cfg).run().segments_displayed, 0);
+}
+
+TEST(LiveBroadcast, CollapsedUplinkNeverIngestsItsBacklog) {
+  // From 30 s the uplink carries 1e-200 of its capacity. The 10 Mbit
+  // encoder queue still takes the segments captured at 30 s and 32 s, whose
+  // uploads would take ~1e199 s, far past the end of the run (and past the
+  // clock's range); every later one is dropped. The 14 segments captured
+  // before the collapse are all that is ever displayed.
+  auto cfg = config_for(PlatformProfile::facebook(), {});
+  cfg.platform.broadcaster_queue_mbits = 10.0;
+  cfg.measure_from = sim::Duration{0};
+  cfg.measure_to = cfg.broadcast_length;
+  cfg.uplink_faults.capacity_collapses.push_back(
+      {.start_s = 30.0, .duration_s = 200.0, .factor = 1e-200});
+  const auto result = LiveBroadcastSession(cfg).run();
+  EXPECT_EQ(result.segments_displayed, 14);
+  EXPECT_EQ(result.segments_dropped_at_broadcaster, 59);
+}
+
+TEST(LiveBroadcast, PrebufferTimerPastTheRunNeverFires) {
+  // 1e12 s segments: the prebuffer timer (twice 11 segments) lies past the
+  // end of the run and past the clock's range, so the viewer, who holds
+  // fewer than 11 segments, never starts playing.
+  auto cfg = config_for(PlatformProfile::periscope(), {});
+  cfg.platform.segment_s = 1e12;
+  cfg.broadcast_length = sim::seconds(3e12);
+  cfg.measure_from = sim::Duration{0};
+  cfg.measure_to = cfg.broadcast_length;
+  const auto result = LiveBroadcastSession(cfg).run();
+  EXPECT_EQ(result.segments_displayed, 0);
+  EXPECT_EQ(result.segments_dropped_at_broadcaster, 0);
 }
 
 TEST(UploadVra, RejectsBadParameters) {

@@ -580,6 +580,96 @@ TEST(LinkEquivalence, SettleTimelineIsPinned) {
   EXPECT_EQ(link.bytes_delivered(), 3'049'915);
 }
 
+TEST(LinkEquivalence, RttSpikeActivatesALaterIdFirst) {
+  // A transfer issued inside an RTT spike activates after a later one
+  // issued once the spike has ended. It must still join the active set at
+  // its id position: every weight sum and the firing order walk ids
+  // ascending (the check preset verifies that order on every reflow).
+  sim::Simulator simulator;
+  net::FaultPlan faults;
+  faults.rtt_spikes.push_back({.start_s = 0.1, .duration_s = 0.1, .factor = 10.0});
+  net::Link link(simulator,
+                 net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(8'000.0),
+                                 .rtt = sim::milliseconds(30),
+                                 .faults = std::move(faults)});
+  using Settle = std::tuple<net::FetchId, int, std::int64_t, std::int64_t>;
+  std::vector<Settle> settles;
+  const auto record = [&settles](net::FetchId id) {
+    return [&settles, id](const net::TransferResult& r) {
+      settles.emplace_back(id, static_cast<int>(r.status), r.time.count(),
+                           r.bytes_delivered);
+    };
+  };
+  // Issued at 0.15 s with a 300 ms RTT: first byte at 0.45 s.
+  simulator.schedule_at(sim::seconds(0.15), [&] {
+    EXPECT_EQ(link.fetch({.id = {}, .bytes = 400'000, .weight = 1.0}, record(1)), 1U);
+  });
+  // Issued at 0.25 s with a 30 ms RTT: first byte at 0.28 s, alone at
+  // 1 MB/s until 0.45 s (170 000 bytes), then a 3:1 share.
+  simulator.schedule_at(sim::seconds(0.25), [&] {
+    EXPECT_EQ(link.fetch({.id = {}, .bytes = 200'000, .weight = 3.0}, record(2)), 2U);
+  });
+  simulator.run_until(sim::seconds(0.3));
+  EXPECT_EQ(link.active_transfers(), 1);
+  EXPECT_EQ(link.transfer_rate_kbps(1), 0.0);
+  EXPECT_EQ(link.transfer_rate_kbps(2), 8'000.0);
+  simulator.run_until(sim::seconds(0.46));
+  EXPECT_EQ(link.active_transfers(), 2);
+  EXPECT_EQ(link.transfer_rate_kbps(1), 2'000.0);
+  EXPECT_EQ(link.transfer_rate_kbps(2), 6'000.0);
+  simulator.run_until(sim::seconds(5.0));
+  // (id, status 0 = completed, time in us, bytes)
+  const std::vector<Settle> expected{{2, 0, 490'000, 200'000},
+                                     {1, 0, 880'000, 400'000}};
+  EXPECT_EQ(settles, expected);
+  EXPECT_EQ(link.bytes_delivered(), 600'000);
+}
+
+TEST(LinkEquivalence, StaleActivationOfAReusedSlotDoesNothing) {
+  // A warmup cancel frees the transfer's slot, and the next fetch takes
+  // it. The cancelled transfer's activation event (due at 0.08 s) still
+  // fires; it must leave the new transfer, issued into an RTT spike, in
+  // warmup until its own first byte at 0.37 s.
+  sim::Simulator simulator;
+  net::FaultPlan faults;
+  faults.rtt_spikes.push_back({.start_s = 0.06, .duration_s = 0.44, .factor = 10.0});
+  net::Link link(simulator,
+                 net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(8'000.0),
+                                 .rtt = sim::milliseconds(30),
+                                 .faults = std::move(faults)});
+  // (status 0 completed / 2 cancelled, time in us, bytes)
+  using Settle = std::tuple<int, std::int64_t, std::int64_t>;
+  std::vector<Settle> first;
+  std::vector<Settle> second;
+  const auto into = [](auto& settles) {
+    return [&settles](const net::TransferResult& r) {
+      settles.emplace_back(static_cast<int>(r.status), r.time.count(),
+                           r.bytes_delivered);
+    };
+  };
+  net::FetchId cancelled = 0;
+  net::FetchId reused = 0;
+  simulator.schedule_at(sim::seconds(0.05), [&] {
+    cancelled = link.fetch({.id = {}, .bytes = 300'000}, into(first));
+  });
+  simulator.schedule_at(sim::seconds(0.07), [&] {
+    EXPECT_TRUE(link.cancel(cancelled));
+    reused = link.fetch({.id = {}, .bytes = 100'000}, into(second));
+  });
+  simulator.run_until(sim::seconds(0.2));
+  EXPECT_EQ(link.active_transfers(), 0);
+  EXPECT_EQ(link.transfer_rate_kbps(reused), 0.0);
+  EXPECT_FALSE(link.cancel(cancelled));
+  simulator.run_until(sim::seconds(0.38));
+  EXPECT_EQ(link.active_transfers(), 1);
+  EXPECT_EQ(link.transfer_rate_kbps(reused), 8'000.0);
+  simulator.run_until(sim::seconds(5.0));
+  // The new transfer's own 100 000 bytes at 1 MB/s from 0.37 s.
+  EXPECT_EQ(first, (std::vector<Settle>{{2, 70'000, 0}}));
+  EXPECT_EQ(second, (std::vector<Settle>{{0, 470'000, 100'000}}));
+  EXPECT_EQ(link.bytes_delivered(), 100'000);
+}
+
 TEST(PlanEquivalence, PlanChunkIntoMatchesPlanChunkAcrossWorkspaceReuse) {
   media::VideoModelConfig cfg;
   cfg.duration_s = 30.0;
