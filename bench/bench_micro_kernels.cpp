@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the streaming
 // stack: FoV visibility sampling, fusion probability maps, VRA and knapsack
-// planning, and the fluid link's reflow under concurrent transfers. These
+// planning, the fluid link's reflow under concurrent transfers, and one
+// fetch's trip through the transport and a CDN edge. These
 // guard against performance regressions — the client-side logic must stay
 // far cheaper than the 4-10 ms frame budget it models.
 #include <benchmark/benchmark.h>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "abr/factory.h"
+#include "cdn/edge.h"
+#include "core/transport.h"
 #include "geo/visibility.h"
 #include "hmp/fusion.h"
 #include "hmp/head_trace.h"
@@ -158,6 +161,45 @@ void BM_LinkWarmupHeavy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinkWarmupHeavy);
+
+void BM_FetchPathSettle(benchmark::State& state) {
+  // The per-request overhead of the fetch path, fetch to settle: a
+  // core::SingleLinkTransport over a cdn::EdgeSource, its access link and,
+  // on a miss, the edge's backhaul. Each iteration settles a hit, a miss
+  // and a coalesced join of that miss on one warm world, so the tables and
+  // the event queue are at their steady size; items are settled fetches.
+  sim::Simulator simulator;
+  net::Link backhaul(simulator,
+                     net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(200'000.0),
+                                     .rtt = sim::milliseconds(20), .faults = {}});
+  net::Link access(simulator,
+                   net::LinkConfig{.bandwidth = net::BandwidthTrace::constant(100'000.0),
+                                   .rtt = sim::milliseconds(10), .faults = {}});
+  constexpr std::int64_t kBytes = 20'000;
+  cdn::Edge edge(backhaul, 8 * kBytes, nullptr);  // the hot object and a few cold
+  cdn::EdgeSource source(access, edge);
+  core::SingleLinkTransport transport(source);
+  std::int64_t settled = 0;
+  const auto fetch = [&](const media::ChunkAddress& id) {
+    transport.fetch({.id = id,
+                     .bytes = kBytes,
+                     .deadline = simulator.now() + sim::seconds(10.0),
+                     .on_done = [&settled](sim::Time, core::FetchOutcome) { ++settled; }});
+  };
+  const media::ChunkAddress hot{{0, 0}, media::Encoding::kAvc, 0};
+  geo::TileId cold = 0;
+  for (auto _ : state) {
+    // A fresh tile id each time: never resident, so always a miss.
+    const media::ChunkAddress miss{{++cold, 0}, media::Encoding::kAvc, 0};
+    fetch(hot);
+    fetch(miss);
+    fetch(miss);
+    simulator.run();
+    benchmark::DoNotOptimize(transport.bytes_fetched());
+  }
+  state.SetItemsProcessed(settled);
+}
+BENCHMARK(BM_FetchPathSettle);
 
 void BM_SimulatorEventQueue(benchmark::State& state) {
   // Calendar-queue throughput: a schedule/cancel/pop mix over 1e6 events.

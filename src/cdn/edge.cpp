@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/slots.h"
 
 namespace sperke::cdn {
 
@@ -43,8 +44,18 @@ std::vector<Edge::Fill>::iterator Edge::find_fill(
                       [&id](const Fill& fill) { return fill.id == id; });
 }
 
+net::TransferCallback Edge::release_waiter(std::uint32_t slot) {
+  Waiter& waiter = waiters_[slot];
+  net::TransferCallback on_done = std::move(waiter.on_done);
+  waiter = Waiter{};
+  free_waiters_.push_back(slot);
+  return on_done;
+}
+
 void Edge::join_fill(const media::ChunkAddress& id, std::int64_t bytes,
                      double weight, Waiter waiter) {
+  const std::uint32_t slot = util::take_slot(waiters_, free_waiters_);
+  waiters_[slot] = std::move(waiter);
   const auto it = find_fill(id);
   if (it != fills_.end()) {
     // Same address must mean same object: a size mismatch would silently
@@ -53,26 +64,39 @@ void Edge::join_fill(const media::ChunkAddress& id, std::int64_t bytes,
                  it->bytes, " vs ", bytes, ")");
     ++stats_.coalesced;
     if (coalesced_metric_ != nullptr) coalesced_metric_->increment();
-    it->waiters.push_back(std::move(waiter));
+    // Every waiter may have left the fill, which keeps running regardless.
+    if (it->tail == kNoWaiter) {
+      it->head = slot;
+    } else {
+      waiters_[it->tail].next = slot;
+    }
+    it->tail = slot;
     return;
   }
-  fills_.push_back(Fill{.id = id, .bytes = bytes, .waiters = {}});
-  fills_.back().waiters.push_back(std::move(waiter));
-  backhaul_.fetch({.id = id, .bytes = bytes, .weight = weight},
-                  [this, alive = alive_, id](const net::TransferResult& r) {
-                    if (*alive) settle(id, r);
-                  });
+  fills_.push_back(Fill{.id = id, .bytes = bytes, .head = slot, .tail = slot});
+  auto on_settled = [this, alive = alive_, id](const net::TransferResult& r) {
+    if (*alive) settle(id, r);
+  };
+  static_assert(net::TransferCallback::fits_inline<decltype(on_settled)>);
+  backhaul_.fetch({.id = id, .bytes = bytes, .weight = weight}, std::move(on_settled));
 }
 
 bool Edge::leave_fill(const media::ChunkAddress& id,
                       const EdgeSource* source, net::FetchId fetch) {
   const auto it = find_fill(id);
   if (it == fills_.end()) return false;
-  std::vector<Waiter>& waiters = it->waiters;
-  for (auto wit = waiters.begin(); wit != waiters.end(); ++wit) {
-    if (wit->source != source || wit->fetch != fetch) continue;
-    net::TransferCallback cb = std::move(wit->on_done);
-    waiters.erase(wit);
+  std::uint32_t prev = kNoWaiter;
+  for (std::uint32_t slot = it->head; slot != kNoWaiter;
+       prev = slot, slot = waiters_[slot].next) {
+    const Waiter& waiter = waiters_[slot];
+    if (waiter.source != source || waiter.fetch != fetch) continue;
+    if (prev == kNoWaiter) {
+      it->head = waiter.next;
+    } else {
+      waiters_[prev].next = waiter.next;
+    }
+    if (it->tail == slot) it->tail = prev;
+    net::TransferCallback cb = release_waiter(slot);
     // Mirror net::Link::cancel: the caller's callback fires synchronously
     // with kCancelled. The fill keeps running even with zero waiters left —
     // the cache still wants the bytes it paid for.
@@ -90,10 +114,11 @@ void Edge::settle(const media::ChunkAddress& id,
                   const net::TransferResult& r) {
   const auto it = find_fill(id);
   SPERKE_CHECK(it != fills_.end(), "Edge: settle without a fill in flight");
-  std::vector<Waiter> waiters = std::move(it->waiters);
+  std::uint32_t slot = it->head;
   // Clear the fill *before* firing anyone: a waiter's callback may re-fetch
   // the same id (transport retry), which must start a fresh fill rather
-  // than join the one that just settled.
+  // than join the one that just settled. The detached chain stays off the
+  // free list until each waiter fires, so no join can reuse its slots.
   if (it != fills_.end() - 1) *it = std::move(fills_.back());
   fills_.pop_back();
   stats_.egress_bytes += r.bytes_delivered;
@@ -107,8 +132,11 @@ void Edge::settle(const media::ChunkAddress& id,
       if (evictions_metric_ != nullptr) evictions_metric_->add(evicted);
     }
   }
-  for (Waiter& w : waiters) {
-    if (w.on_done) w.on_done(r);
+  while (slot != kNoWaiter) {
+    const std::uint32_t next = waiters_[slot].next;
+    net::TransferCallback cb = release_waiter(slot);
+    if (cb) cb(r);
+    slot = next;
   }
 }
 
@@ -166,80 +194,71 @@ EdgeSource::EdgeSource(net::Link& access, Edge& edge)
 
 EdgeSource::~EdgeSource() { *alive_ = false; }
 
-std::size_t EdgeSource::find(net::FetchId id) const {
-  const auto it = std::lower_bound(
-      pending_.begin(), pending_.end(), id,
-      [](const Pending& p, net::FetchId key) { return p.id < key; });
-  if (it == pending_.end() || it->id != id) return pending_.size();
-  return static_cast<std::size_t>(it - pending_.begin());
-}
-
-void EdgeSource::erase(net::FetchId id) {
-  const std::size_t i = find(id);
-  if (i != pending_.size()) {
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
+net::TransferCallback EdgeSource::take(net::FetchId id, std::uint32_t slot) {
+  Pending& pending = pending_[slot];
+  if (pending.id != id) return nullptr;
+  pending.id = 0;
+  free_pending_.push_back(slot);
+  return std::move(pending.on_done);
 }
 
 net::FetchId EdgeSource::fetch(const net::FetchSpec& spec,
                                net::TransferCallback on_done) {
   SPERKE_CHECK(spec.bytes > 0, "EdgeSource::fetch: non-positive bytes");
   const net::FetchId id = next_id_++;
-  pending_.push_back(Pending{.id = id, .fill = spec.id});
+  const std::uint32_t slot = util::take_slot(pending_, free_pending_);
+  pending_[slot] = Pending{.id = id, .spec = spec, .on_done = std::move(on_done)};
   if (edge_.lookup(spec.id)) {
-    serve(id, spec, std::move(on_done));
+    serve(id, slot);
     return id;
   }
-  edge_.join_fill(
-      spec.id, spec.bytes,  // same object => same size for every requester
-      spec.weight,
-      {.source = this,
-       .fetch = id,
-       .on_done = [this, alive = alive_, id, spec,
-                   on_done = std::move(on_done)](
-                      const net::TransferResult& r) mutable {
-         if (!*alive) return;
-         if (!r.completed()) {
-           // Backhaul fault or our own cancel: nothing reached the client.
-           erase(id);
-           net::TransferResult client = r;
-           client.bytes_delivered = 0;
-           if (on_done) on_done(client);
-           return;
-         }
-         serve(id, spec, std::move(on_done));
-       }});
+  auto on_filled = [this, alive = alive_, id, slot](const net::TransferResult& r) {
+    if (!*alive) return;
+    if (r.completed()) {
+      serve(id, slot);
+      return;
+    }
+    // Backhaul fault or our own cancel: nothing reached the client.
+    net::TransferCallback client_done = take(id, slot);
+    net::TransferResult client = r;
+    client.bytes_delivered = 0;
+    if (client_done) client_done(client);
+  };
+  static_assert(net::TransferCallback::fits_inline<decltype(on_filled)>);
+  edge_.join_fill(spec.id, spec.bytes,  // same object => same size for every requester
+                  spec.weight,
+                  {.source = this, .fetch = id, .on_done = std::move(on_filled)});
   return id;
 }
 
-void EdgeSource::serve(net::FetchId id, const net::FetchSpec& spec,
-                       net::TransferCallback on_done) {
-  const net::FetchId serve_id = access_.fetch(
-      spec, [this, alive = alive_, id,
-             on_done = std::move(on_done)](const net::TransferResult& r) {
-        if (*alive) erase(id);
-        if (on_done) on_done(r);
-      });
-  const std::size_t i = find(id);
-  SPERKE_CHECK(i != pending_.size(), "EdgeSource::serve: pending entry lost");
-  pending_[i].serving = true;
-  pending_[i].serve_id = serve_id;
+void EdgeSource::serve(net::FetchId id, std::uint32_t slot) {
+  Pending& pending = pending_[slot];
+  SPERKE_CHECK(pending.id == id, "EdgeSource::serve: pending entry lost");
+  auto on_served = [this, alive = alive_, id, slot](const net::TransferResult& r) {
+    if (!*alive) return;
+    net::TransferCallback on_done = take(id, slot);
+    if (on_done) on_done(r);
+  };
+  static_assert(net::TransferCallback::fits_inline<decltype(on_served)>);
+  // A link never settles inside fetch(), so `pending` is still this fetch.
+  pending.serve_id = access_.fetch(pending.spec, std::move(on_served));
 }
 
 bool EdgeSource::cancel(net::FetchId id) {
-  const std::size_t i = find(id);
-  if (i == pending_.size()) return false;
-  if (pending_[i].serving) {
+  const auto it = std::find_if(pending_.begin(), pending_.end(),
+                               [id](const Pending& p) { return p.id == id; });
+  if (it == pending_.end()) return false;
+  if (it->serve_id != 0) {
     // Link::cancel fires the serve callback synchronously (kCancelled),
-    // which erases the pending entry.
-    return access_.cancel(pending_[i].serve_id);
+    // which frees the slot.
+    return access_.cancel(it->serve_id);
   }
   // Waiting on a fill: detach our waiter. Edge::leave_fill fires our fill
-  // callback synchronously with kCancelled, which erases the entry (hence
-  // the copy of its id) and forwards kCancelled (0 bytes) to the client —
-  // exactly the Link::cancel contract. The backhaul transfer keeps running
-  // for the cache's benefit.
-  const media::ChunkAddress fill = pending_[i].fill;
+  // callback synchronously with kCancelled, which frees the slot (hence
+  // the copy of its address) and forwards kCancelled (0 bytes) to the
+  // client — exactly the Link::cancel contract. The backhaul transfer keeps
+  // running for the cache's benefit.
+  const media::ChunkAddress fill = it->spec.id;
   return edge_.leave_fill(fill, this, id);
 }
 

@@ -22,7 +22,6 @@
 // byte budget is exhausted, so a flash crowd's first requests already hit.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -76,17 +75,23 @@ class Edge {
  private:
   friend class EdgeSource;
 
-  // One EdgeSource fetch waiting on a fill, keyed by (source, fetch).
+  static constexpr std::uint32_t kNoWaiter = 0xffffffffU;
+
+  // One EdgeSource fetch waiting on a fill, keyed by (source, fetch). It
+  // lives in a slot of waiters_, chained to the next waiter of its fill.
   struct Waiter {
     const EdgeSource* source = nullptr;
     net::FetchId fetch = 0;
     net::TransferCallback on_done;
+    std::uint32_t next = kNoWaiter;
   };
-  // One backhaul transfer and everyone waiting on it, in join order.
+  // One backhaul transfer and the chain of everyone waiting on it, in join
+  // order (kNoWaiter = none left).
   struct Fill {
     media::ChunkAddress id;
     std::int64_t bytes = 0;
-    std::vector<Waiter> waiters;
+    std::uint32_t head = kNoWaiter;
+    std::uint32_t tail = kNoWaiter;
   };
 
   // Counts a hit (touching the cache entry) or a miss.
@@ -103,6 +108,8 @@ class Edge {
   void settle(const media::ChunkAddress& id, const net::TransferResult& r);
   // The fill for `id` in fills_, or fills_.end().
   std::vector<Fill>::iterator find_fill(const media::ChunkAddress& id);
+  // Move the callback out of waiter slot `slot` and free the slot.
+  net::TransferCallback release_waiter(std::uint32_t slot);
 
   net::Link& backhaul_;
   obs::Counter* egress_metric_ = nullptr;
@@ -115,6 +122,12 @@ class Edge {
   // The fills in flight, unordered and only ever searched by id: a fill
   // lasts one backhaul transfer, so the table stays short.
   std::vector<Fill> fills_;
+  // Every fill's waiters, by slot: a fill chains its own through
+  // Waiter::next, so joining allocates nothing once the edge is warm. The
+  // table only grows, to the edge's peak of concurrent waiters; a callback
+  // may join and grow it, so no reference into it is held across one.
+  std::vector<Waiter> waiters_;
+  std::vector<std::uint32_t> free_waiters_;
   EdgeStats stats_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
@@ -144,24 +157,30 @@ class EdgeSource final : public net::ChunkSource {
   }
 
  private:
+  // One unsettled fetch. It owns the client's spec and callback; the
+  // closures this source hands to the edge and the access link carry only
+  // its id and slot, and take() the callback when they fire.
   struct Pending {
-    net::FetchId id = 0;
-    bool serving = false;       // true once bytes flow on the access link
-    net::FetchId serve_id = 0;  // access transfer (serving phase)
-    media::ChunkAddress fill;   // the object, whose fill a miss joins
+    net::FetchId id = 0;        // 0 = a free slot
+    net::FetchId serve_id = 0;  // access transfer once bytes flow, else 0
+    net::FetchSpec spec;        // spec.id names the fill a miss joins
+    net::TransferCallback on_done;
   };
 
-  void serve(net::FetchId id, const net::FetchSpec& spec,
-             net::TransferCallback on_done);
-  // Index of the unsettled fetch `id` in pending_, or pending_.size().
-  [[nodiscard]] std::size_t find(net::FetchId id) const;
-  void erase(net::FetchId id);
+  // Serve the fetch `id`, in `slot`, from the cache over the access link.
+  void serve(net::FetchId id, std::uint32_t slot);
+  // Free the slot of the unsettled fetch `id` and return its client
+  // callback, which the caller fires (empty when `id` already settled:
+  // the slot is free, or a later fetch took it).
+  net::TransferCallback take(net::FetchId id, std::uint32_t slot);
 
   net::Link& access_;
   Edge& edge_;
-  // Unsettled fetches in strictly ascending id order: ids come from
-  // next_id_, so a new fetch appends and a lookup bisects.
+  // Every unsettled fetch in a stable slot, from fetch() until it settles
+  // (the net::Link slot-table pattern). Slot order carries no meaning; the
+  // table only grows, to the peak of this link group's unsettled fetches.
   std::vector<Pending> pending_;
+  std::vector<std::uint32_t> free_pending_;
   net::FetchId next_id_ = 1;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

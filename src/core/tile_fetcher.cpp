@@ -75,6 +75,11 @@ void TileFetcher::send(const media::ChunkAddress& address,
     bump(counters_.late_corrections, metrics_.late_corrections);
   }
   trace(obs::TraceEventType::kFetchDispatched, fetch, fetch.dispatched, 0.0);
+  // The Fetch record rides inline in the request's callback.
+  auto on_done = [this, alive = alive_, fetch](sim::Time at, FetchOutcome outcome) {
+    if (*alive) settle(fetch, at, outcome);
+  };
+  static_assert(decltype(ChunkRequest::on_done)::fits_inline<decltype(on_done)>);
   transport_.fetch({.id = address,
                     .bytes = fetch.bytes,
                     .spatial = spatial,
@@ -82,10 +87,7 @@ void TileFetcher::send(const media::ChunkAddress& address,
                     .deadline = deadline,
                     .request_id = fetch.request_id,
                     .parent_id = parent_id,
-                    .on_done = [this, alive = alive_, fetch](
-                                   sim::Time at, FetchOutcome outcome) {
-                      if (*alive) settle(fetch, at, outcome);
-                    }});
+                    .on_done = std::move(on_done)});
 }
 
 void TileFetcher::settle(const Fetch& fetch, sim::Time at, FetchOutcome outcome) {

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 
@@ -20,6 +19,7 @@
 #include "core/transport.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
+#include "util/inline_function.h"
 
 namespace sperke::core {
 
@@ -36,7 +36,7 @@ class TileFetcher {
     std::int64_t request_id = 0;  // 0 = untraced
     std::int64_t parent_id = 0;   // the failed request a retry replaces
   };
-  using SettleHook = std::function<void(const Fetch&, FetchOutcome)>;
+  using SettleHook = util::InlineFunction<void(const Fetch&, FetchOutcome), 16>;
 
   struct Counters {
     int fetches = 0;
@@ -87,7 +87,7 @@ class TileFetcher {
   }
 
   // The sorted visible tiles of the chunk being upgraded, computed on demand.
-  using VisibleTiles = std::function<std::span<const geo::TileId>()>;
+  using VisibleTiles = util::InlineFunction<std::span<const geo::TileId>(), 16>;
 
   // The §3.1.1 upgrade pass over planned chunk `index`: every tile displayed
   // below `target` is offered to the policy, in ascending tile order, at its

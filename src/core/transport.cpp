@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/slots.h"
+
 namespace sperke::core {
 namespace {
 
@@ -84,7 +86,13 @@ void FetchQueue::insert(Pending pending) {
   std::deque<Pending>& queue = queues_.at(pending.cls);
   auto it = queue.end();
   while (it != queue.begin() && std::prev(it)->seq > pending.seq) --it;
-  queue.insert(it, std::move(pending));
+  if (it == queue.end()) {
+    // Not insert(end()): on an empty deque that is a push_front, which
+    // takes a fresh node whenever the queue drained at a node boundary.
+    queue.push_back(std::move(pending));
+  } else {
+    queue.insert(it, std::move(pending));
+  }
 }
 
 void FetchQueue::set_paused(bool paused) {
@@ -111,31 +119,37 @@ void FetchQueue::pump() {
     const auto queue = std::find_if(queues_.begin(), queues_.end(),
                                     [](const auto& q) { return !q.empty(); });
     if (queue == queues_.end()) return;
-    Pending pending = std::move(queue->front());
-    queue->pop_front();
     const sim::Time now = source_.simulator().now();
+    Pending& front = queue->front();
     // Best-effort requests that already blew their deadline are dropped
-    // before wasting capacity.
-    if (pending.best_effort && pending.request.deadline <= now) {
+    // before wasting capacity. A retry never starts at or past the playback
+    // deadline either: fetching a chunk the player has already given up on
+    // only wastes capacity.
+    const bool late = front.request.deadline <= now;
+    if (late && (front.best_effort || front.attempts > 0)) {
+      Pending pending = std::move(front);
+      queue->pop_front();
       load_bytes_ -= pending.request.bytes;
-      ++dropped_best_effort_;
-      if (metrics.dropped != nullptr) metrics.dropped->increment();
-      if (pending.request.on_done) pending.request.on_done(now, FetchOutcome::kDropped);
+      if (pending.best_effort) {
+        ++dropped_best_effort_;
+        if (metrics.dropped != nullptr) metrics.dropped->increment();
+        if (pending.request.on_done) pending.request.on_done(now, FetchOutcome::kDropped);
+      } else {
+        settle_undelivered(pending, now, FetchOutcome::kTimedOut);
+      }
       continue;
     }
-    // A retry never starts at or past the playback deadline: fetching a
-    // chunk the player has already given up on only wastes capacity.
-    if (pending.attempts > 0 && pending.request.deadline <= now) {
-      load_bytes_ -= pending.request.bytes;
-      settle_undelivered(pending, now, FetchOutcome::kTimedOut);
-      continue;
-    }
-    dispatch(std::move(pending), now);
+    // The request moves once, from its queue into its attempt slot.
+    const std::uint32_t slot = util::take_slot(flights_, free_flights_);
+    flights_[slot] = std::move(front);
+    queue->pop_front();
+    dispatch(slot, now);
   }
 }
 
-void FetchQueue::dispatch(Pending pending, sim::Time now) {
+void FetchQueue::dispatch(std::uint32_t slot, sim::Time now) {
   ++active_;
+  Pending& pending = flights_[slot];
   if (metrics.queue_wait_ms != nullptr) {
     metrics.queue_wait_ms->observe(sim::to_milliseconds(now - pending.enqueued));
   }
@@ -163,21 +177,13 @@ void FetchQueue::dispatch(Pending pending, sim::Time now) {
                             .bytes = request.bytes,
                             .weight = weight,
                             .deadline = request.deadline};
-  std::uint32_t slot = 0;
-  if (free_flights_.empty()) {
-    slot = static_cast<std::uint32_t>(flights_.size());
-    flights_.push_back(std::move(pending));
-  } else {
-    slot = free_flights_.back();
-    free_flights_.pop_back();
-    flights_[slot] = std::move(pending);
-  }
   // The source may settle inside fetch(), and that settle may free `slot`
   // and dispatch again, so nothing below reads the slab.
-  const net::FetchId id = source_.fetch(
-      spec, [this, alive = alive_, slot, now](const net::TransferResult& r) {
-        if (*alive) on_attempt_done(slot, now, r);
-      });
+  auto on_settled = [this, alive = alive_, slot, now](const net::TransferResult& r) {
+    if (*alive) on_attempt_done(slot, now, r);
+  };
+  static_assert(net::TransferCallback::fits_inline<decltype(on_settled)>);
+  const net::FetchId id = source_.fetch(spec, std::move(on_settled));
   if (options_.recovery.enabled) {
     // Deadline-derived timeout on the in-flight transfer. The min_timeout
     // floor keeps already-late emergency fetches (deadline == now) alive

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "net/throughput_estimator.h"
 #include "obs/telemetry.h"
 #include "sim/time.h"
+#include "util/inline_function.h"
 
 namespace sperke::core {
 
@@ -57,7 +57,9 @@ struct ChunkRequest {
   std::int64_t request_id = 0;
   std::int64_t parent_id = 0;
   // Called exactly once with the time the request settled and its outcome.
-  std::function<void(sim::Time, FetchOutcome)> on_done;
+  // 96 bytes inline hold TileFetcher's `{this, alive, Fetch}` closure, so
+  // a request allocates nothing for its callback.
+  util::InlineFunction<void(sim::Time, FetchOutcome), 96> on_done;
 };
 
 // Failure-recovery policy shared by both transports (DESIGN.md §10).
@@ -187,9 +189,9 @@ class FetchQueue {
 
   Metrics metrics;
   // Called with every attempt's result before the queue acts on it.
-  std::function<void(const net::TransferResult&)> on_attempt_settled;
+  util::InlineFunction<void(const net::TransferResult&), 16> on_attempt_settled;
   // The queue a retry re-enters after its backoff; unset means this one.
-  std::function<FetchQueue&()> route_retry;
+  util::InlineFunction<FetchQueue&(), 16> route_retry;
 
  private:
   struct Pending {
@@ -203,7 +205,8 @@ class FetchQueue {
   };
 
   void insert(Pending pending);
-  void dispatch(Pending pending, sim::Time now);
+  // Start the attempt parked in `slot` on the source.
+  void dispatch(std::uint32_t slot, sim::Time now);
   void on_attempt_done(std::uint32_t slot, sim::Time started,
                        const net::TransferResult& result);
   // Move the attempt out of its slab slot and free the slot.

@@ -71,6 +71,15 @@ LiveBroadcastSession::LiveBroadcastSession(Config config)
       config_.broadcast_length > sim::Duration::max() - kDrain) {
     throw std::invalid_argument("LiveBroadcastSession: bad broadcast length");
   }
+  // Every timer armed by the end of the run (the next capture or play-loop
+  // tick one segment later, the next MPD poll) must fit the clock too.
+  const sim::Duration headroom =
+      sim::Duration::max() - kDrain - config_.broadcast_length;
+  if (sim::seconds(p.segment_s) > headroom || p.mpd_poll_period > headroom) {
+    throw std::invalid_argument(
+        "LiveBroadcastSession: broadcast length plus a segment or MPD poll "
+        "passes the clock");
+  }
   if (config_.measure_from < sim::Duration{0} ||
       config_.measure_from > config_.measure_to) {
     throw std::invalid_argument("LiveBroadcastSession: bad measurement window");

@@ -168,16 +168,15 @@ MultipathTransport::MultipathTransport(sim::Simulator& simulator,
 
 MultipathTransport::~MultipathTransport() { *alive_ = false; }
 
-std::vector<PathState> MultipathTransport::snapshot() const {
-  std::vector<PathState> out;
-  out.reserve(paths_.size());
+const std::vector<PathState>& MultipathTransport::snapshot() {
+  snapshot_.clear();
   for (const Path& path : paths_) {
-    out.push_back({.link = &path.link,
-                   .estimated_kbps = path.queue.estimated_kbps(),
-                   .queued_bytes = path.queue.load_bytes(),
-                   .quality_score = quality_of(path.link)});
+    snapshot_.push_back({.link = &path.link,
+                         .estimated_kbps = path.queue.estimated_kbps(),
+                         .queued_bytes = path.queue.load_bytes(),
+                         .quality_score = quality_of(path.link)});
   }
-  return out;
+  return snapshot_;
 }
 
 void MultipathTransport::fetch(core::ChunkRequest request) {

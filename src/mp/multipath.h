@@ -154,7 +154,8 @@ class MultipathTransport final : public core::ChunkTransport {
     obs::Counter* down_events_metric = nullptr;
   };
 
-  [[nodiscard]] std::vector<PathState> snapshot() const;
+  // Refill snapshot_ with every path's live state for the scheduler.
+  const std::vector<PathState>& snapshot();
   // Attempt-settled hook of path `path_index`: path-failure detection.
   void on_attempt_settled(std::size_t path_index, const net::TransferResult& result);
   // Retry-routing hook of path `path_index`: a retry whose path went down
@@ -172,6 +173,7 @@ class MultipathTransport final : public core::ChunkTransport {
   std::unique_ptr<PathScheduler> scheduler_;
   core::TransportOptions options_;
   std::deque<Path> paths_;  // a deque: path queues never move
+  std::vector<PathState> snapshot_;  // reused by every fetch's pick()
   std::uint64_t next_seq_ = 0;  // one submission order across all paths
   MultipathStats stats_;
   obs::Telemetry* telemetry_ = nullptr;

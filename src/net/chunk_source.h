@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "media/chunk.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/inline_function.h"
 
 namespace sperke::net {
 
@@ -45,7 +45,11 @@ struct TransferResult {
   }
 };
 
-using TransferCallback = std::function<void(const TransferResult&)>;
+// A fetch's completion callback. 48 bytes inline hold every source-side
+// closure: `this`, a shared_ptr liveness token and an id or two. A nested
+// callback captures the id of a record that owns the outer callback, never
+// the callback itself (DESIGN.md §13).
+using TransferCallback = util::InlineFunction<void(const TransferResult&), 48>;
 
 // One fetch as a transport submits it. `weight` is the HTTP/2-style stream
 // priority forwarded to whichever link ends up carrying the bytes;

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/slots.h"
+
 namespace sperke::net {
 namespace {
 
@@ -145,16 +147,6 @@ std::size_t Link::slot_of(FetchId id) const {
   return slots_.size();
 }
 
-std::uint32_t Link::take_slot() {
-  if (free_slots_.empty()) {
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-  }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  return slot;
-}
-
 Link::Completion Link::settle(std::uint32_t slot, TransferResult result) {
   Transfer& t = slots_[slot];
   Completion completion{t.id, slot, std::move(t.on_complete), result};
@@ -176,7 +168,7 @@ FetchId Link::fetch(const FetchSpec& spec, TransferCallback on_done) {
     throw std::invalid_argument("Link: non-positive weight");
   }
   const FetchId id = next_id_++;
-  const std::uint32_t slot = take_slot();
+  const std::uint32_t slot = util::take_slot(slots_, free_slots_);
   Transfer& t = slots_[slot];
   t = Transfer{};
   t.id = id;

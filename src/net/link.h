@@ -125,8 +125,6 @@ class Link final : public ChunkSource {
 
   // Slot of the unsettled transfer `id`, or slots_.size() once it settled.
   [[nodiscard]] std::size_t slot_of(FetchId id) const;
-  // Take a free slot (or grow the table) for a new transfer.
-  [[nodiscard]] std::uint32_t take_slot();
   // Hand a settled transfer's slot back: it becomes free (id 0), and its
   // callback moves into the returned completion.
   [[nodiscard]] Completion settle(std::uint32_t slot, TransferResult result);

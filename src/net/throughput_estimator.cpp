@@ -13,8 +13,12 @@ AggregateWindowEstimator::AggregateWindowEstimator(std::size_t window)
 void AggregateWindowEstimator::record(sim::Time start, sim::Time end,
                                       std::int64_t bytes) {
   if (end < start || bytes <= 0) return;
-  samples_.push_back({start, end, bytes});
-  while (samples_.size() > window_) samples_.pop_front();
+  if (samples_.size() < window_) {
+    samples_.push_back({start, end, bytes});
+  } else {
+    samples_[next_] = {start, end, bytes};
+    next_ = (next_ + 1) % window_;
+  }
   stale_ = true;
 }
 
@@ -32,7 +36,9 @@ double AggregateWindowEstimator::union_kbps() const {
   // (start, end) into the scratch: at most window_ entries, mostly in order.
   intervals_.clear();
   std::int64_t total_bytes = 0;
-  for (const Sample& s : samples_) {
+  // Oldest first: next_ stays 0 until the ring is full.
+  for (std::size_t k = 0; k < samples_.size(); ++k) {
+    const Sample& s = samples_[(next_ + k) % samples_.size()];
     const std::pair<sim::Time, sim::Time> interval{s.start, s.end};
     intervals_.push_back(interval);
     for (std::size_t i = intervals_.size() - 1;

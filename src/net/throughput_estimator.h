@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -42,7 +41,10 @@ class AggregateWindowEstimator {
     std::int64_t bytes = 0;
   };
   std::size_t window_;
-  std::deque<Sample> samples_;
+  // The last window_ samples as a ring: once it is full, a new sample
+  // overwrites the oldest, at next_, so recording allocates nothing.
+  std::vector<Sample> samples_;
+  std::size_t next_ = 0;
   // union_kbps() scratch: the sampled intervals in (start, end) order.
   mutable std::vector<std::pair<sim::Time, sim::Time>> intervals_;
   // union_kbps() as of the last read; valid unless stale_.

@@ -3,15 +3,23 @@
 #include <stdexcept>
 
 namespace sperke::sim {
+namespace {
 
-PeriodicTask::PeriodicTask(Simulator& simulator, Duration period,
-                           std::function<void()> fn)
-    : PeriodicTask(simulator, simulator.now() + period, period, std::move(fn)) {}
+Duration checked_period(Duration period) {
+  if (period <= Duration{0}) throw std::invalid_argument("PeriodicTask: period must be positive");
+  return period;
+}
+
+}  // namespace
+
+PeriodicTask::PeriodicTask(Simulator& simulator, Duration period, EventFn fn)
+    : simulator_(simulator), period_(checked_period(period)), fn_(std::move(fn)) {
+  arm_next();
+}
 
 PeriodicTask::PeriodicTask(Simulator& simulator, Time start, Duration period,
-                           std::function<void()> fn)
-    : simulator_(simulator), period_(period), fn_(std::move(fn)) {
-  if (period_ <= Duration{0}) throw std::invalid_argument("PeriodicTask: period must be positive");
+                           EventFn fn)
+    : simulator_(simulator), period_(checked_period(period)), fn_(std::move(fn)) {
   arm(start);
 }
 
@@ -30,8 +38,17 @@ void PeriodicTask::arm(Time at) {
   pending_ = simulator_.schedule_at(at, [this, alive = alive_] {
     if (!*alive || !running_) return;
     fn_();
-    if (*alive && running_) arm(simulator_.now() + period_);
+    if (*alive && running_) arm_next();
   });
+}
+
+void PeriodicTask::arm_next() {
+  const Time now = simulator_.now();
+  if (now > Time::max() - period_) {
+    running_ = false;  // the next tick would overflow the clock
+    return;
+  }
+  arm(now + period_);
 }
 
 }  // namespace sperke::sim

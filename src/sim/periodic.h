@@ -1,7 +1,6 @@
 // Periodic task helper: re-arms itself on the simulator until stopped.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "sim/simulator.h"
@@ -9,12 +8,12 @@
 namespace sperke::sim {
 
 // Runs `fn` every `period` starting at `start` (default: one period from
-// now). Stops when stop() is called or when the owner is destroyed.
+// now). Stops when stop() is called, when the owner is destroyed, or when
+// the next tick would pass the end of the clock (Time::max()).
 class PeriodicTask {
  public:
-  PeriodicTask(Simulator& simulator, Duration period, std::function<void()> fn);
-  PeriodicTask(Simulator& simulator, Time start, Duration period,
-               std::function<void()> fn);
+  PeriodicTask(Simulator& simulator, Duration period, EventFn fn);
+  PeriodicTask(Simulator& simulator, Time start, Duration period, EventFn fn);
   ~PeriodicTask();
 
   PeriodicTask(const PeriodicTask&) = delete;
@@ -25,10 +24,13 @@ class PeriodicTask {
 
  private:
   void arm(Time at);
+  // Arm the tick one period from now, or stop when it would not fit the
+  // clock.
+  void arm_next();
 
   Simulator& simulator_;
   Duration period_;
-  std::function<void()> fn_;
+  EventFn fn_;
   EventId pending_{};
   bool running_ = true;
   // Guards against the callback firing after destruction.

@@ -23,10 +23,15 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_fn.h"
 #include "sim/time.h"
+#include "util/inline_function.h"
 
 namespace sperke::sim {
+
+// Callable for one simulator event. 64 bytes inline hold every event
+// closure in the tree: the largest capture `this`, a shared_ptr liveness
+// token and a few ids or timestamps.
+using EventFn = util::InlineFunction<void(), 64>;
 
 // Handle for a scheduled event; valid until the event fires or is cancelled.
 struct EventId {

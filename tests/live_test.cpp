@@ -203,6 +203,20 @@ INSTANTIATE_TEST_SUITE_P(
         LiveField{"broadcast_length_us",
                   build_session<[](Cfg& c, double v) { c.broadcast_length = us(v); }>,
                   {-1.0, 9.223372036854774e18}, 0.0},
+        // The run ends at broadcast_length + 60 s of drain; the timers armed
+        // by then, one segment or one MPD poll later, must fit the clock.
+        LiveField{"segment_s_after_a_long_broadcast",
+                  build_session<[](Cfg& c, double v) {
+                    c.broadcast_length = sim::seconds(9e12);
+                    c.platform.segment_s = v;
+                  }>,
+                  {5e12, 2.3e11}, 2.2e11},
+        LiveField{"mpd_poll_period_s_after_a_long_broadcast",
+                  build_session<[](Cfg& c, double v) {
+                    c.broadcast_length = sim::seconds(9e12);
+                    c.platform.mpd_poll_period = sim::seconds(v);
+                  }>,
+                  {5e12, 2.3e11}, 2.2e11},
         LiveField{"measure_from_s",
                   build_session<[](Cfg& c, double v) { c.measure_from = sim::seconds(v); }>,
                   {-1.0, 141.0}, 140.0},

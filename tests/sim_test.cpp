@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "sim/periodic.h"
@@ -155,6 +156,21 @@ TEST(PeriodicTask, ExplicitStartTime) {
   ASSERT_EQ(fires.size(), 3u);  // t = 0, 2, 4
   EXPECT_EQ(fires[0], kTimeZero);
   task.stop();
+}
+
+TEST(PeriodicTask, StopsWhereTheNextTickWouldPassTheClock) {
+  // The first tick fires at two thirds of the clock's range; the second
+  // would pass Time::max(), so the task ends instead of re-arming.
+  Simulator s;
+  int count = 0;
+  std::optional<PeriodicTask> task;
+  task.emplace(s, Time::max() / 3 * 2, [&] {
+    if (++count > 3) task->stop();  // bounds a wrapped clock's re-firing
+  });
+  s.run();
+  EXPECT_EQ(count, 1);
+  EXPECT_FALSE(task->running());
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 TEST(PeriodicTask, RejectsNonPositivePeriod) {

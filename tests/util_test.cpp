@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "util/csv.h"
+#include "util/inline_function.h"
 #include "util/math.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -163,6 +167,90 @@ TEST(TextTable, RejectsRowWidthMismatch) {
 TEST(TextTable, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(TextTable::num(1.0, 0), "1");
+}
+
+// Counts live copies of itself, so a test can see each callable destroyed
+// exactly once however often its holder moves.
+struct Tracked {
+  explicit Tracked(int* live) : live(live) { ++*live; }
+  Tracked(Tracked&& other) noexcept : live(other.live) { ++*live; }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() { --*live; }
+  int* live;
+};
+
+using SmallFn = util::InlineFunction<int(int), 16>;
+
+TEST(InlineFunction, IsMoveOnly) {
+  static_assert(!std::is_copy_constructible_v<SmallFn>);
+  static_assert(!std::is_copy_assignable_v<SmallFn>);
+  static_assert(std::is_nothrow_move_constructible_v<SmallFn>);
+  static_assert(std::is_nothrow_move_assignable_v<SmallFn>);
+  // A move-only capture is accepted, which std::function would refuse.
+  auto owned = std::make_unique<int>(5);
+  SmallFn fn = [p = std::move(owned)](int x) { return *p + x; };
+  EXPECT_EQ(fn(2), 7);
+}
+
+TEST(InlineFunction, ConstCallInvokesAStatefulCallable) {
+  const SmallFn counter = [n = 0](int step) mutable { return n += step; };
+  EXPECT_EQ(counter(2), 2);
+  EXPECT_EQ(counter(3), 5);
+}
+
+TEST(InlineFunction, DestroysTheCallableExactlyOnce) {
+  int live = 0;
+  {
+    util::InlineFunction<void(), 32> fn = [t = Tracked(&live)] { (void)t; };
+    EXPECT_EQ(live, 1);
+    util::InlineFunction<void(), 32> moved = std::move(fn);
+    util::InlineFunction<void(), 32> assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(live, 1);
+    assigned();
+    assigned.reset();
+    EXPECT_EQ(live, 0);
+    assigned = [t = Tracked(&live)] { (void)t; };
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(InlineFunction, FallsBackToTheHeapForOversizeCallables) {
+  std::array<int, 8> wide{};
+  wide[7] = 40;
+  auto big = [wide](int x) { return wide[7] + x; };
+  static_assert(!SmallFn::fits_inline<decltype(big)>);
+  static_assert(SmallFn::fits_inline<decltype([](int x) { return x; })>);
+  int live = 0;
+  {
+    SmallFn fn = big;
+    EXPECT_EQ(fn(2), 42);
+    SmallFn moved = std::move(fn);
+    EXPECT_EQ(moved(1), 41);
+    util::InlineFunction<void(), 8> boxed = [t = Tracked(&live), wide] { (void)t; };
+    static_assert(sizeof(wide) > 8);
+    util::InlineFunction<void(), 8> moved_box = std::move(boxed);
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(InlineFunction, MovedFromIsEmpty) {
+  SmallFn fn = [](int x) { return x; };
+  ASSERT_TRUE(fn);
+  SmallFn to = std::move(fn);
+  EXPECT_FALSE(fn);  // NOLINT(bugprone-use-after-move): the moved-from state is the contract
+  EXPECT_TRUE(fn == nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(to);
+  SmallFn assigned = [](int x) { return -x; };
+  assigned = std::move(to);
+  EXPECT_FALSE(to);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned(3), 3);
+  EXPECT_FALSE(SmallFn{});
+  EXPECT_FALSE(SmallFn{nullptr});
 }
 
 }  // namespace

@@ -43,6 +43,12 @@ that keep it that way. It scans ``src/``, ``tests/``, ``bench/``,
                       pointers and ``net::LinkConfig`` stay fair game;
                       ``tests/``/``bench/``/``examples/`` build link
                       fixtures directly and are out of scope.
+  hot-path-callable   ``std::function`` in ``src/sim``, ``src/net``,
+                      ``src/cdn``, ``src/core`` or ``src/mp``. Those
+                      layers carry a callback per event or per fetch, and
+                      libstdc++'s 16-byte small buffer sends every wider
+                      closure to the heap; they use ``util::InlineFunction``
+                      sized for their closures instead (DESIGN.md §13).
   metric-name         Metric registration sites (``.counter(`` /
                       ``.gauge(`` / ``.histogram(`` in ``src``, ``bench``
                       and ``examples``) whose name is not a string literal
@@ -170,6 +176,7 @@ RULES = (
     "header-guard",
     "abr-factory",
     "link-construction",
+    "hot-path-callable",
     "metric-name",
     "format-basics",
 )
@@ -191,6 +198,10 @@ LINK_CONSTRUCT_RE = re.compile(
     r"|\bnew\s+net::Link\b|\bnet::Link\s+\w+\s*[({]"
 )
 LINK_EXEMPT_SUBDIRS = ("net", "cdn")
+
+# The per-event / per-fetch layers, where every callback must stay inline.
+HOT_PATH_SUBDIRS = ("sim", "net", "cdn", "core", "mp")
+STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
 
 
 def blank_comments_and_strings(text):
@@ -378,6 +389,7 @@ class Linter:
 
         self.check_abr_factory(path, blanked, raw_lines)
         self.check_link_construction(path, blanked, raw_lines)
+        self.check_hot_path_callable(path, blanked, raw_lines)
 
         if is_header:
             if "#pragma once" not in raw:
@@ -470,6 +482,27 @@ class Linter:
                     raw_lines,
                 )
 
+    def check_hot_path_callable(self, path, blanked, raw_lines):
+        """No std::function where a callback is made per event or fetch.
+
+        A closure wider than libstdc++'s 16-byte small buffer costs
+        std::function a heap allocation per construction; the fetch path
+        made about four of them per request before it moved to
+        ``util::InlineFunction``. Comments mentioning the type do not fire
+        (blanked text).
+        """
+        parts = path.relative_to(self.root).parts
+        if parts[0] != "src" or len(parts) < 2 or parts[1] not in HOT_PATH_SUBDIRS:
+            return
+        for idx, line in enumerate(blanked.splitlines(), start=1):
+            if STD_FUNCTION_RE.search(line):
+                self.report(
+                    path, idx, "hot-path-callable",
+                    f"std::function in src/{parts[1]}/, a per-event/per-fetch "
+                    "layer; use util::InlineFunction sized for the closure "
+                    "so the callback stays off the heap", raw_lines,
+                )
+
     def check_include_hygiene(self, path, blanked, raw_lines):
         included = set(re.findall(r'#include <([^>]+)>', blanked))
         for token, header in sorted(STD_NEEDS.items()):
@@ -547,6 +580,10 @@ def self_test():
     link-construction: make_unique and stack-instance violations in src/,
     the src/net//src/cdn exemptions, tests/ being out of scope,
     references/LinkConfig not firing, and allow-comment suppression.
+
+    hot-path-callable: std::function in src/core/ and src/sim/, src/engine/
+    and tests/ being out of scope, comment mentions and InlineFunction not
+    firing, and allow-comment suppression.
     """
     import tempfile
 
@@ -584,11 +621,26 @@ def self_test():
             "// sperke-lint: allow(link-construction)\n"
             "uplink_ = std::make_unique<net::Link>(sim, cfg);\n")
 
+        put("src/core/bad_callable.cpp",
+            "#include <functional>\n"
+            "std::function<void(sim::Time)> on_done;\n")
+        put("src/sim/bad_callable.cpp", "void run(std::function<void()> fn);\n")
+        put("src/engine/ok_callable.cpp", "std::function<int(int)> session_for;\n")
+        put("tests/ok_callable_test.cpp", "std::function<void()> probe;\n")
+        put("src/net/ok_callable.cpp",
+            "// std::function would allocate for this closure.\n"
+            "util::InlineFunction<void(), 16> fn;\n")
+        put("src/mp/ok_callable_allowed.cpp",
+            "// sperke-lint: allow(hot-path-callable)\n"
+            "std::function<void()> cold_setup_hook;\n")
+
         findings, _ = Linter(root).run()
         for rule, expected in (
             ("abr-factory", ["bench/bad.cpp:1:", "src/core/bad.cpp:1:"]),
             ("link-construction",
              ["src/core/bad_link.cpp:1:", "src/engine/bad_link.cpp:1:"]),
+            ("hot-path-callable",
+             ["src/core/bad_callable.cpp:2:", "src/sim/bad_callable.cpp:1:"]),
         ):
             got = sorted(
                 f.split(" ")[0] for f in findings if f"[{rule}]" in f
