@@ -8,7 +8,7 @@ namespace sperke::abr {
 FullPanoramaVra::FullPanoramaVra(std::shared_ptr<const media::VideoModel> video,
                                  FullPanoramaConfig config)
     : TileAbrPolicy(std::move(video)),
-      regular_(make_regular_vra(config.regular_vra)) {}
+      pinned_(parse_regular_vra(config.regular_vra)) {}
 
 void FullPanoramaVra::plan_into(media::ChunkIndex index,
                                 const std::vector<geo::TileId>& predicted_fov,
@@ -23,17 +23,17 @@ void FullPanoramaVra::plan_into(media::ChunkIndex index,
 
   // The "super chunk" is the entire panorama: cost every level over all
   // tiles and let the regular VRA pick the uniform quality.
-  VraContext& ctx = workspace.ctx;
-  ctx.level_kbps.clear();
-  ctx.estimated_kbps = estimated_kbps;
+  std::vector<double>& level_kbps = workspace.level_kbps;
+  level_kbps.clear();
   for (media::QualityLevel q = 0; q < ladder.levels(); ++q) {
     std::int64_t bytes = 0;
     for (geo::TileId t = 0; t < tiles; ++t) {
       bytes += video.avc_size_bytes(q, {t, index});
     }
-    ctx.level_kbps.push_back(static_cast<double>(bytes) * 8.0 / chunk_s / 1000.0);
+    level_kbps.push_back(static_cast<double>(bytes) * 8.0 / chunk_s / 1000.0);
   }
-  const media::QualityLevel q = regular_->choose(ctx);
+  const media::QualityLevel q =
+      regular_vra_level(level_kbps, estimated_kbps, pinned_);
 
   auto& in_fov = workspace.tile_flag;
   in_fov.assign(static_cast<std::size_t>(tiles), 0);

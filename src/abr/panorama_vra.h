@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -17,7 +18,7 @@
 namespace sperke::abr {
 
 struct FullPanoramaConfig {
-  // Regular VRA choosing the uniform level (abr/regular_vra.h names).
+  // Regular VRA choosing the uniform level (parse_regular_vra names).
   std::string regular_vra = "throughput";
 };
 
@@ -39,7 +40,7 @@ class FullPanoramaVra final : public TileAbrPolicy {
                  media::QualityLevel last_quality, PlanWorkspace& workspace,
                  ChunkPlan& out) const override;
 
-  std::unique_ptr<RegularVra> regular_;
+  std::optional<media::QualityLevel> pinned_;  // parsed regular_vra
 };
 
 }  // namespace sperke::abr

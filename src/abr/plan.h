@@ -3,7 +3,8 @@
 //
 // SpatialClass is the spatial half of the paper's Table 1 priority matrix
 // (FoV chunks > OOS chunks); the temporal half (urgent vs regular) is
-// decided at dispatch time from the playback deadline (mp/priority.h).
+// decided at dispatch time from the playback deadline
+// (core::ChunkRequest::urgent), and mp::rank orders the four cells.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,46 @@
 #include "abr/policy.h"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace sperke::abr {
+
+std::optional<media::QualityLevel> parse_regular_vra(std::string_view name) {
+  if (name == "throughput") return std::nullopt;
+  // "fixed-<level>", e.g. "fixed-2". A malformed level ("fixed-",
+  // "fixed-x", "fixed--1") falls through to the listing error below.
+  if (name.starts_with("fixed-")) {
+    const std::string_view digits = name.substr(6);
+    media::QualityLevel level = 0;
+    const auto [ptr, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), level);
+    if (ec == std::errc{} && ptr == digits.data() + digits.size() &&
+        level >= 0) {
+      return level;
+    }
+  }
+  throw std::invalid_argument("parse_regular_vra: unknown VRA \"" +
+                              std::string(name) +
+                              "\"; valid names: throughput, fixed-<level>");
+}
+
+media::QualityLevel regular_vra_level(std::span<const double> level_kbps,
+                                      double estimated_kbps,
+                                      std::optional<media::QualityLevel> pinned) {
+  if (level_kbps.empty()) throw std::invalid_argument("regular_vra_level: empty ladder");
+  const auto top = static_cast<media::QualityLevel>(level_kbps.size()) - 1;
+  if (pinned) return std::min(*pinned, top);
+  if (estimated_kbps <= 0.0) return 0;
+  const double budget = estimated_kbps * 0.85;
+  media::QualityLevel pick = 0;
+  for (media::QualityLevel q = 0; q <= top; ++q) {
+    if (level_kbps[static_cast<std::size_t>(q)] <= budget) pick = q;
+  }
+  return pick;
+}
 
 TileAbrPolicy::TileAbrPolicy(std::shared_ptr<const media::VideoModel> video)
     : video_(std::move(video)) {

@@ -13,13 +13,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "abr/oos.h"
 #include "abr/plan.h"
-#include "abr/regular_vra.h"
 #include "geo/visibility.h"
 #include "media/video_model.h"
 
@@ -32,7 +32,8 @@ class TileAbrPolicy {
   // single-threaded use only. The scratch set is the union of what the
   // implementations need — a policy ignores the fields it does not use.
   struct PlanWorkspace {
-    VraContext ctx;
+    // Super-chunk cost per ladder level, kbps (the regular VRA's input).
+    std::vector<double> level_kbps;
     OosSelector::Workspace oos;
     // Per-tile allocation scratch (knapsack / consistency allocators):
     // quality or ring index per tile, FoV membership flags, and the ring
@@ -152,6 +153,22 @@ class TileAbrPolicy {
 
   std::shared_ptr<const media::VideoModel> video_;
 };
+
+// The regular VRA of §3.1.2 part 1, named by a config string:
+// "throughput" (FESTIVE-like [29]) adapts and yields nullopt; "fixed-<q>"
+// pins every chunk to level q (equal-quality comparisons, §2) and yields
+// q. Throws std::invalid_argument for any other name, listing the valid
+// ones.
+[[nodiscard]] std::optional<media::QualityLevel> parse_regular_vra(
+    std::string_view name);
+
+// The regular VRA's level for a super chunk costing `level_kbps[q]` kbps at
+// level q: the pin clamped to the ladder top, or else the highest level
+// that fits 0.85 x `estimated_kbps` (0 while the estimate is unknown).
+// Throws std::invalid_argument for an empty ladder.
+[[nodiscard]] media::QualityLevel regular_vra_level(
+    std::span<const double> level_kbps, double estimated_kbps,
+    std::optional<media::QualityLevel> pinned);
 
 // The super chunk's tiles (§3.1.2): the `count` most probable tiles of
 // `probs`, ties to the lower id, written into `out` in ascending id order.

@@ -33,7 +33,7 @@ SperkeVra::SperkeVra(std::shared_ptr<const media::VideoModel> video,
                      SperkeVraConfig config)
     : TileAbrPolicy(std::move(video)),
       config_(std::move(config)),
-      regular_(make_regular_vra(config_.regular_vra)),
+      pinned_(parse_regular_vra(config_.regular_vra)),
       oos_(config_.oos) {}
 
 media::Encoding SperkeVra::fov_encoding() const {
@@ -66,9 +66,8 @@ void SperkeVra::plan_into(media::ChunkIndex index,
   const double chunk_s = sim::to_seconds(video.chunk_duration());
 
   // Part 1: super-chunk cost per quality level -> regular VRA choice.
-  VraContext& ctx = workspace.ctx;
-  ctx.level_kbps.clear();
-  ctx.estimated_kbps = estimated_kbps;
+  std::vector<double>& level_kbps = workspace.level_kbps;
+  level_kbps.clear();
   for (media::QualityLevel q = 0; q < ladder.levels(); ++q) {
     std::int64_t bytes = 0;
     for (geo::TileId tile : predicted_fov) {
@@ -77,9 +76,10 @@ void SperkeVra::plan_into(media::ChunkIndex index,
                    ? video.svc_cumulative_size_bytes(q, key)
                    : video.avc_size_bytes(q, key);
     }
-    ctx.level_kbps.push_back(static_cast<double>(bytes) * 8.0 / chunk_s / 1000.0);
+    level_kbps.push_back(static_cast<double>(bytes) * 8.0 / chunk_s / 1000.0);
   }
-  const media::QualityLevel q_fov = regular_->choose(ctx);
+  const media::QualityLevel q_fov =
+      regular_vra_level(level_kbps, estimated_kbps, pinned_);
 
   out.index = index;
   out.fov_quality = q_fov;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -17,7 +18,6 @@
 #include "abr/oos.h"
 #include "abr/plan.h"
 #include "abr/policy.h"
-#include "abr/regular_vra.h"
 #include "media/video_model.h"
 
 namespace sperke::abr {
@@ -37,6 +37,7 @@ enum class EncodingMode {
 [[nodiscard]] std::string to_string(EncodingMode mode);
 
 struct SperkeVraConfig {
+  // Regular VRA choosing the FoV quality (parse_regular_vra names).
   std::string regular_vra = "throughput";
   OosConfig oos;
   EncodingMode mode = EncodingMode::kSvc;
@@ -98,7 +99,7 @@ class SperkeVra final : public TileAbrPolicy {
   [[nodiscard]] media::Encoding oos_encoding() const;
 
   SperkeVraConfig config_;
-  std::unique_ptr<RegularVra> regular_;
+  std::optional<media::QualityLevel> pinned_;  // parsed config_.regular_vra
   OosSelector oos_;
 };
 

@@ -57,6 +57,7 @@ FetchQueue::FetchQueue(net::ChunkSource& source, const TransportOptions& options
   if (options_.max_concurrent < 1) {
     throw std::invalid_argument("FetchQueue: max_concurrent < 1");
   }
+  validate(options_.recovery);
 }
 
 FetchQueue::~FetchQueue() { *alive_ = false; }
@@ -65,6 +66,13 @@ std::size_t FetchQueue::queued() const {
   std::size_t total = 0;
   for (const std::deque<Pending>& queue : queues_) total += queue.size();
   return total;
+}
+
+void FetchQueue::admit(ChunkRequest& request, obs::Telemetry* telemetry) {
+  if (request.bytes <= 0) throw std::invalid_argument("fetch: non-positive bytes");
+  if (telemetry != nullptr && request.request_id == 0) {
+    request.request_id = telemetry->next_request_id();
+  }
 }
 
 void FetchQueue::submit(ChunkRequest request, std::size_t cls, std::uint64_t seq,
@@ -291,7 +299,6 @@ void FetchQueue::settle_undelivered(Pending& pending, sim::Time when,
 SingleLinkTransport::SingleLinkTransport(net::ChunkSource& source,
                                          TransportOptions options)
     : options_(std::move(options)), queue_(source, options_, /*trace_path=*/-1) {
-  validate(options_.recovery);
   if (options_.telemetry != nullptr) {
     obs::MetricsRegistry& m = options_.telemetry->metrics();
     requests_metric_ = &m.counter("transport.requests");
@@ -307,15 +314,8 @@ SingleLinkTransport::SingleLinkTransport(net::ChunkSource& source,
 }
 
 void SingleLinkTransport::fetch(ChunkRequest request) {
-  if (request.bytes <= 0) throw std::invalid_argument("fetch: non-positive bytes");
-  if (options_.telemetry != nullptr) {
-    requests_metric_->increment();
-    // Sessions assign ids at dispatch; a bare transport (benches, tests)
-    // assigns here so attempt spans always have a request to nest under.
-    if (request.request_id == 0) {
-      request.request_id = options_.telemetry->next_request_id();
-    }
-  }
+  FetchQueue::admit(request, options_.telemetry);
+  if (requests_metric_ != nullptr) requests_metric_->increment();
   const std::size_t cls = request.urgent ? 0 : 1;
   queue_.submit(std::move(request), cls, next_seq_++, /*best_effort=*/false);
 }

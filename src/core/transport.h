@@ -155,13 +155,21 @@ class FetchQueue {
   };
 
   // `source` must outlive the queue. `trace_path` is the `path` field of
-  // the attempt trace events (-1 off multipath).
+  // the attempt trace events (-1 off multipath). Throws
+  // std::invalid_argument for max_concurrent < 1 or a bad recovery policy
+  // (validate).
   FetchQueue(net::ChunkSource& source, const TransportOptions& options,
              std::int32_t trace_path);
   ~FetchQueue();
   FetchQueue(const FetchQueue&) = delete;
   FetchQueue& operator=(const FetchQueue&) = delete;
 
+  // Request admission shared by both transports' fetch(): throws
+  // std::invalid_argument for non-positive bytes and, with `telemetry`
+  // attached, gives a request still at id 0 the next request id, so its
+  // attempt spans have a request to nest under (sessions assign ids at
+  // dispatch; a bare transport in benches and tests relies on this).
+  static void admit(ChunkRequest& request, obs::Telemetry* telemetry);
   // Queue `request` in class `cls` (< kClasses) and dispatch what fits.
   void submit(ChunkRequest request, std::size_t cls, std::uint64_t seq,
               bool best_effort);

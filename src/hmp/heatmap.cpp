@@ -37,14 +37,15 @@ void ViewingHeatmap::add_trace(const HeadTrace& trace,
   if (samples_per_chunk <= 0) {
     throw std::invalid_argument("add_trace: samples_per_chunk <= 0");
   }
+  std::vector<geo::TileId> visible;
+  geo::TileGeometry::Scratch scratch;
   for (media::ChunkIndex chunk = 0; chunk < chunk_count_; ++chunk) {
     const sim::Time start = chunk_duration * chunk;
     if (start > trace.duration()) break;
     for (int s = 0; s < samples_per_chunk; ++s) {
       const sim::Time t =
           start + chunk_duration * s / samples_per_chunk;
-      const auto visible =
-          geometry.visible_tiles(trace.orientation_at(t), viewport);
+      geometry.visible_tiles(trace.orientation_at(t), viewport, visible, scratch);
       add_view(chunk, visible);
     }
   }
@@ -70,14 +71,6 @@ double ViewingHeatmap::total(media::ChunkIndex chunk) const {
     throw std::out_of_range("ViewingHeatmap: chunk out of range");
   }
   return totals_[static_cast<std::size_t>(chunk)];
-}
-
-void ViewingHeatmap::merge(const ViewingHeatmap& other) {
-  if (other.tile_count_ != tile_count_ || other.chunk_count_ != chunk_count_) {
-    throw std::invalid_argument("ViewingHeatmap::merge: shape mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  for (std::size_t c = 0; c < totals_.size(); ++c) totals_[c] += other.totals_[c];
 }
 
 }  // namespace sperke::hmp

@@ -43,9 +43,6 @@ class ViewingHeatmap {
   // counts are sums of 1.0s — integers well below 2^53).
   [[nodiscard]] double total(media::ChunkIndex chunk) const;
 
-  // Pool another heatmap's observations into this one (same shape).
-  void merge(const ViewingHeatmap& other);
-
  private:
   [[nodiscard]] std::size_t at(media::ChunkIndex chunk, geo::TileId tile) const;
 

@@ -22,9 +22,9 @@ double usable_kbps(const net::Link& link) {
 
 // Static path quality used by the content-aware policy: usable rate,
 // discounted by latency.
-double quality_of(const net::Link& link) {
-  const double rtt_penalty = 1.0 + sim::to_seconds(link.rtt()) * 5.0;
-  return usable_kbps(link) / rtt_penalty;
+double quality_of(double rate_kbps, sim::Duration rtt) {
+  const double rtt_penalty = 1.0 + sim::to_seconds(rtt) * 5.0;
+  return rate_kbps / rtt_penalty;
 }
 
 // Earliest-available path: the smallest drain time of its queued bytes at
@@ -38,7 +38,7 @@ std::size_t earliest_available(const std::vector<PathState>& paths,
     const double drain =
         rate > 0.0
             ? static_cast<double>(paths[i].queued_bytes) * 8.0 / (rate * 1000.0) +
-                  sim::to_seconds(paths[i].link->rtt())
+                  sim::to_seconds(paths[i].rtt)
             : std::numeric_limits<double>::infinity();
     if (drain < best_drain) {
       best_drain = drain;
@@ -50,11 +50,16 @@ std::size_t earliest_available(const std::vector<PathState>& paths,
 
 }  // namespace
 
+int rank(const core::ChunkRequest& request) {
+  return (request.urgent ? 0 : 2) +
+         (request.spatial == abr::SpatialClass::kOos ? 1 : 0);
+}
+
 std::size_t MinRttScheduler::pick(const core::ChunkRequest& request,
                                   const std::vector<PathState>& paths) {
   (void)request;  // content-agnostic by definition
   return earliest_available(paths, [](const PathState& path) {
-    return std::max(path.estimated_kbps, usable_kbps(*path.link));
+    return std::max(path.estimated_kbps, path.usable_kbps);
   });
 }
 
@@ -86,9 +91,8 @@ std::size_t ContentAwareScheduler::pick(const core::ChunkRequest& request,
     if (paths[i].quality_score > paths[best].quality_score) best = i;
     if (paths[i].quality_score < paths[worst].quality_score) worst = i;
   }
-  const PriorityClass priority = classify(request);
-  if (priority.temporal == TemporalClass::kUrgent) return best;
-  if (priority.spatial == abr::SpatialClass::kFov) {
+  if (request.urgent) return best;
+  if (request.spatial == abr::SpatialClass::kFov) {
     // Aggregation: queue drain time at the estimate or the static quality.
     return earliest_available(paths, [](const PathState& path) {
       return std::max(path.estimated_kbps, path.quality_score);
@@ -120,7 +124,6 @@ MultipathTransport::MultipathTransport(sim::Simulator& simulator,
       telemetry_(options_.telemetry) {
   if (links.empty()) throw std::invalid_argument("MultipathTransport: no links");
   if (!scheduler_) throw std::invalid_argument("MultipathTransport: null scheduler");
-  core::validate(options_.recovery);
   for (net::Link* link : links) {
     if (link == nullptr) throw std::invalid_argument("MultipathTransport: null link");
     const std::size_t index = paths_.size();
@@ -171,22 +174,20 @@ MultipathTransport::~MultipathTransport() { *alive_ = false; }
 const std::vector<PathState>& MultipathTransport::snapshot() {
   snapshot_.clear();
   for (const Path& path : paths_) {
-    snapshot_.push_back({.link = &path.link,
+    const double usable = usable_kbps(path.link);
+    const sim::Duration rtt = path.link.rtt();
+    snapshot_.push_back({.usable_kbps = usable,
+                         .rtt = rtt,
                          .estimated_kbps = path.queue.estimated_kbps(),
                          .queued_bytes = path.queue.load_bytes(),
-                         .quality_score = quality_of(path.link)});
+                         .quality_score = quality_of(usable, rtt)});
   }
   return snapshot_;
 }
 
 void MultipathTransport::fetch(core::ChunkRequest request) {
-  if (request.bytes <= 0) throw std::invalid_argument("fetch: non-positive bytes");
-  if (telemetry_ != nullptr && request.request_id == 0) {
-    // Sessions assign ids at dispatch; a bare transport assigns here so
-    // attempt spans always have a request to nest under.
-    request.request_id = telemetry_->next_request_id();
-  }
-  const std::size_t cls = static_cast<std::size_t>(rank(classify(request)));
+  core::FetchQueue::admit(request, telemetry_);
+  const std::size_t cls = static_cast<std::size_t>(rank(request));
   ++stats_.class_counts[cls];
   std::size_t index = scheduler_->pick(request, snapshot());
   if (index >= paths_.size()) throw std::out_of_range("scheduler picked bad path");
@@ -222,7 +223,8 @@ std::size_t MultipathTransport::best_up_path() const {
   double best_score = -1.0;
   for (std::size_t i = 0; i < paths_.size(); ++i) {
     if (paths_[i].queue.paused()) continue;
-    const double score = quality_of(paths_[i].link);
+    const net::Link& link = paths_[i].link;
+    const double score = quality_of(usable_kbps(link), link.rtt());
     if (score > best_score) {
       best_score = score;
       best = i;

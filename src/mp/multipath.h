@@ -3,7 +3,7 @@
 // Multipath is a scheduling decision over the Table 1 priority classes, not
 // a second delivery engine: a MultipathTransport is one core::FetchQueue
 // per network path (e.g. WiFi + LTE), each fetching straight from its
-// net::Link, with class = rank(classify(request)).
+// net::Link, with class = rank(request).
 // Paths are fully decoupled, so there is no cross-path head-of-line
 // blocking by construction (the transport-layer benefit the paper notes).
 // The pluggable PathScheduler decides which path serves each request:
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/transport.h"
-#include "mp/priority.h"
 #include "net/chunk_source.h"
 #include "net/link.h"
 #include "obs/telemetry.h"
@@ -36,9 +35,14 @@
 
 namespace sperke::mp {
 
+// Table 1 dispatch rank of a request, 0 = most important: urgent-FoV,
+// urgent-OOS, regular FoV, regular OOS.
+[[nodiscard]] int rank(const core::ChunkRequest& request);
+
 // Live view of one path, offered to the scheduler.
 struct PathState {
-  const net::Link* link = nullptr;
+  double usable_kbps = 0.0;      // link capacity tempered by the Mathis cap
+  sim::Duration rtt{0};          // link round-trip time
   double estimated_kbps = 0.0;   // per-path goodput estimate
   std::int64_t queued_bytes = 0; // waiting + in-flight bytes
   // Static quality score: higher is better (bandwidth-, loss-, rtt-aware).

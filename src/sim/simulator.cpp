@@ -218,7 +218,7 @@ bool Simulator::cancel(EventId id) {
   return false;
 }
 
-void Simulator::run_until(Time deadline) {
+void Simulator::dispatch_through(Time deadline) {
   while (size_ > 0) {
     const std::size_t b = find_min_bucket();
     Node* node = buckets_[b];
@@ -236,36 +236,13 @@ void Simulator::run_until(Time deadline) {
     fn();
     maybe_shrink();
   }
+}
+
+void Simulator::run_until(Time deadline) {
+  dispatch_through(deadline);
   now_ = std::max(now_, deadline);
 }
 
-void Simulator::run() {
-  while (size_ > 0) {
-    const std::size_t b = find_min_bucket();
-    Node* node = buckets_[b];
-    SPERKE_CHECK(node->at >= now_,
-                 "Simulator: event time precedes now; clock would reverse");
-    now_ = node->at;
-    unlink_head(b);
-    EventFn fn = std::move(node->fn);
-    release_node(node);
-    ++executed_;
-    fn();
-    maybe_shrink();
-  }
-}
-
-void Simulator::clear() {
-  for (Node*& head : buckets_) {
-    while (head != nullptr) {
-      Node* node = head;
-      head = node->next;
-      release_node(node);
-    }
-  }
-  std::fill(tails_.begin(), tails_.end(), nullptr);
-  size_ = 0;
-  resize(kMinBuckets);
-}
+void Simulator::run() { dispatch_through(Time::max()); }
 
 }  // namespace sperke::sim

@@ -67,9 +67,6 @@ class Simulator {
   // Run until the event queue is empty.
   void run();
 
-  // Drop every pending event (the clock keeps its value).
-  void clear();
-
   [[nodiscard]] std::size_t pending_events() const { return size_; }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
@@ -90,6 +87,9 @@ class Simulator {
     return static_cast<std::size_t>(at.count() / width_) & mask_;
   }
 
+  // Dispatch events in (time, seq) order until the queue empties or the
+  // next event lies past `deadline`.
+  void dispatch_through(Time deadline);
   Node* alloc_node();
   void release_node(Node* node);
   void insert(Node* node);

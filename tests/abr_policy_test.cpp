@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "abr/factory.h"
-#include "abr/regular_vra.h"
 #include "util/rng.h"
 
 namespace sperke::abr {
@@ -108,7 +107,7 @@ TEST(PolicyFactory, NullVideoRejectedByEveryPolicy) {
 
 TEST(RegularVraFactory, UnknownNameErrorListsValidNames) {
   try {
-    (void)make_regular_vra("quantum");
+    (void)parse_regular_vra("quantum");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -123,11 +122,11 @@ TEST(RegularVraFactory, UnknownNameErrorListsValidNames) {
 }
 
 TEST(RegularVraFactory, MalformedFixedLevelsRejected) {
-  EXPECT_NO_THROW((void)make_regular_vra("fixed-2"));
-  EXPECT_THROW((void)make_regular_vra("fixed-"), std::invalid_argument);
-  EXPECT_THROW((void)make_regular_vra("fixed-x"), std::invalid_argument);
-  EXPECT_THROW((void)make_regular_vra("fixed--1"), std::invalid_argument);
-  EXPECT_THROW((void)make_regular_vra("fixed-2x"), std::invalid_argument);
+  EXPECT_NO_THROW((void)parse_regular_vra("fixed-2"));
+  EXPECT_THROW((void)parse_regular_vra("fixed-"), std::invalid_argument);
+  EXPECT_THROW((void)parse_regular_vra("fixed-x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_regular_vra("fixed--1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_regular_vra("fixed-2x"), std::invalid_argument);
 }
 
 // ----------------------------------------------------- golden determinism

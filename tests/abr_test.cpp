@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -10,8 +11,8 @@
 #include <vector>
 
 #include "abr/oos.h"
+#include "abr/policy.h"
 #include "abr/qoe.h"
-#include "abr/regular_vra.h"
 #include "abr/sperke_vra.h"
 
 namespace sperke::abr {
@@ -27,12 +28,8 @@ std::shared_ptr<media::VideoModel> make_video() {
   return std::make_shared<media::VideoModel>(cfg);
 }
 
-VraContext context_with(double est_kbps) {
-  VraContext ctx;
-  ctx.level_kbps = {1000.0, 2500.0, 5000.0, 10000.0, 20000.0};
-  ctx.estimated_kbps = est_kbps;
-  return ctx;
-}
+// Super-chunk cost per ladder level, kbps.
+constexpr std::array<double, 5> kLevelKbps{1000.0, 2500.0, 5000.0, 10000.0, 20000.0};
 
 TEST(QoeTracker, AggregatesScore) {
   QoeTracker tracker;
@@ -87,32 +84,31 @@ TEST(QoeTracker, ByteTotalsThrowInsteadOfOverflowing) {
 }
 
 TEST(ThroughputVra, PicksSustainableLevel) {
-  ThroughputVra vra(0.85);
-  EXPECT_EQ(vra.choose(context_with(12000.0)), 3);  // 0.85*12000 >= 10000
-  EXPECT_EQ(vra.choose(context_with(3000.0)), 1);
-  EXPECT_EQ(vra.choose(context_with(500.0)), 0);
-  EXPECT_EQ(vra.choose(context_with(0.0)), 0);  // unknown throughput
-}
-
-TEST(ThroughputVra, RejectsBadSafety) {
-  EXPECT_THROW(ThroughputVra(0.0), std::invalid_argument);
-  EXPECT_THROW(ThroughputVra(1.5), std::invalid_argument);
+  const auto throughput = parse_regular_vra("throughput");
+  EXPECT_EQ(regular_vra_level(kLevelKbps, 12000.0, throughput), 3);  // 0.85*12000 >= 10000
+  EXPECT_EQ(regular_vra_level(kLevelKbps, 3000.0, throughput), 1);
+  EXPECT_EQ(regular_vra_level(kLevelKbps, 500.0, throughput), 0);
+  EXPECT_EQ(regular_vra_level(kLevelKbps, 0.0, throughput), 0);  // unknown throughput
+  // The budget is 0.85 of the estimate: 0.85 * 11760 misses 10000.
+  EXPECT_EQ(regular_vra_level(kLevelKbps, 11760.0, throughput), 2);
 }
 
 TEST(RegularVraFactory, MakesAllKinds) {
-  EXPECT_EQ(make_regular_vra("throughput")->name(), "throughput");
-  EXPECT_EQ(make_regular_vra("fixed-2")->name(), "fixed");
-  EXPECT_THROW((void)make_regular_vra("festive2"), std::invalid_argument);
+  EXPECT_EQ(parse_regular_vra("throughput"), std::nullopt);
+  EXPECT_EQ(parse_regular_vra("fixed-2"), 2);
+  EXPECT_THROW((void)parse_regular_vra("festive2"), std::invalid_argument);
   // Only throughput and fixed-<level> resolve.
   for (const char* name : {"buffer", "mpc", "bola"}) {
-    EXPECT_THROW((void)make_regular_vra(name), std::invalid_argument) << name;
+    EXPECT_THROW((void)parse_regular_vra(name), std::invalid_argument) << name;
   }
 }
 
 TEST(FixedVra, ClampsToLadderTop) {
-  FixedVra vra(99);
-  EXPECT_EQ(vra.choose(context_with(0.0)), 4);
-  EXPECT_THROW(FixedVra(-1), std::invalid_argument);
+  const auto pinned = parse_regular_vra("fixed-99");
+  EXPECT_EQ(regular_vra_level(kLevelKbps, 0.0, pinned), 4);
+  // A pin ignores the estimate.
+  EXPECT_EQ(regular_vra_level(kLevelKbps, 1e9, parse_regular_vra("fixed-1")), 1);
+  EXPECT_THROW((void)regular_vra_level({}, 0.0, pinned), std::invalid_argument);
 }
 
 class OosTest : public ::testing::Test {

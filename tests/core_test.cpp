@@ -228,6 +228,35 @@ TEST_F(TransportTest, RejectsBadRequests) {
   EXPECT_THROW(SingleLinkTransport(link, bad_timeout), std::invalid_argument);
 }
 
+TEST(FetchQueueAdmit, RejectsNonPositiveBytes) {
+  // The one admission check behind both transports' fetch().
+  obs::Telemetry telemetry;
+  for (const std::int64_t bytes : {std::int64_t{0}, std::int64_t{-1}}) {
+    ChunkRequest req;
+    req.bytes = bytes;
+    EXPECT_THROW(FetchQueue::admit(req, nullptr), std::invalid_argument) << bytes;
+    EXPECT_THROW(FetchQueue::admit(req, &telemetry), std::invalid_argument) << bytes;
+  }
+  // A rejected request draws no id.
+  EXPECT_EQ(telemetry.next_request_id(), 1);
+}
+
+TEST(FetchQueueAdmit, NumbersOnlyUntracedRequestsWithTelemetry) {
+  ChunkRequest req;
+  req.bytes = 1;
+  FetchQueue::admit(req, nullptr);
+  EXPECT_EQ(req.request_id, 0);  // no telemetry: stays untraced
+  obs::Telemetry telemetry;
+  FetchQueue::admit(req, &telemetry);
+  EXPECT_EQ(req.request_id, 1);
+  FetchQueue::admit(req, &telemetry);
+  EXPECT_EQ(req.request_id, 1);  // already traced: keeps its id
+  ChunkRequest next;
+  next.bytes = 1;
+  FetchQueue::admit(next, &telemetry);
+  EXPECT_EQ(next.request_id, 2);
+}
+
 TEST(TransportAdapter, LinkIsItsOwnChunkSource) {
   // A Link is the direct ChunkSource: fetching through that interface with
   // a chunk address and a deadline, and cancelling through it, must match

@@ -262,20 +262,34 @@ TEST(Heatmap, EmptyChunkIsUniform) {
   for (double p : probs) EXPECT_NEAR(p, 0.25, 1e-9);
 }
 
-TEST(Heatmap, MergePoolsObservations) {
-  ViewingHeatmap a(4, 2), b(4, 2);
-  const std::vector<geo::TileId> v0{0};
-  const std::vector<geo::TileId> v1{1};
-  a.add_view(0, v0);
-  b.add_view(0, v1);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.count(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(a.count(0, 1), 1.0);
-}
-
-TEST(Heatmap, MergeShapeMismatchThrows) {
-  ViewingHeatmap a(4, 2), b(4, 3);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
+TEST(Heatmap, AddTraceMatchesPerSampleVisibleTiles) {
+  // add_trace reuses one tile vector and one Scratch across samples; the
+  // counts must equal folding in a fresh visible_tiles() set per sample.
+  auto geometry = test_geometry();
+  const HeadTrace trace = generate_head_trace(trace_config(17, 6.0));
+  const geo::Viewport viewport{100.0, 90.0};
+  const sim::Duration chunk = sim::seconds(1.0);
+  constexpr int kSamples = 5;
+  ViewingHeatmap map(geometry.grid().tile_count(), 8);
+  map.add_trace(trace, geometry, viewport, chunk, kSamples);
+  ViewingHeatmap reference(geometry.grid().tile_count(), 8);
+  for (media::ChunkIndex c = 0; c < 8; ++c) {
+    const sim::Time start = chunk * c;
+    if (start > trace.duration()) break;
+    for (int s = 0; s < kSamples; ++s) {
+      const sim::Time t = start + chunk * s / kSamples;
+      reference.add_view(c, geometry.visible_tiles(trace.orientation_at(t), viewport));
+    }
+  }
+  for (media::ChunkIndex c = 0; c < 8; ++c) {
+    EXPECT_EQ(map.total(c), reference.total(c)) << "chunk " << c;
+    for (geo::TileId tile = 0; tile < geometry.grid().tile_count(); ++tile) {
+      EXPECT_EQ(map.count(c, tile), reference.count(c, tile))
+          << "chunk " << c << " tile " << tile;
+    }
+  }
+  EXPECT_GT(map.total(0), 0.0);
+  EXPECT_EQ(map.total(7), 0.0);  // past the 6 s trace
 }
 
 TEST(Heatmap, AddTraceCoversWatchedTiles) {

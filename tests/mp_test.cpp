@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "mp/multipath.h"
-#include "mp/priority.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
 
@@ -25,20 +24,11 @@ core::ChunkRequest request_of(abr::SpatialClass spatial, bool urgent,
   return req;
 }
 
-TEST(Priority, ClassifiesFromRequest) {
-  const auto fov_urgent = classify(request_of(abr::SpatialClass::kFov, true));
-  EXPECT_EQ(fov_urgent.spatial, abr::SpatialClass::kFov);
-  EXPECT_EQ(fov_urgent.temporal, TemporalClass::kUrgent);
-  const auto oos_regular = classify(request_of(abr::SpatialClass::kOos, false));
-  EXPECT_EQ(oos_regular.spatial, abr::SpatialClass::kOos);
-  EXPECT_EQ(oos_regular.temporal, TemporalClass::kRegular);
-}
-
 TEST(Priority, RankOrdersTable1) {
-  const int fov_urgent = rank({abr::SpatialClass::kFov, TemporalClass::kUrgent});
-  const int oos_urgent = rank({abr::SpatialClass::kOos, TemporalClass::kUrgent});
-  const int fov_regular = rank({abr::SpatialClass::kFov, TemporalClass::kRegular});
-  const int oos_regular = rank({abr::SpatialClass::kOos, TemporalClass::kRegular});
+  const int fov_urgent = rank(request_of(abr::SpatialClass::kFov, true));
+  const int oos_urgent = rank(request_of(abr::SpatialClass::kOos, true));
+  const int fov_regular = rank(request_of(abr::SpatialClass::kFov, false));
+  const int oos_regular = rank(request_of(abr::SpatialClass::kOos, false));
   EXPECT_LT(fov_urgent, oos_urgent);
   EXPECT_LT(oos_urgent, fov_regular);
   EXPECT_LT(fov_regular, oos_regular);
@@ -46,11 +36,70 @@ TEST(Priority, RankOrdersTable1) {
   EXPECT_EQ(oos_regular, 3);
 }
 
-TEST(Priority, ToStringReadable) {
-  EXPECT_EQ(to_string({abr::SpatialClass::kFov, TemporalClass::kUrgent}),
-            "FoV/urgent");
-  EXPECT_EQ(to_string({abr::SpatialClass::kOos, TemporalClass::kRegular}),
-            "OOS/regular");
+// Hand-built path views: schedulers read numbers, never a net::Link.
+// Path 0 has the best score but a long queue, path 1 the worst score and
+// an empty queue, path 2 sits between them.
+std::vector<PathState> three_paths() {
+  return {
+      {.usable_kbps = 20'000.0, .rtt = sim::milliseconds(20),
+       .estimated_kbps = 0.0, .queued_bytes = 5'000'000, .quality_score = 15'000.0},
+      {.usable_kbps = 4'000.0, .rtt = sim::milliseconds(80),
+       .estimated_kbps = 0.0, .queued_bytes = 0, .quality_score = 2'000.0},
+      {.usable_kbps = 10'000.0, .rtt = sim::milliseconds(30),
+       .estimated_kbps = 0.0, .queued_bytes = 0, .quality_score = 8'000.0},
+  };
+}
+
+TEST(PathSchedulerPick, MinRttTakesEarliestDrainFromNumbers) {
+  MinRttScheduler scheduler;
+  std::vector<PathState> paths = three_paths();
+  const auto request = request_of(abr::SpatialClass::kFov, true);
+  // Path 0 drains 5 MB at 20 Mbps for 2 s; of the empty paths, path 2's
+  // 30 ms RTT beats path 1's 80 ms.
+  EXPECT_EQ(scheduler.pick(request, paths), 2u);
+  // An estimate above the usable rate counts: 5 MB at 1 Gbps is 40 ms.
+  paths[0].estimated_kbps = 1'000'000.0;
+  EXPECT_EQ(scheduler.pick(request, paths), 2u);  // 60 ms > 30 ms
+  paths[0].queued_bytes = 0;
+  EXPECT_EQ(scheduler.pick(request, paths), 0u);  // 20 ms RTT
+  // A path with no rate never drains.
+  paths[0].usable_kbps = 0.0;
+  paths[0].estimated_kbps = 0.0;
+  EXPECT_EQ(scheduler.pick(request, paths), 2u);
+}
+
+TEST(PathSchedulerPick, ContentAwareUrgentTakesBestScore) {
+  ContentAwareScheduler scheduler;
+  const std::vector<PathState> paths = three_paths();
+  // Urgent work rides the best-scored path despite its queue.
+  for (const auto spatial : {abr::SpatialClass::kFov, abr::SpatialClass::kOos}) {
+    const auto request = request_of(spatial, true);
+    EXPECT_EQ(scheduler.pick(request, paths), 0u);
+    EXPECT_FALSE(scheduler.best_effort(request));
+  }
+}
+
+TEST(PathSchedulerPick, ContentAwareRegularFovTakesEarliestDrain) {
+  ContentAwareScheduler scheduler;
+  std::vector<PathState> paths = three_paths();
+  const auto request = request_of(abr::SpatialClass::kFov, false);
+  // Drain at max(estimate, score): path 0 needs 5 MB / 15 Mbps = 2.7 s,
+  // path 2 only its RTT.
+  EXPECT_EQ(scheduler.pick(request, paths), 2u);
+  paths[0].queued_bytes = 0;
+  EXPECT_EQ(scheduler.pick(request, paths), 0u);
+  EXPECT_FALSE(scheduler.best_effort(request));
+}
+
+TEST(PathSchedulerPick, ContentAwareRegularOosTakesWorstScore) {
+  ContentAwareScheduler scheduler;
+  std::vector<PathState> paths = three_paths();
+  const auto request = request_of(abr::SpatialClass::kOos, false);
+  EXPECT_EQ(scheduler.pick(request, paths), 1u);
+  EXPECT_TRUE(scheduler.best_effort(request));
+  // The worst score wins even with the longest queue.
+  paths[1].queued_bytes = 50'000'000;
+  EXPECT_EQ(scheduler.pick(request, paths), 1u);
 }
 
 class MultipathTest : public ::testing::Test {

@@ -425,17 +425,18 @@ TEST(FusionEquivalence, CrowdMemoInvalidatesOnHeatmapMutation) {
 
 TEST(HeatmapEquivalence, IncrementalTotalsMatchRecomputedSums) {
   hmp::ViewingHeatmap heatmap(24, 6);
+  hmp::ViewingHeatmap pooled(24, 6);  // every view recorded twice
   std::mt19937 rng(5);
   std::uniform_int_distribution<int> chunk_of(0, 5);
   std::uniform_int_distribution<int> tile_of(0, 23);
   for (int k = 0; k < 100; ++k) {
     std::vector<geo::TileId> view;
     for (int t = 0; t < 1 + k % 7; ++t) view.push_back(tile_of(rng));
-    heatmap.add_view(chunk_of(rng), view);
+    const media::ChunkIndex chunk = chunk_of(rng);
+    heatmap.add_view(chunk, view);
+    pooled.add_view(chunk, view);
+    pooled.add_view(chunk, view);
   }
-  hmp::ViewingHeatmap pooled(24, 6);
-  pooled.merge(heatmap);
-  pooled.merge(heatmap);
   for (media::ChunkIndex c = 0; c < 6; ++c) {
     double sum = 0.0;
     for (geo::TileId t = 0; t < 24; ++t) sum += heatmap.count(c, t);

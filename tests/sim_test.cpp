@@ -94,13 +94,29 @@ TEST(Simulator, EventsScheduledDuringRunExecute) {
   EXPECT_EQ(s.now(), seconds(10.0));
 }
 
-TEST(Simulator, ClearDropsPending) {
-  Simulator s;
-  bool fired = false;
-  s.schedule_at(seconds(1.0), [&] { fired = true; });
-  s.clear();
-  s.run();
-  EXPECT_FALSE(fired);
+TEST(Simulator, RunMatchesRunUntilPastTheLastEvent) {
+  // run() and run_until() share one dispatch loop: past the last event
+  // both fire the same events in the same order, including ones scheduled
+  // mid-run; only run_until then jumps the clock to its deadline.
+  auto drive = [](Simulator& s, std::vector<int>& order) {
+    s.schedule_at(seconds(2.0), [&] { order.push_back(2); });
+    s.schedule_at(seconds(1.0), [&] {
+      order.push_back(1);
+      s.schedule_after(seconds(0.5), [&] { order.push_back(15); });
+    });
+    s.schedule_at(seconds(1.0), [&] { order.push_back(10); });
+  };
+  Simulator a, b;
+  std::vector<int> order_a, order_b;
+  drive(a, order_a);
+  drive(b, order_b);
+  a.run();
+  b.run_until(seconds(9.0));
+  EXPECT_EQ(order_a, (std::vector<int>{1, 10, 15, 2}));
+  EXPECT_EQ(order_b, order_a);
+  EXPECT_EQ(a.events_executed(), b.events_executed());
+  EXPECT_EQ(a.now(), seconds(2.0));
+  EXPECT_EQ(b.now(), seconds(9.0));
 }
 
 TEST(Simulator, CountsExecutedEvents) {
