@@ -22,6 +22,15 @@ namespace {
   return static_cast<media::QualityLevel>(std::countr_one(mask)) - 1;
 }
 
+// `address`'s bit in Cell::in_flight: AVC levels low, SVC layers high.
+[[nodiscard]] std::uint64_t in_flight_bit(const media::ChunkAddress& address) {
+  SPERKE_DCHECK(address.level >= 0 && address.level < media::kMaxLevels,
+                "PlaybackBuffer: quality/layer outside in-flight mask range ",
+                address.level);
+  const bool avc = address.encoding == media::Encoding::kAvc;
+  return std::uint64_t{1} << (avc ? address.level : media::kMaxLevels + address.level);
+}
+
 }  // namespace
 
 PlaybackBuffer::PlaybackBuffer(std::shared_ptr<const media::VideoModel> video)
@@ -50,7 +59,7 @@ void PlaybackBuffer::add(const media::ChunkAddress& address) {
   // Chunk state-machine legality: a negative or oversized level would
   // corrupt the held-object masks silently (displayable_quality compares
   // against -1 as "nothing buffered").
-  SPERKE_CHECK(address.level >= 0 && address.level < 64,
+  SPERKE_CHECK(address.level >= 0 && address.level < media::kMaxLevels,
                "PlaybackBuffer: quality/layer outside mask range ",
                address.level);
   SPERKE_CHECK(address.key.tile >= 0 && address.key.tile < tile_count_,
@@ -60,9 +69,7 @@ void PlaybackBuffer::add(const media::ChunkAddress& address) {
   SPERKE_CHECK(address.key.index >= evict_floor_,
                "PlaybackBuffer: add into evicted chunk ", address.key.index,
                " (floor ", evict_floor_, ")");
-  Cell& cell = cells_[static_cast<std::size_t>(address.key.index) *
-                          static_cast<std::size_t>(tile_count_) +
-                      static_cast<std::size_t>(address.key.tile)];
+  Cell& cell = cells_[offset(address.key)];
   std::uint64_t& mask =
       address.encoding == media::Encoding::kAvc ? cell.avc_mask : cell.svc_mask;
   const std::uint64_t bit = std::uint64_t{1} << address.level;
@@ -99,10 +106,27 @@ media::QualityLevel PlaybackBuffer::svc_contiguous_quality(
 
 bool PlaybackBuffer::contains(const media::ChunkAddress& address) const {
   const Cell* c = cell(address.key);
-  if (c == nullptr || address.level < 0 || address.level >= 64) return false;
+  if (c == nullptr || address.level < 0 || address.level >= media::kMaxLevels) {
+    return false;
+  }
   const std::uint64_t mask =
       address.encoding == media::Encoding::kAvc ? c->avc_mask : c->svc_mask;
   return (mask & (std::uint64_t{1} << address.level)) != 0;
+}
+
+void PlaybackBuffer::set_in_flight(const media::ChunkAddress& address, bool flying) {
+  SPERKE_DCHECK(address.key.tile >= 0 && address.key.tile < tile_count_ &&
+                    address.key.index >= 0 && address.key.index < chunk_count_,
+                "PlaybackBuffer: in-flight cell out of range");
+  if (address.key.index < evict_floor_) return;
+  std::uint64_t& mask = cells_[offset(address.key)].in_flight;
+  mask = flying ? mask | in_flight_bit(address) : mask & ~in_flight_bit(address);
+}
+
+bool PlaybackBuffer::covered(const media::ChunkAddress& address) const {
+  const Cell* c = cell(address.key);
+  return c != nullptr &&
+         (contains(address) || (c->in_flight & in_flight_bit(address)) != 0);
 }
 
 std::int64_t PlaybackBuffer::cell_bytes(const media::ChunkKey& key) const {
@@ -125,7 +149,7 @@ std::int64_t PlaybackBuffer::unused_bytes(media::ChunkIndex index,
 
 std::int64_t PlaybackBuffer::cell_bytes_used(const media::ChunkKey& key,
                                              media::QualityLevel shown) const {
-  if (shown < 0 || shown >= 64) return 0;
+  if (shown < 0 || shown >= media::kMaxLevels) return 0;
   const Cell* c = cell(key);
   if (c == nullptr) return 0;
   // Prefer the interpretation that matches how `shown` was achieved.
@@ -147,8 +171,7 @@ void PlaybackBuffer::evict_before(media::ChunkIndex index) {
   const media::ChunkIndex upto = std::min(index, chunk_count_);
   for (media::ChunkIndex i = evict_floor_; i < upto; ++i) {
     for (int t = 0; t < tile_count_; ++t) {
-      cells_[static_cast<std::size_t>(i) * static_cast<std::size_t>(tile_count_) +
-             static_cast<std::size_t>(t)] = Cell{};
+      cells_[offset({t, i})] = Cell{};
     }
   }
   evict_floor_ = index;

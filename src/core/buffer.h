@@ -1,6 +1,7 @@
 // Client-side playback buffer: tracks, per (tile, chunk) cell, what has been
 // downloaded (the "Encoded Chunk Cache" of Figure 4) and what quality is
-// therefore displayable.
+// therefore displayable, and what the fetch path has requested but not yet
+// settled.
 //
 // AVC objects are self-contained: the displayable quality is the best copy
 // held. SVC layers compose: the displayable quality is the highest layer i
@@ -8,12 +9,12 @@
 //
 // Storage is a flat array of Cells indexed by chunk * tile_count + tile
 // (DESIGN.md §13): the held objects are two 64-bit masks (one bit per AVC
-// quality / SVC layer) plus a byte counter, so contains/displayable/add are
-// single loads and bit tests instead of the former hash-map find over
-// per-cell std::sets — the buffer was the hottest lookup structure of the
-// whole session loop. The cell array can be owned or borrowed from a
-// core::SessionBatch slot, which packs the hot state of a whole shard's
-// sessions contiguously.
+// quality / SVC layer), the requests in flight a third, plus a byte
+// counter, so contains/covered/displayable/add are single loads and bit
+// tests instead of the former hash-map find over per-cell std::sets — the
+// buffer was the hottest lookup structure of the whole session loop. The
+// cell array can be owned or borrowed from a core::SessionBatch slot, which
+// packs the hot state of a whole shard's sessions contiguously.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +35,9 @@ class PlaybackBuffer {
     std::int64_t bytes = 0;      // distinct-object bytes downloaded
     std::uint64_t avc_mask = 0;  // bit q set: AVC copy at quality q held
     std::uint64_t svc_mask = 0;  // bit l set: SVC layer l held
+    // Requested, not yet settled: bit q for AVC quality q, bit
+    // media::kMaxLevels + l for SVC layer l.
+    std::uint64_t in_flight = 0;
   };
 
   explicit PlaybackBuffer(std::shared_ptr<const media::VideoModel> video);
@@ -63,6 +67,19 @@ class PlaybackBuffer {
 
   [[nodiscard]] bool contains(const media::ChunkAddress& address) const;
 
+  // Mark `address` requested (`flying`) or settled. Below the evict floor
+  // this is a no-op: nothing reads an evicted cell.
+  void set_in_flight(const media::ChunkAddress& address, bool flying);
+
+  // Held or in flight: nothing to fetch.
+  [[nodiscard]] bool covered(const media::ChunkAddress& address) const;
+
+  // Whether any level of this cell is in flight.
+  [[nodiscard]] bool in_flight(const media::ChunkKey& key) const {
+    const Cell* c = cell(key);
+    return c != nullptr && c->in_flight != 0;
+  }
+
   // Total bytes downloaded into this cell.
   [[nodiscard]] std::int64_t cell_bytes(const media::ChunkKey& key) const;
 
@@ -91,15 +108,18 @@ class PlaybackBuffer {
   [[nodiscard]] std::int64_t total_bytes() const { return total_bytes_; }
 
  private:
+  [[nodiscard]] std::size_t offset(const media::ChunkKey& key) const {
+    return static_cast<std::size_t>(key.index) *
+               static_cast<std::size_t>(tile_count_) +
+           static_cast<std::size_t>(key.tile);
+  }
   // The cell, or nullptr for out-of-range / evicted indices.
   [[nodiscard]] const Cell* cell(const media::ChunkKey& key) const {
     if (key.index < evict_floor_ || key.index >= chunk_count_ ||
         key.tile < 0 || key.tile >= tile_count_) {
       return nullptr;
     }
-    return &cells_[static_cast<std::size_t>(key.index) *
-                       static_cast<std::size_t>(tile_count_) +
-                   static_cast<std::size_t>(key.tile)];
+    return &cells_[offset(key)];
   }
 
   std::shared_ptr<const media::VideoModel> video_;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "geo/orientation.h"
 
@@ -18,6 +19,11 @@ constexpr double kHeadSampleHz = 25.0;
 // Playback starts once this many chunks of the startup view are displayable.
 constexpr int kStartupChunks = 1;
 constexpr sim::Duration kUpgradeScanPeriod = sim::milliseconds(250);
+
+void bump(int& count, obs::Counter* metric) {
+  ++count;
+  if (metric != nullptr) metric->increment();
+}
 
 }  // namespace
 
@@ -55,7 +61,9 @@ Viewer::Viewer(sim::Simulator& simulator,
                SessionConfig config, const hmp::ViewingHeatmap* crowd,
                SessionBatch* batch, sim::Duration urgent_slack)
     : simulator_(simulator),
-      video_(std::move(video)),
+      // Checked before the initializers below first read it.
+      video_(video != nullptr ? std::move(video)
+                              : throw std::invalid_argument("Session: null video")),
       transport_(transport),
       head_trace_(head_trace),
       config_(std::move(config)),
@@ -68,12 +76,7 @@ Viewer::Viewer(sim::Simulator& simulator,
       slot_(batch_->acquire()),
       buffer_(video_, batch_->cells(slot_)),
       policy_(abr::make_policy(video_, config_.abr)),
-      fetcher_(simulator_, *video_, transport_, buffer_, *policy_,
-               config_.telemetry, batch_->in_flight(slot_), urgent_slack,
-               config_.fetch_recovery,
-               [this](const TileFetcher::Fetch& fetch, FetchOutcome outcome) {
-                 on_settle(fetch, outcome);
-               }) {
+      urgent_slack_(urgent_slack) {
   validate(config_);
   // The crowd prior is read for every chunk the planner reaches.
   if (crowd != nullptr && crowd->chunk_count() < video_->chunk_count()) {
@@ -155,18 +158,144 @@ void Viewer::scan_upgrades() {
   const double est = transport_.estimated_kbps();
   for (media::ChunkIndex index = first_unplayed(); index < next_plan_; ++index) {
     const sim::Time deadline = deadline_of(index);
-    if (!fetcher_.in_upgrade_window(deadline)) continue;
-    // Fusion is pure and cheap next to the frustum, which the fetcher asks
+    // Outside the upgrade window the policy rejects every tile on slack
+    // alone, so the chunk's probabilities are not even fused.
+    const sim::Duration slack = deadline - simulator_.now();
+    if (slack <= sim::Duration{0} || slack > policy_->upgrade_window()) continue;
+    // Fusion is pure and cheap next to the frustum, which upgrade() asks
     // for only once some tile would send an upgrade. The visible span stays
     // valid for the pass: only plan() predicts again, and a send never
     // delivers synchronously, so no plan runs inside it.
     fuse(index, video_->chunk_start_time(index) - content_now());
-    fetcher_.upgrade(index, probs_, planned_[static_cast<std::size_t>(index)],
-                     deadline, est, [this, index] {
-                       return std::span<const geo::TileId>(
-                           predicted_view(index).visible);
-                     });
+    upgrade(index, probs_, planned_[static_cast<std::size_t>(index)], deadline,
+            est, [this, index] {
+              return std::span<const geo::TileId>(predicted_view(index).visible);
+            });
   }
+}
+
+bool Viewer::dispatch(const media::ChunkAddress& address, abr::SpatialClass spatial,
+                      sim::Time deadline, std::int64_t parent_id) {
+  if (buffer_.covered(address)) return false;
+  buffer_.set_in_flight(address, true);
+  const Fetch fetch{.address = address,
+                    .spatial = spatial,
+                    .urgent = deadline - simulator_.now() < urgent_slack_,
+                    .deadline = deadline,
+                    .dispatched = simulator_.now(),
+                    .bytes = video_->size_bytes(address),
+                    .request_id = config_.telemetry != nullptr
+                                      ? config_.telemetry->next_request_id()
+                                      : 0,
+                    .parent_id = parent_id};
+  bump(fetch_counters_.fetches, fetch_metrics_.fetches);
+  if (fetch.urgent) {
+    bump(fetch_counters_.urgent_fetches, fetch_metrics_.urgent_fetches);
+  }
+  trace(obs::TraceEventType::kFetchDispatched, fetch, fetch.dispatched, 0.0);
+  // The Fetch record rides inline in the request's callback.
+  auto on_done = [this, alive = alive_, fetch](sim::Time at, FetchOutcome outcome) {
+    if (*alive) settle(fetch, at, outcome);
+  };
+  static_assert(decltype(ChunkRequest::on_done)::fits_inline<decltype(on_done)>);
+  transport_.fetch({.id = address,
+                    .bytes = fetch.bytes,
+                    .spatial = spatial,
+                    .urgent = fetch.urgent,
+                    .deadline = deadline,
+                    .request_id = fetch.request_id,
+                    .parent_id = parent_id,
+                    .on_done = std::move(on_done)});
+  return true;
+}
+
+void Viewer::settle(const Fetch& fetch, sim::Time at, FetchOutcome outcome) {
+  buffer_.set_in_flight(fetch.address, false);
+  const bool ok = delivered(outcome);
+  if (ok && fetch_metrics_.fetch_latency_ms != nullptr) {
+    fetch_metrics_.fetch_latency_ms->observe(
+        sim::to_milliseconds(at - fetch.dispatched));
+  }
+  // Fault outcomes ride the kFetchDropped event with the outcome in
+  // `value`; kDropped keeps value 0.0 so fault-free traces stay
+  // byte-identical.
+  const bool fault =
+      outcome == FetchOutcome::kTimedOut || outcome == FetchOutcome::kFailed;
+  trace(ok ? obs::TraceEventType::kFetchDone : obs::TraceEventType::kFetchDropped,
+        fetch, at, fault ? static_cast<double>(outcome) : 0.0);
+  on_settle(fetch, outcome);
+}
+
+void Viewer::record_trace(const obs::TraceEvent& event) {
+  if (config_.telemetry != nullptr) config_.telemetry->trace().record(event);
+}
+
+void Viewer::trace(obs::TraceEventType type, const Fetch& fetch, sim::Time ts,
+                   double value) {
+  record_trace({.type = type,
+                .ts = ts,
+                .tile = fetch.address.key.tile,
+                .chunk = fetch.address.key.index,
+                .quality = fetch.address.level,
+                .bytes = fetch.bytes,
+                .urgent = fetch.urgent,
+                .value = value,
+                .request = fetch.request_id,
+                .parent = fetch.parent_id});
+}
+
+void Viewer::upgrade(media::ChunkIndex index, std::span<const double> probs,
+                     media::QualityLevel target, sim::Time deadline,
+                     double estimated_kbps, const VisibleTiles& visible) {
+  const sim::Duration slack = deadline - simulator_.now();
+  std::optional<std::span<const geo::TileId>> shown;
+  for (geo::TileId tile = 0; tile < video_->tile_count(); ++tile) {
+    const media::ChunkKey key{tile, index};
+    const media::QualityLevel current = buffer_.displayable_quality(key);
+    if (current >= target) continue;
+    policy_->consider_upgrade_into(key, current, buffer_.svc_contiguous_quality(key),
+                                   target, probs[static_cast<std::size_t>(tile)],
+                                   slack, estimated_kbps, decision_);
+    // A decision whose every layer is already buffered or in flight would
+    // neither send nor be traced: re-scans that find it are not new
+    // decisions, and they need no frustum.
+    if (!decision_.upgrade ||
+        std::ranges::all_of(decision_.fetches, [this](const media::ChunkAddress& a) {
+          return buffer_.covered(a);
+        })) {
+      continue;
+    }
+    if (!shown) shown = visible();
+    if (!std::binary_search(shown->begin(), shown->end(), tile)) continue;
+    record_trace({.type = obs::TraceEventType::kUpgradeDecided,
+                  .ts = simulator_.now(),
+                  .tile = tile,
+                  .chunk = index,
+                  .quality = target,
+                  .value = static_cast<double>(current)});
+    for (const auto& address : decision_.fetches) {
+      if (!dispatch(address, abr::SpatialClass::kFov, deadline)) continue;
+      if (current >= 0) {
+        bump(fetch_counters_.upgrades, fetch_metrics_.upgrades);
+      } else {
+        bump(fetch_counters_.late_corrections, fetch_metrics_.late_corrections);
+      }
+    }
+  }
+}
+
+void Viewer::recover(const Fetch& fetch, media::ChunkIndex playhead) {
+  bump(fetch_counters_.fetch_failures, fetch_metrics_.fetch_failures);
+  if (!config_.fetch_recovery || fetch.spatial != abr::SpatialClass::kFov ||
+      fetch.address.key.index < playhead || fetch.deadline <= simulator_.now()) {
+    return;
+  }
+  // Graceful degradation: a base-tier tile on time beats a hole in the FoV.
+  const media::ChunkAddress fallback{fetch.address.key,
+                                     policy_->base_tier_encoding(), 0};
+  if (buffer_.covered(fallback)) return;
+  bump(fetch_counters_.degraded_retries, fetch_metrics_.degraded_retries);
+  dispatch(fallback, abr::SpatialClass::kFov, fetch.deadline, fetch.request_id);
 }
 
 StreamingSession::StreamingSession(sim::Simulator& simulator,
@@ -180,15 +309,14 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
              std::move(config), crowd, batch, kUrgentSlack) {
   if (config_.telemetry != nullptr) {
     obs::MetricsRegistry& m = config_.telemetry->metrics();
-    TileFetcher::Metrics& fetch = fetcher_.metrics();
-    fetch.fetches = &m.counter("session.fetches");
-    fetch.urgent_fetches = &m.counter("session.urgent_fetches");
-    fetch.upgrades = &m.counter("session.upgrades");
-    fetch.late_corrections = &m.counter("session.late_corrections");
+    fetch_metrics_.fetches = &m.counter("session.fetches");
+    fetch_metrics_.urgent_fetches = &m.counter("session.urgent_fetches");
+    fetch_metrics_.upgrades = &m.counter("session.upgrades");
+    fetch_metrics_.late_corrections = &m.counter("session.late_corrections");
     metrics_.chunks_played = &m.counter("session.chunks_played");
     metrics_.stall_events = &m.counter("session.stall_events");
     metrics_.stalled = &m.gauge("session.stalled");
-    fetch.fetch_latency_ms = &m.histogram("session.fetch_latency_ms");
+    fetch_metrics_.fetch_latency_ms = &m.histogram("session.fetch_latency_ms");
     metrics_.stall_s = &m.histogram(
         "session.stall_s", {0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0});
     metrics_.viewport_utility = &m.histogram(
@@ -207,8 +335,8 @@ StreamingSession::StreamingSession(sim::Simulator& simulator,
     // Bound iff fetch_recovery is on, so fault-free worlds keep their
     // exact pre-fault metric set.
     if (config_.fetch_recovery) {
-      fetch.fetch_failures = &m.counter("session.fetch_failures");
-      fetch.degraded_retries = &m.counter("session.degraded_retries");
+      fetch_metrics_.fetch_failures = &m.counter("session.fetch_failures");
+      fetch_metrics_.degraded_retries = &m.counter("session.degraded_retries");
     }
   }
 }
@@ -223,10 +351,6 @@ sim::Time StreamingSession::deadline_of(media::ChunkIndex index) const {
   const auto ahead = video_->chunk_duration() * (index - current_chunk_);
   if (playing_ && !stalled_) return chunk_play_started_ + ahead;
   return simulator_.now() + ahead;  // startup/stall: assume immediate resume
-}
-
-void StreamingSession::record_trace(const obs::TraceEvent& event) {
-  if (config_.telemetry != nullptr) config_.telemetry->trace().record(event);
 }
 
 void StreamingSession::start() {
@@ -276,16 +400,32 @@ void StreamingSession::maybe_plan() {
     }
 
     for (const auto& fetch : plan.fetches) {
-      fetcher_.dispatch(fetch.address, fetch.spatial, deadline);
+      dispatch(fetch.address, fetch.spatial, deadline);
     }
   }
   attempt_start();
 }
 
-void StreamingSession::on_settle(const TileFetcher::Fetch& fetch,
-                                 FetchOutcome outcome) {
+void StreamingSession::on_settle(const Fetch& fetch, FetchOutcome outcome) {
   if (delivered(outcome)) {
-    on_fetch_done(fetch.address, fetch.bytes);
+    qoe_.record_downloaded(fetch.bytes);
+    if (metrics_.bytes_downloaded != nullptr) {
+      metrics_.bytes_downloaded->add(fetch.bytes);
+    }
+    const media::ChunkIndex index = fetch.address.key.index;
+    if (finished_ || index < current_chunk_ ||
+        (index == current_chunk_ && playing_ && !stalled_)) {
+      // Arrived after its chunk started playing: pure waste.
+      qoe_.record_wasted(fetch.bytes);
+      if (metrics_.bytes_wasted != nullptr) {
+        metrics_.bytes_wasted->add(fetch.bytes);
+      }
+    } else {
+      buffer_.add(fetch.address);
+    }
+    if (stalled_) try_resume_from_stall();
+    attempt_start();
+    maybe_plan();
     return;
   }
   if (outcome == FetchOutcome::kDropped) {
@@ -296,34 +436,13 @@ void StreamingSession::on_settle(const TileFetcher::Fetch& fetch,
     return;
   }
   // Injected-fault loss (timed out / failed after retries).
-  fetcher_.recover(fetch, current_chunk_);
+  recover(fetch, current_chunk_);
   // A failed startup fetch must not hang startup either: its deadline is
   // the dispatch instant, so the degraded retry never covers it.
   if (!playing_) request_missing_startup_tiles();
   // A failed emergency fetch must not leave a stall unresolved: re-enter
   // the coverage check, which re-issues the missing tiles.
   if (stalled_) try_resume_from_stall();
-}
-
-void StreamingSession::on_fetch_done(const media::ChunkAddress& address,
-                                     std::int64_t bytes) {
-  qoe_.record_downloaded(bytes);
-  if (metrics_.bytes_downloaded != nullptr) {
-    metrics_.bytes_downloaded->add(bytes);
-  }
-  if (finished_ || address.key.index < current_chunk_ ||
-      (address.key.index == current_chunk_ && playing_ && !stalled_)) {
-    // Arrived after its chunk started playing: pure waste.
-    qoe_.record_wasted(bytes);
-    if (metrics_.bytes_wasted != nullptr) {
-      metrics_.bytes_wasted->add(bytes);
-    }
-  } else {
-    buffer_.add(address);
-  }
-  if (stalled_) try_resume_from_stall();
-  attempt_start();
-  maybe_plan();
 }
 
 void StreamingSession::attempt_start() {
@@ -348,9 +467,9 @@ void StreamingSession::request_missing_startup_tiles() {
   for (media::ChunkIndex index = 0; index < want; ++index) {
     for (geo::TileId tile : visible) {
       const media::ChunkKey key{tile, index};
-      if (buffer_.has_displayable(key) || fetcher_.in_flight(key)) continue;
-      fetcher_.dispatch({key, policy_->base_tier_encoding(), 0},
-                        abr::SpatialClass::kFov, deadline_of(index));
+      if (buffer_.has_displayable(key) || buffer_.in_flight(key)) continue;
+      dispatch({key, policy_->base_tier_encoding(), 0}, abr::SpatialClass::kFov,
+               deadline_of(index));
     }
   }
 }
@@ -382,7 +501,7 @@ void StreamingSession::play_chunk() {
     for (geo::TileId tile : missing) {
       const media::ChunkKey key{tile, index};
       const media::ChunkAddress address{key, policy_->base_tier_encoding(), 0};
-      fetcher_.dispatch(address, abr::SpatialClass::kFov, simulator_.now());
+      dispatch(address, abr::SpatialClass::kFov, simulator_.now());
     }
     return;  // resume via try_resume_from_stall()
   }
@@ -473,13 +592,12 @@ SessionReport StreamingSession::report() const {
   report.startup_delay = startup_done_ - session_started_;
   report.wall_duration =
       (finished_ ? session_ended_ : simulator_.now()) - session_started_;
-  const TileFetcher::Counters& fetched = fetcher_.counters();
-  report.fetches = fetched.fetches;
-  report.urgent_fetches = fetched.urgent_fetches;
-  report.upgrades = fetched.upgrades;
-  report.late_corrections = fetched.late_corrections;
-  report.fetch_failures = fetched.fetch_failures;
-  report.degraded_retries = fetched.degraded_retries;
+  report.fetches = fetch_counters_.fetches;
+  report.urgent_fetches = fetch_counters_.urgent_fetches;
+  report.upgrades = fetch_counters_.upgrades;
+  report.late_corrections = fetch_counters_.late_corrections;
+  report.fetch_failures = fetch_counters_.fetch_failures;
+  report.degraded_retries = fetch_counters_.degraded_retries;
   report.viewport_utility_per_chunk = utility_per_chunk_;
   report.completed = finished_;
   return report;

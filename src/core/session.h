@@ -4,9 +4,9 @@
 // Responsibilities per the figure:
 //   * head sensor sampling -> HMP fusion (hmp/fusion.h),
 //   * fetch scheduling driven by the pluggable tile-ABR policy
-//     (abr/policy.h; the paper's VRA is abr/sperke_vra.h behind it), through
-//     the fetch path (core/tile_fetcher.h),
-//   * the encoded-chunk cache (core/buffer.h),
+//     (abr/policy.h; the paper's VRA is abr/sperke_vra.h behind it),
+//   * the encoded-chunk cache (core/buffer.h), which also records what is
+//     in flight,
 //   * playback with stall semantics and QoE accounting (abr/qoe.h),
 //   * runtime incremental upgrades of mispredicted tiles (§3.1.1).
 // All but playback live in the Viewer base class, which the live player
@@ -27,12 +27,12 @@
 #include "abr/qoe.h"
 #include "core/buffer.h"
 #include "core/session_batch.h"
-#include "core/tile_fetcher.h"
 #include "core/transport.h"
 #include "hmp/fusion.h"
 #include "obs/telemetry.h"
 #include "sim/periodic.h"
 #include "sim/simulator.h"
+#include "util/inline_function.h"
 
 namespace sperke::core {
 
@@ -87,9 +87,12 @@ struct SessionReport {
 // shared by the VOD player below and the live one (live/tiled_viewer.h).
 // It owns head sampling into HMP fusion, the predicted view, chunk
 // planning through the tile-ABR policy, the §3.1.1 upgrade scan and the
-// fetch path. A player derived from it supplies its clock (content time,
-// chunk deadlines, the first unplayed chunk) and what a settled fetch means
-// for playback.
+// fetch path (Figure 4's fetch scheduler): dispatch with request ids and
+// the Table 1 urgency test, in-flight dedupe in the buffer's cells, the
+// fetch counters and trace events, and the base-tier degraded retry
+// (DESIGN.md §10). A player derived from it supplies its clock (content
+// time, chunk deadlines, the first unplayed chunk) and what a settled fetch
+// means for playback.
 class Viewer {
  public:
   Viewer(const Viewer&) = delete;
@@ -99,21 +102,53 @@ class Viewer {
   [[nodiscard]] const PlaybackBuffer& buffer() const { return buffer_; }
 
  protected:
+  // One dispatched request, as on_settle sees it.
+  struct Fetch {
+    media::ChunkAddress address;
+    abr::SpatialClass spatial = abr::SpatialClass::kFov;
+    bool urgent = false;
+    sim::Time deadline{sim::kTimeZero};
+    sim::Time dispatched{sim::kTimeZero};
+    std::int64_t bytes = 0;
+    std::int64_t request_id = 0;  // 0 = untraced
+    std::int64_t parent_id = 0;   // the failed request a retry replaces
+  };
+
+  struct Counters {
+    int fetches = 0;
+    int urgent_fetches = 0;
+    int upgrades = 0;          // §3.1.1 incremental upgrades performed
+    int late_corrections = 0;  // tiles first fetched inside the window
+    int fetch_failures = 0;    // fetches that timed out / failed outright
+    int degraded_retries = 0;  // failed FoV fetches re-issued at base tier
+  };
+
+  // Metric handles mirroring the counters; null = not exported. The player
+  // binds them, so its metric registration (= export) order is its own.
+  struct Metrics {
+    obs::Counter* fetches = nullptr;
+    obs::Counter* urgent_fetches = nullptr;
+    obs::Counter* upgrades = nullptr;
+    obs::Counter* late_corrections = nullptr;
+    obs::Counter* fetch_failures = nullptr;
+    obs::Counter* degraded_retries = nullptr;
+    obs::Histogram* fetch_latency_ms = nullptr;
+  };
+
   // `transport` and `head_trace` must outlive the viewer. `crowd` (may be
   // null) provides the cross-user prior for HMP fusion and must cover every
   // chunk of the video. `batch` (may be null) is the shared SoA arena the
   // viewer claims a slot in — its hot state (tile probabilities, planned
-  // qualities, in-flight masks, buffer cells) then lives in the batch's
-  // contiguous slabs next to its shard neighbours; without one the viewer
-  // owns a private capacity-1 batch. A fetch is urgent when its deadline is
-  // less than `urgent_slack` away.
+  // qualities, buffer cells) then lives in the batch's contiguous slabs
+  // next to its shard neighbours; without one the viewer owns a private
+  // capacity-1 batch. A fetch is urgent when its deadline is less than
+  // `urgent_slack` away. Throws std::invalid_argument for a null video.
   Viewer(sim::Simulator& simulator, std::shared_ptr<const media::VideoModel> video,
          ChunkTransport& transport, const hmp::HeadTrace& head_trace,
          SessionConfig config, const hmp::ViewingHeatmap* crowd,
          SessionBatch* batch, sim::Duration urgent_slack);
   // Clears the liveness token, so events scheduled before the viewer is
-  // destroyed do nothing after it. The fetcher guards the requests the
-  // transport still holds the same way.
+  // destroyed, and requests the transport still holds, do nothing after it.
   virtual ~Viewer() { *alive_ = false; }
 
   // The player's clock: the content time being shown now, when chunk
@@ -121,8 +156,9 @@ class Viewer {
   [[nodiscard]] virtual sim::Time content_now() const = 0;
   [[nodiscard]] virtual sim::Time deadline_of(media::ChunkIndex index) const = 0;
   [[nodiscard]] virtual media::ChunkIndex first_unplayed() const = 0;
-  // What a settled request means for playback (TileFetcher's settle hook).
-  virtual void on_settle(const TileFetcher::Fetch& fetch, FetchOutcome outcome) = 0;
+  // What a settled request means for playback, called once its in-flight
+  // bit is cleared and it is traced.
+  virtual void on_settle(const Fetch& fetch, FetchOutcome outcome) = 0;
   // Writes the fused tile probabilities of chunk `index`, played `horizon`
   // from now, into probs_.
   virtual void fuse(media::ChunkIndex index, sim::Duration horizon);
@@ -133,6 +169,8 @@ class Viewer {
   void start_tasks();
   // Marks the viewer finished and stops both tasks.
   void stop();
+  // Records `event` when telemetry is on.
+  void record_trace(const obs::TraceEvent& event);
 
   // Ground truth for chunk `index`, kept until another chunk is asked for
   // (DESIGN.md §13).
@@ -152,6 +190,33 @@ class Viewer {
   const abr::ChunkPlan& plan(media::ChunkIndex index, sim::Duration buffer_level,
                              double kbps);
 
+  // Fetch `address` unless it is buffered or already in flight; returns
+  // whether it was sent. A retry names the failed request it replaces as
+  // `parent_id`.
+  bool dispatch(const media::ChunkAddress& address, abr::SpatialClass spatial,
+                sim::Time deadline, std::int64_t parent_id = 0);
+
+  // Count `fetch`'s fault loss. With fetch_recovery on, a failed FoV fetch
+  // of a chunk at or after `playhead` whose deadline still stands is
+  // re-requested at the base tier, citing the failed request as its causal
+  // parent.
+  void recover(const Fetch& fetch, media::ChunkIndex playhead);
+
+  // The sorted visible tiles of the chunk being upgraded, computed on demand.
+  using VisibleTiles = util::InlineFunction<std::span<const geo::TileId>(), 16>;
+
+  // The §3.1.1 upgrade pass over planned chunk `index`: every tile displayed
+  // below `target` is offered to the policy, in ascending tile order, at its
+  // probability in `probs`. A decision that would send something, one with
+  // a fetch neither buffered nor in flight, is acted on only if its tile is
+  // visible: it is traced, then its fetches are dispatched. `visible` is
+  // called at most once, at the first such decision, and not at all when no
+  // tile would send, so the frustum is computed only then; the span it
+  // returns must stay valid for the rest of the pass.
+  void upgrade(media::ChunkIndex index, std::span<const double> probs,
+               media::QualityLevel target, sim::Time deadline,
+               double estimated_kbps, const VisibleTiles& visible);
+
   sim::Simulator& simulator_;
   std::shared_ptr<const media::VideoModel> video_;
   ChunkTransport& transport_;
@@ -167,8 +232,8 @@ class Viewer {
   PlaybackBuffer buffer_;
   std::unique_ptr<abr::TileAbrPolicy> policy_;
   abr::QoeTracker qoe_;
-  // Borrows the batch slot's in-flight masks.
-  TileFetcher fetcher_;
+  Counters fetch_counters_;
+  Metrics fetch_metrics_;
 
   bool started_ = false;
   bool finished_ = false;
@@ -186,7 +251,11 @@ class Viewer {
  private:
   void observe_head();
   void scan_upgrades();
+  void settle(const Fetch& fetch, sim::Time at, FetchOutcome outcome);
+  void trace(obs::TraceEventType type, const Fetch& fetch, sim::Time ts,
+             double value);
 
+  sim::Duration urgent_slack_;
   sim::Time last_observed_{sim::Duration{-1}};
 
   // visible_at's kept answer and predicted_view's latest one.
@@ -203,6 +272,8 @@ class Viewer {
   std::vector<geo::TileId> fov_scratch_;
   abr::ChunkPlan plan_scratch_;
   abr::TileAbrPolicy::PlanWorkspace vra_workspace_;
+  // upgrade()'s policy answer, reused so a decision allocates nothing.
+  abr::TileAbrPolicy::UpgradeDecision decision_;
 
   std::optional<sim::PeriodicTask> head_task_;
   std::optional<sim::PeriodicTask> upgrade_task_;
@@ -232,11 +303,9 @@ class StreamingSession : public Viewer {
   [[nodiscard]] media::ChunkIndex first_unplayed() const override {
     return current_chunk_ + (playing_ ? 1 : 0);
   }
-  void on_settle(const TileFetcher::Fetch& fetch, FetchOutcome outcome) override;
+  void on_settle(const Fetch& fetch, FetchOutcome outcome) override;
 
   void maybe_plan();
-  void record_trace(const obs::TraceEvent& event);
-  void on_fetch_done(const media::ChunkAddress& address, std::int64_t bytes);
   void attempt_start();
   // Re-request, at the base tier, every startup tile that is neither
   // displayable nor being fetched at any level.
@@ -260,7 +329,7 @@ class StreamingSession : public Viewer {
   // Telemetry (metric handles resolved once at construction; all null when
   // config_.telemetry is null). The metric values mirror the counters and
   // QoE sums exactly — same increments at the same call sites. The fetch
-  // counters' handles are bound into fetcher_.metrics() in between these,
+  // counters' handles are bound into fetch_metrics_ in between these,
   // keeping the session's registration (= export) order.
   struct SessionMetrics {
     obs::Counter* chunks_played = nullptr;

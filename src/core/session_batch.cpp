@@ -16,7 +16,6 @@ SessionBatch::SessionBatch(std::shared_ptr<const media::VideoModel> video,
   const std::size_t n = static_cast<std::size_t>(capacity);
   probs_.resize(n * static_cast<std::size_t>(tiles_));
   planned_.assign(n * static_cast<std::size_t>(chunks_), -1);
-  in_flight_.resize(n * cell_stride());
   cells_.resize(n * cell_stride());
 }
 

@@ -1,11 +1,11 @@
 // Structure-of-arrays arena for per-session hot state (DESIGN.md §13).
 //
 // A SessionBatch packs, for up to `capacity` sessions sharing one
-// VideoModel, the four arrays the streaming hot loop touches per event:
+// VideoModel, the three arrays the streaming hot loop touches per event:
 //   * tile probabilities      — sessions × tiles doubles (HMP fusion out),
 //   * planned chunk quality   — sessions × chunks (-1 = not yet planned),
-//   * in-flight request masks — sessions × chunks × tiles bit masks,
-//   * playback-buffer cells   — sessions × chunks × tiles Cell structs.
+//   * playback-buffer cells   — sessions × chunks × tiles Cell structs,
+//     each with its held and in-flight masks.
 // Each session claims one slot and receives spans into the shared slabs,
 // so the fused probability kernel, the chunk planner, and the buffer
 // coverage checks run over contiguous memory instead of per-session
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -33,11 +32,6 @@ class SessionBatch {
  public:
   SessionBatch(std::shared_ptr<const media::VideoModel> video, int capacity);
 
-  [[nodiscard]] int capacity() const { return capacity_; }
-  [[nodiscard]] int size() const { return size_; }
-  [[nodiscard]] int tile_count() const { return tiles_; }
-  [[nodiscard]] media::ChunkIndex chunk_count() const { return chunks_; }
-
   // Claim the next free slot; throws std::length_error when full.
   [[nodiscard]] int acquire();
 
@@ -49,13 +43,6 @@ class SessionBatch {
   [[nodiscard]] std::span<media::QualityLevel> planned_quality(int slot) {
     return {planned_.data() + checked(slot) * static_cast<std::size_t>(chunks_),
             static_cast<std::size_t>(chunks_)};
-  }
-  // One 64-bit mask per (chunk, tile) cell, flat at chunk * tiles + tile;
-  // bit layout is the caller's (core/session.cpp packs AVC levels in the
-  // low half and SVC layers in the high half).
-  [[nodiscard]] std::span<std::uint64_t> in_flight(int slot) {
-    return {in_flight_.data() + checked(slot) * cell_stride(),
-            cell_stride()};
   }
   [[nodiscard]] std::span<PlaybackBuffer::Cell> cells(int slot) {
     return {cells_.data() + checked(slot) * cell_stride(), cell_stride()};
@@ -73,7 +60,6 @@ class SessionBatch {
   int size_ = 0;
   std::vector<double> probs_;
   std::vector<media::QualityLevel> planned_;
-  std::vector<std::uint64_t> in_flight_;
   std::vector<PlaybackBuffer::Cell> cells_;
 };
 

@@ -57,7 +57,7 @@ struct ChunkRequest {
   std::int64_t request_id = 0;
   std::int64_t parent_id = 0;
   // Called exactly once with the time the request settled and its outcome.
-  // 96 bytes inline hold TileFetcher's `{this, alive, Fetch}` closure, so
+  // 96 bytes inline hold core::Viewer's `{this, alive, Fetch}` closure, so
   // a request allocates nothing for its callback.
   util::InlineFunction<void(sim::Time, FetchOutcome), 96> on_done;
 };

@@ -22,7 +22,9 @@ TiledLiveSession::TiledLiveSession(sim::Simulator& simulator,
                    {.abr = std::move(config.abr), .fusion = {}, .context = {},
                     .telemetry = config.telemetry,
                     .fetch_recovery = config.fetch_recovery},
-                   /*crowd=*/nullptr, /*batch=*/nullptr, video->chunk_duration()),
+                   /*crowd=*/nullptr, /*batch=*/nullptr,
+                   // A null video throws in core::Viewer.
+                   video != nullptr ? video->chunk_duration() : sim::Duration{0}),
       e2e_target_s_(config.e2e_target_s),
       crowd_(crowd) {
   const double min_latency = sim::to_seconds(kIngestDelay) +
@@ -75,10 +77,10 @@ void TiledLiveSession::fuse(media::ChunkIndex index, sim::Duration horizon) {
   }
   const auto crowd_probs = crowd_->probabilities(index, simulator_.now());
   const double h = std::max(0.0, sim::to_seconds(horizon));
-  // Blend weight of the live crowd prior; mirrors hmp::FusionConfig.
-  constexpr double kCrowdGraceS = 0.5;
-  constexpr double kCrowdTauS = 1.5;
-  const double w = std::exp(-std::max(0.0, h - kCrowdGraceS) / kCrowdTauS);
+  // Blend weight of the live crowd prior, on fusion's own schedule.
+  const hmp::FusionConfig& schedule = fusion_.config();
+  const double w =
+      std::exp(-std::max(0.0, h - schedule.motion_grace_s) / schedule.motion_tau_s);
   double total = 0.0;
   for (std::size_t i = 0; i < probs_.size(); ++i) {
     probs_[i] = w * probs_[i] + (1.0 - w) * crowd_probs[i];
@@ -93,12 +95,11 @@ void TiledLiveSession::plan_chunk(media::ChunkIndex index) {
   const abr::ChunkPlan& plan = core::Viewer::plan(
       index, deadline - simulator_.now(), transport_.estimated_kbps());
   for (const auto& fetch : plan.fetches) {
-    fetcher_.dispatch(fetch.address, fetch.spatial, deadline);
+    dispatch(fetch.address, fetch.spatial, deadline);
   }
 }
 
-void TiledLiveSession::on_settle(const core::TileFetcher::Fetch& fetch,
-                                 core::FetchOutcome outcome) {
+void TiledLiveSession::on_settle(const Fetch& fetch, core::FetchOutcome outcome) {
   if (finished_) return;
   if (core::delivered(outcome)) {
     qoe_.record_downloaded(fetch.bytes);
@@ -111,7 +112,7 @@ void TiledLiveSession::on_settle(const core::TileFetcher::Fetch& fetch,
   }
   if (outcome == core::FetchOutcome::kDropped) return;  // best-effort loss
   // Injected-fault loss: a base-tier tile on time beats a blank tile.
-  fetcher_.recover(fetch, next_play_);
+  recover(fetch, next_play_);
 }
 
 void TiledLiveSession::play_chunk(media::ChunkIndex index) {
@@ -159,11 +160,10 @@ void TiledLiveSession::play_chunk(media::ChunkIndex index) {
 TiledLiveReport TiledLiveSession::report() const {
   TiledLiveReport out;
   out.qoe = qoe_.summary();
-  const core::TileFetcher::Counters& fetched = fetcher_.counters();
-  out.fetches = fetched.fetches;
-  out.upgrades = fetched.upgrades;
-  out.fetch_failures = fetched.fetch_failures;
-  out.degraded_retries = fetched.degraded_retries;
+  out.fetches = fetch_counters_.fetches;
+  out.upgrades = fetch_counters_.upgrades;
+  out.fetch_failures = fetch_counters_.fetch_failures;
+  out.degraded_retries = fetch_counters_.degraded_retries;
   out.finished = finished_;
   return out;
 }

@@ -20,7 +20,6 @@
 #include "abr/factory.h"
 #include "abr/qoe.h"
 #include "core/session.h"
-#include "core/tile_fetcher.h"
 #include "core/transport.h"
 #include "live/crowd.h"
 #include "obs/telemetry.h"
@@ -62,7 +61,7 @@ class TiledLiveSession : public core::Viewer {
   // `crowd` (optional) is both read (prefetch prior) and written (this
   // viewer's displayed tiles, after a short report delay) and must cover
   // every chunk of the video. All referenced objects must outlive the
-  // session.
+  // session. Throws std::invalid_argument for a null video.
   TiledLiveSession(sim::Simulator& simulator,
                    std::shared_ptr<const media::VideoModel> video,
                    core::ChunkTransport& transport,
@@ -80,8 +79,7 @@ class TiledLiveSession : public core::Viewer {
     return next_play_;
   }
   // Settles after the last chunk plays count for nothing.
-  void on_settle(const core::TileFetcher::Fetch& fetch,
-                 core::FetchOutcome outcome) override;
+  void on_settle(const Fetch& fetch, core::FetchOutcome outcome) override;
   // Motion and context fusion, blended with the time-gated live crowd.
   void fuse(media::ChunkIndex index, sim::Duration horizon) override;
 

@@ -20,6 +20,11 @@ using QualityLevel = std::int32_t;  // 0 = lowest playable quality
 using LayerIndex = std::int32_t;    // 0 = SVC base layer
 using ChunkIndex = std::int32_t;    // temporal index: start time = index * chunk_duration
 
+// Most quality levels (and so SVC layers) a video may have: the client's
+// in-flight mask holds one bit per AVC level and one per SVC layer in 64
+// bits (core/buffer.h).
+inline constexpr int kMaxLevels = 32;
+
 // Spatial-temporal coordinate of a chunk (the "cell" of Figure 2, without
 // the quality axis).
 struct ChunkKey {

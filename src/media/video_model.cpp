@@ -20,6 +20,9 @@ VideoModel::VideoModel(VideoModelConfig config) : config_(std::move(config)) {
   }
   const double chunks = std::ceil(config_.duration_s / config_.chunk_duration_s);
   if (!(chunks <= INT_MAX)) throw std::invalid_argument("VideoModel: too many chunks");
+  if (config_.ladder.levels() > kMaxLevels) {
+    throw std::invalid_argument("VideoModel: ladder has more than 32 levels");
+  }
   if (!(config_.svc_overhead >= 0.0 && std::isfinite(config_.svc_overhead))) {
     throw std::invalid_argument("VideoModel: SVC overhead must be finite and >= 0");
   }

@@ -48,10 +48,11 @@ struct VideoModelConfig {
 
 class VideoModel {
  public:
-  // Throws std::invalid_argument on a non-finite or out-of-range field, and
-  // when tile_count() times the largest object's size (top rung, largest
-  // tile share and complexity, plus the SVC overhead) would not fit an
-  // int64, so that any one chunk's plan sums without overflow.
+  // Throws std::invalid_argument on a non-finite or out-of-range field, on
+  // a ladder longer than kMaxLevels, and when tile_count() times the
+  // largest object's size (top rung, largest tile share and complexity,
+  // plus the SVC overhead) would not fit an int64, so that any one chunk's
+  // plan sums without overflow.
   explicit VideoModel(VideoModelConfig config);
 
   [[nodiscard]] const VideoModelConfig& config() const { return config_; }

@@ -1,5 +1,5 @@
 // Allocation gate for the fetch path (DESIGN.md §13). Once warm, a fetch
-// from TileFetcher::dispatch to the settle hook, through a
+// from core::Viewer::dispatch to its on_settle, through a
 // SingleLinkTransport over a CDN edge (a hit, a miss and a coalesced join)
 // or over a bare link, may perform at most one heap allocation. Every
 // callback on the way is a util::InlineFunction sized for its closure, so
@@ -16,14 +16,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <span>
 #include <vector>
 
-#include "abr/factory.h"
 #include "cdn/edge.h"
-#include "core/buffer.h"
-#include "core/tile_fetcher.h"
+#include "core/session.h"
 #include "core/transport.h"
+#include "hmp/head_trace.h"
 #include "media/video_model.h"
 #include "net/link.h"
 #include "sim/simulator.h"
@@ -70,36 +68,40 @@ net::LinkConfig link_config(double kbps) {
           .faults = {}};
 }
 
-// One player's fetch path: a TileFetcher over its own SingleLinkTransport
-// on `source`, counting what reaches the settle hook. The buffer is never
-// filled, so an address can be fetched again once it settles.
-struct Client {
+// One player's fetch path: a never-started Viewer over its own
+// `transport`, counting what reaches on_settle. The buffer is never filled,
+// so an address can be fetched again once it settles. The config is a
+// parameter because GCC 12 at -O3 misreports a SessionConfig temporary
+// built in the initializer list as maybe-uninitialized.
+class Client : public Viewer {
+ public:
   Client(sim::Simulator& simulator, std::shared_ptr<const media::VideoModel> video,
-         net::ChunkSource& source)
-      : transport(source),
-        buffer(video),
-        policy(abr::make_policy(video, {})),
-        in_flight(static_cast<std::size_t>(video->chunk_count() * video->tile_count())),
-        fetcher(simulator, *video, transport, buffer, *policy, nullptr,
-                std::span<std::uint64_t>(in_flight), sim::seconds(1.0),
-                /*recovery=*/false,
-                [this](const TileFetcher::Fetch&, FetchOutcome outcome) {
-                  ++settled;
-                  if (delivered(outcome)) ++completed;
-                }) {}
+         ChunkTransport& transport, const hmp::HeadTrace& head,
+         SessionConfig config = {})
+      : Viewer(simulator, std::move(video), transport, head, std::move(config),
+               /*crowd=*/nullptr, /*batch=*/nullptr, sim::seconds(1.0)) {}
 
   void fetch(const ChunkAddress& address, sim::Time now) {
-    fetcher.dispatch(address, abr::SpatialClass::kFov, now + sim::seconds(10.0));
+    dispatch(address, abr::SpatialClass::kFov, now + sim::seconds(10.0));
   }
 
-  SingleLinkTransport transport;
-  PlaybackBuffer buffer;
-  std::unique_ptr<abr::TileAbrPolicy> policy;
-  std::vector<std::uint64_t> in_flight;
-  TileFetcher fetcher;
   int settled = 0;
   int completed = 0;
+
+ private:
+  [[nodiscard]] sim::Time content_now() const override { return sim::kTimeZero; }
+  [[nodiscard]] sim::Time deadline_of(media::ChunkIndex /*index*/) const override {
+    return sim::kTimeZero;
+  }
+  [[nodiscard]] media::ChunkIndex first_unplayed() const override { return 0; }
+  void on_settle(const Fetch& /*fetch*/, FetchOutcome outcome) override {
+    ++settled;
+    if (delivered(outcome)) ++completed;
+  }
 };
+
+// A viewer that never turns its head.
+hmp::HeadTrace still_head() { return hmp::HeadTrace({{sim::kTimeZero, {}}}, 25.0); }
 
 // Allocations per settled fetch over `cycles` rounds of `round`, each run
 // until everything settles, after `warmup` rounds that grow every table to
@@ -143,8 +145,11 @@ TEST(FetchPathAllocations, EdgeHitMissAndCoalescedJoin) {
   }
   cdn::Edge edge(backhaul, 4 * largest, nullptr);
   cdn::EdgeSource source(access, edge);
-  Client first(simulator, video, source);
-  Client second(simulator, video, source);
+  const hmp::HeadTrace head = still_head();
+  SingleLinkTransport first_transport(source);
+  SingleLinkTransport second_transport(source);
+  Client first(simulator, video, first_transport, head);
+  Client second(simulator, video, second_transport, head);
   const auto cold = [&](int i) {
     const int cells = video->tile_count() * video->chunk_count();
     const int cell = 1 + i % (cells - 1);  // never the hot cell
@@ -172,7 +177,9 @@ TEST(FetchPathAllocations, BareLink) {
   sim::Simulator simulator;
   const auto video = make_video();
   net::Link link(simulator, link_config(100'000.0));
-  Client client(simulator, video, link);
+  const hmp::HeadTrace head = still_head();
+  SingleLinkTransport transport(link);
+  Client client(simulator, video, transport, head);
   const double per_fetch = allocations_per_fetch(
       simulator, kWarmup, kCycles, {&client}, [&](int i) {
         for (geo::TileId tile = 0; tile < 3; ++tile) {

@@ -18,7 +18,6 @@
 #include "abr/factory.h"
 #include "core/buffer.h"
 #include "core/session.h"
-#include "core/tile_fetcher.h"
 #include "core/transport.h"
 #include "hmp/head_trace.h"
 #include "hmp/heatmap.h"
@@ -137,6 +136,89 @@ TEST(PlaybackBuffer, ContiguousChunksCountsRun) {
   EXPECT_EQ(buffer.contiguous_chunks(0, tiles), 3);
   EXPECT_EQ(buffer.contiguous_chunks(1, tiles), 2);
   EXPECT_EQ(buffer.contiguous_chunks(3, tiles), 0);
+}
+
+TEST(PlaybackBuffer, CoveredMeansHeldOrInFlight) {
+  PlaybackBuffer buffer(make_video());
+  const ChunkAddress held{{3, 0}, Encoding::kSvc, 0};
+  const ChunkAddress flying{{3, 0}, Encoding::kSvc, 1};
+  const ChunkAddress missing{{3, 0}, Encoding::kSvc, 2};
+  buffer.add(held);
+  buffer.set_in_flight(flying, true);
+  EXPECT_TRUE(buffer.covered(held));
+  EXPECT_TRUE(buffer.covered(flying));
+  EXPECT_FALSE(buffer.covered(missing));
+  EXPECT_FALSE(buffer.contains(flying));  // requested is not held
+  EXPECT_TRUE(buffer.in_flight(held.key));
+  EXPECT_FALSE(buffer.in_flight({2, 0}));
+  EXPECT_FALSE(buffer.covered({{3, 999}, Encoding::kSvc, 0}));
+  // A settle clears the request; the delivered layer is then held.
+  buffer.set_in_flight(flying, false);
+  EXPECT_FALSE(buffer.covered(flying));
+  EXPECT_FALSE(buffer.in_flight(held.key));
+  buffer.add(flying);
+  EXPECT_TRUE(buffer.covered(flying));
+}
+
+TEST(PlaybackBuffer, InFlightAvcAndSvcHalvesAreIndependent) {
+  PlaybackBuffer buffer(make_video());
+  const ChunkAddress avc{{1, 2}, Encoding::kAvc, 3};
+  const ChunkAddress svc{{1, 2}, Encoding::kSvc, 3};
+  buffer.set_in_flight(avc, true);
+  EXPECT_TRUE(buffer.covered(avc));
+  EXPECT_FALSE(buffer.covered(svc));
+  EXPECT_FALSE(buffer.covered({{1, 2}, Encoding::kAvc, 2}));
+  buffer.set_in_flight(svc, true);
+  buffer.set_in_flight(avc, false);
+  EXPECT_FALSE(buffer.covered(avc));
+  EXPECT_TRUE(buffer.covered(svc));
+  EXPECT_TRUE(buffer.in_flight(svc.key));
+  buffer.set_in_flight(svc, false);
+  EXPECT_FALSE(buffer.in_flight(svc.key));
+}
+
+TEST(PlaybackBuffer, InFlightLevel31HasItsOwnBit) {
+  media::VideoModelConfig cfg;
+  cfg.duration_s = 4.0;
+  cfg.tile_rows = 2;
+  cfg.tile_cols = 4;
+  std::vector<double> kbps;
+  for (int q = 0; q < media::kMaxLevels; ++q) kbps.push_back(100.0 * (q + 1));
+  cfg.ladder = media::QualityLadder(kbps);
+  PlaybackBuffer buffer(std::make_shared<media::VideoModel>(cfg));
+  const media::QualityLevel top = media::kMaxLevels - 1;
+  const ChunkAddress avc_top{{0, 0}, Encoding::kAvc, top};
+  const ChunkAddress svc_top{{0, 0}, Encoding::kSvc, top};
+  buffer.set_in_flight(avc_top, true);
+  EXPECT_TRUE(buffer.covered(avc_top));
+  EXPECT_FALSE(buffer.covered(svc_top));
+  EXPECT_FALSE(buffer.covered({{0, 0}, Encoding::kSvc, 0}));  // the next bit
+  buffer.set_in_flight(svc_top, true);
+  buffer.set_in_flight(avc_top, false);
+  EXPECT_FALSE(buffer.covered(avc_top));
+  EXPECT_TRUE(buffer.covered(svc_top));
+  EXPECT_FALSE(buffer.covered({{0, 0}, Encoding::kAvc, top - 1}));
+}
+
+TEST(PlaybackBuffer, InFlightClearBelowTheEvictFloorChangesNothing) {
+  const auto video = make_video();
+  std::vector<PlaybackBuffer::Cell> cells(
+      static_cast<std::size_t>(video->chunk_count() * video->tile_count()));
+  PlaybackBuffer buffer(video, cells);
+  const ChunkAddress played{{0, 1}, Encoding::kAvc, 2};
+  const ChunkAddress next{{0, 2}, Encoding::kAvc, 2};
+  buffer.set_in_flight(played, true);
+  buffer.set_in_flight(next, true);
+  buffer.evict_before(2);
+  EXPECT_FALSE(buffer.in_flight(played.key));
+  EXPECT_FALSE(buffer.covered(played));
+  // The played chunk's request settles late: its cell stays empty and the
+  // live one keeps its request.
+  buffer.set_in_flight(played, false);
+  const auto evicted = static_cast<std::size_t>(video->tile_count());  // (0, 1)
+  EXPECT_EQ(cells[evicted].in_flight, 0U);
+  EXPECT_TRUE(buffer.in_flight(next.key));
+  EXPECT_TRUE(buffer.covered(next));
 }
 
 TEST(PlaybackBuffer, UnusedBytesCountsOffViewportAndUnshownBytes) {
@@ -692,8 +774,8 @@ TEST(FetchQueueSlab, InlineSettlesAndNestedDispatchesSettleEachRequestOnce) {
   EXPECT_EQ(retries.in_flight(), 0);
 }
 
-// TileFetcher over a transport that only records: each test settles the
-// recorded requests by hand, in whatever order it needs.
+// A transport that only records: each test settles the recorded requests
+// by hand, in whatever order it needs.
 class RecordingTransport : public ChunkTransport {
  public:
   void fetch(ChunkRequest request) override { requests.push_back(std::move(request)); }
@@ -706,88 +788,118 @@ class RecordingTransport : public ChunkTransport {
   std::vector<ChunkRequest> requests;
 };
 
-class TileFetcherTest : public ::testing::Test {
+// A Viewer with its clock stopped at zero and its fetch path opened up: it
+// is never started, so only what a test calls runs, and each settle it
+// sees is appended to `settled` (when given).
+class FetchViewer : public Viewer {
+ public:
+  using Viewer::buffer_;
+  using Viewer::dispatch;
+  using Viewer::Fetch;
+  using Viewer::fetch_counters_;
+  using Viewer::recover;
+  using Viewer::upgrade;
+
+  FetchViewer(sim::Simulator& simulator, std::shared_ptr<const media::VideoModel> video,
+              ChunkTransport& transport, const hmp::HeadTrace& head,
+              SessionConfig config,
+              std::vector<std::pair<Fetch, FetchOutcome>>* settled = nullptr)
+      : Viewer(simulator, std::move(video), transport, head, std::move(config),
+               /*crowd=*/nullptr, /*batch=*/nullptr, sim::seconds(1.0)),
+        settled_(settled) {}
+
+ private:
+  [[nodiscard]] sim::Time content_now() const override { return sim::kTimeZero; }
+  [[nodiscard]] sim::Time deadline_of(media::ChunkIndex /*index*/) const override {
+    return sim::kTimeZero;
+  }
+  [[nodiscard]] media::ChunkIndex first_unplayed() const override { return 0; }
+  void on_settle(const Fetch& fetch, FetchOutcome outcome) override {
+    if (settled_ != nullptr) settled_->emplace_back(fetch, outcome);
+  }
+
+  std::vector<std::pair<Fetch, FetchOutcome>>* settled_;
+};
+
+// A viewer that never turns its head.
+hmp::HeadTrace still_head() { return hmp::HeadTrace({{sim::kTimeZero, {}}}, 25.0); }
+
+class ViewerFetchTest : public ::testing::Test {
  protected:
-  std::unique_ptr<TileFetcher> make_fetcher(bool recovery) {
-    return std::make_unique<TileFetcher>(
-        simulator, *video, transport, buffer, *policy, &telemetry,
-        std::span<std::uint64_t>(in_flight), sim::seconds(1.0), recovery,
-        [this](const TileFetcher::Fetch& fetch, FetchOutcome outcome) {
-          settled.emplace_back(fetch, outcome);
-        });
+  std::unique_ptr<FetchViewer> make_viewer(bool recovery) {
+    SessionConfig config;
+    config.abr.sperke.mode = abr::EncodingMode::kSvc;
+    config.telemetry = &telemetry;
+    config.fetch_recovery = recovery;
+    return std::make_unique<FetchViewer>(simulator, video, transport, head,
+                                         std::move(config), &settled);
   }
 
   sim::Simulator simulator;
   std::shared_ptr<media::VideoModel> video = make_video();
-  PlaybackBuffer buffer{video};
-  std::unique_ptr<abr::TileAbrPolicy> policy = [this] {
-    abr::TileAbrConfig config;
-    config.sperke.mode = abr::EncodingMode::kSvc;
-    return abr::make_policy(video, config);
-  }();
+  hmp::HeadTrace head = still_head();
   obs::Telemetry telemetry;
   RecordingTransport transport;
-  std::vector<std::uint64_t> in_flight = std::vector<std::uint64_t>(
-      static_cast<std::size_t>(video->chunk_count() * video->tile_count()), 0);
-  std::vector<std::pair<TileFetcher::Fetch, FetchOutcome>> settled;
+  std::vector<std::pair<FetchViewer::Fetch, FetchOutcome>> settled;
 };
 
-TEST_F(TileFetcherTest, DispatchSkipsCoveredAddressesAndMarksUrgency) {
-  auto fetcher = make_fetcher(false);
+TEST_F(ViewerFetchTest, DispatchSkipsCoveredAddressesAndMarksUrgency) {
+  auto viewer = make_viewer(false);
+  const PlaybackBuffer& buffer = viewer->buffer();
   const ChunkAddress soon{{2, 0}, Encoding::kSvc, 0};
   const ChunkAddress later{{3, 4}, Encoding::kSvc, 1};
   const ChunkAddress buffered{{5, 0}, Encoding::kSvc, 0};
-  buffer.add(buffered);
+  viewer->buffer_.add(buffered);
 
-  fetcher->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
-  fetcher->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
-  fetcher->dispatch(buffered, abr::SpatialClass::kFov, sim::seconds(0.5));
-  fetcher->dispatch(later, abr::SpatialClass::kOos, sim::seconds(4.0));
+  viewer->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
+  viewer->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
+  viewer->dispatch(buffered, abr::SpatialClass::kFov, sim::seconds(0.5));
+  viewer->dispatch(later, abr::SpatialClass::kOos, sim::seconds(4.0));
   // Another level of an in-flight cell is a different request.
-  fetcher->dispatch({{2, 0}, Encoding::kSvc, 1}, abr::SpatialClass::kFov,
-                    sim::seconds(0.5));
+  viewer->dispatch({{2, 0}, Encoding::kSvc, 1}, abr::SpatialClass::kFov,
+                   sim::seconds(0.5));
 
   ASSERT_EQ(transport.requests.size(), 3U);
-  EXPECT_EQ(fetcher->counters().fetches, 3);
-  EXPECT_EQ(fetcher->counters().urgent_fetches, 2);
+  EXPECT_EQ(viewer->fetch_counters_.fetches, 3);
+  EXPECT_EQ(viewer->fetch_counters_.urgent_fetches, 2);
   EXPECT_TRUE(transport.requests[0].urgent);
   EXPECT_FALSE(transport.requests[1].urgent);
   EXPECT_EQ(transport.requests[1].spatial, abr::SpatialClass::kOos);
   EXPECT_EQ(transport.requests[1].bytes, video->size_bytes(later));
   EXPECT_EQ(transport.requests[0].request_id, 1);
   EXPECT_EQ(transport.requests[1].request_id, 2);
-  EXPECT_TRUE(fetcher->in_flight(soon.key));
-  EXPECT_TRUE(fetcher->in_flight(later.key));
+  EXPECT_TRUE(buffer.in_flight(soon.key));
+  EXPECT_TRUE(buffer.in_flight(later.key));
 
-  // A settle clears only its own level's bit and reaches the hook once.
+  // A settle clears only its own level's bit and reaches on_settle once.
   transport.requests[0].on_done(sim::milliseconds(80), FetchOutcome::kDelivered);
   ASSERT_EQ(settled.size(), 1U);
   EXPECT_EQ(settled[0].first.address, soon);
   EXPECT_EQ(settled[0].first.request_id, 1);
   EXPECT_EQ(settled[0].second, FetchOutcome::kDelivered);
-  EXPECT_TRUE(fetcher->in_flight(soon.key));
+  EXPECT_TRUE(buffer.in_flight(soon.key));
   transport.requests[2].on_done(sim::milliseconds(90), FetchOutcome::kDropped);
-  EXPECT_FALSE(fetcher->in_flight(soon.key));
+  EXPECT_FALSE(buffer.in_flight(soon.key));
 
-  // The fetcher does not fill the buffer (the player does), so a settled
+  // The fetch path does not fill the buffer (on_settle does), so a settled
   // address that is still missing can be fetched again.
-  fetcher->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
+  viewer->dispatch(soon, abr::SpatialClass::kFov, sim::seconds(0.5));
   EXPECT_EQ(transport.requests.size(), 4U);
 
-  // Requests settling after the fetcher is gone are ignored.
-  fetcher.reset();
+  // Requests settling after the viewer is gone are ignored.
+  viewer.reset();
   transport.requests[1].on_done(sim::seconds(1.0), FetchOutcome::kDelivered);
   EXPECT_EQ(settled.size(), 2U);
 }
 
-TEST_F(TileFetcherTest, RecoverRetriesFailedFovFetchesAtTheBaseTier) {
-  auto fetcher = make_fetcher(true);
+TEST_F(ViewerFetchTest, RecoverRetriesFailedFovFetchesAtTheBaseTier) {
+  auto viewer = make_viewer(true);
   const ChunkAddress fov{{1, 3}, Encoding::kSvc, 2};
   const ChunkAddress oos{{6, 3}, Encoding::kSvc, 1};
   const ChunkAddress behind{{4, 1}, Encoding::kSvc, 1};
-  fetcher->dispatch(fov, abr::SpatialClass::kFov, sim::seconds(3.0));
-  fetcher->dispatch(oos, abr::SpatialClass::kOos, sim::seconds(3.0));
-  fetcher->dispatch(behind, abr::SpatialClass::kFov, sim::seconds(3.0));
+  viewer->dispatch(fov, abr::SpatialClass::kFov, sim::seconds(3.0));
+  viewer->dispatch(oos, abr::SpatialClass::kOos, sim::seconds(3.0));
+  viewer->dispatch(behind, abr::SpatialClass::kFov, sim::seconds(3.0));
   for (std::size_t i = 0; i < 3; ++i) {
     transport.requests[i].on_done(sim::milliseconds(200), FetchOutcome::kFailed);
   }
@@ -795,7 +907,7 @@ TEST_F(TileFetcherTest, RecoverRetriesFailedFovFetchesAtTheBaseTier) {
 
   // The failed FoV fetch comes back as its cell's base layer, due at the
   // same deadline and citing the failed request as its parent.
-  fetcher->recover(settled[0].first, 2);
+  viewer->recover(settled[0].first, 2);
   ASSERT_EQ(transport.requests.size(), 4U);
   const ChunkRequest& retry = transport.requests[3];
   EXPECT_EQ(retry.id, (ChunkAddress{fov.key, Encoding::kSvc, 0}));
@@ -804,54 +916,41 @@ TEST_F(TileFetcherTest, RecoverRetriesFailedFovFetchesAtTheBaseTier) {
   EXPECT_EQ(retry.parent_id, settled[0].first.request_id);
   EXPECT_NE(retry.request_id, 0);
   // A second failure of the same cell finds the base layer in flight.
-  fetcher->recover(settled[0].first, 2);
+  viewer->recover(settled[0].first, 2);
   // OOS fetches and chunks the playhead has passed are not retried.
-  fetcher->recover(settled[1].first, 2);
-  fetcher->recover(settled[2].first, 2);
+  viewer->recover(settled[1].first, 2);
+  viewer->recover(settled[2].first, 2);
   EXPECT_EQ(transport.requests.size(), 4U);
-  EXPECT_EQ(fetcher->counters().fetch_failures, 4);
-  EXPECT_EQ(fetcher->counters().degraded_retries, 1);
+  EXPECT_EQ(viewer->fetch_counters_.fetch_failures, 4);
+  EXPECT_EQ(viewer->fetch_counters_.degraded_retries, 1);
 
   // Nor is a fetch whose deadline has already passed.
   simulator.run_until(sim::seconds(3.5));
   transport.requests[3].on_done(sim::seconds(3.5), FetchOutcome::kTimedOut);
-  fetcher->recover(settled.back().first, 2);
+  viewer->recover(settled.back().first, 2);
   EXPECT_EQ(transport.requests.size(), 4U);
-  EXPECT_EQ(fetcher->counters().degraded_retries, 1);
+  EXPECT_EQ(viewer->fetch_counters_.degraded_retries, 1);
 
   // With recovery off, failures are only counted.
-  auto plain = make_fetcher(false);
-  std::fill(in_flight.begin(), in_flight.end(), 0);
+  auto plain = make_viewer(false);
   plain->recover(settled[0].first, 0);
   EXPECT_EQ(transport.requests.size(), 4U);
-  EXPECT_EQ(plain->counters().fetch_failures, 1);
-  EXPECT_EQ(plain->counters().degraded_retries, 0);
+  EXPECT_EQ(plain->fetch_counters_.fetch_failures, 1);
+  EXPECT_EQ(plain->fetch_counters_.degraded_retries, 0);
 }
 
-// The visible-first upgrade pass that TileFetcher::upgrade replaced, over
-// the public fetch path: each visible tile displayed below `target` is
-// offered to the policy, a decision with a layer neither buffered nor in
-// flight is traced, and its fetches are dispatched.
-// Buffered, or its bit set in masks laid out like TileFetcher's (AVC levels
-// in the low half, SVC layers in the high half).
-bool covered(const PlaybackBuffer& buffer, std::span<const std::uint64_t> in_flight,
-             int tile_count, const ChunkAddress& a) {
-  const std::uint64_t bit =
-      std::uint64_t{1} << (a.encoding == Encoding::kAvc ? a.level : 32 + a.level);
-  return buffer.contains(a) ||
-         (in_flight[static_cast<std::size_t>(a.key.index * tile_count + a.key.tile)] &
-          bit) != 0;
-}
-
-void visible_first_upgrade(TileFetcher& fetcher, const PlaybackBuffer& buffer,
-                           std::span<const std::uint64_t> in_flight,
-                           const abr::TileAbrPolicy& policy, int tile_count,
+// The visible-first upgrade pass that Viewer::upgrade replaced, over the
+// public fetch path: each visible tile displayed below `target` is offered
+// to the policy, a decision with a layer neither buffered nor in flight is
+// traced, and its fetches are dispatched.
+void visible_first_upgrade(FetchViewer& viewer, const abr::TileAbrPolicy& policy,
                            obs::Telemetry& telemetry, sim::Time now,
                            media::ChunkIndex index,
                            std::span<const geo::TileId> visible,
                            std::span<const double> probs,
                            media::QualityLevel target, sim::Time deadline,
                            double estimated_kbps) {
+  const PlaybackBuffer& buffer = viewer.buffer();
   for (geo::TileId tile : visible) {
     const ChunkKey key{tile, index};
     const media::QualityLevel current = buffer.displayable_quality(key);
@@ -861,9 +960,7 @@ void visible_first_upgrade(TileFetcher& fetcher, const PlaybackBuffer& buffer,
         probs[static_cast<std::size_t>(tile)], deadline - now, estimated_kbps);
     if (!decision.upgrade) continue;
     if (!std::all_of(decision.fetches.begin(), decision.fetches.end(),
-                     [&](const ChunkAddress& a) {
-                       return covered(buffer, in_flight, tile_count, a);
-                     })) {
+                     [&](const ChunkAddress& a) { return buffer.covered(a); })) {
       telemetry.trace().record({.type = obs::TraceEventType::kUpgradeDecided,
                                 .ts = now,
                                 .tile = tile,
@@ -872,15 +969,15 @@ void visible_first_upgrade(TileFetcher& fetcher, const PlaybackBuffer& buffer,
                                 .value = static_cast<double>(current)});
     }
     for (const auto& address : decision.fetches) {
-      fetcher.dispatch(address, abr::SpatialClass::kFov, deadline);
+      viewer.dispatch(address, abr::SpatialClass::kFov, deadline);
     }
   }
 }
 
-TEST_F(TileFetcherTest, UpgradeMatchesTheVisibleFirstLoopAndAsksForVisibilityLazily) {
-  // Random buffer states, in-flight bits, probability maps, targets, slacks
-  // and estimates on 4x6 and 8x12 grids, in every encoding mode. The clock
-  // stays at zero, so a chunk's slack is its deadline.
+TEST_F(ViewerFetchTest, UpgradeMatchesTheVisibleFirstLoopAndAsksForVisibilityLazily) {
+  // Random buffer states, in-flight levels, probability maps, targets,
+  // slacks and estimates on 4x6 and 8x12 grids, in every encoding mode. The
+  // clock stays at zero, so a chunk's slack is its deadline.
   std::vector<std::shared_ptr<media::VideoModel>> videos;
   for (const auto& [rows, cols] : {std::pair{4, 6}, std::pair{8, 12}}) {
     media::VideoModelConfig cfg;
@@ -930,16 +1027,15 @@ TEST_F(TileFetcherTest, UpgradeMatchesTheVisibleFirstLoopAndAsksForVisibilityLaz
         }
       }
     }
-    // In-flight bits over both encodings' levels.
-    std::vector<std::uint64_t> flying(
-        static_cast<std::size_t>(model->chunk_count() * tiles), 0);
+    // In-flight levels of both encodings.
+    std::vector<ChunkAddress> flying;
     const double in_flight_p = std::array{0.0, 0.15, 0.5, 0.9}[static_cast<std::size_t>(
         rng.uniform_int(0, 3))];
     for (geo::TileId tile = 0; tile < tiles; ++tile) {
-      for (int b = 0; b < levels; ++b) {
-        auto& cell = flying[static_cast<std::size_t>(index * tiles + tile)];
-        if (rng.bernoulli(in_flight_p)) cell |= std::uint64_t{1} << b;
-        if (rng.bernoulli(in_flight_p)) cell |= std::uint64_t{1} << (32 + b);
+      for (media::QualityLevel b = 0; b < levels; ++b) {
+        for (const Encoding encoding : {Encoding::kAvc, Encoding::kSvc}) {
+          if (rng.bernoulli(in_flight_p)) flying.push_back({{tile, index}, encoding, b});
+        }
       }
     }
     // A peaked probability map, so the policy's lift gate passes some tiles.
@@ -962,51 +1058,50 @@ TEST_F(TileFetcherTest, UpgradeMatchesTheVisibleFirstLoopAndAsksForVisibilityLaz
 
     struct World {
       World(sim::Simulator& simulator, const std::shared_ptr<media::VideoModel>& v,
-            const abr::TileAbrPolicy& p, const std::vector<ChunkAddress>& held,
-            const std::vector<std::uint64_t>& flying)
-          : buffer(v),
-            in_flight(flying),
-            fetcher(simulator, *v, transport, buffer, p, &telemetry,
-                    std::span<std::uint64_t>(in_flight), sim::seconds(1.0), false,
-                    [](const TileFetcher::Fetch&, FetchOutcome) {}) {
-        for (const ChunkAddress& a : held) buffer.add(a);
+            const hmp::HeadTrace& head, const abr::TileAbrConfig& abr,
+            const std::vector<ChunkAddress>& held,
+            const std::vector<ChunkAddress>& flying)
+          : viewer(simulator, v, transport, head, [&] {
+              SessionConfig session;
+              session.abr = abr;
+              session.telemetry = &telemetry;
+              return session;
+            }()) {
+        for (const ChunkAddress& a : held) viewer.buffer_.add(a);
+        for (const ChunkAddress& a : flying) viewer.buffer_.set_in_flight(a, true);
       }
-      PlaybackBuffer buffer;
       obs::Telemetry telemetry;
       RecordingTransport transport;
-      std::vector<std::uint64_t> in_flight;
-      TileFetcher fetcher;
+      FetchViewer viewer;
     };
-    World lazy(simulator, model, *upgrade_policy, held, flying);
-    World reference(simulator, model, *upgrade_policy, held, flying);
+    World lazy(simulator, model, head, config, held, flying);
+    World reference(simulator, model, head, config, held, flying);
+    const PlaybackBuffer& start = lazy.viewer.buffer();
 
     // Whether any tile, visible or not, has a decision that would send.
     bool would_send = false;
     bool would_upgrade = false;
     for (geo::TileId tile = 0; tile < tiles; ++tile) {
       const ChunkKey key{tile, index};
-      const media::QualityLevel current = lazy.buffer.displayable_quality(key);
+      const media::QualityLevel current = start.displayable_quality(key);
       if (current >= target) continue;
       const auto decision = upgrade_policy->consider_upgrade(
-          key, current, lazy.buffer.svc_contiguous_quality(key), target,
+          key, current, start.svc_contiguous_quality(key), target,
           probs[static_cast<std::size_t>(tile)], deadline - simulator.now(), kbps);
       would_upgrade |= decision.upgrade;
-      for (const ChunkAddress& a : decision.fetches) {
-        would_send |= !covered(lazy.buffer, flying, tiles, a);
-      }
+      for (const ChunkAddress& a : decision.fetches) would_send |= !start.covered(a);
     }
     sending_cases += would_send ? 1 : 0;
     covered_only_cases += would_upgrade && !would_send ? 1 : 0;
 
     int asked = 0;
-    lazy.fetcher.upgrade(index, probs, target, deadline, kbps, [&] {
+    lazy.viewer.upgrade(index, probs, target, deadline, kbps, [&] {
       ++asked;
       return std::span<const geo::TileId>(visible);
     });
-    visible_first_upgrade(reference.fetcher, reference.buffer, reference.in_flight,
-                          *upgrade_policy, tiles, reference.telemetry,
-                          simulator.now(), index,
-                          visible, probs, target, deadline, kbps);
+    visible_first_upgrade(reference.viewer, *upgrade_policy, reference.telemetry,
+                          simulator.now(), index, visible, probs, target, deadline,
+                          kbps);
 
     SCOPED_TRACE("case " + std::to_string(c));
     EXPECT_EQ(asked, would_send ? 1 : 0);
@@ -1026,9 +1121,9 @@ TEST_F(TileFetcherTest, UpgradeMatchesTheVisibleFirstLoopAndAsksForVisibilityLaz
     for (std::size_t e = 0; e < got_events.size(); ++e) {
       EXPECT_EQ(event_fields(got_events[e]), event_fields(want_events[e]));
     }
-    EXPECT_EQ(lazy.fetcher.counters().upgrades +
-                  lazy.fetcher.counters().late_corrections,
-              reference.fetcher.counters().fetches);
+    EXPECT_EQ(lazy.viewer.fetch_counters_.upgrades +
+                  lazy.viewer.fetch_counters_.late_corrections,
+              reference.viewer.fetch_counters_.fetches);
   }
   // The draw reaches every branch: sending passes, and passes whose only
   // upgrade decisions are already covered.
@@ -1282,6 +1377,16 @@ TEST_F(SessionTest, RejectsCrowdShorterThanTheVideo) {
   const hmp::ViewingHeatmap crowd(video->tile_count(), video->chunk_count());
   EXPECT_NO_THROW(StreamingSession(simulator, video, transport, trace,
                                    SessionConfig{}, &crowd));
+}
+
+TEST_F(SessionTest, NullVideoThrows) {
+  sim::Simulator simulator;
+  net::Link link(simulator, net::LinkConfig{});
+  SingleLinkTransport transport(link);
+  const auto trace = steady_trace(20.0);
+  EXPECT_THROW(StreamingSession(simulator, nullptr, transport, trace,
+                                SessionConfig{}),
+               std::invalid_argument);
 }
 
 TEST_F(SessionTest, SessionRecoversAcrossMidStreamOutage) {

@@ -118,6 +118,23 @@ TEST(VideoModel, RejectsBadConfig) {
             static_cast<std::int64_t>(avc * (1.0 + 1e6)));
 }
 
+// A strictly increasing ladder of `levels` rungs.
+QualityLadder ladder_of(int levels) {
+  std::vector<double> kbps;
+  for (int q = 0; q < levels; ++q) kbps.push_back(100.0 * (q + 1));
+  return QualityLadder(kbps);
+}
+
+// The client's in-flight mask has one bit per level and encoding, so a
+// longer ladder would alias or overflow it.
+TEST(VideoModel, RejectsLadderLongerThanTheInFlightMask) {
+  auto cfg = small_config();
+  cfg.ladder = ladder_of(kMaxLevels + 1);
+  EXPECT_THROW((void)VideoModel(cfg), std::invalid_argument);
+  cfg.ladder = ladder_of(kMaxLevels);
+  EXPECT_EQ(VideoModel(cfg).ladder().levels(), kMaxLevels);
+}
+
 TEST(VideoModel, TileSharesSumToOne) {
   const VideoModel vm(small_config());
   double sum = 0.0;
@@ -376,6 +393,15 @@ TEST(Mpd, WriterEmitsAllRepresentations) {
     ++pos;
   }
   EXPECT_EQ(count, static_cast<std::size_t>(cfg.ladder.levels()));
+}
+
+// The MPD grammar has no rung limit; the video built from it does.
+TEST(Mpd, OverlongLadderParsesThenFailsInTheVideoModel) {
+  auto cfg = small_config();
+  cfg.ladder = ladder_of(kMaxLevels + 1);
+  const VideoModelConfig parsed = parse_mpd(write_mpd(cfg));
+  EXPECT_EQ(parsed.ladder.levels(), kMaxLevels + 1);
+  EXPECT_THROW((void)VideoModel(parsed), std::invalid_argument);
 }
 
 TEST(Mpd, RejectsMalformedDocuments) {

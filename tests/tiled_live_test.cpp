@@ -288,6 +288,16 @@ TEST(TiledLive, CrowdShorterThanTheVideoThrows) {
                std::invalid_argument);
 }
 
+TEST(TiledLive, NullVideoThrows) {
+  sim::Simulator simulator;
+  net::Link link(simulator, net::LinkConfig{});
+  core::SingleLinkTransport transport(link);
+  const auto trace = viewer_trace(1);
+  EXPECT_THROW(TiledLiveSession(simulator, nullptr, transport, trace,
+                                TiledLiveConfig{}),
+               std::invalid_argument);
+}
+
 TEST(TiledLive, SvcUpgradesHappenOnGoodLinks) {
   TiledLiveConfig config;
   config.abr.sperke.mode = abr::EncodingMode::kSvc;
